@@ -273,7 +273,10 @@ func main() {
 	b := matrix.Random(*n, *n, 2)
 
 	// The simulated virtual-time cost comes from the machine's per-op
-	// times; ChanCap is kept small so queue buffers stay cheap at large p.
+	// times. ChanCap is kept small so the goroutine backend's channels
+	// (whole buffer allocated eagerly) stay cheap at large p; under the
+	// event runtime queue storage follows occupancy and the value is no
+	// memory lever — it stays so BENCH_*.json rows remain comparable.
 	cost := sim.Cost{
 		GammaT: m.GammaT, BetaT: m.BetaT, AlphaT: m.AlphaT,
 		ChanCap:         8,

@@ -74,30 +74,57 @@ func (q *pairQ) count() int {
 	return q.rg.length()
 }
 
-// evRing is the event backend's pair queue: a fixed-capacity SPSC ring.
-// The producer owns tail, the consumer owns head; each side reads the
-// other's cursor atomically. Go's atomics are sequentially consistent, so
-// the buffer write before tail.Store is visible to a consumer that loads
-// the new tail (and symmetrically for slot reuse after head.Store). The
-// backing array is sized to the next power of two above the semantic
-// capacity and allocated lazily by the producer on first enqueue: pairs
-// that only ever carry conducted collective traffic (direct handoff, see
-// ffRecv) never materialize a buffer at all.
+// evRing is the event backend's pair queue: a growable SPSC ring whose
+// storage follows what the pair actually queues. The producer owns tail and
+// tseg, the consumer owns head and hseg; each side reads the other's cursor
+// atomically. Go's atomics are sequentially consistent, so everything the
+// producer wrote before tail.Store — the slot, a new segment, the link to
+// it — is visible to a consumer that loads the new tail (and symmetrically
+// for slot reuse after head.Store).
+//
+// sem is the semantic capacity (Cost.ChanCap): push fails at exactly sem
+// queued messages whatever the storage holds, so parks, quiescence and
+// deadlock verdicts never depend on how a queue is stored. Storage is a
+// chain of power-of-two segments, indexed by the global cursors: the first
+// is allocated by the first enqueue (pairs that only ever carry conducted
+// collective traffic, handed over directly by ffRecv, never materialize
+// one), and the producer appends one of twice the length — capped at the
+// next power of two above sem — only when tail−head reaches the current
+// segment's length. A stale head can only overstate that difference, so the
+// test may grow early but never lets a slot be overwritten: below it, slot
+// t&mask last held cursor t−len < head, already consumed. A pair therefore
+// allocates at most log₂(ChanCap) segments in its life and keeps reusing
+// the last one; a segment the consumer has left is referenced by nobody.
 type evRing struct {
 	head atomic.Uint32 // consumer cursor
 	tail atomic.Uint32 // producer cursor
 	sem  uint32        // semantic capacity (Cost.ChanCap)
-	mask uint32        // len(buf)-1
+	lim  uint32        // longest segment: next power of two ≥ sem
+	tseg *evSeg        // producer's segment; nil until the first push
+	// hseg is the consumer's segment. The producer sets it once, before the
+	// tail store of the very first push; from then on only the consumer
+	// touches it, and only after loading a tail that proves a message exists.
+	hseg *evSeg
+}
+
+// evSeg is one segment of an evRing's chain. It serves the cursors from
+// base up to the next segment's base, at slot cursor&(len(buf)−1).
+type evSeg struct {
+	next atomic.Pointer[evSeg] // stored by the producer before the tail store that publishes next's first slot
+	base uint32
 	buf  []message
 }
 
+// evSegMin is the first segment's length: the grid shifts and tree edges
+// keep one or two messages in flight per pair.
+const evSegMin = 2
+
 func (q *evRing) init(bufCap int) {
-	n := 1
-	for n < bufCap {
+	n := uint32(1)
+	for n < uint32(bufCap) {
 		n <<= 1
 	}
-	q.sem = uint32(bufCap)
-	q.mask = uint32(n - 1)
+	q.sem, q.lim = uint32(bufCap), n
 }
 
 // length is safe to call from either side (and from the quiesced engine).
@@ -107,26 +134,53 @@ func (q *evRing) length() int { return int(q.tail.Load() - q.head.Load()) }
 // Producer side only.
 func (q *evRing) push(m message) bool {
 	t := q.tail.Load()
-	if t-q.head.Load() >= q.sem {
+	n := t - q.head.Load()
+	if n >= q.sem {
 		return false
 	}
-	if q.buf == nil {
-		q.buf = make([]message, q.mask+1)
+	s := q.tseg
+	if s == nil || n >= uint32(len(s.buf)) {
+		s = q.grow(s, t)
 	}
-	q.buf[t&q.mask] = m
+	s.buf[t&uint32(len(s.buf)-1)] = m
 	q.tail.Store(t + 1)
 	return true
 }
 
-// pop dequeues the head message. Consumer side only. The slot is zeroed so
-// the ring does not pin delivered payloads for the GC.
+// grow appends the segment that serves cursors from t on. Producer side only.
+func (q *evRing) grow(s *evSeg, t uint32) *evSeg {
+	size := uint32(evSegMin)
+	if s != nil {
+		size = 2 * uint32(len(s.buf))
+	}
+	if size > q.lim {
+		size = q.lim
+	}
+	n := &evSeg{base: t, buf: make([]message, size)}
+	if s == nil {
+		q.hseg = n
+	} else {
+		s.next.Store(n)
+	}
+	q.tseg = n
+	return n
+}
+
+// pop dequeues the head message, following the chain once head reaches the
+// next segment's base. Consumer side only. The slot is zeroed so the ring
+// does not pin delivered payloads for the GC.
 func (q *evRing) pop() (message, bool) {
 	h := q.head.Load()
 	if q.tail.Load() == h {
 		return message{}, false
 	}
-	m := q.buf[h&q.mask]
-	q.buf[h&q.mask] = message{}
+	s := q.hseg
+	if n := s.next.Load(); n != nil && n.base == h {
+		s, q.hseg = n, n
+	}
+	slot := &s.buf[h&uint32(len(s.buf)-1)]
+	m := *slot
+	*slot = message{}
 	q.head.Store(h + 1)
 	return m, true
 }
@@ -152,7 +206,7 @@ func (c *Cluster) pairOf(src, dst int) *pairQ {
 	q := mb.queues[src]
 	if q == nil {
 		if mb.queues == nil {
-			mb.queues = make(map[int]*pairQ, 8)
+			mb.queues = make(map[int]*pairQ)
 		}
 		q = c.newPairQ()
 		mb.queues[src] = q
@@ -210,7 +264,7 @@ func (r *Rank) queueTo(dst int) *pairQ {
 		return q
 	}
 	if r.out == nil {
-		r.out = make(map[int]*pairQ, 16)
+		r.out = make(map[int]*pairQ)
 	}
 	q := r.cluster.pairOf(r.id, dst)
 	r.out[dst] = q
@@ -229,7 +283,7 @@ func (r *Rank) queueFrom(src int) *pairQ {
 		return q
 	}
 	if r.in == nil {
-		r.in = make(map[int]*pairQ, 16)
+		r.in = make(map[int]*pairQ)
 	}
 	q := r.cluster.pairOf(src, r.id)
 	r.in[src] = q

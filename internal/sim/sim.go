@@ -200,6 +200,8 @@ type Cluster struct {
 	// with a diagnostic; exits records each rank's exit status, written
 	// before its exitCh closes (the close happens-before a peer's failed
 	// receive, so reads after the exit notification are race-free).
+	// lastSegs, states, aborts and timerCh serve the watchdog only and stay
+	// nil under the event engine.
 	states   []atomic.Uint64
 	aborts   []chan struct{}
 	abortErr []*DeadlockError
@@ -236,8 +238,11 @@ type Cluster struct {
 // deadlocked — is aborted by the watchdog with a diagnostic error. The
 // value is a compromise: large enough that no algorithm in this repository
 // queues that many unreceived messages on one pair, small enough that a
-// queue (whose buffer a Go channel allocates eagerly) stays cheap to wire —
-// large-p runs that create many pairs can lower it further.
+// goroutine-backend queue (a Go channel, which allocates its whole buffer
+// eagerly) stays cheap to wire — large-p goroutine runs that create many
+// pairs can lower it further. Under the event runtime a pair's storage
+// follows what it actually queues (evRing, mailbox.go), so there ChanCap is
+// only the blocking threshold, not a memory lever.
 const DefaultChanCap = 64
 
 // NewCluster creates a cluster of p ranks with the given timing costs.
@@ -271,7 +276,6 @@ func NewCluster(p int, cost Cost) (*Cluster, error) {
 		c.tracer = &tracer{segments: make([][]Segment, p), phases: make([][]PhaseMark, p)}
 		c.obs = append(c.obs, c.tracer)
 	}
-	c.lastSegs = make([]atomic.Pointer[Segment], p)
 	c.bufCap = cost.ChanCap
 	if c.bufCap == 0 {
 		c.bufCap = DefaultChanCap
@@ -292,24 +296,26 @@ func NewCluster(p int, cost Cost) (*Cluster, error) {
 	} else {
 		c.mail = make([]mailbox, p)
 	}
-	c.states = make([]atomic.Uint64, p)
-	c.aborts = make([]chan struct{}, p)
 	c.abortErr = make([]*DeadlockError, p)
 	c.exits = make([]exitInfo, p)
 	c.exitCh = make([]chan struct{}, p)
 	c.timerDeadline = make([]atomic.Uint64, p)
-	c.timerCh = make([]chan struct{}, p)
-	for i := range c.aborts {
+	for i := range c.exitCh {
 		c.exitCh[i] = make(chan struct{})
-		if cost.Runtime == RuntimeEvent {
-			// The event engine releases blocked ranks through its own
-			// resume channels and never arms the watchdog, so the per-rank
-			// abort and timer-fire channels would be dead weight — at
-			// p = 10⁶ that is millions of allocations saved.
-			continue
+	}
+	if cost.Runtime != RuntimeEvent {
+		// Watchdog-only state (setState, watch, armTimer): the event engine
+		// keeps its own wait records and releases blocked ranks through its
+		// resume channels, so under it these would be dead weight — at
+		// p = 10⁶, millions of allocations.
+		c.lastSegs = make([]atomic.Pointer[Segment], p)
+		c.states = make([]atomic.Uint64, p)
+		c.aborts = make([]chan struct{}, p)
+		c.timerCh = make([]chan struct{}, p)
+		for i := range c.aborts {
+			c.aborts[i] = make(chan struct{})
+			c.timerCh[i] = make(chan struct{}, 1) // one pending fire token
 		}
-		c.aborts[i] = make(chan struct{})
-		c.timerCh[i] = make(chan struct{}, 1)
 	}
 	if cost.Context != nil {
 		c.cancelCh = make(chan struct{})
