@@ -443,11 +443,13 @@ func (s *Server) parseSimulate(req *http.Request) (simulateQuery, *apiError) {
 	if sq.seed, aerr = parseInt(q, "seed", 1); aerr != nil {
 		return sq, aerr
 	}
+	// The event engine is the default: it conducts collectives under the
+	// request's cancel context, the goroutine backend cannot.
 	switch rt := q.Get("runtime"); rt {
-	case "", "goroutine":
-		sq.runtime = sim.RuntimeGoroutine
-	case "event":
+	case "", "event":
 		sq.runtime = sim.RuntimeEvent
+	case "goroutine":
+		sq.runtime = sim.RuntimeGoroutine
 	default:
 		return sq, badRequest("unknown runtime %q for /simulate (want goroutine, event)", rt)
 	}

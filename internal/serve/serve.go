@@ -246,6 +246,7 @@ func (s *Server) managed(laneName string, defaultDeadline time.Duration, h query
 		start := time.Now()
 		w := &statusWriter{ResponseWriter: rw}
 		cancelled := false
+		var tracked *int64 // set once the request is in the in-flight table
 		defer func() {
 			if rec := recover(); rec != nil {
 				s.metrics.recordPanic()
@@ -258,6 +259,11 @@ func (s *Server) managed(laneName string, defaultDeadline time.Duration, h query
 				}
 			}
 			s.metrics.record(laneName, w.status(), time.Since(start), cancelled)
+			// Untrack after recording: Drain snapshots the metrics as soon
+			// as the last in-flight request is gone.
+			if tracked != nil {
+				s.untrack(*tracked)
+			}
 		}()
 
 		deadline := defaultDeadline
@@ -284,7 +290,7 @@ func (s *Server) managed(laneName string, defaultDeadline time.Duration, h query
 			})
 			return
 		}
-		defer s.untrack(id)
+		tracked = &id
 
 		h(ctx, w, req)
 		// The ?deadline_ms timeout lives on the derived ctx, not on

@@ -9,6 +9,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -166,37 +167,40 @@ func TestSimulateSummary(t *testing.T) {
 }
 
 // TestSimulateRuntimeParam drives /simulate through both simulator
-// backends: ?runtime=event must answer with the same virtual time and
-// energy as the goroutine default (the backends are pinned bitwise by the
-// conformance suite), occupy its own cache entry, and reject unknown
-// runtime names with a 400.
+// backends: the default is the event engine, ?runtime=goroutine must answer
+// with the same virtual time and energy (the backends are pinned bitwise by
+// the conformance suite) from its own cache entry, naming the default
+// explicitly shares the default's entry, and unknown runtime names are
+// rejected with a 400.
 func TestSimulateRuntimeParam(t *testing.T) {
 	_, ts := newTestServer(t, Options{})
-	code, gor, hdr := get(t, ts.URL+"/simulate?alg=matmul25d&n=64&q=4&c=1")
+	code, ev, _ := get(t, ts.URL+"/simulate?alg=matmul25d&n=64&q=4&c=1")
+	if code != 200 {
+		t.Fatalf("default simulate = %d %v", code, ev)
+	}
+	if ev["runtime"] != "event" {
+		t.Errorf("default runtime = %v, want event", ev["runtime"])
+	}
+
+	code, gor, hdr := get(t, ts.URL+"/simulate?alg=matmul25d&n=64&q=4&c=1&runtime=goroutine")
 	if code != 200 {
 		t.Fatalf("goroutine simulate = %d %v", code, gor)
 	}
 	if gor["runtime"] != "goroutine" {
-		t.Errorf("default runtime = %v, want goroutine", gor["runtime"])
+		t.Errorf("goroutine runtime = %v", gor["runtime"])
 	}
-	_ = hdr
-
-	code, ev, hdr := get(t, ts.URL+"/simulate?alg=matmul25d&n=64&q=4&c=1&runtime=event")
-	if code != 200 {
-		t.Fatalf("event simulate = %d %v", code, ev)
-	}
-	if ev["runtime"] != "event" {
-		t.Errorf("event runtime = %v", ev["runtime"])
-	}
-	// A distinct backend is a distinct canonical tuple: the event request
-	// must not replay the goroutine run from the cache.
+	// A distinct backend is a distinct canonical tuple: the goroutine
+	// request must not replay the event run from the cache.
 	if hdr.Get("X-Cache") != "miss" {
-		t.Errorf("event request X-Cache = %q, want miss", hdr.Get("X-Cache"))
+		t.Errorf("goroutine request X-Cache = %q, want miss", hdr.Get("X-Cache"))
 	}
-	for _, field := range []string{"sim_time_s", "total_energy_j", "active_pairs"} {
-		if ev[field] != gor[field] {
+	for _, field := range []string{"sim_time_s", "total_energy_j", "active_pairs", "max_stats"} {
+		if !reflect.DeepEqual(ev[field], gor[field]) {
 			t.Errorf("%s differs across backends: event %v vs goroutine %v", field, ev[field], gor[field])
 		}
+	}
+	if _, _, hdr = get(t, ts.URL+"/simulate?alg=matmul25d&n=64&q=4&c=1&runtime=event"); hdr.Get("X-Cache") != "hit" {
+		t.Errorf("explicit runtime=event X-Cache = %q, want hit on the default's entry", hdr.Get("X-Cache"))
 	}
 
 	code, body, _ := get(t, ts.URL+"/simulate?n=64&q=4&runtime=fibers")

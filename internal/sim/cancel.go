@@ -61,22 +61,44 @@ func RunContext(ctx context.Context, p int, cost Cost, fn func(r *Rank) error) (
 
 // cancelCheck aborts the rank if the run context has been cancelled. It is
 // called (via crashCheck) on entry to every instrumented operation: one
-// atomic load on the hot path, nothing when the run has no context.
+// atomic load on the hot path, nothing when the run has no context. A rank
+// being conducted (comm_ff.go) is exempt: the check would unwind the
+// conductor; the member aborts at its own next operation instead.
 func (r *Rank) cancelCheck() {
-	if r.cluster.cancelCh != nil && r.cluster.cancelled.Load() {
+	if r.cluster.cancelCh != nil && !r.conducted && r.cluster.cancelled.Load() {
 		panic(cancelPanic{})
 	}
 }
 
-// watchContext propagates ctx's cancellation to the cluster: it writes the
-// cause, sets the flag (release-ordered before the channel close) and closes
-// cancelCh, waking every blocked rank. The watcher exits when the run ends.
-func (c *Cluster) watchContext(ctx context.Context, done <-chan struct{}) {
-	select {
-	case <-ctx.Done():
+// abort unwinds a rank the watchdog or the engine aborted with a deadlock
+// diagnostic. On a cancelled run that diagnostic (a send to a peer that
+// exited cancelled, a wait nobody will answer) is the cancellation seen
+// second-hand — cancelled is stored before any rank can exit cancelled — so
+// the rank unwinds as cancelled and Run reports the cause, not a cascade.
+func (r *Rank) abort() {
+	r.cancelCheck()
+	panic(abortPanic{err: r.cluster.abortErr[r.id]})
+}
+
+// watchContext binds Cost.Context to the run and returns the function that
+// ends the binding. Cancelling writes the cause, sets the flag
+// (release-ordered before the channel close) and closes cancelCh, waking
+// every blocked rank. An already-expired context cancels inline, before the
+// first rank starts, so even a one-op program observes it.
+func (c *Cluster) watchContext() (stop func()) {
+	ctx := c.cost.Context
+	if ctx == nil {
+		return func() {}
+	}
+	cancel := func() {
 		c.cancelCause = context.Cause(ctx)
 		c.cancelled.Store(true)
 		close(c.cancelCh)
-	case <-done:
 	}
+	if ctx.Err() != nil {
+		cancel()
+		return func() {}
+	}
+	unbind := context.AfterFunc(ctx, cancel)
+	return func() { unbind() }
 }

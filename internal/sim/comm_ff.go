@@ -11,11 +11,10 @@ import (
 // Under the event engine, a collective like AllGather costs every member
 // p−1 park/resume round trips: each ring step blocks on a receive, hands
 // its worker slot away, and is woken one message later. None of that
-// scheduling is observable — when no fault plan, observer or cancel
-// context touches the run (eventEngine.ffOK), the only things a
-// collective changes are per-rank clocks, counters and payload buffers,
-// and all of those are pure functions of the collective's message
-// schedule.
+// scheduling is observable — when no fault plan or observer touches the
+// run (eventEngine.ffOK), the only things a collective changes are
+// per-rank clocks, counters and payload buffers, and all of those are pure
+// functions of the collective's message schedule.
 //
 // So the engine fast-forwards: the members of one collective call
 // rendezvous, the first s−1 arrivers park once, and the LAST arriver
@@ -60,6 +59,20 @@ import (
 // Composite collectives (AllReduce, Barrier, BcastLarge, ReduceLarge,
 // Split) are sequences of the conducted primitives and fast-forward
 // automatically.
+//
+// Cancellation: a cancel context (Cost.Context) does not disqualify a run;
+// a conduct is cancel-safe instead. ffRun checks the cancelled flag at the
+// door under the engine lock — watchCancel sweeps under the same lock, so
+// no rendezvous fills after the sweep; conductOwned takes the parked
+// members out of the blocked set for the conduct, so a sweep landing
+// mid-conduct skips them; Rank.conducted keeps the conductor from unwinding
+// on a member's record; woken members abort at their next instrumented op.
+// Who owns a member's Rank, by its engine state:
+//
+//	running (opRunning)                      its carrier; the sweep skips it
+//	parked, rendezvous unfilled (opBlocked*) nobody; the sweep resumes it
+//	parked, being conducted (opRunning)      the conductor; the sweep skips it
+//	conducted, woken, not yet resumed        nobody; the sweep may swap in evCancel
 
 // ffMemb identifies a communicator membership: an FNV-1a hash of the
 // member list plus enough structure (size, endpoints) to make an
@@ -189,7 +202,7 @@ func (c *Comm) membKey() ffMemb {
 
 // ffEngine returns the event engine when this run fast-forwards
 // collectives, nil otherwise (goroutine backend, or the engine's slow
-// path when faults/observers/cancellation need event-by-event execution).
+// path when faults or observers need event-by-event execution).
 func (c *Comm) ffEngine() *eventEngine {
 	if e := c.rank.cluster.eng; e != nil && e.ffOK {
 		return e
@@ -216,6 +229,12 @@ func (e *eventEngine) ffRun(c *Comm, op uint8, data []float64, arg int, rop Redu
 	}
 	key := ffKey{memb: memb, seq: seq, op: op}
 	e.mu.Lock()
+	if e.cancellable && e.c.cancelled.Load() {
+		// Checked under mu, where watchCancel sweeps: after the sweep no
+		// rendezvous can fill, so none completes with a swept member.
+		e.mu.Unlock()
+		panic(cancelPanic{})
+	}
 	rv := e.rend[key]
 	if rv == nil {
 		rv = getRend(len(c.members))
@@ -229,16 +248,10 @@ func (e *eventEngine) ffRun(c *Comm, op uint8, data []float64, arg int, rop Redu
 		// never complete (a member exited out of an erroneous program),
 		// quiescence treats us like any blocked receiver.
 		for {
-			kind := e.parkLocked(r, opBlockedRecv, c.members[0], 0)
-			switch kind {
-			case evConducted:
+			if e.parkLocked(r, opBlockedRecv, c.members[0], 0) == evConducted {
 				out := rv.out[c.me]
 				releaseRend(rv)
 				return out
-			case evCancel:
-				panic(cancelPanic{})
-			case evAbort:
-				panic(abortPanic{err: e.c.abortErr[r.id]})
 			}
 			// evWake: either an unrelated point-to-point message landed
 			// on the watched pair (we are not receiving it — re-park) or
@@ -263,9 +276,13 @@ func (e *eventEngine) ffRun(c *Comm, op uint8, data []float64, arg int, rop Redu
 	// Conduct outside the engine lock: the rendezvous is exclusively ours
 	// now, the parked members' rank handles are quiescent, and the
 	// conductor still holds its worker slot so quiescence cannot trigger.
-	e.mu.Unlock()
-	conduct(rv, op)
-	e.mu.Lock()
+	if e.cancellable {
+		e.conductOwned(rv, op, c.me)
+	} else {
+		e.mu.Unlock()
+		conduct(rv, op)
+		e.mu.Lock()
+	}
 	rv.done = true
 	for i := range rv.calls {
 		if i != c.me {
@@ -277,6 +294,34 @@ func (e *eventEngine) ffRun(c *Comm, op uint8, data []float64, arg int, rop Redu
 	out := rv.out[c.me]
 	releaseRend(rv)
 	return out
+}
+
+// conductOwned is the conduct step of a cancellable run; mu held on entry
+// and on return. The parked members leave the blocked set for the duration,
+// so watchCancel's sweep cannot resume a carrier whose Rank the conductor
+// is writing. If conduct panics (a program error) they still rejoin it —
+// quiescence resolves them as on a context-free run — and mu is left
+// released for the unwinding conductor's exit.
+func (e *eventEngine) conductOwned(rv *ffRendezvous, op uint8, me int) {
+	setOps := func(op uint64) {
+		for i := range rv.calls {
+			if i != me {
+				e.ranks[rv.calls[i].rank.id].op = op
+			}
+		}
+	}
+	setOps(opRunning)
+	e.mu.Unlock()
+	done := false
+	defer func() {
+		e.mu.Lock()
+		setOps(opBlockedRecv)
+		if !done {
+			e.mu.Unlock()
+		}
+	}()
+	conduct(rv, op)
+	done = true
 }
 
 // ffWire is one in-flight conducted message: the priced message plus the
@@ -365,10 +410,11 @@ func conduct(rv *ffRendezvous, op uint8) {
 		}
 	}
 	// Conducted pricing drives parked members' Compute from the
-	// conductor's goroutine: the cooperative yield must not trigger there
-	// (it would park the conductor on a member's scheduling record).
+	// conductor's goroutine: neither the cooperative yield nor the cancel
+	// check may trigger there (the conductor would park on a member's
+	// scheduling record, or unwind mid-conduct and strand the members).
 	for i := range rv.calls {
-		rv.calls[i].rank.noYield = true
+		rv.calls[i].rank.conducted = true
 	}
 	switch op {
 	case ffShift:
@@ -395,7 +441,7 @@ func conduct(rv *ffRendezvous, op uint8) {
 		conductReduceLarge(rv, arg)
 	}
 	for i := range rv.calls {
-		rv.calls[i].rank.noYield = false
+		rv.calls[i].rank.conducted = false
 	}
 }
 

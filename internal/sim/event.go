@@ -36,11 +36,12 @@ import (
 //     virtual-timer firing (timer.go) are immediate and deterministic
 //     instead of a real-time watchdog window (Cost.WatchdogTimeout is
 //     ignored under the event runtime);
-//   - collectives can be fast-forwarded: when no fault plan, observer or
-//     cancel context can touch a run (see ffEligible), a collective's whole
-//     message schedule is conducted centrally by its last-arriving member
-//     in one pass (comm_ff.go), eliminating the per-round park/resume
-//     cycles entirely.
+//   - collectives can be fast-forwarded: when no fault plan or observer
+//     must see a run operation by operation (eventEngine.ffOK), a
+//     collective's whole message schedule is conducted centrally by its
+//     last-arriving member in one pass (comm_ff.go), eliminating the
+//     per-round park/resume cycles entirely. A cancel context does not
+//     disqualify a run: conducts are cancel-safe (comm_ff.go, "Cancellation").
 //
 // Results are bit-identical to the goroutine backend by construction:
 // virtual clocks and counters are pure functions of the program's per-pair
@@ -91,7 +92,7 @@ const (
 	// timer at quiescence (timer.go rules).
 	evTimerFire
 	// evAbort: the engine filled abortErr[id] (deadlock, send to exited
-	// peer); the rank unwinds with abortPanic.
+	// peer); the rank unwinds with abortPanic (Rank.abort).
 	evAbort
 	// evCancel: the run context was cancelled; the rank unwinds with
 	// cancelPanic.
@@ -220,16 +221,17 @@ type eventEngine struct {
 	errs    []error
 	workers int
 
-	// ffOK marks the run eligible for fast-forwarded collectives: no
-	// fault plan, no observers (including the tracer), no cancel context.
-	// Any of those must see the run event by event — faults key decisions
-	// on individual sends, observers are owed per-operation callbacks on
-	// the owning rank's goroutine, and cancellation must be able to abort
-	// inside a collective — so they force the slow path. The predicate is
-	// cluster-static: eligibility never changes mid-run, which keeps
-	// conducted and event-by-event collectives from deadlocking each
-	// other.
+	// ffOK marks the run eligible for fast-forwarded collectives: no fault
+	// plan and no observers (including the tracer). Either must see the run
+	// event by event — faults key decisions on individual sends, observers
+	// are owed per-operation callbacks on the owning rank's goroutine — so
+	// they force the slow path. The predicate is cluster-static:
+	// eligibility never changes mid-run, which keeps conducted and
+	// event-by-event collectives from deadlocking each other.
 	ffOK bool
+	// cancellable records that the run has a cancel context, read once
+	// here so a context-free conduct pays for none of the cancel protocol.
+	cancellable bool
 
 	mu      sync.Mutex
 	ranks   []evRank
@@ -252,12 +254,14 @@ func newEventEngine(c *Cluster, fn func(*Rank) error, res *Result) *eventEngine 
 		res:     res,
 		errs:    make([]error, c.p),
 		workers: workers,
-		ffOK:    c.cost.Faults == nil && len(c.obs) == 0 && c.cost.Context == nil,
+		ffOK:    c.cost.Faults == nil && len(c.obs) == 0,
 		ranks:   make([]evRank, c.p),
 		shards:  make([]evHeap, workers),
 		live:    c.p,
 		rend:    make(map[ffKey]*ffRendezvous),
 		done:    make(chan struct{}),
+
+		cancellable: c.cancelCh != nil,
 	}
 	for i := range e.ranks {
 		e.ranks[i].resume = make(chan evKind, 1)
@@ -276,10 +280,8 @@ func (c *Cluster) runEvent(fn func(r *Rank) error) (*Result, error) {
 	}
 	e := newEventEngine(c, fn, res)
 	c.eng = e
-	if ctx := c.cost.Context; ctx != nil {
-		watchDone := make(chan struct{})
-		go c.watchContext(ctx, watchDone)
-		defer close(watchDone)
+	defer c.watchContext()()
+	if e.cancellable {
 		go e.watchCancel()
 	}
 	e.mu.Lock()
@@ -439,7 +441,8 @@ func (e *eventEngine) park(r *Rank, op uint64, peer int, deadline float64, avail
 
 // parkLocked is park's core: record the wait, release the worker slot,
 // hand it to the next runnable rank, and sleep. Enters with mu held,
-// returns with mu released.
+// returns with mu released — or unwinds the rank when the engine resumed it
+// to cancel or abort it.
 func (e *eventEngine) parkLocked(r *Rank, op uint64, peer int, deadline float64) evKind {
 	rk := &e.ranks[r.id]
 	rk.op = op
@@ -453,6 +456,12 @@ func (e *eventEngine) parkLocked(r *Rank, op uint64, peer int, deadline float64)
 	e.mu.Unlock()
 	kind := <-rk.resume
 	rk.watch.Store(0)
+	switch kind {
+	case evCancel:
+		panic(cancelPanic{})
+	case evAbort:
+		r.abort()
+	}
 	return kind
 }
 
@@ -511,8 +520,9 @@ func (e *eventEngine) notifyDequeue(src, dst int) {
 }
 
 // watchCancel wakes every parked rank with evCancel once the run context
-// is cancelled (running ranks abort at their next instrumented op via
-// cancelCheck, exactly like the goroutine backend).
+// is cancelled. Running ranks — and members a conductor owns, which it has
+// taken out of the blocked set — abort at their next instrumented op via
+// cancelCheck instead.
 func (e *eventEngine) watchCancel() {
 	select {
 	case <-e.c.cancelCh:
@@ -691,13 +701,7 @@ func (e *eventEngine) deliverEvent(r *Rank, dst int, m message) {
 			e.notifyEnqueue(r.id, dst)
 			return
 		}
-		kind := e.park(r, opBlockedSend, dst, 0, func() bool { return q.length() < int(q.sem) })
-		switch kind {
-		case evCancel:
-			panic(cancelPanic{})
-		case evAbort:
-			panic(abortPanic{err: e.c.abortErr[r.id]})
-		}
+		e.park(r, opBlockedSend, dst, 0, func() bool { return q.length() < int(q.sem) })
 	}
 }
 
@@ -720,15 +724,9 @@ func (e *eventEngine) recvEvent(r *Rank, src int) (message, bool) {
 			// notification; drain once more before failing.
 			return q.pop()
 		}
-		kind := e.park(r, opBlockedRecv, src, 0, func() bool {
+		e.park(r, opBlockedRecv, src, 0, func() bool {
 			return q.length() > 0 || e.exitedLocked(src)
 		})
-		switch kind {
-		case evCancel:
-			panic(cancelPanic{})
-		case evAbort:
-			panic(abortPanic{err: e.c.abortErr[r.id]})
-		}
 	}
 }
 
@@ -751,12 +749,7 @@ func (e *eventEngine) recvTimeoutEvent(r *Rank, src int, deadline float64) (msg 
 		kind := e.park(r, opBlockedRecvTimer, src, deadline, func() bool {
 			return q.length() > 0 || e.exitedLocked(src)
 		})
-		switch kind {
-		case evCancel:
-			panic(cancelPanic{})
-		case evAbort:
-			panic(abortPanic{err: e.c.abortErr[r.id]})
-		case evTimerFire:
+		if kind == evTimerFire {
 			fired = true
 		}
 		if msg, got = q.pop(); got {
@@ -795,12 +788,7 @@ func (e *eventEngine) sendDeadlineEvent(r *Rank, dst int, m message, deadline fl
 		kind := e.park(r, opBlockedSendTimer, dst, deadline, func() bool {
 			return q.length() < int(q.sem) || e.exitedLocked(dst)
 		})
-		switch kind {
-		case evCancel:
-			panic(cancelPanic{})
-		case evAbort:
-			panic(abortPanic{err: e.c.abortErr[r.id]})
-		case evTimerFire:
+		if kind == evTimerFire {
 			fired = true
 		}
 		if q.push(m) {

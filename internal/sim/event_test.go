@@ -34,16 +34,22 @@ func runBothBackends(t *testing.T, p int, cost Cost, fn func(r *Rank) error) (*R
 	if gRes == nil || eRes == nil {
 		return gRes, eRes
 	}
-	if gRes.ActivePairs != eRes.ActivePairs {
-		t.Errorf("ActivePairs: goroutine=%d event=%d", gRes.ActivePairs, eRes.ActivePairs)
+	requireSameResult(t, "goroutine", gRes, "event", eRes)
+	return gRes, eRes
+}
+
+// requireSameResult is the bitwise comparison behind runBothBackends:
+// ActivePairs and every per-rank Stats (hence Time()) must be equal.
+func requireSameResult(t *testing.T, aName string, a *Result, bName string, b *Result) {
+	t.Helper()
+	if a.ActivePairs != b.ActivePairs {
+		t.Errorf("ActivePairs: %s=%d %s=%d", aName, a.ActivePairs, bName, b.ActivePairs)
 	}
-	for i := range gRes.PerRank {
-		if gRes.PerRank[i] != eRes.PerRank[i] {
-			t.Errorf("rank %d stats differ:\n  goroutine: %+v\n  event:     %+v",
-				i, gRes.PerRank[i], eRes.PerRank[i])
+	for i := range a.PerRank {
+		if a.PerRank[i] != b.PerRank[i] {
+			t.Errorf("rank %d stats differ:\n  %s: %+v\n  %s: %+v", i, aName, a.PerRank[i], bName, b.PerRank[i])
 		}
 	}
-	return gRes, eRes
 }
 
 func TestRuntimeValidation(t *testing.T) {

@@ -354,11 +354,12 @@ type Rank struct {
 
 	// computeOps counts Compute calls under the event engine; every 256th
 	// call checks whether an earlier-clock rank is waiting for the worker
-	// slot (see eventEngine.yieldIfBehind). noYield suppresses the check
-	// while a conducted collective drives this rank's pricing from the
-	// conductor's goroutine (see comm_ff.go).
+	// slot (see eventEngine.yieldIfBehind). conducted is set while a
+	// conductor drives this rank's pricing from its own goroutine
+	// (comm_ff.go): the rank can then neither yield nor unwind — the
+	// conductor would park, or panic, on a parked member's record.
 	computeOps uint32
-	noYield    bool
+	conducted  bool
 
 	// lastSeg is the rank's most recent timeline segment (goroutine-local;
 	// published to the cluster's lastSegs at blocking transitions so
@@ -415,7 +416,7 @@ func (r *Rank) Compute(flops float64) {
 	r.stats.ComputeTime += dt
 	r.emit(Segment{Kind: SegCompute, Start: r.clock, End: r.clock + dt, Peer: -1, Flops: flops})
 	r.clock += dt
-	if e := r.cluster.eng; e != nil && !r.noYield {
+	if e := r.cluster.eng; e != nil && !r.conducted {
 		if r.computeOps++; r.computeOps&255 == 0 {
 			e.yieldIfBehind(r)
 		}
@@ -584,7 +585,7 @@ func (r *Rank) deliver(dst int, m message) {
 	case <-r.cluster.cancelCh:
 		panic(cancelPanic{})
 	case <-r.cluster.aborts[r.id]:
-		panic(abortPanic{err: r.cluster.abortErr[r.id]})
+		r.abort()
 	}
 }
 
@@ -627,7 +628,7 @@ func (r *Rank) Recv(src int) []float64 {
 		case <-r.cluster.cancelCh:
 			panic(cancelPanic{})
 		case <-r.cluster.aborts[r.id]:
-			panic(abortPanic{err: r.cluster.abortErr[r.id]})
+			r.abort()
 		}
 	}
 	return r.finishRecvOrFail(src, msg, ok)
@@ -637,9 +638,11 @@ func (r *Rank) Recv(src int) []float64 {
 // when the peer exited with nothing further queued (ok false) — panics
 // naming the root cause. The exit notification happens-before the failed
 // receive observing it, so the peer's exit record is safe to read. Shared
-// by both backends' Recv paths.
+// by both backends' Recv paths. On a cancelled run the peer's exit is the
+// cancellation seen second-hand, so the rank unwinds as cancelled.
 func (r *Rank) finishRecvOrFail(src int, msg message, ok bool) []float64 {
 	if !ok {
+		r.cancelCheck()
 		switch ei := r.cluster.exits[src]; ei.status {
 		case exitClean:
 			panic(fmt.Sprintf("sim: rank %d receiving from rank %d, which exited without sending (clean exit; mismatched communication pattern?)", r.id, src))
@@ -817,11 +820,7 @@ func (c *Cluster) Run(fn func(r *Rank) error) (*Result, error) {
 		}
 		go c.watch(stop, timeout)
 	}
-	if ctx := c.cost.Context; ctx != nil {
-		watchDone := make(chan struct{})
-		go c.watchContext(ctx, watchDone)
-		defer close(watchDone)
-	}
+	defer c.watchContext()()
 	var wg sync.WaitGroup
 	for id := 0; id < c.p; id++ {
 		wg.Add(1)

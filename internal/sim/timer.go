@@ -246,7 +246,7 @@ func (r *Rank) RecvTimeout(src int, timeout float64) ([]float64, RecvOutcome) {
 		case <-r.cluster.cancelCh:
 			panic(cancelPanic{})
 		case <-r.cluster.aborts[r.id]:
-			panic(abortPanic{err: r.cluster.abortErr[r.id]})
+			r.abort()
 		}
 		// Whatever woke the select, re-check in fixed priority order —
 		// message, peer exit, expiry — so a real-time race between a late
@@ -427,7 +427,7 @@ func (r *Rank) deliverDeadline(dst int, m message, deadline float64) SendOutcome
 		case <-r.cluster.cancelCh:
 			panic(cancelPanic{})
 		case <-r.cluster.aborts[r.id]:
-			panic(abortPanic{err: r.cluster.abortErr[r.id]})
+			r.abort()
 		}
 		// Priority re-check, mirroring RecvTimeout: enqueue if space
 		// opened, then peer exit, then expiry.
