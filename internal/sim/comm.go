@@ -15,10 +15,9 @@ type Comm struct {
 	members []int // global rank ids
 	me      int   // index of rank in members
 
-	// ffm memoizes the membership identity used to rendezvous conducted
-	// collectives under the event engine (see comm_ff.go).
-	ffm    ffMemb
-	ffmSet bool
+	// ffID memoizes the engine's id for this membership, the rendezvous
+	// key of conducted collectives (see eventEngine.membID); 0 = unset.
+	ffID uint32
 }
 
 // World returns the communicator containing every rank of the cluster.

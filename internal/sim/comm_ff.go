@@ -72,23 +72,24 @@ import (
 //	running (opRunning)                      its carrier; the sweep skips it
 //	parked, rendezvous unfilled (opBlocked*) nobody; the sweep resumes it
 //	parked, being conducted (opRunning)      the conductor; the sweep skips it
-//	conducted, woken, not yet resumed        nobody; the sweep may swap in evCancel
+//	conducted, woken, still queued           nobody; the sweep may swap in evCancel
+//	picked, token not yet sent (opRunning)   nobody; the sweep skips it
 
 // ffMemb identifies a communicator membership: an FNV-1a hash of the
 // member list plus enough structure (size, endpoints) to make an
-// accidental collision practically impossible.
+// accidental collision practically impossible. membID interns it, so the
+// wide key is hashed once per communicator, not per call under the lock.
 type ffMemb struct {
 	hash        uint64
 	size        int
 	first, last int
 }
 
-// ffKey identifies one collective call cluster-wide: the membership, the
-// per-membership collective counter, and the op code.
+// ffKey identifies one collective call cluster-wide: the interned
+// membership, the per-membership collective counter, and the op code.
 type ffKey struct {
-	memb ffMemb
-	seq  int
-	op   uint8
+	memb, seq uint32
+	op        uint8
 }
 
 // Collective op codes for ffKey; mismatched programs (one member calls
@@ -177,27 +178,37 @@ func putRend(rv *ffRendezvous) {
 	ffRendPool.Put(rv)
 }
 
-// releaseRend is the counted release for rendezvous that went through
-// ffRun: the caller must not touch rv after this call.
-func releaseRend(rv *ffRendezvous) {
+// take returns member i's result and is the counted release for rendezvous
+// that went through ffRun: the caller must not touch rv after this call.
+func (rv *ffRendezvous) take(i int) []float64 {
+	out := rv.out[i]
 	if rv.left.Add(-1) == 0 {
 		putRend(rv)
 	}
+	return out
 }
 
-// membKey returns the communicator's membership identity, memoized.
-func (c *Comm) membKey() ffMemb {
-	if !c.ffmSet {
+// membID returns the engine's id for the communicator's membership (from
+// 1; 0 means not yet interned), memoized on the Comm.
+func (e *eventEngine) membID(c *Comm) uint32 {
+	if c.ffID == 0 {
 		const offset64, prime64 = 14695981039346656037, 1099511628211
 		h := uint64(offset64)
 		for _, m := range c.members {
 			h ^= uint64(m)
 			h *= prime64
 		}
-		c.ffm = ffMemb{hash: h, size: len(c.members), first: c.members[0], last: c.members[len(c.members)-1]}
-		c.ffmSet = true
+		memb := ffMemb{hash: h, size: len(c.members), first: c.members[0], last: c.members[len(c.members)-1]}
+		e.membMu.Lock()
+		id, ok := e.membIDs[memb]
+		if !ok {
+			id = uint32(len(e.membIDs)) + 1
+			e.membIDs[memb] = id
+		}
+		e.membMu.Unlock()
+		c.ffID = id
 	}
-	return c.ffm
+	return c.ffID
 }
 
 // ffEngine returns the event engine when this run fast-forwards
@@ -214,20 +225,16 @@ func (c *Comm) ffEngine() *eventEngine {
 // The first need−1 arrivers park; the last conducts.
 func (e *eventEngine) ffRun(c *Comm, op uint8, data []float64, arg int, rop ReduceOp) []float64 {
 	r := c.rank
-	memb := c.membKey()
-	seq := -1
-	for i := range r.ffSeq {
-		if r.ffSeq[i].memb == memb {
-			seq = r.ffSeq[i].seq
-			r.ffSeq[i].seq = seq + 1
-			break
-		}
+	key := ffKey{memb: e.membID(c), op: op}
+	i := 0
+	for i < len(r.ffSeq) && r.ffSeq[i].memb != key.memb {
+		i++
 	}
-	if seq < 0 {
-		seq = 0
-		r.ffSeq = append(r.ffSeq, ffSeqEntry{memb: memb, seq: 1})
+	if i == len(r.ffSeq) {
+		r.ffSeq = append(r.ffSeq, ffSeqEntry{memb: key.memb})
 	}
-	key := ffKey{memb: memb, seq: seq, op: op}
+	key.seq = r.ffSeq[i].seq
+	r.ffSeq[i].seq++
 	e.mu.Lock()
 	if e.cancellable && e.c.cancelled.Load() {
 		// Checked under mu, where watchCancel sweeps: after the sweep no
@@ -249,9 +256,7 @@ func (e *eventEngine) ffRun(c *Comm, op uint8, data []float64, arg int, rop Redu
 		// quiescence treats us like any blocked receiver.
 		for {
 			if e.parkLocked(r, opBlockedRecv, c.members[0], 0) == evConducted {
-				out := rv.out[c.me]
-				releaseRend(rv)
-				return out
+				return rv.take(c.me)
 			}
 			// evWake: either an unrelated point-to-point message landed
 			// on the watched pair (we are not receiving it — re-park) or
@@ -259,9 +264,7 @@ func (e *eventEngine) ffRun(c *Comm, op uint8, data []float64, arg int, rop Redu
 			e.mu.Lock()
 			if rv.done {
 				e.mu.Unlock()
-				out := rv.out[c.me]
-				releaseRend(rv)
-				return out
+				return rv.take(c.me)
 			}
 			if e.exitedLocked(c.members[0]) {
 				e.mu.Unlock()
@@ -290,10 +293,8 @@ func (e *eventEngine) ffRun(c *Comm, op uint8, data []float64, arg int, rop Redu
 		}
 	}
 	e.dispatch()
-	e.mu.Unlock()
-	out := rv.out[c.me]
-	releaseRend(rv)
-	return out
+	e.unlockResume()
+	return rv.take(c.me)
 }
 
 // conductOwned is the conduct step of a cancellable run; mu held on entry

@@ -22,15 +22,18 @@ import (
 // buffer, a collective rendezvous), it parks: it registers what it waits
 // for, hands its slot to the next runnable rank, and sleeps on a one-token
 // resume channel until the engine wakes it with a reason. Runnable ranks
-// wait in per-shard min-heaps ordered by virtual clock (ties by rank id) —
-// the sharded virtual-time event queue — so execution tends to proceed in
-// causal waves and a wake is delivered exactly when the awaited condition
-// holds, never as a poll.
+// wait in one min-heap ordered by virtual clock (ties by rank id) — the
+// virtual-time event queue — so execution tends to proceed in causal waves
+// and a wake is delivered exactly when the awaited condition holds, never
+// as a poll.
 //
 // This buys three things over the goroutine backend:
 //
-//   - blocking costs one mutex + one channel token instead of a multi-way
-//     select registered on four wait queues;
+//   - blocking costs one short critical section + one channel token instead
+//     of a multi-way select registered on four wait queues. Under mu the
+//     parking rank only records its wait and picks its successor; the token
+//     (or the successor's carrier spawn) follows the unlock (unlockResume),
+//     so a second worker contends for a few stores, never a channel send;
 //   - quiescence is exact: the engine knows the instant the run queue is
 //     empty and every live rank is parked, so deadlock detection and
 //     virtual-timer firing (timer.go) are immediate and deterministic
@@ -63,7 +66,7 @@ const (
 	// scheduler with a real-time deadlock watchdog (the default).
 	RuntimeGoroutine Runtime = iota
 	// RuntimeEvent runs ranks as cooperatively scheduled continuations on
-	// a sharded virtual-time run queue with exact quiescence detection,
+	// a virtual-time run queue with exact quiescence detection,
 	// feasible to p ≥ 10⁶ ranks. Cost.WatchdogTimeout is ignored (hangs
 	// are detected exactly, not by timeout); Cost.Workers bounds the
 	// concurrently running ranks.
@@ -104,7 +107,9 @@ const (
 
 // evRank is the engine's per-rank scheduling record. All fields are
 // guarded by eventEngine.mu except resume, which carries at most one
-// token from the dispatching engine to the parked carrier.
+// token from unlockResume to the parked carrier, and watch. Padded to one
+// cache line, so a sender polling one rank's watch word never shares a
+// line with a neighbour's locked fields.
 type evRank struct {
 	resume chan evKind
 	// op/peer/deadline form the wait record while parked (op values from
@@ -119,11 +124,11 @@ type evRank struct {
 	deadline float64
 	// clock is the rank's virtual clock at its last park, the heap key.
 	clock float64
-	// seg/hasSeg snapshot the rank's last timeline segment at park, so
-	// deadlock snapshots can report what it last did (the engine's
-	// equivalent of Cluster.lastSegs).
-	seg    Segment
-	hasSeg bool
+	// rank is the parked rank, whose last timeline segment a deadlock
+	// snapshot reports (the engine's equivalent of Cluster.lastSegs).
+	// Snapshots are taken at quiescence, when no carrier or conductor holds
+	// a worker slot, so every parked Rank is still.
+	rank *Rank
 	// watch is the lock-free mirror of the (op, peer) wait record for the
 	// notifyEnqueue/notifyDequeue prechecks: peer<<2 | watchRecv/watchSend
 	// while this rank is parked on a pair operation, 0 otherwise. park
@@ -134,6 +139,15 @@ type evRank struct {
 	// the engine lock entirely on the overwhelmingly common case of an
 	// unwatched pair.
 	watch atomic.Uint64
+	_     [8]byte
+}
+
+// evPick is one rank dispatch handed a worker slot: unlockResume starts its
+// carrier (start) or sends kind on its resume channel once mu is released.
+type evPick struct {
+	id    int32
+	kind  evKind
+	start bool
 }
 
 // watch classes (low two bits of evRank.watch).
@@ -151,7 +165,7 @@ func watchWord(op uint64, peer int) uint64 {
 	return uint64(peer)<<2 | class
 }
 
-// evEntry is one runnable rank in a shard heap, ordered by (clock, id).
+// evEntry is one runnable rank in the run queue, ordered by (clock, id).
 type evEntry struct {
 	clock float64
 	id    int32
@@ -233,14 +247,21 @@ type eventEngine struct {
 	// here so a context-free conduct pays for none of the cancel protocol.
 	cancellable bool
 
+	// mu guards everything down to picks; dispatch states what a critical
+	// section may not contain.
 	mu      sync.Mutex
 	ranks   []evRank
-	shards  []evHeap
-	running int // ranks currently executing on a worker slot
+	runq    evHeap
+	running int // ranks holding a worker slot: executing, or picked and about to be resumed
 	live    int // ranks that have not exited
-	nrun    int // total runnable entries across shards
 	rend    map[ffKey]*ffRendezvous
+	picks   []evPick // dispatch's output, drained by unlockResume
 	done    chan struct{}
+
+	// membIDs interns communicator memberships into the ids that key rend
+	// (membID), under its own lock: the wide key is never hashed under mu.
+	membMu  sync.Mutex
+	membIDs map[ffMemb]uint32
 }
 
 func newEventEngine(c *Cluster, fn func(*Rank) error, res *Result) *eventEngine {
@@ -256,10 +277,12 @@ func newEventEngine(c *Cluster, fn func(*Rank) error, res *Result) *eventEngine 
 		workers: workers,
 		ffOK:    c.cost.Faults == nil && len(c.obs) == 0,
 		ranks:   make([]evRank, c.p),
-		shards:  make([]evHeap, workers),
+		runq:    make(evHeap, 0, c.p),
 		live:    c.p,
 		rend:    make(map[ffKey]*ffRendezvous),
+		picks:   make([]evPick, 0, workers),
 		done:    make(chan struct{}),
+		membIDs: make(map[ffMemb]uint32),
 
 		cancellable: c.cancelCh != nil,
 	}
@@ -285,11 +308,12 @@ func (c *Cluster) runEvent(fn func(r *Rank) error) (*Result, error) {
 		go e.watchCancel()
 	}
 	e.mu.Lock()
-	for id := 0; id < c.p; id++ {
+	// Descending ids arrive in heap order (evLess), so no push sifts.
+	for id := c.p - 1; id >= 0; id-- {
 		e.pushRunnable(id, 0)
 	}
 	e.dispatch()
-	e.mu.Unlock()
+	e.unlockResume()
 	<-e.done
 	res.ActivePairs = c.ActivePairs()
 	return res, joinRunErrors(c, e.errs)
@@ -299,61 +323,60 @@ func (c *Cluster) runEvent(fn func(r *Rank) error) (*Result, error) {
 func (e *eventEngine) pushRunnable(id int, clock float64) {
 	rk := &e.ranks[id]
 	rk.runnable = true
-	e.shards[id%e.workers].push(evEntry{clock: clock, id: int32(id)})
-	e.nrun++
-}
-
-// popNext removes and returns the runnable rank with the smallest
-// (clock, id) across shards. mu held.
-func (e *eventEngine) popNext() (int, bool) {
-	best := -1
-	for s := range e.shards {
-		if len(e.shards[s]) == 0 {
-			continue
-		}
-		if best < 0 || evLess(e.shards[s][0], e.shards[best][0]) {
-			best = s
-		}
-	}
-	if best < 0 {
-		return 0, false
-	}
-	e.nrun--
-	return int(e.shards[best].pop().id), true
+	e.runq.push(evEntry{clock: clock, id: int32(id)})
 }
 
 // dispatch fills free worker slots from the run queue, and — when the
 // whole cluster has gone quiescent with ranks still live — resolves the
 // quiescence exactly like the watchdog would (peer-exit releases first,
 // then the earliest armed timer, then deadlock). mu held.
+//
+// dispatch only picks: a picked rank becomes opRunning, is counted in
+// running and joins picks; the caller's unlockResume resumes it after
+// releasing mu. The rule for every critical section of mu, here and in
+// comm_ff.go: no channel operation, no go statement, no map access keyed
+// wider than 16 bytes and no Segment copy (bar the deadlock snapshot, which
+// ends the run). A picked rank has left the blocked set, so the cancel
+// sweep and quiescence ignore it exactly as they ignore a running rank.
 func (e *eventEngine) dispatch() {
 	for {
-		for e.running < e.workers && e.nrun > 0 {
-			id, ok := e.popNext()
-			if !ok {
-				break
-			}
+		for e.running < e.workers && len(e.runq) > 0 {
+			id := e.runq.pop().id
 			rk := &e.ranks[id]
 			rk.runnable = false
 			rk.op = opRunning
 			rk.peer = -1
 			e.running++
-			if !rk.started {
-				rk.started = true
-				go e.carrier(id)
-			} else {
-				rk.resume <- rk.kind
-			}
+			e.picks = append(e.picks, evPick{id: id, kind: rk.kind, start: !rk.started})
+			rk.started = true
 		}
-		if e.running > 0 || e.live == 0 || e.nrun > 0 {
+		if e.running > 0 || e.live == 0 || len(e.runq) > 0 {
 			return
 		}
 		// Quiescent: every live rank is parked and nothing is runnable.
 		e.quiesce()
-		if e.nrun == 0 {
+		if len(e.runq) == 0 {
 			// quiesce wakes at least one rank whenever live ranks remain;
 			// defensive: avoid spinning if it could not.
 			return
+		}
+	}
+}
+
+// unlockResume releases mu, then resumes the ranks the preceding dispatch
+// picked (at most one per worker slot, so the copy stays on the stack).
+// Every critical section that dispatches ends here: picks is empty whenever
+// mu is free.
+func (e *eventEngine) unlockResume() {
+	var buf [16]evPick
+	picks := append(buf[:0], e.picks...)
+	e.picks = e.picks[:0]
+	e.mu.Unlock()
+	for _, pk := range picks {
+		if pk.start {
+			go e.carrier(int(pk.id))
+		} else {
+			e.ranks[pk.id].resume <- pk.kind
 		}
 	}
 }
@@ -377,14 +400,15 @@ func (e *eventEngine) carrier(id int) {
 		e.mu.Lock()
 		rk := &e.ranks[id]
 		rk.op = opExited
-		rk.hasSeg = false
+		rk.rank = nil // the exited Rank and its peer maps may be collected
 		e.live--
 		e.running--
-		if e.live == 0 {
-			defer close(e.done)
-		}
+		last := e.live == 0
 		e.dispatch()
-		e.mu.Unlock()
+		e.unlockResume()
+		if last {
+			close(e.done)
+		}
 	}()
 	e.errs[id] = e.fn(r)
 }
@@ -398,14 +422,7 @@ func (e *eventEngine) carrier(id int) {
 // affects wall-clock fairness, never the virtual outcome.
 func (e *eventEngine) yieldIfBehind(r *Rank) {
 	e.mu.Lock()
-	behind := false
-	for s := range e.shards {
-		if h := e.shards[s]; len(h) > 0 && h[0].clock < r.clock {
-			behind = true
-			break
-		}
-	}
-	if !behind {
+	if len(e.runq) == 0 || e.runq[0].clock >= r.clock {
 		e.mu.Unlock()
 		return
 	}
@@ -414,11 +431,10 @@ func (e *eventEngine) yieldIfBehind(r *Rank) {
 	// quiescence scans and cancel sweep must keep ignoring it — it will
 	// observe cancellation itself at its next instrumented op.
 	rk.kind = evWake
-	rk.seg, rk.hasSeg = r.lastSeg, r.hasSeg
 	e.pushRunnable(r.id, r.clock)
 	e.running--
 	e.dispatch()
-	e.mu.Unlock()
+	e.unlockResume()
 	<-rk.resume
 }
 
@@ -449,11 +465,10 @@ func (e *eventEngine) parkLocked(r *Rank, op uint64, peer int, deadline float64)
 	rk.peer = int32(peer)
 	rk.deadline = deadline
 	rk.clock = r.clock
-	rk.seg = r.lastSeg
-	rk.hasSeg = r.hasSeg
+	rk.rank = r
 	e.running--
 	e.dispatch()
-	e.mu.Unlock()
+	e.unlockResume()
 	kind := <-rk.resume
 	rk.watch.Store(0)
 	switch kind {
@@ -486,37 +501,27 @@ func (e *eventEngine) wake(id int, kind evKind) {
 	e.pushRunnable(id, rk.clock)
 }
 
-// notifyEnqueue wakes dst if it is parked receiving from src. The
-// unlocked watch precheck rejects the common case — dst running, or
-// parked on some other pair — without touching the engine lock; the
-// locked wait record stays authoritative for the actual wake.
-func (e *eventEngine) notifyEnqueue(src, dst int) {
-	if w := e.ranks[dst].watch.Load(); w&3 != watchRecv || int(w>>2) != src {
-		return
-	}
-	e.mu.Lock()
-	rk := &e.ranks[dst]
-	if (rk.op == opBlockedRecv || rk.op == opBlockedRecvTimer) && int(rk.peer) == src {
-		e.wake(dst, evWake)
-		e.dispatch()
-	}
-	e.mu.Unlock()
-}
+// notifyEnqueue wakes dst if it is parked receiving from src.
+func (e *eventEngine) notifyEnqueue(src, dst int) { e.notify(dst, uint64(src)<<2|watchRecv) }
 
 // notifyDequeue wakes src if it is parked sending to dst (its pair's
-// buffer was full; the caller just drained one slot). Prechecked like
-// notifyEnqueue.
-func (e *eventEngine) notifyDequeue(src, dst int) {
-	if w := e.ranks[src].watch.Load(); w&3 != watchSend || int(w>>2) != dst {
+// buffer was full; the caller just drained one slot).
+func (e *eventEngine) notifyDequeue(src, dst int) { e.notify(src, uint64(dst)<<2|watchSend) }
+
+// notify wakes rank id if its wait record encodes to watch (spelled out by
+// the wrappers above: going through watchWord would cost them their
+// inlining). The unlocked precheck rejects the common case — id running, or
+// parked on some other pair — without the lock; the locked record decides.
+func (e *eventEngine) notify(id int, watch uint64) {
+	if e.ranks[id].watch.Load() != watch {
 		return
 	}
 	e.mu.Lock()
-	rk := &e.ranks[src]
-	if (rk.op == opBlockedSend || rk.op == opBlockedSendTimer) && int(rk.peer) == dst {
-		e.wake(src, evWake)
+	if rk := &e.ranks[id]; blockedOp(rk.op) && watchWord(rk.op, int(rk.peer)) == watch {
+		e.wake(id, evWake)
 		e.dispatch()
 	}
-	e.mu.Unlock()
+	e.unlockResume()
 }
 
 // watchCancel wakes every parked rank with evCancel once the run context
@@ -536,7 +541,7 @@ func (e *eventEngine) watchCancel() {
 		}
 	}
 	e.dispatch()
-	e.mu.Unlock()
+	e.unlockResume()
 }
 
 // exitedLocked reports whether rank id has exited. mu held; the mutex
@@ -682,8 +687,8 @@ func (e *eventEngine) snapshotLocked() *ClusterSnapshot {
 		default:
 			rs.State = "running"
 		}
-		if rk.hasSeg && blockedOp(rk.op) {
-			seg := rk.seg
+		if blockedOp(rk.op) && rk.rank.hasSeg {
+			seg := rk.rank.lastSeg
 			rs.LastSeg = &seg
 		}
 		snap.Ranks[id] = rs

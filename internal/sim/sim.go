@@ -372,21 +372,16 @@ type Rank struct {
 	// returned by the next receive (timer.go). At most one per peer.
 	pushback map[int]message
 
-	// ffSeq counts this rank's collective calls per communicator
-	// membership — the rendezvous sequence number of the event engine's
-	// conducted collectives (comm_ff.go). Rank-local: every member counts
-	// its own calls, and the MPI ordering contract keeps the counts
-	// aligned. A rank belongs to a handful of communicators (row, column,
-	// fiber, world), so a linearly-scanned slice beats hashing the
-	// membership key on every collective.
+	// ffSeq counts this rank's collective calls per interned membership —
+	// the rendezvous sequence number of conducted collectives (comm_ff.go).
+	// Rank-local: every member counts its own calls, and the MPI ordering
+	// contract keeps the counts aligned. A rank belongs to a handful of
+	// communicators (row, column, fiber, world), so a linear scan suffices.
 	ffSeq []ffSeqEntry
 }
 
 // ffSeqEntry is one membership's collective-call counter (see Rank.ffSeq).
-type ffSeqEntry struct {
-	memb ffMemb
-	seq  int
-}
+type ffSeqEntry struct{ memb, seq uint32 }
 
 // ID returns the rank's index in [0, P).
 func (r *Rank) ID() int { return r.id }
