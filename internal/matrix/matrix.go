@@ -1,5 +1,6 @@
 // Package matrix provides the dense row-major linear-algebra kernels the
-// distributed algorithms run locally on each rank: blocked matrix multiply,
+// distributed algorithms run locally on each rank: register-tiled GEMM
+// (SSE2 on amd64, a portable Go tile elsewhere; same bits on both),
 // addition, block copy in and out, transposition, norms and comparison
 // helpers, plus unblocked LU for panel factorization.
 package matrix
@@ -188,38 +189,37 @@ func (a *Dense) SetBlock(r0, c0 int, b *Dense) {
 	}
 }
 
-// MulAdd accumulates a·b into c (c += a·b) with a blocked i-k-j loop order
-// that keeps the inner loop streaming over contiguous rows. Shapes must
-// conform: a is m×k, b is k×n, c is m×n.
+// MulAdd accumulates a·b into c (c += a·b) with a register-tiled kernel:
+// an SSE2 4×4 tile on amd64, a portable 2×4 Go tile elsewhere and under
+// the purego build tag. Every kernel performs, per element of c, the
+// operation sequence stated in gemm.go (k ascending, zeros of a skipped,
+// product rounded and then added), so the result is bit for bit the same
+// on every build. Shapes must conform: a is m×k, b is k×n, c is m×n, each
+// operand's Data must hold at least Rows·Cols elements, and c must not
+// alias a or b.
 func MulAdd(c, a, b *Dense) {
 	if a.Cols != b.Rows || c.Rows != a.Rows || c.Cols != b.Cols {
 		panic(fmt.Sprintf("matrix: mul shape mismatch: c %dx%d = a %dx%d * b %dx%d",
 			c.Rows, c.Cols, a.Rows, a.Cols, b.Rows, b.Cols))
 	}
-	const bs = 64
+	checkLen("c", c)
+	checkLen("a", a)
+	checkLen("b", b)
 	m, kk, n := a.Rows, a.Cols, b.Cols
-	for i0 := 0; i0 < m; i0 += bs {
-		iMax := min(i0+bs, m)
-		for k0 := 0; k0 < kk; k0 += bs {
-			kMax := min(k0+bs, kk)
-			for j0 := 0; j0 < n; j0 += bs {
-				jMax := min(j0+bs, n)
-				for i := i0; i < iMax; i++ {
-					crow := c.Data[i*n : (i+1)*n]
-					arow := a.Data[i*kk : (i+1)*kk]
-					for k := k0; k < kMax; k++ {
-						aik := arow[k]
-						if aik == 0 {
-							continue
-						}
-						brow := b.Data[k*n : (k+1)*n]
-						for j := j0; j < jMax; j++ {
-							crow[j] += aik * brow[j]
-						}
-					}
-				}
-			}
-		}
+	if m <= 0 || kk <= 0 || n <= 0 {
+		return
+	}
+	mulAdd(c.Data, a.Data, b.Data, m, kk, n)
+}
+
+// checkLen panics when d.Data is shorter than d's shape. MulAdd calls it
+// on every operand before any element is read or written: a short slice
+// would otherwise stop the portable kernel part-way through with c half
+// updated, and would be an out-of-bounds read in the assembly.
+func checkLen(operand string, d *Dense) {
+	if len(d.Data) < d.Rows*d.Cols {
+		panic(fmt.Sprintf("matrix: mul operand %s: len(Data) = %d, shape %dx%d needs %d",
+			operand, len(d.Data), d.Rows, d.Cols, d.Rows*d.Cols))
 	}
 }
 

@@ -2,6 +2,7 @@ package matrix
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -420,5 +421,163 @@ func TestRandomSPDIsSPD(t *testing.T) {
 	// Positive definite: Cholesky succeeds.
 	if err := CholeskyInPlace(a.Clone()); err != nil {
 		t.Errorf("not positive definite: %v", err)
+	}
+}
+
+// mulAddOracle is the loop MulAdd ran before the register-tiled kernels,
+// kept verbatim as the reference for the operation-order contract in
+// gemm.go: per element of c, k ascending, a[i][k] == 0 skipped, product
+// rounded and then added. The explicit float64 conversion is the one
+// addition: it keeps the oracle unfused on a GOARCH that forms FMAs.
+func mulAddOracle(c, a, b *Dense) {
+	const bs = 64
+	m, kk, n := a.Rows, a.Cols, b.Cols
+	for i0 := 0; i0 < m; i0 += bs {
+		iMax := min(i0+bs, m)
+		for k0 := 0; k0 < kk; k0 += bs {
+			kMax := min(k0+bs, kk)
+			for j0 := 0; j0 < n; j0 += bs {
+				jMax := min(j0+bs, n)
+				for i := i0; i < iMax; i++ {
+					crow := c.Data[i*n : (i+1)*n]
+					arow := a.Data[i*kk : (i+1)*kk]
+					for k := k0; k < kMax; k++ {
+						aik := arow[k]
+						if aik == 0 {
+							continue
+						}
+						brow := b.Data[k*n : (k+1)*n]
+						for j := j0; j < jMax; j++ {
+							crow[j] += float64(aik * brow[j])
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// What mulAddOperands plants in its operands, as a bit mask.
+const (
+	scatterZeros = 1 << iota // every fifth element of a is +0 or −0
+	skippedRows              // every third column of a is ±0 and that row of b is NaN/±Inf
+	liveSpecials             // NaN/±Inf in b where a is non-zero, and in a (NaN is not zero: no skip)
+	nonZeroC                 // c is random on entry instead of zero
+	allSpecials  = 1<<iota - 1
+)
+
+func mulAddOperands(m, k, n int, seed int64, mask int) (c, a, b *Dense) {
+	a, b, c = Random(m, k, seed), Random(k, n, seed+1), New(m, n)
+	if mask&nonZeroC != 0 {
+		c = Random(m, n, seed+2)
+	}
+	zero := func(i int) float64 { return math.Copysign(0, float64(i%2*2-1)) }
+	specials := [3]float64{math.NaN(), math.Inf(1), math.Inf(-1)}
+	special := func(i int) float64 { return specials[i%3] }
+	if mask&scatterZeros != 0 {
+		for i := 0; i < len(a.Data); i += 5 {
+			a.Data[i] = zero(i / 5)
+		}
+	}
+	if mask&liveSpecials != 0 {
+		for i := 3; i < len(b.Data); i += 11 {
+			b.Data[i] = special(i / 11)
+		}
+		for i := 2; i < len(a.Data); i += 13 {
+			a.Data[i] = special(i / 13)
+		}
+	}
+	if mask&skippedRows != 0 {
+		for kk := 1; kk < k; kk += 3 {
+			for i := 0; i < m; i++ {
+				a.Set(i, kk, zero(i+kk))
+			}
+			for j := 0; j < n; j++ {
+				b.Set(kk, j, special(j+kk))
+			}
+		}
+	}
+	return c, a, b
+}
+
+// checkMulAddBits runs MulAdd and the oracle on copies of the same operands
+// and compares every element of c by its bits. Any NaN equals any NaN:
+// payloads are not part of the contract.
+func checkMulAddBits(t *testing.T, m, k, n int, seed int64, mask int) {
+	t.Helper()
+	got, a, b := mulAddOperands(m, k, n, seed, mask)
+	want := got.Clone()
+	MulAdd(got, a, b)
+	mulAddOracle(want, a, b)
+	for i, g := range got.Data {
+		w := want.Data[i]
+		if math.Float64bits(g) != math.Float64bits(w) && !(math.IsNaN(g) && math.IsNaN(w)) {
+			t.Fatalf("%dx%dx%d seed %d mask %#x: c[%d][%d] = %g (%#x), oracle %g (%#x)",
+				m, k, n, seed, mask, i/n, i%n, g, math.Float64bits(g), w, math.Float64bits(w))
+		}
+		if mask&liveSpecials == 0 && (math.IsNaN(g) || math.IsInf(g, 0)) {
+			t.Fatalf("%dx%dx%d seed %d mask %#x: c[%d][%d] = %g: a skipped row of b leaked into c",
+				m, k, n, seed, mask, i/n, i%n, g)
+		}
+	}
+}
+
+func TestMulAddBitIdentical(t *testing.T) {
+	shapes := [][3]int{
+		// What the registry and the benchmark run.
+		{4, 4, 4}, {16, 16, 16}, {32, 32, 32}, {48, 16, 32}, {96, 96, 96},
+		// Edges: k = 0, one element, m or n below or off the 4-wide tile, an
+		// odd last row, k past the oracle's 64-block.
+		{1, 1, 1}, {3, 0, 5}, {4, 1, 4}, {7, 5, 13}, {5, 7, 6}, {2, 9, 3}, {3, 5, 2},
+		{4, 4, 3}, {3, 4, 4}, {9, 65, 1}, {1, 8, 9}, {6, 70, 9}, {130, 67, 75},
+	}
+	masks := []int{0, scatterZeros, skippedRows, liveSpecials, nonZeroC, allSpecials}
+	for si, s := range shapes {
+		for _, mask := range masks {
+			checkMulAddBits(t, s[0], s[1], s[2], int64(100+si), mask)
+		}
+	}
+}
+
+func FuzzMulAdd(f *testing.F) {
+	f.Add(uint8(4), uint8(4), uint8(4), int64(1), uint8(0))
+	f.Add(uint8(7), uint8(5), uint8(13), int64(2), uint8(allSpecials))
+	f.Add(uint8(40), uint8(40), uint8(40), int64(3), uint8(scatterZeros|nonZeroC))
+	f.Fuzz(func(t *testing.T, m, k, n uint8, seed int64, mask uint8) {
+		checkMulAddBits(t, int(m%41), int(k%41), int(n%41), seed, int(mask)&allSpecials)
+	})
+}
+
+func TestMulAddOperandPanics(t *testing.T) {
+	short := func(rows, cols int) *Dense { return &Dense{Rows: rows, Cols: cols, Data: make([]float64, rows*cols-1)} }
+	cases := []struct {
+		name    string
+		c, a, b *Dense
+		want    string
+	}{
+		{"shape", New(2, 3), New(2, 3), New(2, 3), "mul shape mismatch: c 2x3 = a 2x3 * b 2x3"},
+		{"short c", short(4, 5), New(4, 3), New(3, 5), "operand c: len(Data) = 19, shape 4x5 needs 20"},
+		{"short a", New(4, 5), short(4, 3), New(3, 5), "operand a: len(Data) = 11, shape 4x3 needs 12"},
+		{"short b", New(4, 5), New(4, 3), short(3, 5), "operand b: len(Data) = 14, shape 3x5 needs 15"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			for i := range tc.a.Data {
+				tc.a.Data[i] = 1
+			}
+			for i := range tc.b.Data {
+				tc.b.Data[i] = 1
+			}
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, tc.want) {
+					t.Errorf("panic %q, want it to contain %q", msg, tc.want)
+				}
+				if tc.c.MaxAbs() != 0 {
+					t.Error("c was written before the panic")
+				}
+			}()
+			MulAdd(tc.c, tc.a, tc.b)
+		})
 	}
 }
