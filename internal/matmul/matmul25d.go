@@ -239,12 +239,16 @@ func TwoPointFiveDSUMMA(cost sim.Cost, q, c int, a, b *matrix.Dense) (*RunResult
 
 		r.Phase("summa")
 		cBlk := matrix.New(nb, nb)
-		aWrap := matrix.FromData(nb, nb, aData)
-		bWrap := matrix.FromData(nb, nb, bData)
+		// A panel is read once by MulAdd and dropped, so each step receives
+		// into the buffer the previous step's panel occupied: two receive
+		// buffers per rank, allocated by the first step, and never the
+		// replicated blocks, which are the broadcasts' sources.
+		aWrap := &matrix.Dense{Rows: nb, Cols: nb}
+		bWrap := &matrix.Dense{Rows: nb, Cols: nb}
 		for s := 0; s < panelsPerLayer; s++ {
 			t := layer*panelsPerLayer + s
-			aWrap.Data = rowComm.BcastLarge(t, blockIf(col == t, aBlk))
-			bWrap.Data = colComm.BcastLarge(t, blockIf(row == t, bBlk))
+			aWrap.Data = rowComm.BcastLargeInto(aWrap.Data, t, blockIf(col == t, aBlk))
+			bWrap.Data = colComm.BcastLargeInto(bWrap.Data, t, blockIf(row == t, bBlk))
 			matrix.MulAdd(cBlk, aWrap, bWrap)
 			r.Compute(matrix.MulFlops(nb, nb, nb))
 		}

@@ -63,21 +63,24 @@ func SUMMARect(cost sim.Cost, pr, pc, panel int, a, b *matrix.Dense) (*RunResult
 		bLoc := b.Block(row*bRowsPer, col*colsPer, bRowsPer, colsPer)
 		cLoc := matrix.New(rowsPer, colsPer)
 
+		// A panel is read once by MulAdd and dropped, so each step receives
+		// into the buffer the previous step's panel occupied.
+		var aPanel, bPanel []float64
 		for k0 := 0; k0 < kA; k0 += panel {
 			// Broadcast A's panel columns [k0, k0+panel) along the row.
 			aOwner := k0 / aColsPer
-			var aPanel []float64
+			var aSrc []float64
 			if col == aOwner {
-				aPanel = aLoc.Block(0, k0-aOwner*aColsPer, rowsPer, panel).Data
+				aSrc = aLoc.Block(0, k0-aOwner*aColsPer, rowsPer, panel).Data
 			}
-			aPanel = rowComm.BcastLarge(aOwner, aPanel)
+			aPanel = rowComm.BcastLargeInto(aPanel, aOwner, aSrc)
 			// Broadcast B's panel rows along the column.
 			bOwner := k0 / bRowsPer
-			var bPanel []float64
+			var bSrc []float64
 			if row == bOwner {
-				bPanel = bLoc.Block(k0-bOwner*bRowsPer, 0, panel, colsPer).Data
+				bSrc = bLoc.Block(k0-bOwner*bRowsPer, 0, panel, colsPer).Data
 			}
-			bPanel = colComm.BcastLarge(bOwner, bPanel)
+			bPanel = colComm.BcastLargeInto(bPanel, bOwner, bSrc)
 
 			matrix.MulAdd(cLoc,
 				matrix.FromData(rowsPer, panel, aPanel),

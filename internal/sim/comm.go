@@ -178,7 +178,7 @@ func (c *Comm) ShiftOwned(data []float64, by int) []float64 {
 func (c *Comm) Bcast(root int, data []float64) []float64 {
 	p := len(c.members)
 	if e := c.ffEngine(); e != nil && p > 1 {
-		return e.ffRun(c, ffBcast, data, root, nil)
+		return e.ffRun(c, ffBcast, ffCall{data: data, arg: root})
 	}
 	// Rotate indices so the root is virtual index 0.
 	vme := (c.me - root + p) % p
@@ -222,7 +222,7 @@ func nextPow2(n int) int {
 func (c *Comm) Reduce(root int, data []float64, op ReduceOp) []float64 {
 	p := len(c.members)
 	if e := c.ffEngine(); e != nil && p > 1 {
-		return e.ffRun(c, ffReduce, data, root, op)
+		return e.ffRun(c, ffReduce, ffCall{data: data, arg: root, rop: op})
 	}
 	vme := (c.me - root + p) % p
 	acc := make([]float64, len(data))
@@ -265,14 +265,14 @@ func (c *Comm) AllReduce(data []float64, op ReduceOp) []float64 {
 // p−1 steps, each moving one block, for a total of (p−1)·k words per member.
 func (c *Comm) AllGather(block []float64) []float64 {
 	p := len(c.members)
+	if e := c.ffEngine(); e != nil && p > 1 {
+		return e.ffRun(c, ffAllGather, ffCall{data: block})
+	}
 	k := len(block)
 	out := make([]float64, p*k)
 	copy(out[c.me*k:(c.me+1)*k], block)
 	if p == 1 {
 		return out
-	}
-	if e := c.ffEngine(); e != nil {
-		return e.ffRun(c, ffAllGather, block, 0, nil)
 	}
 	cur := make([]float64, k)
 	copy(cur, block)
@@ -302,7 +302,7 @@ func (c *Comm) ReduceScatter(data []float64, op ReduceOp) []float64 {
 		return out
 	}
 	if e := c.ffEngine(); e != nil {
-		return e.ffRun(c, ffReduceScatter, data, 0, op)
+		return e.ffRun(c, ffReduceScatter, ffCall{data: data, rop: op})
 	}
 	acc := make([]float64, len(data))
 	copy(acc, data)
@@ -335,7 +335,7 @@ func (c *Comm) AllToAll(data []float64) []float64 {
 		panic(fmt.Sprintf("sim: AllToAll length %d not divisible by %d", len(data), p))
 	}
 	if e := c.ffEngine(); e != nil && p > 1 {
-		return e.ffRun(c, ffAllToAll, data, 0, nil)
+		return e.ffRun(c, ffAllToAll, ffCall{data: data})
 	}
 	k := len(data) / p
 	out := make([]float64, len(data))
@@ -361,7 +361,7 @@ func (c *Comm) AllToAllTree(data []float64) []float64 {
 		panic(fmt.Sprintf("sim: AllToAllTree length %d not divisible by %d", len(data), p))
 	}
 	if e := c.ffEngine(); e != nil && p > 1 {
-		return e.ffRun(c, ffAllToAllTree, data, 0, nil)
+		return e.ffRun(c, ffAllToAllTree, ffCall{data: data})
 	}
 	k := len(data) / p
 	// Phase 1: local rotation so block for member (me+j)%p sits at slot j.
@@ -413,7 +413,7 @@ func (c *Comm) Barrier() {
 func (c *Comm) Gather(root int, chunk []float64) []float64 {
 	p := len(c.members)
 	if e := c.ffEngine(); e != nil && p > 1 {
-		return e.ffRun(c, ffGather, chunk, root, nil)
+		return e.ffRun(c, ffGather, ffCall{data: chunk, arg: root})
 	}
 	if c.me != root {
 		c.send(root, chunk)
@@ -439,6 +439,17 @@ func (c *Comm) Gather(root int, chunk []float64) []float64 {
 // W = n²/√(cp) bound. Falls back to the binomial Bcast when the payload is
 // too small to split evenly.
 func (c *Comm) BcastLarge(root int, data []float64) []float64 {
+	return c.BcastLargeInto(nil, root, data)
+}
+
+// BcastLargeInto is BcastLarge receiving append-style: the result may use
+// dst's storage when its capacity suffices, so use the returned slice, and
+// dst must not overlap data. A loop of broadcasts whose results are read
+// and dropped — SUMMA's panels — passes the previous result and stops
+// allocating one buffer per step. Virtual time, counters and the received
+// values are BcastLarge's; whether dst is used is not part of the contract
+// (the member-by-member route ignores it).
+func (c *Comm) BcastLargeInto(dst []float64, root int, data []float64) []float64 {
 	p := len(c.members)
 	if p == 1 {
 		return c.Bcast(root, data)
@@ -446,7 +457,7 @@ func (c *Comm) BcastLarge(root int, data []float64) []float64 {
 	if e := c.ffEngine(); e != nil {
 		// Conducted as one composite rendezvous: announcement, scatter and
 		// all-gather cost a member one park instead of three-plus.
-		return e.ffRun(c, ffBcastLarge, data, root, nil)
+		return e.ffRun(c, ffBcastLarge, ffCall{data: data, dst: dst, arg: root})
 	}
 	var k int
 	if c.me == root {
@@ -490,7 +501,7 @@ func (c *Comm) ReduceLarge(root int, data []float64, op ReduceOp) []float64 {
 		return c.Reduce(root, data, op)
 	}
 	if e := c.ffEngine(); e != nil {
-		return e.ffRun(c, ffReduceLarge, data, root, op)
+		return e.ffRun(c, ffReduceLarge, ffCall{data: data, arg: root, rop: op})
 	}
 	chunk := c.ReduceScatter(data, op)
 	gathered := c.Gather(root, chunk)
@@ -506,7 +517,7 @@ func (c *Comm) Scatter(root int, data []float64) []float64 {
 		panic(fmt.Sprintf("sim: Scatter length %d not divisible by %d", len(data), p))
 	}
 	if e := c.ffEngine(); e != nil && p > 1 {
-		return e.ffRun(c, ffScatter, data, root, nil)
+		return e.ffRun(c, ffScatter, ffCall{data: data, arg: root})
 	}
 	if c.me == root {
 		k := len(data) / p

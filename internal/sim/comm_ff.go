@@ -74,6 +74,26 @@ import (
 //	parked, being conducted (opRunning)      the conductor; the sweep skips it
 //	conducted, woken, still queued           nobody; the sweep may swap in evCancel
 //	picked, token not yet sent (opRunning)   nobody; the sweep skips it
+//
+// Buffers: a conduct allocates only what a member keeps. Everything else
+// it borrows from a parked member or takes from its pooled scratch. Who owns a
+// buffer the conductor touches:
+//
+//	a caller's data          the caller; the conduct only reads it
+//	a caller's dst           the caller; the conductor writes it while its
+//	                         owner is parked and returns it as the result
+//	a member's result        the member: fresh, or its dst; never a view of
+//	                         another member's buffer or of scratch
+//	wires, bufs, slab        the conduct's ffScratch: in-flight messages,
+//	                         forwarded views, accumulators, packed messages;
+//	                         dead when the conduct returns, which clears and
+//	                         recycles it
+//
+// ffSendShared may therefore alias a caller's data, a result under
+// construction or the slab: its receiver consumes the payload inside the
+// conduct. A conducted message outlives the conduct in one case only —
+// stale traffic is queued ahead of it on the pair, so it joins the FIFO —
+// and that is where ffRecv turns a shared payload into a private copy.
 
 // ffMemb identifies a communicator membership: an FNV-1a hash of the
 // member list plus enough structure (size, endpoints) to make an
@@ -118,7 +138,8 @@ const (
 type ffCall struct {
 	rank *Rank
 	data []float64
-	arg  int // by (Shift) or root (Bcast/Reduce/Gather/Scatter)
+	dst  []float64 // storage offered for the result (BcastLargeInto), or nil
+	arg  int       // by (Shift) or root (Bcast/Reduce/Gather/Scatter)
 	rop  ReduceOp
 }
 
@@ -141,26 +162,62 @@ type ffRendezvous struct {
 	// thousands on a large 2.5D run — while only a bounded set is ever
 	// live, so pooling removes three allocations per call.
 	left atomic.Int32
+
+	// The conductor's scratch, held for the conduct only (see conduct).
+	*ffScratch
 }
 
-var ffRendPool = sync.Pool{New: func() any { return new(ffRendezvous) }}
+// ffScratch is what a conductor needs and no member keeps, pooled so a
+// conduct allocates only what a member does keep: the in-flight wires of
+// the current phase (by member, or by virtual rank in the trees), one
+// working slice per member (forwarded block, accumulator), and the words
+// behind them (accumulators, packed messages, the BcastLarge announcement).
+// All of it is dead once the conduct returns, so it has its own pool and
+// only as many exist as conductors run at once. As fields of the pooled
+// rendezvous it would be held by every collective still waiting for its
+// members: at p = 32,768, where 4,096 fibers wait at once, that measured
+// +5 MiB of live heap and +5 % peak RSS.
+type ffScratch struct {
+	wires []ffWire
+	bufs  [][]float64
+	slab  []float64
+}
 
-// getRend returns a cleared rendezvous sized for n members. Callers that
-// bypass the member counting (the synthesized rendezvous of the composite
-// conductors) release it with putRend directly.
+// ffSlabMax is the largest slab, in words (64 KiB), a scratch takes back
+// into the pool: a conduct may need megabytes, and a pool entry must not pin
+// them. The tables beside it grow with the member count like calls and out.
+const ffSlabMax = 8 << 10
+
+var (
+	ffRendPool    = sync.Pool{New: func() any { return new(ffRendezvous) }}
+	ffScratchPool = sync.Pool{New: func() any { return new(ffScratch) }}
+)
+
+// release clears the scratch (payloads and queue handles must not leak
+// into the pool) and recycles it.
+func (sc *ffScratch) release() {
+	clear(sc.wires)
+	clear(sc.bufs)
+	if cap(sc.slab) > ffSlabMax {
+		sc.slab = nil
+	}
+	ffScratchPool.Put(sc)
+}
+
+// sized returns s with length n and unspecified contents, keeping its
+// storage when the capacity suffices; never nil, like the make it replaces.
+func sized[T any](s []T, n int) []T {
+	if s == nil || cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// getRend returns a cleared rendezvous sized for n members.
 func getRend(n int) *ffRendezvous {
 	rv := ffRendPool.Get().(*ffRendezvous)
 	rv.need, rv.got, rv.done = n, 0, false
-	if cap(rv.calls) < n {
-		rv.calls = make([]ffCall, n)
-	} else {
-		rv.calls = rv.calls[:n]
-	}
-	if cap(rv.out) < n {
-		rv.out = make([][]float64, n)
-	} else {
-		rv.out = rv.out[:n]
-	}
+	rv.calls, rv.out = sized(rv.calls, n), sized(rv.out, n)
 	rv.left.Store(int32(n))
 	return rv
 }
@@ -168,14 +225,28 @@ func getRend(n int) *ffRendezvous {
 // putRend zeroes the rendezvous (rank handles and payloads must not leak
 // into the pool) and recycles it.
 func putRend(rv *ffRendezvous) {
-	for i := range rv.calls {
-		rv.calls[i] = ffCall{}
-	}
-	for i := range rv.out {
-		rv.out[i] = nil
-	}
+	clear(rv.calls)
+	clear(rv.out)
 	rv.members = nil
 	ffRendPool.Put(rv)
+}
+
+// The scratch accessors size one table for the rendezvous' members (resp.
+// the slab for n words). Contents are whatever the previous phase left:
+// every conductor writes an entry before it reads it.
+func (rv *ffRendezvous) wireScratch() []ffWire {
+	rv.wires = sized(rv.wires, len(rv.calls))
+	return rv.wires
+}
+
+func (rv *ffRendezvous) bufScratch() [][]float64 {
+	rv.bufs = sized(rv.bufs, len(rv.calls))
+	return rv.bufs
+}
+
+func (rv *ffRendezvous) slabScratch(n int) []float64 {
+	rv.slab = sized(rv.slab, n)
+	return rv.slab
 }
 
 // take returns member i's result and is the counted release for rendezvous
@@ -223,8 +294,9 @@ func (c *Comm) ffEngine() *eventEngine {
 
 // ffRun rendezvouses one collective call and returns the caller's result.
 // The first need−1 arrivers park; the last conducts.
-func (e *eventEngine) ffRun(c *Comm, op uint8, data []float64, arg int, rop ReduceOp) []float64 {
+func (e *eventEngine) ffRun(c *Comm, op uint8, call ffCall) []float64 {
 	r := c.rank
+	call.rank = r
 	key := ffKey{memb: e.membID(c), op: op}
 	i := 0
 	for i < len(r.ffSeq) && r.ffSeq[i].memb != key.memb {
@@ -248,7 +320,7 @@ func (e *eventEngine) ffRun(c *Comm, op uint8, data []float64, arg int, rop Redu
 		rv.members = c.members
 		e.rend[key] = rv
 	}
-	rv.calls[c.me] = ffCall{rank: r, data: data, arg: arg, rop: rop}
+	rv.calls[c.me] = call
 	rv.got++
 	if rv.got < rv.need {
 		// Park as a blocked receive on member 0: if the collective can
@@ -417,11 +489,12 @@ func conduct(rv *ffRendezvous, op uint8) {
 	for i := range rv.calls {
 		rv.calls[i].rank.conducted = true
 	}
+	rv.ffScratch = ffScratchPool.Get().(*ffScratch)
 	switch op {
 	case ffShift:
 		conductShift(rv, arg)
 	case ffBcast:
-		conductBcast(rv, arg)
+		conductBcast(rv, arg, nil)
 	case ffReduce:
 		conductReduce(rv, arg)
 	case ffAllGather:
@@ -441,6 +514,8 @@ func conduct(rv *ffRendezvous, op uint8) {
 	default:
 		conductReduceLarge(rv, arg)
 	}
+	rv.ffScratch.release()
+	rv.ffScratch = nil
 	for i := range rv.calls {
 		rv.calls[i].rank.conducted = false
 	}
@@ -450,7 +525,7 @@ func conduct(rv *ffRendezvous, op uint8) {
 // every member sends, then every member receives.
 func conductShift(rv *ffRendezvous, by int) {
 	p := len(rv.members)
-	wires := make([]ffWire, p)
+	wires := rv.wireScratch()
 	for i := range rv.calls {
 		wires[i] = ffSend(rv.calls[i].rank, rv.members[(i+by)%p], rv.calls[i].data)
 	}
@@ -463,19 +538,27 @@ func conductShift(rv *ffRendezvous, by int) {
 // conductBcast mirrors Comm.Bcast's binomial tree: processing members in
 // virtual-rank order runs every parent before its children, and each
 // member's ops stay in program order (receive from parent, then send to
-// children, high bit first).
-func conductBcast(rv *ffRendezvous, root int) {
+// children, high bit first). A non-nil ann is BcastLarge's announcement:
+// the tree carries it in place of the root's data and no member keeps a
+// result, so the one buffer is shared down every hop.
+func conductBcast(rv *ffRendezvous, root int, ann []float64) {
 	p := len(rv.members)
-	pend := make([]ffWire, p) // indexed by receiving child's virtual rank
+	pend := rv.wireScratch() // indexed by receiving child's virtual rank
+	send := ffSend
+	if ann != nil {
+		send = ffSendShared
+	}
 	for vme := 0; vme < p; vme++ {
 		i := (vme + root) % p
 		r := rv.calls[i].rank
-		var buf []float64
+		buf := ann
 		low := vme & -vme
 		if vme == 0 {
 			low = nextPow2(p)
-			buf = make([]float64, len(rv.calls[i].data))
-			copy(buf, rv.calls[i].data)
+			if ann == nil {
+				buf = make([]float64, len(rv.calls[i].data))
+				copy(buf, rv.calls[i].data)
+			}
 		} else {
 			parent := vme & (vme - 1)
 			buf = ffRecv(r, rv.members[(parent+root)%p], pend[vme])
@@ -483,10 +566,12 @@ func conductBcast(rv *ffRendezvous, root int) {
 		for bit := low >> 1; bit > 0; bit >>= 1 {
 			child := vme | bit
 			if child != vme && child < p {
-				pend[child] = ffSend(r, rv.members[(child+root)%p], buf)
+				pend[child] = send(r, rv.members[(child+root)%p], buf)
 			}
 		}
-		rv.out[i] = buf
+		if ann == nil {
+			rv.out[i] = buf
+		}
 	}
 }
 
@@ -495,7 +580,7 @@ func conductBcast(rv *ffRendezvous, root int) {
 // its contribution (a member's send is its last op).
 func conductReduce(rv *ffRendezvous, root int) {
 	p := len(rv.members)
-	pend := make([]ffWire, p) // indexed by sending member's virtual rank
+	pend := rv.wireScratch() // indexed by sending member's virtual rank
 	for vme := p - 1; vme >= 0; vme-- {
 		i := (vme + root) % p
 		r := rv.calls[i].rank
@@ -532,12 +617,13 @@ func conductReduce(rv *ffRendezvous, root int) {
 // block, then every member receives, records and forwards.
 func conductAllGather(rv *ffRendezvous) {
 	p := len(rv.members)
-	cur := make([][]float64, p)
-	wires := make([]ffWire, p)
+	cur, wires := rv.bufScratch(), rv.wireScratch()
 	for i := range rv.calls {
 		block := rv.calls[i].data
 		k := len(block)
-		out := make([]float64, p*k)
+		// The one buffer a member keeps; its own storage when it offered
+		// enough (BcastLargeInto).
+		out := sized(rv.calls[i].dst, p*k)
 		copy(out[i*k:(i+1)*k], block)
 		rv.out[i] = out
 		cur[i] = block
@@ -559,18 +645,33 @@ func conductAllGather(rv *ffRendezvous) {
 	}
 }
 
-// conductReduceScatter mirrors Comm.ReduceScatter's ring (p ≥ 2,
-// divisibility checked by the wrapper): per round, every member sends,
-// then every member receives and combines.
+// conductReduceScatter mirrors Comm.ReduceScatter (p ≥ 2, divisibility
+// checked by the wrapper); a member keeps its block, so it gets a private
+// copy of it.
 func conductReduceScatter(rv *ffRendezvous) {
+	for i, blk := range ffReduceRing(rv) {
+		out := make([]float64, len(blk))
+		copy(out, blk)
+		rv.out[i] = out
+	}
+}
+
+// ffReduceRing runs ReduceScatter's ring — per round, every member sends,
+// then every member receives and combines — on accumulators carved from
+// the scratch slab, and returns each member's reduced block as a view of
+// its accumulator: dead when the conduct returns.
+func ffReduceRing(rv *ffRendezvous) [][]float64 {
 	p := len(rv.members)
-	accs := make([][]float64, p)
-	wires := make([]ffWire, p)
+	accs, wires := rv.bufScratch(), rv.wireScratch()
+	n := 0
+	for i := range rv.calls {
+		n += len(rv.calls[i].data)
+	}
+	slab := rv.slabScratch(n)
 	for i := range rv.calls {
 		data := rv.calls[i].data
-		acc := make([]float64, len(data))
-		copy(acc, data)
-		accs[i] = acc
+		accs[i], slab = slab[:len(data):len(data)], slab[len(data):]
+		copy(accs[i], data)
 	}
 	for step := 0; step < p-1; step++ {
 		for i := range rv.calls {
@@ -591,17 +692,16 @@ func conductReduceScatter(rv *ffRendezvous) {
 	}
 	for i := range rv.calls {
 		k := len(rv.calls[i].data) / p
-		out := make([]float64, k)
-		copy(out, accs[i][i*k:(i+1)*k])
-		rv.out[i] = out
+		accs[i] = accs[i][i*k : (i+1)*k]
 	}
+	return accs
 }
 
 // conductAllToAll mirrors Comm.AllToAll's direct exchange: per stride s,
 // every member sends block i+s, then every member receives block i−s.
 func conductAllToAll(rv *ffRendezvous) {
 	p := len(rv.members)
-	wires := make([]ffWire, p)
+	wires := rv.wireScratch()
 	for i := range rv.calls {
 		data := rv.calls[i].data
 		k := len(data) / p
@@ -631,10 +731,11 @@ func conductAllToAll(rv *ffRendezvous) {
 // then every member receives and unpacks.
 func conductAllToAllTree(rv *ffRendezvous) {
 	p := len(rv.members)
-	bufs := make([][]float64, p)
-	wires := make([]ffWire, p)
+	bufs, wires := rv.bufScratch(), rv.wireScratch()
+	n := 0
 	for i := range rv.calls {
 		data := rv.calls[i].data
+		n += len(data)
 		k := len(data) / p
 		buf := make([]float64, len(data))
 		for j := 0; j < p; j++ {
@@ -643,16 +744,22 @@ func conductAllToAllTree(rv *ffRendezvous) {
 		}
 		bufs[i] = buf
 	}
+	// Fewer than half the slots carry any one bit, so half the payload
+	// words hold a whole round's messages; the round's receive phase
+	// consumes every one of them, so the next round packs over them.
+	pack := rv.slabScratch(n / 2)
 	for bit := 1; bit < p; bit <<= 1 {
+		packed := 0
 		for i := range rv.calls {
 			k := len(rv.calls[i].data) / p
 			buf := bufs[i]
-			var send []float64
+			send := pack[packed:packed]
 			for j := 0; j < p; j++ {
 				if j&bit != 0 {
 					send = append(send, buf[j*k:(j+1)*k]...)
 				}
 			}
+			packed += len(send)
 			wires[i] = ffSendShared(rv.calls[i].rank, rv.members[(i+bit)%p], send)
 		}
 		for i := range rv.calls {
@@ -685,7 +792,7 @@ func conductAllToAllTree(rv *ffRendezvous) {
 // receives in ascending member order.
 func conductGather(rv *ffRendezvous, root int) {
 	p := len(rv.members)
-	wires := make([]ffWire, p)
+	wires := rv.wireScratch()
 	for j := 0; j < p; j++ {
 		if j != root {
 			wires[j] = ffSendShared(rv.calls[j].rank, rv.members[root], rv.calls[j].data)
@@ -712,7 +819,7 @@ func conductScatter(rv *ffRendezvous, root int) {
 	p := len(rv.members)
 	data := rv.calls[root].data
 	k := len(data) / p
-	wires := make([]ffWire, p)
+	wires := rv.wireScratch()
 	rr := rv.calls[root].rank
 	for j := 0; j < p; j++ {
 		if j != root {
@@ -734,83 +841,54 @@ func conductScatter(rv *ffRendezvous, root int) {
 // chunk-size announcement over a binomial bcast, root's direct scatter,
 // ring all-gather — under a single rendezvous, so a member parks once for
 // the composite instead of once per primitive plus once per scatter
-// receive.
+// receive. Only the all-gather's result is kept by anyone, so nothing
+// before it copies.
 func conductBcastLarge(rv *ffRendezvous, root int) {
 	p := len(rv.members)
+	data := rv.calls[root].data
 	k := -1
-	if d := rv.calls[root].data; len(d) >= p && len(d)%p == 0 {
-		k = len(d)
+	if len(data) >= p && len(data)%p == 0 {
+		k = len(data)
 	}
 	// The root announces the chunk size (or the fallback) exactly like the
 	// generic path's one-word Bcast.
-	ann := getRend(p)
-	ann.members = rv.members
-	for i := range rv.calls {
-		ann.calls[i] = ffCall{rank: rv.calls[i].rank}
-	}
-	ann.calls[root].data = []float64{float64(k)}
-	conductBcast(ann, root)
-	putRend(ann)
+	ann := rv.slabScratch(1)
+	ann[0] = float64(k)
+	conductBcast(rv, root, ann)
 	if k < 0 {
 		// Payload too small to split evenly: binomial bcast of the data.
-		conductBcast(rv, root)
+		conductBcast(rv, root, nil)
 		return
 	}
 	chunk := k / p
 	// Scatter: the root sends member i its chunk, in ascending member
-	// order (the root's program order), then each member receives.
-	data := rv.calls[root].data
+	// order (the root's program order), then each member receives. The
+	// chunks are views of the parked root's buffer and become the
+	// all-gather's input blocks, which it only reads.
 	rr := rv.calls[root].rank
-	wires := make([]ffWire, p)
+	wires := rv.wireScratch()
 	for i := 0; i < p; i++ {
 		if i != root {
-			wires[i] = ffSend(rr, rv.members[i], data[i*chunk:(i+1)*chunk])
+			wires[i] = ffSendShared(rr, rv.members[i], data[i*chunk:(i+1)*chunk])
 		}
 	}
-	mine := make([][]float64, p)
-	mroot := make([]float64, chunk)
-	copy(mroot, data[root*chunk:(root+1)*chunk])
-	mine[root] = mroot
 	for i := 0; i < p; i++ {
 		if i != root {
-			mine[i] = ffRecv(rv.calls[i].rank, rv.members[root], wires[i])
+			rv.calls[i].data = ffRecv(rv.calls[i].rank, rv.members[root], wires[i])
 		}
 	}
-	// Ring all-gather of the chunks, reusing the primitive's conductor on
-	// a synthesized rendezvous. Its out array is the parent's (that is
-	// where members read their results), swapped back before recycling so
-	// the pool never zeroes live results.
-	ag := getRend(p)
-	ownOut := ag.out
-	ag.members, ag.out = rv.members, rv.out
-	for i := range rv.calls {
-		ag.calls[i] = ffCall{rank: rv.calls[i].rank, data: mine[i]}
-	}
-	conductAllGather(ag)
-	ag.out = ownOut
-	putRend(ag)
+	rv.calls[root].data = data[root*chunk : (root+1)*chunk]
+	conductAllGather(rv)
 }
 
 // conductReduceLarge mirrors Comm.ReduceLarge — ring reduce-scatter, then
-// a direct gather onto the root — under a single rendezvous. Non-root
-// members end with nil, like the generic Gather.
+// a direct gather onto the root — under a single rendezvous. The reduced
+// blocks go into the gather as views of the accumulators; the root's
+// gathered buffer is the only thing anyone keeps. Non-root members end
+// with nil, like the generic Gather.
 func conductReduceLarge(rv *ffRendezvous, root int) {
-	p := len(rv.members)
-	// rs borrows the parent's calls and g the parent's out; both borrows
-	// are swapped back before recycling (putRend zeroes what it holds).
-	rs := getRend(p)
-	ownCalls := rs.calls
-	rs.members, rs.calls = rv.members, rv.calls
-	conductReduceScatter(rs)
-	g := getRend(p)
-	ownOut := g.out
-	g.members, g.out = rv.members, rv.out
-	for i := range rv.calls {
-		g.calls[i] = ffCall{rank: rv.calls[i].rank, data: rs.out[i]}
+	for i, blk := range ffReduceRing(rv) {
+		rv.calls[i].data = blk
 	}
-	conductGather(g, root)
-	g.out = ownOut
-	putRend(g)
-	rs.calls = ownCalls
-	putRend(rs)
+	conductGather(rv, root)
 }

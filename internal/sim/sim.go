@@ -19,6 +19,13 @@
 // pattern, never on the Go scheduler, so simulated times are exactly
 // reproducible.
 //
+// Buffers follow one rule: Send and every collective read the caller's data
+// and leave it alone, and what Recv or a collective returns belongs to the
+// caller. Two methods trade that for fewer allocations and say so in their
+// names: Comm.ShiftOwned surrenders its argument, and Comm.BcastLargeInto
+// (dst, root, data) may build its result in dst's storage, append-style —
+// use the returned slice, and dst must not overlap data.
+//
 // Per-rank counters record flops, words/messages sent and received, and the
 // peak of an explicitly tracked memory allocation count; the core package
 // prices these counters with the paper's energy model.
