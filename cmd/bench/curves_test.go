@@ -81,7 +81,7 @@ func TestScalingGate(t *testing.T) {
 		t.Fatalf("regressions not reported:\n%s", out)
 	}
 
-	// The artifact carries both backends and all three algorithm families.
+	// The artifact carries all three algorithm families.
 	cur, err := analytics.LoadCurves(filepath.Join(dir, "cur.json"))
 	if err != nil {
 		t.Fatal(err)
@@ -89,12 +89,10 @@ func TestScalingGate(t *testing.T) {
 	seen := map[string]bool{}
 	for _, r := range cur {
 		seen[r.Family+"/"+r.Algorithm] = true
-		seen["rt/"+r.Runtime] = true
 	}
 	for _, want := range []string{
 		"strong/matmul-2.5d", "weak/matmul-2.5d",
 		"strong/nbody", "weak/nbody", "weak/fft-tree",
-		"rt/goroutine", "rt/event",
 	} {
 		if !seen[want] {
 			t.Fatalf("curve artifact misses %s (have %v)", want, seen)

@@ -9,11 +9,11 @@
 //	campaign -sweep                          # new campaign, checkpoint to -state
 //	campaign -sweep -budget 200              # stop (resumable) after 200 target runs
 //	campaign -resume                         # continue the campaign in -state
-//	campaign -replay artifacts/repro-000.json  # re-run a reproducer on both backends
+//	campaign -replay artifacts/repro-000.json  # re-run a reproducer
 //	campaign -shrink artifacts/repro-000.json  # re-minimize with a fresh budget
 //
 // Target knobs (-n, -q, -machine, -drop, -detector-rtos, -detector-misses,
-// -max-attempts, -max-rto-factor, -seed, -runtime) configure a -sweep;
+// -max-attempts, -max-rto-factor, -seed) configure a -sweep;
 // -resume takes its configuration from the checkpoint and ignores them.
 //
 // The exit status is 0 when the campaign completes or pauses at its
@@ -41,7 +41,7 @@ func main() {
 	var (
 		sweep        = flag.Bool("sweep", false, "run a new campaign")
 		resume       = flag.Bool("resume", false, "resume the campaign checkpointed in -state")
-		replay       = flag.String("replay", "", "replay a reproducer artifact on both backends and exit")
+		replay       = flag.String("replay", "", "replay a reproducer artifact and exit")
 		shrink       = flag.String("shrink", "", "re-minimize a reproducer artifact in place with a fresh -shrink-budget")
 		statePath    = flag.String("state", "campaign.state.json", "campaign checkpoint file")
 		artDir       = flag.String("artifacts", "campaign-artifacts", "directory reproducer artifacts are written to")
@@ -52,7 +52,6 @@ func main() {
 		q            = flag.Int("q", 4, "grid side of the target (p = q*q ranks)")
 		mach         = flag.String("machine", "simdefault", "machine preset pricing the target")
 		seed         = flag.Uint64("seed", 1, "campaign seed (cells, plan seeds, crash victims)")
-		runtime      = flag.String("runtime", "event", "sweep backend: event or goroutine")
 		drop         = flag.Float64("drop", 0.25, "background and per-link drop probability")
 		randomPlans  = flag.Int("random-plans", 6, "number of seeded compound cells")
 		maxAttempts  = flag.Int("max-attempts", 0, "ARQ retransmission budget (0 = endpoint default)")
@@ -94,7 +93,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "campaign: DOES NOT REPRODUCE:", err)
 			os.Exit(1)
 		}
-		fmt.Println("reproduces bitwise on both backends")
+		fmt.Println("reproduces bitwise")
 		return
 	}
 
@@ -105,7 +104,7 @@ func main() {
 			os.Exit(1)
 		}
 		before := r.MinimizedCoords
-		runs, err := r.Reshrink(ctx, *runtime, *shrinkBudget)
+		runs, err := r.Reshrink(ctx, *shrinkBudget)
 		if err != nil {
 			if ctx.Err() != nil {
 				fmt.Fprintln(os.Stderr, "campaign: interrupted")
@@ -148,7 +147,7 @@ func main() {
 				MaxAttempts: *maxAttempts, MaxRTOFactor: *maxRTOFactor,
 				DetectorRTOs: *detRTOs, DetectorMisses: *detMisses,
 			},
-			Runtime: *runtime, Seed: *seed, RandomPlans: *randomPlans,
+			Seed: *seed, RandomPlans: *randomPlans,
 			DropProb: *drop, ShrinkBudget: *shrinkBudget,
 		}
 		eng, err = campaign.New(cfg)

@@ -23,7 +23,6 @@ import (
 	"fmt"
 	"os"
 	"strings"
-	"time"
 
 	"perfscale/internal/core"
 	"perfscale/internal/machine"
@@ -299,12 +298,6 @@ func runDrops(emit func(*report.Table), m machine.Params, n int) {
 	for _, sc := range scenarios {
 		cost := simCost(m)
 		cost.Faults = sc.plan
-		if sc.plan != nil {
-			// Each recovered drop costs about one watchdog window of real
-			// time (timers fire at quiescence); a short window keeps the
-			// sweep fast without touching the virtual results.
-			cost.WatchdogTimeout = 15 * time.Millisecond
-		}
 		res, err := resilience.SUMMAARQ(cost, q, arqCfg, a, b)
 		if err != nil {
 			msg, _, _ := strings.Cut(err.Error(), "\n")
@@ -404,9 +397,7 @@ func runDetector(emit func(*report.Table), m machine.Params) {
 
 	for _, sc := range scenarios {
 		var stats, peerStats resilience.ARQStats
-		runCost := cost
-		runCost.WatchdogTimeout = 15 * time.Millisecond
-		_, err := sim.Run(2, runCost, func(r *sim.Rank) error {
+		_, err := sim.Run(2, cost, func(r *sim.Rank) error {
 			arq := resilience.NewARQ(r, cfg)
 			if r.ID() == 1 {
 				defer func() { peerStats = arq.Stats() }()

@@ -45,13 +45,12 @@ func main() {
 
 func run() int {
 	var (
-		alg     = flag.String("alg", "matmul", "algorithm: matmul, nbody, fft")
-		n       = flag.Int("n", 96, "problem size (matrix dim, bodies, or FFT length)")
-		q       = flag.Int("q", 4, "base grid: matmul p=q²·c, nbody/fft p=q·c")
-		c       = flag.Int("c", 1, "replication of side A")
-		c2      = flag.Int("c2", 0, "replication of side B (default: same as -c)")
-		mach    = flag.String("machine", "simdefault", "machine preset name or .json parameter file")
-		runtime = flag.String("runtime", "goroutine", "simulator backend: goroutine or event")
+		alg  = flag.String("alg", "matmul", "algorithm: matmul, nbody, fft")
+		n    = flag.Int("n", 96, "problem size (matrix dim, bodies, or FFT length)")
+		q    = flag.Int("q", 4, "base grid: matmul p=q²·c, nbody/fft p=q·c")
+		c    = flag.Int("c", 1, "replication of side A")
+		c2   = flag.Int("c2", 0, "replication of side B (default: same as -c)")
+		mach = flag.String("machine", "simdefault", "machine preset name or .json parameter file")
 
 		degrade      = flag.String("degrade", "", "degrade mode: slow every link inside the named phase's window on side B")
 		degradeAlpha = flag.Float64("degrade-alpha", 1, "latency inflation factor for -degrade")
@@ -78,7 +77,7 @@ func run() int {
 		}
 		return runDiff(w, diffSpec{
 			alg: *alg, n: *n, q: *q, c: *c, c2: *c2,
-			mach: *mach, runtime: *runtime,
+			mach:    *mach,
 			degrade: *degrade, degradeAlpha: *degradeAlpha, degradeBeta: *degradeBeta,
 			expected: *expected, tol: *tol, jsonOut: *jsonOut,
 		})
@@ -131,7 +130,7 @@ func runGate(w *report.ErrWriter, basePath, curPath string, tol float64, jsonOut
 type diffSpec struct {
 	alg                       string
 	n, q, c, c2               int
-	mach, runtime             string
+	mach                      string
 	degrade                   string
 	degradeAlpha, degradeBeta float64
 	expected, tol             float64
@@ -144,16 +143,6 @@ func runDiff(w *report.ErrWriter, s diffSpec) int {
 		fmt.Fprintln(os.Stderr, "scalediff:", err)
 		return 2
 	}
-	var rt sim.Runtime
-	switch s.runtime {
-	case "goroutine":
-		rt = sim.RuntimeGoroutine
-	case "event":
-		rt = sim.RuntimeEvent
-	default:
-		fmt.Fprintln(os.Stderr, "scalediff: unknown -runtime", s.runtime)
-		return 2
-	}
 	if s.c2 == 0 {
 		s.c2 = s.c
 	}
@@ -163,7 +152,7 @@ func runDiff(w *report.ErrWriter, s diffSpec) int {
 	}
 
 	cost := sim.Cost{GammaT: m.GammaT, BetaT: m.BetaT, AlphaT: m.AlphaT,
-		MaxMsgWords: int(m.MaxMsgWords), Runtime: rt}
+		MaxMsgWords: int(m.MaxMsgWords)}
 	profA, err := runProfile(m, cost, s.alg, s.n, s.q, s.c)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "scalediff:", err)
@@ -281,7 +270,7 @@ func runProfile(m machine.Params, cost sim.Cost, alg string, n, q, c int) (*anal
 	if err != nil {
 		return nil, fmt.Errorf("%s p=%d: %w", alg, p, err)
 	}
-	meta := analytics.Meta{Algorithm: alg, Runtime: cost.Runtime.String(), N: n, C: c}
+	meta := analytics.Meta{Algorithm: alg, N: n, C: c}
 	return analytics.BuildProfile(m, res, col, meta), nil
 }
 

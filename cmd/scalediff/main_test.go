@@ -99,7 +99,7 @@ func TestJSONOutput(t *testing.T) {
 func TestGateMode(t *testing.T) {
 	dir := t.TempDir()
 	base := []analytics.CurvePoint{{
-		Family: "strong", Algorithm: "matmul-2.5d", Runtime: "goroutine",
+		Family: "strong", Algorithm: "matmul-2.5d",
 		N: 96, P: 16, C: 1, SimT: 1, Efficiency: 1,
 		PhaseSpans: map[string]float64{"multiply-shift": 0.5},
 	}}

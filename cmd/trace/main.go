@@ -71,9 +71,8 @@ func main() {
 	}
 	cost := sim.Cost{
 		GammaT: m.GammaT, BetaT: m.BetaT, AlphaT: m.AlphaT,
-		MaxMsgWords:     int(m.MaxMsgWords),
-		ChanCap:         8,
-		WatchdogTimeout: 10 * time.Minute,
+		MaxMsgWords: int(m.MaxMsgWords),
+		ChanCap:     8,
 	}
 
 	run, ranks, err := buildRun(*alg, *n, *q, *c, *p, *k)

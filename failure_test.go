@@ -14,9 +14,6 @@ import (
 	"perfscale/internal/sim"
 )
 
-// fastDog shortens the watchdog so deadlock tests finish quickly.
-var fastDog = sim.Cost{WatchdogTimeout: 200 * time.Millisecond}
-
 // TestCollectiveSurvivesRankError: a rank failing before a collective turns
 // into an error for the peers that depended on it.
 func TestCollectiveSurvivesRankError(t *testing.T) {
@@ -117,12 +114,12 @@ func TestAlgorithmDriverPropagatesFailure(t *testing.T) {
 }
 
 // TestWatchdogNamesMutuallyBlockedRanks: two live ranks each waiting in Recv
-// on the other is the canonical deadlock; the watchdog must return a
+// on the other is the canonical deadlock; the run must return a
 // diagnostic that names the blocked pair instead of hanging forever.
 func TestWatchdogNamesMutuallyBlockedRanks(t *testing.T) {
 	done := make(chan error, 1)
 	go func() {
-		_, err := sim.Run(2, fastDog, func(r *sim.Rank) error {
+		_, err := sim.Run(2, sim.Cost{}, func(r *sim.Rank) error {
 			r.Recv(1 - r.ID()) // both receive first: nobody ever sends
 			return nil
 		})
@@ -143,17 +140,17 @@ func TestWatchdogNamesMutuallyBlockedRanks(t *testing.T) {
 			}
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("watchdog did not fire within its timeout")
+		t.Fatal("the hang was not resolved at quiescence")
 	}
 }
 
 // TestWatchdogDetectsMismatchedBcastRoot: one rank naming a different Bcast
-// root is a classic SPMD bug. The pattern wedges mid-collective; the
-// watchdog must convert the hang into a diagnostic error.
+// root is a classic SPMD bug. The pattern wedges mid-collective;
+// quiescence must convert the hang into a diagnostic error.
 func TestWatchdogDetectsMismatchedBcastRoot(t *testing.T) {
 	done := make(chan error, 1)
 	go func() {
-		_, err := sim.Run(4, fastDog, func(r *sim.Rank) error {
+		_, err := sim.Run(4, sim.Cost{}, func(r *sim.Rank) error {
 			w := r.World()
 			root := 0
 			if r.ID() == 2 {
@@ -179,7 +176,7 @@ func TestWatchdogDetectsMismatchedBcastRoot(t *testing.T) {
 			t.Errorf("expected a diagnostic naming ranks, got %v", err)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("watchdog did not fire within its timeout")
+		t.Fatal("the hang was not resolved at quiescence")
 	}
 }
 

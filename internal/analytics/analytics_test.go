@@ -3,6 +3,7 @@ package analytics
 import (
 	"bytes"
 	"math"
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -32,7 +33,7 @@ func observedMatMul(t *testing.T, cost sim.Cost, q, c, n int) (*sim.Result, *Pha
 	if err != nil {
 		t.Fatalf("TwoPointFiveD(q=%d,c=%d,n=%d): %v", q, c, n, err)
 	}
-	meta := Meta{Algorithm: "matmul-2.5d", Runtime: cost.Runtime.String(), N: n, C: c}
+	meta := Meta{Algorithm: "matmul-2.5d", N: n, C: c}
 	return res.Sim, BuildProfile(testMachine(), res.Sim, col, meta)
 }
 
@@ -181,7 +182,7 @@ func phaseDiffByName(r *DiffReport, name string) PhaseDiff {
 }
 
 func TestStrongMatMulCurve(t *testing.T) {
-	sc := SweepConfig{Machine: testMachine(), Runtime: sim.RuntimeGoroutine}
+	sc := SweepConfig{Machine: testMachine()}
 	rows, err := StrongMatMulCurve(sc, 96, 4, []int{1, 2})
 	if err != nil {
 		t.Fatal(err)
@@ -228,7 +229,7 @@ func TestStrongMatMulCurve(t *testing.T) {
 }
 
 func TestRectSUMMACurve(t *testing.T) {
-	sc := SweepConfig{Machine: testMachine(), Runtime: sim.RuntimeGoroutine}
+	sc := SweepConfig{Machine: testMachine()}
 	rows, err := RectSUMMACurve(sc, 48, 16, 32, 4, [][2]int{{1, 2}, {2, 2}, {2, 4}})
 	if err != nil {
 		t.Fatal(err)
@@ -296,7 +297,7 @@ func TestDiffWallAnnotation(t *testing.T) {
 }
 
 func TestWeakCurves(t *testing.T) {
-	sc := SweepConfig{Machine: testMachine(), Runtime: sim.RuntimeGoroutine}
+	sc := SweepConfig{Machine: testMachine()}
 	rows, err := WeakMatMulCurve(sc, 16, []int{2, 4})
 	if err != nil {
 		t.Fatal(err)
@@ -336,9 +337,9 @@ func TestWeakCurves(t *testing.T) {
 
 func TestCheckCurvesGate(t *testing.T) {
 	base := []CurvePoint{
-		{Family: "strong", Algorithm: "matmul-2.5d", Runtime: "goroutine", N: 96, P: 16, C: 1,
+		{Family: "strong", Algorithm: "matmul-2.5d", N: 96, P: 16, C: 1,
 			SimT: 1.0, Efficiency: 1.0, PhaseSpans: map[string]float64{"multiply-shift": 0.6, "reduce": 0.1}},
-		{Family: "strong", Algorithm: "matmul-2.5d", Runtime: "goroutine", N: 96, P: 32, C: 2,
+		{Family: "strong", Algorithm: "matmul-2.5d", N: 96, P: 32, C: 2,
 			SimT: 0.5, Efficiency: 0.98, PhaseSpans: map[string]float64{"multiply-shift": 0.3, "reduce": 0.06}},
 	}
 
@@ -407,7 +408,7 @@ func hasRegression(regs []Regression, key, field string) bool {
 }
 
 func TestCurveFileRoundTrip(t *testing.T) {
-	sc := SweepConfig{Machine: testMachine(), Runtime: sim.RuntimeGoroutine}
+	sc := SweepConfig{Machine: testMachine()}
 	rows, err := StrongMatMulCurve(sc, 48, 2, []int{1, 2})
 	if err != nil {
 		t.Fatal(err)
@@ -429,20 +430,42 @@ func TestCurveFileRoundTrip(t *testing.T) {
 	if _, err := LoadCurves(filepath.Join(t.TempDir(), "absent.json")); err == nil {
 		t.Fatal("loading a missing file succeeded")
 	}
+
+	// Baselines written when curves carried a runtime axis still load and
+	// match: the stray field is ignored, the key no longer includes it.
+	buf, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := bytes.ReplaceAll(buf, []byte(`"algorithm":`), []byte(`"runtime": "goroutine", "algorithm":`))
+	if bytes.Equal(old, buf) {
+		t.Fatal("no row gained a runtime field; the fixture tests nothing")
+	}
+	oldPath := filepath.Join(t.TempDir(), "old.json")
+	if err := os.WriteFile(oldPath, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	oldRows, err := LoadCurves(oldPath)
+	if err != nil {
+		t.Fatalf("baseline with a stray runtime field did not load: %v", err)
+	}
+	if regs := CheckCurves(rows, oldRows, 0.02); len(regs) != 0 {
+		t.Fatalf("baseline with a stray runtime field no longer matches: %+v", regs)
+	}
 }
 
-// TestPhaseProfileBackendIdentity pins the satellite requirement: per-phase
-// energy attribution for a fault-injected 2.5D run is bit-identical between
-// the goroutine and event backends. The fault plan preserves message
-// streams (corruption + a degraded-link window, no drops), so the run
-// completes on both backends and every virtual-time quantity must agree
+// TestPhaseProfileBackendIdentity pins that per-phase energy attribution
+// for a fault-injected 2.5D run does not depend on the host schedule: a
+// one-worker and a four-worker engine must agree bit for bit. The fault plan
+// preserves message streams (corruption + a degraded-link window, no
+// drops), so the run completes and every virtual-time quantity must agree
 // exactly — including each phase's δe·M·span and εe·span slices.
 func TestPhaseProfileBackendIdentity(t *testing.T) {
 	m := testMachine()
-	run := func(rt sim.Runtime) *PhaseProfile {
+	run := func(workers int) *PhaseProfile {
 		cost := sim.Cost{
 			GammaT: m.GammaT, BetaT: m.BetaT, AlphaT: m.AlphaT,
-			Runtime: rt,
+			Workers: workers,
 			Faults: &sim.FaultPlan{
 				Seed: 99,
 				Links: []sim.LinkFault{
@@ -454,13 +477,12 @@ func TestPhaseProfileBackendIdentity(t *testing.T) {
 			},
 		}
 		_, prof := observedMatMul(t, cost, 4, 2, 64)
-		prof.Runtime = "" // the one legitimately differing field
 		return prof
 	}
-	g := run(sim.RuntimeGoroutine)
-	e := run(sim.RuntimeEvent)
+	g := run(1)
+	e := run(4)
 	if !reflect.DeepEqual(g, e) {
-		t.Fatalf("phase profiles differ across backends:\ngoroutine: %+v\nevent:     %+v", g, e)
+		t.Fatalf("phase profiles differ across schedules:\none worker:   %+v\nfour workers: %+v", g, e)
 	}
 	for _, ps := range g.Phases {
 		if ps.Energy.Total() < 0 {

@@ -17,7 +17,7 @@ const DefaultGateTolerance = 0.02
 // Regression is one scaling-gate failure: a curve row (or one of its
 // phases) that degraded beyond tolerance relative to the baseline.
 type Regression struct {
-	// Key identifies the curve row (family/algorithm/runtime/n/p/c).
+	// Key identifies the curve row (family/algorithm/n/p/c).
 	Key string `json:"key"`
 	// Field names the degraded quantity: "efficiency", "sim_time_s",
 	// "phase:<name>" for a per-phase span, or "missing" when the row or

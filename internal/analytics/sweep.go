@@ -21,7 +21,6 @@ import (
 type CurvePoint struct {
 	Family    string `json:"family"` // "strong" or "weak"
 	Algorithm string `json:"algorithm"`
-	Runtime   string `json:"runtime"`
 	N         int    `json:"n"`
 	P         int    `json:"p"`
 	C         int    `json:"c,omitempty"`
@@ -63,14 +62,12 @@ type CurvePoint struct {
 
 // Key identifies the row for baseline matching.
 func (c CurvePoint) Key() string {
-	return fmt.Sprintf("%s/%s/%s/n%d/p%d/c%d", c.Family, c.Algorithm, c.Runtime, c.N, c.P, c.C)
+	return fmt.Sprintf("%s/%s/n%d/p%d/c%d", c.Family, c.Algorithm, c.N, c.P, c.C)
 }
 
 // SweepConfig parameterizes the curve drivers.
 type SweepConfig struct {
 	Machine machine.Params
-	// Runtime selects the simulator backend the curves run on.
-	Runtime sim.Runtime
 }
 
 func (sc SweepConfig) cost() sim.Cost {
@@ -79,7 +76,6 @@ func (sc SweepConfig) cost() sim.Cost {
 		BetaT:       sc.Machine.BetaT,
 		AlphaT:      sc.Machine.AlphaT,
 		MaxMsgWords: int(sc.Machine.MaxMsgWords),
-		Runtime:     sc.Runtime,
 	}
 }
 
@@ -98,7 +94,6 @@ func runObserved(sc SweepConfig, p int, meta Meta, run func(cost sim.Cost) (*sim
 	if err != nil {
 		return nil, err
 	}
-	meta.Runtime = cost.Runtime.String()
 	return &observedRun{res: res, prof: BuildProfile(sc.Machine, res, col, meta)}, nil
 }
 
@@ -177,7 +172,7 @@ func StrongMatMulCurve(sc SweepConfig, n, q int, cs []int) ([]CurvePoint, error)
 			return nil, fmt.Errorf("analytics: strong matmul q=%d c=%d: %w", q, c, err)
 		}
 		rows = append(rows, CurvePoint{
-			Family: "strong", Algorithm: "matmul-2.5d", Runtime: sc.Runtime.String(),
+			Family: "strong", Algorithm: "matmul-2.5d",
 			N: n, P: p, C: c,
 			SimT:      or.res.Time(),
 			EnergyJ:   core.PriceSim(sc.Machine, or.res).Total(),
@@ -231,7 +226,7 @@ func StrongNBodyCurve(sc SweepConfig, n, k int, cs []int) ([]CurvePoint, error) 
 			return nil, fmt.Errorf("analytics: strong nbody k=%d c=%d: %w", k, c, err)
 		}
 		rows = append(rows, CurvePoint{
-			Family: "strong", Algorithm: "nbody", Runtime: sc.Runtime.String(),
+			Family: "strong", Algorithm: "nbody",
 			N: n, P: p, C: c,
 			SimT:      or.res.Time(),
 			EnergyJ:   core.PriceSim(sc.Machine, or.res).Total(),
@@ -293,7 +288,7 @@ func RectSUMMACurve(sc SweepConfig, mDim, kDim, n, panel int, grids [][2]int) ([
 		_, p2 := bounds.RectRegimeBoundaries(float64(mDim), float64(kDim), float64(n))
 		_, regime := bounds.RectAccesses(float64(mDim), float64(kDim), float64(n), float64(p))
 		rows = append(rows, CurvePoint{
-			Family: "strong", Algorithm: "matmul-summa-rect", Runtime: sc.Runtime.String(),
+			Family: "strong", Algorithm: "matmul-summa-rect",
 			N: n, P: p, C: 1,
 			SimT:         or.res.Time(),
 			EnergyJ:      core.PriceSim(sc.Machine, or.res).Total(),
@@ -338,7 +333,7 @@ func WeakMatMulCurve(sc SweepConfig, nb int, qs []int) ([]CurvePoint, error) {
 			return nil, fmt.Errorf("analytics: weak matmul q=%d: %w", q, err)
 		}
 		rows = append(rows, CurvePoint{
-			Family: "weak", Algorithm: "matmul-2.5d", Runtime: sc.Runtime.String(),
+			Family: "weak", Algorithm: "matmul-2.5d",
 			N: n, P: p, C: 1,
 			SimT:      or.res.Time(),
 			EnergyJ:   core.PriceSim(sc.Machine, or.res).Total(),
@@ -383,7 +378,7 @@ func WeakNBodyCurve(sc SweepConfig, b int, ps []int) ([]CurvePoint, error) {
 			return nil, fmt.Errorf("analytics: weak nbody p=%d: %w", p, err)
 		}
 		rows = append(rows, CurvePoint{
-			Family: "weak", Algorithm: "nbody", Runtime: sc.Runtime.String(),
+			Family: "weak", Algorithm: "nbody",
 			N: n, P: p, C: 1,
 			SimT:      or.res.Time(),
 			EnergyJ:   core.PriceSim(sc.Machine, or.res).Total(),
@@ -432,7 +427,7 @@ func WeakFFTCurve(sc SweepConfig, e int, ps []int) ([]CurvePoint, error) {
 			return nil, fmt.Errorf("analytics: weak fft p=%d: %w", p, err)
 		}
 		rows = append(rows, CurvePoint{
-			Family: "weak", Algorithm: "fft-tree", Runtime: sc.Runtime.String(),
+			Family: "weak", Algorithm: "fft-tree",
 			N: n, P: p, C: 1,
 			SimT:      or.res.Time(),
 			EnergyJ:   core.PriceSim(sc.Machine, or.res).Total(),
@@ -456,11 +451,10 @@ func WeakFFTCurve(sc SweepConfig, e int, ps []int) ([]CurvePoint, error) {
 }
 
 // QuickCurves runs the standard quick sweep — the CI gate's workload:
-// strong and weak families for matmul on the given runtime, plus n-body
-// and FFT. The sizes amortize communication against compute enough that
+// strong and weak families for matmul, plus n-body and FFT. The sizes amortize communication against compute enough that
 // the strong matmul curve sits near 1 while staying inside a CI budget.
-func QuickCurves(m machine.Params, rt sim.Runtime) ([]CurvePoint, error) {
-	sc := SweepConfig{Machine: m, Runtime: rt}
+func QuickCurves(m machine.Params) ([]CurvePoint, error) {
+	sc := SweepConfig{Machine: m}
 	var out []CurvePoint
 	strong, err := StrongMatMulCurve(sc, 192, 4, []int{1, 2, 4})
 	if err != nil {

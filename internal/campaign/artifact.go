@@ -47,7 +47,7 @@ type Reproducer struct {
 	ShrinkRuns int `json:"shrink_runs"`
 
 	// Clean is the fault-free baseline outcome; Expected is the outcome of
-	// the minimized plan. Verify requires both bitwise on both backends.
+	// the minimized plan. Verify requires both bitwise.
 	Clean    Outcome `json:"clean"`
 	Expected Outcome `json:"expected"`
 }
@@ -91,35 +91,20 @@ func LoadFile(path string) (*Reproducer, error) {
 	return Load(data)
 }
 
-// verifyRuntimes lists the backends Verify replays on: artifacts must
-// reproduce on the exact-quiescence event engine and the goroutine engine
-// alike, or the finding is a backend bug, not a protocol bug.
-var verifyRuntimes = []struct {
-	name string
-	rt   sim.Runtime
-}{
-	{"event", sim.RuntimeEvent},
-	{"goroutine", sim.RuntimeGoroutine},
-}
-
 // Reshrink re-minimizes the artifact's discovered plan from scratch with a
 // fresh run budget — useful when the original campaign's ShrinkBudget ran
 // dry before the plan got small. The artifact's Minimized, MinimizedCoords,
 // ShrinkRuns and Expected fields are rewritten in place; the number of
 // target runs spent is returned.
-func (r *Reproducer) Reshrink(ctx context.Context, runtime string, budget int) (int, error) {
-	rt, err := runtimeByName(runtime)
-	if err != nil {
-		return 0, err
-	}
-	sp, clean, err := r.Target.Enumerate(ctx, rt)
+func (r *Reproducer) Reshrink(ctx context.Context, budget int) (int, error) {
+	sp, clean, err := r.Target.Enumerate(ctx)
 	if err != nil {
 		return 0, err
 	}
 	if diff, same := clean.identical(&r.Clean); !same {
 		return 0, fmt.Errorf("campaign: clean baseline deviates from the artifact's: %s", diff)
 	}
-	sh := &shrinker{ctx: ctx, t: r.Target, rt: rt, class: r.Class, clean: clean,
+	sh := &shrinker{ctx: ctx, t: r.Target, class: r.Class, clean: clean,
 		b: bands{
 			timeOverhead:   r.TimeBand,
 			energyOverhead: r.EnergyBand,
@@ -130,7 +115,7 @@ func (r *Reproducer) Reshrink(ctx context.Context, runtime string, budget int) (
 	if ctx.Err() != nil {
 		return sh.runs, ctx.Err()
 	}
-	expected, err := r.Target.Run(ctx, rt, minimized)
+	expected, err := r.Target.Run(ctx, minimized)
 	if err != nil {
 		return sh.runs, err
 	}
@@ -141,52 +126,50 @@ func (r *Reproducer) Reshrink(ctx context.Context, runtime string, budget int) (
 	return sh.runs + 1, nil
 }
 
-// Verify replays the artifact on both backends and fails on the first
-// deviation: the clean baseline must match Clean bitwise, the minimized
-// plan must reproduce Expected bitwise, and re-judging the outcome with
-// the stored bands must re-derive the recorded invariant violation.
+// Verify replays the artifact and fails on the first deviation: the clean
+// baseline must match Clean bitwise, the minimized plan must reproduce
+// Expected bitwise, and re-judging the outcome with the stored bands must
+// re-derive the recorded invariant violation.
 func (r *Reproducer) Verify(ctx context.Context) error {
 	if coords := coordWeight(r.Minimized, r.Target.Ranks()); coords != r.MinimizedCoords {
 		return fmt.Errorf("campaign: artifact claims %d minimized coords but the plan weighs %d", r.MinimizedCoords, coords)
 	}
-	for _, be := range verifyRuntimes {
-		clean, err := r.Target.Run(ctx, be.rt, nil)
+	clean, err := r.Target.Run(ctx, nil)
+	if err != nil {
+		return err
+	}
+	if diff, same := clean.identical(&r.Clean); !same {
+		return fmt.Errorf("campaign: clean baseline deviates: %s", diff)
+	}
+	got, err := r.Target.Run(ctx, r.Minimized)
+	if err != nil {
+		return err
+	}
+	if got.ErrorKind == "cancelled" {
+		return ctx.Err()
+	}
+	if r.Invariant == "replay" {
+		// A replay finding is nondeterminism itself: the only meaningful
+		// check is that two runs of the plan still disagree.
+		again, err := r.Target.Run(ctx, r.Minimized)
 		if err != nil {
 			return err
 		}
-		if diff, same := clean.identical(&r.Clean); !same {
-			return fmt.Errorf("campaign: %s backend clean baseline deviates: %s", be.name, diff)
+		if replayViolation(got, again) == nil {
+			return fmt.Errorf("campaign: the replay divergence no longer shows")
 		}
-		got, err := r.Target.Run(ctx, be.rt, r.Minimized)
-		if err != nil {
-			return err
-		}
-		if got.ErrorKind == "cancelled" {
-			return ctx.Err()
-		}
-		if r.Invariant == "replay" {
-			// A replay finding is nondeterminism itself: the only meaningful
-			// check is that two runs of the plan still disagree.
-			again, err := r.Target.Run(ctx, be.rt, r.Minimized)
-			if err != nil {
-				return err
-			}
-			if replayViolation(got, again) == nil {
-				return fmt.Errorf("campaign: %s backend no longer shows the replay divergence", be.name)
-			}
-			continue
-		}
-		if diff, same := got.identical(&r.Expected); !same {
-			return fmt.Errorf("campaign: %s backend replay deviates from expected outcome: %s", be.name, diff)
-		}
-		b := bands{
-			timeOverhead:   r.TimeBand,
-			energyOverhead: r.EnergyBand,
-			floor:          boundsFloor(r.Target, clean.PeakMemWords),
-		}
-		if !hasInvariant(checkOutcome(r.Class, clean, got, b), r.Invariant) {
-			return fmt.Errorf("campaign: %s backend replay no longer violates %q", be.name, r.Invariant)
-		}
+		return nil
+	}
+	if diff, same := got.identical(&r.Expected); !same {
+		return fmt.Errorf("campaign: replay deviates from expected outcome: %s", diff)
+	}
+	b := bands{
+		timeOverhead:   r.TimeBand,
+		energyOverhead: r.EnergyBand,
+		floor:          boundsFloor(r.Target, clean.PeakMemWords),
+	}
+	if !hasInvariant(checkOutcome(r.Class, clean, got, b), r.Invariant) {
+		return fmt.Errorf("campaign: replay no longer violates %q", r.Invariant)
 	}
 	return nil
 }

@@ -4,8 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-
-	"perfscale/internal/sim"
 )
 
 // Config parameterizes a campaign. It is fully serializable and, together
@@ -14,10 +12,6 @@ import (
 // Config and Space walks the identical corpus.
 type Config struct {
 	Target Target `json:"target"`
-	// Runtime names the sweep backend: "event" (default — exact quiescence,
-	// ~1000× faster) or "goroutine". Artifact verification always replays
-	// on both regardless.
-	Runtime string `json:"runtime"`
 	// Seed keys every randomized choice: cell fault-plan seeds, compound
 	// plan composition, crash victim selection.
 	Seed uint64 `json:"seed"`
@@ -48,9 +42,6 @@ type Config struct {
 // withDefaults fills zero fields with the small-grid defaults.
 func (c Config) withDefaults() Config {
 	c.Target = c.Target.withDefaults()
-	if c.Runtime == "" {
-		c.Runtime = "event"
-	}
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
@@ -89,9 +80,6 @@ func (c Config) Validate() error {
 	if err := c.Target.Validate(); err != nil {
 		return err
 	}
-	if _, err := runtimeByName(c.Runtime); err != nil {
-		return err
-	}
 	if c.DropProb <= 0 || c.DropProb > 1 {
 		return fmt.Errorf("campaign: drop probability %g outside (0,1]", c.DropProb)
 	}
@@ -102,17 +90,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("campaign: negative knob in config")
 	}
 	return nil
-}
-
-// runtimeByName maps the serialized backend name to the sim runtime.
-func runtimeByName(name string) (sim.Runtime, error) {
-	switch name {
-	case "event":
-		return sim.RuntimeEvent, nil
-	case "goroutine":
-		return sim.RuntimeGoroutine, nil
-	}
-	return 0, fmt.Errorf("campaign: unknown runtime %q (have: event, goroutine)", name)
 }
 
 // StateVersion is the checkpoint schema version.
@@ -184,7 +161,6 @@ type RunOpts struct {
 // is deterministic and testable in memory.
 type Engine struct {
 	st *State
-	rt sim.Runtime
 }
 
 // New builds an engine for a fresh campaign.
@@ -193,8 +169,7 @@ func New(cfg Config) (*Engine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	rt, _ := runtimeByName(cfg.Runtime)
-	return &Engine{st: &State{Version: StateVersion, Config: cfg}, rt: rt}, nil
+	return &Engine{st: &State{Version: StateVersion, Config: cfg}}, nil
 }
 
 // Resume builds an engine continuing a checkpointed campaign.
@@ -208,8 +183,7 @@ func Resume(st *State) (*Engine, error) {
 	if st.NextCell < 0 || st.NextCell > len(st.Cells) {
 		return nil, fmt.Errorf("campaign: state next_cell %d outside [0,%d]", st.NextCell, len(st.Cells))
 	}
-	rt, _ := runtimeByName(st.Config.Runtime)
-	return &Engine{st: st, rt: rt}, nil
+	return &Engine{st: st}, nil
 }
 
 // State returns the engine's current state (live, not a copy).
@@ -236,8 +210,8 @@ func (e *Engine) Run(opts RunOpts) (*State, error) {
 	st, cfg := e.st, e.st.Config
 
 	if st.Space == nil {
-		logf("enumerating fault space: clean %s run of %s n=%d q=%d", cfg.Runtime, cfg.Target.Workload, cfg.Target.N, cfg.Target.Q)
-		sp, clean, err := cfg.Target.Enumerate(ctx, e.rt)
+		logf("enumerating fault space: clean run of %s n=%d q=%d", cfg.Target.Workload, cfg.Target.N, cfg.Target.Q)
+		sp, clean, err := cfg.Target.Enumerate(ctx)
 		if err != nil {
 			if ctx.Err() != nil {
 				return st, ErrInterrupted
@@ -277,7 +251,7 @@ func (e *Engine) Run(opts RunOpts) (*State, error) {
 		// an interruption mid-cell leaves the checkpoint exactly as if the
 		// cell had never started and resume replays it identically.
 		used := 0
-		out, err := cfg.Target.Run(ctx, e.rt, cell.Plan)
+		out, err := cfg.Target.Run(ctx, cell.Plan)
 		if err != nil {
 			return st, err
 		}
@@ -288,7 +262,7 @@ func (e *Engine) Run(opts RunOpts) (*State, error) {
 			return st, ErrInterrupted
 		}
 		used++
-		again, err := cfg.Target.Run(ctx, e.rt, cell.Plan)
+		again, err := cfg.Target.Run(ctx, cell.Plan)
 		if err != nil {
 			return st, err
 		}
@@ -316,7 +290,7 @@ func (e *Engine) Run(opts RunOpts) (*State, error) {
 		logf("cell %d/%d %s VIOLATES %s: %s", cell.Seq+1, len(st.Cells), cell.Kind, v.Invariant, v.Detail)
 		f := Finding{Cell: cell.Seq, Kind: cell.Kind, Class: cell.Class, Invariant: v.Invariant, Detail: v.Detail}
 		if len(st.Findings) < cfg.MaxFindings {
-			sh := &shrinker{ctx: ctx, t: cfg.Target, rt: e.rt, class: cell.Class,
+			sh := &shrinker{ctx: ctx, t: cfg.Target, class: cell.Class,
 				clean: &st.Clean, b: b, inv: v.Invariant, sp: st.Space, budget: cfg.ShrinkBudget}
 			minimized := sh.shrink(cell.Plan)
 			used += sh.runs
@@ -326,7 +300,7 @@ func (e *Engine) Run(opts RunOpts) (*State, error) {
 				}
 				return st, ErrInterrupted
 			}
-			expected, err := cfg.Target.Run(ctx, e.rt, minimized)
+			expected, err := cfg.Target.Run(ctx, minimized)
 			if err != nil {
 				return st, err
 			}

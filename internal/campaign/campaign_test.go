@@ -6,8 +6,6 @@ import (
 	"encoding/json"
 	"os"
 	"testing"
-
-	"perfscale/internal/sim"
 )
 
 // redTarget is the campaign's canonical seeded violation: a failure
@@ -21,7 +19,7 @@ func redTarget() Target {
 }
 
 // smallConfig keeps campaign tests fast: a few cells per sweep, tight
-// shrink budgets, event backend.
+// shrink budgets.
 func smallConfig(t Target) Config {
 	return Config{
 		Target:      t,
@@ -32,11 +30,11 @@ func smallConfig(t Target) Config {
 
 func TestEnumerateSpaceDeterministic(t *testing.T) {
 	tg := redTarget().withDefaults()
-	sp1, clean1, err := tg.Enumerate(context.Background(), sim.RuntimeEvent)
+	sp1, clean1, err := tg.Enumerate(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp2, clean2, err := tg.Enumerate(context.Background(), sim.RuntimeEvent)
+	sp2, clean2, err := tg.Enumerate(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +62,7 @@ func TestEnumerateSpaceDeterministic(t *testing.T) {
 
 func TestBuildCellsDeterministicAndValid(t *testing.T) {
 	cfg := smallConfig(redTarget()).withDefaults()
-	sp, _, err := cfg.Target.Enumerate(context.Background(), sim.RuntimeEvent)
+	sp, _, err := cfg.Target.Enumerate(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,28 +104,34 @@ func TestBuildCellsDeterministicAndValid(t *testing.T) {
 	}
 }
 
+// TestCleanRunBitIdenticalAcrossBackends holds the clean run to the outcome
+// the checked-in artifact recorded when both of the simulator's former
+// backends produced it: whatever carries the ranks, the bits must not move.
 func TestCleanRunBitIdenticalAcrossBackends(t *testing.T) {
+	r, err := LoadFile("testdata/repro-golden.json")
+	if err != nil {
+		t.Fatal(err)
+	}
 	tg := redTarget().withDefaults()
-	ev, err := tg.Run(context.Background(), sim.RuntimeEvent, nil)
+	if tg != r.Target {
+		t.Fatalf("the golden artifact's target %+v is no longer the red target %+v", r.Target, tg)
+	}
+	got, err := tg.Run(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gr, err := tg.Run(context.Background(), sim.RuntimeGoroutine, nil)
-	if err != nil {
-		t.Fatal(err)
+	if !got.Completed {
+		t.Fatalf("clean run must complete: %+v", got)
 	}
-	if !ev.Completed || !gr.Completed {
-		t.Fatalf("clean runs must complete: event %+v goroutine %+v", ev, gr)
-	}
-	if diff, same := ev.identical(gr); !same {
-		t.Fatalf("backends disagree on the clean run: %s", diff)
+	if diff, same := got.identical(&r.Clean); !same {
+		t.Fatalf("clean run deviates from the recorded one: %s", diff)
 	}
 }
 
 // TestCampaignRedThenGreen is the engine's end-to-end proof: the seeded
 // under-provisioned detector is found by the very first cell, shrunk to a
 // single link atom with strictly fewer fault coordinates, and the emitted
-// artifact replays bitwise on both backends — while the identically-swept
+// artifact replays bitwise — while the identically-swept
 // stock configuration sails through the same cell clean.
 func TestCampaignRedThenGreen(t *testing.T) {
 	// Red: the mis-provisioned detector.
@@ -182,7 +186,7 @@ func TestCampaignRedThenGreen(t *testing.T) {
 	if !bytes.Equal(enc, enc2) {
 		t.Fatal("artifact changed across an encode/load round trip")
 	}
-	// …and replay from the loaded copy alone, on both backends.
+	// …and replay from the loaded copy alone.
 	if err := back.Verify(context.Background()); err != nil {
 		t.Fatalf("artifact does not replay: %v", err)
 	}
@@ -276,8 +280,8 @@ func TestCampaignResumeIdentical(t *testing.T) {
 }
 
 // TestGoldenArtifactReplays pins the checked-in reproducer: the artifact
-// alone — no campaign, no enumeration — must replay its violation bitwise
-// on both backends. This is the regression net for the detector
+// alone — no campaign, no enumeration — must replay its violation bitwise.
+// This is the regression net for the detector
 // provisioning bug class.
 func TestGoldenArtifactReplays(t *testing.T) {
 	if os.Getenv("CAMPAIGN_REGEN_GOLDEN") != "" {
@@ -323,12 +327,40 @@ func TestResumeRejectsBadState(t *testing.T) {
 	}
 }
 
+// TestResumeIgnoresRetiredRuntimeField: checkpoints and reproducers written
+// when campaigns still named a simulator backend carry a "runtime" field;
+// they must keep loading.
+func TestResumeIgnoresRetiredRuntimeField(t *testing.T) {
+	st := &State{Version: StateVersion, Config: smallConfig(redTarget()).withDefaults()}
+	data, err := json.Marshal(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := bytes.Replace(data, []byte(`"config":{`), []byte(`"config":{"runtime":"goroutine",`), 1)
+	if bytes.Equal(old, data) {
+		t.Fatal("fixture did not gain a runtime field")
+	}
+	var back State
+	if err := json.Unmarshal(old, &back); err != nil {
+		t.Fatalf("old checkpoint no longer decodes: %v", err)
+	}
+	if _, err := Resume(&back); err != nil {
+		t.Fatalf("old checkpoint no longer resumes: %v", err)
+	}
+	art, err := os.ReadFile("testdata/repro-golden.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Load(bytes.Replace(art, []byte(`"version": 1,`), []byte(`"version": 1, "runtime": "goroutine",`), 1)); err != nil {
+		t.Fatalf("reproducer with a runtime field no longer loads: %v", err)
+	}
+}
+
 func TestConfigValidation(t *testing.T) {
 	bad := []Config{
 		{Target: Target{Workload: "cannon"}},
 		{Target: Target{N: 15, Q: 4}},
 		{Target: Target{Machine: "no-such-machine"}},
-		{Runtime: "thread"},
 		{DropProb: 1.5},
 		{TimeOverhead: 0.5},
 		{RandomPlans: -1},

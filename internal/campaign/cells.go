@@ -18,7 +18,7 @@ const (
 	// ClassGraceful marks plans that may legitimately kill the run —
 	// rank crashes and total link loss. The run must either complete
 	// bit-identically or fail with a typed verdict (peer-failure or
-	// crash); it must never wedge into a watchdog abort or an untyped
+	// crash); it must never wedge into a deadlock abort or an untyped
 	// error.
 	ClassGraceful Class = "graceful"
 )

@@ -169,9 +169,9 @@ func mergeWindows(raw []Window) []Window {
 // returns the enumerated space plus the clean baseline outcome. Observed
 // and blind runs are bit-identical (pinned by the conformance metamorphic
 // family), so the same run serves as both enumeration and baseline.
-func (t Target) Enumerate(ctx context.Context, rt sim.Runtime) (*Space, *Outcome, error) {
+func (t Target) Enumerate(ctx context.Context) (*Space, *Outcome, error) {
 	col := newCollector()
-	out, err := t.Run(ctx, rt, nil, col)
+	out, err := t.Run(ctx, nil, col)
 	if err != nil {
 		return nil, nil, err
 	}

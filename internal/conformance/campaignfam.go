@@ -16,8 +16,8 @@ import (
 // is the under-provisioned failure detector: a DetectorInterval of 4 RTOs
 // with 2 tolerated misses turns maskable 25% background loss into a
 // spurious peer-failure verdict). The sweep re-runs each artifact from its
-// JSON alone — both backends, bitwise — so the bug class stays caught even
-// if the campaign engine, the enumeration, or the shrinker change.
+// JSON alone, bitwise, so the bug class stays caught even if the campaign
+// engine, the enumeration, or the shrinker change.
 //
 // Artifacts are self-contained by design: they name their own machine
 // preset and target, so the family ignores Config.Machine.
@@ -31,7 +31,7 @@ func checkCampaign(ck *checker, cfg Config) error {
 	const alg = "summa-arq"
 	// Honour the -alg restriction like every other family: the pinned
 	// artifacts all exercise the ARQ-backed SUMMA, so an explicit selection
-	// that excludes it skips the (two-backend, hence slow) replays.
+	// that excludes it skips the replays.
 	if len(cfg.Algorithms) > 0 {
 		found := false
 		for _, a := range cfg.Algorithms {

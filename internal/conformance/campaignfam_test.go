@@ -8,7 +8,7 @@ import (
 
 // TestCampaignFamilyReplaysPinnedRepros runs the campaign family alone:
 // every embedded reproducer must load, be strictly minimized, and replay
-// its violation bitwise on both backends.
+// its violation bitwise.
 func TestCampaignFamilyReplaysPinnedRepros(t *testing.T) {
 	cfg := Config{Machine: machine.SimDefault()}
 	rep := &Report{Machine: cfg.Machine.Name, Level: cfg.Level.String(), Violations: []Violation{}}

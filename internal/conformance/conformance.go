@@ -1,8 +1,8 @@
 // Package conformance is the machine-checkable contract between the
-// goroutine runtime in internal/sim and the paper's closed forms in
-// internal/core and internal/bounds. It sweeps every distributed algorithm
-// in the repository over a grid of (n, p, c, M) points and verifies three
-// property families against the live simulator:
+// simulator in internal/sim and the paper's closed forms in internal/core
+// and internal/bounds. It sweeps every distributed algorithm in the
+// repository over a grid of (n, p, c, M) points and verifies these property
+// families against the live simulator:
 //
 //   - differential: the measured per-rank F/W/S/M counters and the priced
 //     T/E agree with the analytic expressions to exact or stated tolerance
@@ -12,16 +12,19 @@
 //     inside the strong-scaling region p→k·p at fixed per-processor memory
 //     divides T by k and holds total E constant, W never drops below the
 //     communication lower bound, T and E are monotone in n, and
-//     dense-vs-sparse wiring plus observed-vs-blind runs are bit-identical;
+//     observed-vs-blind runs are bit-identical;
 //   - replay: seeded random fault plans re-run twice produce identical
 //     results — the determinism every other guarantee stands on;
 //   - recovery: the self-healing runtime masks seeded silent drops with a
 //     product bit-identical to the fault-free run, T/E overhead inside
 //     pinned bands, bitwise-deterministic replays, and an energy-priced
 //     recovery controller whose choice is the argmin of its own pricing;
+//   - golden: per-rank counters, clocks, observer streams and a seeded
+//     chaos run reproduce the digests committed in testdata/golden.json,
+//     so determinism is pinned against history;
 //   - campaign: minimal reproducers discovered by the chaos-campaign
 //     engine (internal/campaign) and pinned under testdata/campaign replay
-//     their invariant violations bitwise on both backends.
+//     their invariant violations bitwise.
 //
 // The engine is a property/table-test core usable from go test (see
 // conformance_test.go), a fuzz target (FuzzConformance) and a CLI
@@ -337,7 +340,7 @@ func Sweep(cfg Config) (*Report, error) {
 			}
 		}
 		for _, family := range []func(*checker, Config) error{
-			checkSimMetamorphic, checkWeakScaling, checkReplay, checkRecovery, checkBackend, checkCampaign,
+			checkSimMetamorphic, checkWeakScaling, checkReplay, checkRecovery, checkGolden, checkCampaign,
 		} {
 			if cfg.interrupted() != nil {
 				return fail(nil)

@@ -253,14 +253,14 @@ func TestSweepInterrupted(t *testing.T) {
 		}
 	})
 	t.Run("deadline-mid-sweep", func(t *testing.T) {
-		// Tight enough that the quick sweep cannot finish, long enough
-		// that the closed-form pass and at least part of the simulator
-		// work starts; the abort must come back as DeadlineExceeded, not
-		// as a wedged run or a harness error.
-		ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+		// Tight enough that the full sweep (≈150 ms) cannot finish, long
+		// enough that the closed-form pass and at least part of the
+		// simulator work starts; the abort must come back as
+		// DeadlineExceeded, not as a wedged run or a harness error.
+		ctx, cancel := context.WithTimeout(context.Background(), 25*time.Millisecond)
 		defer cancel()
 		start := time.Now()
-		rep, err := Sweep(Config{Level: Quick, Context: ctx})
+		rep, err := Sweep(Config{Level: Full, Context: ctx})
 		if !errors.Is(err, context.DeadlineExceeded) {
 			t.Fatalf("sweep error = %v, want context.DeadlineExceeded", err)
 		}

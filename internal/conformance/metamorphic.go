@@ -28,9 +28,6 @@ func (o *blindObserver) OnTimer(sim.TimerEvent)       { o.events.Add(1) }
 
 // checkSimMetamorphic runs the simulator-level metamorphic family:
 //
-//   - wiring identity: dense and sparse wiring produce bit-identical
-//     per-rank stats and numerics (the wiring mode is a host-side choice,
-//     not part of the simulated machine);
 //   - observer identity: an attached observer never perturbs the run;
 //   - simulated perfect strong scaling: the 2.5D matmul and the replicated
 //     n-body at c > 1 run against their c = 1 baselines with p multiplied
@@ -43,9 +40,6 @@ func (o *blindObserver) OnTimer(sim.TimerEvent)       { o.events.Add(1) }
 //     at sweepable sizes; pricing conformance under arbitrary machines is
 //     the differential family's job.
 func checkSimMetamorphic(ck *checker, cfg Config) error {
-	if err := checkWiringIdentity(ck, cfg); err != nil {
-		return err
-	}
 	if err := checkObserverIdentity(ck, cfg); err != nil {
 		return err
 	}
@@ -66,35 +60,6 @@ func statsIdentical(a, b *sim.Result) (int, bool) {
 		}
 	}
 	return -1, true
-}
-
-func checkWiringIdentity(ck *checker, cfg Config) error {
-	const alg = "matmul-2.5d"
-	pt := Point{N: 48, Q: 4, C: 2, P: 32}
-	a := matrix.Random(pt.N, pt.N, 21)
-	b := matrix.Random(pt.N, pt.N, 22)
-	run := func(w sim.Wiring) (*matmul.RunResult, error) {
-		cost := cfg.cost()
-		cost.Wiring = w
-		return matmul.TwoPointFiveD(cost, pt.Q, pt.C, a, b)
-	}
-	sparse, err := run(sim.WiringSparse)
-	if err != nil {
-		return fmt.Errorf("conformance: wiring identity (sparse): %w", err)
-	}
-	dense, err := run(sim.WiringDense)
-	if err != nil {
-		return fmt.Errorf("conformance: wiring identity (dense): %w", err)
-	}
-	rank, same := statsIdentical(sparse.Sim, dense.Sim)
-	ck.checkTrue("metamorphic/wiring-identity", alg, pt, "",
-		same, float64(rank), -1,
-		"dense and sparse wiring diverged in per-rank stats (first differing rank in Got)")
-	ck.checkTrue("metamorphic/wiring-identity-numerics", alg, pt, "",
-		sparse.C.MaxAbsDiff(dense.C) == 0,
-		sparse.C.MaxAbsDiff(dense.C), 0,
-		"dense and sparse wiring produced different numerical output")
-	return nil
 }
 
 func checkObserverIdentity(ck *checker, cfg Config) error {

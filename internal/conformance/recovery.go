@@ -2,7 +2,6 @@ package conformance
 
 import (
 	"fmt"
-	"time"
 
 	"perfscale/internal/core"
 	"perfscale/internal/matrix"
@@ -14,7 +13,7 @@ import (
 // run over the ARQ endpoints under a seeded plan of silent drops,
 // duplications and corruptions must
 //
-//   - complete (no watchdog abort: every injected loss is recovered by a
+//   - complete (no deadlock abort: every injected loss is recovered by a
 //     virtual-time retransmission, not by the deadlock detector);
 //   - produce a product bit-identical to the fault-free run — recovery
 //     changes when work happens, never what is computed;
@@ -48,9 +47,7 @@ func recoveryFaults(seed uint64) *sim.FaultPlan {
 }
 
 // recoveryPoints sizes the sweep: quick runs one p=16 grid, full adds a
-// p=36 grid. Chaos runs cost real time (each recovered drop burns about
-// one watchdog window of wall clock at quiescence), so the grids stay
-// small and the drop rate moderate.
+// p=36 grid.
 func recoveryPoints(level Level) []Point {
 	pts := []Point{{N: 32, P: 16, Q: 4}}
 	if level == Full {
@@ -108,9 +105,6 @@ func checkRecoveryPoint(ck *checker, cfg Config, alg string, pt Point) error {
 	for _, seed := range recoverySeeds(cfg) {
 		run := func() (*resilience.SUMMAARQResult, error) {
 			cost := cfg.cost()
-			// Timer expiries fire at real-time quiescence; a short window
-			// keeps the chaos runs fast without touching virtual results.
-			cost.WatchdogTimeout = 15 * time.Millisecond
 			cost.Faults = recoveryFaults(seed)
 			return resilience.SUMMAARQ(cost, pt.Q, arqCfg, a, b)
 		}

@@ -2,7 +2,6 @@ package conformance
 
 import (
 	"fmt"
-	"time"
 
 	"perfscale/internal/matmul"
 	"perfscale/internal/matrix"
@@ -85,8 +84,6 @@ func replayChaos(ck *checker, cfg Config, seed uint64) error {
 // replays to fail identically. The crash time is a fraction of the clean
 // run's measured virtual makespan so the crash lands mid-run on any
 // machine (an absolute time would fire after a fast machine finished).
-// The watchdog stays enabled (generously) so a regression that turns the
-// crash cascade into a hang still terminates.
 func replayCrash(ck *checker, cfg Config, seed uint64) {
 	const alg = "matmul-2.5d"
 	pt := Point{N: 48, Q: 4, C: 2, P: 32}
@@ -102,7 +99,6 @@ func replayCrash(ck *checker, cfg Config, seed uint64) {
 	crashTime := clean.Sim.Time() * 0.3
 	run := func() string {
 		cost := cfg.cost()
-		cost.WatchdogTimeout = 30 * time.Second
 		cost.Faults = &sim.FaultPlan{
 			Seed:    seed,
 			Crashes: map[int]float64{crashRank: crashTime},

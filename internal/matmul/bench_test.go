@@ -10,8 +10,8 @@ import (
 )
 
 // BenchmarkSmallRun is one /simulate run without the HTTP stack: the two
-// shapes the service hosts (n = 128, q = 8, c = 2, p = 128) on the event
-// runtime under a cancel context, so collectives are conducted. Besides
+// shapes the service hosts (n = 128, q = 8, c = 2, p = 128) under a cancel
+// context, collectives conducted. Besides
 // ns/op and -benchmem's B/op it reports KiB/run and GCs/run: at this size a
 // run's wall follows the collector cycles its garbage triggers, and those
 // follow the bytes it allocates (DESIGN §12, "Serving it").
@@ -19,7 +19,7 @@ func BenchmarkSmallRun(b *testing.B) {
 	const n, q, c = 128, 8, 2
 	ma, mb := randPair(n, 7)
 	cost := sim.Cost{GammaT: 1e-9, BetaT: 1e-8, AlphaT: 1e-6, MaxMsgWords: 1024,
-		Runtime: sim.RuntimeEvent, Context: context.Background()}
+		Context: context.Background()}
 	for _, alg := range []struct {
 		name string
 		run  func(sim.Cost, int, int, *matrix.Dense, *matrix.Dense) (*RunResult, error)

@@ -95,8 +95,9 @@ func TestSUMMARectPanelWidthTradeoff(t *testing.T) {
 }
 
 func TestSUMMARectBackendIdentity(t *testing.T) {
-	// The event engine must be a perfect stand-in for the goroutine
-	// runtime on rectangular shapes and non-square grids: every per-rank
+	// Conducted collectives must be a perfect stand-in for member-by-member
+	// ones (Cost.Trace subscribes the tracer, which disqualifies the
+	// conductor) on rectangular shapes and non-square grids: every per-rank
 	// counter — flops, words, messages, peak memory, and all four clock
 	// decompositions — bit-identical, and the product matrix too. Priced
 	// with nonzero α/β/γ and fragmented messages so the time counters are
@@ -110,24 +111,23 @@ func TestSUMMARectBackendIdentity(t *testing.T) {
 	} {
 		a := matrix.Random(tc.m, tc.k, int64(3*tc.m+tc.k))
 		b := matrix.Random(tc.k, tc.n, int64(3*tc.k+tc.n))
-		gCost, eCost := cost, cost
-		gCost.Runtime = sim.RuntimeGoroutine
-		eCost.Runtime = sim.RuntimeEvent
+		gCost := cost
+		gCost.Trace = true
 		g, err := SUMMARect(gCost, tc.pr, tc.pc, tc.panel, a, b)
 		if err != nil {
-			t.Fatalf("%+v goroutine: %v", tc, err)
+			t.Fatalf("%+v member by member: %v", tc, err)
 		}
-		e, err := SUMMARect(eCost, tc.pr, tc.pc, tc.panel, a, b)
+		e, err := SUMMARect(cost, tc.pr, tc.pc, tc.panel, a, b)
 		if err != nil {
-			t.Fatalf("%+v event: %v", tc, err)
+			t.Fatalf("%+v conducted: %v", tc, err)
 		}
 		if d := g.C.MaxAbsDiff(e.C); d != 0 {
-			t.Errorf("%+v: backends disagree on C, max diff %g", tc, d)
+			t.Errorf("%+v: the two collective paths disagree on C, max diff %g", tc, d)
 		}
 		perRankF := 2.0 * float64(tc.m*tc.k*tc.n) / float64(tc.pr*tc.pc)
 		for id := range g.Sim.PerRank {
 			if g.Sim.PerRank[id] != e.Sim.PerRank[id] {
-				t.Errorf("%+v rank %d stats differ:\n  goroutine %+v\n  event     %+v",
+				t.Errorf("%+v rank %d stats differ:\n  member by member %+v\n  conducted        %+v",
 					tc, id, g.Sim.PerRank[id], e.Sim.PerRank[id])
 			}
 			if f := g.Sim.PerRank[id].Flops; f != perRankF {
@@ -139,7 +139,8 @@ func TestSUMMARectBackendIdentity(t *testing.T) {
 
 func TestSUMMARectPerRankCounterPins(t *testing.T) {
 	// Exact per-rank counter values at a rectangular shape, derived by hand
-	// from the collective algorithms, checked on both backends.
+	// from the collective algorithms, checked on both collective paths
+	// (conducted, and member by member under Cost.Trace).
 	//
 	// m=12 k=8 n=16 on a 2×2 grid with panel=2: rowsPer=6, colsPer=8,
 	// aColsPer=bRowsPer=4, and k/panel = 4 broadcast steps. Every row and
@@ -163,8 +164,8 @@ func TestSUMMARectPerRankCounterPins(t *testing.T) {
 	)
 	a := matrix.Random(m, k, 11)
 	b := matrix.Random(k, n, 12)
-	for _, rt := range []sim.Runtime{sim.RuntimeGoroutine, sim.RuntimeEvent} {
-		res, err := SUMMARect(sim.Cost{Runtime: rt}, pr, pc, panel, a, b)
+	for _, rt := range []string{"conducted", "member-by-member"} {
+		res, err := SUMMARect(sim.Cost{Trace: rt == "member-by-member"}, pr, pc, panel, a, b)
 		if err != nil {
 			t.Fatalf("%v: %v", rt, err)
 		}

@@ -133,8 +133,8 @@ func deadlockEvent(ev sim.DeadlockEvent) Event {
 // Collector subscribes to a run and keeps every event, bucketed per rank.
 // Rank-goroutine callbacks append to their own rank's slice without locks
 // (the bus guarantees per-rank callbacks are single-goroutine); only the
-// watchdog-sourced deadlock events need a mutex. Memory is O(events) —
-// use RingBuffer when that is too much at large p.
+// deadlock events, sourced by the engine at quiescence, need a mutex.
+// Memory is O(events) — use RingBuffer when that is too much at large p.
 //
 // Read a Collector only after sim.Run has returned.
 type Collector struct {
@@ -186,8 +186,8 @@ func (c *Collector) OnTimer(ev sim.TimerEvent) {
 	c.perRank[ev.Rank] = append(c.perRank[ev.Rank], timerEvent(ev))
 }
 
-// OnDeadlock implements sim.Observer. It fires on the watchdog goroutine,
-// so the events go to a mutex-protected list instead of the per-rank
+// OnDeadlock implements sim.Observer. It fires on whichever goroutine
+// resolved the quiescence, so the events go to a mutex-protected list instead of the per-rank
 // buckets (which the rank goroutines still own at that moment).
 func (c *Collector) OnDeadlock(ev sim.DeadlockEvent) {
 	c.mu.Lock()
@@ -201,7 +201,7 @@ func (c *Collector) P() int { return len(c.perRank) }
 // Rank returns one rank's events in virtual-time order.
 func (c *Collector) Rank(rank int) []Event { return c.perRank[rank] }
 
-// Deadlocks returns the watchdog aborts observed, one per aborted rank.
+// Deadlocks returns the deadlock aborts observed, one per aborted rank.
 func (c *Collector) Deadlocks() []sim.DeadlockEvent {
 	c.mu.Lock()
 	defer c.mu.Unlock()

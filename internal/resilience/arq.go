@@ -254,7 +254,7 @@ func (a *ARQ) peerExited(peer int) error {
 
 // xmit emits one frame with a bounded send, so a buffer that stays full
 // past the retransmit budget — or a peer that exits while we wait for
-// space — becomes a PeerFailure instead of a watchdog abort. The fast path
+// space — becomes a PeerFailure instead of a deadlock abort. The fast path
 // (buffer has room) costs exactly what a raw Send costs.
 func (a *ARQ) xmit(dst int, frame []float64) error {
 	rto := a.cfg.RTO

@@ -3,20 +3,14 @@ package resilience_test
 import (
 	"errors"
 	"testing"
-	"time"
 
 	"perfscale/internal/resilience"
 	"perfscale/internal/sim"
 )
 
-// arqCost gives runs a virtual clock and a fast watchdog window; ARQ
-// timeouts fire at quiescence, so every masked drop costs about one window
-// of real time.
+// arqCost gives runs a virtual clock.
 func arqCost() sim.Cost {
-	return sim.Cost{
-		GammaT: 1e-9, BetaT: 1e-8, AlphaT: 1e-6,
-		WatchdogTimeout: 40 * time.Millisecond,
-	}
+	return sim.Cost{GammaT: 1e-9, BetaT: 1e-8, AlphaT: 1e-6}
 }
 
 func TestARQDeliversInOrder(t *testing.T) {
@@ -55,8 +49,8 @@ func TestARQDeliversInOrder(t *testing.T) {
 
 // TestARQMasksSilentDrops is the capability Reliable lacks: silently
 // dropped frames — in both the data and the ack direction — are recovered
-// by timeout-driven retransmission instead of hanging until the watchdog
-// aborts the run.
+// by timeout-driven retransmission instead of hanging until a deadlock
+// verdict aborts the run.
 func TestARQMasksSilentDrops(t *testing.T) {
 	const msgs = 12
 	cost := arqCost()
@@ -98,7 +92,7 @@ func TestARQMasksSilentDrops(t *testing.T) {
 
 // TestARQPeerFailureExited checks accurate detection: a peer that dies is
 // reported as an Exited PeerFailure carrying the peer's own error, not as
-// a suspicion and not as a watchdog abort.
+// a suspicion and not as a deadlock abort.
 func TestARQPeerFailureExited(t *testing.T) {
 	boom := errors.New("boom")
 	cfg := resilience.ARQDefaults(arqCost(), 1)

@@ -11,7 +11,7 @@
 //     masks message corruption and duplication injected by a sim.FaultPlan.
 //     It has no timers (virtual time has no timeouts), so unbounded message
 //     loss is not retransmitted — a dropped packet leaves both ends blocked
-//     and the runtime watchdog converts the hang into a DeadlockError.
+//     and the runtime converts the hang into a DeadlockError.
 //
 //   - ABFT25D: the 2.5D SUMMA matrix multiply of internal/matmul hardened
 //     against rank crashes. The 2.5D algorithm's replication factor c is

@@ -2,19 +2,14 @@ package resilience_test
 
 import (
 	"testing"
-	"time"
 
 	"perfscale/internal/resilience"
 	"perfscale/internal/sim"
 )
 
-// testCost gives the runs a virtual clock and a fast watchdog so a protocol
-// bug surfaces as a diagnostic instead of a hung test.
+// testCost gives the runs a virtual clock.
 func testCost() sim.Cost {
-	return sim.Cost{
-		GammaT: 1e-9, BetaT: 1e-8, AlphaT: 1e-6,
-		WatchdogTimeout: 500 * time.Millisecond,
-	}
+	return sim.Cost{GammaT: 1e-9, BetaT: 1e-8, AlphaT: 1e-6}
 }
 
 func TestReliableDeliversInOrder(t *testing.T) {

@@ -2,7 +2,6 @@ package resilience_test
 
 import (
 	"testing"
-	"time"
 
 	"perfscale/internal/matmul"
 	"perfscale/internal/matrix"
@@ -29,7 +28,7 @@ func TestSUMMAARQMatchesSerial(t *testing.T) {
 
 // TestSUMMAARQMasksChaosDeterministically is the p = 64 chaos test: drops,
 // duplication and corruption on every link at once. The run must complete
-// (no watchdog abort), produce a C bit-identical to the fault-free run
+// (no deadlock abort), produce a C bit-identical to the fault-free run
 // (retransmission changes when work happens, never what is computed), and
 // replay deterministically — two runs under the same plan agree bitwise on
 // every rank's Stats and on every rank's ARQ counters.
@@ -37,10 +36,7 @@ func TestSUMMAARQMasksChaosDeterministically(t *testing.T) {
 	const q, n = 8, 64
 	a := matrix.Random(n, n, 3)
 	b := matrix.Random(n, n, 4)
-	cost := sim.Cost{
-		GammaT: 1e-9, BetaT: 1e-8, AlphaT: 1e-6,
-		WatchdogTimeout: 10 * time.Millisecond,
-	}
+	cost := sim.Cost{GammaT: 1e-9, BetaT: 1e-8, AlphaT: 1e-6}
 	cfg := resilience.ARQDefaults(cost, (n/q)*(n/q))
 
 	clean, err := resilience.SUMMAARQ(cost, q, cfg, a, b)

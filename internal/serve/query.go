@@ -374,25 +374,20 @@ func badObjective(objective string) *apiError {
 
 // simulateQuery is the canonical tuple of one live run.
 type simulateQuery struct {
-	m       machine.Params
-	alg     string
-	n       int
-	q       int
-	c       int
-	seed    int
-	runtime sim.Runtime
-	stream  bool
+	m      machine.Params
+	alg    string
+	n      int
+	q      int
+	c      int
+	seed   int
+	stream bool
 }
 
 func (sq simulateQuery) ranks() int { return sq.q * sq.q * sq.c }
 
-// The runtime is part of the key even though both backends are pinned to
-// bitwise-identical Results: keeping the tuples distinct means a cached
-// goroutine answer can never mask an event-backend regression (and vice
-// versa) from a client explicitly probing one backend.
 func (sq simulateQuery) key() string {
-	return fmt.Sprintf("simulate|m=%s|alg=%s|n=%d|q=%d|c=%d|seed=%d|rt=%s",
-		sq.m.Name, sq.alg, sq.n, sq.q, sq.c, sq.seed, sq.runtime)
+	return fmt.Sprintf("simulate|m=%s|alg=%s|n=%d|q=%d|c=%d|seed=%d",
+		sq.m.Name, sq.alg, sq.n, sq.q, sq.c, sq.seed)
 }
 
 // simulateResponse is the summary of a bounded live run: measured virtual
@@ -406,7 +401,6 @@ type simulateResponse struct {
 	C       int    `json:"c"`
 	P       int    `json:"p"`
 	Seed    int    `json:"seed"`
-	Runtime string `json:"runtime"`
 
 	SimTimeS    float64              `json:"sim_time_s"`
 	MaxStats    sim.Stats            `json:"max_stats"`
@@ -442,16 +436,6 @@ func (s *Server) parseSimulate(req *http.Request) (simulateQuery, *apiError) {
 	}
 	if sq.seed, aerr = parseInt(q, "seed", 1); aerr != nil {
 		return sq, aerr
-	}
-	// The event engine is the default: it conducts collectives under the
-	// request's cancel context, the goroutine backend cannot.
-	switch rt := q.Get("runtime"); rt {
-	case "", "event":
-		sq.runtime = sim.RuntimeEvent
-	case "goroutine":
-		sq.runtime = sim.RuntimeGoroutine
-	default:
-		return sq, badRequest("unknown runtime %q for /simulate (want goroutine, event)", rt)
 	}
 	sq.stream = parseBool(q, "stream")
 	if sq.n <= 0 || sq.q <= 0 || sq.c <= 0 {
@@ -498,7 +482,6 @@ func runSimulate(ctx context.Context, sq simulateQuery, observers []sim.Observer
 		MaxMsgWords: int(sq.m.MaxMsgWords),
 		Observers:   observers,
 		Context:     ctx,
-		Runtime:     sq.runtime,
 	}
 	a := matrix.Random(sq.n, sq.n, int64(sq.seed))
 	b := matrix.Random(sq.n, sq.n, int64(sq.seed)+1)
@@ -521,7 +504,6 @@ func runSimulate(ctx context.Context, sq simulateQuery, observers []sim.Observer
 	return &simulateResponse{
 		Kind: "summary", Machine: sq.m.Name, Alg: sq.alg,
 		N: sq.n, Q: sq.q, C: sq.c, P: sq.ranks(), Seed: sq.seed,
-		Runtime:  sq.runtime.String(),
 		SimTimeS: rr.Sim.Time(), MaxStats: rr.Sim.MaxStats(),
 		Energy: energy, TotalEnergy: energy.Total(),
 		ActivePairs: rr.Sim.ActivePairs,

@@ -166,46 +166,32 @@ func TestSimulateSummary(t *testing.T) {
 	}
 }
 
-// TestSimulateRuntimeParam drives /simulate through both simulator
-// backends: the default is the event engine, ?runtime=goroutine must answer
-// with the same virtual time and energy (the backends are pinned bitwise by
-// the conformance suite) from its own cache entry, naming the default
-// explicitly shares the default's entry, and unknown runtime names are
-// rejected with a 400.
+// TestSimulateRuntimeParam pins what is left of the retired runtime=
+// parameter: like any unknown query parameter it is ignored, so a client
+// that still sends it gets the same answer from the same cache entry, and
+// the response no longer names a runtime.
 func TestSimulateRuntimeParam(t *testing.T) {
 	_, ts := newTestServer(t, Options{})
-	code, ev, _ := get(t, ts.URL+"/simulate?alg=matmul25d&n=64&q=4&c=1")
+	code, plain, _ := get(t, ts.URL+"/simulate?alg=matmul25d&n=64&q=4&c=1")
 	if code != 200 {
-		t.Fatalf("default simulate = %d %v", code, ev)
+		t.Fatalf("default simulate = %d %v", code, plain)
 	}
-	if ev["runtime"] != "event" {
-		t.Errorf("default runtime = %v, want event", ev["runtime"])
+	if rt, ok := plain["runtime"]; ok {
+		t.Errorf("response still carries runtime = %v", rt)
 	}
-
-	code, gor, hdr := get(t, ts.URL+"/simulate?alg=matmul25d&n=64&q=4&c=1&runtime=goroutine")
-	if code != 200 {
-		t.Fatalf("goroutine simulate = %d %v", code, gor)
-	}
-	if gor["runtime"] != "goroutine" {
-		t.Errorf("goroutine runtime = %v", gor["runtime"])
-	}
-	// A distinct backend is a distinct canonical tuple: the goroutine
-	// request must not replay the event run from the cache.
-	if hdr.Get("X-Cache") != "miss" {
-		t.Errorf("goroutine request X-Cache = %q, want miss", hdr.Get("X-Cache"))
-	}
-	for _, field := range []string{"sim_time_s", "total_energy_j", "active_pairs", "max_stats"} {
-		if !reflect.DeepEqual(ev[field], gor[field]) {
-			t.Errorf("%s differs across backends: event %v vs goroutine %v", field, ev[field], gor[field])
+	for _, rt := range []string{"goroutine", "event", "fibers"} {
+		code, old, hdr := get(t, ts.URL+"/simulate?alg=matmul25d&n=64&q=4&c=1&runtime="+rt)
+		if code != 200 {
+			t.Fatalf("runtime=%s simulate = %d %v", rt, code, old)
 		}
-	}
-	if _, _, hdr = get(t, ts.URL+"/simulate?alg=matmul25d&n=64&q=4&c=1&runtime=event"); hdr.Get("X-Cache") != "hit" {
-		t.Errorf("explicit runtime=event X-Cache = %q, want hit on the default's entry", hdr.Get("X-Cache"))
-	}
-
-	code, body, _ := get(t, ts.URL+"/simulate?n=64&q=4&runtime=fibers")
-	if code != 400 || body["error"] != "bad_request" {
-		t.Errorf("bad runtime = %d %v, want 400 bad_request", code, body)
+		if hdr.Get("X-Cache") != "hit" {
+			t.Errorf("runtime=%s X-Cache = %q, want hit on the plain request's entry", rt, hdr.Get("X-Cache"))
+		}
+		for _, field := range []string{"sim_time_s", "total_energy_j", "active_pairs", "max_stats"} {
+			if !reflect.DeepEqual(plain[field], old[field]) {
+				t.Errorf("%s differs with runtime=%s: %v vs %v", field, rt, plain[field], old[field])
+			}
+		}
 	}
 }
 

@@ -63,65 +63,59 @@ func TestCancelStopsComputeLoop(t *testing.T) {
 	waitGoroutines(t, base)
 }
 
-// TestCancelReleasesBlockedRecv cancels a run where every rank is blocked in
-// Recv on a message that will never come, with the watchdog DISABLED, so
-// only the cancellation path can release them.
+// cancelWhileParked runs a 3-rank program on one worker: ranks 0 and 1 park
+// in wait (on each other, for something that never comes) while rank 2
+// stays runnable in a Compute loop, so the cluster is never quiescent and
+// only cancellation can release the parked pair. Rank 2's 256th Compute
+// yields to the two ranks behind it in virtual time; once it runs again both
+// have parked, and it cancels the run from there. The run must end with the
+// cancel cause and leave no carrier behind.
+func cancelWhileParked(t *testing.T, wait func(r *Rank)) {
+	t.Helper()
+	base := runtime.NumGoroutine()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan error, 1)
+	go func() {
+		_, err := RunContext(ctx, 3, Cost{GammaT: 1e-9, Workers: 1}, func(r *Rank) error {
+			if r.ID() < 2 {
+				wait(r)
+				return nil
+			}
+			for n := 0; ; n++ {
+				if n == 256 {
+					cancel()
+				}
+				r.Compute(1000)
+			}
+		})
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("errors.Is(err, context.Canceled) = false, err = %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("cancellation did not release the parked ranks")
+	}
+	waitGoroutines(t, base)
+}
+
+// TestCancelReleasesBlockedRecv cancels a run where two ranks are parked in
+// Recv on a message that will never come.
 func TestCancelReleasesBlockedRecv(t *testing.T) {
-	base := runtime.NumGoroutine()
-	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(20 * time.Millisecond)
-		cancel()
-	}()
-	done := make(chan error, 1)
-	go func() {
-		_, err := RunContext(ctx, 2, Cost{WatchdogTimeout: -1}, func(r *Rank) error {
-			r.Recv((r.ID() + 1) % r.P()) // mutual recv: a hard deadlock
-			return nil
-		})
-		done <- err
-	}()
-	select {
-	case err := <-done:
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("errors.Is(err, context.Canceled) = false, err = %v", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("cancellation did not release ranks blocked in Recv")
-	}
-	waitGoroutines(t, base)
+	cancelWhileParked(t, func(r *Rank) { r.Recv(1 - r.ID()) })
 }
 
-// TestCancelReleasesBlockedTimedRecv covers the RecvTimeout blocking select:
-// a huge virtual timeout with the watchdog disabled blocks forever unless
-// cancellation wakes it.
+// TestCancelReleasesBlockedTimedRecv covers the timed park: a huge virtual
+// timeout cannot fire while a rank is still runnable, so only cancellation
+// wakes it.
 func TestCancelReleasesBlockedTimedRecv(t *testing.T) {
-	base := runtime.NumGoroutine()
-	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(20 * time.Millisecond)
-		cancel()
-	}()
-	done := make(chan error, 1)
-	go func() {
-		_, err := RunContext(ctx, 2, Cost{WatchdogTimeout: -1}, func(r *Rank) error {
-			r.RecvTimeout((r.ID()+1)%r.P(), 1e12)
-			return nil
-		})
-		done <- err
-	}()
-	select {
-	case err := <-done:
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("errors.Is(err, context.Canceled) = false, err = %v", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("cancellation did not release ranks blocked in RecvTimeout")
-	}
-	waitGoroutines(t, base)
+	cancelWhileParked(t, func(r *Rank) { r.RecvTimeout(1-r.ID(), 1e12) })
 }
 
-// TestCancelReleasesBlockedSend covers the deliver() blocking select: rank 0
+// TestCancelReleasesBlockedSend covers deliver()'s park: rank 0
 // floods a pair whose 1-message buffer fills while rank 1 never receives.
 func TestCancelReleasesBlockedSend(t *testing.T) {
 	base := runtime.NumGoroutine()
@@ -132,7 +126,7 @@ func TestCancelReleasesBlockedSend(t *testing.T) {
 	}()
 	done := make(chan error, 1)
 	go func() {
-		_, err := RunContext(ctx, 2, Cost{ChanCap: 1, WatchdogTimeout: -1}, func(r *Rank) error {
+		_, err := RunContext(ctx, 2, Cost{ChanCap: 1}, func(r *Rank) error {
 			if r.ID() == 0 {
 				for i := 0; i < 100; i++ {
 					r.Send(1, []float64{1})
@@ -178,11 +172,11 @@ func TestCancelDeadline(t *testing.T) {
 // starts, which needs no timing: Run observes that before the first rank
 // starts, so the run never returns nil however few ops its ranks execute.
 func TestCancelErrorCollapsed(t *testing.T) {
-	bothRuntimes(t, func(t *testing.T, rt Runtime) {
+	t.Run("event", func(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel() // already cancelled: every rank aborts at its first op
 		for i := 0; i < 200; i++ {
-			_, err := RunContext(ctx, 8, Cost{Runtime: rt}, func(r *Rank) error {
+			_, err := RunContext(ctx, 8, Cost{}, func(r *Rank) error {
 				r.Compute(1)
 				return nil
 			})
@@ -211,7 +205,7 @@ func TestCancelRealErrorTakesPrecedence(t *testing.T) {
 		cancel()
 	}()
 	var fc chan struct{} = failed
-	_, err := RunContext(ctx, 2, Cost{WatchdogTimeout: -1}, func(r *Rank) error {
+	_, err := RunContext(ctx, 2, Cost{}, func(r *Rank) error {
 		if r.ID() == 0 {
 			if fc != nil {
 				close(fc)
@@ -228,8 +222,8 @@ func TestCancelRealErrorTakesPrecedence(t *testing.T) {
 	}
 }
 
-// TestNoContextUnaffected pins the zero-cost path: a run without a context
-// has a nil cancel channel and must behave exactly as before.
+// TestNoContextUnaffected pins the context-free path: a run without a
+// context binds nothing and behaves like any plain run.
 func TestNoContextUnaffected(t *testing.T) {
 	res, err := Run(2, Cost{}, func(r *Rank) error {
 		if r.ID() == 0 {
@@ -250,13 +244,6 @@ func TestNoContextUnaffected(t *testing.T) {
 	}
 }
 
-// bothRuntimes runs fn once per execution backend as a named subtest.
-func bothRuntimes(t *testing.T, fn func(t *testing.T, rt Runtime)) {
-	for _, rt := range []Runtime{RuntimeGoroutine, RuntimeEvent} {
-		t.Run(rt.String(), func(t *testing.T) { fn(t, rt) })
-	}
-}
-
 // TestCancelNotMaskedByCascade cancels a p=64 ring of Send/Recv 0–1 ms
 // into the run. A rank may observe its neighbour's cancelled
 // exit before it observes the cancellation itself; that must still unwind
@@ -267,13 +254,13 @@ func TestCancelNotMaskedByCascade(t *testing.T) {
 	if raceEnabled || testing.Short() {
 		runs = 300
 	}
-	bothRuntimes(t, func(t *testing.T, rt Runtime) {
+	t.Run("event", func(t *testing.T) {
 		masked := 0
 		var first error
 		for i := 0; i < runs; i++ {
 			ctx, cancel := context.WithCancel(context.Background())
 			timer := time.AfterFunc(time.Duration(i%11)*100*time.Microsecond, cancel)
-			_, err := RunContext(ctx, 64, Cost{Runtime: rt}, func(r *Rank) error {
+			_, err := RunContext(ctx, 64, Cost{}, func(r *Rank) error {
 				next, prev := (r.ID()+1)%r.P(), (r.ID()+r.P()-1)%r.P()
 				for {
 					r.Send(next, []float64{1})
@@ -295,16 +282,16 @@ func TestCancelNotMaskedByCascade(t *testing.T) {
 	})
 }
 
-// TestConductedUnderContextIdentical runs the collective tour on the event
-// engine with a (never-cancelled) context, without one, and on the
-// goroutine backend: a cancel context no longer disqualifies conducted
-// collectives, and conducting them changes nothing observable.
+// TestConductedUnderContextIdentical runs the collective tour with a
+// (never-cancelled) context and without one: a cancel context does not
+// disqualify conducted collectives, and the cancel-safe conduct changes
+// nothing observable.
 func TestConductedUnderContextIdentical(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	for _, p := range []int{2, 3, 4, 7, 8, 16} {
-		ref, _ := runBothBackends(t, p, unitCost, collectiveTour)
-		cost := eventCost()
+		ref := runSchedules(t, p, unitCost, collectiveTour)
+		cost := unitCost
 		cost.Context = ctx
 		c, err := NewCluster(p, cost)
 		if err != nil {
@@ -325,7 +312,7 @@ func TestConductedUnderContextIdentical(t *testing.T) {
 		if !c.eng.ffOK || !c.eng.cancellable {
 			t.Fatalf("p=%d: ffOK=%v cancellable=%v, want a cancellable conducted run", p, c.eng.ffOK, c.eng.cancellable)
 		}
-		requireSameResult(t, "goroutine", ref, "event+context", res)
+		requireSameResult(t, "no context", ref, "context", res)
 	}
 }
 
@@ -349,7 +336,7 @@ func TestCancelMidConduct(t *testing.T) {
 			cancelledAt <- time.Now()
 			cancel(cause)
 		}()
-		cost := eventCost()
+		cost := unitCost
 		cost.Context = ctx
 		_, err := Run(1024, cost, func(r *Rank) error {
 			w := r.World()
@@ -383,7 +370,7 @@ func TestCancelMidConduct(t *testing.T) {
 func TestConductPanicUnderContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	cost := eventCost()
+	cost := unitCost
 	cost.Context = ctx
 	done := make(chan error, 1)
 	go func() {

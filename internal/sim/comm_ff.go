@@ -8,7 +8,7 @@ import (
 
 // Fast-forwarded (conducted) collectives.
 //
-// Under the event engine, a collective like AllGather costs every member
+// Run member by member, a collective like AllGather costs every member
 // p−1 park/resume round trips: each ring step blocks on a receive, hands
 // its worker slot away, and is woken one message later. None of that
 // scheduling is observable — when no fault plan or observer touches the
@@ -62,7 +62,7 @@ import (
 //
 // Cancellation: a cancel context (Cost.Context) does not disqualify a run;
 // a conduct is cancel-safe instead. ffRun checks the cancelled flag at the
-// door under the engine lock — watchCancel sweeps under the same lock, so
+// door under the engine lock — cancelSweep sweeps under the same lock, so
 // no rendezvous fills after the sweep; conductOwned takes the parked
 // members out of the blocked set for the conduct, so a sweep landing
 // mid-conduct skips them; Rank.conducted keeps the conductor from unwinding
@@ -282,11 +282,10 @@ func (e *eventEngine) membID(c *Comm) uint32 {
 	return c.ffID
 }
 
-// ffEngine returns the event engine when this run fast-forwards
-// collectives, nil otherwise (goroutine backend, or the engine's slow
-// path when faults or observers need event-by-event execution).
+// ffEngine returns the engine when this run fast-forwards collectives, nil
+// when faults or observers need event-by-event execution.
 func (c *Comm) ffEngine() *eventEngine {
-	if e := c.rank.cluster.eng; e != nil && e.ffOK {
+	if e := c.rank.cluster.eng; e.ffOK {
 		return e
 	}
 	return nil
@@ -309,7 +308,7 @@ func (e *eventEngine) ffRun(c *Comm, op uint8, call ffCall) []float64 {
 	r.ffSeq[i].seq++
 	e.mu.Lock()
 	if e.cancellable && e.c.cancelled.Load() {
-		// Checked under mu, where watchCancel sweeps: after the sweep no
+		// Checked under mu, where cancelSweep sweeps: after the sweep no
 		// rendezvous can fill, so none completes with a swept member.
 		e.mu.Unlock()
 		panic(cancelPanic{})
@@ -371,7 +370,7 @@ func (e *eventEngine) ffRun(c *Comm, op uint8, call ffCall) []float64 {
 
 // conductOwned is the conduct step of a cancellable run; mu held on entry
 // and on return. The parked members leave the blocked set for the duration,
-// so watchCancel's sweep cannot resume a carrier whose Rank the conductor
+// so cancelSweep's sweep cannot resume a carrier whose Rank the conductor
 // is writing. If conduct panics (a program error) they still rejoin it —
 // quiescence resolves them as on a context-free run — and mu is left
 // released for the unwinding conductor's exit.
@@ -404,7 +403,7 @@ func (e *eventEngine) conductOwned(rv *ffRendezvous, op uint8, me int) {
 // enqueue below.
 type ffWire struct {
 	m message
-	q *pairQ
+	q *evRing
 	// shared marks a no-copy send: the payload still belongs to the
 	// sender, so it must be copied if the message outlives the conduct
 	// (the stale-traffic enqueue in ffRecv).
@@ -439,7 +438,7 @@ func ffSendShared(r *Rank, dst int, payload []float64) ffWire {
 func ffRecv(dst *Rank, src int, w ffWire) []float64 {
 	head, ok := dst.takePushback(src)
 	if !ok {
-		head, ok = w.q.rg.pop()
+		head, ok = w.q.pop()
 		if !ok {
 			// Nothing queued ahead of us: hand the message straight over.
 			return dst.finishRecv(src, w.m)
@@ -453,11 +452,11 @@ func ffRecv(dst *Rank, src int, w ffWire) []float64 {
 		copy(cp, w.m.data)
 		w.m.data = cp
 	}
-	if !w.q.rg.push(w.m) {
+	if !w.q.push(w.m) {
 		// Full pair buffer: move the next head into the pushback slot —
 		// it is precisely a head-of-FIFO side buffer — to make room.
-		next, _ := w.q.rg.pop()
-		w.q.rg.push(w.m)
+		next, _ := w.q.pop()
+		w.q.push(w.m)
 		if dst.pushback == nil {
 			dst.pushback = make(map[int]message, 2)
 		}

@@ -9,15 +9,15 @@ import (
 )
 
 // collectiveRoutes are the three ways a collective can execute: conducted
-// by the event engine (under a cancel context, the service's shape), member
-// by member on the goroutine runtime, and member by member on the event
-// engine (an observer disqualifies the conductor).
+// under a cancel context (the service's shape, where the conductor owns its
+// members), conducted without one, and member by member (an observer
+// disqualifies the conductor).
 func collectiveRoutes() map[string]Cost {
-	conducted := eventCost()
+	conducted := unitCost
 	conducted.Context = context.Background()
-	generic := eventCost()
+	generic := unitCost
 	generic.Observers = []Observer{nopObserver{}}
-	return map[string]Cost{"conducted": conducted, "goroutine": unitCost, "generic": generic}
+	return map[string]Cost{"conducted": conducted, "conducted-free": unitCost, "generic": generic}
 }
 
 // TestBcastLargeInto holds BcastLargeInto to BcastLarge on every route:
@@ -156,7 +156,7 @@ func TestConductStaleScatterChunk(t *testing.T) {
 	data := []float64{1, 2, 3, 4, 5, 6, 7, 8}
 	stale := []float64{-1, -2}
 	want := []float64{1, 2, 3, 4, 5, 6, -1, -2}
-	runBothBackends(t, 4, unitCost, func(r *Rank) error {
+	runSchedules(t, 4, unitCost, func(r *Rank) error {
 		w := r.World()
 		var in []float64
 		if r.ID() == 0 {
@@ -184,7 +184,7 @@ func TestConductStaleScatterChunk(t *testing.T) {
 // a small one, and carries no pointer into the pool either way.
 func TestConductDropsLargeSlab(t *testing.T) {
 	const words = 1 << 17
-	_, err := Run(2, eventCost(), func(r *Rank) error {
+	_, err := Run(2, unitCost, func(r *Rank) error {
 		data := make([]float64, words)
 		data[words-1] = float64(r.ID() + 1)
 		if got := r.World().ReduceLarge(0, data, OpSum); r.ID() == 0 && got[words-1] != 3 {
@@ -200,7 +200,7 @@ func TestConductDropsLargeSlab(t *testing.T) {
 	big.slabScratch(2 * words)
 	small.slabScratch(ffSlabMax)
 	for _, rv := range []*ffRendezvous{big, small} {
-		rv.wireScratch()[1] = ffWire{m: message{data: rv.slab}, q: new(pairQ)}
+		rv.wireScratch()[1] = ffWire{m: message{data: rv.slab}, q: new(evRing)}
 		rv.bufScratch()[1] = rv.slab
 		rv.release()
 	}

@@ -6,39 +6,31 @@ import (
 	"sync/atomic"
 )
 
-// The event-driven runtime (Cost.Runtime = RuntimeEvent).
+// The event engine: the simulator's execution backend.
 //
-// The default runtime keeps every rank live on its own goroutine and lets
-// the Go scheduler multiplex them: a blocked receive is a 4-way select, a
-// hang is detected by a real-time watchdog polling atomic state words, and
-// every block/unblock pays scheduler fairness machinery that knows nothing
-// about the simulation. That tops out around p≈16k ranks.
+// Ranks execute on goroutines — an SPMD function is an opaque closure whose
+// stack must live somewhere — but the Go scheduler does not multiplex them:
+// a goroutine only runs while the engine has explicitly handed it one of a
+// bounded number of worker slots (Cost.Workers). When a rank would block
+// (empty receive queue, full send buffer, a collective rendezvous), it
+// parks: it registers what it waits for, hands its slot to the next runnable
+// rank, and sleeps on a one-token resume channel until the engine wakes it
+// with a reason. Runnable ranks wait in one min-heap ordered by virtual
+// clock (ties by rank id) — the virtual-time event queue — so execution
+// tends to proceed in causal waves and a wake is delivered exactly when the
+// awaited condition holds, never as a poll.
 //
-// The event engine replaces the scheduler with a cooperative run-to-block
-// core of its own. Ranks still execute on goroutines — an SPMD function is
-// an opaque closure whose stack must live somewhere — but a goroutine only
-// runs while the engine has explicitly handed it one of a bounded number of
-// worker slots. When a rank would block (empty receive queue, full send
-// buffer, a collective rendezvous), it parks: it registers what it waits
-// for, hands its slot to the next runnable rank, and sleeps on a one-token
-// resume channel until the engine wakes it with a reason. Runnable ranks
-// wait in one min-heap ordered by virtual clock (ties by rank id) — the
-// virtual-time event queue — so execution tends to proceed in causal waves
-// and a wake is delivered exactly when the awaited condition holds, never
-// as a poll.
+// Three properties follow:
 //
-// This buys three things over the goroutine backend:
-//
-//   - blocking costs one short critical section + one channel token instead
-//     of a multi-way select registered on four wait queues. Under mu the
-//     parking rank only records its wait and picks its successor; the token
-//     (or the successor's carrier spawn) follows the unlock (unlockResume),
-//     so a second worker contends for a few stores, never a channel send;
+//   - blocking costs one short critical section + one channel token. Under
+//     mu the parking rank only records its wait and picks its successor; the
+//     token (or the successor's carrier spawn) follows the unlock
+//     (unlockResume), so a second worker contends for a few stores, never a
+//     channel send;
 //   - quiescence is exact: the engine knows the instant the run queue is
 //     empty and every live rank is parked, so deadlock detection and
-//     virtual-timer firing (timer.go) are immediate and deterministic
-//     instead of a real-time watchdog window (Cost.WatchdogTimeout is
-//     ignored under the event runtime);
+//     virtual-timer firing (timer.go) are immediate and deterministic, never
+//     a real-time window;
 //   - collectives can be fast-forwarded: when no fault plan or observer
 //     must see a run operation by operation (eventEngine.ffOK), a
 //     collective's whole message schedule is conducted centrally by its
@@ -46,40 +38,12 @@ import (
 //     per-round park/resume cycles entirely. A cancel context does not
 //     disqualify a run: conducts are cancel-safe (comm_ff.go, "Cancellation").
 //
-// Results are bit-identical to the goroutine backend by construction:
-// virtual clocks and counters are pure functions of the program's per-pair
-// FIFO message order and the arrival stamps carried in messages, never of
-// which rank happened to run when, and fault decisions are keyed on
-// (seed, src, dst, seq, clock) alone. The conformance sweep pins this
-// identity across all seven algorithms (internal/conformance, backend
-// family).
-
-// Runtime selects the execution backend for a run. Like Wiring, the choice
-// is invisible to the simulation's semantics: clocks, counters, fault
-// decisions and per-rank observer streams are identical under either
-// backend (pinned by the conformance backend family); only wall-clock cost
-// and the diagnostics' real-time behavior differ.
-type Runtime int
-
-const (
-	// RuntimeGoroutine runs one live goroutine per rank under the Go
-	// scheduler with a real-time deadlock watchdog (the default).
-	RuntimeGoroutine Runtime = iota
-	// RuntimeEvent runs ranks as cooperatively scheduled continuations on
-	// a virtual-time run queue with exact quiescence detection,
-	// feasible to p ≥ 10⁶ ranks. Cost.WatchdogTimeout is ignored (hangs
-	// are detected exactly, not by timeout); Cost.Workers bounds the
-	// concurrently running ranks.
-	RuntimeEvent
-)
-
-// String names the runtime for benchmark labels and reports.
-func (rt Runtime) String() string {
-	if rt == RuntimeEvent {
-		return "event"
-	}
-	return "goroutine"
-}
+// Results do not depend on the schedule: virtual clocks and counters are
+// pure functions of the program's per-pair FIFO message order and the
+// arrival stamps carried in messages, never of which rank happened to run
+// when or on how many workers, and fault decisions are keyed on
+// (seed, src, dst, seq, clock) alone. The conformance sweep pins the bits
+// against committed digests (internal/conformance, golden family).
 
 // evKind is the reason a parked rank was resumed.
 type evKind uint8
@@ -87,9 +51,8 @@ type evKind uint8
 const (
 	// evWake: re-examine your wait — a message arrived, buffer space
 	// opened, or the awaited peer exited. The resumed operation re-checks
-	// its conditions in the same fixed priority order as the goroutine
-	// backend (message, peer exit, expiry), so the outcome depends only on
-	// virtual state.
+	// its conditions in a fixed priority order (message, peer exit,
+	// expiry), so the outcome depends only on virtual state.
 	evWake evKind = iota
 	// evTimerFire: the rank's virtual deadline was the earliest armed
 	// timer at quiescence (timer.go rules).
@@ -113,7 +76,7 @@ const (
 type evRank struct {
 	resume chan evKind
 	// op/peer/deadline form the wait record while parked (op values from
-	// watchdog.go; opRunning while executing or runnable, opExited after
+	// deadlock.go; opRunning while executing or runnable, opExited after
 	// the carrier returns). deadline is the armed virtual deadline of a
 	// timed operation, 0 otherwise.
 	op       uint64
@@ -125,8 +88,7 @@ type evRank struct {
 	// clock is the rank's virtual clock at its last park, the heap key.
 	clock float64
 	// rank is the parked rank, whose last timeline segment a deadlock
-	// snapshot reports (the engine's equivalent of Cluster.lastSegs).
-	// Snapshots are taken at quiescence, when no carrier or conductor holds
+	// snapshot reports. Snapshots are taken at quiescence, when no carrier or conductor holds
 	// a worker slot, so every parked Rank is still.
 	rank *Rank
 	// watch is the lock-free mirror of the (op, peer) wait record for the
@@ -217,7 +179,7 @@ func evLess(a, b evEntry) bool {
 		return a.clock < b.clock
 	}
 	// Ties break toward the HIGHER rank id. Results are schedule-invariant
-	// (the conformance backend family pins this), so the tiebreak is purely
+	// (the conformance golden family pins this), so the tiebreak is purely
 	// a throughput decision: the ring and tree collectives receive from
 	// higher-indexed peers (Shift(-1) pulls from me+1, reduce trees pull
 	// from the high half), so running high ids first means a rank's sources
@@ -226,7 +188,7 @@ func evLess(a, b evEntry) bool {
 	return a.id > b.id
 }
 
-// eventEngine is the cooperative scheduler behind RuntimeEvent. One engine
+// eventEngine is the cooperative scheduler behind Cluster.Run. One engine
 // drives one run.
 type eventEngine struct {
 	c       *Cluster
@@ -284,7 +246,7 @@ func newEventEngine(c *Cluster, fn func(*Rank) error, res *Result) *eventEngine 
 		done:    make(chan struct{}),
 		membIDs: make(map[ffMemb]uint32),
 
-		cancellable: c.cancelCh != nil,
+		cancellable: c.cost.Context != nil,
 	}
 	for i := range e.ranks {
 		e.ranks[i].resume = make(chan evKind, 1)
@@ -293,10 +255,9 @@ func newEventEngine(c *Cluster, fn func(*Rank) error, res *Result) *eventEngine 
 	return e
 }
 
-// runEvent executes fn on every rank under the event engine. It is the
-// RuntimeEvent half of Cluster.Run and produces the same Result and the
-// same joined error.
-func (c *Cluster) runEvent(fn func(r *Rank) error) (*Result, error) {
+// Run executes fn on every rank. A Cluster must not be reused after Run:
+// leftover messages from a failed run would corrupt a second one.
+func (c *Cluster) Run(fn func(r *Rank) error) (*Result, error) {
 	res := &Result{PerRank: make([]Stats, c.p)}
 	if c.tracer != nil {
 		res.Trace = &Trace{Segments: c.tracer.segments, Phases: c.tracer.phases}
@@ -304,9 +265,6 @@ func (c *Cluster) runEvent(fn func(r *Rank) error) (*Result, error) {
 	e := newEventEngine(c, fn, res)
 	c.eng = e
 	defer c.watchContext()()
-	if e.cancellable {
-		go e.watchCancel()
-	}
 	e.mu.Lock()
 	// Descending ids arrive in heap order (evLess), so no push sifts.
 	for id := c.p - 1; id >= 0; id-- {
@@ -328,8 +286,8 @@ func (e *eventEngine) pushRunnable(id int, clock float64) {
 
 // dispatch fills free worker slots from the run queue, and — when the
 // whole cluster has gone quiescent with ranks still live — resolves the
-// quiescence exactly like the watchdog would (peer-exit releases first,
-// then the earliest armed timer, then deadlock). mu held.
+// quiescence (peer-exit releases first, then the earliest armed timer, then
+// deadlock; see quiesce). mu held.
 //
 // dispatch only picks: a picked rank becomes opRunning, is counted in
 // running and joins picks; the caller's unlockResume resumes it after
@@ -381,10 +339,8 @@ func (e *eventEngine) unlockResume() {
 	}
 }
 
-// carrier is the goroutine that hosts rank id. It mirrors the per-rank
-// body of the goroutine backend's Run exactly (same recover
-// classification, same exit publication order) and returns its worker
-// slot on exit.
+// carrier is the goroutine that hosts rank id. It classifies how the rank
+// left, publishes the exit and returns its worker slot.
 func (e *eventEngine) carrier(id int) {
 	c := e.c
 	r := &Rank{cluster: c, id: id}
@@ -392,11 +348,13 @@ func (e *eventEngine) carrier(id int) {
 		status, err := c.classifyRankExit(recover(), id, e.errs[id])
 		e.errs[id] = err
 		e.res.PerRank[id] = r.Stats()
-		// Publish the exit record before the exit notification, exactly
-		// like the goroutine backend: a peer that observes the close (or
-		// the engine's opExited under mu) may read exits[id].
+		// Publish the exit record before the exit word: a peer that loads
+		// exited[id] true (or sees the engine's opExited under mu) may read
+		// exits[id]; a peer's unmatched Recv then becomes a clean error
+		// instead of a deadlock, after already-queued messages are
+		// delivered.
 		c.exits[id] = exitInfo{status: status, err: err}
-		close(c.exitCh[id])
+		c.exited[id].Store(true)
 		e.mu.Lock()
 		rk := &e.ranks[id]
 		rk.op = opExited
@@ -524,16 +482,11 @@ func (e *eventEngine) notify(id int, watch uint64) {
 	e.unlockResume()
 }
 
-// watchCancel wakes every parked rank with evCancel once the run context
-// is cancelled. Running ranks — and members a conductor owns, which it has
-// taken out of the blocked set — abort at their next instrumented op via
-// cancelCheck instead.
-func (e *eventEngine) watchCancel() {
-	select {
-	case <-e.c.cancelCh:
-	case <-e.done:
-		return
-	}
+// cancelSweep wakes every parked rank with evCancel; the run context's
+// cancellation calls it once (cancel.go). Running ranks — and members a
+// conductor owns, which it has taken out of the blocked set — abort at their
+// next instrumented op via cancelCheck instead.
+func (e *eventEngine) cancelSweep() {
 	e.mu.Lock()
 	for id := range e.ranks {
 		if blockedOp(e.ranks[id].op) {
@@ -548,28 +501,14 @@ func (e *eventEngine) watchCancel() {
 // ordering makes the exit record exits[id] safe to read afterwards.
 func (e *eventEngine) exitedLocked(id int) bool { return e.ranks[id].op == opExited }
 
-// chanClosed reports whether a notification channel has been closed. The
-// close happens-before the observing receive, so reads guarded by it are
-// race-free (same mechanism the goroutine backend's selects rely on).
-func chanClosed(ch chan struct{}) bool {
-	select {
-	case <-ch:
-		return true
-	default:
-		return false
-	}
-}
-
 // quiesce resolves an exact quiescence: no rank running, none runnable,
-// some still live. The resolution order mirrors the goroutine backend's
-// real-time behavior — releases that the goroutine backend performs
-// immediately (peer-exit notifications, aborts of senders to exited
-// peers) are applied before any timer fires, and the single earliest
-// armed timer fires before deadlock is declared. mu held.
+// some still live. Releases that owe nothing to virtual time (peer-exit
+// notifications, aborts of senders to exited peers) are applied before any
+// timer fires, and the single earliest armed timer fires before deadlock is
+// declared. mu held.
 func (e *eventEngine) quiesce() {
-	// (1) Ranks parked on a peer that exited: the goroutine backend's
-	// selects wake on the exit channel the moment it closes; release them
-	// all, and let each re-check (message first, then exit) on resume.
+	// (1) Ranks parked on a peer that exited: release them all, and let
+	// each re-check (message first, then exit) on resume.
 	woke := false
 	for id := range e.ranks {
 		rk := &e.ranks[id]
@@ -588,8 +527,8 @@ func (e *eventEngine) quiesce() {
 		return
 	}
 	// (2) A plain send to an exited peer whose buffer stayed full can
-	// never complete — the watchdog's per-rank case 1. Abort those
-	// senders with the same diagnostic.
+	// never complete, whatever the rest of the cluster does. Abort those
+	// senders.
 	var snap *ClusterSnapshot
 	for id := range e.ranks {
 		rk := &e.ranks[id]
@@ -600,7 +539,7 @@ func (e *eventEngine) quiesce() {
 		if e.ranks[peer].op != opExited {
 			continue
 		}
-		if e.c.pairOf(id, peer).rg.length() < e.c.bufCap {
+		if e.c.pairOf(id, peer).length() < e.c.bufCap {
 			continue // space opened; the send completes by itself
 		}
 		if snap == nil {
@@ -634,8 +573,7 @@ func (e *eventEngine) quiesce() {
 	}
 	// (4) Deadlock: zero armed timers, nothing deliverable. Abort every
 	// blocked rank with the shared wait graph and snapshot.
-	states := e.packedStatesLocked()
-	graph := waitGraph(states)
+	graph := waitGraph(e.ranks)
 	if snap == nil {
 		snap = e.snapshotLocked()
 	}
@@ -651,23 +589,8 @@ func (e *eventEngine) quiesce() {
 	}
 }
 
-// packedStatesLocked renders the engine's wait records in the watchdog's
-// packed format so waitGraph is shared between backends. mu held.
-func (e *eventEngine) packedStatesLocked() []uint64 {
-	states := make([]uint64, len(e.ranks))
-	for id := range e.ranks {
-		rk := &e.ranks[id]
-		peer := int(rk.peer)
-		if peer < 0 {
-			peer = 0
-		}
-		states[id] = packState(0, rk.op, peer)
-	}
-	return states
-}
-
 // snapshotLocked builds the cluster snapshot from the engine's exact wait
-// records (the engine's equivalent of Cluster.snapshot). mu held.
+// records. mu held.
 func (e *eventEngine) snapshotLocked() *ClusterSnapshot {
 	snap := &ClusterSnapshot{Ranks: make([]RankSnapshot, e.c.p)}
 	for id := range e.ranks {
@@ -697,26 +620,12 @@ func (e *eventEngine) snapshotLocked() *ClusterSnapshot {
 	return snap
 }
 
-// deliverEvent is deliver's engine path: enqueue without blocking the
-// thread, parking the rank when the pair's buffer is full.
-func (e *eventEngine) deliverEvent(r *Rank, dst int, m message) {
-	q := &r.queueTo(dst).rg
-	for {
-		if q.push(m) {
-			e.notifyEnqueue(r.id, dst)
-			return
-		}
-		e.park(r, opBlockedSend, dst, 0, func() bool { return q.length() < int(q.sem) })
-	}
-}
-
-// recvEvent is Recv's engine path: dequeue the next message from src,
-// parking until one arrives. ok=false reports that src exited with
-// nothing further queued (the caller names the root cause, shared with
-// the goroutine path).
+// recvEvent is Recv's core: dequeue the next message from src, parking
+// until one arrives. ok=false reports that src exited with nothing further
+// queued (the caller names the root cause).
 func (e *eventEngine) recvEvent(r *Rank, src int) (message, bool) {
-	q := &r.queueFrom(src).rg
-	exitCh := e.c.exitCh[src]
+	q := r.queueFrom(src)
+	exited := &e.c.exited[src]
 	for {
 		if msg, ok := q.pop(); ok {
 			if q.length() >= int(q.sem)-1 {
@@ -724,9 +633,9 @@ func (e *eventEngine) recvEvent(r *Rank, src int) (message, bool) {
 			}
 			return msg, true
 		}
-		if chanClosed(exitCh) {
+		if exited.Load() {
 			// Everything the peer ever sent was enqueued before its exit
-			// notification; drain once more before failing.
+			// word was set; drain once more before failing.
 			return q.pop()
 		}
 		e.park(r, opBlockedRecv, src, 0, func() bool {
@@ -735,21 +644,21 @@ func (e *eventEngine) recvEvent(r *Rank, src int) (message, bool) {
 	}
 }
 
-// recvTimeoutEvent is RecvTimeout's engine path after the unlocked fast
-// checks failed: park with the armed deadline and resolve with the same
-// fixed priority order as the goroutine backend (message, peer exit,
-// expiry).
-func (e *eventEngine) recvTimeoutEvent(r *Rank, src int, deadline float64) (msg message, got, exited, fired bool) {
-	q := &r.queueFrom(src).rg
-	exitCh := e.c.exitCh[src]
-	// Fast path before parking (RecvTimeout's unlocked pre-check lives
-	// here under the engine): a buffered message resolves immediately.
+// recvTimeoutEvent is RecvTimeout's core: try a buffered message, else park
+// with the armed deadline. Whatever woke the rank, it re-checks in fixed
+// priority order — message, peer exit, expiry — so a real-time race between
+// a late enqueue, an exit and a timer fire cannot change the outcome: the
+// decision depends only on virtual state. Neither got nor exited means the
+// deadline expired.
+func (e *eventEngine) recvTimeoutEvent(r *Rank, src int, deadline float64) (msg message, got, exited bool) {
+	q := r.queueFrom(src)
 	if msg, got = q.pop(); got {
 		if q.length() >= int(q.sem)-1 {
 			e.notifyDequeue(src, r.id)
 		}
 		return
 	}
+	fired := false
 	for {
 		kind := e.park(r, opBlockedRecvTimer, src, deadline, func() bool {
 			return q.length() > 0 || e.exitedLocked(src)
@@ -763,7 +672,7 @@ func (e *eventEngine) recvTimeoutEvent(r *Rank, src int, deadline float64) (msg 
 			}
 			return
 		}
-		if chanClosed(exitCh) {
+		if e.c.exited[src].Load() {
 			exited = true
 			return
 		}
@@ -773,21 +682,24 @@ func (e *eventEngine) recvTimeoutEvent(r *Rank, src int, deadline float64) (msg 
 	}
 }
 
-// sendDeadlineEvent is deliverDeadline's engine path: enqueue with a
-// virtual deadline bounding the park. Resolution priority mirrors the
-// goroutine backend: enqueue if space opened, then peer exit, then
-// expiry.
-func (e *eventEngine) sendDeadlineEvent(r *Rank, dst int, m message, deadline float64) (sent, exited, fired bool) {
-	q := &r.queueTo(dst).rg
-	exitCh := e.c.exitCh[dst]
+// sendDeadlineEvent is deliverDeadline's core: enqueue with a virtual
+// deadline bounding the park. Resolution priority: enqueue if space opened,
+// then peer exit, then expiry (neither sent nor exited).
+func (e *eventEngine) sendDeadlineEvent(r *Rank, dst int, m message, deadline float64) (sent, exited bool) {
+	q := r.queueTo(dst)
+	peerExited := &e.c.exited[dst]
+	fired := false
 	for {
 		if q.push(m) {
 			sent = true
 			e.notifyEnqueue(r.id, dst)
 			return
 		}
-		if chanClosed(exitCh) {
+		if peerExited.Load() {
 			exited = true
+			return
+		}
+		if fired {
 			return
 		}
 		kind := e.park(r, opBlockedSendTimer, dst, deadline, func() bool {
@@ -795,18 +707,6 @@ func (e *eventEngine) sendDeadlineEvent(r *Rank, dst int, m message, deadline fl
 		})
 		if kind == evTimerFire {
 			fired = true
-		}
-		if q.push(m) {
-			sent = true
-			e.notifyEnqueue(r.id, dst)
-			return
-		}
-		if chanClosed(exitCh) {
-			exited = true
-			return
-		}
-		if fired {
-			return
 		}
 	}
 }

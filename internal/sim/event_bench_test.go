@@ -3,37 +3,11 @@ package sim_test
 import (
 	"fmt"
 	"testing"
-	"time"
 
 	"perfscale/internal/matmul"
 	"perfscale/internal/matrix"
 	"perfscale/internal/sim"
 )
-
-// BenchmarkBackend25D compares the two runtimes on the bench harness's
-// big point (2.5D Cannon, p = q²·c = 16384) — the configuration whose
-// goroutine-vs-event speedup BENCH_sim.json records.
-func BenchmarkBackend25D(b *testing.B) {
-	const n, q, c = 256, 64, 4
-	a := matrix.Random(n, n, 1)
-	bb := matrix.Random(n, n, 2)
-	for _, rt := range []sim.Runtime{sim.RuntimeGoroutine, sim.RuntimeEvent} {
-		b.Run(rt.String(), func(b *testing.B) {
-			cost := sim.Cost{
-				GammaT: 1e-11, BetaT: 1e-10, AlphaT: 1e-6,
-				ChanCap:         8,
-				WatchdogTimeout: 10 * time.Minute,
-				Runtime:         rt,
-			}
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := matmul.TwoPointFiveD(cost, q, c, a, bb); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
 
 // BenchmarkWorkerScaling tracks the engine's own strong scaling: the same
 // run at Workers 1 and 2, as ranks/s and the T1/T2 speedup (reported on the
@@ -75,7 +49,6 @@ func BenchmarkWorkerScaling(b *testing.B) {
 			b.Run(fmt.Sprintf("%s/workers=%d", sh.name, workers), func(b *testing.B) {
 				cost := sim.Cost{
 					GammaT: 1e-11, BetaT: 1e-10, AlphaT: 1e-6,
-					Runtime: sim.RuntimeEvent,
 					Workers: workers,
 				}
 				for i := 0; i < b.N; i++ {

@@ -3,42 +3,35 @@ package sim
 import (
 	"context"
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 )
 
-// eventCost returns unitCost switched to the event backend.
-func eventCost() Cost {
-	cost := unitCost
-	cost.Runtime = RuntimeEvent
-	return cost
-}
-
-// runBothBackends executes the same program under the goroutine and event
-// runtimes and requires bitwise-identical Results: per-rank Stats structs
-// compare with == (float64 equality, no tolerance) and ActivePairs must
-// match. It returns both results for further inspection.
-func runBothBackends(t *testing.T, p int, cost Cost, fn func(r *Rank) error) (*Result, *Result) {
+// runSchedules executes the same program on a one-worker and a four-worker
+// engine — two different host schedules of the same ranks — and requires
+// bitwise-identical outcomes: per-rank Stats structs compare with ==
+// (float64 equality, no tolerance), ActivePairs must match, and a failing
+// run must fail with the same text. It returns the one-worker Result.
+func runSchedules(t *testing.T, p int, cost Cost, fn func(r *Rank) error) *Result {
 	t.Helper()
-	gCost := cost
-	gCost.Runtime = RuntimeGoroutine
-	gRes, gErr := Run(p, gCost, fn)
-	eCost := cost
-	eCost.Runtime = RuntimeEvent
-	eRes, eErr := Run(p, eCost, fn)
-	if (gErr == nil) != (eErr == nil) {
-		t.Fatalf("error mismatch: goroutine=%v event=%v", gErr, eErr)
+	cost.Workers = 1
+	one, oneErr := Run(p, cost, fn)
+	cost.Workers = 4
+	four, fourErr := Run(p, cost, fn)
+	if (oneErr == nil) != (fourErr == nil) {
+		t.Fatalf("error mismatch: one worker=%v four workers=%v", oneErr, fourErr)
 	}
-	if gErr != nil && gErr.Error() != eErr.Error() {
-		t.Fatalf("error text mismatch:\n  goroutine: %v\n  event:     %v", gErr, eErr)
+	if oneErr != nil && oneErr.Error() != fourErr.Error() {
+		t.Fatalf("error text mismatch:\n  one worker:   %v\n  four workers: %v", oneErr, fourErr)
 	}
-	if gRes == nil || eRes == nil {
-		return gRes, eRes
+	if one != nil && four != nil {
+		requireSameResult(t, "one worker", one, "four workers", four)
 	}
-	requireSameResult(t, "goroutine", gRes, "event", eRes)
-	return gRes, eRes
+	return one
 }
 
-// requireSameResult is the bitwise comparison behind runBothBackends:
+// requireSameResult is the bitwise comparison behind runSchedules:
 // ActivePairs and every per-rank Stats (hence Time()) must be equal.
 func requireSameResult(t *testing.T, aName string, a *Result, bName string, b *Result) {
 	t.Helper()
@@ -54,25 +47,14 @@ func requireSameResult(t *testing.T, aName string, a *Result, bName string, b *R
 
 func TestRuntimeValidation(t *testing.T) {
 	cost := zeroCost
-	cost.Runtime = Runtime(99)
-	if _, err := NewCluster(2, cost); err == nil {
-		t.Error("unknown runtime mode must be rejected")
-	}
-	cost = zeroCost
 	cost.Workers = -1
 	if _, err := NewCluster(2, cost); err == nil {
 		t.Error("negative worker count must be rejected")
 	}
 }
 
-func TestRuntimeString(t *testing.T) {
-	if RuntimeGoroutine.String() != "goroutine" || RuntimeEvent.String() != "event" {
-		t.Errorf("Runtime strings: %q %q", RuntimeGoroutine, RuntimeEvent)
-	}
-}
-
 func TestEventBackendSendRecv(t *testing.T) {
-	res, err := Run(2, eventCost(), func(r *Rank) error {
+	res, err := Run(2, unitCost, func(r *Rank) error {
 		if r.ID() == 0 {
 			r.Send(1, []float64{1, 2, 3})
 		} else {
@@ -98,9 +80,9 @@ func TestEventBackendSendRecv(t *testing.T) {
 // TestEventBackendBackpressure fills a bounded mailbox so the sender must
 // park on a full queue and be woken by the receiver's dequeues.
 func TestEventBackendBackpressure(t *testing.T) {
-	cost := eventCost()
+	cost := unitCost
 	cost.ChanCap = 2
-	runBothBackends(t, 2, cost, func(r *Rank) error {
+	runSchedules(t, 2, cost, func(r *Rank) error {
 		const n = 20
 		if r.ID() == 0 {
 			for i := 0; i < n; i++ {
@@ -119,24 +101,26 @@ func TestEventBackendBackpressure(t *testing.T) {
 	})
 }
 
-// TestEventBackendCollectivesIdentical drives every collective through both
-// backends with an observer attached (forcing the event engine down its
-// event-by-event slow path) and demands bitwise-identical Results.
+// TestEventBackendCollectivesIdentical drives every collective down both of
+// its implementations — member by member (an observer attached forces it)
+// and conducted — and demands bitwise-identical Results, each on two
+// schedules.
 func TestEventBackendCollectivesIdentical(t *testing.T) {
 	for _, p := range []int{2, 3, 4, 7, 8} {
 		cost := unitCost
 		cost.Observers = []Observer{nopObserver{}}
-		runBothBackends(t, p, cost, collectiveTour)
+		generic := runSchedules(t, p, cost, collectiveTour)
+		conducted := runSchedules(t, p, unitCost, collectiveTour)
+		requireSameResult(t, "generic", generic, "conducted", conducted)
 	}
 }
 
 // TestEventBackendFastForwardIdentical runs the same tour with no observer,
-// fault plan, or context, so the event engine takes the fast-forward path.
-// The goroutine backend is the reference; Results must still be bitwise
-// identical.
+// fault plan, or context, so the engine takes the fast-forward path, whose
+// Results must not depend on which member arrives last and conducts.
 func TestEventBackendFastForwardIdentical(t *testing.T) {
 	for _, p := range []int{2, 3, 4, 7, 8, 16} {
-		runBothBackends(t, p, unitCost, collectiveTour)
+		runSchedules(t, p, unitCost, collectiveTour)
 	}
 }
 
@@ -192,7 +176,7 @@ func collectiveTour(r *Rank) error {
 // TestEventBackendSplitIdentical runs collectives on subcommunicators so
 // fast-forward rendezvous keys must separate memberships.
 func TestEventBackendSplitIdentical(t *testing.T) {
-	runBothBackends(t, 8, unitCost, func(r *Rank) error {
+	runSchedules(t, 8, unitCost, func(r *Rank) error {
 		w := r.World()
 		sub, err := w.Split(r.ID()%2, r.ID())
 		if err != nil {
@@ -212,7 +196,7 @@ func TestEventBackendSplitIdentical(t *testing.T) {
 // with collectives, including a message from the conductor-designate
 // (member 0) that must not be mistaken for a rendezvous wake.
 func TestEventBackendMixedP2PAndCollectives(t *testing.T) {
-	runBothBackends(t, 4, unitCost, func(r *Rank) error {
+	runSchedules(t, 4, unitCost, func(r *Rank) error {
 		w := r.World()
 		if r.ID() == 0 {
 			r.Compute(5)
@@ -233,7 +217,7 @@ func TestEventBackendMixedP2PAndCollectives(t *testing.T) {
 }
 
 func TestEventBackendDeadlockDetection(t *testing.T) {
-	cost := eventCost()
+	cost := unitCost
 	_, err := Run(2, cost, func(r *Rank) error {
 		// Both ranks wait on each other; nobody ever sends.
 		r.Recv(1 - r.ID())
@@ -249,26 +233,19 @@ func TestEventBackendDeadlockDetection(t *testing.T) {
 }
 
 func TestEventBackendRecvFromExitedPeer(t *testing.T) {
-	gCost := unitCost
-	eCost := eventCost()
-	fn := func(r *Rank) error {
+	_, err := Run(2, unitCost, func(r *Rank) error {
 		if r.ID() == 0 {
 			r.Recv(1) // rank 1 exits cleanly without sending
 		}
 		return nil
-	}
-	_, gErr := Run(2, gCost, fn)
-	_, eErr := Run(2, eCost, fn)
-	if gErr == nil || eErr == nil {
-		t.Fatalf("expected errors, got goroutine=%v event=%v", gErr, eErr)
-	}
-	if gErr.Error() != eErr.Error() {
-		t.Errorf("exit-cause text differs:\n  goroutine: %v\n  event:     %v", gErr, eErr)
+	})
+	if err == nil || !strings.Contains(err.Error(), "rank 0 receiving from rank 1, which exited without sending (clean exit") {
+		t.Fatalf("exit cause not named: %v", err)
 	}
 }
 
 func TestEventBackendSendToExitedPeer(t *testing.T) {
-	cost := eventCost()
+	cost := unitCost
 	cost.ChanCap = 1
 	_, err := Run(2, cost, func(r *Rank) error {
 		if r.ID() == 0 {
@@ -287,7 +264,7 @@ func TestEventBackendSendToExitedPeer(t *testing.T) {
 }
 
 func TestEventBackendRecvTimeout(t *testing.T) {
-	runBothBackends(t, 2, unitCost, func(r *Rank) error {
+	runSchedules(t, 2, unitCost, func(r *Rank) error {
 		if r.ID() == 0 {
 			// Nothing arrives from 1 until well past the deadline.
 			got, out := r.RecvTimeout(1, 500)
@@ -306,7 +283,7 @@ func TestEventBackendRecvTimeout(t *testing.T) {
 }
 
 func TestEventBackendRecvTimeoutPeerExit(t *testing.T) {
-	runBothBackends(t, 2, unitCost, func(r *Rank) error {
+	runSchedules(t, 2, unitCost, func(r *Rank) error {
 		if r.ID() == 0 {
 			if _, out := r.RecvTimeout(1, 1e9); out != RecvPeerExited {
 				return errors.New("expected RecvPeerExited")
@@ -319,7 +296,7 @@ func TestEventBackendRecvTimeoutPeerExit(t *testing.T) {
 func TestEventBackendSendTimeout(t *testing.T) {
 	cost := unitCost
 	cost.ChanCap = 1
-	runBothBackends(t, 2, cost, func(r *Rank) error {
+	runSchedules(t, 2, cost, func(r *Rank) error {
 		if r.ID() == 0 {
 			if out := r.SendTimeout(1, []float64{1}, 100); out != SendOK {
 				return errors.New("first send must fit")
@@ -342,7 +319,7 @@ func TestEventBackendSendTimeout(t *testing.T) {
 
 func TestEventBackendCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
-	cost := eventCost()
+	cost := unitCost
 	cost.Context = ctx
 	started := make(chan struct{})
 	var once chan struct{} = started
@@ -370,9 +347,8 @@ func TestEventBackendCancel(t *testing.T) {
 }
 
 // TestEventBackendFaultIdentity replays a seeded chaos plan — drops, dups,
-// corruption, degradation, a respawned crash — through both backends. The
-// fault plan is pure virtual-time state machine, so Results must match
-// bitwise even on the slow path.
+// corruption, degradation, a respawned crash — on two schedules. The fault
+// plan is a pure virtual-time state machine, so Results must match bitwise.
 func TestEventBackendFaultIdentity(t *testing.T) {
 	plan := &FaultPlan{
 		Seed:       7,
@@ -384,7 +360,7 @@ func TestEventBackendFaultIdentity(t *testing.T) {
 	}
 	cost := unitCost
 	cost.Faults = plan
-	runBothBackends(t, 4, cost, func(r *Rank) error {
+	runSchedules(t, 4, cost, func(r *Rank) error {
 		w := r.World()
 		data := []float64{float64(r.ID()), 1, 2}
 		for step := 0; step < 5; step++ {
@@ -400,55 +376,55 @@ func TestEventBackendFaultIdentity(t *testing.T) {
 // TestEventBackendWorkers checks that a multi-worker pool still yields the
 // same deterministic result.
 func TestEventBackendWorkers(t *testing.T) {
+	var ref *Result
 	for _, workers := range []int{1, 2, 4} {
 		cost := unitCost
 		cost.Workers = workers
-		runBothBackends(t, 8, cost, collectiveTour)
+		res, err := Run(8, cost, collectiveTour)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ref == nil {
+			ref = res
+		}
+		requireSameResult(t, "one worker", ref, fmt.Sprintf("%d workers", workers), res)
 	}
 }
 
-// TestEventBackendDenseWiring runs the tour under dense wiring; the event
-// engine must price identically when all p² pairs are pre-wired.
-func TestEventBackendDenseWiring(t *testing.T) {
-	cost := unitCost
-	cost.Wiring = WiringDense
-	runBothBackends(t, 4, cost, collectiveTour)
-}
-
 // TestEventBackendObserverStream compares the per-rank observer event
-// sequences between backends. Cross-rank interleaving is unordered by
-// contract, so only the per-rank order is asserted.
+// sequences between a one-worker and a four-worker schedule. Cross-rank
+// interleaving is unordered by contract, so only the per-rank order is
+// asserted.
 func TestEventBackendObserverStream(t *testing.T) {
-	record := func(rt Runtime) map[int][]Segment {
+	record := func(workers int) map[int][]Segment {
 		obs := newRecObs()
 		cost := unitCost
-		cost.Runtime = rt
+		cost.Workers = workers
 		cost.Observers = []Observer{obs}
 		if _, err := Run(4, cost, collectiveTour); err != nil {
 			t.Fatal(err)
 		}
 		return obs.segs
 	}
-	gSegs := record(RuntimeGoroutine)
-	eSegs := record(RuntimeEvent)
+	one := record(1)
+	four := record(4)
 	for rank := 0; rank < 4; rank++ {
-		g, e := gSegs[rank], eSegs[rank]
-		if len(g) != len(e) {
-			t.Fatalf("rank %d: %d goroutine segments vs %d event segments",
-				rank, len(g), len(e))
+		a, b := one[rank], four[rank]
+		if len(a) != len(b) {
+			t.Fatalf("rank %d: %d segments on one worker vs %d on four", rank, len(a), len(b))
 		}
-		for i := range g {
-			if g[i] != e[i] {
-				t.Errorf("rank %d segment %d differs:\n  goroutine: %+v\n  event:     %+v",
-					rank, i, g[i], e[i])
+		for i := range a {
+			if a[i] != b[i] {
+				t.Errorf("rank %d segment %d differs:\n  one worker:   %+v\n  four workers: %+v",
+					rank, i, a[i], b[i])
 			}
 		}
 	}
 }
 
-// TestEventBackendTracer makes sure Cost.Trace works under the engine.
+// TestEventBackendTracer makes sure Cost.Trace collects every rank's timeline.
 func TestEventBackendTracer(t *testing.T) {
-	cost := eventCost()
+	cost := unitCost
 	cost.Trace = true
 	res, err := Run(2, cost, func(r *Rank) error {
 		r.Compute(5)
@@ -467,14 +443,14 @@ func TestEventBackendTracer(t *testing.T) {
 	}
 }
 
-// TestEventBackendLargeRing is a smoke test at a size where the goroutine
-// backend would already spend visible time: a 4096-rank ring shift plus an
+// TestEventBackendLargeRing is a smoke test at a size a scheduler that kept
+// every rank live would already feel: a 4096-rank ring shift plus an
 // AllReduce, fast-forwarded.
 func TestEventBackendLargeRing(t *testing.T) {
 	if testing.Short() {
 		t.Skip("large ring skipped in -short")
 	}
-	cost := eventCost()
+	cost := unitCost
 	cost.GammaT = 1
 	cost.AlphaT = 1e-6
 	cost.BetaT = 1e-9

@@ -3,19 +3,12 @@ package sim
 import (
 	"errors"
 	"testing"
-	"time"
 )
-
-// shortDog is a cost with a fast watchdog for tests that provoke hangs.
-func shortDog(c Cost) Cost {
-	c.WatchdogTimeout = 150 * time.Millisecond
-	return c
-}
 
 func TestHardCrashSurfacesAsCrashError(t *testing.T) {
 	cost := unitCost
 	cost.Faults = &FaultPlan{Crashes: map[int]float64{2: 1500}}
-	_, err := Run(4, shortDog(cost), func(r *Rank) error {
+	_, err := Run(4, cost, func(r *Rank) error {
 		r.Compute(1)          // clock 1
 		r.Send(3-r.ID(), nil) // pairwise exchange: clock 1001
 		r.Recv(3 - r.ID())
@@ -68,7 +61,7 @@ func TestRespawnCrashDeliversTakeCrashed(t *testing.T) {
 }
 
 func TestDroppedMessageBecomesWatchdogError(t *testing.T) {
-	cost := shortDog(zeroCost)
+	cost := zeroCost
 	cost.Faults = &FaultPlan{
 		Links: []LinkFault{{Src: 0, Dst: 1, DropProb: 1}},
 	}
@@ -78,7 +71,7 @@ func TestDroppedMessageBecomesWatchdogError(t *testing.T) {
 			r.Recv(1) // keep rank 0 alive so the drop, not an exit, is the cause
 			return nil
 		}
-		r.Recv(0) // never arrives: the watchdog must convert this into an error
+		r.Recv(0) // never arrives: quiescence must convert this into an error
 		r.Send(0, []float64{1})
 		return nil
 	})

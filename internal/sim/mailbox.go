@@ -5,82 +5,34 @@ import (
 	"sync/atomic"
 )
 
-// Wiring is how the cluster is scaled to its rank count. The runtime used to
-// allocate a dense p×p matrix of buffered channels up front, which caps a
-// run at modest p: p = 4096 wires ~16.7M channels (tens of GB of buffer
-// space) before the first flop, and p = 16384 is out of reach entirely. The
-// algorithms in this repository touch only O(log p) distinct peers per rank
-// (grid neighbours, tree parents/children, fiber partners), so almost all of
-// that matrix is dead weight.
+// Per-pair queues are wired on demand. A dense p×p matrix of queues caps a
+// run at modest p — p = 4096 would wire ~16.7M of them before the first
+// flop — while the algorithms in this repository touch only O(log p)
+// distinct peers per rank (grid neighbours, tree parents/children, fiber
+// partners). So each rank owns a mailbox, a small mutex-protected map from
+// sender id to the pair's FIFO queue, and both endpoints get-or-create the
+// queue on their first Send/Recv across the pair. Memory then scales with
+// the number of *active* communication pairs, O(p·log p) for the
+// 2.5D/CAPS/FFT patterns here, instead of p².
 //
-// Sparse wiring — the default — creates a pair's queue on first use instead:
-// each rank owns a mailbox, a small mutex-protected map from sender id to
-// the pair's FIFO queue, and both endpoints get-or-create the queue on their
-// first Send/Recv across the pair. Memory then scales with the number of
-// *active* communication pairs, O(p·log p) for the 2.5D/CAPS/FFT patterns
-// here, instead of p².
-//
-// Dense wiring is kept selectable for the wiring benchmarks
-// (BenchmarkWiring, cmd/bench) that measure exactly this difference.
-//
-// The wiring mode is invisible to the simulation's semantics: virtual
-// clocks, counters and fault decisions depend only on the program's
-// communication pattern and the arrival stamps carried inside messages,
-// never on how the underlying queues were allocated, so a run's Result is
-// bit-identical under either mode (pinned by TestDenseSparseIdentical*).
-type Wiring int
+// How queues are allocated is invisible to the simulation's semantics:
+// virtual clocks, counters and fault decisions depend only on the program's
+// communication pattern and the arrival stamps carried inside messages.
 
-const (
-	// WiringSparse creates per-pair queues on demand (the default).
-	WiringSparse Wiring = iota
-	// WiringDense pre-allocates the full p×p queue matrix up front, the
-	// historical layout, kept for memory/startup comparisons.
-	WiringDense
-)
-
-// String names the wiring mode for benchmark labels and reports.
-func (w Wiring) String() string {
-	if w == WiringDense {
-		return "dense"
-	}
-	return "sparse"
-}
-
-// pairQ is one ordered src→dst FIFO. Exactly one of the two carriers is
-// active, chosen by the cluster's runtime backend:
-//
-//   - the goroutine backend blocks real OS threads, so it needs a real
-//     channel it can select against cancellation and peer exit;
-//   - the event backend never blocks a thread on a pair — a full or empty
-//     queue parks the rank in the engine instead — so its fast path is a
-//     single-producer single-consumer ring with two atomic cursors and no
-//     lock. At p = 16384 the channel's lock/unlock pair on every hot-loop
-//     enqueue and dequeue was ~15% of a whole 2.5D run.
-//
-// The SPSC invariant holds because a pair has exactly one sending and one
+// evRing is one ordered src→dst FIFO: a growable single-producer
+// single-consumer ring whose storage follows what the pair actually queues.
+// The engine never blocks a thread on a pair — a full or empty queue parks
+// the rank instead — so the fast path is two atomic cursors and no lock. The
+// SPSC invariant holds because a pair has exactly one sending and one
 // receiving rank, a rank executes on one carrier at a time, and conducted
 // collectives (comm_ff.go) touch a member's pairs only while that member is
 // parked — every ownership handoff goes through the engine lock.
-type pairQ struct {
-	ch chan message // goroutine backend; nil under the event engine
-	rg evRing       // event backend; zero-valued under goroutines
-}
-
-// count reports the number of queued messages, whichever carrier is live.
-func (q *pairQ) count() int {
-	if q.ch != nil {
-		return len(q.ch)
-	}
-	return q.rg.length()
-}
-
-// evRing is the event backend's pair queue: a growable SPSC ring whose
-// storage follows what the pair actually queues. The producer owns tail and
-// tseg, the consumer owns head and hseg; each side reads the other's cursor
-// atomically. Go's atomics are sequentially consistent, so everything the
-// producer wrote before tail.Store — the slot, a new segment, the link to
-// it — is visible to a consumer that loads the new tail (and symmetrically
-// for slot reuse after head.Store).
+//
+// The producer owns tail and tseg, the consumer owns head and hseg; each
+// side reads the other's cursor atomically. Go's atomics are sequentially
+// consistent, so everything the producer wrote before tail.Store — the
+// slot, a new segment, the link to it — is visible to a consumer that loads
+// the new tail (and symmetrically for slot reuse after head.Store).
 //
 // sem is the semantic capacity (Cost.ChanCap): push fails at exactly sem
 // queued messages whatever the storage holds, so parks, quiescence and
@@ -191,38 +143,25 @@ func (q *evRing) pop() (message, bool) {
 // and the lock is never touched again for the pair.
 type mailbox struct {
 	mu     sync.Mutex
-	queues map[int]*pairQ
+	queues map[int]*evRing
 }
 
 // pairOf returns the FIFO queue for the ordered pair src→dst, creating it
-// on first use under sparse wiring. The map entry itself is the unit the
-// wiring accounting (ActivePairs) counts.
-func (c *Cluster) pairOf(src, dst int) *pairQ {
-	if c.dense != nil {
-		return &c.dense[src][dst]
-	}
+// on first use. The map entry itself is the unit the wiring accounting
+// (ActivePairs) counts.
+func (c *Cluster) pairOf(src, dst int) *evRing {
 	mb := &c.mail[dst]
 	mb.mu.Lock()
 	q := mb.queues[src]
 	if q == nil {
 		if mb.queues == nil {
-			mb.queues = make(map[int]*pairQ)
+			mb.queues = make(map[int]*evRing)
 		}
-		q = c.newPairQ()
+		q = &evRing{}
+		q.init(c.bufCap)
 		mb.queues[src] = q
 	}
 	mb.mu.Unlock()
-	return q
-}
-
-// newPairQ builds a pair queue for the cluster's runtime backend.
-func (c *Cluster) newPairQ() *pairQ {
-	q := &pairQ{}
-	if c.cost.Runtime == RuntimeEvent {
-		q.rg.init(c.bufCap)
-	} else {
-		q.ch = make(chan message, c.bufCap)
-	}
 	return q
 }
 
@@ -233,10 +172,10 @@ func (c *Cluster) newPairQ() *pairQ {
 // empty (nil queue pointers mark unused slots).
 type pairCache struct {
 	k1, k2 int
-	q1, q2 *pairQ
+	q1, q2 *evRing
 }
 
-func (pc *pairCache) get(k int) *pairQ {
+func (pc *pairCache) get(k int) *evRing {
 	if pc.k1 == k {
 		return pc.q1 // nil when the slot is unused: caller falls through
 	}
@@ -248,14 +187,14 @@ func (pc *pairCache) get(k int) *pairQ {
 	return nil
 }
 
-func (pc *pairCache) put(k int, q *pairQ) {
+func (pc *pairCache) put(k int, q *evRing) {
 	pc.k1, pc.k2 = k, pc.k1
 	pc.q1, pc.q2 = q, pc.q1
 }
 
 // queueTo returns the rank's outgoing queue towards dst, memoizing the
 // lookup so the mailbox lock is taken at most once per peer.
-func (r *Rank) queueTo(dst int) *pairQ {
+func (r *Rank) queueTo(dst int) *evRing {
 	if q := r.outC.get(dst); q != nil {
 		return q
 	}
@@ -264,7 +203,7 @@ func (r *Rank) queueTo(dst int) *pairQ {
 		return q
 	}
 	if r.out == nil {
-		r.out = make(map[int]*pairQ)
+		r.out = make(map[int]*evRing)
 	}
 	q := r.cluster.pairOf(r.id, dst)
 	r.out[dst] = q
@@ -274,7 +213,7 @@ func (r *Rank) queueTo(dst int) *pairQ {
 
 // queueFrom returns the rank's incoming queue from src, memoized like
 // queueTo.
-func (r *Rank) queueFrom(src int) *pairQ {
+func (r *Rank) queueFrom(src int) *evRing {
 	if q := r.inC.get(src); q != nil {
 		return q
 	}
@@ -283,7 +222,7 @@ func (r *Rank) queueFrom(src int) *pairQ {
 		return q
 	}
 	if r.in == nil {
-		r.in = make(map[int]*pairQ)
+		r.in = make(map[int]*evRing)
 	}
 	q := r.cluster.pairOf(src, r.id)
 	r.in[src] = q
@@ -292,12 +231,9 @@ func (r *Rank) queueFrom(src int) *pairQ {
 }
 
 // ActivePairs reports how many ordered communication pairs were actually
-// wired during the run — the quantity sparse wiring's memory scales with
-// (p² under dense wiring, by construction). Call it after Run returns.
+// wired during the run — the quantity the wiring's memory scales with.
+// Call it after Run returns.
 func (c *Cluster) ActivePairs() int {
-	if c.dense != nil {
-		return c.p * c.p
-	}
 	n := 0
 	for i := range c.mail {
 		mb := &c.mail[i]

@@ -1,145 +1,47 @@
 package sim
 
 import (
-	"errors"
 	"strings"
 	"testing"
-	"time"
 )
 
-// mixedProgram exercises point-to-point sends of several sizes (including
-// zero words), waits, collectives, tracked memory and self-sends — every
-// code path whose accounting must be wiring-independent.
-func mixedProgram(r *Rank) error {
-	w := r.World()
-	p := r.P()
-	data := make([]float64, 37) // deliberately not a multiple of MaxMsgWords
-	for i := range data {
-		data[i] = float64(r.ID() + i)
-	}
-	r.Alloc(len(data))
-	for step := 0; step < 3; step++ {
-		r.Compute(float64(100 * (r.ID() + 1))) // imbalanced: creates waits
-		data = w.Shift(data, 1+step)
-		r.Send((r.ID()+p/2)%p, nil) // zero-word message across the cluster
-		r.Recv((r.ID() + p/2) % p)
-	}
-	r.Send(r.ID(), []float64{1, 2, 3}) // self-send
-	r.Recv(r.ID())
-	w.AllReduce(data, OpSum)
-	w.Barrier()
-	return nil
-}
-
-// TestDenseSparseIdenticalResults pins the tentpole guarantee: the wiring
-// mode changes how queues are allocated, never what the simulation computes.
-// Every per-rank counter and clock must match bit for bit across modes, for
-// plain runs, message splitting, ChargeReceiver, per-link costs and a full
-// fault plan.
-func TestDenseSparseIdenticalResults(t *testing.T) {
-	costs := map[string]Cost{
-		"base":     {GammaT: 1e-9, BetaT: 1e-8, AlphaT: 1e-6},
-		"splitMsg": {GammaT: 1e-9, BetaT: 1e-8, AlphaT: 1e-6, MaxMsgWords: 7},
-		"chargeReceiver": {
-			GammaT: 1e-9, BetaT: 1e-8, AlphaT: 1e-6, MaxMsgWords: 16,
-			ChargeReceiver: true,
-		},
-		"perLink": {
-			GammaT: 1e-9,
-			Links:  TwoLevelLinks{CoresPerNode: 2, IntraAlpha: 1e-7, IntraBeta: 1e-9, InterAlpha: 1e-5, InterBeta: 1e-8},
-		},
-		// Stream-preserving faults only: mixedProgram is not fault-tolerant,
-		// so drops/dups would (correctly) derail it under either wiring.
-		"faulty": {
-			GammaT: 1e-9, BetaT: 1e-8, AlphaT: 1e-6, ChargeReceiver: true,
-			Faults: &FaultPlan{
-				Seed:     11,
-				Links:    []LinkFault{{Src: -1, Dst: -1, CorruptProb: 0.6}},
-				Degraded: []DegradedLink{{Src: -1, Dst: -1, From: 1e-6, AlphaFactor: 3, BetaFactor: 5}},
-			},
-		},
-	}
-	for name, cost := range costs {
-		runWith := func(w Wiring) []Stats {
-			c := cost
-			c.Wiring = w
-			res, err := Run(8, c, mixedProgram)
-			if err != nil {
-				t.Fatalf("%s/%v: %v", name, w, err)
+// TestRecvDrainsMessagesSentBeforeExit pins the delivery guarantee the exit
+// notification must preserve: messages queued before the sender exits are
+// received, in order, before a failed receive is reported.
+func TestRecvDrainsMessagesSentBeforeExit(t *testing.T) {
+	cost := unitCost
+	cost.Workers = 1
+	_, err := Run(2, cost, func(r *Rank) error {
+		const n = 5
+		if r.ID() == 0 {
+			for i := 0; i < n; i++ {
+				r.Send(1, []float64{float64(i)})
 			}
-			return res.PerRank
+			return nil // exit immediately; rank 1 drains afterwards
 		}
-		dense, sparse := runWith(WiringDense), runWith(WiringSparse)
-		for id := range dense {
-			if dense[id] != sparse[id] {
-				t.Errorf("%s rank %d: dense and sparse wiring disagree:\ndense:  %+v\nsparse: %+v",
-					name, id, dense[id], sparse[id])
+		// On one worker the 256th Compute yields to rank 0, which is behind
+		// in virtual time and runs to its exit before rank 1 resumes.
+		for i := 0; i < 256; i++ {
+			r.Compute(1)
+		}
+		if exited, _, _ := r.PeerExit(0); !exited {
+			t.Error("rank 0 has not exited before the drain; the test no longer tests it")
+		}
+		for i := 0; i < n; i++ {
+			if got := r.Recv(0); got[0] != float64(i) {
+				t.Errorf("message %d wrong or out of order: %v", i, got)
 			}
 		}
-	}
-}
-
-// TestDenseWiringDiagnostics re-runs the failure-path scenarios under dense
-// wiring (the regular tests cover the sparse default): a mismatched
-// point-to-point program must still be named a deadlock, and a receive from
-// an exited peer must still fail cleanly instead of hanging.
-func TestDenseWiringDiagnostics(t *testing.T) {
-	dense := shortDog(zeroCost)
-	dense.Wiring = WiringDense
-
-	_, err := Run(2, dense, func(r *Rank) error {
-		data := r.Recv(1 - r.ID()) // both receive first: classic deadlock
-		r.Send(1-r.ID(), data)
-		return nil
-	})
-	var de *DeadlockError
-	if !errors.As(err, &de) {
-		t.Errorf("dense wiring: expected DeadlockError, got %v", err)
-	}
-
-	_, err = Run(2, dense, func(r *Rank) error {
-		if r.ID() == 1 {
-			r.Recv(0)
-		}
+		r.Recv(0) // nothing left: must fail cleanly, not hang
 		return nil
 	})
 	if err == nil || !strings.Contains(err.Error(), "exited without sending") {
-		t.Errorf("dense wiring: expected exited-peer error, got %v", err)
+		t.Errorf("expected exited-peer error after drain, got %v", err)
 	}
 }
 
-// TestRecvDrainsMessagesSentBeforeExit pins the delivery guarantee the
-// sparse exit notification must preserve: messages queued before the sender
-// exits are received, in order, before a failed receive is reported.
-func TestRecvDrainsMessagesSentBeforeExit(t *testing.T) {
-	for _, w := range []Wiring{WiringSparse, WiringDense} {
-		cost := shortDog(zeroCost)
-		cost.Wiring = w
-		_, err := Run(2, cost, func(r *Rank) error {
-			const n = 5
-			if r.ID() == 0 {
-				for i := 0; i < n; i++ {
-					r.Send(1, []float64{float64(i)})
-				}
-				return nil // exit immediately; rank 1 drains afterwards
-			}
-			time.Sleep(50 * time.Millisecond) // let rank 0 exit first
-			for i := 0; i < n; i++ {
-				if got := r.Recv(0); got[0] != float64(i) {
-					t.Errorf("%v: message %d wrong or out of order: %v", w, i, got)
-				}
-			}
-			r.Recv(0) // nothing left: must fail cleanly, not hang
-			return nil
-		})
-		if err == nil || !strings.Contains(err.Error(), "exited without sending") {
-			t.Errorf("%v: expected exited-peer error after drain, got %v", w, err)
-		}
-	}
-}
-
-// TestActivePairsScalesWithPattern pins what sparse wiring buys: the wired
-// pair count follows the communication pattern, not p².
+// TestActivePairsScalesWithPattern pins what on-demand wiring buys: the
+// wired pair count follows the communication pattern, not p².
 func TestActivePairsScalesWithPattern(t *testing.T) {
 	const p = 64
 	c, err := NewCluster(p, Cost{})
@@ -161,14 +63,6 @@ func TestActivePairsScalesWithPattern(t *testing.T) {
 	if got := c.ActivePairs(); got != p {
 		t.Errorf("ring should wire exactly %d pairs, got %d", p, got)
 	}
-
-	d, err := NewCluster(8, Cost{Wiring: WiringDense})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := d.ActivePairs(); got != 64 {
-		t.Errorf("dense wiring reports p² pairs up front, got %d", got)
-	}
 }
 
 // TestSparseWiring16kRanks is the scale demonstration: a p=16384 cluster —
@@ -184,10 +78,7 @@ func TestSparseWiring16kRanks(t *testing.T) {
 	}
 	const p = 16384 // 2^14
 	const k = 16
-	cost := Cost{
-		AlphaT: 1e-6, BetaT: 1e-9, ChanCap: 2,
-		WatchdogTimeout: 2 * time.Minute, // 16k goroutines on few cores: be patient
-	}
+	cost := Cost{AlphaT: 1e-6, BetaT: 1e-9, ChanCap: 2}
 	c, err := NewCluster(p, cost)
 	if err != nil {
 		t.Fatal(err)

@@ -12,8 +12,8 @@ import "fmt"
 // Concurrency contract: OnCompute, OnSend, OnRecv, OnPhase, OnFault and
 // OnCrash fire on the goroutine of the rank named in the event,
 // concurrently across ranks; within one rank they arrive in virtual-time
-// order. OnDeadlock fires on the watchdog goroutine, concurrently with
-// rank callbacks. An observer that aggregates across ranks must therefore
+// order. OnDeadlock fires on whichever goroutine resolved the quiescence,
+// while every rank is parked. An observer that aggregates across ranks must therefore
 // synchronize its own state. Every callback delivered during a run
 // happens-before Run's return, so reading an observer after Run is
 // race-free.
@@ -43,7 +43,7 @@ type Observer interface {
 	OnTimer(ev TimerEvent)
 	// OnCrash delivers an injected rank crash as it fires.
 	OnCrash(ev CrashEvent)
-	// OnDeadlock delivers one watchdog abort; every aborted rank of one
+	// OnDeadlock delivers one deadlock abort; every aborted rank of one
 	// detection emits its own event sharing the same Snapshot.
 	OnDeadlock(ev DeadlockEvent)
 }
@@ -110,7 +110,7 @@ type CrashEvent struct {
 	Respawn bool
 }
 
-// DeadlockEvent reports one rank aborted by the watchdog. Err carries the
+// DeadlockEvent reports one rank aborted at quiescence. Err carries the
 // full diagnostic including the cluster-wide Snapshot shared by all ranks
 // of one detection.
 type DeadlockEvent struct {
@@ -128,8 +128,7 @@ func (r *Rank) Phase(name string) {
 }
 
 // emit publishes a timeline segment to every subscriber and remembers it
-// as the rank's most recent segment (published to deadlock snapshots at
-// blocking transitions; see setState).
+// as the rank's most recent segment (reported by deadlock snapshots).
 func (r *Rank) emit(seg Segment) {
 	r.lastSeg = seg
 	r.hasSeg = true
@@ -159,9 +158,9 @@ func (r *Rank) emitCrash(ev CrashEvent) {
 	}
 }
 
-// emitDeadlock publishes a watchdog abort to every subscriber. It is
-// called from the watchdog goroutine, always before the abort releases
-// the blocked rank, so the delivery happens-before Run returns.
+// emitDeadlock publishes a deadlock abort to every subscriber. quiesce
+// calls it before the abort resumes the blocked rank, so the delivery
+// happens-before Run returns.
 func (c *Cluster) emitDeadlock(ev DeadlockEvent) {
 	for _, o := range c.obs {
 		o.OnDeadlock(ev)

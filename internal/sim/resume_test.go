@@ -98,7 +98,7 @@ func TestResumeOutsideLock(t *testing.T) {
 		t.Run(sh.name, func(t *testing.T) {
 			var ref *Result
 			for _, w := range workers {
-				cost := eventCost()
+				cost := unitCost
 				cost.Workers = w
 				res, err := Run(4096, cost, sh.fn)
 				if err != nil {
@@ -129,7 +129,7 @@ func TestResumeOutsideLock(t *testing.T) {
 				cancelledAt <- time.Now()
 				cancel(cause)
 			}()
-			cost := eventCost()
+			cost := unitCost
 			cost.Context = ctx
 			cost.Workers = workers[i%len(workers)]
 			c, err := NewCluster(q*q*4, cost)

@@ -47,19 +47,19 @@ func TestRingBytesPerRankBudget(t *testing.T) {
 	const budget = 5000 // bytes per rank
 	a := matrix.Random(n, n, 1)
 	b := matrix.Random(n, n, 2)
-	cost := sim.Cost{GammaT: 1e-11, BetaT: 1e-10, AlphaT: 1e-6, Runtime: sim.RuntimeEvent}
+	cost := sim.Cost{GammaT: 1e-11, BetaT: 1e-10, AlphaT: 1e-6}
 	got := minRunBytes(t, func() error {
 		_, err := matmul.TwoPointFiveD(cost, q, c, a, b)
 		return err
 	}) / (q * q * c)
 	t.Logf("%d bytes per rank (budget %d)", got, budget)
 	if got > budget {
-		t.Errorf("event-runtime 2.5D run at p=%d allocated %d bytes per rank, budget %d", q*q*c, got, budget)
+		t.Errorf("2.5D run at p=%d allocated %d bytes per rank, budget %d", q*q*c, got, budget)
 	}
 }
 
 // TestSmallRunBytesBudget pins what one /simulate run allocates (n = 128,
-// q = 8, c = 2, p = 128, event runtime under a cancel context): at this size
+// q = 8, c = 2, p = 128, under a cancel context): at this size
 // the bytes decide how many collector cycles a run triggers, and those are
 // nearly half its wall (BenchmarkSmallRun in internal/matmul shows the
 // chain). Conductors that copied what nobody keeps and panel loops that
@@ -70,7 +70,7 @@ func TestSmallRunBytesBudget(t *testing.T) {
 	a := matrix.Random(n, n, 1)
 	b := matrix.Random(n, n, 2)
 	cost := sim.Cost{GammaT: 1e-9, BetaT: 1e-8, AlphaT: 1e-6, MaxMsgWords: 1024,
-		Runtime: sim.RuntimeEvent, Context: context.Background()}
+		Context: context.Background()}
 	for _, alg := range []struct {
 		name   string
 		run    func(sim.Cost, int, int, *matrix.Dense, *matrix.Dense) (*matmul.RunResult, error)
@@ -98,7 +98,7 @@ func TestConductedAllGatherAllocs(t *testing.T) {
 	const kept = p * p * k * 8 // bytes of results
 	block := make([]float64, k)
 	got := minRunBytes(t, func() error {
-		_, err := sim.Run(p, sim.Cost{Runtime: sim.RuntimeEvent}, func(r *sim.Rank) error {
+		_, err := sim.Run(p, sim.Cost{}, func(r *sim.Rank) error {
 			if out := r.World().AllGather(block); len(out) != p*k {
 				return fmt.Errorf("gathered %d words", len(out))
 			}

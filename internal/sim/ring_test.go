@@ -213,7 +213,7 @@ func TestRingSteadyStateAllocs(t *testing.T) {
 // ahead of the conducted message. The displaced ring head must land in the
 // pushback slot and the pair must still drain in FIFO order.
 func TestRingFFRecvFullBufferPushback(t *testing.T) {
-	cost := eventCost()
+	cost := unitCost
 	cost.ChanCap = 2
 	c, err := NewCluster(2, cost)
 	if err != nil {
@@ -225,7 +225,7 @@ func TestRingFFRecvFullBufferPushback(t *testing.T) {
 		return message{data: []float64{float64(i)}, arrival: float64(i), alphaF: 1, betaF: 1}
 	}
 	dst.pushback = map[int]message{0: stale(0)}
-	if !q.rg.push(stale(1)) || !q.rg.push(stale(2)) || q.rg.push(stale(-1)) {
+	if !q.push(stale(1)) || !q.push(stale(2)) || q.push(stale(-1)) {
 		t.Fatal("could not fill the pair to exactly ChanCap")
 	}
 	payload := []float64{3}
@@ -236,13 +236,13 @@ func TestRingFFRecvFullBufferPushback(t *testing.T) {
 	if m, ok := dst.pushback[0]; !ok || m.data[0] != 1 {
 		t.Fatalf("pushback slot holds %v (present %v), want the displaced ring head [1]", m.data, ok)
 	}
-	if q.rg.length() != 2 {
-		t.Fatalf("ring holds %d messages, want 2", q.rg.length())
+	if q.length() != 2 {
+		t.Fatalf("ring holds %d messages, want 2", q.length())
 	}
 	for want := 1; want <= 3; want++ {
 		m, ok := dst.takePushback(0)
 		if !ok {
-			m, ok = q.rg.pop()
+			m, ok = q.pop()
 		}
 		if !ok || m.data[0] != float64(want) {
 			t.Fatalf("drain position %d: got %v (ok %v)", want, m.data, ok)

@@ -1,10 +1,12 @@
 // Package sim provides a deterministic virtual-time distributed-memory
 // runtime: the machine substrate on which the paper's algorithms execute.
 //
-// Each of p ranks runs as a goroutine executing the same SPMD function.
-// Ranks exchange []float64 messages over per-pair FIFO queues, wired on
-// demand as pairs first communicate (see mailbox.go) so clusters of 10k+
-// ranks stay cheap to create. Every rank carries a virtual clock in seconds:
+// Each of p ranks executes the same SPMD function, scheduled by the event
+// engine (event.go): a rank runs until it would block, parks, and is resumed
+// exactly when what it waits for holds, so runs reach p ≥ 10⁶. Ranks
+// exchange []float64 messages over per-pair FIFO queues, wired on demand as
+// pairs first communicate (see mailbox.go) so memory follows the pairs a
+// program actually uses. Every rank carries a virtual clock in seconds:
 //
 //   - computing f flops advances the clock by γt·f,
 //   - sending k words advances the sender's clock by αt·⌈k/m⌉ + βt·k
@@ -16,8 +18,8 @@
 // receives, as in Cannon shifts) costs one αt + k·βt per step, matching the
 // paper's timing model (Eq. 1); synchronization is carried by messages, as
 // the paper assumes. Clock values depend only on the program's communication
-// pattern, never on the Go scheduler, so simulated times are exactly
-// reproducible.
+// pattern, never on which rank the host happened to run when, so simulated
+// times are exactly reproducible.
 //
 // Buffers follow one rule: Send and every collective read the caller's data
 // and leave it alone, and what Recv or a collective returns belongs to the
@@ -33,10 +35,11 @@
 // The runtime is robust under failure: a seeded FaultPlan injects rank
 // crashes, message drops/duplications/corruptions and degraded-link windows
 // deterministically (keyed on rank, virtual clock and send count only), and
-// a real-time deadlock watchdog converts hangs — mismatched point-to-point
-// programs, sends to exited ranks, dropped messages — into diagnostic
-// errors naming the blocked ranks. internal/resilience builds recovering
-// algorithms on top of these hooks.
+// the engine detects quiescence exactly, so hangs — mismatched
+// point-to-point programs, sends to exited ranks, dropped messages — become
+// diagnostic errors naming the blocked ranks the instant no rank can run
+// (DeadlockError), never after a real-time wait. internal/resilience builds
+// recovering algorithms on top of these hooks.
 package sim
 
 import (
@@ -44,9 +47,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Cost holds the timing parameters the runtime uses to advance virtual
@@ -81,34 +82,17 @@ type Cost struct {
 	// tracer is appended as one more subscriber when Trace is set. An
 	// empty list costs nothing on the hot path.
 	Observers []Observer
-	// ChanCap overrides DefaultChanCap, the per-pair channel buffer in
+	// ChanCap overrides DefaultChanCap, the per-pair queue buffer in
 	// messages. Zero means the default; negative values are rejected.
 	ChanCap int
-	// Wiring selects how per-pair queues are allocated: sparse on-demand
-	// mailboxes (the default, memory ∝ active pairs) or the dense p×p
-	// matrix (memory ∝ p², kept for comparison benchmarks). The mode never
-	// affects clocks or counters — see mailbox.go.
-	Wiring Wiring
-	// Runtime selects the execution backend: one live goroutine per rank
-	// under the Go scheduler (the default) or the event engine, which
-	// schedules ranks as continuations on a sharded virtual-time run queue
-	// and reaches p ≥ 10⁶. Like Wiring, the backend never affects clocks,
-	// counters, fault decisions or per-rank observer streams — see
-	// event.go.
-	Runtime Runtime
 	// Workers bounds how many ranks the event engine lets run
-	// concurrently (RuntimeEvent only). Zero means GOMAXPROCS; negative
-	// values are rejected.
+	// concurrently. Zero means GOMAXPROCS; negative values are rejected.
+	// It never affects clocks, counters, fault decisions or per-rank
+	// observer streams — see event.go.
 	Workers int
 	// Faults optionally injects deterministic failures (crashes, message
 	// drops/duplications/corruptions, degraded links); nil runs fault-free.
 	Faults *FaultPlan
-	// WatchdogTimeout is the REAL-time window of cluster-wide inactivity
-	// after which the deadlock watchdog aborts blocked ranks with a
-	// diagnostic error instead of letting the run hang (mismatched
-	// point-to-point programs, drops, sends to exited ranks). Zero means
-	// DefaultWatchdogTimeout; negative disables the watchdog.
-	WatchdogTimeout time.Duration
 	// Context optionally bounds the run in REAL time: when it is cancelled
 	// (deadline, explicit cancel, client hang-up) every rank is aborted at
 	// its next instrumented operation and blocked ranks are released
@@ -178,7 +162,7 @@ const (
 	exitFailed             // fn returned an error
 	exitPanicked
 	exitCrashed // injected hard crash
-	exitAborted // watchdog abort
+	exitAborted // deadlock abort or cancellation
 )
 
 type exitInfo struct {
@@ -187,69 +171,46 @@ type exitInfo struct {
 }
 
 // Cluster is a set of p ranks wired with per-pair FIFO queues, created on
-// demand (sparse wiring, the default) or all up front (dense wiring); see
-// mailbox.go.
+// demand; see mailbox.go.
 type Cluster struct {
 	p      int
 	cost   Cost
 	bufCap int
-	mail   []mailbox // sparse wiring: mail[dst].queues[src]
-	dense  [][]pairQ // dense wiring: dense[src][dst]; nil when sparse
+	mail   []mailbox // mail[dst].queues[src]
 	tracer *tracer
 	// obs lists the event-bus subscribers (Cost.Observers plus the tracer
-	// when tracing); lastSegs publishes each rank's most recent timeline
-	// segment at blocking transitions, for deadlock snapshots.
-	obs      []Observer
-	lastSegs []atomic.Pointer[Segment]
+	// when tracing).
+	obs []Observer
 
-	// states holds the packed per-rank blocking state the watchdog
-	// samples (see watchdog.go); aborts/abortErr release blocked ranks
-	// with a diagnostic; exits records each rank's exit status, written
-	// before its exitCh closes (the close happens-before a peer's failed
-	// receive, so reads after the exit notification are race-free).
-	// lastSegs, states, aborts and timerCh serve the watchdog only and stay
-	// nil under the event engine.
-	states   []atomic.Uint64
-	aborts   []chan struct{}
+	// abortErr[id] is the diagnostic the engine aborted rank id with,
+	// written under the engine lock before the rank is resumed to unwind.
 	abortErr []*DeadlockError
-	exits    []exitInfo
-	// exitCh[id] is closed when rank id exits, releasing peers blocked in
-	// Recv on it. Messages the rank sent before exiting are still queued
-	// and are drained before a receive is declared failed.
-	exitCh []chan struct{}
-	// timerDeadline[id] publishes rank id's armed virtual deadline
-	// (Float64bits; zero means none) and timerCh[id] carries the
-	// watchdog's fire token when the deadline expires at quiescence —
-	// the virtual-timer machinery of RecvTimeout/SendTimeout (timer.go).
-	timerDeadline []atomic.Uint64
-	timerCh       []chan struct{}
+	// exits records how each rank left, and exited[id] is set — after
+	// exits[id] is written — when rank id exits: a peer that loads it true
+	// may read exits[id]. Messages the rank sent before exiting are still
+	// queued and are drained before a receive is declared failed.
+	exits  []exitInfo
+	exited []atomic.Bool
 
-	// cancelCh is closed — after cancelCause is written and cancelled set —
-	// when Cost.Context is cancelled, waking every blocked rank; nil when
-	// the run has no context. See cancel.go.
-	cancelCh    chan struct{}
+	// cancelled is set — after cancelCause is written — when Cost.Context
+	// is cancelled. See cancel.go.
 	cancelled   atomic.Bool
 	cancelCause error
 
-	// eng is the event engine driving the run under RuntimeEvent; nil
-	// under the goroutine backend. Blocking operations branch on it to
-	// park cooperatively instead of blocking their goroutine. See
-	// event.go.
+	// eng is the event engine driving the run, set by Run before the first
+	// rank starts. See event.go.
 	eng *eventEngine
 }
 
 // DefaultChanCap is the per-pair queue buffer in messages (override per run
-// with Cost.ChanCap). Senders block (in real time, not virtual time) when a
+// with Cost.ChanCap). A sender parks (in real time, not virtual time) when a
 // pair's buffer fills; virtual clocks are unaffected, and a send that can
 // never complete — the receiver already exited, or the cluster is
-// deadlocked — is aborted by the watchdog with a diagnostic error. The
-// value is a compromise: large enough that no algorithm in this repository
-// queues that many unreceived messages on one pair, small enough that a
-// goroutine-backend queue (a Go channel, which allocates its whole buffer
-// eagerly) stays cheap to wire — large-p goroutine runs that create many
-// pairs can lower it further. Under the event runtime a pair's storage
-// follows what it actually queues (evRing, mailbox.go), so there ChanCap is
-// only the blocking threshold, not a memory lever.
+// deadlocked — is aborted with a diagnostic error. The value is large
+// enough that no algorithm in this repository queues that many unreceived
+// messages on one pair. A pair's storage follows what it actually queues
+// (evRing, mailbox.go), so ChanCap is only the blocking threshold, not a
+// memory lever.
 const DefaultChanCap = 64
 
 // NewCluster creates a cluster of p ranks with the given timing costs.
@@ -262,12 +223,6 @@ func NewCluster(p int, cost Cost) (*Cluster, error) {
 	}
 	if cost.ChanCap < 0 {
 		return nil, fmt.Errorf("sim: negative channel capacity %d", cost.ChanCap)
-	}
-	if cost.Wiring != WiringSparse && cost.Wiring != WiringDense {
-		return nil, fmt.Errorf("sim: unknown wiring mode %d", cost.Wiring)
-	}
-	if cost.Runtime != RuntimeGoroutine && cost.Runtime != RuntimeEvent {
-		return nil, fmt.Errorf("sim: unknown runtime mode %d", cost.Runtime)
 	}
 	if cost.Workers < 0 {
 		return nil, fmt.Errorf("sim: negative worker count %d", cost.Workers)
@@ -287,55 +242,19 @@ func NewCluster(p int, cost Cost) (*Cluster, error) {
 	if c.bufCap == 0 {
 		c.bufCap = DefaultChanCap
 	}
-	if cost.Wiring == WiringDense {
-		c.dense = make([][]pairQ, p)
-		for src := 0; src < p; src++ {
-			c.dense[src] = make([]pairQ, p)
-			for dst := 0; dst < p; dst++ {
-				q := &c.dense[src][dst]
-				if cost.Runtime == RuntimeEvent {
-					q.rg.init(c.bufCap)
-				} else {
-					q.ch = make(chan message, c.bufCap)
-				}
-			}
-		}
-	} else {
-		c.mail = make([]mailbox, p)
-	}
+	c.mail = make([]mailbox, p)
 	c.abortErr = make([]*DeadlockError, p)
 	c.exits = make([]exitInfo, p)
-	c.exitCh = make([]chan struct{}, p)
-	c.timerDeadline = make([]atomic.Uint64, p)
-	for i := range c.exitCh {
-		c.exitCh[i] = make(chan struct{})
-	}
-	if cost.Runtime != RuntimeEvent {
-		// Watchdog-only state (setState, watch, armTimer): the event engine
-		// keeps its own wait records and releases blocked ranks through its
-		// resume channels, so under it these would be dead weight — at
-		// p = 10⁶, millions of allocations.
-		c.lastSegs = make([]atomic.Pointer[Segment], p)
-		c.states = make([]atomic.Uint64, p)
-		c.aborts = make([]chan struct{}, p)
-		c.timerCh = make([]chan struct{}, p)
-		for i := range c.aborts {
-			c.aborts[i] = make(chan struct{})
-			c.timerCh[i] = make(chan struct{}, 1) // one pending fire token
-		}
-	}
-	if cost.Context != nil {
-		c.cancelCh = make(chan struct{})
-	}
+	c.exited = make([]atomic.Bool, p)
 	return c, nil
 }
 
 // P returns the number of ranks.
 func (c *Cluster) P() int { return c.p }
 
-// Rank is the per-goroutine handle an SPMD function uses to communicate,
-// account compute, and track memory. A Rank must only be used from the
-// goroutine it was handed to.
+// Rank is the handle an SPMD function uses to communicate, account
+// compute, and track memory. A Rank must only be used from the goroutine
+// it was handed to.
 type Rank struct {
 	cluster *Cluster
 	id      int
@@ -343,25 +262,23 @@ type Rank struct {
 	stats   Stats
 	curMem  float64
 
-	// out and in memoize this rank's per-peer queue handles under sparse
-	// wiring, fronted by two-slot MRU caches for the alternating-peer hot
-	// loops (see mailbox.go); only this goroutine touches them.
-	out  map[int]*pairQ
-	in   map[int]*pairQ
+	// out and in memoize this rank's per-peer queue handles, fronted by
+	// two-slot MRU caches for the alternating-peer hot loops (see
+	// mailbox.go); only this goroutine touches them.
+	out  map[int]*evRing
+	in   map[int]*evRing
 	outC pairCache
 	inC  pairCache
 
-	// stateSeq shadows the watchdog state word's sequence counter (only
-	// this goroutine writes it); sendCount keys fault-plan decisions;
-	// crashDone/crashPending implement the injected-crash lifecycle.
-	stateSeq     uint32
+	// sendCount keys fault-plan decisions; crashDone/crashPending
+	// implement the injected-crash lifecycle.
 	sendCount    int
 	crashDone    bool
 	crashPending bool
 
-	// computeOps counts Compute calls under the event engine; every 256th
-	// call checks whether an earlier-clock rank is waiting for the worker
-	// slot (see eventEngine.yieldIfBehind). conducted is set while a
+	// computeOps counts Compute calls; every 256th call checks whether an
+	// earlier-clock rank is waiting for the worker slot (see
+	// eventEngine.yieldIfBehind). conducted is set while a
 	// conductor drives this rank's pricing from its own goroutine
 	// (comm_ff.go): the rank can then neither yield nor unwind — the
 	// conductor would park, or panic, on a parked member's record.
@@ -369,8 +286,8 @@ type Rank struct {
 	conducted  bool
 
 	// lastSeg is the rank's most recent timeline segment (goroutine-local;
-	// published to the cluster's lastSegs at blocking transitions so
-	// deadlock snapshots can report what each rank last did).
+	// a deadlock snapshot, taken while the rank is parked, reports it as
+	// the last thing the rank did).
 	lastSeg Segment
 	hasSeg  bool
 
@@ -418,9 +335,9 @@ func (r *Rank) Compute(flops float64) {
 	r.stats.ComputeTime += dt
 	r.emit(Segment{Kind: SegCompute, Start: r.clock, End: r.clock + dt, Peer: -1, Flops: flops})
 	r.clock += dt
-	if e := r.cluster.eng; e != nil && !r.conducted {
+	if !r.conducted {
 		if r.computeOps++; r.computeOps&255 == 0 {
-			e.yieldIfBehind(r)
+			r.cluster.eng.yieldIfBehind(r)
 		}
 	}
 }
@@ -438,8 +355,7 @@ func (c *Cluster) messagesFor(k int) float64 {
 
 // Send transmits a copy of data to rank dst. The sender's clock advances by
 // one latency per maximal message plus βt per word. Send never blocks in
-// virtual time; it may block in real time if the pair's channel buffer is
-// full. Sending to oneself is allowed and costs the same as any other send.
+// virtual time; it may park in real time if the pair's buffer is full. Sending to oneself is allowed and costs the same as any other send.
 func (r *Rank) Send(dst int, data []float64) {
 	if dst < 0 || dst >= r.cluster.p {
 		panic(fmt.Sprintf("sim: rank %d sending to invalid rank %d", r.id, dst))
@@ -520,8 +436,7 @@ func (r *Rank) Send(dst int, data []float64) {
 // sendPriced prices a fault-free send exactly like Send's body — counters,
 // link parameters, SegSend emission, clock advance, payload copy, send
 // sequence — and returns the message ready to enqueue. It is Send's
-// fault-free core, shared with the event engine's conducted collectives
-// (comm_ff.go) so fast-forwarded sends are priced by the very same code.
+// fault-free core, shared with the conducted collectives (comm_ff.go) so fast-forwarded sends are priced by the very same code.
 func (r *Rank) sendPriced(dst int, data []float64) message {
 	m := r.sendPricedShared(dst, data)
 	cp := make([]float64, len(data))
@@ -565,33 +480,22 @@ func (r *Rank) sendOwned(dst int, data []float64) {
 	r.deliver(dst, r.sendPricedShared(dst, data))
 }
 
-// deliver enqueues a message on the pair's queue. The fast path never
-// blocks; when the buffer is full the wait is published to the watchdog,
-// which aborts the send if it can never complete (deadlock or exited peer).
-// Under the event engine the rank parks instead of blocking its goroutine.
+// deliver enqueues a message on the pair's queue without blocking the
+// thread. When the buffer is full the rank parks until space opens; a send
+// that can never complete (deadlock or exited peer) is aborted at quiescence.
 func (r *Rank) deliver(dst int, m message) {
-	if e := r.cluster.eng; e != nil {
-		e.deliverEvent(r, dst, m)
-		return
-	}
-	ch := r.queueTo(dst).ch
-	select {
-	case ch <- m:
-		return
-	default:
-	}
-	r.setState(opBlockedSend, dst)
-	select {
-	case ch <- m:
-		r.setState(opRunning, 0)
-	case <-r.cluster.cancelCh:
-		panic(cancelPanic{})
-	case <-r.cluster.aborts[r.id]:
-		r.abort()
+	e := r.cluster.eng
+	q := r.queueTo(dst)
+	for {
+		if q.push(m) {
+			e.notifyEnqueue(r.id, dst)
+			return
+		}
+		e.park(r, opBlockedSend, dst, 0, func() bool { return q.length() < int(q.sem) })
 	}
 }
 
-// Recv receives the next message from rank src, blocking until it arrives.
+// Recv receives the next message from rank src, parking until it arrives.
 // The receiver's clock becomes max(own clock, sender's post-send clock).
 func (r *Rank) Recv(src int) []float64 {
 	if src < 0 || src >= r.cluster.p {
@@ -602,45 +506,15 @@ func (r *Rank) Recv(src int) []float64 {
 	if msg, ok := r.takePushback(src); ok {
 		return r.finishRecv(src, msg)
 	}
-	var msg message
-	ok := true
-	if e := r.cluster.eng; e != nil {
-		msg, ok = e.recvEvent(r, src)
-		return r.finishRecvOrFail(src, msg, ok)
-	}
-	ch := r.queueFrom(src).ch
-	select {
-	case msg = <-ch:
-	default:
-		// Nothing buffered: publish the wait so the watchdog can see it.
-		r.setState(opBlockedRecv, src)
-		select {
-		case msg = <-ch:
-			r.setState(opRunning, 0)
-		case <-r.cluster.exitCh[src]:
-			// The peer exited. Everything it ever sent was enqueued
-			// before its exit notification, so drain the queue once
-			// more before declaring the receive failed.
-			select {
-			case msg = <-ch:
-				r.setState(opRunning, 0)
-			default:
-				ok = false
-			}
-		case <-r.cluster.cancelCh:
-			panic(cancelPanic{})
-		case <-r.cluster.aborts[r.id]:
-			r.abort()
-		}
-	}
+	msg, ok := r.cluster.eng.recvEvent(r, src)
 	return r.finishRecvOrFail(src, msg, ok)
 }
 
 // finishRecvOrFail completes a receive: prices the message in hand, or —
 // when the peer exited with nothing further queued (ok false) — panics
 // naming the root cause. The exit notification happens-before the failed
-// receive observing it, so the peer's exit record is safe to read. Shared
-// by both backends' Recv paths. On a cancelled run the peer's exit is the
+// receive observing it, so the peer's exit record is safe to read. On a
+// cancelled run the peer's exit is the
 // cancellation seen second-hand, so the rank unwinds as cancelled.
 func (r *Rank) finishRecvOrFail(src int, msg message, ok bool) []float64 {
 	if !ok {
@@ -732,9 +606,8 @@ type Result struct {
 	// PerRank has one Stats per rank, indexed by rank id.
 	PerRank []Stats
 	// ActivePairs is the number of directed rank pairs that were wired:
-	// the pairs actually communicated over under sparse wiring, p² under
-	// dense. It is a runtime-footprint metric, not part of the simulated
-	// machine model.
+	// the pairs actually communicated over. It is a runtime-footprint
+	// metric, not part of the simulated machine model.
 	ActivePairs int
 	// Trace carries the per-rank timelines when Cost.Trace was set.
 	Trace *Trace
@@ -803,57 +676,8 @@ func Run(p int, cost Cost, fn func(r *Rank) error) (*Result, error) {
 	return c.Run(fn)
 }
 
-// Run executes fn on every rank. A Cluster must not be reused after Run:
-// leftover messages from a failed run would corrupt a second one.
-func (c *Cluster) Run(fn func(r *Rank) error) (*Result, error) {
-	if c.cost.Runtime == RuntimeEvent {
-		return c.runEvent(fn)
-	}
-	res := &Result{PerRank: make([]Stats, c.p)}
-	if c.tracer != nil {
-		res.Trace = &Trace{Segments: c.tracer.segments, Phases: c.tracer.phases}
-	}
-	errs := make([]error, c.p)
-	stop := make(chan struct{})
-	if c.cost.WatchdogTimeout >= 0 {
-		timeout := c.cost.WatchdogTimeout
-		if timeout == 0 {
-			timeout = DefaultWatchdogTimeout
-		}
-		go c.watch(stop, timeout)
-	}
-	defer c.watchContext()()
-	var wg sync.WaitGroup
-	for id := 0; id < c.p; id++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			r := &Rank{cluster: c, id: id}
-			defer func() {
-				status, err := c.classifyRankExit(recover(), id, errs[id])
-				errs[id] = err
-				res.PerRank[id] = r.Stats()
-				// Record how this rank left (read by peers after they
-				// observe the exit notification) and tell the watchdog
-				// it is gone, then close the exit channel: a peer's
-				// unmatched Recv becomes a clean error instead of a
-				// deadlock; already-queued messages are delivered first.
-				c.exits[id] = exitInfo{status: status, err: errs[id]}
-				r.setState(opExited, 0)
-				close(c.exitCh[id])
-			}()
-			errs[id] = fn(r)
-		}(id)
-	}
-	wg.Wait()
-	close(stop)
-	res.ActivePairs = c.ActivePairs()
-	return res, joinRunErrors(c, errs)
-}
-
 // classifyRankExit maps a recovered panic (or fn's returned error) to the
-// rank's exit status and error, shared by both backends' per-rank
-// wrappers.
+// rank's exit status and error.
 func (c *Cluster) classifyRankExit(rec any, id int, fnErr error) (exitStatus, error) {
 	if rec == nil {
 		if fnErr != nil {
@@ -878,10 +702,9 @@ func (c *Cluster) classifyRankExit(rec any, id int, fnErr error) (exitStatus, er
 	}
 }
 
-// joinRunErrors joins every rank's error into the run-level error, shared
-// by both backends. A single failure usually cascades into "peer exited"
-// panics on other ranks, and the root cause must not be masked by
-// whichever rank id happens to come first. Cancellation aborts EVERY rank
+// joinRunErrors joins every rank's error into the run-level error. A single
+// failure usually cascades into "peer exited" panics on other ranks, and the
+// root cause must not be masked by whichever rank id happens to come first. Cancellation aborts EVERY rank
 // with the same cause, so those are collapsed into one run-level error
 // instead of p copies — unless some rank failed for a real reason first,
 // which then takes precedence.

@@ -5,14 +5,6 @@ import (
 	"time"
 )
 
-// timerDog gives quiescence-driven tests a fast watchdog: every expiry of
-// a blocked virtual timer costs one full real-time window of cluster-wide
-// inactivity, so the window must be short for tests that expire several.
-func timerDog(c Cost) Cost {
-	c.WatchdogTimeout = 40 * time.Millisecond
-	return c
-}
-
 func TestRecvTimeoutDeliversEarlyMessage(t *testing.T) {
 	// A message stamped below the deadline must be delivered with
 	// accounting identical to a plain Recv.
@@ -55,10 +47,10 @@ func TestRecvTimeoutDeliversEarlyMessage(t *testing.T) {
 func TestRecvTimeoutExpiresAtQuiescence(t *testing.T) {
 	// Rank 1's timed receive has no message coming until it times out:
 	// rank 0 is itself blocked receiving, so the cluster goes quiescent
-	// and the watchdog must fire the timer instead of declaring deadlock.
+	// and quiescence must fire the timer instead of declaring deadlock.
 	const rto = 3.5
 	obs := newRecObs()
-	cost := timerDog(zeroCost)
+	cost := zeroCost
 	cost.Observers = []Observer{obs}
 	res, err := Run(2, cost, func(r *Rank) error {
 		if r.ID() == 0 {
@@ -73,7 +65,7 @@ func TestRecvTimeoutExpiresAtQuiescence(t *testing.T) {
 		return nil
 	})
 	if err != nil {
-		t.Fatalf("run must complete without watchdog intervention: %v", err)
+		t.Fatalf("run must complete without a deadlock abort: %v", err)
 	}
 	if got := res.PerRank[1].WaitTime; got != rto {
 		t.Errorf("expiry must account the full timeout as WaitTime: got %g, want %g", got, rto)
@@ -112,7 +104,7 @@ func TestRecvTimeoutLateStampPushesBack(t *testing.T) {
 	// The sender's stamp is beyond the deadline, so the timed receive
 	// expires — whatever the real-time interleaving — and the message
 	// stays the FIFO head for the next plain Recv.
-	cost := timerDog(zeroCost)
+	cost := zeroCost
 	cost.GammaT = 1 // 1 s per flop: Compute(5) stamps the send at 5
 	res, err := Run(2, cost, func(r *Rank) error {
 		if r.ID() == 0 {
@@ -148,7 +140,7 @@ func TestRecvTimeoutLateStampPushesBack(t *testing.T) {
 }
 
 func TestRecvTimeoutPeerExited(t *testing.T) {
-	_, err := Run(2, timerDog(zeroCost), func(r *Rank) error {
+	_, err := Run(2, zeroCost, func(r *Rank) error {
 		if r.ID() == 0 {
 			return nil // exits cleanly without sending
 		}
@@ -171,7 +163,7 @@ func TestSendTimeoutExpiresOnFullBuffer(t *testing.T) {
 	// Rank 0's second timed send can't enqueue (1-slot buffer, receiver
 	// busy elsewhere); the cluster quiesces and the timer must expire the
 	// send rather than deadlock the run.
-	cost := timerDog(zeroCost)
+	cost := zeroCost
 	cost.ChanCap = 1
 	res, err := Run(3, cost, func(r *Rank) error {
 		switch r.ID() {
@@ -215,9 +207,9 @@ func TestSendTimeoutExpiresOnFullBuffer(t *testing.T) {
 
 func TestSendTimeoutPeerExited(t *testing.T) {
 	// Buffer full and the receiver already gone: the timed send resolves
-	// itself with SendPeerExited instead of waiting for the watchdog's
+	// itself with SendPeerExited instead of waiting for the
 	// send-to-exited abort.
-	cost := timerDog(zeroCost)
+	cost := zeroCost
 	cost.ChanCap = 1
 	_, err := Run(2, cost, func(r *Rank) error {
 		if r.ID() == 1 {
@@ -245,12 +237,12 @@ func TestSendTimeoutPeerExited(t *testing.T) {
 func TestWatchdogQuietDuringRetransmitBackoff(t *testing.T) {
 	// Regression pin: a retransmit/backoff cycle — repeated timed
 	// receives, each expiring at quiescence with a growing timeout — is
-	// activity, and the watchdog must keep firing timers instead of ever
+	// activity, and the engine must keep firing timers instead of ever
 	// declaring the cluster deadlocked. Before timers, this program was
-	// exactly the shape the watchdog killed: every rank blocked, nothing
+	// exactly the shape a deadlock verdict kills: every rank blocked, nothing
 	// moving, for many windows in a row.
 	obs := newRecObs()
-	cost := timerDog(zeroCost)
+	cost := zeroCost
 	cost.Observers = []Observer{obs}
 	const attempts = 5
 	res, err := Run(2, cost, func(r *Rank) error {
@@ -269,10 +261,10 @@ func TestWatchdogQuietDuringRetransmitBackoff(t *testing.T) {
 		return nil
 	})
 	if err != nil {
-		t.Fatalf("backoff cycle must complete without watchdog intervention: %v", err)
+		t.Fatalf("backoff cycle must complete without a deadlock abort: %v", err)
 	}
 	if len(obs.deadlocks) != 0 {
-		t.Fatalf("watchdog fired during a live backoff cycle: %d deadlock events", len(obs.deadlocks))
+		t.Fatalf("deadlock declared during a live backoff cycle: %d deadlock events", len(obs.deadlocks))
 	}
 	fired := 0
 	for _, ev := range obs.timers {
@@ -296,7 +288,7 @@ func TestTimedRunsAreDeterministic(t *testing.T) {
 	// the property the single-fire-at-quiescence rule exists for.
 	run := func() (*Result, []TimerEvent, error) {
 		obs := newRecObs()
-		cost := timerDog(zeroCost)
+		cost := zeroCost
 		cost.BetaT = 1e-3
 		cost.AlphaT = 1e-2
 		cost.Observers = []Observer{obs}
