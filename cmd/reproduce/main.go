@@ -1,19 +1,26 @@
 // Command reproduce runs every experiment of DESIGN.md (E1–E21) in one
 // pass and writes a Markdown report with the measured values: the
-// single-command reproduction of the paper's evaluation.
+// single-command reproduction of the paper's evaluation. Besides the
+// simulator and model tables, the report carries the ASCII renderings of
+// Figure 4(a)–(c) with the E(M) profile and the matmul companion region
+// (E7–E9), the Section V question answers (E10), Tables I–II with their
+// error columns (E11, E14) and the Figure 6/7 charts (E12, E13). The GEMV
+// and Cholesky sections check their numerics against the serial reference.
 //
 // Usage:
 //
 //	reproduce              # report to stdout
 //	reproduce -o report.md # report to a file
+//
+// Write failures and failed experiments exit 1.
 package main
 
 import (
 	"flag"
 	"fmt"
-	"io"
 	"math"
 	"os"
+	"strings"
 	"time"
 
 	"perfscale/internal/bounds"
@@ -34,21 +41,17 @@ import (
 )
 
 func main() {
+	os.Exit(run())
+}
+
+func run() int {
 	out := flag.String("o", "", "output file (default stdout)")
 	flag.Parse()
 
-	w := io.Writer(os.Stdout)
-	closeOut := func() error { return nil }
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		// Closed explicitly below: a deferred Close would be skipped by the
-		// os.Exit(1) on experiment failure and its error lost on success.
-		closeOut = f.Close
-		w = f
+	w, closeOut, err := report.OpenOutput(*out)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "reproduce:", err)
+		return 1
 	}
 	start := time.Now()
 	r := &reporter{w: w}
@@ -74,42 +77,40 @@ func main() {
 	r.e21()
 	r.p("\n---\nGenerated in %.1fs. All values deterministic (virtual time, seeded data).",
 		time.Since(start).Seconds())
-	if err := closeOut(); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	if r.werr != nil {
-		fmt.Fprintln(os.Stderr, "reproduce: writing report:", r.werr)
-		os.Exit(1)
-	}
+
+	code := 0
 	if r.failed {
-		os.Exit(1)
+		code = 1
 	}
+	if err := w.Err(); err != nil {
+		fmt.Fprintln(os.Stderr, "reproduce: writing report:", err)
+		code = 1
+	}
+	if err := closeOut(); err != nil {
+		fmt.Fprintln(os.Stderr, "reproduce: closing output:", err)
+		code = 1
+	}
+	return code
 }
 
 type reporter struct {
-	w      io.Writer
+	w      *report.ErrWriter
 	failed bool
-	// werr is the first report-write failure (ENOSPC, closed pipe, ...);
-	// later writes are best-effort, and main turns it into exit 1 so a
-	// truncated report can never pass for a clean run.
-	werr error
 }
 
-func (r *reporter) write(format string, args ...any) {
-	if _, err := fmt.Fprintf(r.w, format, args...); err != nil && r.werr == nil {
-		r.werr = err
-	}
-}
-
-func (r *reporter) section(title string) { r.write("\n## %s\n\n", title) }
+func (r *reporter) section(title string) { r.w.Printf("\n## %s\n\n", title) }
 func (r *reporter) p(format string, args ...any) {
-	r.write(format+"\n", args...)
+	r.w.Printf(format+"\n", args...)
 }
-func (r *reporter) table(t *report.Table) { r.write("%s\n", t.Markdown()) }
+func (r *reporter) table(t *report.Table) { r.w.Printf("%s\n", t.Markdown()) }
+
+// pre writes preformatted text (ASCII regions, charts) as a fenced block.
+func (r *reporter) pre(text string) {
+	r.w.Printf("```text\n%s\n```\n\n", strings.TrimRight(text, "\n"))
+}
 func (r *reporter) fail(err error) {
 	r.failed = true
-	r.write("**FAILED:** %v\n", err)
+	r.w.Printf("**FAILED:** %v\n", err)
 }
 
 func (r *reporter) hdr() {
@@ -283,7 +284,108 @@ func (r *reporter) e789() {
 	t.AddRow("within 3x min time", inT)
 	t.AddRow("within 60x total power", inTP)
 	r.table(t)
-	r.p("Run `go run ./cmd/nbodyregion` for the ASCII renderings of the three sub-figures.")
+
+	r.pre(region("Figure 4(a): G = min-energy line (M0); 1-9 = time decile (1 fastest); '.' = infeasible",
+		g.Cells, g.PValues, g.MemValues, timeDecile(g.Cells)))
+	r.p("Figure 4(b) budgets: Emax = %s J, per-proc Pmax = %s W.",
+		report.FormatFloat(budgets.EnergyMax), report.FormatFloat(budgets.ProcPowerMax))
+	r.p("")
+	r.pre(region("Figure 4(b): E = within energy budget, P = within per-proc power, B = both, '-' = neither; '.' = infeasible",
+		g.Cells, g.PValues, g.MemValues, func(c opt.Fig4Cell) byte {
+			f := budgets.Classify(c)
+			return regionMark(f.WithinEnergy, f.WithinProcPower, 'E', 'P')
+		}))
+	r.p("Figure 4(c) budgets: Tmax = %s s, total Pmax = %s W.",
+		report.FormatFloat(budgets.TimeMax), report.FormatFloat(budgets.TotalPowMax))
+	r.p("")
+	r.pre(region("Figure 4(c): T = within time budget, W = within total power, B = both, '-' = neither; '.' = infeasible",
+		g.Cells, g.PValues, g.MemValues, func(c opt.Fig4Cell) byte {
+			f := budgets.Classify(c)
+			return regionMark(f.WithinTime, f.WithinTotalPow, 'T', 'W')
+		}))
+
+	prof := report.NewTable("Energy vs memory (independent of p inside the region)", "M (words)", "E (J)", "E/E*")
+	var s report.Series
+	s.Name = "E(M)"
+	for _, mem := range g.MemValues {
+		e := pb.Energy(mem)
+		prof.AddRow(mem, e, e/g.EStar)
+		s.Add(mem, e)
+	}
+	r.table(prof)
+	r.pre(report.Chart("E(M): communication-dominated left of M0, memory-dominated right", 60, 12, true, true, s))
+
+	// The technical report's matmul companion: the wedge between the 2D
+	// limit M = n²/p and the 3D limit M = n²/p^(2/3).
+	mm := opt.MatMul{M: machine.Illustrative(), N: 1 << 14}
+	mg := opt.MatMulRegionGrid(mm, 64, 1<<16, 48, 24)
+	r.p("Matmul companion region (n=%s): M* = %s words, E(M*) = %s J.",
+		report.FormatFloat(mm.N), report.FormatFloat(mg.MStar), report.FormatFloat(mg.EStar))
+	r.p("")
+	r.pre(region("G = min-energy memory row; 1-9 = time decile (1 fastest); '.' = infeasible; p log-spaced",
+		mg.Cells, mg.PValues, mg.MemValues, timeDecile(mg.Cells)))
+}
+
+// region draws a sampled (p, M) execution region, largest memory on top:
+// '.' for infeasible cells, mark's byte for the rest.
+func region(legend string, cells []opt.Fig4Cell, ps, mems []float64, mark func(opt.Fig4Cell) byte) string {
+	var b strings.Builder
+	b.WriteString(legend + "\n")
+	nP := len(ps)
+	width := 0
+	for _, m := range mems {
+		width = max(width, len(report.FormatFloat(m)))
+	}
+	for mi := len(mems) - 1; mi >= 0; mi-- {
+		fmt.Fprintf(&b, "M=%*s | ", width, report.FormatFloat(mems[mi]))
+		for pi := 0; pi < nP; pi++ {
+			c := cells[mi*nP+pi]
+			if c.Feasible {
+				b.WriteByte(mark(c))
+			} else {
+				b.WriteByte('.')
+			}
+		}
+		b.WriteByte('\n')
+	}
+	pad := strings.Repeat(" ", width+3)
+	fmt.Fprintf(&b, "%s+-%s\n", pad, strings.Repeat("-", nP))
+	fmt.Fprintf(&b, "%s  p from %s to %s\n", pad, report.FormatFloat(ps[0]), report.FormatFloat(ps[nP-1]))
+	return b.String()
+}
+
+// timeDecile marks min-energy-line cells 'G' and every other feasible cell
+// with its log-time decile among the feasible cells, '1' fastest.
+func timeDecile(cells []opt.Fig4Cell) func(opt.Fig4Cell) byte {
+	tMin, tMax := math.Inf(1), math.Inf(-1)
+	for _, c := range cells {
+		if c.Feasible {
+			tMin = math.Min(tMin, c.Time)
+			tMax = math.Max(tMax, c.Time)
+		}
+	}
+	return func(c opt.Fig4Cell) byte {
+		if c.OnMinEnergyLine {
+			return 'G'
+		}
+		frac := (math.Log(c.Time) - math.Log(tMin)) / (math.Log(tMax) - math.Log(tMin))
+		return byte('1' + int(frac*8.999))
+	}
+}
+
+// regionMark names a cell by the budgets it meets: B for both, the
+// budget's own letter for one, '-' for neither.
+func regionMark(first, second bool, firstMark, secondMark byte) byte {
+	switch {
+	case first && second:
+		return 'B'
+	case first:
+		return firstMark
+	case second:
+		return secondMark
+	default:
+		return '-'
+	}
 }
 
 func (r *reporter) e10() {
@@ -298,55 +400,112 @@ func (r *reporter) e10() {
 		report.FormatFloat(cfg.P), report.FormatFloat(cfg.Mem)))
 	t.AddRow("min avg power (W)", pw)
 	r.table(t)
+
+	// The introduction's five questions on the same machine, with the
+	// E7–E9 budgets: 3x the fastest run on the M0 line, 1.5·E*.
+	const target = 75
+	m0, eStar := pb.OptimalMemory(), pb.MinEnergy()
+	tmax, emax := 3*pb.Time(pb.N*pb.N/(m0*m0), m0), 1.5*eStar
+	q := report.NewTable("Section V answers (n-body, illustrative machine, n=1e4, f=10)", "question", "answer")
+	lo, hi := pb.MinEnergyProcRange()
+	q.AddRow("Q1 optimal memory M0 (words)", m0)
+	q.AddRow("Q1 minimum energy E* (J)", eStar)
+	q.AddRow("Q1 E* attainable for p in", fmt.Sprintf("[%s, %s]", report.FormatFloat(lo), report.FormatFloat(hi)))
+	if cfg, e, err := pb.MinEnergyGivenTime(tmax); err == nil {
+		q.AddRow(fmt.Sprintf("Q2 min E s.t. T<=%s", report.FormatFloat(tmax)),
+			fmt.Sprintf("E=%s at p=%s M=%s", report.FormatFloat(e), report.FormatFloat(cfg.P), report.FormatFloat(cfg.Mem)))
+	} else {
+		q.AddRow("Q2", fmt.Sprintf("infeasible: %v", err))
+	}
+	if cfg, tt, err := pb.MinTimeGivenEnergy(emax); err == nil {
+		q.AddRow(fmt.Sprintf("Q3 min T s.t. E<=%s", report.FormatFloat(emax)),
+			fmt.Sprintf("T=%s at p=%s M=%s", report.FormatFloat(tt), report.FormatFloat(cfg.P), report.FormatFloat(cfg.Mem)))
+	} else {
+		q.AddRow("Q3", fmt.Sprintf("infeasible: %v", err))
+	}
+	pp := pb.ProcPower(m0)
+	q.AddRow("Q4 power/proc at M0 (W)", pp)
+	q.AddRow("Q4 procs within 100x that total power", pb.MaxProcsGivenTotalPower(100*pp, m0))
+	q.AddRow("Q5 best-case efficiency (GFLOPS/W)", pb.Efficiency())
+	scale := pb.EnergyScaleForTarget(target)
+	q.AddRow(fmt.Sprintf("Q5 energy-param scale for %d GFLOPS/W", target), scale)
+	q.AddRow("Q5 generations of halving needed", math.Max(0, math.Ceil(math.Log2(1/scale))))
+	r.table(q)
 }
 
 func (r *reporter) e11() {
 	r.section("E11 — Table I: case-study parameters")
 	t := report.NewTable("", "parameter", "derived", "printed")
+	rel := report.NewTable("", "parameter", "rel err")
 	for _, row := range casestudy.Table1() {
 		t.AddRow(row.Name, row.Derived, row.Printed)
+		e := 0.0
+		if row.Printed != 0 {
+			e = (row.Derived - row.Printed) / row.Printed
+		}
+		rel.AddRow(row.Name, e)
 	}
 	r.table(t)
+	r.table(rel)
 }
 
 func (r *reporter) e12() {
 	r.section("E12 — Figure 6: scaling γe, βe, δe independently")
-	t := report.NewTable("GFLOPS/W of 2.5D matmul (n=35000, p=2)",
+	const gens = 8
+	t := report.NewTable(fmt.Sprintf("GFLOPS/W of 2.5D matmul (n=%d, p=%d)", casestudy.CaseN, casestudy.CaseP),
 		"generation", "scale gamma_e", "scale beta_e", "scale delta_e")
-	pts := casestudy.Fig6(8)
 	byGen := map[int]map[machine.EnergyField]float64{}
-	for _, p := range pts {
+	for _, p := range casestudy.Fig6(gens) {
 		if byGen[p.Generation] == nil {
 			byGen[p.Generation] = map[machine.EnergyField]float64{}
 		}
 		byGen[p.Generation][p.Field] = p.Efficiency
 	}
-	for g := 0; g <= 8; g += 2 {
+	series := make([]report.Series, len(casestudy.Fig6Fields))
+	for i, f := range casestudy.Fig6Fields {
+		series[i].Name = f.String()
+	}
+	for g := 0; g <= gens; g++ {
 		row := byGen[g]
 		t.AddRow(g, row[machine.FieldGammaE], row[machine.FieldBetaE], row[machine.FieldDeltaE])
+		for i, f := range casestudy.Fig6Fields {
+			series[i].Add(float64(g), row[f])
+		}
 	}
 	r.table(t)
+	r.pre(report.Chart("Figure 6 (y = GFLOPS/W)", 50, 12, false, false, series...))
 	r.p("βe scaling is negligible; γe-only scaling is capped at %s GFLOPS/W — the paper's two observations.",
 		report.FormatFloat(casestudy.SaturationEfficiency(machine.FieldGammaE)))
+	for _, f := range casestudy.Fig6Fields {
+		r.p("")
+		r.p("Saturation limit scaling only %s: %s GFLOPS/W.", f, report.FormatFloat(casestudy.SaturationEfficiency(f)))
+	}
 }
 
 func (r *reporter) e13() {
 	r.section("E13 — Figure 7: scaling the three parameters together")
 	t := report.NewTable("", "generation", "multiplier", "GFLOPS/W")
+	var s report.Series
+	s.Name = "joint scaling"
 	for _, p := range casestudy.Fig7(6) {
 		t.AddRow(p.Generation, p.Multiplier, p.Efficiency)
+		s.Add(float64(p.Generation), p.Efficiency)
 	}
 	r.table(t)
+	r.pre(report.Chart("Figure 7 (y = GFLOPS/W)", 50, 12, false, false, s))
 	r.p("75 GFLOPS/W reached at generation %d (paper: ~5).", casestudy.GenerationsToTarget(75, 10))
 }
 
 func (r *reporter) e14() {
 	r.section("E14 — Table II: device survey")
 	t := report.NewTable("", "device", "peak GFLOP/s", "gamma_e (J/flop)", "GFLOPS/W")
+	errs := report.NewTable("", "device", "gamma_t (s/flop)", "eff err")
 	for _, row := range casestudy.Table2() {
 		t.AddRow(row.Device.Name, row.PeakGFLOPS, row.GammaE, row.GFLOPSPerW)
+		errs.AddRow(row.Device.Name, row.GammaT, row.EffErr)
 	}
 	r.table(t)
+	r.table(errs)
 	r.p("All derived columns within 1%% of the printed table; no device reaches 10 GFLOPS/W.")
 }
 
@@ -421,6 +580,12 @@ func (r *reporter) e18() {
 		r.fail(err)
 		return
 	}
+	for i, want := range matmul.SerialGemv(a, x) {
+		if d := res.Y[i] - want; math.Abs(d) > 1e-10*n {
+			r.fail(fmt.Errorf("gemv: y[%d] off the serial reference by %g", i, d))
+			return
+		}
+	}
 	m := machine.SimDefault()
 	t := report.NewTable("", "quantity", "value")
 	t.AddRow("per-rank words / vector slice", res.Sim.MaxStats().WordsSent/float64(n/q))
@@ -448,6 +613,10 @@ func (r *reporter) e19() {
 		return
 	}
 	resid := matrix.Mul(chol.L, chol.U).MaxAbsDiff(spd)
+	if resid > 1e-8*n*n {
+		r.fail(fmt.Errorf("cholesky: ‖L·Lᵀ − A‖max = %g", resid))
+		return
+	}
 	t := report.NewTable("", "quantity", "value")
 	t.AddRow("‖L·Lᵀ − A‖max", resid)
 	t.AddRow("Cholesky/LU total flops", chol.Sim.TotalStats().Flops/lures.Sim.TotalStats().Flops)

@@ -9,8 +9,8 @@ import (
 )
 
 // The test binary re-executes itself with REPRODUCE_RUN_MAIN=1 so main()
-// runs exactly as shipped (flag parsing included) without a go toolchain
-// at test time.
+// runs exactly as shipped (flag parsing and exit codes included) without a
+// go toolchain at test time.
 func TestMain(m *testing.M) {
 	if os.Getenv("REPRODUCE_RUN_MAIN") == "1" {
 		main()
@@ -25,13 +25,27 @@ var elapsedLine = regexp.MustCompile(`Generated in \d+\.\d+s`)
 
 func runReproduce(t *testing.T, args ...string) string {
 	t.Helper()
+	out, code := runReproduceCode(t, args...)
+	if code != 0 {
+		t.Fatalf("reproduce %v exited %d:\n%s", args, code, out)
+	}
+	return out
+}
+
+func runReproduceCode(t *testing.T, args ...string) (string, int) {
+	t.Helper()
 	cmd := exec.Command(os.Args[0], args...)
 	cmd.Env = append(os.Environ(), "REPRODUCE_RUN_MAIN=1")
 	out, err := cmd.CombinedOutput()
+	code := 0
 	if err != nil {
-		t.Fatalf("reproduce %v failed: %v\n%s", args, err, out)
+		ee, ok := err.(*exec.ExitError)
+		if !ok {
+			t.Fatalf("reproduce %v did not run: %v\n%s", args, err, out)
+		}
+		code = ee.ExitCode()
 	}
-	return string(out)
+	return string(out), code
 }
 
 func TestReportCompleteAndClean(t *testing.T) {
@@ -73,5 +87,31 @@ func TestReportToFile(t *testing.T) {
 	}
 	if !strings.HasPrefix(string(data), "# Reproduction report") {
 		t.Errorf("file output missing the report header: %.80s", data)
+	}
+}
+
+func TestReportMatchesCommitted(t *testing.T) {
+	// REPORT.md is the committed output of this command; it may differ
+	// from a fresh run only in the wall-clock footer.
+	want, err := os.ReadFile("../../REPORT.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := elapsedLine.ReplaceAllString(runReproduce(t), "Generated in X")
+	if norm := elapsedLine.ReplaceAllString(string(want), "Generated in X"); got != norm {
+		t.Error("REPORT.md is stale; regenerate it with `go run ./cmd/reproduce -o REPORT.md`")
+	}
+}
+
+func TestWriteFailureExitsOne(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("/dev/full not available")
+	}
+	out, code := runReproduceCode(t, "-o", "/dev/full")
+	if code != 1 {
+		t.Fatalf("write to /dev/full: exit %d, want 1:\n%s", code, out)
+	}
+	if !strings.Contains(out, "reproduce:") {
+		t.Fatalf("no write-failure diagnostic:\n%s", out)
 	}
 }

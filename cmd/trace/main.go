@@ -20,12 +20,17 @@
 // reruns the same point untraced and verifies the traced run's energy
 // attribution is bit-identical, and the emitted JSON parses with monotone
 // counters.
+//
+// The text summary ends with per-rank utilization (min/avg/max) and the
+// time-resolved machine power, peak against the paper's average E/T.
+// Unknown -alg or -machine values exit 2; run and write failures exit 1.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"runtime/metrics"
 	"runtime/pprof"
@@ -67,7 +72,7 @@ func main() {
 
 	m, err := machine.Resolve(*mach)
 	if err != nil {
-		fatal(err)
+		usage(err)
 	}
 	cost := sim.Cost{
 		GammaT: m.GammaT, BetaT: m.BetaT, AlphaT: m.AlphaT,
@@ -76,7 +81,7 @@ func main() {
 
 	run, ranks, err := buildRun(*alg, *n, *q, *c, *p, *k)
 	if err != nil {
-		fatal(err)
+		usage(err)
 	}
 
 	if *faults {
@@ -166,6 +171,7 @@ func main() {
 	if err := s.WriteText(os.Stdout); err != nil {
 		fatal(err)
 	}
+	printUtilizationAndPower(m, res)
 	fmt.Printf("host wall time %.3fs; %d events observed; wrote %s (open at ui.perfetto.dev)\n",
 		wall.Seconds(), ring.Total(), *out)
 
@@ -340,7 +346,34 @@ func reportHostMetrics() {
 	}
 }
 
+// printUtilizationAndPower prints what the average-power model cannot see:
+// how evenly the ranks were busy, and how far the machine's power peaks
+// above E/T.
+func printUtilizationAndPower(m machine.Params, res *sim.Result) {
+	u := res.Trace.Utilization(res.Time())
+	lo, hi, avg := 1.0, 0.0, 0.0
+	for _, v := range u {
+		lo, hi = math.Min(lo, v), math.Max(hi, v)
+		avg += v
+	}
+	avg /= float64(len(u))
+	fmt.Printf("utilization: min %.0f%%  avg %.0f%%  max %.0f%% across %d ranks\n",
+		100*lo, 100*avg, 100*hi, len(u))
+	prof, err := core.Profile(m, res, 48)
+	if err != nil {
+		fmt.Printf("power profile unavailable: %v\n", err)
+		return
+	}
+	fmt.Printf("power: peak %.6g W, average %.6g W (E/T), peak/average %.2f\n",
+		prof.Peak, prof.Avg, prof.Peak/prof.Avg)
+}
+
 func fatal(err error) {
-	fmt.Fprintln(os.Stderr, err)
+	fmt.Fprintln(os.Stderr, "trace:", err)
 	os.Exit(1)
+}
+
+func usage(err error) {
+	fmt.Fprintln(os.Stderr, "trace:", err)
+	os.Exit(2)
 }
