@@ -31,7 +31,7 @@ func main() {
 	cheapWorkers := flag.Int("cheap-workers", 0, "cheap-lane worker pool size (0 = default)")
 	cheapQueue := flag.Int("cheap-queue", 0, "cheap-lane queue bound (0 = default, negative = no queue)")
 	maxSimRanks := flag.Int("max-sim-ranks", 0, "largest p = q²·c admitted to /simulate (0 = default)")
-	maxSimN := flag.Int("max-sim-n", 0, "largest n admitted to /simulate (0 = default)")
+	maxSimN := flag.Int("max-sim-n", 0, "largest n admitted to /simulate (0 = default 4096, also the ceiling)")
 	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "grace period for in-flight requests on shutdown before their contexts are cancelled")
 	flag.Parse()
 

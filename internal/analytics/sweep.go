@@ -9,7 +9,6 @@ import (
 	"perfscale/internal/fft"
 	"perfscale/internal/machine"
 	"perfscale/internal/matmul"
-	"perfscale/internal/matrix"
 	"perfscale/internal/nbody"
 	"perfscale/internal/obs"
 	"perfscale/internal/sim"
@@ -153,10 +152,11 @@ func finishCurve(rows []CurvePoint, profs []*PhaseProfile) {
 // construction on the live simulator: 2.5D matmul at fixed n and grid q,
 // replication c ∈ cs (p = q²·c, per-rank memory fixed at 3·(n/q)² plus
 // replicas). The closed-form prediction evaluates Eqs. 8+1 at matching
-// coordinates; inside the region it predicts T÷c at constant E.
+// coordinates; inside the region it predicts T÷c at constant E. A curve
+// reads only counters and clocks, so the matmul curves run payload-free on
+// phantom operands (matmul.Phantom).
 func StrongMatMulCurve(sc SweepConfig, n, q int, cs []int) ([]CurvePoint, error) {
-	a := matrix.Random(n, n, 31)
-	b := matrix.Random(n, n, 32)
+	a, b := matmul.Phantom(n, n), matmul.Phantom(n, n)
 	rows := make([]CurvePoint, 0, len(cs))
 	profs := make([]*PhaseProfile, 0, len(cs))
 	for _, c := range cs {
@@ -261,8 +261,7 @@ func StrongNBodyCurve(sc SweepConfig, n, k int, cs []int) ([]CurvePoint, error) 
 // the memory-independent wall. Predicted is the α-β-γ model's
 // T(p0)·p0/(T(p)·p) with W = mk/pr + kn/pc and S = 2k/panel.
 func RectSUMMACurve(sc SweepConfig, mDim, kDim, n, panel int, grids [][2]int) ([]CurvePoint, error) {
-	a := matrix.Random(mDim, kDim, 51)
-	b := matrix.Random(kDim, n, 52)
+	a, b := matmul.Phantom(mDim, kDim), matmul.Phantom(kDim, n)
 	rows := make([]CurvePoint, 0, len(grids))
 	profs := make([]*PhaseProfile, 0, len(grids))
 	model := func(pr, pc int) float64 {
@@ -320,8 +319,7 @@ func WeakMatMulCurve(sc SweepConfig, nb int, qs []int) ([]CurvePoint, error) {
 	for _, q := range qs {
 		n := q * nb
 		p := q * q
-		a := matrix.Random(n, n, 41)
-		b := matrix.Random(n, n, 42)
+		a, b := matmul.Phantom(n, n), matmul.Phantom(n, n)
 		or, err := runObserved(sc, p, Meta{Algorithm: "matmul-2.5d", N: n, C: 1}, func(cost sim.Cost) (*sim.Result, error) {
 			res, err := matmul.TwoPointFiveD(cost, q, 1, a, b)
 			if err != nil {

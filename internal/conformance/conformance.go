@@ -22,6 +22,9 @@
 //   - golden: per-rank counters, clocks, observer streams and a seeded
 //     chaos run reproduce the digests committed in testdata/golden.json,
 //     so determinism is pinned against history;
+//   - payload-free: runs on phantom operands (sim.Phantom) — what /simulate
+//     and the scaling curves execute — reproduce the numeric runs' per-rank
+//     counters, ActivePairs and observer streams bit for bit;
 //   - campaign: minimal reproducers discovered by the chaos-campaign
 //     engine (internal/campaign) and pinned under testdata/campaign replay
 //     their invariant violations bitwise.
@@ -340,7 +343,7 @@ func Sweep(cfg Config) (*Report, error) {
 			}
 		}
 		for _, family := range []func(*checker, Config) error{
-			checkSimMetamorphic, checkWeakScaling, checkReplay, checkRecovery, checkGolden, checkCampaign,
+			checkSimMetamorphic, checkWeakScaling, checkReplay, checkRecovery, checkGolden, checkPayloadFree, checkCampaign,
 		} {
 			if cfg.interrupted() != nil {
 				return fail(nil)

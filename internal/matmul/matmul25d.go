@@ -21,7 +21,7 @@ import (
 // c = 1 reduces to Cannon; c = q (p = q³) reduces to the 3D algorithm with
 // one multiply per layer. Requires c | q and q | n.
 func TwoPointFiveD(cost sim.Cost, q, c int, a, b *matrix.Dense) (*RunResult, error) {
-	n, err := checkSquare(a, b, q)
+	n, kern, err := checkSquare(a, b, q)
 	if err != nil {
 		return nil, err
 	}
@@ -59,8 +59,8 @@ func TwoPointFiveD(cost sim.Cost, q, c int, a, b *matrix.Dense) (*RunResult, err
 		r.Phase("replicate")
 		var aData, bData []float64
 		if layer == 0 {
-			aData = a.Block(row*nb, col*nb, nb, nb).Data
-			bData = b.Block(row*nb, col*nb, nb, nb).Data
+			aData = kern.block(a, row*nb, col*nb, nb, nb).Data
+			bData = kern.block(b, row*nb, col*nb, nb, nb).Data
 		}
 		aData = fiberComm.BcastLarge(0, aData)
 		bData = fiberComm.BcastLarge(0, bData)
@@ -79,9 +79,9 @@ func TwoPointFiveD(cost sim.Cost, q, c int, a, b *matrix.Dense) (*RunResult, err
 		bBlk := matrix.FromData(nb, nb, r.Recv(grid.RankAt(mod(row+col+off, q), col, layer)))
 
 		r.Phase("multiply-shift")
-		cBlk := matrix.New(nb, nb)
+		cBlk := kern.zeros(nb, nb)
 		for step := 0; step < stepsPerLayer; step++ {
-			matrix.MulAdd(cBlk, aBlk, bBlk)
+			kern.mulAdd(cBlk, aBlk, bBlk)
 			r.Compute(matrix.MulFlops(nb, nb, nb))
 			if step < stepsPerLayer-1 {
 				// Swap the backing buffers in place: allocating a fresh
@@ -103,7 +103,7 @@ func TwoPointFiveD(cost sim.Cost, q, c int, a, b *matrix.Dense) (*RunResult, err
 	if err != nil {
 		return nil, err
 	}
-	return &RunResult{C: assemble(cBlocks, layer0, nb), Sim: res}, nil
+	return &RunResult{C: kern.assemble(cBlocks, layer0, nb, nb), Sim: res}, nil
 }
 
 // ThreeD multiplies on a q×q×q cube of p = q³ ranks with the 3D algorithm
@@ -112,7 +112,7 @@ func TwoPointFiveD(cost sim.Cost, q, c int, a, b *matrix.Dense) (*RunResult, err
 // A(i,k)·B(k,j); C(i,j) is reduced over k. Uses the maximum memory
 // M = Θ(n²/p^(2/3)) and attains W = Θ(n²/p^(2/3)).
 func ThreeD(cost sim.Cost, q int, a, b *matrix.Dense) (*RunResult, error) {
-	n, err := checkSquare(a, b, q)
+	n, kern, err := checkSquare(a, b, q)
 	if err != nil {
 		return nil, err
 	}
@@ -144,8 +144,8 @@ func ThreeD(cost sim.Cost, q int, a, b *matrix.Dense) (*RunResult, error) {
 		// which then broadcast within layer k.
 		r.Phase("distribute")
 		if layer == 0 {
-			aOwn := a.Block(row*nb, col*nb, nb, nb).Data
-			bOwn := b.Block(row*nb, col*nb, nb, nb).Data
+			aOwn := kern.block(a, row*nb, col*nb, nb, nb).Data
+			bOwn := kern.block(b, row*nb, col*nb, nb, nb).Data
 			// A(row,col) is needed on layer `col`; B(row,col) on layer `row`.
 			r.Send(grid.RankAt(row, col, col), aOwn)
 			r.Send(grid.RankAt(row, col, row), bOwn)
@@ -166,8 +166,8 @@ func ThreeD(cost sim.Cost, q int, a, b *matrix.Dense) (*RunResult, error) {
 		bData := colComm.BcastLarge(layer, bSeed)
 
 		r.Phase("multiply")
-		cBlk := matrix.New(nb, nb)
-		matrix.MulAdd(cBlk, matrix.FromData(nb, nb, aData), matrix.FromData(nb, nb, bData))
+		cBlk := kern.zeros(nb, nb)
+		kern.mulAdd(cBlk, matrix.FromData(nb, nb, aData), matrix.FromData(nb, nb, bData))
 		r.Compute(matrix.MulFlops(nb, nb, nb))
 
 		r.Phase("reduce")
@@ -180,7 +180,7 @@ func ThreeD(cost sim.Cost, q int, a, b *matrix.Dense) (*RunResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &RunResult{C: assemble(cBlocks, layer0, nb), Sim: res}, nil
+	return &RunResult{C: kern.assemble(cBlocks, layer0, nb, nb), Sim: res}, nil
 }
 
 // mod returns x modulo q in [0, q).
@@ -194,7 +194,7 @@ func mod(x, q int) int { return ((x % q) + q) % q }
 // point-to-point shifts (the log c / log q latency factors the paper's
 // footnote 4 mentions).
 func TwoPointFiveDSUMMA(cost sim.Cost, q, c int, a, b *matrix.Dense) (*RunResult, error) {
-	n, err := checkSquare(a, b, q)
+	n, kern, err := checkSquare(a, b, q)
 	if err != nil {
 		return nil, err
 	}
@@ -229,8 +229,8 @@ func TwoPointFiveDSUMMA(cost sim.Cost, q, c int, a, b *matrix.Dense) (*RunResult
 		r.Phase("replicate")
 		var aData, bData []float64
 		if layer == 0 {
-			aData = a.Block(row*nb, col*nb, nb, nb).Data
-			bData = b.Block(row*nb, col*nb, nb, nb).Data
+			aData = kern.block(a, row*nb, col*nb, nb, nb).Data
+			bData = kern.block(b, row*nb, col*nb, nb, nb).Data
 		}
 		aData = fiberComm.BcastLarge(0, aData)
 		bData = fiberComm.BcastLarge(0, bData)
@@ -238,7 +238,7 @@ func TwoPointFiveDSUMMA(cost sim.Cost, q, c int, a, b *matrix.Dense) (*RunResult
 		bBlk := matrix.FromData(nb, nb, bData)
 
 		r.Phase("summa")
-		cBlk := matrix.New(nb, nb)
+		cBlk := kern.zeros(nb, nb)
 		// A panel is read once by MulAdd and dropped, so each step receives
 		// into the buffer the previous step's panel occupied: two receive
 		// buffers per rank, allocated by the first step, and never the
@@ -249,7 +249,7 @@ func TwoPointFiveDSUMMA(cost sim.Cost, q, c int, a, b *matrix.Dense) (*RunResult
 			t := layer*panelsPerLayer + s
 			aWrap.Data = rowComm.BcastLargeInto(aWrap.Data, t, blockIf(col == t, aBlk))
 			bWrap.Data = colComm.BcastLargeInto(bWrap.Data, t, blockIf(row == t, bBlk))
-			matrix.MulAdd(cBlk, aWrap, bWrap)
+			kern.mulAdd(cBlk, aWrap, bWrap)
 			r.Compute(matrix.MulFlops(nb, nb, nb))
 		}
 
@@ -263,7 +263,7 @@ func TwoPointFiveDSUMMA(cost sim.Cost, q, c int, a, b *matrix.Dense) (*RunResult
 	if err != nil {
 		return nil, err
 	}
-	return &RunResult{C: assemble(cBlocks, layer0, nb), Sim: res}, nil
+	return &RunResult{C: kern.assemble(cBlocks, layer0, nb, nb), Sim: res}, nil
 }
 
 // blockIf returns the block's data when cond holds, else nil.

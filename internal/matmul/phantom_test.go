@@ -1,0 +1,76 @@
+package matmul
+
+import (
+	"slices"
+	"testing"
+
+	"perfscale/internal/matrix"
+	"perfscale/internal/sim"
+)
+
+// TestPhantomOperands runs all six algorithms on phantom operands: each
+// returns no product, and its per-rank Stats and ActivePairs equal the
+// numeric run's bit for bit, with collectives conducted and member by
+// member alike (the conformance payload-free family holds the registry's
+// four to the same, observer streams included). Operands of mixed kinds
+// are refused.
+func TestPhantomOperands(t *testing.T) {
+	square := func(run func(sim.Cost, *matrix.Dense, *matrix.Dense) (*RunResult, error)) func(sim.Cost, bool) (*RunResult, error) {
+		const n = 24
+		numA, numB := randPair(n, 91)
+		return func(cost sim.Cost, phantom bool) (*RunResult, error) {
+			if phantom {
+				return run(cost, Phantom(n, n), Phantom(n, n))
+			}
+			return run(cost, numA, numB)
+		}
+	}
+	algs := map[string]func(sim.Cost, bool) (*RunResult, error){
+		"Cannon": square(func(cost sim.Cost, a, b *matrix.Dense) (*RunResult, error) { return Cannon(cost, 4, a, b) }),
+		"SUMMA":  square(func(cost sim.Cost, a, b *matrix.Dense) (*RunResult, error) { return SUMMA(cost, 3, a, b) }),
+		"TwoPointFiveD": square(func(cost sim.Cost, a, b *matrix.Dense) (*RunResult, error) {
+			return TwoPointFiveD(cost, 4, 2, a, b)
+		}),
+		"ThreeD": square(func(cost sim.Cost, a, b *matrix.Dense) (*RunResult, error) { return ThreeD(cost, 2, a, b) }),
+		"TwoPointFiveDSUMMA": square(func(cost sim.Cost, a, b *matrix.Dense) (*RunResult, error) {
+			return TwoPointFiveDSUMMA(cost, 6, 3, a, b)
+		}),
+		"SUMMARect": func(cost sim.Cost, phantom bool) (*RunResult, error) {
+			a, b := matrix.Random(24, 16, 93), matrix.Random(16, 32, 94)
+			if phantom {
+				a, b = Phantom(24, 16), Phantom(16, 32)
+			}
+			return SUMMARect(cost, 2, 4, 4, a, b)
+		},
+	}
+	cost := sim.Cost{GammaT: 1e-9, BetaT: 1e-8, AlphaT: 1e-6, MaxMsgWords: 64}
+	traced := cost
+	traced.Trace = true // subscribes the tracer, which disqualifies the conductor
+	for name, run := range algs {
+		for route, cost := range map[string]sim.Cost{"conducted": cost, "member-by-member": traced} {
+			numeric, err := run(cost, false)
+			if err != nil {
+				t.Fatalf("%s %s numeric: %v", name, route, err)
+			}
+			phantom, err := run(cost, true)
+			if err != nil {
+				t.Fatalf("%s %s phantom: %v", name, route, err)
+			}
+			if phantom.C != nil {
+				t.Errorf("%s %s: a payload-free run assembled a product", name, route)
+			}
+			if !slices.Equal(numeric.Sim.PerRank, phantom.Sim.PerRank) {
+				t.Errorf("%s %s: per-rank stats differ\n  numeric: %+v\n  phantom: %+v",
+					name, route, numeric.Sim.PerRank, phantom.Sim.PerRank)
+			}
+			if numeric.Sim.ActivePairs != phantom.Sim.ActivePairs {
+				t.Errorf("%s %s: ActivePairs %d (numeric) vs %d (phantom)",
+					name, route, numeric.Sim.ActivePairs, phantom.Sim.ActivePairs)
+			}
+		}
+	}
+	a, _ := randPair(8, 95)
+	if _, err := SUMMA(zeroCost, 2, a, Phantom(8, 8)); err == nil {
+		t.Error("a numeric A with a phantom B should be rejected")
+	}
+}

@@ -40,6 +40,10 @@ func SUMMARect(cost sim.Cost, pr, pc, panel int, a, b *matrix.Dense) (*RunResult
 		return nil, fmt.Errorf("matmul: panel %d straddles owner blocks (k/pc = %d, k/pr = %d)",
 			panel, kA/pc, kA/pr)
 	}
+	kern, err := kernelsFor(a, b)
+	if err != nil {
+		return nil, err
+	}
 
 	rowsPer := mA / pr
 	colsPer := nB / pc
@@ -59,9 +63,9 @@ func SUMMARect(cost sim.Cost, pr, pc, panel int, a, b *matrix.Dense) (*RunResult
 			return err
 		}
 		r.Alloc(rowsPer*aColsPer + bRowsPer*colsPer + rowsPer*colsPer)
-		aLoc := a.Block(row*rowsPer, col*aColsPer, rowsPer, aColsPer)
-		bLoc := b.Block(row*bRowsPer, col*colsPer, bRowsPer, colsPer)
-		cLoc := matrix.New(rowsPer, colsPer)
+		aLoc := kern.block(a, row*rowsPer, col*aColsPer, rowsPer, aColsPer)
+		bLoc := kern.block(b, row*bRowsPer, col*colsPer, bRowsPer, colsPer)
+		cLoc := kern.zeros(rowsPer, colsPer)
 
 		// A panel is read once by MulAdd and dropped, so each step receives
 		// into the buffer the previous step's panel occupied.
@@ -71,18 +75,18 @@ func SUMMARect(cost sim.Cost, pr, pc, panel int, a, b *matrix.Dense) (*RunResult
 			aOwner := k0 / aColsPer
 			var aSrc []float64
 			if col == aOwner {
-				aSrc = aLoc.Block(0, k0-aOwner*aColsPer, rowsPer, panel).Data
+				aSrc = kern.block(aLoc, 0, k0-aOwner*aColsPer, rowsPer, panel).Data
 			}
 			aPanel = rowComm.BcastLargeInto(aPanel, aOwner, aSrc)
 			// Broadcast B's panel rows along the column.
 			bOwner := k0 / bRowsPer
 			var bSrc []float64
 			if row == bOwner {
-				bSrc = bLoc.Block(k0-bOwner*bRowsPer, 0, panel, colsPer).Data
+				bSrc = kern.block(bLoc, k0-bOwner*bRowsPer, 0, panel, colsPer).Data
 			}
 			bPanel = colComm.BcastLargeInto(bPanel, bOwner, bSrc)
 
-			matrix.MulAdd(cLoc,
+			kern.mulAdd(cLoc,
 				matrix.FromData(rowsPer, panel, aPanel),
 				matrix.FromData(panel, colsPer, bPanel))
 			r.Compute(matrix.MulFlops(rowsPer, panel, colsPer))
@@ -94,10 +98,5 @@ func SUMMARect(cost sim.Cost, pr, pc, panel int, a, b *matrix.Dense) (*RunResult
 		return nil, err
 	}
 
-	c := matrix.New(mA, nB)
-	for id, blk := range cBlocks {
-		row, col := grid.Coords(id)
-		c.SetBlock(row*rowsPer, col*colsPer, blk)
-	}
-	return &RunResult{C: c, Sim: res}, nil
+	return &RunResult{C: kern.assemble(cBlocks, grid, rowsPer, colsPer), Sim: res}, nil
 }

@@ -15,7 +15,6 @@ import (
 	"perfscale/internal/core"
 	"perfscale/internal/machine"
 	"perfscale/internal/matmul"
-	"perfscale/internal/matrix"
 	"perfscale/internal/nbody"
 	"perfscale/internal/obs"
 	"perfscale/internal/opt"
@@ -474,6 +473,12 @@ func (s *Server) checkSimSize(sq simulateQuery) *apiError {
 
 // runSimulate executes the run with ctx threaded into the rank runtime, so
 // an expired deadline or a vanished client stops the simulation itself.
+// The run is payload-free: the response reports only counters, time and
+// energy, which Eqs. 1–2 compute from message lengths and charged flops,
+// so the operands are phantoms (matmul.Phantom) and no matrix is drawn,
+// multiplied or assembled. The counters are the numeric run's bit for bit
+// and do not depend on the seed, which the response and cache key still
+// carry.
 func runSimulate(ctx context.Context, sq simulateQuery, observers []sim.Observer) (*simulateResponse, *apiError) {
 	cost := sim.Cost{
 		GammaT:      sq.m.GammaT,
@@ -483,8 +488,7 @@ func runSimulate(ctx context.Context, sq simulateQuery, observers []sim.Observer
 		Observers:   observers,
 		Context:     ctx,
 	}
-	a := matrix.Random(sq.n, sq.n, int64(sq.seed))
-	b := matrix.Random(sq.n, sq.n, int64(sq.seed)+1)
+	a, b := matmul.Phantom(sq.n, sq.n), matmul.Phantom(sq.n, sq.n)
 	start := time.Now()
 	var rr *matmul.RunResult
 	var err error

@@ -150,9 +150,11 @@ func TestCancelledSimulateStopsSimulation(t *testing.T) {
 	s, ts := newTestServer(t, Options{})
 	baseline := runtime.NumGoroutine()
 
-	// A real, long run: p = 64 rank goroutines multiplying 128×128 blocks.
+	// A long run: /simulate is payload-free, so length comes from events,
+	// not arithmetic — p = 1024 SUMMA ranks stream ≈2.4M of them, seconds
+	// of wall.
 	ctx, cancel := context.WithCancel(context.Background())
-	req, err := http.NewRequestWithContext(ctx, "GET", ts.URL+"/simulate?n=1024&q=8&c=1&stream=1", nil)
+	req, err := http.NewRequestWithContext(ctx, "GET", ts.URL+"/simulate?alg=summa25d&n=4096&q=32&c=1&stream=1", nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,6 +30,7 @@ import (
 	"time"
 
 	"perfscale/internal/machine"
+	"perfscale/internal/sim"
 )
 
 // Options configures a Server. The zero value serves the simdefault
@@ -60,7 +61,8 @@ type Options struct {
 
 	// MaxSimRanks and MaxSimN shed oversized /simulate requests at the
 	// door with a typed 429: p = q²·c above MaxSimRanks (default 1024) or
-	// n above MaxSimN (default 4096) will never be admitted.
+	// n above MaxSimN (default and ceiling 4096, the largest n whose
+	// payload-free operand fits sim.PhantomWords) will never be admitted.
 	MaxSimRanks int
 	MaxSimN     int
 
@@ -100,7 +102,7 @@ func (o Options) withDefaults() Options {
 	if o.MaxSimRanks == 0 {
 		o.MaxSimRanks = 1024
 	}
-	if o.MaxSimN == 0 {
+	if o.MaxSimN == 0 || o.MaxSimN*o.MaxSimN > sim.PhantomWords {
 		o.MaxSimN = 4096
 	}
 	if o.CacheEntries == 0 {

@@ -13,6 +13,11 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"perfscale/internal/machine"
+	"perfscale/internal/matmul"
+	"perfscale/internal/matrix"
+	"perfscale/internal/sim"
 )
 
 func newTestServer(t *testing.T, opts Options) (*Server, *httptest.Server) {
@@ -192,6 +197,52 @@ func TestSimulateRuntimeParam(t *testing.T) {
 				t.Errorf("%s differs with runtime=%s: %v vs %v", field, rt, plain[field], old[field])
 			}
 		}
+	}
+}
+
+// TestSimulatePayloadFree pins that /simulate's payload-free runs answer
+// what the numeric runs they replace measured: for both algorithms and two
+// seeds, the counters, clocks and active pairs equal a numeric run on the
+// seed's matrices. The seed is still echoed and still keys the cache.
+func TestSimulatePayloadFree(t *testing.T) {
+	_, ts := newTestServer(t, Options{})
+	const n, q, c = 64, 4, 2
+	m := machine.SimDefault()
+	cost := sim.Cost{GammaT: m.GammaT, BetaT: m.BetaT, AlphaT: m.AlphaT, MaxMsgWords: int(m.MaxMsgWords)}
+	for alg, run := range map[string]func(sim.Cost, int, int, *matrix.Dense, *matrix.Dense) (*matmul.RunResult, error){
+		"matmul25d": matmul.TwoPointFiveD, "summa25d": matmul.TwoPointFiveDSUMMA,
+	} {
+		for _, seed := range []int{1, 9} {
+			url := fmt.Sprintf("%s/simulate?alg=%s&n=%d&q=%d&c=%d&seed=%d", ts.URL, alg, n, q, c, seed)
+			code, body, hdr := get(t, url)
+			if code != 200 || hdr.Get("X-Cache") != "miss" {
+				t.Fatalf("%s seed=%d: %d X-Cache=%q %v, want 200 miss", alg, seed, code, hdr.Get("X-Cache"), body)
+			}
+			numeric, err := run(cost, q, c, matrix.Random(n, n, int64(seed)), matrix.Random(n, n, int64(seed)+1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var want map[string]any
+			buf, _ := json.Marshal(numeric.Sim.MaxStats())
+			if err := json.Unmarshal(buf, &want); err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(body["max_stats"], want) {
+				t.Errorf("%s seed=%d: max_stats %v, numeric run %v", alg, seed, body["max_stats"], want)
+			}
+			if body["sim_time_s"] != numeric.Sim.Time() || body["active_pairs"] != float64(numeric.Sim.ActivePairs) {
+				t.Errorf("%s seed=%d: sim_time_s %v active_pairs %v, numeric run %v %d", alg, seed,
+					body["sim_time_s"], body["active_pairs"], numeric.Sim.Time(), numeric.Sim.ActivePairs)
+			}
+			if body["seed"] != float64(seed) {
+				t.Errorf("%s seed=%d: response echoes seed %v", alg, seed, body["seed"])
+			}
+		}
+	}
+	// The phantom region bounds n: a larger configured limit is clamped, so
+	// such a request is shed at the door instead of failing the run.
+	if got := (Options{MaxSimN: 8192}).withDefaults().MaxSimN; got != 4096 {
+		t.Errorf("MaxSimN 8192 became %d, want the 4096 ceiling", got)
 	}
 }
 

@@ -137,9 +137,7 @@ func (c *Comm) Shift(data []float64, by int) []float64 {
 	p := len(c.members)
 	by = ((by % p) + p) % p
 	if by == 0 {
-		cp := make([]float64, len(data))
-		copy(cp, data)
-		return cp
+		return private(data)
 	}
 	// Unlike the tree collectives, a shift is already pairwise: conducting
 	// it through a fast-forward rendezvous would park all s members behind
@@ -184,8 +182,7 @@ func (c *Comm) Bcast(root int, data []float64) []float64 {
 	vme := (c.me - root + p) % p
 	var buf []float64
 	if vme == 0 {
-		buf = make([]float64, len(data))
-		copy(buf, data)
+		buf = private(data)
 	} else {
 		// Receive from parent: clear the lowest set bit of vme.
 		parent := vme & (vme - 1)
@@ -225,8 +222,7 @@ func (c *Comm) Reduce(root int, data []float64, op ReduceOp) []float64 {
 		return e.ffRun(c, ffReduce, ffCall{data: data, arg: root, rop: op})
 	}
 	vme := (c.me - root + p) % p
-	acc := make([]float64, len(data))
-	copy(acc, data)
+	acc := private(data)
 	// Reverse binomial tree: in round k (bit = 1<<k), members with that bit
 	// set send their accumulator to vme&^bit and exit.
 	for bit := 1; bit < p; bit <<= 1 {
@@ -241,7 +237,7 @@ func (c *Comm) Reduce(root int, data []float64, op ReduceOp) []float64 {
 				panic(fmt.Sprintf("sim: reduce length mismatch: %d vs %d", len(contrib), len(acc)))
 			}
 			c.rank.Compute(float64(len(acc))) // one op per element to combine
-			op(acc, contrib)
+			combine(op, acc, contrib)
 		}
 	}
 	if vme == 0 {
@@ -269,20 +265,19 @@ func (c *Comm) AllGather(block []float64) []float64 {
 		return e.ffRun(c, ffAllGather, ffCall{data: block})
 	}
 	k := len(block)
-	out := make([]float64, p*k)
-	copy(out[c.me*k:(c.me+1)*k], block)
+	out := assembly(nil, p*k, block)
+	put(out[c.me*k:(c.me+1)*k], block)
 	if p == 1 {
 		return out
 	}
-	cur := make([]float64, k)
-	copy(cur, block)
+	cur := private(block)
 	next := (c.me + 1) % p
 	prev := (c.me - 1 + p) % p
 	for step := 0; step < p-1; step++ {
 		c.send(next, cur)
 		cur = c.recv(prev)
 		owner := (c.me - 1 - step + 2*p) % p
-		copy(out[owner*k:(owner+1)*k], cur)
+		put(out[owner*k:(owner+1)*k], cur)
 	}
 	return out
 }
@@ -297,15 +292,12 @@ func (c *Comm) ReduceScatter(data []float64, op ReduceOp) []float64 {
 	}
 	k := len(data) / p
 	if p == 1 {
-		out := make([]float64, k)
-		copy(out, data)
-		return out
+		return private(data)
 	}
 	if e := c.ffEngine(); e != nil {
 		return e.ffRun(c, ffReduceScatter, ffCall{data: data, rop: op})
 	}
-	acc := make([]float64, len(data))
-	copy(acc, data)
+	acc := private(data)
 	next := (c.me + 1) % p
 	prev := (c.me - 1 + p) % p
 	// Block b travels forward around the ring starting at member b+1, so
@@ -317,11 +309,9 @@ func (c *Comm) ReduceScatter(data []float64, op ReduceOp) []float64 {
 		incoming := c.recv(prev)
 		recvBlock := (c.me - 2 - step + 3*p) % p
 		c.rank.Compute(float64(k))
-		op(acc[recvBlock*k:(recvBlock+1)*k], incoming)
+		combine(op, acc[recvBlock*k:(recvBlock+1)*k], incoming)
 	}
-	out := make([]float64, k)
-	copy(out, acc[c.me*k:(c.me+1)*k])
-	return out
+	return private(acc[c.me*k : (c.me+1)*k])
 }
 
 // AllToAll performs the naive personalized all-to-all: every member sends
@@ -419,14 +409,14 @@ func (c *Comm) Gather(root int, chunk []float64) []float64 {
 		c.send(root, chunk)
 		return nil
 	}
-	out := make([]float64, p*len(chunk))
-	copy(out[root*len(chunk):(root+1)*len(chunk)], chunk)
+	out := assembly(nil, p*len(chunk), chunk)
+	put(out[root*len(chunk):(root+1)*len(chunk)], chunk)
 	for i := 0; i < p; i++ {
 		if i == root {
 			continue
 		}
 		blk := c.recv(i)
-		copy(out[i*len(blk):(i+1)*len(blk)], blk)
+		put(out[i*len(blk):(i+1)*len(blk)], blk)
 	}
 	return out
 }
@@ -482,8 +472,7 @@ func (c *Comm) BcastLargeInto(dst []float64, root int, data []float64) []float64
 			}
 			c.send(i, data[i*chunk:(i+1)*chunk])
 		}
-		mine = make([]float64, chunk)
-		copy(mine, data[root*chunk:(root+1)*chunk])
+		mine = private(data[root*chunk : (root+1)*chunk])
 	} else {
 		mine = c.recv(root)
 	}
@@ -527,9 +516,7 @@ func (c *Comm) Scatter(root int, data []float64) []float64 {
 			}
 			c.send(i, data[i*k:(i+1)*k])
 		}
-		out := make([]float64, k)
-		copy(out, data[root*k:(root+1)*k])
-		return out
+		return private(data[root*k : (root+1)*k])
 	}
 	return c.recv(root)
 }

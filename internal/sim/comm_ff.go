@@ -88,6 +88,8 @@ import (
 //	                         forwarded views, accumulators, packed messages;
 //	                         dead when the conduct returns, which clears and
 //	                         recycles it
+//	a phantom                nobody: read-only, shared wherever it goes, and
+//	                         never copied or combined (phantom.go)
 //
 // ffSendShared may therefore alias a caller's data, a result under
 // construction or the slab: its receiver consumes the payload inside the
@@ -448,9 +450,7 @@ func ffRecv(dst *Rank, src int, w ffWire) []float64 {
 	// payload must become a private copy now (the sender reclaims its
 	// buffer when the collective returns).
 	if w.shared {
-		cp := make([]float64, len(w.m.data))
-		copy(cp, w.m.data)
-		w.m.data = cp
+		w.m.data = private(w.m.data)
 	}
 	if !w.q.push(w.m) {
 		// Full pair buffer: move the next head into the pushback slot —
@@ -537,16 +537,15 @@ func conductShift(rv *ffRendezvous, by int) {
 // conductBcast mirrors Comm.Bcast's binomial tree: processing members in
 // virtual-rank order runs every parent before its children, and each
 // member's ops stay in program order (receive from parent, then send to
-// children, high bit first). A non-nil ann is BcastLarge's announcement:
-// the tree carries it in place of the root's data and no member keeps a
-// result, so the one buffer is shared down every hop.
+// children, high bit first). The one buffer is shared down every hop, and
+// each member keeps its own copy of it, built in the dst it offered
+// (BcastLargeInto's small-payload fallback): as many copies as copying
+// sends would make, none for a phantom. A non-nil ann is BcastLarge's
+// announcement: the tree carries it in place of the root's data and no
+// member keeps a result.
 func conductBcast(rv *ffRendezvous, root int, ann []float64) {
 	p := len(rv.members)
 	pend := rv.wireScratch() // indexed by receiving child's virtual rank
-	send := ffSend
-	if ann != nil {
-		send = ffSendShared
-	}
 	for vme := 0; vme < p; vme++ {
 		i := (vme + root) % p
 		r := rv.calls[i].rank
@@ -555,8 +554,7 @@ func conductBcast(rv *ffRendezvous, root int, ann []float64) {
 		if vme == 0 {
 			low = nextPow2(p)
 			if ann == nil {
-				buf = make([]float64, len(rv.calls[i].data))
-				copy(buf, rv.calls[i].data)
+				buf = rv.calls[i].data
 			}
 		} else {
 			parent := vme & (vme - 1)
@@ -565,11 +563,11 @@ func conductBcast(rv *ffRendezvous, root int, ann []float64) {
 		for bit := low >> 1; bit > 0; bit >>= 1 {
 			child := vme | bit
 			if child != vme && child < p {
-				pend[child] = send(r, rv.members[(child+root)%p], buf)
+				pend[child] = ffSendShared(r, rv.members[(child+root)%p], buf)
 			}
 		}
 		if ann == nil {
-			rv.out[i] = buf
+			rv.out[i] = privateInto(rv.calls[i].dst, buf)
 		}
 	}
 }
@@ -584,8 +582,7 @@ func conductReduce(rv *ffRendezvous, root int) {
 		i := (vme + root) % p
 		r := rv.calls[i].rank
 		rop := rv.calls[i].rop
-		acc := make([]float64, len(rv.calls[i].data))
-		copy(acc, rv.calls[i].data)
+		acc := private(rv.calls[i].data)
 		sent := false
 		for bit := 1; bit < p; bit <<= 1 {
 			if vme&bit != 0 {
@@ -602,7 +599,7 @@ func conductReduce(rv *ffRendezvous, root int) {
 					panic(fmt.Sprintf("sim: reduce length mismatch: %d vs %d", len(contrib), len(acc)))
 				}
 				r.Compute(float64(len(acc)))
-				rop(acc, contrib)
+				combine(rop, acc, contrib)
 			}
 		}
 		if vme == 0 && !sent {
@@ -621,9 +618,9 @@ func conductAllGather(rv *ffRendezvous) {
 		block := rv.calls[i].data
 		k := len(block)
 		// The one buffer a member keeps; its own storage when it offered
-		// enough (BcastLargeInto).
-		out := sized(rv.calls[i].dst, p*k)
-		copy(out[i*k:(i+1)*k], block)
+		// enough (BcastLargeInto), a phantom when its block is one.
+		out := assembly(rv.calls[i].dst, p*k, block)
+		put(out[i*k:(i+1)*k], block)
 		rv.out[i] = out
 		cur[i] = block
 	}
@@ -639,7 +636,7 @@ func conductAllGather(rv *ffRendezvous) {
 			cur[i] = v
 			k := len(rv.calls[i].data)
 			owner := (i - 1 - step + 2*p) % p
-			copy(rv.out[i][owner*k:(owner+1)*k], v)
+			put(rv.out[i][owner*k:(owner+1)*k], v)
 		}
 	}
 }
@@ -649,26 +646,31 @@ func conductAllGather(rv *ffRendezvous) {
 // copy of it.
 func conductReduceScatter(rv *ffRendezvous) {
 	for i, blk := range ffReduceRing(rv) {
-		out := make([]float64, len(blk))
-		copy(out, blk)
-		rv.out[i] = out
+		rv.out[i] = private(blk)
 	}
 }
 
 // ffReduceRing runs ReduceScatter's ring — per round, every member sends,
 // then every member receives and combines — on accumulators carved from
 // the scratch slab, and returns each member's reduced block as a view of
-// its accumulator: dead when the conduct returns.
+// its accumulator: dead when the conduct returns. A phantom member's
+// accumulator is its phantom data, which the ring never combines into.
 func ffReduceRing(rv *ffRendezvous) [][]float64 {
 	p := len(rv.members)
 	accs, wires := rv.bufScratch(), rv.wireScratch()
 	n := 0
 	for i := range rv.calls {
-		n += len(rv.calls[i].data)
+		if data := rv.calls[i].data; !IsPhantom(data) {
+			n += len(data)
+		}
 	}
 	slab := rv.slabScratch(n)
 	for i := range rv.calls {
 		data := rv.calls[i].data
+		if IsPhantom(data) {
+			accs[i] = data
+			continue
+		}
 		accs[i], slab = slab[:len(data):len(data)], slab[len(data):]
 		copy(accs[i], data)
 	}
@@ -686,7 +688,7 @@ func ffReduceRing(rv *ffRendezvous) [][]float64 {
 			incoming := ffRecv(rv.calls[i].rank, rv.members[prev], wires[prev])
 			recvBlock := (i - 2 - step + 3*p) % p
 			rv.calls[i].rank.Compute(float64(k))
-			rv.calls[i].rop(accs[i][recvBlock*k:(recvBlock+1)*k], incoming)
+			combine(rv.calls[i].rop, accs[i][recvBlock*k:(recvBlock+1)*k], incoming)
 		}
 	}
 	for i := range rv.calls {
@@ -799,14 +801,14 @@ func conductGather(rv *ffRendezvous, root int) {
 	}
 	rr := rv.calls[root].rank
 	chunk := rv.calls[root].data
-	out := make([]float64, p*len(chunk))
-	copy(out[root*len(chunk):(root+1)*len(chunk)], chunk)
+	out := assembly(nil, p*len(chunk), chunk)
+	put(out[root*len(chunk):(root+1)*len(chunk)], chunk)
 	for j := 0; j < p; j++ {
 		if j == root {
 			continue
 		}
 		v := ffRecv(rr, rv.members[j], wires[j])
-		copy(out[j*len(v):(j+1)*len(v)], v)
+		put(out[j*len(v):(j+1)*len(v)], v)
 	}
 	rv.out[root] = out
 }
@@ -827,9 +829,7 @@ func conductScatter(rv *ffRendezvous, root int) {
 	}
 	for j := 0; j < p; j++ {
 		if j == root {
-			out := make([]float64, k)
-			copy(out, data[root*k:(root+1)*k])
-			rv.out[j] = out
+			rv.out[j] = private(data[root*k : (root+1)*k])
 		} else {
 			rv.out[j] = ffRecv(rv.calls[j].rank, rv.members[root], wires[j])
 		}
@@ -855,7 +855,8 @@ func conductBcastLarge(rv *ffRendezvous, root int) {
 	ann[0] = float64(k)
 	conductBcast(rv, root, ann)
 	if k < 0 {
-		// Payload too small to split evenly: binomial bcast of the data.
+		// Payload too small to split evenly: binomial bcast of the data,
+		// each member's copy built in the dst it offered.
 		conductBcast(rv, root, nil)
 		return
 	}

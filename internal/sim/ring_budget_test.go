@@ -90,6 +90,33 @@ func TestSmallRunBytesBudget(t *testing.T) {
 	}
 }
 
+// TestPayloadFreeRunBytesBudget pins what one /simulate run allocates now
+// that it is payload-free: the same p = 128 shapes on phantom operands, so
+// no operand, block, panel, product or reduction buffer is allocated and
+// what is left is the runtime's own records and the per-rank counters.
+// Numeric runs measure ≈2,135 KiB; payload-free ones ≈330 KiB, and the
+// budget is 450.
+func TestPayloadFreeRunBytesBudget(t *testing.T) {
+	const n, q, c = 128, 8, 2
+	const budget = 450 // KiB per run
+	a, b := matmul.Phantom(n, n), matmul.Phantom(n, n)
+	cost := sim.Cost{GammaT: 1e-9, BetaT: 1e-8, AlphaT: 1e-6, MaxMsgWords: 1024,
+		Context: context.Background()}
+	for _, alg := range []struct {
+		name string
+		run  func(sim.Cost, int, int, *matrix.Dense, *matrix.Dense) (*matmul.RunResult, error)
+	}{{"summa25d", matmul.TwoPointFiveDSUMMA}, {"matmul25d", matmul.TwoPointFiveD}} {
+		got := minRunBytes(t, func() error {
+			_, err := alg.run(cost, q, c, a, b)
+			return err
+		}) / 1024
+		t.Logf("%s: %d KiB per payload-free run (budget %d)", alg.name, got, budget)
+		if got > budget {
+			t.Errorf("%s: a payload-free p=%d run allocated %d KiB, budget %d", alg.name, q*q*c, got, budget)
+		}
+	}
+}
+
 // TestConductedAllGatherAllocs pins that a conducted AllGather allocates
 // the p·k-word result once per member: the wrapper used to build and fill
 // its own copy before asking whether the engine conducts, garbage on return.

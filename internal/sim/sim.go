@@ -26,7 +26,10 @@
 // caller. Two methods trade that for fewer allocations and say so in their
 // names: Comm.ShiftOwned surrenders its argument, and Comm.BcastLargeInto
 // (dst, root, data) may build its result in dst's storage, append-style —
-// use the returned slice, and dst must not overlap data.
+// use the returned slice, and dst must not overlap data. Phantom payloads
+// (Phantom, phantom.go) are the one exception to the rule's copies: they
+// are read-only, so the runtime prices them by length but never copies or
+// combines them, and what a collective returns for one is a phantom too.
 //
 // Per-rank counters record flops, words/messages sent and received, and the
 // peak of an explicitly tracked memory allocation count; the core package
@@ -437,11 +440,10 @@ func (r *Rank) Send(dst int, data []float64) {
 // link parameters, SegSend emission, clock advance, payload copy, send
 // sequence — and returns the message ready to enqueue. It is Send's
 // fault-free core, shared with the conducted collectives (comm_ff.go) so fast-forwarded sends are priced by the very same code.
+// A phantom payload is priced by its length and not copied (phantom.go).
 func (r *Rank) sendPriced(dst int, data []float64) message {
 	m := r.sendPricedShared(dst, data)
-	cp := make([]float64, len(data))
-	copy(cp, data)
-	m.data = cp
+	m.data = private(data)
 	return m
 }
 
