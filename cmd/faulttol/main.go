@@ -260,8 +260,9 @@ func statusFor(plan *sim.FaultPlan) string {
 }
 
 // runDrops sweeps silent-drop rates against the ARQ endpoints: faults that
-// leave no evidence (no damaged frame, no duplicate — the class Reliable
-// cannot mask) are recovered by virtual-time retransmission, the product
+// leave no evidence (no damaged frame, no duplicate — the class an
+// evidence-only endpoint cannot mask) are recovered by virtual-time
+// retransmission, the product
 // stays bit-identical to the fault-free run, and the table prices what the
 // recovery waiting costs in time and Eq. 2 joules.
 func runDrops(emit func(*report.Table), m machine.Params, n int) {

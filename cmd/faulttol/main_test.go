@@ -156,3 +156,18 @@ func TestUnwritableOutputExitStatus(t *testing.T) {
 		t.Fatalf("unwritable -o: %v, want exit 1\n%s", err, out)
 	}
 }
+
+// TestE23MatchesCommitted pins E23a and E23b: testdata/e23.txt is the
+// committed output of `faulttol -abft -ckpt`, and every figure in it —
+// times, joules, ratios, statuses — is a deterministic function of the
+// fault plans. After an intended change, regenerate it with
+// `go run ./cmd/faulttol -abft -ckpt -o cmd/faulttol/testdata/e23.txt`.
+func TestE23MatchesCommitted(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("testdata", "e23.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := runFaulttol(t, "-abft", "-ckpt"); got != string(want) {
+		t.Errorf("E23 output differs from testdata/e23.txt:\n%s", got)
+	}
+}

@@ -97,7 +97,6 @@ func main() {
 	}
 
 	traced := cost
-	traced.Trace = true
 	col := obs.NewCollector(ranks)
 	ring := obs.NewRingBuffer(*tail)
 	traced.Observers = []sim.Observer{col, ring}
@@ -171,7 +170,7 @@ func main() {
 	if err := s.WriteText(os.Stdout); err != nil {
 		fatal(err)
 	}
-	printUtilizationAndPower(m, res)
+	printUtilizationAndPower(m, res, col)
 	fmt.Printf("host wall time %.3fs; %d events observed; wrote %s (open at ui.perfetto.dev)\n",
 		wall.Seconds(), ring.Total(), *out)
 
@@ -349,8 +348,8 @@ func reportHostMetrics() {
 // printUtilizationAndPower prints what the average-power model cannot see:
 // how evenly the ranks were busy, and how far the machine's power peaks
 // above E/T.
-func printUtilizationAndPower(m machine.Params, res *sim.Result) {
-	u := res.Trace.Utilization(res.Time())
+func printUtilizationAndPower(m machine.Params, res *sim.Result, col *obs.Collector) {
+	u := obs.Utilization(col, res.Time())
 	lo, hi, avg := 1.0, 0.0, 0.0
 	for _, v := range u {
 		lo, hi = math.Min(lo, v), math.Max(hi, v)
@@ -359,7 +358,7 @@ func printUtilizationAndPower(m machine.Params, res *sim.Result) {
 	avg /= float64(len(u))
 	fmt.Printf("utilization: min %.0f%%  avg %.0f%%  max %.0f%% across %d ranks\n",
 		100*lo, 100*avg, 100*hi, len(u))
-	prof, err := core.Profile(m, res, 48)
+	prof, err := obs.Profile(m, res, col, 48)
 	if err != nil {
 		fmt.Printf("power profile unavailable: %v\n", err)
 		return

@@ -24,10 +24,9 @@ import (
 func report() string {
 	m := machine.SimDefault()
 	const q, c, n = 4, 2, 32 // p = q²·c = 32 ranks
-	cost := sim.Cost{GammaT: m.GammaT, BetaT: m.BetaT, AlphaT: m.AlphaT,
-		MaxMsgWords: int(m.MaxMsgWords), Trace: true}
 	col := obs.NewCollector(q * q * c)
-	cost.Observers = []sim.Observer{col}
+	cost := sim.Cost{GammaT: m.GammaT, BetaT: m.BetaT, AlphaT: m.AlphaT,
+		MaxMsgWords: int(m.MaxMsgWords), Observers: []sim.Observer{col}}
 
 	a := matrix.Random(n, n, 1)
 	b := matrix.Random(n, n, 2)

@@ -5,14 +5,15 @@ import (
 	"testing"
 
 	"perfscale/internal/matrix"
+	"perfscale/internal/obs"
 	"perfscale/internal/sim"
 )
 
 // TestConductedUnderContextBitIdentical pins the /simulate shapes (p = 128,
 // n = 128, q = 8, c = 2) across the three ways a run can execute: conducted
 // collectives under a cancel context (the service's default), conducted
-// without one, and member by member (Cost.Trace subscribes the tracer, which
-// disqualifies the conductor). Product, per-rank counters and clocks,
+// without one, and member by member (any observer disqualifies the
+// conductor). Product, per-rank counters and clocks,
 // virtual time and active pairs must agree bit for bit.
 func TestConductedUnderContextBitIdentical(t *testing.T) {
 	const n, q, c = 128, 8, 2
@@ -23,12 +24,15 @@ func TestConductedUnderContextBitIdentical(t *testing.T) {
 	for name, alg := range map[string]func(sim.Cost, int, int, *matrix.Dense, *matrix.Dense) (*RunResult, error){
 		"matmul25d": TwoPointFiveD, "summa25d": TwoPointFiveDSUMMA,
 	} {
-		run := func(trace bool, ctx context.Context) *RunResult {
+		run := func(observed bool, ctx context.Context) *RunResult {
 			cost := base
-			cost.Trace, cost.Context = trace, ctx
+			cost.Context = ctx
+			if observed {
+				cost.Observers = []sim.Observer{obs.NewRingBuffer(1)}
+			}
 			res, err := alg(cost, q, c, a, b)
 			if err != nil {
-				t.Fatalf("%s (trace %v): %v", name, trace, err)
+				t.Fatalf("%s (observed %v): %v", name, observed, err)
 			}
 			return res
 		}

@@ -3,7 +3,8 @@
 // bounded ring, or streamed as JSONL — and exporters that turn a capture
 // into Chrome/Perfetto trace JSON, a communication matrix, and an energy
 // summary splitting Eq. 2 into its γe/βe/αe/δe·M·T/εe terms per rank and
-// along the critical path.
+// along the critical path. The timeline analyses — critical path,
+// utilization, power profile — read a Collector's segment events.
 //
 // The package never touches virtual clocks or counters: everything here
 // observes; the physics stays in internal/sim and internal/core.

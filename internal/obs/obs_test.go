@@ -53,7 +53,6 @@ func testFaults() *sim.FaultPlan {
 func runCollected(t *testing.T, faults *sim.FaultPlan) (*sim.Result, *obs.Collector) {
 	t.Helper()
 	cost := testCost()
-	cost.Trace = true
 	cost.Faults = faults
 	col := obs.NewCollector(4)
 	cost.Observers = []sim.Observer{col}

@@ -1,15 +1,16 @@
-package core
+package obs
 
 import (
 	"fmt"
+	"math"
 
 	"perfscale/internal/machine"
 	"perfscale/internal/sim"
 )
 
 // PowerProfile is the machine's power draw over time, reconstructed from a
-// traced simulation. The paper bounds *average* power (§V.D–E: P = E/T);
-// the profile exposes the peak as well — the quantity a real power cap
+// captured run. The paper bounds *average* power (§V.D–E: P = E/T); the
+// profile exposes the peak as well — the quantity a real power cap
 // actually clips.
 type PowerProfile struct {
 	// BucketStart[i] is the left edge of bucket i; buckets are uniform.
@@ -24,38 +25,35 @@ type PowerProfile struct {
 	TotalEnergy float64
 }
 
-// Profile reconstructs the power timeline of a traced run: every traced
-// segment deposits its energy (compute: γe·F; communication: βe·W + αe·S)
-// uniformly over its duration, and every rank draws its static memory and
-// leakage power for the whole run. The integral of the profile equals
-// PriceSim's total by construction — tested, not assumed.
+// Profile reconstructs the power timeline of the run res that col
+// captured: every segment deposits its energy (compute: γe·F;
+// communication: βe·W + αe·S) uniformly over its duration, and every rank
+// draws its static memory and leakage power for the whole run. The
+// integral of the profile equals core.PriceSim's total by construction —
+// tested, not assumed.
 //
-// Requires a run executed with Cost.Trace and strictly positive timing
-// parameters (zero-duration segments carry energy that cannot be placed on
-// a timeline).
-func Profile(m machine.Params, res *sim.Result, buckets int) (*PowerProfile, error) {
-	if res.Trace == nil {
-		return nil, fmt.Errorf("core: run was not traced (set Cost.Trace)")
+// Requires strictly positive timing parameters (zero-duration segments
+// carry energy that cannot be placed on a timeline).
+func Profile(m machine.Params, res *sim.Result, col *Collector, buckets int) (*PowerProfile, error) {
+	if col == nil {
+		return nil, fmt.Errorf("obs: no capture to profile (subscribe a Collector)")
 	}
 	if buckets <= 0 {
-		return nil, fmt.Errorf("core: need at least one bucket")
+		return nil, fmt.Errorf("obs: need at least one bucket")
 	}
 	T := res.Time()
 	if T <= 0 {
-		return nil, fmt.Errorf("core: zero-length run has no profile")
+		return nil, fmt.Errorf("obs: zero-length run has no profile")
 	}
 	width := T / float64(buckets)
 	energy := make([]float64, buckets)
 
 	deposit := func(start, end, joules float64) {
-		if end <= start {
-			return
-		}
 		perTime := joules / (end - start)
 		for b := int(start / width); b < buckets; b++ {
 			lo := float64(b) * width
 			hi := lo + width
-			overlap := minF(end, hi) - maxF(start, lo)
+			overlap := math.Min(end, hi) - math.Max(start, lo)
 			if overlap <= 0 {
 				break
 			}
@@ -64,23 +62,15 @@ func Profile(m machine.Params, res *sim.Result, buckets int) (*PowerProfile, err
 	}
 
 	static := 0.0
-	for rank, segs := range res.Trace.Segments {
+	for rank := 0; rank < col.P(); rank++ {
 		static += m.DeltaE*res.PerRank[rank].PeakMemWords + m.EpsilonE
-		for _, s := range segs {
+		for _, s := range col.segments(rank) {
 			var joules float64
 			switch s.Kind {
 			case sim.SegCompute:
-				// Energy = γe · flops; segments record their flop count,
-				// with duration/γt as the fallback for hand-built traces.
-				if s.Flops > 0 {
-					joules = m.GammaE * s.Flops
-				} else if m.GammaT > 0 {
-					joules = m.GammaE * s.Duration() / m.GammaT
-				}
+				joules = m.GammaE * s.Flops
 			case sim.SegSend:
 				joules = m.BetaE*float64(s.Words) + m.AlphaE*s.Msgs
-			case sim.SegRecv, sim.SegWait:
-				joules = 0
 			}
 			deposit(s.Start, s.End, joules)
 		}
@@ -103,18 +93,4 @@ func Profile(m machine.Params, res *sim.Result, buckets int) (*PowerProfile, err
 	prof.TotalEnergy = total
 	prof.Avg = total / T
 	return prof, nil
-}
-
-func minF(a, b float64) float64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxF(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -1,50 +1,72 @@
-package core
+package obs_test
 
 import (
 	"math"
 	"testing"
 
+	"perfscale/internal/core"
 	"perfscale/internal/machine"
 	"perfscale/internal/matmul"
 	"perfscale/internal/matrix"
+	"perfscale/internal/obs"
 	"perfscale/internal/sim"
 )
 
-func tracedCost(m machine.Params) sim.Cost {
+// powerMachine has every parameter nonzero so missing terms show up.
+func powerMachine() machine.Params {
+	return machine.Params{
+		Name:   "test",
+		GammaT: 1e-9, BetaT: 5e-9, AlphaT: 2e-6,
+		GammaE: 2e-9, BetaE: 8e-9, AlphaE: 3e-6,
+		DeltaE: 4e-10, EpsilonE: 0.05,
+		MemWords: 1 << 30, MaxMsgWords: 1 << 16,
+	}
+}
+
+// capturedCost prices runs with m's timing and subscribes a fresh
+// Collector for p ranks.
+func capturedCost(m machine.Params, p int) (sim.Cost, *obs.Collector) {
+	col := obs.NewCollector(p)
 	return sim.Cost{GammaT: m.GammaT, BetaT: m.BetaT, AlphaT: m.AlphaT,
-		MaxMsgWords: int(m.MaxMsgWords), Trace: true}
+		MaxMsgWords: int(m.MaxMsgWords), Observers: []sim.Observer{col}}, col
+}
+
+func near(got, want, rel float64) bool {
+	return math.Abs(got-want) <= rel*math.Abs(want)
 }
 
 func TestProfileIntegralMatchesPriceSim(t *testing.T) {
-	m := testMachine()
+	m := powerMachine()
 	a := matrix.Random(48, 48, 1)
 	b := matrix.Random(48, 48, 2)
-	res, err := matmul.TwoPointFiveD(tracedCost(m), 4, 2, a, b)
+	cost, col := capturedCost(m, 32)
+	res, err := matmul.TwoPointFiveD(cost, 4, 2, a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	prof, err := Profile(m, res.Sim, 64)
+	prof, err := obs.Profile(m, res.Sim, col, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := PriceSim(m, res.Sim).Total()
-	if !approx(prof.TotalEnergy, want, 1e-9) {
+	want := core.PriceSim(m, res.Sim).Total()
+	if !near(prof.TotalEnergy, want, 1e-9) {
 		t.Errorf("profile integral %g vs PriceSim %g", prof.TotalEnergy, want)
 	}
-	if !approx(prof.Avg, want/res.Sim.Time(), 1e-9) {
+	if !near(prof.Avg, want/res.Sim.Time(), 1e-9) {
 		t.Errorf("profile average %g vs E/T %g", prof.Avg, want/res.Sim.Time())
 	}
 }
 
 func TestProfilePeakAtLeastAverage(t *testing.T) {
-	m := testMachine()
+	m := powerMachine()
 	a := matrix.Random(32, 32, 3)
 	b := matrix.Random(32, 32, 4)
-	res, err := matmul.Cannon(tracedCost(m), 4, a, b)
+	cost, col := capturedCost(m, 16)
+	res, err := matmul.Cannon(cost, 4, a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	prof, err := Profile(m, res.Sim, 32)
+	prof, err := obs.Profile(m, res.Sim, col, 32)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +95,7 @@ func TestProfileHandComputed(t *testing.T) {
 	}
 	// Rank 0: compute 10s (γe·10 = 20 J over [0,10]), send (α=1s, αe·1 = 4 J
 	// over [10,11]). Rank 1: waits. T = 11. Static: εe per rank = 2 W.
-	res, err := sim.Run(2, sim.Cost{GammaT: 1, AlphaT: 1, Trace: true}, func(r *sim.Rank) error {
+	res, col := capture(t, 2, sim.Cost{GammaT: 1, AlphaT: 1}, func(r *sim.Rank) error {
 		if r.ID() == 0 {
 			r.Compute(10)
 			r.Send(1, []float64{1})
@@ -82,57 +104,42 @@ func TestProfileHandComputed(t *testing.T) {
 		}
 		return nil
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	prof, err := Profile(m, res, 11)
+	prof, err := obs.Profile(m, res, col, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Buckets 0..9: compute 2 W + static 2 W = 4. Bucket 10: send 4 W + 2.
 	for b := 0; b < 10; b++ {
-		if !approx(prof.Power[b], 4, 1e-12) {
+		if !near(prof.Power[b], 4, 1e-12) {
 			t.Errorf("bucket %d: %g want 4", b, prof.Power[b])
 		}
 	}
-	if !approx(prof.Power[10], 6, 1e-12) {
+	if !near(prof.Power[10], 6, 1e-12) {
 		t.Errorf("send bucket: %g want 6", prof.Power[10])
 	}
-	if !approx(prof.Peak, 6, 1e-12) {
+	if !near(prof.Peak, 6, 1e-12) {
 		t.Errorf("peak %g want 6", prof.Peak)
 	}
-	if !approx(prof.TotalEnergy, 20+4+2*11, 1e-12) {
+	if !near(prof.TotalEnergy, 20+4+2*11, 1e-12) {
 		t.Errorf("total %g want 46", prof.TotalEnergy)
 	}
 }
 
 func TestProfileErrors(t *testing.T) {
-	m := testMachine()
-	res, err := sim.Run(1, sim.Cost{GammaT: 1}, func(r *sim.Rank) error {
+	m := powerMachine()
+	compute := func(r *sim.Rank) error {
 		r.Compute(1)
 		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
-	if _, err := Profile(m, res, 8); err == nil {
-		t.Error("untraced run should be rejected")
+	res, col := capture(t, 1, sim.Cost{GammaT: 1}, compute)
+	if _, err := obs.Profile(m, res, nil, 8); err == nil {
+		t.Error("a run without a capture should be rejected")
 	}
-	traced, err := sim.Run(1, sim.Cost{GammaT: 1, Trace: true}, func(r *sim.Rank) error {
-		r.Compute(1)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Profile(m, traced, 0); err == nil {
+	if _, err := obs.Profile(m, res, col, 0); err == nil {
 		t.Error("zero buckets should be rejected")
 	}
-	empty, err := sim.Run(1, sim.Cost{Trace: true}, func(r *sim.Rank) error { return nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Profile(m, empty, 4); err == nil {
+	empty, emptyCol := capture(t, 1, sim.Cost{}, func(r *sim.Rank) error { return nil })
+	if _, err := obs.Profile(m, empty, emptyCol, 4); err == nil {
 		t.Error("zero-length run should be rejected")
 	}
 }
@@ -141,10 +148,10 @@ func TestProfileErrors(t *testing.T) {
 // bursty program's peak power is far above its average, which the paper's
 // P = E/T cannot see.
 func TestPeakExceedsAverageUnderImbalance(t *testing.T) {
-	m := testMachine()
+	m := powerMachine()
 	// All ranks compute briefly, then idle while one straggler works: the
 	// average sinks, the early peak stays.
-	res, err := sim.Run(8, sim.Cost{GammaT: m.GammaT, Trace: true}, func(r *sim.Rank) error {
+	res, col := capture(t, 8, sim.Cost{GammaT: m.GammaT}, func(r *sim.Rank) error {
 		r.Compute(1e6)
 		if r.ID() == 0 {
 			r.Compute(9e6)
@@ -152,10 +159,7 @@ func TestPeakExceedsAverageUnderImbalance(t *testing.T) {
 		r.World().Barrier()
 		return nil
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	prof, err := Profile(m, res, 50)
+	prof, err := obs.Profile(m, res, col, 50)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,5 +167,4 @@ func TestPeakExceedsAverageUnderImbalance(t *testing.T) {
 		t.Errorf("straggler run should be bursty: peak %g avg %g static %g",
 			prof.Peak, prof.Avg, prof.StaticPower)
 	}
-	_ = math.Pi
 }

@@ -37,15 +37,15 @@ type Summary struct {
 	// Path is the run's critical path and PathEnergy the dynamic energy of
 	// the work on it (compute γe·F, sends βe·W + αe·S; the static δe·M·T +
 	// εe·T terms accrue machine-wide regardless of the path, so they are
-	// not attributed to it). Both are nil/zero for untraced runs.
+	// not attributed to it). Both are nil/zero without a Collector.
 	Path       []sim.Segment
 	PathEnergy core.EnergyBreakdown
 	// PathTime decomposes the path's duration by segment kind.
 	PathTime map[sim.SegmentKind]float64
 }
 
-// NewSummary prices a finished run. col may be nil (no communication
-// matrix); res.Trace may be nil (no critical-path attribution).
+// NewSummary prices a finished run. col is the run's capture; it may be
+// nil (no communication matrix, no critical-path attribution).
 func NewSummary(m machine.Params, res *sim.Result, col *Collector) *Summary {
 	s := &Summary{
 		P:       len(res.PerRank),
@@ -75,10 +75,8 @@ func NewSummary(m machine.Params, res *sim.Result, col *Collector) *Summary {
 	}
 	if col != nil {
 		s.Pairs = pairTraffic(col)
-	}
-	if res.Trace != nil {
-		s.Path = res.Trace.CriticalPath()
-		s.PathTime = sim.PathBreakdown(s.Path)
+		s.Path = CriticalPath(col)
+		s.PathTime = PathBreakdown(s.Path)
 		for _, seg := range s.Path {
 			switch seg.Kind {
 			case sim.SegCompute:

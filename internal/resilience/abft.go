@@ -34,9 +34,11 @@ type Result struct {
 // after the replication step and after every panel step; its cost, like the
 // recovery traffic and the replayed flops, is charged to the normal
 // counters. All inter-layer (fiber) traffic — replication, detection and
-// the final reduction of partial C blocks — travels over the checksummed
-// Reliable channel, so corruption injected on fiber links is masked; the
-// intra-layer panel broadcasts stay on raw channels.
+// the final reduction of partial C blocks — travels over a checksummed ARQ
+// endpoint, so corruption injected on fiber links is masked; the
+// intra-layer panel broadcasts stay on raw channels. Because the endpoint
+// shares rank pairs with those raw panels, it runs with an infinite RTO
+// (see ARQConfig.RTO).
 //
 // A crash is unrecoverable when every rank of a fiber crashes in the same
 // round — in particular always when c = 1, where the algorithm degenerates
@@ -81,23 +83,22 @@ func ABFT25D(cost sim.Cost, q, c int, a, b *matrix.Dense) (*Result, error) {
 		}
 		r.Alloc(3 * nb * nb)
 		st := &abftRank{
-			r: r, rel: NewReliable(r), grid: grid,
+			r: r, arq: NewARQ(r, evidenceOnly), grid: grid,
 			nb: nb, panels: panelsPerLayer,
 		}
 
-		// Replicate the layer-0 blocks down the fiber over the reliable
-		// channel, so corruption injected on fiber links is masked.
+		// Replicate the layer-0 blocks down the fiber over the checksummed
+		// endpoint, so corruption injected on fiber links is masked.
 		if layer == 0 {
 			st.aBlk = a.Block(row*nb, col*nb, nb, nb)
 			st.bBlk = b.Block(row*nb, col*nb, nb, nb)
 			for l := 1; l < c; l++ {
-				st.rel.Send(grid.RankAt(row, col, l), st.aBlk.Data)
-				st.rel.Send(grid.RankAt(row, col, l), st.bBlk.Data)
+				if err := st.sendBlocks(grid.RankAt(row, col, l)); err != nil {
+					return err
+				}
 			}
-		} else {
-			src := grid.RankAt(row, col, 0)
-			st.aBlk = matrix.FromData(nb, nb, st.rel.Recv(src))
-			st.bBlk = matrix.FromData(nb, nb, st.rel.Recv(src))
+		} else if err := st.recvBlocks(grid.RankAt(row, col, 0)); err != nil {
+			return err
 		}
 		st.cBlk = matrix.New(nb, nb)
 
@@ -116,21 +117,24 @@ func ABFT25D(cost sim.Cost, q, c int, a, b *matrix.Dense) (*Result, error) {
 			}
 		}
 
-		// Sum the partial C blocks onto layer 0 over the reliable channel
-		// (linear in c — the replication factor is small by construction).
+		// Sum the partial C blocks onto layer 0 over the checksummed
+		// endpoint (linear in c — the replication factor is small by
+		// construction).
 		if layer == 0 {
 			for l := 1; l < c; l++ {
-				contrib := st.rel.Recv(grid.RankAt(row, col, l))
+				contrib, err := st.arq.Recv(grid.RankAt(row, col, l))
+				if err != nil {
+					return err
+				}
 				r.Compute(float64(len(contrib)))
 				for i, v := range contrib {
 					st.cBlk.Data[i] += v
 				}
 			}
 			cBlocks[layer0.RankAt(row, col)] = st.cBlk
-		} else {
-			st.rel.Send(grid.RankAt(row, col, 0), st.cBlk.Data)
+			return nil
 		}
-		return nil
+		return st.arq.Send(grid.RankAt(row, col, 0), st.cBlk.Data)
 	})
 	if err != nil {
 		return nil, err
@@ -149,7 +153,7 @@ func ABFT25D(cost sim.Cost, q, c int, a, b *matrix.Dense) (*Result, error) {
 // abftRank is the per-rank state the recovery protocol operates on.
 type abftRank struct {
 	r    *sim.Rank
-	rel  *Reliable
+	arq  *ARQ
 	grid sim.Grid3D
 	nb   int
 	// panels is the number of panel steps per layer (q/c); done counts the
@@ -167,7 +171,10 @@ type abftRank struct {
 // schedule from the same bitmap, so the point-to-point recovery traffic
 // pairs up without further coordination.
 func (st *abftRank) detectAndRecover() error {
-	bitmap := crashBitmap(st.rel)
+	bitmap, err := crashBitmap(st.arq)
+	if err != nil {
+		return err
+	}
 	var crashed []int
 	for id, v := range bitmap {
 		if v > 0 {
@@ -201,11 +208,12 @@ func (st *abftRank) detectAndRecover() error {
 		}
 		switch st.r.ID() {
 		case donor:
-			st.rel.Send(d, st.aBlk.Data)
-			st.rel.Send(d, st.bBlk.Data)
+			err = st.sendBlocks(d)
 		case d:
-			st.aBlk = matrix.FromData(nb, nb, st.rel.Recv(donor))
-			st.bBlk = matrix.FromData(nb, nb, st.rel.Recv(donor))
+			err = st.recvBlocks(donor)
+		}
+		if err != nil {
+			return err
 		}
 	}
 	// Phase B: rebuild every casualty's partial C by replaying the panel
@@ -221,19 +229,26 @@ func (st *abftRank) detectAndRecover() error {
 			aOwner := grid.RankAt(rd, t, ld)
 			bOwner := grid.RankAt(t, cd, ld)
 			if st.r.ID() == aOwner && aOwner != d {
-				st.rel.Send(d, st.aBlk.Data)
+				if err := st.arq.Send(d, st.aBlk.Data); err != nil {
+					return err
+				}
 			}
 			if st.r.ID() == bOwner && bOwner != d {
-				st.rel.Send(d, st.bBlk.Data)
+				if err := st.arq.Send(d, st.bBlk.Data); err != nil {
+					return err
+				}
 			}
 			if st.r.ID() == d {
-				aPanel := st.aBlk.Data
+				aPanel, bPanel := st.aBlk.Data, st.bBlk.Data
 				if aOwner != d {
-					aPanel = st.rel.Recv(aOwner)
+					if aPanel, err = st.arq.Recv(aOwner); err != nil {
+						return err
+					}
 				}
-				bPanel := st.bBlk.Data
 				if bOwner != d {
-					bPanel = st.rel.Recv(bOwner)
+					if bPanel, err = st.arq.Recv(bOwner); err != nil {
+						return err
+					}
 				}
 				matrix.MulAdd(st.cBlk, matrix.FromData(nb, nb, aPanel), matrix.FromData(nb, nb, bPanel))
 				st.r.Compute(matrix.MulFlops(nb, nb, nb))
@@ -243,17 +258,40 @@ func (st *abftRank) detectAndRecover() error {
 	return nil
 }
 
-// crashBitmap is one failure-detection round: each rank contributes its
-// TakeCrashed flag and a reliable all-reduce gives everyone the same p-word
-// view. Riding on Reliable matters: a corrupted raw collective could plant
-// phantom crashes in half the machine and desynchronize the recovery
-// schedule.
-func crashBitmap(rel *Reliable) []float64 {
-	bm := make([]float64, rel.r.P())
-	if rel.r.TakeCrashed() {
-		bm[rel.r.ID()] = 1
+// sendBlocks ships the resident A and B blocks to dst.
+func (st *abftRank) sendBlocks(dst int) error {
+	if err := st.arq.Send(dst, st.aBlk.Data); err != nil {
+		return err
 	}
-	return rel.AllReduceSum(bm)
+	return st.arq.Send(dst, st.bBlk.Data)
+}
+
+// recvBlocks installs resident A and B blocks received from src.
+func (st *abftRank) recvBlocks(src int) error {
+	aData, err := st.arq.Recv(src)
+	if err != nil {
+		return err
+	}
+	bData, err := st.arq.Recv(src)
+	if err != nil {
+		return err
+	}
+	st.aBlk = matrix.FromData(st.nb, st.nb, aData)
+	st.bBlk = matrix.FromData(st.nb, st.nb, bData)
+	return nil
+}
+
+// crashBitmap is one failure-detection round: each rank contributes its
+// TakeCrashed flag and a checksummed all-reduce gives everyone the same
+// p-word view. Riding on ARQ matters: a corrupted raw collective could
+// plant phantom crashes in half the machine and desynchronize the recovery
+// schedule.
+func crashBitmap(a *ARQ) ([]float64, error) {
+	bm := make([]float64, a.r.P())
+	if a.r.TakeCrashed() {
+		bm[a.r.ID()] = 1
+	}
+	return a.AllReduceSum(bm)
 }
 
 // scrub overwrites lost data with NaN so it can never masquerade as valid.

@@ -105,28 +105,75 @@ func TestABFTRecoversFromTwoCrashes(t *testing.T) {
 	}
 }
 
+// TestABFTToleratesCorruptReplicationLink corrupts half the frames on the
+// fiber-replication link (0,0,0) -> (0,0,1) under forty seeds. The ARQ
+// endpoint must retransmit until a clean copy lands, and a clean exit of
+// the peer must count as the final ack, which this link loses under many
+// of the seeds.
 func TestABFTToleratesCorruptReplicationLink(t *testing.T) {
 	a, b := abftOperands(16)
 	base, err := resilience.ABFT25D(testCost(), 4, 2, a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Corrupt the fiber-replication link (0,0,0) -> (0,0,1); the Reliable
-	// channel must retransmit until a clean copy lands.
-	cost := testCost()
-	cost.Faults = &sim.FaultPlan{
-		Seed:  8,
-		Links: []sim.LinkFault{{Src: 0, Dst: 16, CorruptProb: 0.5}},
+	want := matmul.Serial(a, b)
+	retransmitted := 0
+	for seed := uint64(1); seed <= 40; seed++ {
+		cost := testCost()
+		cost.Faults = &sim.FaultPlan{
+			Seed:  seed,
+			Links: []sim.LinkFault{{Src: 0, Dst: 16, CorruptProb: 0.5}},
+		}
+		res, err := resilience.ABFT25D(cost, 4, 2, a, b)
+		if err != nil {
+			t.Errorf("seed %d: %v", seed, err)
+			continue
+		}
+		if d := res.C.MaxAbsDiff(want); d > abftTol {
+			t.Errorf("seed %d: product off by %g under replication-link corruption", seed, d)
+		}
+		if res.Sim.TotalStats().MsgsSent > base.Sim.TotalStats().MsgsSent {
+			retransmitted++
+		}
 	}
-	res, err := resilience.ABFT25D(cost, 4, 2, a, b)
+	// A few seeds leave the link's handful of frames intact; the rest must
+	// show their retransmissions in the message counters.
+	if retransmitted < 30 {
+		t.Errorf("only %d of 40 seeds show retransmissions in the message counters", retransmitted)
+	}
+}
+
+// TestABFTCrashUnderCorruptionSweep crashes every rank of a c=2 cuboid at
+// seven points of the fault-free runtime while the replication link
+// corrupts frames. Every run must recover the exact product. The ARQ
+// pairs share ranks with the raw panel broadcasts, so a finite RTO would
+// fail here: a replay makes a peer legitimately late, the ack wait
+// expires, and the retransmitted duplicate is read as a panel.
+func TestABFTCrashUnderCorruptionSweep(t *testing.T) {
+	a, b := abftOperands(16)
+	base, err := resilience.ABFT25D(testCost(), 4, 2, a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := res.C.MaxAbsDiff(matmul.Serial(a, b)); d > abftTol {
-		t.Errorf("product off by %g under replication-link corruption", d)
-	}
-	if res.Sim.TotalStats().MsgsSent <= base.Sim.TotalStats().MsgsSent {
-		t.Error("retransmissions must show up in the message counters")
+	want := matmul.Serial(a, b)
+	for rank := 0; rank < 32; rank++ {
+		for k := 1; k <= 7; k++ {
+			cost := testCost()
+			cost.Faults = &sim.FaultPlan{
+				Seed:    uint64(k),
+				Crashes: map[int]float64{rank: float64(k) / 8 * base.Sim.Time()},
+				Respawn: true,
+				Links:   []sim.LinkFault{{Src: 0, Dst: 16, CorruptProb: 0.3}},
+			}
+			res, err := resilience.ABFT25D(cost, 4, 2, a, b)
+			if err != nil {
+				t.Errorf("crash rank %d at %d/8 T: %v", rank, k, err)
+				continue
+			}
+			if d := res.C.MaxAbsDiff(want); d > abftTol {
+				t.Errorf("crash rank %d at %d/8 T: product off by %g", rank, k, d)
+			}
+		}
 	}
 }
 

@@ -7,36 +7,43 @@ import (
 	"perfscale/internal/sim"
 )
 
-// ARQ is the timer-aware second generation of the reliable endpoint: where
-// Reliable can only mask faults that leave evidence (a damaged frame, a
-// duplicate), ARQ also masks silent drops, because the virtual-time timeout
-// primitives let it notice absence. On top of Reliable's frame grammar it
-// adds
+// ARQ is a per-rank reliable endpoint: typed frames, sequence numbers,
+// checksums and acknowledgements on top of the raw simulator channels,
+// plus virtual-time timers. It masks
 //
-//   - retransmission on timeout: every ack wait is a RecvTimeout with a
-//     deterministic RTO; expiry retransmits the outstanding frame and backs
-//     the RTO off exponentially (with seeded, per-attempt jitter so
-//     concurrent retransmitters do not share deadlines). A sender that
-//     exhausts MaxAttempts completes optimistically — the copies already
-//     on the in-order channel are re-acknowledged at the pair's next
-//     contact — because blocking on an ack whose loss only the peer's
-//     future attention can repair deadlocks stalled dependency chains;
-//   - failure detection: an observed peer exit (RecvPeerExited or
-//     SendPeerExited) converts immediately and accurately into a typed
-//     *PeerFailure; DetectorMisses consecutive silent windows on a
-//     receive convert a live-but-wedged peer into a suspected one. Ack
-//     silence on the send side is deliberately NOT a failure signal;
-//   - liveness probing: a receiver that misses a detector window sends a
-//     PING; any well-formed frame from the peer — the PONG answer, data,
-//     an ack, a BEAT from Heartbeat — resets the miss count.
+//   - corruption and duplication: every payload travels as a checksummed
+//     DATA frame; a receiver that sees a damaged frame answers with a
+//     negative acknowledgement and the sender retransmits, and duplicates
+//     are recognized by sequence number and re-acknowledged;
+//   - silent drops, by retransmission on timeout: every ack wait is a
+//     RecvTimeout with a deterministic RTO; expiry retransmits the
+//     outstanding frame and backs the RTO off exponentially (with seeded,
+//     per-attempt jitter so concurrent retransmitters do not share
+//     deadlines). A sender that exhausts MaxAttempts completes
+//     optimistically — the copies already on the in-order channel are
+//     re-acknowledged at the pair's next contact — because blocking on an
+//     ack whose loss only the peer's future attention can repair deadlocks
+//     stalled dependency chains;
+//
+// and it detects failures: an observed peer exit (RecvPeerExited or
+// SendPeerExited) converts immediately and accurately into a typed
+// *PeerFailure; DetectorMisses consecutive silent windows on a receive
+// convert a live-but-wedged peer into a suspected one. Ack silence on the
+// send side is deliberately NOT a failure signal. A receiver that misses a
+// detector window sends a PING; any well-formed frame from the peer — the
+// PONG answer, data, an ack, a BEAT from Heartbeat — resets the miss count.
 //
 // Retransmissions, probes and timeout waits all travel through the normal
 // αt/βt/γe/βe accounting, so recovery is priced by Eq. 1/Eq. 2 like any
 // other work, and every decision is a function of virtual state — two runs
 // with the same seeds produce bit-identical stats and retransmit counts.
 //
-// Like Reliable, conversations must be pairwise nested (tree collectives
-// are safe, rings are not), and both endpoints of a pair must speak ARQ.
+// Because a retransmission round can overlap the peer's next transfer on
+// the same pair, each endpoint classifies every incoming frame and buffers
+// data that arrives early while it still waits for an ack. Conversations
+// must be pairwise nested (tree collectives are safe, rings are not), and
+// both endpoints of a pair must speak ARQ. Each ARQ belongs to one rank;
+// create it inside the SPMD function.
 type ARQ struct {
 	r        *sim.Rank
 	cfg      ARQConfig
@@ -51,6 +58,16 @@ type ARQ struct {
 type ARQConfig struct {
 	// RTO is the initial retransmission timeout of an ack wait. Must be
 	// positive; ARQDefaults derives it from the cost model.
+	//
+	// +Inf makes the endpoint retransmit only on evidence — a damaged
+	// frame or a nack — and never on silence: every timer it arms has an
+	// infinite deadline and never fires (see sim's timer rules), so a
+	// dropped frame ends the run in a sim.DeadlockError. That is the only
+	// safe setting for an endpoint that shares rank pairs with raw
+	// traffic. With a finite RTO, a peer that is legitimately late (a
+	// panel replay, a reboot) lets the ack wait expire, the retransmitted
+	// duplicate lands in the pair's FIFO, and the program's next raw Recv
+	// on that pair consumes it as data.
 	RTO float64
 	// Backoff multiplies the RTO after every consecutive expiry (default 2).
 	Backoff float64
@@ -121,6 +138,10 @@ func (c ARQConfig) withDefaults() ARQConfig {
 	return c
 }
 
+// evidenceOnly is the endpoint configuration of programs whose ARQ pairs
+// also carry raw traffic (ABFT25D, RunCheckpointed): see ARQConfig.RTO.
+var evidenceOnly = ARQConfig{RTO: math.Inf(1)}
+
 // ARQDefaults builds a config whose RTO covers one round trip of a
 // words-sized frame under the given cost model with a 4× safety margin —
 // tight enough that a genuine drop is noticed within a few frame times,
@@ -148,6 +169,108 @@ func NewARQ(r *sim.Rank, cfg ARQConfig) *ARQ {
 		nextRecv: map[int]int{},
 		pending:  map[int][]pendingFrame{},
 	}
+}
+
+// pendingFrame is a data frame parked by an ack wait for a later Recv.
+type pendingFrame struct {
+	seq  int
+	data []float64
+}
+
+// Frame kinds and ack flags.
+const (
+	kindData = 1
+	kindAck  = 2
+	kindPing = 3
+	kindPong = 4
+	kindBeat = 5
+	ackOK    = 1
+	ackBad   = 0
+)
+
+// frameSum protects a whole frame: any single-word perturbation (the fault
+// model's +1.0) shifts the sum.
+func frameSum(words []float64) float64 {
+	s := 0.0
+	for _, v := range words {
+		s += v
+	}
+	return s
+}
+
+// dataFrame builds a DATA frame [kind, seq, checksum, payload...].
+func dataFrame(seq int, payload []float64) []float64 {
+	f := make([]float64, 3+len(payload))
+	f[0] = kindData
+	f[1] = float64(seq)
+	copy(f[3:], payload)
+	f[2] = kindData + float64(seq) + frameSum(payload)
+	return f
+}
+
+// ackFrame builds an ACK frame [kind, seq, flag, checksum].
+func ackFrame(seq, flag int) []float64 {
+	return []float64{kindAck, float64(seq), float64(flag), kindAck + float64(seq) + float64(flag)}
+}
+
+// Frame classifications.
+const (
+	frameDamaged = iota
+	frameData
+	frameAck
+	framePing
+	framePong
+	frameBeat
+)
+
+// ctlFrame builds a 4-word control frame (PING/PONG/BEAT) carrying one
+// integer argument, checksummed like an ack.
+func ctlFrame(kind, arg int) []float64 {
+	return []float64{float64(kind), float64(arg), 0, float64(kind) + float64(arg)}
+}
+
+// classify validates a frame's checksum and returns its kind. A frame whose
+// checksum fails — including one whose kind word was corrupted — is damaged.
+func classify(f []float64) int {
+	switch {
+	case len(f) >= 3 && f[0] == kindData && f[2] == kindData+f[1]+frameSum(f[3:]):
+		return frameData
+	case len(f) == 4 && f[0] == kindAck && f[3] == kindAck+f[1]+f[2]:
+		return frameAck
+	case len(f) == 4 && f[3] == f[0]+f[1]+f[2]:
+		switch f[0] {
+		case kindPing:
+			return framePing
+		case kindPong:
+			return framePong
+		case kindBeat:
+			return frameBeat
+		}
+		return frameDamaged
+	default:
+		return frameDamaged
+	}
+}
+
+// DefaultMaxPending bounds how many early data frames one peer may park in
+// an endpoint's pending buffer. A correct peer alternates data with the
+// acks this endpoint is waiting for, so the buffer stays shallow; unbounded
+// growth means the peer is streaming without ever consuming — a protocol
+// bug that used to manifest as an out-of-memory kill long after the cause.
+const DefaultMaxPending = 256
+
+// PendingOverflowError reports a peer that pushed more early data frames
+// than the endpoint is willing to buffer.
+type PendingOverflowError struct {
+	Rank, Peer int
+	// Limit is the buffer bound that was exceeded.
+	Limit int
+}
+
+// Error implements error.
+func (e *PendingOverflowError) Error() string {
+	return fmt.Sprintf("resilience: rank %d: peer %d overflowed the pending buffer (> %d early data frames; peer streams without consuming)",
+		e.Rank, e.Peer, e.Limit)
 }
 
 // ARQStats counts one endpoint's protocol events; all increments are
@@ -350,8 +473,10 @@ func (a *ARQ) Send(dst int, data []float64) error {
 		case framePong, frameBeat:
 			// Liveness only; the reset above already consumed it.
 		default:
-			// Damaged beyond classification: cover both possibilities,
-			// like Reliable does.
+			// Damaged beyond classification: it may have been our ack or
+			// the peer's data. Retransmit the outstanding frame and ask
+			// for a retransmission of whatever the peer may have in
+			// flight.
 			a.stats.Retransmits++
 			if err := a.xmit(dst, frame); err != nil {
 				return err
@@ -363,8 +488,11 @@ func (a *ARQ) Send(dst int, data []float64) error {
 	}
 }
 
-// acceptData is Reliable.acceptData with the error-returning contract and
-// the configured pending bound.
+// acceptData handles a valid incoming data frame outside Recv: duplicates
+// are re-acknowledged (their ack may have been damaged), in-order data is
+// buffered for a later Recv. It does not acknowledge buffered data — the
+// matching Recv does, which keeps the peer's ack wait alive until this
+// endpoint has genuinely caught up.
 func (a *ARQ) acceptData(peer int, f []float64) error {
 	seq := int(f[1])
 	switch expected := a.nextRecv[peer]; {
@@ -522,4 +650,41 @@ func (a *ARQ) Bcast(members []int, root int, data []float64) ([]float64, error) 
 		}
 	}
 	return buf, nil
+}
+
+// AllReduceSum combines every rank's equal-length vector elementwise over a
+// binomial tree (reduce to rank 0, broadcast back) carried entirely on the
+// endpoint, so a corrupted link cannot silently alter the result — the
+// crash-bitmap rounds of ABFT25D and RunCheckpointed ride on this, and a
+// detector that can be corrupted into seeing phantom crashes would
+// desynchronize the recovery protocol. Every rank of the cluster must call
+// it in the same program position.
+func (a *ARQ) AllReduceSum(data []float64) ([]float64, error) {
+	p, me := a.r.P(), a.r.ID()
+	acc := append([]float64(nil), data...)
+	for bit := 1; bit < p; bit <<= 1 {
+		if me&bit != 0 {
+			if err := a.Send(me&^bit, acc); err != nil {
+				return nil, err
+			}
+			break
+		}
+		if partner := me | bit; partner < p {
+			contrib, err := a.Recv(partner)
+			if err != nil {
+				return nil, err
+			}
+			a.r.Compute(float64(len(acc)))
+			for i, v := range contrib {
+				acc[i] += v
+			}
+		}
+	}
+	// The broadcast back retraces the same tree: Bcast's parent of rank
+	// me is me with its lowest set bit cleared, the rank it reduced into.
+	world := make([]int, p)
+	for i := range world {
+		world[i] = i
+	}
+	return a.Bcast(world, 0, acc)
 }

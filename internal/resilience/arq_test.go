@@ -2,22 +2,28 @@ package resilience_test
 
 import (
 	"errors"
+	"math"
+	"slices"
 	"testing"
 
 	"perfscale/internal/resilience"
 	"perfscale/internal/sim"
 )
 
-// arqCost gives runs a virtual clock.
-func arqCost() sim.Cost {
+// testCost gives runs a virtual clock.
+func testCost() sim.Cost {
 	return sim.Cost{GammaT: 1e-9, BetaT: 1e-8, AlphaT: 1e-6}
 }
 
+// evidenceOnly is the infinite-RTO configuration ABFT25D and
+// RunCheckpointed run: retransmission on a damaged frame or a nack only.
+var evidenceOnly = resilience.ARQConfig{RTO: math.Inf(1)}
+
 func TestARQDeliversInOrder(t *testing.T) {
 	const msgs = 10
-	cfg := resilience.ARQDefaults(arqCost(), 2)
+	cfg := resilience.ARQDefaults(testCost(), 2)
 	var senderStats resilience.ARQStats
-	_, err := sim.Run(2, arqCost(), func(r *sim.Rank) error {
+	_, err := sim.Run(2, testCost(), func(r *sim.Rank) error {
 		arq := resilience.NewARQ(r, cfg)
 		if r.ID() == 0 {
 			for i := 0; i < msgs; i++ {
@@ -47,13 +53,13 @@ func TestARQDeliversInOrder(t *testing.T) {
 	}
 }
 
-// TestARQMasksSilentDrops is the capability Reliable lacks: silently
-// dropped frames — in both the data and the ack direction — are recovered
-// by timeout-driven retransmission instead of hanging until a deadlock
-// verdict aborts the run.
+// TestARQMasksSilentDrops is the capability an evidence-only endpoint
+// lacks: silently dropped frames — in both the data and the ack direction —
+// are recovered by timeout-driven retransmission instead of hanging until a
+// deadlock verdict aborts the run.
 func TestARQMasksSilentDrops(t *testing.T) {
 	const msgs = 12
-	cost := arqCost()
+	cost := testCost()
 	cost.Faults = &sim.FaultPlan{
 		Seed:  21,
 		Links: []sim.LinkFault{{Src: -1, Dst: -1, DropProb: 0.25}},
@@ -95,8 +101,8 @@ func TestARQMasksSilentDrops(t *testing.T) {
 // a suspicion and not as a deadlock abort.
 func TestARQPeerFailureExited(t *testing.T) {
 	boom := errors.New("boom")
-	cfg := resilience.ARQDefaults(arqCost(), 1)
-	_, err := sim.Run(2, arqCost(), func(r *sim.Rank) error {
+	cfg := resilience.ARQDefaults(testCost(), 1)
+	_, err := sim.Run(2, testCost(), func(r *sim.Rank) error {
 		if r.ID() == 1 {
 			return boom
 		}
@@ -122,10 +128,10 @@ func TestARQPeerFailureExited(t *testing.T) {
 // stays alive but silent past the detector budget becomes a suspected
 // PeerFailure after exactly DetectorMisses silent windows.
 func TestARQPeerFailureSuspected(t *testing.T) {
-	cfg := resilience.ARQDefaults(arqCost(), 1)
+	cfg := resilience.ARQDefaults(testCost(), 1)
 	cfg.DetectorMisses = 2
 	pings := 0
-	_, err := sim.Run(2, arqCost(), func(r *sim.Rank) error {
+	_, err := sim.Run(2, testCost(), func(r *sim.Rank) error {
 		if r.ID() == 1 {
 			// Alive but unresponsive: consume whatever arrives (the
 			// detector's pings) without ever answering.
@@ -157,7 +163,7 @@ func TestARQPeerFailureSuspected(t *testing.T) {
 // than the detector budget is a false positive; with beats, the same phase
 // passes. Both outcomes are decided purely by virtual stamps.
 func TestARQHeartbeatCoversLongCompute(t *testing.T) {
-	base := arqCost()
+	base := testCost()
 	cfg := resilience.ARQDefaults(base, 1)
 	cfg.RTO = 0.25
 	cfg.Backoff = 1 // constant windows: the silence budget is exactly 3·2 = 6 s
@@ -199,38 +205,12 @@ func TestARQHeartbeatCoversLongCompute(t *testing.T) {
 	}
 }
 
-// TestReliablePendingOverflow forges in-order DATA frames from a raw peer
-// at a Reliable endpoint parked in an ack wait, and checks the buffer cap
-// converts unbounded growth into a typed error instead of an OOM.
-func TestReliablePendingOverflow(t *testing.T) {
-	const forged = resilience.DefaultMaxPending + 1
-	_, err := sim.Run(2, arqCost(), func(r *sim.Rank) error {
-		if r.ID() == 1 {
-			// A buggy peer: streams frames, never consumes, never acks.
-			for i := 0; i < forged; i++ {
-				r.Send(0, resilience.DataFrame(i, []float64{float64(i)}))
-			}
-			return nil
-		}
-		rel := resilience.NewReliable(r)
-		rel.Send(1, []float64{1}) // parks rank 0 in the ack wait
-		return errors.New("ack wait ended without an overflow")
-	})
-	var poe *resilience.PendingOverflowError
-	if !errors.As(err, &poe) {
-		t.Fatalf("want *PendingOverflowError in %v", err)
-	}
-	if poe.Rank != 0 || poe.Peer != 1 || poe.Limit != resilience.DefaultMaxPending {
-		t.Errorf("overflow misattributed: %+v", poe)
-	}
-}
-
 // TestARQPendingOverflow checks the ARQ endpoint enforces the same bound
 // through its error-returning contract.
 func TestARQPendingOverflow(t *testing.T) {
-	cfg := resilience.ARQDefaults(arqCost(), 1)
+	cfg := resilience.ARQDefaults(testCost(), 1)
 	cfg.MaxPending = 8
-	_, err := sim.Run(2, arqCost(), func(r *sim.Rank) error {
+	_, err := sim.Run(2, testCost(), func(r *sim.Rank) error {
 		if r.ID() == 1 {
 			for i := 0; i < cfg.MaxPending+1; i++ {
 				r.Send(0, resilience.DataFrame(i, []float64{float64(i)}))
@@ -256,8 +236,8 @@ func TestARQBcastTree(t *testing.T) {
 		members[i] = i
 	}
 	payload := []float64{3, 1, 4, 1, 5}
-	cfg := resilience.ARQDefaults(arqCost(), len(payload))
-	_, err := sim.Run(p, arqCost(), func(r *sim.Rank) error {
+	cfg := resilience.ARQDefaults(testCost(), len(payload))
+	_, err := sim.Run(p, testCost(), func(r *sim.Rank) error {
 		arq := resilience.NewARQ(r, cfg)
 		got, err := arq.Bcast(members, 3, dataIfTest(r.ID() == 3, payload))
 		if err != nil {
@@ -290,13 +270,13 @@ func dataIfTest(cond bool, data []float64) []float64 {
 // the third in-order frame must surface *PendingOverflowError out of rank
 // 0's own Send, attributed to the overflowing endpoint.
 func TestARQPendingOverflowFromARQPeer(t *testing.T) {
-	slowCfg := resilience.ARQDefaults(arqCost(), 2)
+	slowCfg := resilience.ARQDefaults(testCost(), 2)
 	slowCfg.RTO = 10 // virtual seconds: parks rank 0 for the whole run
 	slowCfg.MaxPending = 2
-	fastCfg := resilience.ARQDefaults(arqCost(), 2)
+	fastCfg := resilience.ARQDefaults(testCost(), 2)
 	fastCfg.MaxAttempts = 3
 
-	_, err := sim.Run(2, arqCost(), func(r *sim.Rank) error {
+	_, err := sim.Run(2, testCost(), func(r *sim.Rank) error {
 		if r.ID() == 0 {
 			arq := resilience.NewARQ(r, slowCfg)
 			// Never acked (the peer only sends), so this sits in the ack
@@ -332,7 +312,7 @@ func TestARQPendingOverflowFromARQPeer(t *testing.T) {
 // lands on the receiver, whose Recv converts the sender's clean exit into
 // a typed *PeerFailure with Exited && Clean set.
 func TestARQOptimisticCompletionAtMaxAttempts(t *testing.T) {
-	cost := arqCost()
+	cost := testCost()
 	cost.Faults = &sim.FaultPlan{
 		Seed:  7,
 		Links: []sim.LinkFault{{Src: 0, Dst: 1, DropProb: 1}},
@@ -381,7 +361,7 @@ func TestARQOptimisticCompletionAtMaxAttempts(t *testing.T) {
 // retransmit lands, and the transfer completes normally — one timeout, one
 // retransmit, no optimistic completion, payload intact at the receiver.
 func TestARQRecoversJustBeforeMaxAttempts(t *testing.T) {
-	cost := arqCost()
+	cost := testCost()
 	cfg := resilience.ARQDefaults(cost, 2)
 	cfg.MaxAttempts = 3
 	// The first data copy leaves within half an RTO of the clock origin
@@ -415,5 +395,102 @@ func TestARQRecoversJustBeforeMaxAttempts(t *testing.T) {
 	}
 	if senderStats.Timeouts != 1 || senderStats.Retransmits != 1 || senderStats.OptimisticSends != 0 {
 		t.Errorf("stats = %+v, want exactly one timeout, one retransmit, no optimistic completion", senderStats)
+	}
+}
+
+// exchange runs msgs transfers from rank 0 to rank 1 over evidence-only
+// endpoints; payload(i) is message i. The receiver checks order and
+// content; the run's result is returned for counter checks.
+func exchange(t *testing.T, cost sim.Cost, msgs int, payload func(i int) []float64) *sim.Result {
+	t.Helper()
+	res, err := sim.Run(2, cost, func(r *sim.Rank) error {
+		arq := resilience.NewARQ(r, evidenceOnly)
+		if r.ID() == 0 {
+			for i := 0; i < msgs; i++ {
+				if err := arq.Send(1, payload(i)); err != nil {
+					return err
+				}
+			}
+			return nil
+		}
+		for i := 0; i < msgs; i++ {
+			got, err := arq.Recv(0)
+			if err != nil {
+				return err
+			}
+			if want := payload(i); !slices.Equal(got, want) {
+				t.Errorf("message %d = %v, want %v", i, got, want)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+func TestARQEvidenceOnlyDeliversInOrder(t *testing.T) {
+	exchange(t, testCost(), 10, func(i int) []float64 { return []float64{float64(i), float64(2 * i)} })
+}
+
+func TestARQEvidenceOnlyMasksCorruption(t *testing.T) {
+	const msgs = 20
+	cost := testCost()
+	cost.Faults = &sim.FaultPlan{
+		Seed:  11,
+		Links: []sim.LinkFault{{Src: 0, Dst: 1, CorruptProb: 0.5}},
+	}
+	res := exchange(t, cost, msgs, func(i int) []float64 { return []float64{float64(i), 100 + float64(i)} })
+	// Retransmissions must show up in the counters: strictly more sender
+	// messages than the msgs data packets it would send on a clean link.
+	if got := res.PerRank[0].MsgsSent; got <= msgs {
+		t.Errorf("expected retransmissions beyond %d packets, counted %g", msgs, got)
+	}
+}
+
+func TestARQEvidenceOnlyMasksDuplication(t *testing.T) {
+	cost := testCost()
+	cost.Faults = &sim.FaultPlan{
+		Seed:  3,
+		Links: []sim.LinkFault{{Src: -1, Dst: -1, DupProb: 1}},
+	}
+	exchange(t, cost, 5, func(i int) []float64 { return []float64{float64(i)} })
+}
+
+func TestARQEvidenceOnlyCorruptionIsDeterministic(t *testing.T) {
+	run := func() sim.Stats {
+		cost := testCost()
+		cost.Faults = &sim.FaultPlan{
+			Seed:  42,
+			Links: []sim.LinkFault{{Src: 0, Dst: 1, CorruptProb: 0.5, DupProb: 0.25}},
+		}
+		return exchange(t, cost, 10, func(i int) []float64 { return []float64{float64(i), float64(i * i)} }).PerRank[0]
+	}
+	if a, b := run(), run(); a != b {
+		t.Errorf("retry traffic must be byte-identical across runs:\n%+v\n%+v", a, b)
+	}
+}
+
+// TestARQEvidenceOnlyDropIsDeadlock: with an infinite RTO nothing notices
+// silence, so a dropped frame ends the run in a typed deadlock verdict —
+// never in a fired timer or an infinite clock.
+func TestARQEvidenceOnlyDropIsDeadlock(t *testing.T) {
+	cost := testCost()
+	cost.Faults = &sim.FaultPlan{Seed: 1, Links: []sim.LinkFault{{Src: 0, Dst: 1, DropProb: 1}}}
+	res, err := sim.Run(2, cost, func(r *sim.Rank) error {
+		arq := resilience.NewARQ(r, evidenceOnly)
+		if r.ID() == 0 {
+			return arq.Send(1, []float64{1})
+		}
+		_, err := arq.Recv(0)
+		return err
+	})
+	var de *sim.DeadlockError
+	if !errors.As(err, &de) {
+		t.Fatalf("want a DeadlockError, got %v", err)
+	}
+	if T := res.Time(); math.IsInf(T, 0) {
+		t.Errorf("clock ran to %g", T)
 	}
 }

@@ -1,6 +1,7 @@
 package resilience_test
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -91,6 +92,45 @@ func TestCheckpointRecoversFromCrash(t *testing.T) {
 	}
 	if res.Sim.Time() <= base.Sim.Time() {
 		t.Errorf("recovery should cost time: %g <= %g", res.Sim.Time(), base.Sim.Time())
+	}
+}
+
+// TestCheckpointCrashSweep crashes every rank of a p=8 ring at nineteen
+// points of the fault-free runtime, with and without a reboot stall, for
+// two checkpoint intervals. Every run must end in the fault-free states
+// bit for bit. The checkpoint endpoint shares its ring pairs with the
+// kernel's raw shifts, so a finite RTO would fail here: a rebooting peer
+// answers late, the ack wait expires, and the retransmitted duplicate is
+// read by the next shift.
+func TestCheckpointCrashSweep(t *testing.T) {
+	const p, iters = 8, 10
+	for _, every := range []int{1, 4} {
+		base, err := resilience.RunCheckpointed(testCost(), p, iters, every, stencilInit, stencilStep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		T := base.Sim.Time()
+		for _, reboot := range []float64{0, 0.05 * T} {
+			for rank := 0; rank < p; rank++ {
+				for k := 1; k <= 19; k++ {
+					cost := testCost()
+					cost.Faults = &sim.FaultPlan{
+						Crashes:    map[int]float64{rank: float64(k) / 20 * T},
+						Respawn:    true,
+						RebootTime: reboot,
+					}
+					res, err := resilience.RunCheckpointed(cost, p, iters, every, stencilInit, stencilStep)
+					if err != nil {
+						t.Errorf("every %d, reboot %g, crash rank %d at %d/20 T: %v", every, reboot, rank, k, err)
+						continue
+					}
+					if !slices.EqualFunc(res.States, base.States, slices.Equal[[]float64]) {
+						t.Errorf("every %d, reboot %g, crash rank %d at %d/20 T: states differ from the fault-free run",
+							every, reboot, rank, k)
+					}
+				}
+			}
+		}
 	}
 }
 

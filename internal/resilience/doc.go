@@ -5,13 +5,19 @@
 // flows through the normal sim.Stats counters and is priced by
 // core.PriceSim.
 //
-// Three layers:
+// The building blocks:
 //
-//   - Reliable: a checksummed, acknowledged point-to-point channel that
-//     masks message corruption and duplication injected by a sim.FaultPlan.
-//     It has no timers (virtual time has no timeouts), so unbounded message
-//     loss is not retransmitted — a dropped packet leaves both ends blocked
-//     and the runtime converts the hang into a DeadlockError.
+//   - ARQ: a checksummed, acknowledged point-to-point endpoint. It masks
+//     the corruption and duplication a sim.FaultPlan injects by
+//     retransmitting on evidence (a damaged frame, a nack), masks silent
+//     drops by retransmitting on virtual-time timeouts, and turns peer
+//     exits and wedged peers into typed PeerFailure verdicts. With an
+//     infinite RTO it retransmits on evidence only, and a dropped frame
+//     ends the run in a sim.DeadlockError: the setting for endpoints that
+//     share rank pairs with raw traffic (see ARQConfig.RTO).
+//
+//   - SUMMAARQ: SUMMA with every panel broadcast carried over ARQ trees, so
+//     a lossy plan completes bit-identical to its fault-free self.
 //
 //   - ABFT25D: the 2.5D SUMMA matrix multiply of internal/matmul hardened
 //     against rank crashes. The 2.5D algorithm's replication factor c is
@@ -25,9 +31,13 @@
 //
 //   - RunCheckpointed: in-memory buddy checkpointing with coordinated
 //     rollback for iterative SPMD kernels. Each rank ships its state to a
-//     buddy every k iterations over Reliable; when the per-step failure
-//     detection (a world all-reduce of a crash bitmap) reports a casualty,
-//     every rank rolls back to the last checkpoint and re-executes.
+//     buddy every k iterations over an infinite-RTO ARQ endpoint; when the
+//     per-step failure detection (a world all-reduce of a crash bitmap)
+//     reports a casualty, every rank rolls back to the last checkpoint and
+//     re-executes.
+//
+//   - RecoveryController: picks the cheapest way back from a PeerFailure by
+//     pricing ABFT replay, checkpoint rollback and respawn with Eq. 1/Eq. 2.
 //
 // Crash semantics follow sim.FaultPlan with Respawn: a crashed rank loses
 // its application data (the implementations scrub it to NaN so an

@@ -13,8 +13,8 @@ func TestSUMMAARQMatchesSerial(t *testing.T) {
 	const q, n = 2, 8
 	a := matrix.Random(n, n, 1)
 	b := matrix.Random(n, n, 2)
-	cfg := resilience.ARQDefaults(arqCost(), (n/q)*(n/q))
-	res, err := resilience.SUMMAARQ(arqCost(), q, cfg, a, b)
+	cfg := resilience.ARQDefaults(testCost(), (n/q)*(n/q))
+	res, err := resilience.SUMMAARQ(testCost(), q, cfg, a, b)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"perfscale/internal/obs"
 	"perfscale/internal/resilience"
 	"perfscale/internal/sim"
 )
@@ -11,11 +12,11 @@ import (
 // The critical path must tile [0, T] exactly even when the timeline is
 // shaped by fault-driven retransmissions: every retransmitted frame is an
 // ordinary send/wait pair, so the backward walk must keep working through
-// the extra traffic the Reliable protocol generates.
+// the extra traffic an evidence-only ARQ endpoint generates.
 //
 // Pair (0,1) drops primaries but duplicates every message (DupProb = 1):
-// the surviving copy keeps the timer-free protocol alive — a sole dropped
-// copy would deadlock by design. Pair (2,3) corrupts frames, forcing
+// the surviving copy keeps the evidence-only protocol alive — a sole
+// dropped copy would deadlock by design. Pair (2,3) corrupts frames, forcing
 // genuine retransmission rounds. The two fault classes are deliberately
 // NOT combined on one link: a damaged copy makes the protocol emit two
 // frames (retransmit + nack) and DupProb = 1 doubles every one of them,
@@ -25,7 +26,8 @@ import (
 // CorruptProb ≲ 0.24.
 func TestCriticalPathTilesUnderDropsAndRetransmits(t *testing.T) {
 	cost := testCost()
-	cost.Trace = true
+	col := obs.NewCollector(4)
+	cost.Observers = []sim.Observer{col}
 	cost.Faults = &sim.FaultPlan{
 		Seed: 11,
 		Links: []sim.LinkFault{
@@ -35,31 +37,40 @@ func TestCriticalPathTilesUnderDropsAndRetransmits(t *testing.T) {
 			{Src: 3, Dst: 2, CorruptProb: 0.15},
 		},
 	}
-	// Even ranks lead, odd ranks answer: Reliable.Send blocks for its
-	// ack, so the conversation must pair up (an all-send-first ring would
-	// deadlock by construction, faults or not).
+	// Even ranks lead, odd ranks answer: ARQ.Send blocks for its ack, so
+	// the conversation must pair up (an all-send-first ring would deadlock
+	// by construction, faults or not).
 	const msgs = 12
 	program := func(r *sim.Rank) error {
-		rel := resilience.NewReliable(r)
+		arq := resilience.NewARQ(r, evidenceOnly)
 		partner := r.ID() ^ 1
 		for i := 0; i < msgs; i++ {
-			if r.ID()%2 == 0 {
-				rel.Send(partner, []float64{float64(i)})
-				got := rel.Recv(partner)
-				if len(got) != 1 || got[0] != float64(2*i) {
-					return nil
+			lead := r.ID()%2 == 0
+			if lead {
+				if err := arq.Send(partner, []float64{float64(i)}); err != nil {
+					return err
 				}
-			} else {
-				got := rel.Recv(partner)
-				if len(got) != 1 || got[0] != float64(i) {
-					return nil
+			}
+			got, err := arq.Recv(partner)
+			if err != nil {
+				return err
+			}
+			want := float64(i) // the leader's message
+			if lead {
+				want = float64(2 * i) // the answer
+			}
+			if len(got) != 1 || got[0] != want {
+				t.Errorf("rank %d message %d = %v, want [%g]", r.ID(), i, got, want)
+			}
+			if !lead {
+				if err := arq.Send(partner, []float64{float64(2 * i)}); err != nil {
+					return err
 				}
-				rel.Send(partner, []float64{float64(2 * i)})
 			}
 			r.Compute(64)
 		}
-		rel.AllReduceSum([]float64{1})
-		return nil
+		_, err := arq.AllReduceSum([]float64{1})
+		return err
 	}
 	res, err := sim.Run(4, cost, program)
 	if err != nil {
@@ -68,7 +79,6 @@ func TestCriticalPathTilesUnderDropsAndRetransmits(t *testing.T) {
 	// The plan must actually have caused retransmissions, or the test
 	// pins nothing; compare against a fault-free run of the same program.
 	cleanCost := testCost()
-	cleanCost.Trace = true
 	faultFree, err := sim.Run(4, cleanCost, program)
 	if err != nil {
 		t.Fatal(err)
@@ -78,7 +88,7 @@ func TestCriticalPathTilesUnderDropsAndRetransmits(t *testing.T) {
 			res.TotalStats().MsgsSent, faultFree.TotalStats().MsgsSent)
 	}
 
-	path := res.Trace.CriticalPath()
+	path := obs.CriticalPath(col)
 	if len(path) == 0 {
 		t.Fatal("empty critical path")
 	}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -198,7 +199,7 @@ type eventEngine struct {
 	workers int
 
 	// ffOK marks the run eligible for fast-forwarded collectives: no fault
-	// plan and no observers (including the tracer). Either must see the run
+	// plan and no observers. Either must see the run
 	// event by event — faults key decisions on individual sends, observers
 	// are owed per-operation callbacks on the owning rank's goroutine — so
 	// they force the slow path. The predicate is cluster-static:
@@ -259,9 +260,6 @@ func newEventEngine(c *Cluster, fn func(*Rank) error, res *Result) *eventEngine 
 // leftover messages from a failed run would corrupt a second one.
 func (c *Cluster) Run(fn func(r *Rank) error) (*Result, error) {
 	res := &Result{PerRank: make([]Stats, c.p)}
-	if c.tracer != nil {
-		res.Trace = &Trace{Segments: c.tracer.segments, Phases: c.tracer.phases}
-	}
 	e := newEventEngine(c, fn, res)
 	c.eng = e
 	defer c.watchContext()()
@@ -556,11 +554,11 @@ func (e *eventEngine) quiesce() {
 	}
 	// (3) Fire the single earliest armed virtual timer (ties to the
 	// lowest rank id) — one per quiescence round, the timer.go rule that
-	// keeps timeout-driven runs deterministic.
+	// keeps timeout-driven runs deterministic. A +Inf deadline never fires.
 	best, bestD := -1, 0.0
 	for id := range e.ranks {
 		rk := &e.ranks[id]
-		if rk.runnable || (rk.op != opBlockedRecvTimer && rk.op != opBlockedSendTimer) {
+		if rk.runnable || (rk.op != opBlockedRecvTimer && rk.op != opBlockedSendTimer) || math.IsInf(rk.deadline, 1) {
 			continue
 		}
 		if best < 0 || rk.deadline < bestD {

@@ -422,11 +422,12 @@ func TestEventBackendObserverStream(t *testing.T) {
 	}
 }
 
-// TestEventBackendTracer makes sure Cost.Trace collects every rank's timeline.
+// TestEventBackendTracer makes sure an observer sees every rank's timeline.
 func TestEventBackendTracer(t *testing.T) {
+	obs := newRecObs()
 	cost := unitCost
-	cost.Trace = true
-	res, err := Run(2, cost, func(r *Rank) error {
+	cost.Observers = []Observer{obs}
+	_, err := Run(2, cost, func(r *Rank) error {
 		r.Compute(5)
 		if r.ID() == 0 {
 			r.Send(1, []float64{1})
@@ -438,8 +439,8 @@ func TestEventBackendTracer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Trace == nil || len(res.Trace.Segments) != 2 {
-		t.Fatalf("trace missing: %+v", res.Trace)
+	if len(obs.segs[0]) == 0 || len(obs.segs[1]) == 0 {
+		t.Fatalf("timeline missing: %+v", obs.segs)
 	}
 }
 

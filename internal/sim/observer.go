@@ -2,12 +2,61 @@ package sim
 
 import "fmt"
 
+// SegmentKind classifies an interval of a rank's virtual timeline.
+type SegmentKind int
+
+// Segment kinds.
+const (
+	// SegCompute is time spent in Compute (γt·flops).
+	SegCompute SegmentKind = iota
+	// SegSend is the αt+k·βt the sender pays.
+	SegSend
+	// SegWait is idle time blocked in Recv for a message to arrive.
+	SegWait
+	// SegRecv is receive-side transfer cost (only under ChargeReceiver).
+	SegRecv
+)
+
+// String names the kind.
+func (k SegmentKind) String() string {
+	switch k {
+	case SegCompute:
+		return "compute"
+	case SegSend:
+		return "send"
+	case SegWait:
+		return "wait"
+	case SegRecv:
+		return "recv"
+	}
+	return fmt.Sprintf("SegmentKind(%d)", int(k))
+}
+
+// Segment is one interval on a rank's timeline, delivered to observers.
+type Segment struct {
+	Kind       SegmentKind
+	Start, End float64
+	// Peer is the other rank for send/wait/recv segments, -1 for compute
+	// and for injected stalls (crash reboot waits).
+	Peer int
+	// Words is the message size for communication segments.
+	Words int
+	// Msgs is the network-message count of a send/recv segment (⌈Words/m⌉),
+	// matching the S counter.
+	Msgs float64
+	// Flops is the work of a compute segment, so energy attribution does
+	// not have to divide the duration by γt.
+	Flops float64
+}
+
+// Duration returns End − Start.
+func (s Segment) Duration() float64 { return s.End - s.Start }
+
 // Observer is the simulation event bus: a subscriber receives every
 // timeline segment, phase mark, fault, crash and deadlock as it happens,
-// while the run is still in flight. The built-in tracer is one subscriber
-// (attached when Cost.Trace is set); internal/obs provides others — a
-// bounded ring buffer, a streaming JSONL writer, a full collector feeding
-// the Chrome-trace and summary exporters.
+// while the run is still in flight. internal/obs provides the subscribers —
+// a bounded ring buffer, a streaming JSONL writer, a full collector feeding
+// the Chrome-trace, critical-path, power-profile and summary exporters.
 //
 // Concurrency contract: OnCompute, OnSend, OnRecv, OnPhase, OnFault and
 // OnCrash fire on the goroutine of the rank named in the event,
@@ -19,8 +68,7 @@ import "fmt"
 // race-free.
 //
 // Segments are delivered even when zero-duration (a send under zero α/β
-// still moves words, which exporters count); the tracer drops those to
-// keep Trace semantics unchanged.
+// still moves words, which exporters count); timeline analyses skip them.
 type Observer interface {
 	// OnCompute delivers a SegCompute segment (Flops carries γt-free
 	// work, so energy can be attributed without dividing by duration).

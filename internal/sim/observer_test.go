@@ -13,15 +13,21 @@ import (
 type recObs struct {
 	mu        sync.Mutex
 	segs      map[int][]Segment // all segments by rank, in arrival order
-	phases    map[int][]PhaseMark
+	phases    map[int][]phaseMark
 	faults    []FaultEvent
 	crashes   []CrashEvent
 	deadlocks []DeadlockEvent
 	timers    []TimerEvent
 }
 
+// phaseMark is one recorded Phase annotation.
+type phaseMark struct {
+	Name string
+	Time float64
+}
+
 func newRecObs() *recObs {
-	return &recObs{segs: map[int][]Segment{}, phases: map[int][]PhaseMark{}}
+	return &recObs{segs: map[int][]Segment{}, phases: map[int][]phaseMark{}}
 }
 
 func (o *recObs) add(rank int, seg Segment) {
@@ -35,7 +41,7 @@ func (o *recObs) OnSend(rank int, seg Segment)    { o.add(rank, seg) }
 func (o *recObs) OnRecv(rank int, seg Segment)    { o.add(rank, seg) }
 func (o *recObs) OnPhase(rank int, name string, at float64) {
 	o.mu.Lock()
-	o.phases[rank] = append(o.phases[rank], PhaseMark{Name: name, Time: at})
+	o.phases[rank] = append(o.phases[rank], phaseMark{Name: name, Time: at})
 	o.mu.Unlock()
 }
 func (o *recObs) OnFault(ev FaultEvent) {
@@ -109,6 +115,52 @@ func TestObserverSegmentsMatchStats(t *testing.T) {
 	}
 }
 
+func TestTraceRecordsSegments(t *testing.T) {
+	obs := newRecObs()
+	cost := Cost{GammaT: 1, AlphaT: 10, BetaT: 1, Observers: []Observer{obs}}
+	_, err := Run(2, cost, func(r *Rank) error {
+		if r.ID() == 0 {
+			r.Compute(5)
+			r.Send(1, []float64{1, 2}) // 10 + 2 = 12
+		} else {
+			r.Recv(0) // waits until 17
+			r.Compute(3)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	segs0 := obs.segs[0]
+	if len(segs0) != 2 || segs0[0].Kind != SegCompute || segs0[1].Kind != SegSend {
+		t.Fatalf("rank 0 segments: %+v", segs0)
+	}
+	if segs0[1].Start != 5 || segs0[1].End != 17 || segs0[1].Peer != 1 || segs0[1].Words != 2 {
+		t.Errorf("send segment: %+v", segs0[1])
+	}
+	segs1 := obs.segs[1]
+	if len(segs1) != 2 || segs1[0].Kind != SegWait || segs1[1].Kind != SegCompute {
+		t.Fatalf("rank 1 segments: %+v", segs1)
+	}
+	if segs1[0].Start != 0 || segs1[0].End != 17 || segs1[0].Peer != 0 {
+		t.Errorf("wait segment: %+v", segs1[0])
+	}
+}
+
+func TestSegmentKindString(t *testing.T) {
+	names := map[SegmentKind]string{
+		SegCompute: "compute", SegSend: "send", SegWait: "wait", SegRecv: "recv",
+	}
+	for k, want := range names {
+		if k.String() != want {
+			t.Errorf("%d: got %q", int(k), k.String())
+		}
+	}
+	if SegmentKind(9).String() == "" {
+		t.Error("unknown kind should still format")
+	}
+}
+
 func TestObserverComputeCarriesFlops(t *testing.T) {
 	obs := newRecObs()
 	cost := Cost{GammaT: 1e-6, Observers: []Observer{obs}}
@@ -125,9 +177,10 @@ func TestObserverComputeCarriesFlops(t *testing.T) {
 }
 
 func TestPhaseMarksReachBusAndTrace(t *testing.T) {
-	obs := newRecObs()
-	cost := Cost{GammaT: 1e-3, AlphaT: 0.1, BetaT: 0.01, Trace: true, Observers: []Observer{obs}}
-	res, err := Run(2, cost, func(r *Rank) error {
+	// Every subscriber sees every phase mark, at the rank's clock.
+	obs, second := newRecObs(), newRecObs()
+	cost := Cost{GammaT: 1e-3, AlphaT: 0.1, BetaT: 0.01, Observers: []Observer{obs, second}}
+	_, err := Run(2, cost, func(r *Rank) error {
 		r.Phase("setup")
 		r.Compute(100)
 		r.Phase("exchange")
@@ -140,8 +193,8 @@ func TestPhaseMarksReachBusAndTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 	for rank := 0; rank < 2; rank++ {
-		want := []PhaseMark{{Name: "setup", Time: 0}, {Name: "exchange", Time: 0.1}}
-		for _, got := range [][]PhaseMark{obs.phases[rank], res.Trace.Phases[rank]} {
+		want := []phaseMark{{Name: "setup", Time: 0}, {Name: "exchange", Time: 0.1}}
+		for _, got := range [][]phaseMark{obs.phases[rank], second.phases[rank]} {
 			if len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
 				t.Errorf("rank %d: phases %+v, want %+v", rank, got, want)
 			}
@@ -252,9 +305,10 @@ func TestDegradedSendSegmentsMatchStatsTotals(t *testing.T) {
 			{Src: -1, Dst: -1, From: 0, Until: 2, AlphaFactor: 8, BetaFactor: 3},
 		},
 	}
+	obs := newRecObs()
 	cost := Cost{
 		AlphaT: 0.25, BetaT: 0.01, GammaT: 1e-3,
-		ChargeReceiver: true, Trace: true, Faults: plan,
+		ChargeReceiver: true, Faults: plan, Observers: []Observer{obs},
 	}
 	res, err := Run(2, cost, func(r *Rank) error {
 		other := 1 - r.ID()
@@ -270,7 +324,7 @@ func TestDegradedSendSegmentsMatchStatsTotals(t *testing.T) {
 	}
 	// The first sends happen inside the window: their traced duration must
 	// be the inflated 8·α + 10·3·β, not the base price.
-	first := res.Trace.Segments[0][0]
+	first := obs.segs[0][0]
 	if first.Kind != SegSend {
 		t.Fatalf("first segment is %v, want send", first.Kind)
 	}
@@ -279,7 +333,7 @@ func TestDegradedSendSegmentsMatchStatsTotals(t *testing.T) {
 	}
 	// And every rank's summed segment durations equal its Stats totals
 	// exactly — the pin that pricing and trace can never disagree again.
-	for rank, segs := range res.Trace.Segments {
+	for rank, segs := range obs.segs {
 		var send, recv float64
 		for _, seg := range segs {
 			switch seg.Kind {
@@ -297,79 +351,6 @@ func TestDegradedSendSegmentsMatchStatsTotals(t *testing.T) {
 			t.Errorf("rank %d: traced recv total %g != Stats.RecvTime %g", rank, recv, st.RecvTime)
 		}
 	}
-}
-
-// Satellite: CriticalPath must tile [0, T] exactly under ChargeReceiver
-// (receive segments join the path).
-func TestCriticalPathChargeReceiverTilesTime(t *testing.T) {
-	cost := Cost{GammaT: 1e-3, AlphaT: 0.5, BetaT: 0.01, ChargeReceiver: true, Trace: true}
-	res, err := Run(6, cost, func(r *Rank) error {
-		w := r.World()
-		r.Compute(float64(100 * (r.ID() + 1)))
-		data := make([]float64, 8)
-		for s := 0; s < 3; s++ {
-			data = w.Shift(data, 1)
-			r.Compute(50)
-		}
-		w.AllReduce(data, OpSum)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertPathTiles(t, res)
-}
-
-// CriticalPath must also survive respawn-crash reboot stalls: the injected
-// SegWait has no releasing sender (peer −1) and stays on the path as a
-// stall instead of being followed off the end of the rank array.
-func TestCriticalPathRespawnRebootStall(t *testing.T) {
-	plan := &FaultPlan{Crashes: map[int]float64{1: 0.01}, Respawn: true, RebootTime: 3}
-	cost := Cost{GammaT: 1e-3, AlphaT: 0.1, BetaT: 0.01, Trace: true, Faults: plan}
-	res, err := Run(2, cost, func(r *Rank) error {
-		r.Compute(100)
-		other := 1 - r.ID()
-		r.Send(other, make([]float64, 4))
-		r.Recv(other)
-		r.Compute(100)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := assertPathTiles(t, res)
-	stall := false
-	for _, seg := range path {
-		if seg.Kind == SegWait && seg.Peer == -1 && seg.Duration() == 3 {
-			stall = true
-		}
-	}
-	if !stall {
-		t.Errorf("reboot stall missing from path: %+v", path)
-	}
-}
-
-// assertPathTiles checks the critical path covers [0, T] contiguously and
-// returns it.
-func assertPathTiles(t *testing.T, res *Result) []Segment {
-	t.Helper()
-	path := res.Trace.CriticalPath()
-	if len(path) == 0 {
-		t.Fatal("empty critical path")
-	}
-	total := 0.0
-	for _, s := range path {
-		total += s.Duration()
-	}
-	if T := res.Time(); math.Abs(total-T) > 1e-9*T {
-		t.Errorf("path covers %g of %g", total, T)
-	}
-	for i := 1; i < len(path); i++ {
-		if math.Abs(path[i].Start-path[i-1].End) > 1e-9 {
-			t.Fatalf("path gap between %+v and %+v", path[i-1], path[i])
-		}
-	}
-	return path
 }
 
 // Satellite: the DeadlockError carries a full cluster snapshot

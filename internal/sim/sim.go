@@ -33,7 +33,9 @@
 //
 // Per-rank counters record flops, words/messages sent and received, and the
 // peak of an explicitly tracked memory allocation count; the core package
-// prices these counters with the paper's energy model.
+// prices these counters with the paper's energy model. The timeline behind
+// the counters is published on the Observer bus (observer.go), the one
+// tracing mechanism; internal/obs captures and analyses it.
 //
 // The runtime is robust under failure: a seeded FaultPlan injects rank
 // crashes, message drops/duplications/corruptions and degraded-link windows
@@ -41,7 +43,9 @@
 // the engine detects quiescence exactly, so hangs — mismatched
 // point-to-point programs, sends to exited ranks, dropped messages — become
 // diagnostic errors naming the blocked ranks the instant no rank can run
-// (DeadlockError), never after a real-time wait. internal/resilience builds
+// (DeadlockError), never after a real-time wait. Virtual-time timers
+// (timer.go) let a protocol notice silence; an infinite timeout never fires,
+// so such a wait ends in the same DeadlockError. internal/resilience builds
 // recovering algorithms on top of these hooks.
 package sim
 
@@ -75,15 +79,11 @@ type Cost struct {
 	// constant of symmetric exchanges but leaves every scaling shape
 	// unchanged.
 	ChargeReceiver bool
-	// Trace records per-rank timeline segments (compute/send/wait/recv)
-	// for critical-path and power-profile analysis; Result.Trace carries
-	// them after the run.
-	Trace bool
 	// Observers subscribes event-bus listeners to the run: every timeline
 	// segment, phase mark, fault, crash and deadlock is delivered as it
-	// happens (see Observer for the concurrency contract). The built-in
-	// tracer is appended as one more subscriber when Trace is set. An
-	// empty list costs nothing on the hot path.
+	// happens (see Observer for the concurrency contract); internal/obs
+	// builds captures, critical paths and power profiles on it. An empty
+	// list costs nothing on the hot path.
 	Observers []Observer
 	// ChanCap overrides DefaultChanCap, the per-pair queue buffer in
 	// messages. Zero means the default; negative values are rejected.
@@ -180,9 +180,7 @@ type Cluster struct {
 	cost   Cost
 	bufCap int
 	mail   []mailbox // mail[dst].queues[src]
-	tracer *tracer
-	// obs lists the event-bus subscribers (Cost.Observers plus the tracer
-	// when tracing).
+	// obs lists the event-bus subscribers (Cost.Observers).
 	obs []Observer
 
 	// abortErr[id] is the diagnostic the engine aborted rank id with,
@@ -237,10 +235,6 @@ func NewCluster(p int, cost Cost) (*Cluster, error) {
 	}
 	c := &Cluster{p: p, cost: cost}
 	c.obs = append(c.obs, cost.Observers...)
-	if cost.Trace {
-		c.tracer = &tracer{segments: make([][]Segment, p), phases: make([][]PhaseMark, p)}
-		c.obs = append(c.obs, c.tracer)
-	}
 	c.bufCap = cost.ChanCap
 	if c.bufCap == 0 {
 		c.bufCap = DefaultChanCap
@@ -611,8 +605,6 @@ type Result struct {
 	// the pairs actually communicated over. It is a runtime-footprint
 	// metric, not part of the simulated machine model.
 	ActivePairs int
-	// Trace carries the per-rank timelines when Cost.Trace was set.
-	Trace *Trace
 }
 
 // Time returns the simulated runtime: the maximum final clock over ranks.

@@ -34,9 +34,13 @@ import "fmt"
 //     span is accounted as WaitTime (a SegWait segment), so timeout-driven
 //     recovery is priced through the normal Eq. 1/Eq. 2 terms like any
 //     other wait.
+//   - A timeout of +Inf arms a timer that never fires: the operation ends
+//     only on a message, a buffer slot or a peer exit. Quiescence with
+//     nothing but such timers armed is a deadlock, reported exactly like
+//     one in a plain Recv or Send, and the clock stays finite.
 //
-// Deadlock is still declared — but only at quiescence with zero armed
-// timers, so a retransmit/backoff cycle in flight counts as liveness.
+// Deadlock is still declared — but only at quiescence with no finite
+// timer armed, so a retransmit/backoff cycle in flight counts as liveness.
 
 // RecvOutcome says how a RecvTimeout resolved.
 type RecvOutcome int

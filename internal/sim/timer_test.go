@@ -1,6 +1,9 @@
 package sim
 
 import (
+	"errors"
+	"fmt"
+	"math"
 	"testing"
 	"time"
 )
@@ -375,5 +378,67 @@ func TestTimedRunsAreDeterministic(t *testing.T) {
 				t.Errorf("rank %d timer event %d differs: %+v vs %+v", rank, i, evs[i], m2[rank][i])
 			}
 		}
+	}
+}
+
+// TestInfiniteTimeoutIsDeadlock pins the +Inf rule: a timer with an
+// infinite deadline never fires, so a timed operation that nothing can
+// complete ends the run in a DeadlockError naming the rank, exactly like a
+// plain Recv or Send, and the clock stays finite.
+func TestInfiniteTimeoutIsDeadlock(t *testing.T) {
+	inf := math.Inf(1)
+	cases := []struct {
+		name string
+		op   string
+		fn   func(r *Rank) error
+	}{
+		{"recv from a silent peer", "recv", func(r *Rank) error {
+			if r.ID() != 1 {
+				r.Recv(2 - r.ID()) // ranks 0 and 2 wait on each other
+				return nil
+			}
+			r.Compute(3)
+			_, out := r.RecvTimeout(0, inf)
+			return fmt.Errorf("RecvTimeout returned %v", out)
+		}},
+		{"send to a full peer", "send", func(r *Rank) error {
+			if r.ID() != 1 {
+				r.Recv(2 - r.ID()) // rank 0 never drains the 1→0 pair
+				return nil
+			}
+			r.Compute(3)
+			if out := r.SendTimeout(0, []float64{1}, inf); out != SendOK {
+				return fmt.Errorf("first SendTimeout returned %v", out)
+			}
+			out := r.SendTimeout(0, []float64{2}, inf)
+			return fmt.Errorf("SendTimeout on a full buffer returned %v", out)
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cost := zeroCost
+			cost.GammaT = 1
+			cost.ChanCap = 1
+			res, err := Run(3, cost, tc.fn)
+			var found *DeadlockError
+			var errs interface{ Unwrap() []error }
+			if errors.As(err, &errs) {
+				for _, e := range errs.Unwrap() {
+					var de *DeadlockError
+					if errors.As(e, &de) && de.Rank == 1 {
+						found = de
+					}
+				}
+			}
+			if found == nil {
+				t.Fatalf("want a DeadlockError naming rank 1, got %v", err)
+			}
+			if found.Op != tc.op || found.Peer != 0 {
+				t.Errorf("deadlock %+v, want rank 1 blocked in %s on rank 0", found, tc.op)
+			}
+			if clock := res.PerRank[1].Time; math.IsInf(clock, 0) || clock < 3 {
+				t.Errorf("rank 1 clock %g, want finite and past its compute", clock)
+			}
+		})
 	}
 }
