@@ -23,7 +23,8 @@
 //
 // The text summary ends with per-rank utilization (min/avg/max) and the
 // time-resolved machine power, peak against the paper's average E/T.
-// Unknown -alg or -machine values exit 2; run and write failures exit 1.
+// Unknown -alg or -machine values and a CAPS size its 7^k ranks cannot
+// split exit 2; run and write failures exit 1.
 package main
 
 import (
@@ -52,7 +53,7 @@ func main() {
 	var (
 		alg      = flag.String("alg", "matmul", "algorithm: matmul, summa, caps, lu, nbody")
 		mach     = flag.String("machine", "simdefault", "machine preset name or .json parameter file")
-		n        = flag.Int("n", 128, "problem size (matrix dimension or body count)")
+		n        = flag.Int("n", 128, "problem size (matrix dimension or body count; caps defaults to 112)")
 		q        = flag.Int("q", 16, "grid size (matmul, lu); p = q²·c")
 		c        = flag.Int("c", 1, "replication factor (matmul, lu, nbody)")
 		p        = flag.Int("p", 64, "ranks (nbody)")
@@ -69,6 +70,9 @@ func main() {
 		check    = flag.Bool("selfcheck", false, "verify bit-identical energy vs an untraced rerun and validate the trace JSON")
 	)
 	flag.Parse()
+	if *alg == "caps" && !flagSet("n") {
+		*n = capsDefaultN
+	}
 
 	m, err := machine.Resolve(*mach)
 	if err != nil {
@@ -197,6 +201,18 @@ func main() {
 	}
 }
 
+// capsDefaultN is -n for -alg caps when the flag is not given: the shared
+// default of 128 leaves a 4096-word quadrant that seven ranks cannot split,
+// while 112 splits at k = 1.
+const capsDefaultN = 112
+
+// flagSet reports whether the named flag was given on the command line.
+func flagSet(name string) bool {
+	set := false
+	flag.Visit(func(f *flag.Flag) { set = set || f.Name == name })
+	return set
+}
+
 // buildRun resolves the algorithm flag into a closure running one point and
 // the rank count that point uses.
 func buildRun(alg string, n, q, c, p, k int) (func(sim.Cost) (*sim.Result, error), int, error) {
@@ -216,6 +232,9 @@ func buildRun(alg string, n, q, c, p, k int) (func(sim.Cost) (*sim.Result, error
 			return run.Sim, nil
 		}, q * q * c, nil
 	case "caps":
+		if err := strassen.CheckCAPS(n, k); err != nil {
+			return nil, 0, err
+		}
 		ranks := 1
 		for i := 0; i < k; i++ {
 			ranks *= 7

@@ -79,3 +79,26 @@ func TestSelfcheckPrintsUtilizationAndPower(t *testing.T) {
 		t.Fatalf("trace file not written: %v", err)
 	}
 }
+
+// A bare -alg caps must pick a size its seven ranks can split, and a size
+// they cannot is a usage error (exit 2) naming the split, not a failed run.
+func TestCAPSDefaultFlagsRun(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "t.json")
+	out, code := runTrace(t, "-alg", "caps", "-out", path)
+	if code != 0 {
+		t.Fatalf("exit %d:\n%s", code, out)
+	}
+	if !strings.Contains(out, "across 7 ranks") {
+		t.Errorf("default caps run is not the k=1 point:\n%s", out)
+	}
+}
+
+func TestCAPSBadShapeNamesTheSplit(t *testing.T) {
+	out, code := runTrace(t, "-alg", "caps", "-n", "128", "-k", "1", "-out", filepath.Join(t.TempDir(), "t.json"))
+	if code != 2 {
+		t.Fatalf("exit %d, want 2:\n%s", code, out)
+	}
+	if !strings.Contains(out, "quadrant 4096 not divisible by group 7") || strings.Contains(out, "last 256 events") {
+		t.Errorf("want the shape error alone:\n%s", out)
+	}
+}

@@ -119,9 +119,12 @@ func (c *Cluster) queuedPairs() []QueuedPair {
 	for dst := range c.mail {
 		mb := &c.mail[dst]
 		mb.mu.Lock()
-		for src, q := range mb.queues {
-			if n := q.length(); n > 0 {
-				out = append(out, QueuedPair{Src: src, Dst: dst, Count: n})
+		for _, s := range mb.queues.slots {
+			if s.q == nil {
+				continue
+			}
+			if n := s.q.length(); n > 0 {
+				out = append(out, QueuedPair{Src: int(s.key), Dst: dst, Count: n})
 			}
 		}
 		mb.mu.Unlock()

@@ -16,10 +16,9 @@ import (
 // (empty receive queue, full send buffer, a collective rendezvous), it
 // parks: it registers what it waits for, hands its slot to the next runnable
 // rank, and sleeps on a one-token resume channel until the engine wakes it
-// with a reason. Runnable ranks wait in one min-heap ordered by virtual
-// clock (ties by rank id) — the virtual-time event queue — so execution
-// tends to proceed in causal waves and a wake is delivered exactly when the
-// awaited condition holds, never as a poll.
+// with a reason. Runnable ranks wait in one FIFO ring of rank ids
+// (runQueue), and a wake is delivered exactly when the awaited condition
+// holds, never as a poll.
 //
 // Three properties follow:
 //
@@ -86,7 +85,8 @@ type evRank struct {
 	started  bool
 	kind     evKind
 	deadline float64
-	// clock is the rank's virtual clock at its last park, the heap key.
+	// clock is the rank's virtual clock when it last parked or yielded;
+	// yieldIfBehind compares the queue head's against its own.
 	clock float64
 	// rank is the parked rank, whose last timeline segment a deadlock
 	// snapshot reports. Snapshots are taken at quiescence, when no carrier or conductor holds
@@ -128,65 +128,32 @@ func watchWord(op uint64, peer int) uint64 {
 	return uint64(peer)<<2 | class
 }
 
-// evEntry is one runnable rank in the run queue, ordered by (clock, id).
-type evEntry struct {
-	clock float64
-	id    int32
+// runQueue is the engine's run queue: a FIFO ring of runnable rank ids.
+// The runnable flag keeps a rank from being queued twice, so p slots always
+// suffice and push and pop are O(1) stores to one small array. Pop order is
+// free to choose: Results depend only on per-pair FIFO order and arrival
+// stamps (see the header), so the queue is plain arrival order.
+type runQueue struct {
+	ids     []int32
+	head, n int
 }
 
-// evHeap is a binary min-heap of runnable ranks.
-type evHeap []evEntry
-
-func (h *evHeap) push(e evEntry) {
-	*h = append(*h, e)
-	i := len(*h) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !evLess((*h)[i], (*h)[parent]) {
-			break
-		}
-		(*h)[i], (*h)[parent] = (*h)[parent], (*h)[i]
-		i = parent
+func (q *runQueue) push(id int32) {
+	i := q.head + q.n
+	if i >= len(q.ids) {
+		i -= len(q.ids)
 	}
+	q.ids[i] = id
+	q.n++
 }
 
-func (h *evHeap) pop() evEntry {
-	old := *h
-	top := old[0]
-	n := len(old) - 1
-	old[0] = old[n]
-	*h = old[:n]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < n && evLess(old[l], old[small]) {
-			small = l
-		}
-		if r < n && evLess(old[r], old[small]) {
-			small = r
-		}
-		if small == i {
-			break
-		}
-		old[i], old[small] = old[small], old[i]
-		i = small
+func (q *runQueue) pop() int32 {
+	id := q.ids[q.head]
+	if q.head++; q.head == len(q.ids) {
+		q.head = 0
 	}
-	return top
-}
-
-func evLess(a, b evEntry) bool {
-	if a.clock != b.clock {
-		return a.clock < b.clock
-	}
-	// Ties break toward the HIGHER rank id. Results are schedule-invariant
-	// (the conformance golden family pins this), so the tiebreak is purely
-	// a throughput decision: the ring and tree collectives receive from
-	// higher-indexed peers (Shift(-1) pulls from me+1, reduce trees pull
-	// from the high half), so running high ids first means a rank's sources
-	// have usually stashed their sends by the time it asks — turning most
-	// would-be parks into immediate dequeues.
-	return a.id > b.id
+	q.n--
+	return id
 }
 
 // eventEngine is the cooperative scheduler behind Cluster.Run. One engine
@@ -214,7 +181,7 @@ type eventEngine struct {
 	// section may not contain.
 	mu      sync.Mutex
 	ranks   []evRank
-	runq    evHeap
+	runq    runQueue
 	running int // ranks holding a worker slot: executing, or picked and about to be resumed
 	live    int // ranks that have not exited
 	rend    map[ffKey]*ffRendezvous
@@ -240,7 +207,7 @@ func newEventEngine(c *Cluster, fn func(*Rank) error, res *Result) *eventEngine 
 		workers: workers,
 		ffOK:    c.cost.Faults == nil && len(c.obs) == 0,
 		ranks:   make([]evRank, c.p),
-		runq:    make(evHeap, 0, c.p),
+		runq:    runQueue{ids: make([]int32, c.p)},
 		live:    c.p,
 		rend:    make(map[ffKey]*ffRendezvous),
 		picks:   make([]evPick, 0, workers),
@@ -264,9 +231,13 @@ func (c *Cluster) Run(fn func(r *Rank) error) (*Result, error) {
 	c.eng = e
 	defer c.watchContext()()
 	e.mu.Lock()
-	// Descending ids arrive in heap order (evLess), so no push sifts.
+	// The first wave runs in descending id order. The ring and tree
+	// collectives receive from higher-indexed peers (Shift(-1) pulls from
+	// me+1, reduce trees pull from the high half), so running high ids
+	// first means a rank's sources have usually stashed their sends by the
+	// time it asks, turning most would-be parks into immediate dequeues.
 	for id := c.p - 1; id >= 0; id-- {
-		e.pushRunnable(id, 0)
+		e.pushRunnable(id)
 	}
 	e.dispatch()
 	e.unlockResume()
@@ -275,11 +246,10 @@ func (c *Cluster) Run(fn func(r *Rank) error) (*Result, error) {
 	return res, joinRunErrors(c, e.errs)
 }
 
-// pushRunnable marks rank id runnable at the given virtual clock. mu held.
-func (e *eventEngine) pushRunnable(id int, clock float64) {
-	rk := &e.ranks[id]
-	rk.runnable = true
-	e.runq.push(evEntry{clock: clock, id: int32(id)})
+// pushRunnable marks rank id runnable and queues it. mu held.
+func (e *eventEngine) pushRunnable(id int) {
+	e.ranks[id].runnable = true
+	e.runq.push(int32(id))
 }
 
 // dispatch fills free worker slots from the run queue, and — when the
@@ -296,8 +266,8 @@ func (e *eventEngine) pushRunnable(id int, clock float64) {
 // sweep and quiescence ignore it exactly as they ignore a running rank.
 func (e *eventEngine) dispatch() {
 	for {
-		for e.running < e.workers && len(e.runq) > 0 {
-			id := e.runq.pop().id
+		for e.running < e.workers && e.runq.n > 0 {
+			id := e.runq.pop()
 			rk := &e.ranks[id]
 			rk.runnable = false
 			rk.op = opRunning
@@ -306,12 +276,12 @@ func (e *eventEngine) dispatch() {
 			e.picks = append(e.picks, evPick{id: id, kind: rk.kind, start: !rk.started})
 			rk.started = true
 		}
-		if e.running > 0 || e.live == 0 || len(e.runq) > 0 {
+		if e.running > 0 || e.live == 0 || e.runq.n > 0 {
 			return
 		}
 		// Quiescent: every live rank is parked and nothing is runnable.
 		e.quiesce()
-		if len(e.runq) == 0 {
+		if e.runq.n == 0 {
 			// quiesce wakes at least one rank whenever live ranks remain;
 			// defensive: avoid spinning if it could not.
 			return
@@ -356,7 +326,7 @@ func (e *eventEngine) carrier(id int) {
 		e.mu.Lock()
 		rk := &e.ranks[id]
 		rk.op = opExited
-		rk.rank = nil // the exited Rank and its peer maps may be collected
+		rk.rank = nil // the exited Rank and its peer tables may be collected
 		e.live--
 		e.running--
 		last := e.live == 0
@@ -369,16 +339,17 @@ func (e *eventEngine) carrier(id int) {
 	e.errs[id] = e.fn(r)
 }
 
-// yieldIfBehind reparks the calling rank onto the run queue when another
-// runnable rank sits at an earlier virtual clock. A compute-only loop
-// never parks on its own, so on a small worker pool it would starve
-// earlier ranks indefinitely — including ranks whose real-time side
-// effects the program is waiting on (an external cancel, a test
-// synchronization). Results are schedule-invariant, so the repark only
-// affects wall-clock fairness, never the virtual outcome.
+// yieldIfBehind reparks the calling rank onto the run queue when the rank
+// at the head of the queue was queued at an earlier virtual clock. A
+// compute-only loop never parks on its own, so on a small worker pool it
+// would starve earlier ranks indefinitely — including ranks whose
+// real-time side effects the program is waiting on (an external cancel, a
+// test synchronization). Results are schedule-invariant, so the repark
+// only affects wall-clock fairness, never the virtual outcome.
 func (e *eventEngine) yieldIfBehind(r *Rank) {
 	e.mu.Lock()
-	if len(e.runq) == 0 || e.runq[0].clock >= r.clock {
+	q := &e.runq
+	if q.n == 0 || e.ranks[q.ids[q.head]].clock >= r.clock {
 		e.mu.Unlock()
 		return
 	}
@@ -387,7 +358,8 @@ func (e *eventEngine) yieldIfBehind(r *Rank) {
 	// quiescence scans and cancel sweep must keep ignoring it — it will
 	// observe cancellation itself at its next instrumented op.
 	rk.kind = evWake
-	e.pushRunnable(r.id, r.clock)
+	rk.clock = r.clock
+	e.pushRunnable(r.id)
 	e.running--
 	e.dispatch()
 	e.unlockResume()
@@ -454,7 +426,7 @@ func (e *eventEngine) wake(id int, kind evKind) {
 		return
 	}
 	rk.kind = kind
-	e.pushRunnable(id, rk.clock)
+	e.pushRunnable(id)
 }
 
 // notifyEnqueue wakes dst if it is parked receiving from src.

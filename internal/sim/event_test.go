@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -471,5 +473,67 @@ func TestEventBackendLargeRing(t *testing.T) {
 	}
 	if res.PerRank[0].Flops <= 0 {
 		t.Errorf("rank 0 flops: %g", res.PerRank[0].Flops)
+	}
+}
+
+// TestRunQueueWrapsFull drives the ring through its wrap-around with every
+// slot in use: p ids queued, then repeatedly one popped and one pushed, so
+// the write cursor crosses the end of the array while the queue is full.
+// Pops come out in push order throughout.
+func TestRunQueueWrapsFull(t *testing.T) {
+	const p = 5
+	q := runQueue{ids: make([]int32, p)}
+	var want []int32
+	for id := int32(p - 1); id >= 0; id-- {
+		q.push(id)
+		want = append(want, id)
+	}
+	for next := int32(p); next < 4*p; next++ {
+		if q.n != p {
+			t.Fatalf("queue holds %d ids, want %d", q.n, p)
+		}
+		if got := q.pop(); got != want[0] {
+			t.Fatalf("pop %d: got %d want %d", next-p, got, want[0])
+		}
+		want = append(want[1:], next)
+		q.push(next)
+	}
+	for _, w := range want {
+		if got := q.pop(); got != w {
+			t.Fatalf("drain: got %d want %d", got, w)
+		}
+	}
+	if q.n != 0 {
+		t.Fatalf("drained queue holds %d ids", q.n)
+	}
+}
+
+// TestRunQueueYieldRepush pins yieldIfBehind on the ring. Two ranks on
+// one worker compute 768 times each and note every 256th step. Rank 1 runs
+// first and yields at its first check, re-pushed behind rank 0 (wrapping
+// the two-slot ring) at its own clock. From then on a rank yields only
+// when the queue head's recorded clock is behind its own, so each runs
+// exactly one stretch past the other before handing over.
+func TestRunQueueYieldRepush(t *testing.T) {
+	cost := unitCost
+	cost.Workers = 1
+	var mu sync.Mutex
+	var order []string
+	if _, err := Run(2, cost, func(r *Rank) error {
+		for i := 1; i <= 768; i++ {
+			r.Compute(1)
+			if i%256 == 0 {
+				mu.Lock()
+				order = append(order, fmt.Sprintf("%d@%d", r.ID(), i))
+				mu.Unlock()
+			}
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"0@256", "1@256", "1@512", "0@512", "0@768", "1@768"}
+	if !slices.Equal(order, want) {
+		t.Errorf("schedule %v, want %v", order, want)
 	}
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math/bits"
 	"sync"
 	"sync/atomic"
 )
@@ -9,11 +10,11 @@ import (
 // run at modest p — p = 4096 would wire ~16.7M of them before the first
 // flop — while the algorithms in this repository touch only O(log p)
 // distinct peers per rank (grid neighbours, tree parents/children, fiber
-// partners). So each rank owns a mailbox, a small mutex-protected map from
-// sender id to the pair's FIFO queue, and both endpoints get-or-create the
-// queue on their first Send/Recv across the pair. Memory then scales with
-// the number of *active* communication pairs, O(p·log p) for the
-// 2.5D/CAPS/FFT patterns here, instead of p².
+// partners). So each rank owns a mailbox, a small mutex-protected table
+// (peerTable) from sender id to the pair's FIFO queue, and both endpoints
+// get-or-create the queue on their first Send/Recv across the pair. Memory
+// then scales with the number of *active* communication pairs, O(p·log p)
+// for the 2.5D/CAPS/FFT patterns here, instead of p².
 //
 // How queues are allocated is invisible to the simulation's semantics:
 // virtual clocks, counters and fault decisions depend only on the program's
@@ -137,96 +138,117 @@ func (q *evRing) pop() (message, bool) {
 	return m, true
 }
 
+// peerTable maps a peer rank id to the pair's ring: open addressing with
+// linear probing over a power-of-two slot array, grown at half load. A
+// rank's out and in tables and every mailbox use it. Keys are rank ids
+// (0 included); a nil ring marks an empty slot, and nothing is ever
+// deleted. The zero value is an empty table.
+type peerTable struct {
+	slots []peerSlot
+	shift uint8 // 32 − log₂(len(slots)): the hash keeps the product's top bits
+	n     int32
+}
+
+type peerSlot struct {
+	key int32
+	q   *evRing
+}
+
+// peerTableMin is the first slot array's length. At half load it holds
+// four peers: a 2.5D Cannon rank receives from four.
+const peerTableMin = 8
+
+// home is key k's first probe: Fibonacci hashing spreads the strided ids of
+// grid neighbours and tree partners over the slots.
+func (t *peerTable) home(k int32) int { return int(uint32(k) * 0x9E3779B9 >> t.shift) }
+
+// get returns the ring stored for peer k, or nil.
+func (t *peerTable) get(k int) *evRing {
+	if len(t.slots) == 0 {
+		return nil
+	}
+	mask := len(t.slots) - 1
+	for i := t.home(int32(k)); ; i = (i + 1) & mask {
+		s := &t.slots[i]
+		if s.q == nil || s.key == int32(k) {
+			return s.q
+		}
+	}
+}
+
+// put stores q for peer k, which must be absent.
+func (t *peerTable) put(k int, q *evRing) {
+	if 2*(int(t.n)+1) > len(t.slots) {
+		t.grow()
+	}
+	mask := len(t.slots) - 1
+	i := t.home(int32(k))
+	for t.slots[i].q != nil {
+		i = (i + 1) & mask
+	}
+	t.slots[i] = peerSlot{key: int32(k), q: q}
+	t.n++
+}
+
+func (t *peerTable) grow() {
+	old := t.slots
+	size := 2 * len(old)
+	if size == 0 {
+		size = peerTableMin
+	}
+	t.slots, t.n = make([]peerSlot, size), 0
+	t.shift = uint8(32 - bits.TrailingZeros(uint(size)))
+	for _, s := range old {
+		if s.q != nil {
+			t.put(int(s.key), s.q)
+		}
+	}
+}
+
 // mailbox holds one rank's incoming per-pair queues, keyed by sender id.
 // Senders and receivers get-or-create a pair's queue under the mutex on
 // first contact; after that, both sides use their rank-local cached handle
 // and the lock is never touched again for the pair.
 type mailbox struct {
 	mu     sync.Mutex
-	queues map[int]*evRing
+	queues peerTable
 }
 
 // pairOf returns the FIFO queue for the ordered pair src→dst, creating it
-// on first use. The map entry itself is the unit the wiring accounting
+// on first use. The table entry itself is the unit the wiring accounting
 // (ActivePairs) counts.
 func (c *Cluster) pairOf(src, dst int) *evRing {
 	mb := &c.mail[dst]
 	mb.mu.Lock()
-	q := mb.queues[src]
+	q := mb.queues.get(src)
 	if q == nil {
-		if mb.queues == nil {
-			mb.queues = make(map[int]*evRing)
-		}
 		q = &evRing{}
 		q.init(c.bufCap)
-		mb.queues[src] = q
+		mb.queues.put(src, q)
 	}
 	mb.mu.Unlock()
 	return q
 }
 
-// pairCache is a two-slot MRU cache in front of a rank's out/in map. The
-// hot loops of the grid algorithms alternate between exactly two peers
-// (row neighbour, column neighbour), so the second slot turns nearly every
-// map lookup on the steady-state path into two compares. The zero value is
-// empty (nil queue pointers mark unused slots).
-type pairCache struct {
-	k1, k2 int
-	q1, q2 *evRing
-}
-
-func (pc *pairCache) get(k int) *evRing {
-	if pc.k1 == k {
-		return pc.q1 // nil when the slot is unused: caller falls through
-	}
-	if pc.k2 == k && pc.q2 != nil {
-		pc.k1, pc.k2 = k, pc.k1
-		pc.q1, pc.q2 = pc.q2, pc.q1
-		return pc.q1
-	}
-	return nil
-}
-
-func (pc *pairCache) put(k int, q *evRing) {
-	pc.k1, pc.k2 = k, pc.k1
-	pc.q1, pc.q2 = q, pc.q1
-}
-
 // queueTo returns the rank's outgoing queue towards dst, memoizing the
 // lookup so the mailbox lock is taken at most once per peer.
 func (r *Rank) queueTo(dst int) *evRing {
-	if q := r.outC.get(dst); q != nil {
+	if q := r.out.get(dst); q != nil {
 		return q
-	}
-	if q, ok := r.out[dst]; ok {
-		r.outC.put(dst, q)
-		return q
-	}
-	if r.out == nil {
-		r.out = make(map[int]*evRing)
 	}
 	q := r.cluster.pairOf(r.id, dst)
-	r.out[dst] = q
-	r.outC.put(dst, q)
+	r.out.put(dst, q)
 	return q
 }
 
 // queueFrom returns the rank's incoming queue from src, memoized like
 // queueTo.
 func (r *Rank) queueFrom(src int) *evRing {
-	if q := r.inC.get(src); q != nil {
+	if q := r.in.get(src); q != nil {
 		return q
-	}
-	if q, ok := r.in[src]; ok {
-		r.inC.put(src, q)
-		return q
-	}
-	if r.in == nil {
-		r.in = make(map[int]*evRing)
 	}
 	q := r.cluster.pairOf(src, r.id)
-	r.in[src] = q
-	r.inC.put(src, q)
+	r.in.put(src, q)
 	return q
 }
 
@@ -238,7 +260,7 @@ func (c *Cluster) ActivePairs() int {
 	for i := range c.mail {
 		mb := &c.mail[i]
 		mb.mu.Lock()
-		n += len(mb.queues)
+		n += int(mb.queues.n)
 		mb.mu.Unlock()
 	}
 	return n

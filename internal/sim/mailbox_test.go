@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"errors"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -112,5 +114,124 @@ func TestSparseWiring16kRanks(t *testing.T) {
 	// even i (i^1 == i+1), so p/2 of its pairs are already wired.
 	if got, want := c.ActivePairs(), 15*p-p/2; got != want {
 		t.Errorf("active pairs: got %d want %d (dense would be %d)", got, want, p*p)
+	}
+}
+
+// TestPeerTableGrowsTo511Peers fills one table with the 511 peers of an
+// fft_naive rank at p = 512: every key stays reachable across the growths,
+// the slot array stays a power of two at most half full, and keys never
+// inserted read nil.
+func TestPeerTableGrowsTo511Peers(t *testing.T) {
+	const p = 512
+	var tab peerTable
+	rings := make([]evRing, p)
+	for k := 1; k < p; k++ {
+		tab.put(k, &rings[k])
+		if size := len(tab.slots); size&(size-1) != 0 || 2*int(tab.n) > size {
+			t.Fatalf("after %d puts: %d slots hold %d keys", k, size, tab.n)
+		}
+	}
+	if tab.n != p-1 || len(tab.slots) != 1024 {
+		t.Fatalf("511 peers: n=%d slots=%d, want 511 in 1024", tab.n, len(tab.slots))
+	}
+	for k := 1; k < p; k++ {
+		if got := tab.get(k); got != &rings[k] {
+			t.Fatalf("peer %d: got %p want %p", k, got, &rings[k])
+		}
+	}
+	for _, k := range []int{0, p, p + 1, 2 * p, 1 << 19} {
+		if got := tab.get(k); got != nil {
+			t.Errorf("absent peer %d: got %p, want nil", k, got)
+		}
+	}
+}
+
+// TestPeerTableAbsentKeys pins the miss path on an empty table and past a
+// collision: the keys below all share one home slot of an eight-slot
+// table, so a miss must walk past the stored ones to an empty slot.
+func TestPeerTableAbsentKeys(t *testing.T) {
+	var tab peerTable
+	if tab.get(0) != nil || tab.get(7) != nil {
+		t.Fatal("empty table must miss")
+	}
+	var r evRing
+	tab.put(3, &r)
+	home := tab.home(3)
+	var same []int
+	for k := 4; len(same) < 2; k++ {
+		if tab.home(int32(k)) == home {
+			same = append(same, k)
+		}
+	}
+	tab.put(same[0], &r)
+	if tab.get(same[1]) != nil {
+		t.Errorf("peer %d shares peer 3's home slot but was never put", same[1])
+	}
+	if tab.get(3) != &r || tab.get(same[0]) != &r {
+		t.Error("colliding keys must both be found")
+	}
+}
+
+// TestPeerTableExtremeIDs stores the first and last rank ids of a
+// p = 2^20 cluster and checks that every id of that cluster hashes inside
+// the slot array at each size a table passes through.
+func TestPeerTableExtremeIDs(t *testing.T) {
+	const p = 1 << 20
+	var tab peerTable
+	var first, last evRing
+	tab.put(0, &first)
+	tab.put(p-1, &last)
+	if tab.get(0) != &first || tab.get(p-1) != &last {
+		t.Fatal("ids 0 and p-1 must map to their own rings")
+	}
+	for _, k := range []int{1, p - 2, 1 << 16, p / 2, p - 1 - 1<<16} {
+		if tab.get(k) != nil {
+			t.Fatalf("id %d was never put", k)
+		}
+	}
+	for tab.n < 600 {
+		tab.put(int(tab.n)*1747+1, &first)
+		size := len(tab.slots)
+		for k := int32(0); k < p; k += 4093 {
+			if h := tab.home(k); h < 0 || h >= size {
+				t.Fatalf("id %d hashes to slot %d of %d", k, h, size)
+			}
+		}
+		if h := tab.home(p - 1); h >= size {
+			t.Fatalf("id p-1 hashes to slot %d of %d", h, size)
+		}
+	}
+	if tab.get(0) != &first || tab.get(p-1) != &last {
+		t.Fatal("ids 0 and p-1 lost across growth")
+	}
+}
+
+// TestQueuedPairsSortedInDeadlockSnapshot leaves one message on every pair
+// src→dst with dst > src+1 and deadlocks the cluster. The snapshot walks
+// each mailbox's table in slot order, which is not id order, so the
+// report must come out sorted by (src, dst) and complete.
+func TestQueuedPairsSortedInDeadlockSnapshot(t *testing.T) {
+	const p = 16
+	_, err := Run(p, zeroCost, func(r *Rank) error {
+		for dst := r.ID() + 1; dst < p; dst++ {
+			r.Send(dst, []float64{1})
+		}
+		prev := (r.ID() + p - 1) % p
+		r.Recv(prev) // rank prev sent one message here, except to rank 0
+		r.Recv(prev) // nobody sends a second: deadlock
+		return nil
+	})
+	var de *DeadlockError
+	if !errors.As(err, &de) || de.Snapshot == nil {
+		t.Fatalf("want a deadlock with a snapshot, got %v", err)
+	}
+	var want []QueuedPair
+	for src := 0; src < p; src++ {
+		for dst := src + 2; dst < p; dst++ {
+			want = append(want, QueuedPair{Src: src, Dst: dst, Count: 1})
+		}
+	}
+	if got := de.Snapshot.Queued; !slices.Equal(got, want) {
+		t.Errorf("queued pairs:\n got  %v\n want %v", got, want)
 	}
 }

@@ -179,7 +179,7 @@ type Cluster struct {
 	p      int
 	cost   Cost
 	bufCap int
-	mail   []mailbox // mail[dst].queues[src]
+	mail   []mailbox // mail[dst].queues.get(src)
 	// obs lists the event-bus subscribers (Cost.Observers).
 	obs []Observer
 
@@ -259,13 +259,11 @@ type Rank struct {
 	stats   Stats
 	curMem  float64
 
-	// out and in memoize this rank's per-peer queue handles, fronted by
-	// two-slot MRU caches for the alternating-peer hot loops (see
-	// mailbox.go); only this goroutine touches them.
-	out  map[int]*evRing
-	in   map[int]*evRing
-	outC pairCache
-	inC  pairCache
+	// out and in memoize this rank's per-peer queue handles in flat
+	// peer tables (mailbox.go); only the goroutine driving the rank touches
+	// them.
+	out peerTable
+	in  peerTable
 
 	// sendCount keys fault-plan decisions; crashDone/crashPending
 	// implement the injected-crash lifecycle.

@@ -33,6 +33,20 @@ func CAPS(cost sim.Cost, k int, a, b *matrix.Dense, cutoff int) (*RunResult, err
 	return CAPSSchedule(cost, strings.Repeat("B", k), a, b, cutoff)
 }
 
+// CheckCAPS returns the error CAPS would fail with on n×n operands at
+// recursion depth k, without running anything: every level's quadrant must
+// split evenly over its group of ranks.
+func CheckCAPS(n, k int) error {
+	if k < 0 {
+		return fmt.Errorf("strassen: negative recursion depth %d", k)
+	}
+	p := 1
+	for i := 0; i < k; i++ {
+		p *= 7
+	}
+	return checkDivisibility(n, strings.Repeat("B", k), p)
+}
+
 // CAPSSchedule multiplies A·B with a CAPS-style parallel Strassen whose
 // recursion follows the given schedule string: one Strassen level per
 // character, 'B' for a BFS step and 'D' for a DFS step. The rank count is

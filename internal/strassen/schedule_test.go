@@ -47,6 +47,22 @@ func TestCAPSScheduleValidation(t *testing.T) {
 	}
 }
 
+// TestCheckCAPSMatchesRun pins CheckCAPS to what CAPS itself does: nil
+// where the run succeeds, and the run's own error where it fails.
+func TestCheckCAPSMatchesRun(t *testing.T) {
+	for _, tc := range []struct{ n, k int }{{112, 1}, {128, 1}, {28, 1}, {112, 2}, {56, 2}, {16, 0}, {16, -1}} {
+		a := matrix.Random(tc.n, tc.n, 1)
+		_, runErr := CAPS(zeroCost, tc.k, a, a, 8)
+		checkErr := CheckCAPS(tc.n, tc.k)
+		if (runErr == nil) != (checkErr == nil) || (runErr != nil && runErr.Error() != checkErr.Error()) {
+			t.Errorf("n=%d k=%d: CheckCAPS %v, CAPS %v", tc.n, tc.k, checkErr, runErr)
+		}
+	}
+	if CheckCAPS(128, 1) == nil {
+		t.Error("n=128 does not split over 7 ranks")
+	}
+}
+
 func TestDFSSavesMemory(t *testing.T) {
 	// Same rank count (p=7), same n: prepending a DFS level shrinks the
 	// leaf subproblems from n/2 to n/4 — a 4x saving on the leaf term,
