@@ -1,18 +1,21 @@
-// Command reproduce runs every experiment of DESIGN.md (E1–E21) in one
-// pass and writes a Markdown report with the measured values: the
-// single-command reproduction of the paper's evaluation. Besides the
-// simulator and model tables, the report carries the ASCII renderings of
-// Figure 4(a)–(c) with the E(M) profile and the matmul companion region
-// (E7–E9), the Section V question answers (E10), Tables I–II with their
-// error columns (E11, E14) and the Figure 6/7 charts (E12, E13). The GEMV
-// and Cholesky sections check their numerics against the serial reference.
+// Command reproduce runs the experiments of DESIGN.md — E1–E23, the
+// rectangular bounds and the DESIGN §5 ablations — and writes a Markdown
+// report with the measured values: the single-command reproduction of the
+// paper's evaluation. Besides the simulator and model tables, the report
+// carries the ASCII renderings of Figure 4(a)–(c) with the E(M) profile and
+// the matmul companion region (E7–E9), the Section V question answers
+// (E10), Tables I–II with their error columns (E11, E14), the Figure 6/7
+// charts (E12, E13) and the energy price of resilience (E23). Sections
+// whose numerics or shape claims do not hold say FAILED.
 //
 // Usage:
 //
-//	reproduce              # report to stdout
-//	reproduce -o report.md # report to a file
+//	reproduce                  # every experiment, report to stdout
+//	reproduce -o REPORT.md     # report to a file
+//	reproduce -e E2,E23        # only these experiments, in registry order
 //
-// Write failures and failed experiments exit 1.
+// An unknown experiment id exits 2. Write failures and failed experiments
+// exit 1.
 package main
 
 import (
@@ -21,7 +24,6 @@ import (
 	"math"
 	"os"
 	"strings"
-	"time"
 
 	"perfscale/internal/bounds"
 	"perfscale/internal/casestudy"
@@ -40,12 +42,74 @@ import (
 	"perfscale/internal/strassen"
 )
 
+// experiment is one report section: id is what -e selects and what the
+// heading starts with; run writes the section body.
+type experiment struct {
+	id, title string
+	run       func(*reporter)
+}
+
+// experiments is the registry, in report order.
+var experiments = []experiment{
+	{"E1", "Figure 3: limits of communication strong scaling", (*reporter).e1},
+	{"E2", "Perfect strong scaling of 2.5D matmul", (*reporter).e2},
+	{"E3", "Eq. 11: energy at the 3D limit", (*reporter).e3},
+	{"E4", "Strassen (CAPS) energy and scaling", (*reporter).e4},
+	{"E5", "LU: bandwidth scales with replication, latency does not", (*reporter).e5},
+	{"E6", "n-body perfect strong scaling", (*reporter).e6},
+	{"E7–E9", "Figure 4: n-body execution regions", (*reporter).e789},
+	{"E10", "Section V closed forms (n-body)", (*reporter).e10},
+	{"E11", "Table I: case-study parameters", (*reporter).e11},
+	{"E12", "Figure 6: scaling γe, βe, δe independently", (*reporter).e12},
+	{"E13", "Figure 7: scaling the three parameters together", (*reporter).e13},
+	{"E14", "Table II: device survey", (*reporter).e14},
+	{"E15", "FFT: naive vs tree all-to-all", (*reporter).e15},
+	{"E16", "Two-level machine model (Eqs. 12 and 17)", (*reporter).e16},
+	{"E17", "Sequential model (Figure 1(a))", (*reporter).e17},
+	{"E18", "BLAS2 (GEMV): the I+O-dominated regime", (*reporter).e18},
+	{"E19", "Cholesky under the same bounds", (*reporter).e19},
+	{"E20", "Heterogeneous ensembles (the paper's citation [7])", (*reporter).e20},
+	{"E21", "Model accuracy against the simulator", (*reporter).e21},
+	{"E22", "Weak scaling at constant energy per flop", (*reporter).e22},
+	{"E23", "Energy price of resilience (extension)", (*reporter).e23},
+	{"Ablations", "DESIGN §5 design choices", (*reporter).ablations},
+	{"Rect", "Tight rectangular (m×k×n) matmul bounds", (*reporter).rect},
+}
+
+// selectExperiments parses the -e list into the set of registry ids it
+// names; "-" stands for the en dash of "E7–E9".
+func selectExperiments(list string) (map[string]bool, error) {
+	picked := map[string]bool{}
+	for _, want := range strings.Split(list, ",") {
+		want = strings.TrimSpace(want)
+		found := false
+		for _, e := range experiments {
+			if want == e.id || want == strings.ReplaceAll(e.id, "–", "-") {
+				picked[e.id], found = true, true
+			}
+		}
+		if !found {
+			ids := make([]string, len(experiments))
+			for i, e := range experiments {
+				ids[i] = e.id
+			}
+			return nil, fmt.Errorf("unknown experiment %q (known: %s)", want, strings.Join(ids, ", "))
+		}
+	}
+	return picked, nil
+}
+
 func main() {
 	os.Exit(run())
 }
 
 func run() int {
 	out := flag.String("o", "", "output file (default stdout)")
+	var picked map[string]bool // nil: every experiment
+	flag.Func("e", "comma-separated experiment ids to run, in registry order (default: all)", func(list string) (err error) {
+		picked, err = selectExperiments(list)
+		return err
+	})
 	flag.Parse()
 
 	w, closeOut, err := report.OpenOutput(*out)
@@ -53,30 +117,14 @@ func run() int {
 		fmt.Fprintln(os.Stderr, "reproduce:", err)
 		return 1
 	}
-	start := time.Now()
 	r := &reporter{w: w}
 	r.hdr()
-	r.e1()
-	r.e2()
-	r.e3()
-	r.e4()
-	r.e5()
-	r.e6()
-	r.e789()
-	r.e10()
-	r.e11()
-	r.e12()
-	r.e13()
-	r.e14()
-	r.e15()
-	r.e16()
-	r.e17()
-	r.e18()
-	r.e19()
-	r.e20()
-	r.e21()
-	r.p("\n---\nGenerated in %.1fs. All values deterministic (virtual time, seeded data).",
-		time.Since(start).Seconds())
+	for _, e := range experiments {
+		if picked == nil || picked[e.id] {
+			r.section(e.id + " — " + e.title)
+			e.run(r)
+		}
+	}
 
 	code := 0
 	if r.failed {
@@ -130,7 +178,6 @@ func simCost(m machine.Params) sim.Cost {
 var bwCost = sim.Cost{GammaT: 1e-9, BetaT: 4e-9, AlphaT: 1e-8}
 
 func (r *reporter) e1() {
-	r.section("E1 — Figure 3: limits of communication strong scaling")
 	const n, mem = 65536, 1 << 24
 	pts := bounds.Fig3Series(n, mem, 9)
 	t := report.NewTable("", "p", "classical W·p", "strassen W·p")
@@ -144,7 +191,6 @@ func (r *reporter) e1() {
 }
 
 func (r *reporter) e2() {
-	r.section("E2 — Perfect strong scaling of 2.5D matmul")
 	m := machine.SimDefault()
 	model := core.MatMulStrongScalingSweep(m, 1<<15, 64, 8)
 	eDev, tDev := core.PerfectScaling(model)
@@ -170,7 +216,6 @@ func (r *reporter) e2() {
 }
 
 func (r *reporter) e3() {
-	r.section("E3 — Eq. 11: energy at the 3D limit")
 	m := machine.SimDefault()
 	rs := core.MatMul3DLimitSweep(m, 1<<14, []float64{64, 1024, 16384})
 	t := report.NewTable("", "p", "E memory (J)", "E bandwidth (J)", "E total (J)")
@@ -182,7 +227,6 @@ func (r *reporter) e3() {
 }
 
 func (r *reporter) e4() {
-	r.section("E4 — Strassen (CAPS) energy and scaling")
 	m := machine.SimDefault()
 	model := core.FastMatMulStrongScalingSweep(m, 1<<15, 49, 6, bounds.OmegaStrassen)
 	eDev, _ := core.PerfectScaling(model)
@@ -205,7 +249,6 @@ func (r *reporter) e4() {
 }
 
 func (r *reporter) e5() {
-	r.section("E5 — LU: bandwidth scales with replication, latency does not")
 	a := matrix.RandomDiagDominant(32, 7)
 	t := report.NewTable("Stacked LU, n=32, q=4", "c", "p", "avg words/rank", "latency-only critical path (α)")
 	for _, c := range []int{1, 2, 4} {
@@ -225,7 +268,6 @@ func (r *reporter) e5() {
 }
 
 func (r *reporter) e6() {
-	r.section("E6 — n-body perfect strong scaling")
 	m := machine.SimDefault()
 	model := core.NBodyStrongScalingSweep(m, 1e6, 100, 10, nbody.FlopsPerPair)
 	eDev, _ := core.PerfectScaling(model)
@@ -248,7 +290,6 @@ func (r *reporter) e6() {
 }
 
 func (r *reporter) e789() {
-	r.section("E7–E9 — Figure 4: n-body execution regions")
 	pb := opt.NBody{M: machine.Illustrative(), N: machine.IllustrativeN, F: 10}
 	g := opt.NBodyRegionGrid(pb, 6, 100, 48, 24)
 	budgets := opt.Budgets{
@@ -389,7 +430,6 @@ func regionMark(first, second bool, firstMark, secondMark byte) byte {
 }
 
 func (r *reporter) e10() {
-	r.section("E10 — Section V closed forms (n-body)")
 	pb := opt.NBody{M: machine.Illustrative(), N: machine.IllustrativeN, F: 10}
 	t := report.NewTable("", "quantity", "value")
 	t.AddRow("M0 closed form", pb.OptimalMemory())
@@ -434,7 +474,6 @@ func (r *reporter) e10() {
 }
 
 func (r *reporter) e11() {
-	r.section("E11 — Table I: case-study parameters")
 	t := report.NewTable("", "parameter", "derived", "printed")
 	rel := report.NewTable("", "parameter", "rel err")
 	for _, row := range casestudy.Table1() {
@@ -450,7 +489,6 @@ func (r *reporter) e11() {
 }
 
 func (r *reporter) e12() {
-	r.section("E12 — Figure 6: scaling γe, βe, δe independently")
 	const gens = 8
 	t := report.NewTable(fmt.Sprintf("GFLOPS/W of 2.5D matmul (n=%d, p=%d)", casestudy.CaseN, casestudy.CaseP),
 		"generation", "scale gamma_e", "scale beta_e", "scale delta_e")
@@ -483,7 +521,6 @@ func (r *reporter) e12() {
 }
 
 func (r *reporter) e13() {
-	r.section("E13 — Figure 7: scaling the three parameters together")
 	t := report.NewTable("", "generation", "multiplier", "GFLOPS/W")
 	var s report.Series
 	s.Name = "joint scaling"
@@ -497,7 +534,6 @@ func (r *reporter) e13() {
 }
 
 func (r *reporter) e14() {
-	r.section("E14 — Table II: device survey")
 	t := report.NewTable("", "device", "peak GFLOP/s", "gamma_e (J/flop)", "GFLOPS/W")
 	errs := report.NewTable("", "device", "gamma_t (s/flop)", "eff err")
 	for _, row := range casestudy.Table2() {
@@ -510,7 +546,6 @@ func (r *reporter) e14() {
 }
 
 func (r *reporter) e15() {
-	r.section("E15 — FFT: naive vs tree all-to-all")
 	m := machine.SimDefault()
 	x := fft.RandomSignal(1024, 3)
 	t := report.NewTable("Distributed FFT, n=1024, p=16", "exchange", "messages/rank", "words/rank", "sim time (s)")
@@ -533,7 +568,6 @@ func (r *reporter) e15() {
 }
 
 func (r *reporter) e16() {
-	r.section("E16 — Two-level machine model (Eqs. 12 and 17)")
 	tl := machine.JaketownTwoLevel()
 	tl.EpsilonE = 1e-3
 	mm := core.TwoLevelMatMul(tl, 8192, 4, 8)
@@ -549,7 +583,6 @@ func (r *reporter) e16() {
 }
 
 func (r *reporter) e17() {
-	r.section("E17 — Sequential model (Figure 1(a))")
 	const n = 48
 	a := matrix.Random(n, n, 1)
 	b := matrix.Random(n, n, 2)
@@ -571,7 +604,6 @@ func (r *reporter) e17() {
 }
 
 func (r *reporter) e18() {
-	r.section("E18 — BLAS2 (GEMV): the I+O-dominated regime")
 	const n, q = 64, 4
 	a := matrix.Random(n, n, 63)
 	x := matrix.Random(n, 1, 64).Data
@@ -598,7 +630,6 @@ func (r *reporter) e18() {
 }
 
 func (r *reporter) e19() {
-	r.section("E19 — Cholesky under the same bounds")
 	const n, q = 24, 4
 	spd := matrix.RandomSPD(n, 5)
 	chol, err := lu.Cholesky(sim.Cost{}, q, spd)
@@ -624,7 +655,6 @@ func (r *reporter) e19() {
 }
 
 func (r *reporter) e20() {
-	r.section("E20 — Heterogeneous ensembles (the paper's citation [7])")
 	devices := machine.TableIIDevices()
 	procs := []hetero.Proc{
 		hetero.FromDevice(devices[8], 1e-10, 1e-7, 1e-10, 0, 1e-9, 0.5, 1<<30, 1<<20), // GTX590
@@ -651,7 +681,6 @@ func (r *reporter) e20() {
 }
 
 func (r *reporter) e21() {
-	r.section("E21 — Model accuracy against the simulator")
 	m := machine.Params{
 		GammaT: 1e-9, BetaT: 4e-9, AlphaT: 1e-8,
 		GammaE: 1e-9, BetaE: 4e-9, AlphaE: 1e-8, DeltaE: 1e-11, EpsilonE: 1e-4,
@@ -678,4 +707,70 @@ func (r *reporter) e21() {
 	}
 	r.table(t)
 	r.p("Ratio band [%.2f, %.2f] across a 4x range of n and p = 16..64: the linear model tracks the simulator up to a stable constant — the accuracy bar Section VI sets.", lo, hi)
+}
+
+func (r *reporter) e22() {
+	m := machine.SimDefault()
+	const mem = 1 << 22
+	pts := core.MatMulWeakScalingSweep(m, mem, []float64{16, 64, 256, 1024, 4096})
+	t := report.NewTable("Matmul, memory-constrained (M = 2²² words fixed, n = √(M·p))",
+		"p", "n", "T (s)", "E (J)", "E/n³ (J)", "T/√p (s)")
+	var e0, t0 float64
+	for i, pt := range pts {
+		n := math.Sqrt(mem * pt.P)
+		perFlop, perRoot := pt.Energy/(n*n*n), pt.Time/math.Sqrt(pt.P)
+		if i == 0 {
+			e0, t0 = perFlop, perRoot
+		}
+		t.AddRow(pt.P, n, pt.Time, pt.Energy, perFlop, perRoot)
+		if math.Abs(perFlop-e0) > 1e-9*e0 || math.Abs(perRoot-t0) > 1e-9*t0 {
+			r.fail(fmt.Errorf("weak scaling at p=%g: E/n³ = %g, T/√p = %g; want %g and %g", pt.P, perFlop, perRoot, e0, t0))
+		}
+	}
+	r.table(t)
+	r.p("Energy per flop stays constant as p grows 256x while the runtime grows as √p: weak scaling at constant energy efficiency, the corollary of Eq. 10.")
+}
+
+// rect reports the tight rectangular (m×k×n) lower bounds of Al Daas et
+// al.: first the closed-form aspect-ratio regime map for a few shapes, then
+// live rectangular SUMMA runs whose busiest-rank traffic must sit above the
+// bound that applies at each grid.
+func (r *reporter) rect() {
+	t := report.NewTable("Aspect-ratio regimes (Al Daas et al.)",
+		"m", "k", "n", "one-large until p", "two-large until p", "regime at p=64", "bound W at p=64")
+	for _, s := range [][3]float64{
+		{4096, 64, 64},
+		{4096, 4, 4096},
+		{256, 1024, 64},
+		{512, 512, 512},
+	} {
+		p1, p2 := bounds.RectRegimeBoundaries(s[0], s[1], s[2])
+		wb, regime := bounds.RectMemIndepWords(s[0], s[1], s[2], 64)
+		t.AddRow(s[0], s[1], s[2], report.FormatFloat(p1), report.FormatFloat(p2), regime.String(), wb)
+	}
+	r.table(t)
+
+	const mDim, kDim, n, panel = 48, 16, 32, 4
+	a := matrix.Random(mDim, kDim, 51)
+	b := matrix.Random(kDim, n, 52)
+	t2 := report.NewTable(fmt.Sprintf("Rectangular SUMMA, m=%d k=%d n=%d: measured vs lower bound", mDim, kDim, n),
+		"grid", "p", "sim T (s)", "max W moved", "bound W", "regime")
+	for _, g := range [][2]int{{1, 2}, {2, 2}, {2, 4}, {4, 4}} {
+		pr, pc := g[0], g[1]
+		res, err := matmul.SUMMARect(simCost(machine.SimDefault()), pr, pc, panel, a, b)
+		if err != nil {
+			r.fail(fmt.Errorf("rect summa %dx%d: %w", pr, pc, err))
+			return
+		}
+		var moved float64
+		for _, s := range res.Sim.PerRank {
+			moved = math.Max(moved, s.WordsSent+s.WordsRecv)
+		}
+		wb, regime := bounds.RectMemIndepWords(float64(mDim), float64(kDim), float64(n), float64(pr*pc))
+		t2.AddRow(fmt.Sprintf("%dx%d", pr, pc), pr*pc, res.Sim.Time(), moved, wb, regime.String())
+		if moved < wb {
+			r.fail(fmt.Errorf("rect summa %dx%d moved %g words, below the %g-word lower bound", pr, pc, moved, wb))
+		}
+	}
+	r.table(t2)
 }

@@ -1,27 +1,8 @@
-// Command faulttol prices resilience with the paper's energy model
-// (experiment E23): it runs the fault-tolerant 2.5D matmul and the
-// buddy-checkpointed stencil under deterministic injected faults — rank
-// crashes, corrupted links — and reports what the recovery work costs in
-// simulated time and in Eq. 2 joules, as a function of the redundancy knob
-// (the replication factor c, or the checkpoint interval).
-//
-//	-abft     ABFT 2.5D matmul: fault scenarios x replication factor c
-//	-ckpt     checkpoint/rollback stencil: crash recovery x interval
-//	-drops    self-healing SUMMA over ARQ: silent drops masked by
-//	          virtual-time retransmission, bit-identical output
-//	-detector heartbeat failure detection: observed exits, wedged peers,
-//	          long compute with and without heartbeats
-//	-recover  energy-priced recovery controller: the per-context strategy
-//	          table and the argmin choice
-//
-// With no flags it runs everything.
 package main
 
 import (
 	"errors"
-	"flag"
 	"fmt"
-	"os"
 	"strings"
 
 	"perfscale/internal/core"
@@ -33,84 +14,33 @@ import (
 	"perfscale/internal/sim"
 )
 
-func main() {
-	var (
-		abft    = flag.Bool("abft", false, "E23a: ABFT 2.5D matmul under crashes and corruption")
-		ckpt    = flag.Bool("ckpt", false, "E23b: checkpoint/rollback under crashes")
-		drops   = flag.Bool("drops", false, "E23c: SUMMA over ARQ under silent drops")
-		det     = flag.Bool("detector", false, "E23d: heartbeat failure detection scenarios")
-		rec     = flag.Bool("recover", false, "E23e: energy-priced recovery controller")
-		csv     = flag.Bool("csv", false, "emit CSV instead of text tables")
-		mach    = flag.String("machine", "simdefault", "machine preset name or .json parameter file")
-		n       = flag.Int("n", 96, "matrix dimension for the ABFT and ARQ sweeps")
-		outPath = flag.String("o", "", "write the report to this file (default stdout)")
-	)
-	flag.Parse()
-	all := !*abft && !*ckpt && !*drops && !*det && !*rec
-
-	m, err := machine.Resolve(*mach)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	w, closeOut, err := report.OpenOutput(*outPath)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "faulttol:", err)
-		os.Exit(1)
-	}
-	emit := func(t *report.Table) {
-		if *csv {
-			w.Printf("%s", t.CSV())
-		} else {
-			w.Println(t.Render())
-		}
-	}
-
-	if all || *abft {
-		runABFT(emit, m, *n)
-	}
-	if all || *ckpt {
-		runCheckpoint(emit, m)
-	}
-	if all || *drops {
-		runDrops(emit, m, *n)
-	}
-	if all || *det {
-		runDetector(emit, m)
-	}
-	if all || *rec {
-		runRecover(emit, m)
-	}
-	code := 0
-	if err := w.Err(); err != nil {
-		fmt.Fprintln(os.Stderr, "faulttol: writing report:", err)
-		code = 1
-	}
-	if err := closeOut(); err != nil {
-		fmt.Fprintln(os.Stderr, "faulttol: closing output:", err)
-		code = 1
-	}
-	if code != 0 {
-		os.Exit(code)
-	}
+// e23 prices resilience with the paper's energy model: the fault-tolerant
+// 2.5D matmul and the buddy-checkpointed stencil under deterministic
+// injected faults, SUMMA over ARQ under silent drops, the heartbeat failure
+// detector's verdicts and the energy-priced recovery controller's choices.
+func (r *reporter) e23() {
+	m := machine.SimDefault()
+	const n = 96
+	r.e23abft(m, n)
+	r.e23checkpoint(m)
+	r.e23drops(m, n)
+	r.e23detector(m)
+	r.e23recover(m)
 }
 
-// simCost builds the simulator price list from a machine's time parameters.
-func simCost(m machine.Params) sim.Cost {
-	return sim.Cost{
-		GammaT:      m.GammaT,
-		BetaT:       m.BetaT,
-		AlphaT:      m.AlphaT,
-		MaxMsgWords: int(m.MaxMsgWords),
-	}
+// firstLine cuts a run error to its first line: sim.Run aggregates one
+// error per rank, and the first carries the diagnosis.
+func firstLine(err error) string {
+	msg, _, _ := strings.Cut(err.Error(), "\n")
+	return msg
 }
 
-// runABFT sweeps fault scenarios against the replication factor: the same
+// e23abft sweeps fault scenarios against the replication factor: the same
 // c that buys 2.5D its communication-avoiding perfect scaling is the
 // redundancy the ABFT recovery draws on, so c = 1 prices what having no
 // spare copy costs (an unrecoverable run) and c > 1 prices recovery as a
 // small energy surcharge over the fault-free run.
-func runABFT(emit func(*report.Table), m machine.Params, n int) {
+func (r *reporter) e23abft(m machine.Params, n int) {
 	const q = 4
 	t := report.NewTable(
 		fmt.Sprintf("E23a: energy-priced ABFT 2.5D matmul, n=%d, q=%d (faults vs replication factor c)", n, q),
@@ -124,8 +54,8 @@ func runABFT(emit func(*report.Table), m machine.Params, n int) {
 		p := q * q * c
 		base, err := resilience.ABFT25D(simCost(m), q, c, a, b)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			r.fail(err)
+			return
 		}
 		baseT := base.Sim.Time()
 		baseE := core.PriceSim(m, base.Sim).Total()
@@ -165,28 +95,33 @@ func runABFT(emit func(*report.Table), m machine.Params, n int) {
 			cost.Faults = sc.plan
 			res, err := resilience.ABFT25D(cost, q, c, a, b)
 			if err != nil {
-				// sim.Run aggregates one error per rank; the first line
-				// carries the diagnosis.
-				msg, _, _ := strings.Cut(err.Error(), "\n")
-				t.AddRow(c, p, sc.name, "-", "-", "-", "-", msg)
+				// With c = 1 a crash has no replica to recover from.
+				t.AddRow(c, p, sc.name, "-", "-", "-", "-", firstLine(err))
+				if c > 1 {
+					r.fail(fmt.Errorf("E23a c=%d %s: %s", c, sc.name, firstLine(err)))
+				}
 				continue
 			}
 			e := core.PriceSim(m, res.Sim).Total()
+			diff := res.C.MaxAbsDiff(want)
 			t.AddRow(c, p, sc.name,
 				fmt.Sprintf("%.4g", res.Sim.Time()),
 				fmt.Sprintf("%.4g", e),
 				fmt.Sprintf("%.3f", e/baseE),
-				fmt.Sprintf("%.2g", res.C.MaxAbsDiff(want)),
+				fmt.Sprintf("%.2g", diff),
 				statusFor(sc.plan))
+			if diff > 1e-10 {
+				r.fail(fmt.Errorf("E23a c=%d %s: product off the serial reference by %g", c, sc.name, diff))
+			}
 		}
 	}
-	emit(t)
+	r.table(t)
 }
 
-// runCheckpoint prices the checkpoint-interval tradeoff: frequent
+// e23checkpoint prices the checkpoint-interval tradeoff: frequent
 // checkpoints spend energy on snapshot traffic every interval, rare ones
 // spend it on longer rollback re-execution after a crash.
-func runCheckpoint(emit func(*report.Table), m machine.Params) {
+func (r *reporter) e23checkpoint(m machine.Params) {
 	const p, iters = 8, 12
 	t := report.NewTable(
 		fmt.Sprintf("E23b: energy-priced checkpoint/rollback stencil, p=%d, iters=%d (crash at 55%% of runtime)", p, iters),
@@ -213,8 +148,8 @@ func runCheckpoint(emit func(*report.Table), m machine.Params) {
 	for _, every := range []int{1, 2, 4, 6} {
 		base, err := resilience.RunCheckpointed(simCost(m), p, iters, every, init, step)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			r.fail(err)
+			return
 		}
 		baseE := core.PriceSim(m, base.Sim).Total()
 
@@ -227,7 +162,8 @@ func runCheckpoint(emit func(*report.Table), m machine.Params) {
 		}
 		res, err := resilience.RunCheckpointed(cost, p, iters, every, init, step)
 		if err != nil {
-			t.AddRow(every, "-", "-", "-", "-", "-", err.Error())
+			t.AddRow(every, "-", "-", "-", "-", "-", firstLine(err))
+			r.fail(fmt.Errorf("E23b every=%d: %s", every, firstLine(err)))
 			continue
 		}
 		status := "recovered"
@@ -238,6 +174,9 @@ func runCheckpoint(emit func(*report.Table), m machine.Params) {
 				}
 			}
 		}
+		if status != "recovered" {
+			r.fail(fmt.Errorf("E23b every=%d: rolled-back state differs from the fault-free run", every))
+		}
 		e := core.PriceSim(m, res.Sim).Total()
 		t.AddRow(every,
 			fmt.Sprintf("%.4g", base.Sim.Time()),
@@ -247,7 +186,7 @@ func runCheckpoint(emit func(*report.Table), m machine.Params) {
 			fmt.Sprintf("%.3f", e/baseE),
 			status)
 	}
-	emit(t)
+	r.table(t)
 }
 
 // statusFor labels a completed run: "ok" for the fault-free baseline,
@@ -259,13 +198,12 @@ func statusFor(plan *sim.FaultPlan) string {
 	return "recovered"
 }
 
-// runDrops sweeps silent-drop rates against the ARQ endpoints: faults that
-// leave no evidence (no damaged frame, no duplicate — the class an
-// evidence-only endpoint cannot mask) are recovered by virtual-time
-// retransmission, the product
-// stays bit-identical to the fault-free run, and the table prices what the
-// recovery waiting costs in time and Eq. 2 joules.
-func runDrops(emit func(*report.Table), m machine.Params, n int) {
+// e23drops sweeps silent-drop rates against the ARQ endpoints: faults that
+// leave no evidence (no damaged frame, no duplicate) are recovered by
+// virtual-time retransmission, the product stays bit-identical to the
+// fault-free run, and the table prices what the recovery waiting costs in
+// time and Eq. 2 joules.
+func (r *reporter) e23drops(m machine.Params, n int) {
 	const q = 4
 	t := report.NewTable(
 		fmt.Sprintf("E23c: self-healing SUMMA over ARQ, n=%d, q=%d, p=%d (silent drops vs retransmission)", n, q, q*q),
@@ -278,8 +216,8 @@ func runDrops(emit func(*report.Table), m machine.Params, n int) {
 
 	base, err := resilience.SUMMAARQ(simCost(m), q, arqCfg, a, b)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		r.fail(err)
+		return
 	}
 	baseT := base.Sim.Time()
 	baseE := core.PriceSim(m, base.Sim).Total()
@@ -301,15 +239,17 @@ func runDrops(emit func(*report.Table), m machine.Params, n int) {
 		cost.Faults = sc.plan
 		res, err := resilience.SUMMAARQ(cost, q, arqCfg, a, b)
 		if err != nil {
-			msg, _, _ := strings.Cut(err.Error(), "\n")
-			t.AddRow(sc.name, "-", "-", "-", "-", "-", "-", "-", "-", msg)
+			t.AddRow(sc.name, "-", "-", "-", "-", "-", "-", "-", "-", firstLine(err))
+			r.fail(fmt.Errorf("E23c %s: %s", sc.name, firstLine(err)))
 			continue
 		}
 		rep := res.Report()
 		e := core.PriceSim(m, res.Sim).Total()
 		status := statusFor(sc.plan)
-		if diff := res.C.MaxAbsDiff(base.C); diff != 0 {
+		diff := res.C.MaxAbsDiff(base.C)
+		if diff != 0 {
 			status = "OUTPUT DIVERGED"
+			r.fail(fmt.Errorf("E23c %s: product differs from the fault-free run by %g", sc.name, diff))
 		}
 		t.AddRow(sc.name,
 			fmt.Sprintf("%.4g", res.Sim.Time()),
@@ -317,18 +257,18 @@ func runDrops(emit func(*report.Table), m machine.Params, n int) {
 			fmt.Sprintf("%.3f", res.Sim.Time()/baseT),
 			fmt.Sprintf("%.3f", e/baseE),
 			rep.Retransmits, rep.DupsAbsorbed, rep.OptimisticSends,
-			fmt.Sprintf("%.2g", res.C.MaxAbsDiff(base.C)),
+			fmt.Sprintf("%.2g", diff),
 			status)
 	}
-	emit(t)
+	r.table(t)
 }
 
-// runDetector exercises the failure detector's three verdicts on a two-rank
-// conversation: an observed exit is reported accurately (with the peer's
-// own error as the cause), a wedged-but-alive peer is suspected after the
-// probe budget, and a long compute phase is a false positive exactly until
-// the computing rank covers it with heartbeats.
-func runDetector(emit func(*report.Table), m machine.Params) {
+// e23detector exercises the failure detector's three verdicts on a
+// two-rank conversation: an observed exit is reported accurately (with the
+// peer's own error as the cause), a wedged-but-alive peer is suspected
+// after the probe budget, and a long compute phase is a false positive
+// exactly until the computing rank covers it with heartbeats.
+func (r *reporter) e23detector(m machine.Params) {
 	t := report.NewTable(
 		"E23d: virtual-time heartbeat failure detection (p=2)",
 		"scenario", "verdict", "exited", "clean", "misses", "probes", "beats", "t_detect (s)", "status")
@@ -339,73 +279,51 @@ func runDetector(emit func(*report.Table), m machine.Params) {
 	// the compute scenarios below run 4 intervals of silence, so they trip
 	// the detector unless heartbeats at every half interval cover them.
 	cfg.DetectorMisses = 2
-	interval := cfg.DetectorInterval
-	chunkFlops := interval / (2 * m.GammaT)
+	chunkFlops := cfg.DetectorInterval / (2 * m.GammaT)
 
-	type verdictRow struct {
+	crash := errors.New("injected crash")
+	scenarios := []struct {
 		name          string
 		peer          func(r *sim.Rank, arq *resilience.ARQ) error
-		me            func(r *sim.Rank, arq *resilience.ARQ) error
 		expectFailure bool
-	}
-	crash := errors.New("injected crash")
-	scenarios := []verdictRow{
-		{
-			name:          "peer dies (exit observed)",
-			peer:          func(r *sim.Rank, arq *resilience.ARQ) error { return crash },
-			me:            func(r *sim.Rank, arq *resilience.ARQ) error { _, err := arq.Recv(1); return err },
-			expectFailure: true,
-		},
-		{
-			name: "peer wedges silently",
-			peer: func(r *sim.Rank, arq *resilience.ARQ) error {
-				// Alive but unresponsive: consume probes, never answer.
-				for {
-					if _, out := r.RecvTimeout(0, 1e12); out != sim.RecvOK {
-						return nil
-					}
+	}{
+		{"peer dies (exit observed)", func(r *sim.Rank, arq *resilience.ARQ) error { return crash }, true},
+		{"peer wedges silently", func(r *sim.Rank, arq *resilience.ARQ) error {
+			// Alive but unresponsive: consume probes, never answer.
+			for {
+				if _, out := r.RecvTimeout(0, 1e12); out != sim.RecvOK {
+					return nil
 				}
-			},
-			me:            func(r *sim.Rank, arq *resilience.ARQ) error { _, err := arq.Recv(1); return err },
-			expectFailure: true,
-		},
-		{
-			name: "long compute, no heartbeats",
-			peer: func(r *sim.Rank, arq *resilience.ARQ) error {
-				for i := 0; i < 8; i++ {
-					r.Compute(chunkFlops)
+			}
+		}, true},
+		{"long compute, no heartbeats", func(r *sim.Rank, arq *resilience.ARQ) error {
+			for i := 0; i < 8; i++ {
+				r.Compute(chunkFlops)
+			}
+			return arq.Send(0, []float64{1})
+		}, true},
+		{"long compute with heartbeats", func(r *sim.Rank, arq *resilience.ARQ) error {
+			for i := 0; i < 8; i++ {
+				if err := arq.Heartbeat(0); err != nil {
+					return err
 				}
-				return arq.Send(0, []float64{1})
-			},
-			me:            func(r *sim.Rank, arq *resilience.ARQ) error { _, err := arq.Recv(1); return err },
-			expectFailure: true,
-		},
-		{
-			name: "long compute with heartbeats",
-			peer: func(r *sim.Rank, arq *resilience.ARQ) error {
-				for i := 0; i < 8; i++ {
-					if err := arq.Heartbeat(0); err != nil {
-						return err
-					}
-					r.Compute(chunkFlops)
-				}
-				return arq.Send(0, []float64{1})
-			},
-			me:            func(r *sim.Rank, arq *resilience.ARQ) error { _, err := arq.Recv(1); return err },
-			expectFailure: false,
-		},
+				r.Compute(chunkFlops)
+			}
+			return arq.Send(0, []float64{1})
+		}, false},
 	}
 
 	for _, sc := range scenarios {
 		var stats, peerStats resilience.ARQStats
-		_, err := sim.Run(2, cost, func(r *sim.Rank) error {
-			arq := resilience.NewARQ(r, cfg)
-			if r.ID() == 1 {
+		_, err := sim.Run(2, cost, func(rk *sim.Rank) error {
+			arq := resilience.NewARQ(rk, cfg)
+			if rk.ID() == 1 {
 				defer func() { peerStats = arq.Stats() }()
-				return sc.peer(r, arq)
+				return sc.peer(rk, arq)
 			}
 			defer func() { stats = arq.Stats() }()
-			return sc.me(r, arq)
+			_, err := arq.Recv(1)
+			return err
 		})
 		var pf *resilience.PeerFailure
 		detected := errors.As(err, &pf)
@@ -413,6 +331,7 @@ func runDetector(emit func(*report.Table), m machine.Params) {
 		switch {
 		case detected != sc.expectFailure:
 			status = "UNEXPECTED VERDICT"
+			r.fail(fmt.Errorf("E23d %s: peer failure detected = %v, want %v", sc.name, detected, sc.expectFailure))
 		case detected:
 			status = "detected"
 		}
@@ -424,15 +343,15 @@ func runDetector(emit func(*report.Table), m machine.Params) {
 				stats.ProbesSent, peerStats.BeatsSent, "-", status)
 		}
 	}
-	emit(t)
+	r.table(t)
 }
 
-// runRecover prints the energy-priced recovery controller's decision table:
+// e23recover prints the energy-priced recovery controller's decision table:
 // every strategy's predicted Eq. 1 time and Eq. 2 energy per failure
 // context, and the argmin the controller picks. The contexts walk the
 // feasibility lattice — with a replica ABFT wins, without one the buddy
 // checkpoint, and with neither the controller falls back to respawning.
-func runRecover(emit func(*report.Table), m machine.Params) {
+func (r *reporter) e23recover(m machine.Params) {
 	t := report.NewTable(
 		fmt.Sprintf("E23e: energy-priced recovery controller on %s (strategy = argmin E over feasible set)", m.Name),
 		"n", "q", "c", "step", "strategy", "feasible", "T_rec (s)", "E_rec (J)", "chosen")
@@ -446,6 +365,7 @@ func runRecover(emit func(*report.Table), m machine.Params) {
 	}
 	for _, fc := range contexts {
 		choice := rc.Choose(fc)
+		marked := false
 		for _, sc := range rc.Evaluate(fc) {
 			feasible := "yes"
 			timeCol, energyCol := fmt.Sprintf("%.4g", sc.Time), fmt.Sprintf("%.4g", sc.Energy)
@@ -455,11 +375,14 @@ func runRecover(emit func(*report.Table), m machine.Params) {
 			}
 			chosen := ""
 			if sc.Feasible && sc.Strategy == choice.Strategy {
-				chosen = "<== argmin E"
+				chosen, marked = "<== argmin E", true
 			}
 			t.AddRow(fc.N, fc.Q, fc.Replicas, fmt.Sprintf("%d/%d", fc.Step, fc.Steps),
 				sc.Strategy.String(), feasible, timeCol, energyCol, chosen)
 		}
+		if !marked {
+			r.fail(fmt.Errorf("E23e n=%d q=%d c=%d: the controller chose no feasible strategy", fc.N, fc.Q, fc.Replicas))
+		}
 	}
-	emit(t)
+	r.table(t)
 }

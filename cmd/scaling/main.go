@@ -1,40 +1,53 @@
-// Command scaling regenerates the strong-scaling artifacts:
+// Command scaling measures efficiency-vs-p curves on the live simulator,
+// gates them against the committed baseline, and divides two phase
+// profiles of one algorithm to name the phase that stopped scaling — the
+// Hatchet-style divide operator of internal/analytics on the command line.
+// Four modes:
 //
-//	-fig3      Figure 3 — limits of communication strong scaling
-//	           (classical vs Strassen-like, W·p against p)
-//	-perfect   Experiment E2 — perfect strong scaling of 2.5D matmul:
-//	           model sweep plus real simulator runs
-//	-strassen  Experiment E4 — Strassen/CAPS model sweep plus simulator runs
-//	-threeD    Experiment E3 — energy along the 3D limit (Eq. 11)
-//	-weak      E22 — weak scaling at constant energy per flop (closed form)
-//	-rect      tight rectangular (m×k×n) matmul bounds — aspect-ratio regime
-//	           map plus live rectangular SUMMA runs against the bound
-//	-curves    measured efficiency-vs-p curves (strong + weak families) on
-//	           the live simulator, with closed-form predictions and the
-//	           predicted perfect-scaling plateau end per row
+//	scaling -curves [-json]
+//	    the quick strong+weak efficiency-vs-p curves, with closed-form
+//	    predictions and the predicted perfect-scaling plateau end per row;
+//	    -json writes them as the curve file instead of a table
+//	    (`scaling -curves -json -o BENCH_scaling.json` regenerates the
+//	    committed baseline);
 //
-// With no flags it runs everything except -curves. `-curves -json` emits the
-// curves as the analytics.CurveFile document instead of a table — the
-// committed BENCH_scaling.json, which `cmd/scalediff -baseline` gates
-// against; -json combines with nothing else. Output goes to stdout or the
-// -o file; write failures exit non-zero.
+//	scaling -baseline BENCH_scaling.json [-o curves.json]
+//	    regression gate: measure the curves, compare them with the baseline
+//	    and exit 1 when any row or phase degraded beyond -tol; -o also
+//	    writes the fresh curve file;
+//
+//	scaling -alg matmul -n 96 -q 4 -c 1 -c2 4
+//	    run the algorithm at c and c2, diff the profiles against the
+//	    perfect-strong-scaling prediction (span ratio pA/pB), flag the
+//	    phases off the curve;
+//
+//	scaling -alg matmul -n 64 -q 4 -degrade multiply-shift -degrade-beta 50
+//	    run clean, extract the named phase's virtual-time window, re-run
+//	    with every link degraded inside that window, and diff — the tool
+//	    must name the degraded phase as the bottleneck.
+//
+// With neither -curves nor -baseline it diffs. Output goes to stdout or
+// the -o file; the gate prints its verdict to stdout. Bad usage exits 2,
+// run and write failures exit 1.
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
-	"math"
+	"math/rand"
 	"os"
 
 	"perfscale/internal/analytics"
 	"perfscale/internal/bounds"
-	"perfscale/internal/core"
+	"perfscale/internal/fft"
 	"perfscale/internal/machine"
 	"perfscale/internal/matmul"
 	"perfscale/internal/matrix"
+	"perfscale/internal/nbody"
+	"perfscale/internal/obs"
 	"perfscale/internal/report"
 	"perfscale/internal/sim"
-	"perfscale/internal/strassen"
 )
 
 func main() {
@@ -43,33 +56,39 @@ func main() {
 
 func run() int {
 	var (
-		fig3    = flag.Bool("fig3", false, "Figure 3: strong-scaling limits")
-		perfect = flag.Bool("perfect", false, "E2: 2.5D matmul perfect scaling")
-		strass  = flag.Bool("strassen", false, "E4: Strassen energy scaling")
-		threeD  = flag.Bool("threeD", false, "E3: 3D-limit energy tradeoff")
-		weak    = flag.Bool("weak", false, "E22: weak scaling at constant energy per flop")
-		rect    = flag.Bool("rect", false, "rectangular matmul bounds: regime map plus live SUMMA runs vs bound")
-		curves  = flag.Bool("curves", false, "measured efficiency-vs-p curves (strong + weak)")
-		csv     = flag.Bool("csv", false, "emit CSV instead of text tables")
-		jsonOut = flag.Bool("json", false, "with -curves alone: emit the curve file (BENCH_scaling.json) instead of a table")
-		mach    = flag.String("machine", "simdefault", "machine preset name or .json parameter file")
-		outPath = flag.String("o", "", "output file (default stdout)")
-		fig3N   = flag.Float64("fig3-n", 65536, "Figure 3 matrix dimension")
-		fig3Mem = flag.Float64("fig3-mem", 1<<24, "Figure 3 memory per processor (words)")
-		fig3Pts = flag.Int("fig3-points", 25, "Figure 3 sample count")
+		curves   = flag.Bool("curves", false, "measure the efficiency-vs-p curves (strong + weak)")
+		baseline = flag.String("baseline", "", "gate mode: measure the curves and compare them with this curve file")
+		tol      = flag.Float64("tol", analytics.DefaultGateTolerance, "gate/diff tolerance")
+		jsonOut  = flag.Bool("json", false, "emit JSON: the curve file with -curves, the profiles and diff otherwise")
+		mach     = flag.String("machine", "simdefault", "machine preset name or .json parameter file")
+		outPath  = flag.String("o", "", "output file (default stdout); with -baseline, the fresh curve file")
+
+		alg          = flag.String("alg", "matmul", "diff mode algorithm: matmul, nbody, fft")
+		n            = flag.Int("n", 96, "problem size (matrix dim, bodies, or FFT length)")
+		q            = flag.Int("q", 4, "base grid: matmul p=q²·c, nbody/fft p=q·c")
+		c            = flag.Int("c", 1, "replication of side A")
+		c2           = flag.Int("c2", 0, "replication of side B (default: same as -c)")
+		degrade      = flag.String("degrade", "", "degrade mode: slow every link inside the named phase's window on side B")
+		degradeAlpha = flag.Float64("degrade-alpha", 1, "latency inflation factor for -degrade")
+		degradeBeta  = flag.Float64("degrade-beta", 20, "per-word inflation factor for -degrade")
+		expected     = flag.Float64("expected", 0, "override the expected span ratio B/A (default: pA/pB, or 1 with -degrade)")
 	)
 	flag.Parse()
-	others := *fig3 || *perfect || *strass || *threeD || *weak || *rect
-	all := !others && !*curves
-	if *jsonOut && (!*curves || others || *csv) {
-		fmt.Fprintln(os.Stderr, "scaling: -json writes the curve file; use it with -curves alone")
+	if *baseline != "" && (*curves || *jsonOut) {
+		fmt.Fprintln(os.Stderr, "scaling: -baseline measures the curves itself and writes them with -o; drop -curves and -json")
 		return 2
 	}
-
 	m, err := machine.Resolve(*mach)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
+		fmt.Fprintln(os.Stderr, "scaling:", err)
 		return 2
+	}
+	var base []analytics.CurvePoint
+	if *baseline != "" {
+		if base, err = analytics.LoadCurves(*baseline); err != nil {
+			fmt.Fprintln(os.Stderr, "scaling:", err)
+			return 2
+		}
 	}
 
 	w, closeOut, err := report.OpenOutput(*outPath)
@@ -77,44 +96,21 @@ func run() int {
 		fmt.Fprintln(os.Stderr, "scaling:", err)
 		return 1
 	}
-	emit := func(t *report.Table) {
-		if *csv {
-			w.Printf("%s", t.CSV())
-		} else {
-			w.Println(t.Render())
-		}
-	}
-
-	code := 0
-	if all || *fig3 {
-		runFig3(w, emit, *fig3N, *fig3Mem, *fig3Pts, *csv)
-	}
-	if all || *perfect {
-		runPerfect(emit, m)
-	}
-	if all || *strass {
-		runStrassen(emit, m)
-	}
-	if all || *threeD {
-		run3D(emit, m)
-	}
-	if all || *weak {
-		runWeak(emit, m)
-	}
-	if all || *rect {
-		if err := runRect(emit, m); err != nil {
-			fmt.Fprintln(os.Stderr, "scaling:", err)
-			code = 1
-		}
-	}
-	if *curves {
-		if err := runCurves(w, emit, m, *mach, *jsonOut); err != nil {
-			fmt.Fprintln(os.Stderr, "scaling:", err)
-			code = 1
-		}
+	var code int
+	switch {
+	case *baseline != "":
+		code = runGate(w, *outPath != "", m, *mach, base, *tol)
+	case *curves:
+		code = runCurves(w, m, *mach, *jsonOut)
+	default:
+		code = runDiff(w, m, diffSpec{
+			alg: *alg, n: *n, q: *q, c: *c, c2: *c2,
+			degrade: *degrade, degradeAlpha: *degradeAlpha, degradeBeta: *degradeBeta,
+			expected: *expected, tol: *tol, jsonOut: *jsonOut,
+		})
 	}
 	if err := w.Err(); err != nil {
-		fmt.Fprintln(os.Stderr, "scaling: writing report:", err)
+		fmt.Fprintln(os.Stderr, "scaling: writing output:", err)
 		code = 1
 	}
 	if err := closeOut(); err != nil {
@@ -124,20 +120,17 @@ func run() int {
 	return code
 }
 
-// runCurves measures the quick strong+weak efficiency-vs-p curves on the
-// live simulator — the sweep the CI scaling gate runs. With jsonOut it
-// writes them as the curve file, labelled with the -machine argument.
-func runCurves(w *report.ErrWriter, emit func(*report.Table), m machine.Params, machName string, jsonOut bool) error {
+// runCurves measures the quick strong+weak efficiency-vs-p curves. With
+// jsonOut it writes them as the curve file, labelled with the -machine
+// argument.
+func runCurves(w *report.ErrWriter, m machine.Params, machName string, jsonOut bool) int {
 	rows, err := analytics.QuickCurves(m)
 	if err != nil {
-		return err
+		fmt.Fprintln(os.Stderr, "scaling:", err)
+		return 1
 	}
 	if jsonOut {
-		err := analytics.WriteCurves(w, machName, rows)
-		if w.Err() != nil {
-			return nil // run reports the write failure once
-		}
-		return err
+		return writeCurves(w, machName, rows)
 	}
 	t := report.NewTable("Efficiency-vs-p curves: measured vs closed-form prediction",
 		"family", "algorithm", "n", "p", "c", "sim T (s)", "E (J)", "efficiency", "predicted", "E ratio", "plateau p*", "binding bound")
@@ -145,165 +138,188 @@ func runCurves(w *report.ErrWriter, emit func(*report.Table), m machine.Params, 
 		t.AddRow(r.Family, r.Algorithm, r.N, r.P, r.C, r.SimT, r.EnergyJ, r.Efficiency, r.Predicted, r.EnergyRatio,
 			r.PlateauP, r.PlateauBound)
 	}
-	emit(t)
-	return nil
+	w.Println(t.Render())
+	return 0
 }
 
-// runRect reports the tight rectangular (m×k×n) lower bounds of Al Daas
-// et al.: first the closed-form aspect-ratio regime map for a few shapes,
-// then live rectangular SUMMA runs whose busiest-rank traffic is compared
-// against the bound that applies at each grid.
-func runRect(emit func(*report.Table), m machine.Params) error {
-	t := report.NewTable("Rectangular matmul bounds: aspect-ratio regimes (Al Daas et al.)",
-		"m", "k", "n", "one-large until p", "two-large until p", "regime at p=64", "bound W at p=64")
-	for _, s := range [][3]float64{
-		{4096, 64, 64},
-		{4096, 4, 4096},
-		{256, 1024, 64},
-		{512, 512, 512},
-	} {
-		p1, p2 := bounds.RectRegimeBoundaries(s[0], s[1], s[2])
-		wb, regime := bounds.RectMemIndepWords(s[0], s[1], s[2], 64)
-		t.AddRow(s[0], s[1], s[2], report.FormatFloat(p1), report.FormatFloat(p2), regime.String(), wb)
+// writeCurves writes the curve file; a failed write is reported once, by
+// run, from w.Err().
+func writeCurves(w *report.ErrWriter, machName string, rows []analytics.CurvePoint) int {
+	if err := analytics.WriteCurves(w, machName, rows); err != nil && w.Err() == nil {
+		fmt.Fprintln(os.Stderr, "scaling:", err)
+		return 1
 	}
-	emit(t)
+	return 0
+}
 
-	// Live runs: fixed rectangular shape, growing grid; the measured
-	// busiest-rank words moved must sit above the applicable bound, and the
-	// regime column names which form of it binds.
-	const mDim, kDim, n, panel = 48, 16, 32, 4
-	cost := sim.Cost{GammaT: m.GammaT, BetaT: m.BetaT, AlphaT: m.AlphaT, MaxMsgWords: int(m.MaxMsgWords)}
-	a := matrix.Random(mDim, kDim, 51)
-	b := matrix.Random(kDim, n, 52)
-	t2 := report.NewTable(fmt.Sprintf("Rectangular SUMMA, m=%d k=%d n=%d: measured vs lower bound", mDim, kDim, n),
-		"grid", "p", "sim T (s)", "max W moved", "bound W", "regime")
-	for _, g := range [][2]int{{1, 2}, {2, 2}, {2, 4}, {4, 4}} {
-		pr, pc := g[0], g[1]
-		res, err := matmul.SUMMARect(cost, pr, pc, panel, a, b)
+// runGate is the regression gate: it measures the curves, writes them to
+// curvesOut when toFile is set, and prints every row or phase that
+// degraded beyond tol against base to stdout.
+func runGate(curvesOut *report.ErrWriter, toFile bool, m machine.Params, machName string, base []analytics.CurvePoint, tol float64) int {
+	cur, err := analytics.QuickCurves(m)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "scaling:", err)
+		return 1
+	}
+	if toFile && writeCurves(curvesOut, machName, cur) != 0 {
+		return 1
+	}
+	regs := analytics.CheckCurves(cur, base, tol)
+	fmt.Printf("scaling gate: %d baseline rows, %d current rows, tolerance %.3g\n", len(base), len(cur), tol)
+	for _, r := range regs {
+		fmt.Println("REGRESSION:", r.String())
+	}
+	if len(regs) == 0 {
+		fmt.Println("no scaling regressions")
+	}
+	if len(regs) > 0 {
+		return 1
+	}
+	return 0
+}
+
+type diffSpec struct {
+	alg                       string
+	n, q, c, c2               int
+	degrade                   string
+	degradeAlpha, degradeBeta float64
+	expected, tol             float64
+	jsonOut                   bool
+}
+
+func runDiff(w *report.ErrWriter, m machine.Params, s diffSpec) int {
+	if s.c2 == 0 {
+		s.c2 = s.c
+	}
+	if s.degrade != "" && s.c2 != s.c {
+		fmt.Fprintln(os.Stderr, "scaling: -degrade compares equal configurations; drop -c2")
+		return 2
+	}
+
+	cost := sim.Cost{GammaT: m.GammaT, BetaT: m.BetaT, AlphaT: m.AlphaT,
+		MaxMsgWords: int(m.MaxMsgWords)}
+	profA, err := runProfile(m, cost, s.alg, s.n, s.q, s.c)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "scaling:", err)
+		return 2
+	}
+
+	costB := cost
+	if s.degrade != "" {
+		ps := profA.Phase(s.degrade)
+		if ps == nil {
+			fmt.Fprintf(os.Stderr, "scaling: run has no phase %q (phases:", s.degrade)
+			for _, p := range profA.Phases {
+				fmt.Fprintf(os.Stderr, " %s", p.Name)
+			}
+			fmt.Fprintln(os.Stderr, ")")
+			return 2
+		}
+		costB.Faults = &sim.FaultPlan{
+			Seed: 1,
+			Degraded: []sim.DegradedLink{{
+				Src: -1, Dst: -1,
+				From: ps.Start, Until: ps.End,
+				AlphaFactor: s.degradeAlpha, BetaFactor: s.degradeBeta,
+			}},
+		}
+	}
+	profB, err := runProfile(m, costB, s.alg, s.n, s.q, s.c2)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "scaling:", err)
+		return 2
+	}
+
+	exp := s.expected
+	if exp == 0 {
+		exp = float64(profA.P) / float64(profB.P)
+	}
+	opt := analytics.DiffOptions{ExpectedRatio: exp, Tolerance: s.tol}
+	// Annotate the comparison with the exact perfect-scaling plateau end for
+	// the fixed problem and per-rank memory of this configuration, so an
+	// efficiency dip past it is attributed to the memory-independent wall.
+	switch s.alg {
+	case "matmul":
+		pl := bounds.ClassicalPlateau(float64(s.n), float64(s.n*s.n)/float64(s.q*s.q))
+		opt.PlateauP, opt.PlateauBound = pl.PEnd, pl.IndependentBound
+	case "nbody":
+		pl := bounds.NBodyPlateau(float64(s.n), float64(s.n)/float64(s.q))
+		opt.PlateauP, opt.PlateauBound = pl.PEnd, pl.IndependentBound
+	}
+	rep := analytics.Diff(profA, profB, opt)
+	if s.jsonOut {
+		buf, err := json.MarshalIndent(map[string]any{"a": profA, "b": profB, "diff": rep}, "", "  ")
 		if err != nil {
-			return fmt.Errorf("rect summa %dx%d: %w", pr, pc, err)
+			fmt.Fprintln(os.Stderr, "scaling:", err)
+			return 1
 		}
-		var moved float64
-		for _, s := range res.Sim.PerRank {
-			moved = math.Max(moved, s.WordsSent+s.WordsRecv)
-		}
-		wb, regime := bounds.RectMemIndepWords(float64(mDim), float64(kDim), float64(n), float64(pr*pc))
-		t2.AddRow(fmt.Sprintf("%dx%d", pr, pc), pr*pc, res.Sim.Time(), moved, wb, regime.String())
+		w.Println(string(buf))
+		return 0
 	}
-	emit(t2)
-	return nil
+	if err := profA.WriteText(w); err != nil {
+		return 1
+	}
+	w.Println()
+	if err := profB.WriteText(w); err != nil {
+		return 1
+	}
+	w.Println()
+	if err := rep.WriteText(w); err != nil {
+		return 1
+	}
+	return 0
 }
 
-func runWeak(emit func(*report.Table), m machine.Params) {
-	mem := float64(1 << 22)
-	ps := []float64{16, 64, 256, 1024, 4096}
-	pts := core.MatMulWeakScalingSweep(m, mem, ps)
-	t := report.NewTable("E22: memory-constrained weak scaling, matmul (M fixed, n = sqrt(M·p))",
-		"p", "n", "T (s)", "E (J)", "E per flop (J)")
-	for _, pt := range pts {
-		n := mathSqrt(mem * pt.P)
-		t.AddRow(pt.P, n, pt.Time, pt.Energy, pt.Energy/(n*n*n))
-	}
-	emit(t)
-}
-
-func mathSqrt(x float64) float64 { return math.Sqrt(x) }
-
-func runFig3(w *report.ErrWriter, emit func(*report.Table), n, mem float64, points int, csv bool) {
-	pts := bounds.Fig3Series(n, mem, points)
-	t := report.NewTable(fmt.Sprintf("Figure 3: W·p vs p (n=%s, M=%s)",
-		report.FormatFloat(n), report.FormatFloat(mem)),
-		"p", "classical W·p", "strassen W·p")
-	var cs, ss report.Series
-	cs.Name, ss.Name = "classical", "strassen-like"
-	for _, pt := range pts {
-		t.AddRow(pt.P, pt.ClassicalWP, pt.StrassenWP)
-		cs.Add(pt.P, pt.ClassicalWP)
-		ss.Add(pt.P, pt.StrassenWP)
-	}
-	emit(t)
-	if !csv {
-		w.Println(report.Chart("Figure 3 (log-log); flat region = perfect strong scaling",
-			64, 16, true, true, cs, ss))
-		cl, st := bounds.Fig3Plateaus(n, mem)
-		w.Printf("classical: perfect scaling ends at p = %s; past it the %s bound binds\n",
-			report.FormatFloat(cl.PEnd), cl.IndependentBound)
-		w.Printf("strassen:  perfect scaling ends at p = %s; past it the %s bound binds\n\n",
-			report.FormatFloat(st.PEnd), st.IndependentBound)
-	}
-}
-
-func runPerfect(emit func(*report.Table), m machine.Params) {
-	// Model sweep at scale.
-	model := core.MatMulStrongScalingSweep(m, 1<<15, 64, 8)
-	t := report.NewTable("E2 model: 2.5D matmul, n=32768, pmin=64, M fixed",
-		"c", "p", "T (s)", "E (J)", "T·c/T1", "E/E1")
-	for _, pt := range model {
-		t.AddRow(pt.C, pt.P, pt.Time, pt.Energy,
-			pt.Time*pt.C/model[0].Time, pt.Energy/model[0].Energy)
-	}
-	emit(t)
-
-	// Simulator runs: fixed n and per-rank block size, p = 16, 32, 64.
-	cost := sim.Cost{GammaT: m.GammaT, BetaT: m.BetaT, AlphaT: m.AlphaT, MaxMsgWords: int(m.MaxMsgWords)}
-	const n = 96
-	a := matrix.Random(n, n, 1)
-	b := matrix.Random(n, n, 2)
-	t2 := report.NewTable("E2 simulator: 2.5D matmul, n=96, q=4, c=1,2,4",
-		"c", "p", "sim T (s)", "max W sent", "speedup", "ideal")
-	var t1 float64
-	for _, c := range []int{1, 2, 4} {
-		res, err := matmul.TwoPointFiveD(cost, 4, c, a, b)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+// runProfile executes one observed run of the named algorithm and builds
+// its phase profile.
+func runProfile(m machine.Params, cost sim.Cost, alg string, n, q, c int) (*analytics.PhaseProfile, error) {
+	var p int
+	var runFn func() (*sim.Result, error)
+	switch alg {
+	case "matmul":
+		p = q * q * c
+		a := matrix.Random(n, n, 31)
+		b := matrix.Random(n, n, 32)
+		runFn = func() (*sim.Result, error) {
+			res, err := matmul.TwoPointFiveD(cost, q, c, a, b)
+			if err != nil {
+				return nil, err
+			}
+			return res.Sim, nil
 		}
-		if c == 1 {
-			t1 = res.Sim.Time()
+	case "nbody":
+		p = q * c
+		bodies := nbody.RandomBodies(n, 33)
+		runFn = func() (*sim.Result, error) {
+			res, err := nbody.Replicated(cost, p, c, bodies)
+			if err != nil {
+				return nil, err
+			}
+			return res.Sim, nil
 		}
-		t2.AddRow(c, 16*c, res.Sim.Time(), res.Sim.MaxStats().WordsSent, t1/res.Sim.Time(), c)
-	}
-	emit(t2)
-}
-
-func runStrassen(emit func(*report.Table), m machine.Params) {
-	model := core.FastMatMulStrongScalingSweep(m, 1<<15, 49, 6, bounds.OmegaStrassen)
-	t := report.NewTable("E4 model: Strassen (CAPS), n=32768, pmin=49, M fixed",
-		"c", "p", "T (s)", "E (J)", "E/E1")
-	for _, pt := range model {
-		t.AddRow(pt.C, pt.P, pt.Time, pt.Energy, pt.Energy/model[0].Energy)
-	}
-	emit(t)
-
-	cost := sim.Cost{GammaT: m.GammaT, BetaT: m.BetaT, AlphaT: m.AlphaT, MaxMsgWords: int(m.MaxMsgWords)}
-	const n = 56
-	a := matrix.Random(n, n, 3)
-	b := matrix.Random(n, n, 4)
-	t2 := report.NewTable("E4 simulator: CAPS, n=56", "k", "p", "sim T (s)", "total flops", "max W sent")
-	for _, k := range []int{0, 1, 2} {
-		res, err := strassen.CAPS(cost, k, a, b, 8)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+	case "fft":
+		p = q * c
+		rng := rand.New(rand.NewSource(45))
+		x := make([]complex128, n)
+		for i := range x {
+			x[i] = complex(rng.NormFloat64(), rng.NormFloat64())
 		}
-		p := 1
-		for i := 0; i < k; i++ {
-			p *= 7
+		runFn = func() (*sim.Result, error) {
+			res, err := fft.Distributed(cost, p, x, true)
+			if err != nil {
+				return nil, err
+			}
+			return res.Sim, nil
 		}
-		t2.AddRow(k, p, res.Sim.Time(), res.Sim.TotalStats().Flops, res.Sim.MaxStats().WordsSent)
+	default:
+		return nil, fmt.Errorf("unknown -alg %q (want matmul, nbody, or fft)", alg)
 	}
-	emit(t2)
-}
-
-func run3D(emit func(*report.Table), m machine.Params) {
-	n := float64(1 << 14)
-	ps := []float64{64, 256, 1024, 4096, 16384}
-	rs := core.MatMul3DLimitSweep(m, n, ps)
-	t := report.NewTable("E3: energy at the 3D limit M = n²/p^(2/3), n=16384",
-		"p", "E memory (J)", "E bandwidth (J)", "E total (J)", "Eq.11 check")
-	for _, r := range rs {
-		t.AddRow(r.P, r.Energy.Memory, r.Energy.Bandwidth, r.TotalEnergy(),
-			core.MatMul3DEnergyClosedForm(m, n, r.P))
+	col := obs.NewCollector(p)
+	cost.Observers = append(cost.Observers, col)
+	res, err := runFn()
+	if err != nil {
+		return nil, fmt.Errorf("%s p=%d: %w", alg, p, err)
 	}
-	emit(t)
+	meta := analytics.Meta{Algorithm: alg, N: n, C: c}
+	return analytics.BuildProfile(m, res, col, meta), nil
 }

@@ -21,7 +21,7 @@
 //   - internal/report     — tables, CSV and ASCII figure rendering
 //
 // Executables under cmd/ and runnable examples under examples/ exercise the
-// API; bench_test.go regenerates every table and figure in the paper's
-// evaluation. See DESIGN.md for the full inventory and EXPERIMENTS.md for
-// paper-vs-measured results.
+// API; cmd/reproduce regenerates every table and figure in the paper's
+// evaluation into REPORT.md. See DESIGN.md for the full inventory and
+// EXPERIMENTS.md for paper-vs-measured results.
 package perfscale

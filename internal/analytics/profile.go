@@ -87,7 +87,7 @@ type PhaseStats struct {
 	Span Agg `json:"span"`
 	// Start and End bound the phase's virtual-time window across ranks:
 	// the earliest mark and the latest close. Fault plans can target the
-	// window (that is how cmd/scalediff degrades one phase).
+	// window (that is how cmd/scaling -degrade slows one phase).
 	Start float64 `json:"window_start_s"`
 	End   float64 `json:"window_end_s"`
 	// The priced counters, per rank: F, W, S.

@@ -96,8 +96,8 @@ func (f EnergyField) String() string {
 // compute), and m ≤ M when both are set.
 func (p Params) Validate() error {
 	var errs []error
-	if p.GammaT <= 0 {
-		errs = append(errs, fmt.Errorf("gamma_t must be positive, got %g", p.GammaT))
+	if !positive(p.GammaT) {
+		errs = append(errs, fmt.Errorf("gamma_t must be finite and positive, got %g", p.GammaT))
 	}
 	for _, c := range []struct {
 		name string
@@ -111,11 +111,11 @@ func (p Params) Validate() error {
 			errs = append(errs, fmt.Errorf("%s must be finite and non-negative, got %g", c.name, c.v))
 		}
 	}
-	if p.MemWords <= 0 {
-		errs = append(errs, fmt.Errorf("memory M must be positive, got %g", p.MemWords))
+	if !positive(p.MemWords) {
+		errs = append(errs, fmt.Errorf("memory M must be finite and positive, got %g", p.MemWords))
 	}
-	if p.MaxMsgWords <= 0 {
-		errs = append(errs, fmt.Errorf("max message m must be positive, got %g", p.MaxMsgWords))
+	if !positive(p.MaxMsgWords) {
+		errs = append(errs, fmt.Errorf("max message m must be finite and positive, got %g", p.MaxMsgWords))
 	}
 	if p.MaxMsgWords > p.MemWords {
 		errs = append(errs, fmt.Errorf("max message m = %g exceeds memory M = %g", p.MaxMsgWords, p.MemWords))
@@ -243,8 +243,8 @@ type TwoLevel struct {
 // Validate reports whether the two-level parameter set is meaningful.
 func (t TwoLevel) Validate() error {
 	var errs []error
-	if t.GammaT <= 0 {
-		errs = append(errs, fmt.Errorf("gamma_t must be positive, got %g", t.GammaT))
+	if !positive(t.GammaT) {
+		errs = append(errs, fmt.Errorf("gamma_t must be finite and positive, got %g", t.GammaT))
 	}
 	for _, c := range []struct {
 		name string
@@ -260,14 +260,18 @@ func (t TwoLevel) Validate() error {
 			errs = append(errs, fmt.Errorf("%s must be finite and non-negative, got %g", c.name, c.v))
 		}
 	}
-	if t.MemN <= 0 || t.MemL <= 0 {
-		errs = append(errs, fmt.Errorf("memories must be positive, got Mn=%g Ml=%g", t.MemN, t.MemL))
+	if !positive(t.MemN) || !positive(t.MemL) {
+		errs = append(errs, fmt.Errorf("memories must be finite and positive, got Mn=%g Ml=%g", t.MemN, t.MemL))
 	}
-	if t.MaxMsgN <= 0 || t.MaxMsgL <= 0 {
-		errs = append(errs, fmt.Errorf("max messages must be positive, got mn=%g ml=%g", t.MaxMsgN, t.MaxMsgL))
+	if !positive(t.MaxMsgN) || !positive(t.MaxMsgL) {
+		errs = append(errs, fmt.Errorf("max messages must be finite and positive, got mn=%g ml=%g", t.MaxMsgN, t.MaxMsgL))
 	}
 	return errors.Join(errs...)
 }
+
+// positive reports whether v is a finite number above zero; NaN and ±Inf
+// fail it (a bare v <= 0 test lets NaN through).
+func positive(v float64) bool { return v > 0 && !math.IsInf(v, 1) }
 
 // EffBetaTN returns the inter-node per-word time with latency folded in via
 // the paper's substitution β ← β + α/m.

@@ -61,6 +61,11 @@ func TestValidateRejectsBadParams(t *testing.T) {
 		{"zero memory", func(p *Params) { p.MemWords = 0 }},
 		{"zero max msg", func(p *Params) { p.MaxMsgWords = 0 }},
 		{"msg exceeds memory", func(p *Params) { p.MaxMsgWords = p.MemWords * 2 }},
+		{"NaN gamma_t", func(p *Params) { p.GammaT = math.NaN() }},
+		{"Inf gamma_t", func(p *Params) { p.GammaT = math.Inf(1) }},
+		{"NaN memory", func(p *Params) { p.MemWords = math.NaN() }},
+		{"NaN max msg", func(p *Params) { p.MaxMsgWords = math.NaN() }},
+		{"Inf memory and max msg", func(p *Params) { p.MemWords, p.MaxMsgWords = math.Inf(1), math.Inf(1) }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -84,6 +89,11 @@ func TestTwoLevelValidateRejectsBadParams(t *testing.T) {
 		{"zero node memory", func(p *TwoLevel) { p.MemN = 0 }},
 		{"zero core memory", func(p *TwoLevel) { p.MemL = 0 }},
 		{"zero node msg", func(p *TwoLevel) { p.MaxMsgN = 0 }},
+		{"NaN gamma_t", func(p *TwoLevel) { p.GammaT = math.NaN() }},
+		{"NaN node memory", func(p *TwoLevel) { p.MemN = math.NaN() }},
+		{"Inf core memory", func(p *TwoLevel) { p.MemL = math.Inf(1) }},
+		{"NaN core msg", func(p *TwoLevel) { p.MaxMsgL = math.NaN() }},
+		{"Inf node msg", func(p *TwoLevel) { p.MaxMsgN = math.Inf(1) }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

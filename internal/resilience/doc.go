@@ -25,9 +25,9 @@
 //     identical resident A and B blocks, so a crashed rank restores its
 //     state from any live fiber sibling and replays the outer-product
 //     panels it missed from their in-layer owners. The recovery traffic and
-//     recomputation are ordinary sends and flops — the experiment in
-//     cmd/faulttol prices them and asks whether the paper's perfect strong
-//     scaling survives failures.
+//     recomputation are ordinary sends and flops — experiment E23 of
+//     cmd/reproduce prices them and asks whether the paper's perfect
+//     strong scaling survives failures.
 //
 //   - RunCheckpointed: in-memory buddy checkpointing with coordinated
 //     rollback for iterative SPMD kernels. Each rank ships its state to a

@@ -49,3 +49,34 @@ func BenchmarkClusterStartup(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkBcast times the two broadcasts the report's ablation compares,
+// binomial tree and scatter+allgather, at a 2¹⁴-word payload on 8 ranks.
+func BenchmarkBcast(b *testing.B) {
+	data := make([]float64, 1<<14)
+	for _, large := range []bool{false, true} {
+		name := "binomial"
+		if large {
+			name = "scatter-allgather"
+		}
+		b.Run(name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				_, err := Run(8, Cost{AlphaT: 1e-8, BetaT: 1e-9}, func(r *Rank) error {
+					var in []float64
+					if r.ID() == 0 {
+						in = data
+					}
+					if large {
+						r.World().BcastLarge(0, in)
+					} else {
+						r.World().Bcast(0, in)
+					}
+					return nil
+				})
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"perfscale/internal/matrix"
+	"perfscale/internal/sim"
 )
 
 func BenchmarkSerialStrassen256(b *testing.B) {
@@ -30,5 +31,19 @@ func BenchmarkZOrderRoundTrip(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		z := DenseToZ(a)
 		_ = ZToDense(z, 256)
+	}
+}
+
+// BenchmarkCAPS times E4's largest simulator run: CAPS with two BFS levels
+// (p = 49) at n = 56.
+func BenchmarkCAPS(b *testing.B) {
+	x := matrix.Random(56, 56, 3)
+	y := matrix.Random(56, 56, 4)
+	cost := sim.Cost{GammaT: 1e-9, BetaT: 4e-9, AlphaT: 1e-8}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := CAPS(cost, 2, x, y, 8); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
