@@ -184,7 +184,7 @@ func TestPlateauCrossover(t *testing.T) {
 		t.Fatal("Past misclassifies the endpoint")
 	}
 	// Strassen saturates earlier than classical for M < n².
-	_, fast := Fig3Plateaus(n, mem)
+	fast := FastPlateau(n, mem, OmegaStrassen)
 	if fast.PEnd >= pl.PEnd {
 		t.Fatalf("strassen plateau %g should end before classical %g", fast.PEnd, pl.PEnd)
 	}

@@ -220,10 +220,3 @@ func NBodyPlateau(n, memBodies float64) Plateau {
 		IndependentBound: BoundNBodyMemIndep,
 	}
 }
-
-// Fig3Plateaus returns the classical and Strassen-like plateau descriptors
-// for a Figure 3 configuration — the exact endpoints of the two flat
-// regions the series plots, with the bound names that explain each bend.
-func Fig3Plateaus(n, mem float64) (classical, strassen Plateau) {
-	return ClassicalPlateau(n, mem), FastPlateau(n, mem, OmegaStrassen)
-}

@@ -26,10 +26,11 @@ import (
 //   - every algorithm in the registry at its first quick point, with no
 //     observer or fault plan attached, so cluster-wide collectives take the
 //     conducted path: per-rank F/W/S/M counters and clocks, and ActivePairs;
-//   - the 2.5D matmul with an observer attached, which forces the
-//     member-by-member collective path: per-rank stats and the per-rank
-//     segment streams (cross-rank interleaving is unordered by contract and
-//     not digested);
+//   - the 2.5D matmul with an observer attached: per-rank stats and the
+//     per-rank segment streams (cross-rank interleaving is unordered by
+//     contract and not digested). Its collectives are conducted, and the
+//     digests were recorded member by member on the goroutine backend, so
+//     this pins the conductor's event streams to that path's;
 //   - a seeded chaos plan — silent drops, duplications, corruptions — masked
 //     by the ARQ endpoints: recovery is virtual-time state machinery, so the
 //     stats, the product matrix, the ARQ protocol counters and the per-rank
@@ -113,9 +114,11 @@ func goldenRuns(cfg Config) ([]goldenRun, error) {
 	return append(runs, observed, chaos), nil
 }
 
-// goldenObserved runs the 2.5D matmul with an observer subscribed. The
-// observer disqualifies conducted collectives, so this is the run that pins
-// the member-by-member path and the per-rank segment streams.
+// goldenObserved runs the 2.5D matmul with an observer subscribed: the run
+// that pins the per-rank segment streams. Its collectives are conducted,
+// against digests recorded from the goroutine backend's member-by-member
+// run, so a conductor that emitted a member's events out of place would
+// move them.
 func goldenObserved(cost sim.Cost) (goldenRun, error) {
 	const alg = "matmul-2.5d"
 	pt := Point{N: 48, Q: 4, C: 2, P: 32}

@@ -18,8 +18,10 @@ import (
 // For each matmul algorithm the phantom path serves, at every point of its
 // quick grid (at every level: the full grid's p = 512 observer streams
 // would cost seconds and reach no code path the quick points miss), on one
-// worker and on four, with no observer (collectives conducted) and with one
-// (member by member), numeric and phantom operands must give
+// worker and on four, with no observer and with one (collectives are
+// conducted either way; a fault plan is what runs them member by member,
+// and matmul's phantom tests cover that route), numeric and phantom
+// operands must give
 //
 //   - the same per-rank Stats, bit for bit (payload-free/per-rank-stats);
 //   - the same ActivePairs (payload-free/active-pairs);

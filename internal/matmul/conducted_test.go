@@ -5,15 +5,13 @@ import (
 	"testing"
 
 	"perfscale/internal/matrix"
-	"perfscale/internal/obs"
 	"perfscale/internal/sim"
 )
 
 // TestConductedUnderContextBitIdentical pins the /simulate shapes (p = 128,
 // n = 128, q = 8, c = 2) across the three ways a run can execute: conducted
 // collectives under a cancel context (the service's default), conducted
-// without one, and member by member (any observer disqualifies the
-// conductor). Product, per-rank counters and clocks,
+// without one, and member by member (an empty fault plan selects it). Product, per-rank counters and clocks,
 // virtual time and active pairs must agree bit for bit.
 func TestConductedUnderContextBitIdentical(t *testing.T) {
 	const n, q, c = 128, 8, 2
@@ -24,21 +22,19 @@ func TestConductedUnderContextBitIdentical(t *testing.T) {
 	for name, alg := range map[string]func(sim.Cost, int, int, *matrix.Dense, *matrix.Dense) (*RunResult, error){
 		"matmul25d": TwoPointFiveD, "summa25d": TwoPointFiveDSUMMA,
 	} {
-		run := func(observed bool, ctx context.Context) *RunResult {
+		run := func(faults *sim.FaultPlan, ctx context.Context) *RunResult {
 			cost := base
 			cost.Context = ctx
-			if observed {
-				cost.Observers = []sim.Observer{obs.NewRingBuffer(1)}
-			}
+			cost.Faults = faults
 			res, err := alg(cost, q, c, a, b)
 			if err != nil {
-				t.Fatalf("%s (observed %v): %v", name, observed, err)
+				t.Fatalf("%s (fault plan %v): %v", name, faults != nil, err)
 			}
 			return res
 		}
-		ref := run(true, nil)
+		ref := run(&sim.FaultPlan{}, nil)
 		for label, got := range map[string]*RunResult{
-			"conducted+context": run(false, ctx), "conducted": run(false, nil),
+			"conducted+context": run(nil, ctx), "conducted": run(nil, nil),
 		} {
 			if d := got.C.MaxAbsDiff(ref.C); d != 0 {
 				t.Errorf("%s %s: product differs from the member-by-member run by %g", name, label, d)

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"perfscale/internal/matrix"
-	"perfscale/internal/obs"
 	"perfscale/internal/sim"
 )
 
@@ -45,10 +44,10 @@ func TestPhantomOperands(t *testing.T) {
 		},
 	}
 	cost := sim.Cost{GammaT: 1e-9, BetaT: 1e-8, AlphaT: 1e-6, MaxMsgWords: 64}
-	observed := cost
-	observed.Observers = []sim.Observer{obs.NewRingBuffer(1)} // disqualifies the conductor
+	memberByMember := cost
+	memberByMember.Faults = &sim.FaultPlan{}
 	for name, run := range algs {
-		for route, cost := range map[string]sim.Cost{"conducted": cost, "member-by-member": observed} {
+		for route, cost := range map[string]sim.Cost{"conducted": cost, "member-by-member": memberByMember} {
 			numeric, err := run(cost, false)
 			if err != nil {
 				t.Fatalf("%s %s numeric: %v", name, route, err)

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"perfscale/internal/matrix"
-	"perfscale/internal/obs"
 	"perfscale/internal/sim"
 )
 
@@ -97,7 +96,7 @@ func TestSUMMARectPanelWidthTradeoff(t *testing.T) {
 
 func TestSUMMARectBackendIdentity(t *testing.T) {
 	// Conducted collectives must be a perfect stand-in for member-by-member
-	// ones (any observer disqualifies the conductor) on rectangular shapes and non-square grids: every per-rank
+	// ones (an empty fault plan selects them) on rectangular shapes and non-square grids: every per-rank
 	// counter — flops, words, messages, peak memory, and all four clock
 	// decompositions — bit-identical, and the product matrix too. Priced
 	// with nonzero α/β/γ and fragmented messages so the time counters are
@@ -112,7 +111,7 @@ func TestSUMMARectBackendIdentity(t *testing.T) {
 		a := matrix.Random(tc.m, tc.k, int64(3*tc.m+tc.k))
 		b := matrix.Random(tc.k, tc.n, int64(3*tc.k+tc.n))
 		gCost := cost
-		gCost.Observers = []sim.Observer{obs.NewRingBuffer(1)}
+		gCost.Faults = &sim.FaultPlan{}
 		g, err := SUMMARect(gCost, tc.pr, tc.pc, tc.panel, a, b)
 		if err != nil {
 			t.Fatalf("%+v member by member: %v", tc, err)
@@ -140,7 +139,7 @@ func TestSUMMARectBackendIdentity(t *testing.T) {
 func TestSUMMARectPerRankCounterPins(t *testing.T) {
 	// Exact per-rank counter values at a rectangular shape, derived by hand
 	// from the collective algorithms, checked on both collective paths
-	// (conducted, and member by member under an observer).
+	// (conducted, and member by member under an empty fault plan).
 	//
 	// m=12 k=8 n=16 on a 2×2 grid with panel=2: rowsPer=6, colsPer=8,
 	// aColsPer=bRowsPer=4, and k/panel = 4 broadcast steps. Every row and
@@ -167,7 +166,7 @@ func TestSUMMARectPerRankCounterPins(t *testing.T) {
 	for _, rt := range []string{"conducted", "member-by-member"} {
 		cost := sim.Cost{}
 		if rt == "member-by-member" {
-			cost.Observers = []sim.Observer{obs.NewRingBuffer(1)}
+			cost.Faults = &sim.FaultPlan{}
 		}
 		res, err := SUMMARect(cost, pr, pc, panel, a, b)
 		if err != nil {

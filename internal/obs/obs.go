@@ -132,9 +132,11 @@ func deadlockEvent(ev sim.DeadlockEvent) Event {
 }
 
 // Collector subscribes to a run and keeps every event, bucketed per rank.
-// Rank-goroutine callbacks append to their own rank's slice without locks
-// (the bus guarantees per-rank callbacks are single-goroutine); only the
-// deadlock events, sourced by the engine at quiescence, need a mutex.
+// Per-rank callbacks append to their own rank's slice without locks: the
+// bus serializes one rank's callbacks and delivers them in virtual-time
+// order, whether they run on the rank's goroutine or on a collective's
+// conducting member's. Only the deadlock events, sourced by the engine at
+// quiescence, need a mutex.
 // Memory is O(events) — use RingBuffer when that is too much at large p.
 //
 // Read a Collector only after sim.Run has returned.
@@ -181,8 +183,8 @@ func (c *Collector) OnCrash(ev sim.CrashEvent) {
 	c.perRank[ev.Rank] = append(c.perRank[ev.Rank], crashEvent(ev))
 }
 
-// OnTimer implements sim.Observer; timer transitions fire on the owning
-// rank's goroutine, so they land on the per-rank bucket like segments.
+// OnTimer implements sim.Observer; timer transitions belong to the owning
+// rank, so they land on its bucket like segments.
 func (c *Collector) OnTimer(ev sim.TimerEvent) {
 	c.perRank[ev.Rank] = append(c.perRank[ev.Rank], timerEvent(ev))
 }

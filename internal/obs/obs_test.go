@@ -6,11 +6,14 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
 	"perfscale/internal/core"
 	"perfscale/internal/machine"
+	"perfscale/internal/matmul"
+	"perfscale/internal/matrix"
 	"perfscale/internal/obs"
 	"perfscale/internal/sim"
 )
@@ -378,6 +381,42 @@ func TestSummaryWriters(t *testing.T) {
 	for _, want := range []string{"energy split", "γe·F", "communication matrix", "critical path"} {
 		if !strings.Contains(text.String(), want) {
 			t.Errorf("text report misses %q:\n%s", want, text.String())
+		}
+	}
+}
+
+// TestCollectorSameOnBothCollectiveRoutes holds the bus contract on the
+// 2.5D algorithms: a Collector on a conducted run (no fault plan) and on a
+// member-by-member one (an empty plan) records the same per-rank event
+// lists. A conductor delivers its parked members' callbacks from its own
+// goroutine, so under -race this is also the check that the Collector's
+// lock-free per-rank buckets are safe there.
+func TestCollectorSameOnBothCollectiveRoutes(t *testing.T) {
+	const n, q, c = 24, 4, 2
+	a, b := matrix.Random(n, n, 61), matrix.Random(n, n, 62)
+	for name, alg := range map[string]func(sim.Cost, int, int, *matrix.Dense, *matrix.Dense) (*matmul.RunResult, error){
+		"TwoPointFiveD": matmul.TwoPointFiveD, "TwoPointFiveDSUMMA": matmul.TwoPointFiveDSUMMA,
+	} {
+		collect := func(faults *sim.FaultPlan) *obs.Collector {
+			cost := testCost()
+			cost.Workers = 4
+			cost.Faults = faults
+			col := obs.NewCollector(q * q * c)
+			cost.Observers = []sim.Observer{col}
+			if _, err := alg(cost, q, c, a, b); err != nil {
+				t.Fatalf("%s (fault plan %v): %v", name, faults != nil, err)
+			}
+			return col
+		}
+		conducted, memberByMember := collect(nil), collect(&sim.FaultPlan{})
+		if conducted.Total() == 0 {
+			t.Fatalf("%s: the collector saw no events", name)
+		}
+		for rank := 0; rank < q*q*c; rank++ {
+			if !slices.Equal(conducted.Rank(rank), memberByMember.Rank(rank)) {
+				t.Errorf("%s rank %d: event lists differ\n  conducted:        %+v\n  member by member: %+v",
+					name, rank, conducted.Rank(rank), memberByMember.Rank(rank))
+			}
 		}
 	}
 }

@@ -309,8 +309,8 @@ func TestConductedUnderContextIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatalf("p=%d: %v", p, err)
 		}
-		if !c.eng.ffOK || !c.eng.cancellable {
-			t.Fatalf("p=%d: ffOK=%v cancellable=%v, want a cancellable conducted run", p, c.eng.ffOK, c.eng.cancellable)
+		if !c.eng.cancellable {
+			t.Fatalf("p=%d: the run ignored its cancel context", p)
 		}
 		requireSameResult(t, "no context", ref, "context", res)
 	}

@@ -166,7 +166,7 @@ func (c *Comm) ShiftOwned(data []float64, by int) []float64 {
 	}
 	dst := (c.me + by) % p
 	src := (c.me - by + p) % p
-	c.rank.sendOwned(c.members[dst], data)
+	c.rank.send(c.members[dst], data, true)
 	return c.recv(src)
 }
 

@@ -11,29 +11,30 @@ import (
 // Run member by member, a collective like AllGather costs every member
 // p−1 park/resume round trips: each ring step blocks on a receive, hands
 // its worker slot away, and is woken one message later. None of that
-// scheduling is observable — when no fault plan or observer touches the
-// run (eventEngine.ffOK), the only things a collective changes are
-// per-rank clocks, counters and payload buffers, and all of those are pure
-// functions of the collective's message schedule.
+// scheduling is observable — when no fault plan touches the run
+// (Comm.ffEngine), the only things a collective changes are per-rank
+// clocks, counters, payload buffers and the members' observer events, and
+// all of those are pure functions of the collective's message schedule.
 //
 // So the engine fast-forwards: the members of one collective call
 // rendezvous, the first s−1 arrivers park once, and the LAST arriver
 // conducts the whole collective centrally — a dedicated per-op loop
 // executes every member's schedule (send/recv/compute, exactly the ops
 // the generic implementation would run, in each member's program order),
-// pricing each op with the very same code the slow path uses (sendPriced,
-// finishRecv, Compute). Cross-member data movement happens in dependency
-// order, so a message is handed straight from the priced send to the
-// priced receive — no per-step closures, no channel round trips on idle
-// pairs. One park per member per collective, regardless of the number of
-// rounds.
+// pricing each op with the very same code the slow path uses (priceSend,
+// finishRecv, Compute), which also emits the member's observer events.
+// Cross-member data movement happens in dependency order, so a message is
+// handed straight from the priced send to the priced receive — no per-step
+// closures, no channel round trips on idle pairs. One park per member per
+// collective, regardless of the number of rounds.
 //
 // Soundness: conducted execution is just one particular valid scheduling
 // of the same program.
 //
 //   - Identical pricing: every conducted send/recv/compute runs the same
 //     pricing functions on the same Rank state in the same per-member
-//     order, so clocks and counters match the slow path bit for bit.
+//     order, so clocks, counters and each member's observer events match
+//     the slow path bit for bit.
 //   - Identical data flow: every conducted transfer materializes the
 //     same pair queue the slow path would use (so ActivePairs agrees)
 //     and respects its FIFO. A conducted receive takes the pair's FIFO
@@ -285,10 +286,12 @@ func (e *eventEngine) membID(c *Comm) uint32 {
 }
 
 // ffEngine returns the engine when this run fast-forwards collectives, nil
-// when faults or observers need event-by-event execution.
+// when a fault plan needs them run member by member (DESIGN.md,
+// "Fast-forward", records why). The plan is fixed for the run, so conducted
+// and member-by-member collectives never meet in one run.
 func (c *Comm) ffEngine() *eventEngine {
-	if e := c.rank.cluster.eng; e.ffOK {
-		return e
+	if c.rank.cluster.cost.Faults == nil {
+		return c.rank.cluster.eng
 	}
 	return nil
 }
@@ -416,8 +419,9 @@ type ffWire struct {
 // wire carrying the message toward its matched ffRecv. The receiver owns
 // the payload, exactly like the generic path.
 func ffSend(r *Rank, dst int, payload []float64) ffWire {
-	q := r.queueTo(dst)
-	return ffWire{m: r.sendPriced(dst, payload), q: q}
+	w := ffSendShared(r, dst, payload)
+	w.m.data, w.shared = private(payload), false
+	return w
 }
 
 // ffSendShared is ffSend without the payload copy, for transfers whose
@@ -425,7 +429,9 @@ func ffSend(r *Rank, dst int, payload []float64) ffWire {
 // its block out) instead of keeping the buffer.
 func ffSendShared(r *Rank, dst int, payload []float64) ffWire {
 	q := r.queueTo(dst)
-	return ffWire{m: r.sendPricedShared(dst, payload), q: q, shared: true}
+	m, _ := r.priceSend(dst, len(payload))
+	m.data = payload
+	return ffWire{m: m, q: q, shared: true}
 }
 
 // ffRecv completes dst's receive of the conducted message on w from

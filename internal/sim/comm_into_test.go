@@ -10,13 +10,13 @@ import (
 
 // collectiveRoutes are the three ways a collective can execute: conducted
 // under a cancel context (the service's shape, where the conductor owns its
-// members), conducted without one, and member by member (an observer
-// disqualifies the conductor).
+// members), conducted without one, and member by member (an empty fault
+// plan selects it).
 func collectiveRoutes() map[string]Cost {
 	conducted := unitCost
 	conducted.Context = context.Background()
 	generic := unitCost
-	generic.Observers = []Observer{nopObserver{}}
+	generic.Faults = &FaultPlan{}
 	return map[string]Cost{"conducted": conducted, "conducted-free": unitCost, "generic": generic}
 }
 

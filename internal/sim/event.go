@@ -31,12 +31,13 @@ import (
 //     empty and every live rank is parked, so deadlock detection and
 //     virtual-timer firing (timer.go) are immediate and deterministic, never
 //     a real-time window;
-//   - collectives can be fast-forwarded: when no fault plan or observer
-//     must see a run operation by operation (eventEngine.ffOK), a
-//     collective's whole message schedule is conducted centrally by its
-//     last-arriving member in one pass (comm_ff.go), eliminating the
-//     per-round park/resume cycles entirely. A cancel context does not
-//     disqualify a run: conducts are cancel-safe (comm_ff.go, "Cancellation").
+//   - collectives can be fast-forwarded: unless a fault plan needs a run's
+//     collectives member by member (Comm.ffEngine), a collective's whole
+//     message schedule is conducted centrally by its last-arriving member
+//     in one pass (comm_ff.go), eliminating the per-round park/resume
+//     cycles entirely. Observers and a cancel context do not disqualify a
+//     run: the conductor emits every member's events, and conducts are
+//     cancel-safe (comm_ff.go, "Cancellation").
 //
 // Results do not depend on the schedule: virtual clocks and counters are
 // pure functions of the program's per-pair FIFO message order and the
@@ -165,14 +166,6 @@ type eventEngine struct {
 	errs    []error
 	workers int
 
-	// ffOK marks the run eligible for fast-forwarded collectives: no fault
-	// plan and no observers. Either must see the run
-	// event by event — faults key decisions on individual sends, observers
-	// are owed per-operation callbacks on the owning rank's goroutine — so
-	// they force the slow path. The predicate is cluster-static:
-	// eligibility never changes mid-run, which keeps conducted and
-	// event-by-event collectives from deadlocking each other.
-	ffOK bool
 	// cancellable records that the run has a cancel context, read once
 	// here so a context-free conduct pays for none of the cancel protocol.
 	cancellable bool
@@ -205,7 +198,6 @@ func newEventEngine(c *Cluster, fn func(*Rank) error, res *Result) *eventEngine 
 		res:     res,
 		errs:    make([]error, c.p),
 		workers: workers,
-		ffOK:    c.cost.Faults == nil && len(c.obs) == 0,
 		ranks:   make([]evRank, c.p),
 		runq:    runQueue{ids: make([]int32, c.p)},
 		live:    c.p,

@@ -104,39 +104,27 @@ func TestEventBackendBackpressure(t *testing.T) {
 }
 
 // TestEventBackendCollectivesIdentical drives every collective down both of
-// its implementations — member by member (an observer attached forces it)
-// and conducted — and demands bitwise-identical Results, each on two
-// schedules.
+// its implementations — member by member (any fault plan, even an empty
+// one, selects it) and conducted — and demands bitwise-identical Results,
+// each on two schedules.
 func TestEventBackendCollectivesIdentical(t *testing.T) {
 	for _, p := range []int{2, 3, 4, 7, 8} {
 		cost := unitCost
-		cost.Observers = []Observer{nopObserver{}}
+		cost.Faults = &FaultPlan{}
 		generic := runSchedules(t, p, cost, collectiveTour)
 		conducted := runSchedules(t, p, unitCost, collectiveTour)
 		requireSameResult(t, "generic", generic, "conducted", conducted)
 	}
 }
 
-// TestEventBackendFastForwardIdentical runs the same tour with no observer,
-// fault plan, or context, so the engine takes the fast-forward path, whose
+// TestEventBackendFastForwardIdentical runs the same tour with no fault
+// plan or context, so the engine takes the fast-forward path, whose
 // Results must not depend on which member arrives last and conducts.
 func TestEventBackendFastForwardIdentical(t *testing.T) {
 	for _, p := range []int{2, 3, 4, 7, 8, 16} {
 		runSchedules(t, p, unitCost, collectiveTour)
 	}
 }
-
-// nopObserver exists only to disqualify the fast-forward path.
-type nopObserver struct{}
-
-func (nopObserver) OnCompute(int, Segment)       {}
-func (nopObserver) OnSend(int, Segment)          {}
-func (nopObserver) OnRecv(int, Segment)          {}
-func (nopObserver) OnPhase(int, string, float64) {}
-func (nopObserver) OnFault(FaultEvent)           {}
-func (nopObserver) OnCrash(CrashEvent)           {}
-func (nopObserver) OnDeadlock(DeadlockEvent)     {}
-func (nopObserver) OnTimer(TimerEvent)           {}
 
 // collectiveTour exercises every primitive and composite collective plus
 // point-to-point traffic in one program.
@@ -424,28 +412,6 @@ func TestEventBackendObserverStream(t *testing.T) {
 	}
 }
 
-// TestEventBackendTracer makes sure an observer sees every rank's timeline.
-func TestEventBackendTracer(t *testing.T) {
-	obs := newRecObs()
-	cost := unitCost
-	cost.Observers = []Observer{obs}
-	_, err := Run(2, cost, func(r *Rank) error {
-		r.Compute(5)
-		if r.ID() == 0 {
-			r.Send(1, []float64{1})
-		} else {
-			r.Recv(0)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(obs.segs[0]) == 0 || len(obs.segs[1]) == 0 {
-		t.Fatalf("timeline missing: %+v", obs.segs)
-	}
-}
-
 // TestEventBackendLargeRing is a smoke test at a size a scheduler that kept
 // every rank live would already feel: a 4096-rank ring shift plus an
 // AllReduce, fast-forwarded.
@@ -535,5 +501,27 @@ func TestRunQueueYieldRepush(t *testing.T) {
 	want := []string{"0@256", "1@256", "1@512", "0@512", "0@768", "1@768"}
 	if !slices.Equal(order, want) {
 		t.Errorf("schedule %v, want %v", order, want)
+	}
+}
+
+// TestEventBackendTracer makes sure an observer sees every rank's timeline.
+func TestEventBackendTracer(t *testing.T) {
+	obs := newRecObs()
+	cost := unitCost
+	cost.Observers = []Observer{obs}
+	_, err := Run(2, cost, func(r *Rank) error {
+		r.Compute(5)
+		if r.ID() == 0 {
+			r.Send(1, []float64{1})
+		} else {
+			r.Recv(0)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(obs.segs[0]) == 0 || len(obs.segs[1]) == 0 {
+		t.Fatalf("timeline missing: %+v", obs.segs)
 	}
 }

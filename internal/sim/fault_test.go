@@ -2,6 +2,10 @@ package sim
 
 import (
 	"errors"
+	"fmt"
+	"hash/fnv"
+	"slices"
+	"strings"
 	"testing"
 )
 
@@ -156,41 +160,36 @@ func TestCorruptionIsDeterministic(t *testing.T) {
 // (keyed on the copy index), instead of inheriting the primary's fate.
 func TestDuplicateRollsIndependentCorruptionFate(t *testing.T) {
 	const k = 64
-	// recvPair runs a 1-duplicated send of k zero words and returns the two
-	// delivered copies (the injected duplicate arrives first, then the
-	// primary) as corruption counts.
-	recvPair := func(seed uint64, corruptProb float64) (dupDiffs, primDiffs int) {
+	// corrupted runs a 1-duplicated send of k zero words and returns the
+	// indices of the perturbed words in the two delivered copies (the
+	// injected duplicate arrives first, then the primary).
+	corrupted := func(seed uint64, corruptProb float64) (dup, prim []int) {
 		cost := zeroCost
 		cost.Faults = &FaultPlan{
 			Seed:  seed,
 			Links: []LinkFault{{Src: 0, Dst: 1, DupProb: 1, CorruptProb: corruptProb}},
 		}
-		var dupCopy, primCopy []float64
 		_, err := Run(2, cost, func(r *Rank) error {
 			if r.ID() == 0 {
 				r.Send(1, make([]float64, k))
 				return nil
 			}
-			dupCopy = r.Recv(0)
-			primCopy = r.Recv(0)
+			for _, idx := range []*[]int{&dup, &prim} {
+				for i, v := range r.Recv(0) {
+					if v != 0 {
+						*idx = append(*idx, i)
+						if v != 1 {
+							t.Errorf("word %d perturbed by %g, want +1", i, v)
+						}
+					}
+				}
+			}
 			return nil
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		count := func(data []float64) int {
-			n := 0
-			for i, v := range data {
-				if v != 0 {
-					n++
-					if v != 1 {
-						t.Errorf("word %d perturbed by %g, want +1", i, v)
-					}
-				}
-			}
-			return n
-		}
-		return count(dupCopy), count(primCopy)
+		return dup, prim
 	}
 
 	// CorruptProb 1: both copies corrupted, each in exactly one word, at
@@ -198,46 +197,12 @@ func TestDuplicateRollsIndependentCorruptionFate(t *testing.T) {
 	// must find one where the two indices differ.
 	sawDistinctIndex := false
 	for seed := uint64(0); seed < 8; seed++ {
-		cost := zeroCost
-		cost.Faults = &FaultPlan{
-			Seed:  seed,
-			Links: []LinkFault{{Src: 0, Dst: 1, DupProb: 1, CorruptProb: 1}},
+		dup, prim := corrupted(seed, 1)
+		if len(dup) != 1 || len(prim) != 1 {
+			t.Fatalf("seed %d: CorruptProb 1 must corrupt each copy in exactly one word (dup words %v, primary words %v)",
+				seed, dup, prim)
 		}
-		var dupCopy, primCopy []float64
-		_, err := Run(2, cost, func(r *Rank) error {
-			if r.ID() == 0 {
-				r.Send(1, make([]float64, k))
-				return nil
-			}
-			dupCopy = r.Recv(0)
-			primCopy = r.Recv(0)
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		dupIdx, primIdx := -1, -1
-		for i := range dupCopy {
-			if dupCopy[i] != 0 {
-				if dupIdx != -1 {
-					t.Fatalf("seed %d: duplicate corrupted in more than one word: %v", seed, dupCopy)
-				}
-				dupIdx = i
-			}
-			if primCopy[i] != 0 {
-				if primIdx != -1 {
-					t.Fatalf("seed %d: primary corrupted in more than one word: %v", seed, primCopy)
-				}
-				primIdx = i
-			}
-		}
-		if dupIdx == -1 || primIdx == -1 {
-			t.Fatalf("seed %d: CorruptProb 1 must corrupt both copies (dup word %d, primary word %d)",
-				seed, dupIdx, primIdx)
-		}
-		if dupIdx != primIdx {
-			sawDistinctIndex = true
-		}
+		sawDistinctIndex = sawDistinctIndex || dup[0] != prim[0]
 	}
 	if !sawDistinctIndex {
 		t.Error("duplicate never picked a different corruption index than the primary across 8 seeds")
@@ -250,13 +215,9 @@ func TestDuplicateRollsIndependentCorruptionFate(t *testing.T) {
 	// seed is a validation error.)
 	sawCleanDupCorruptPrim, sawCorruptDupCleanPrim := false, false
 	for seed := uint64(1); seed < 201 && !(sawCleanDupCorruptPrim && sawCorruptDupCleanPrim); seed++ {
-		dupDiffs, primDiffs := recvPair(seed, 0.5)
-		if dupDiffs == 0 && primDiffs == 1 {
-			sawCleanDupCorruptPrim = true
-		}
-		if dupDiffs == 1 && primDiffs == 0 {
-			sawCorruptDupCleanPrim = true
-		}
+		dup, prim := corrupted(seed, 0.5)
+		sawCleanDupCorruptPrim = sawCleanDupCorruptPrim || len(dup) == 0 && len(prim) == 1
+		sawCorruptDupCleanPrim = sawCorruptDupCleanPrim || len(dup) == 1 && len(prim) == 0
 	}
 	if !sawCleanDupCorruptPrim || !sawCorruptDupCleanPrim {
 		t.Errorf("copies' corruption fates are not independent: clean-dup/corrupt-primary seen %v, corrupt-dup/clean-primary seen %v",
@@ -265,7 +226,10 @@ func TestDuplicateRollsIndependentCorruptionFate(t *testing.T) {
 }
 
 func TestDegradedLinkWindowInflatesSendCost(t *testing.T) {
-	cost := Cost{AlphaT: 1, BetaT: 1}
+	// The window [10, 100) is matched on a send's start clock: sends that
+	// start at 0 and at 9 (ending inside the window) pay α+β = 2, one that
+	// starts at 22 pays 10α+10β = 20.
+	cost := Cost{GammaT: 1, AlphaT: 1, BetaT: 1}
 	cost.Faults = &FaultPlan{
 		Degraded: []DegradedLink{{
 			Src: -1, Dst: -1, From: 10, Until: 100,
@@ -273,82 +237,21 @@ func TestDegradedLinkWindowInflatesSendCost(t *testing.T) {
 		}},
 	}
 	res, err := Run(2, cost, func(r *Rank) error {
-		if r.ID() == 0 {
-			r.Send(1, []float64{1}) // clock 0 < 10: normal, α+β = 2
-			r.Compute(0)
-			// Advance into the window with a self-send trick is not
-			// possible (no GammaT), so use a second send whose start
-			// clock 2 is still outside, then rely on arithmetic below.
-			r.Send(1, []float64{1}) // clock 2: still normal → 4
-			return nil
-		}
-		r.Recv(0)
-		r.Recv(0)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := res.PerRank[0].SendTime; got != 4 {
-		t.Errorf("sends outside the window must cost 2 each, got total %g", got)
-	}
-
-	// Now a run whose second send starts inside the window.
-	cost2 := Cost{GammaT: 1, AlphaT: 1, BetaT: 1, Faults: cost.Faults}
-	res, err = Run(2, cost2, func(r *Rank) error {
-		if r.ID() == 0 {
-			r.Send(1, []float64{1}) // clock 0: normal → 2
-			r.Compute(20)           // clock 22: inside [10, 100)
-			r.Send(1, []float64{1}) // degraded → 20
-			return nil
-		}
-		r.Recv(0)
-		r.Recv(0)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := res.PerRank[0].SendTime; got != 22 {
-		t.Errorf("degraded window send must cost 20: total %g, want 22", got)
-	}
-}
-
-// TestFaultPlanStatsByteIdentical pins the determinism guarantee: the same
-// seed and plan reproduce the exact same Stats, bit for bit, across runs.
-func TestFaultPlanStatsByteIdentical(t *testing.T) {
-	plan := &FaultPlan{
-		Seed:       7,
-		Crashes:    map[int]float64{1: 5000},
-		Respawn:    true,
-		RebootTime: 3,
-		Links:      []LinkFault{{Src: -1, Dst: -1, DupProb: 0.3, CorruptProb: 0.2}},
-		Degraded:   []DegradedLink{{Src: -1, Dst: -1, From: 2000, AlphaFactor: 2, BetaFactor: 3}},
-	}
-	run := func() []Stats {
-		cost := unitCost
-		cost.Faults = plan
-		res, err := Run(4, cost, func(r *Rank) error {
-			w := r.World()
-			data := []float64{float64(r.ID()), 1, 2}
-			for step := 0; step < 5; step++ {
-				r.Compute(500)
-				data = w.Shift(data, 1)
-				r.TakeCrashed() // consume, keep running
+		for _, flops := range []float64{0, 7, 11} { // send start clocks 0, 9, 22
+			if r.ID() == 0 {
+				r.Compute(flops)
+				r.Send(1, []float64{1})
+			} else {
+				r.Recv(0)
 			}
-			w.Barrier()
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
 		}
-		return res.PerRank
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	a, b := run(), run()
-	for id := range a {
-		if a[id] != b[id] {
-			t.Errorf("rank %d stats differ across identical runs:\n%+v\n%+v", id, a[id], b[id])
-		}
+	if got := res.PerRank[0].SendTime; got != 24 {
+		t.Errorf("send time %g, want 2 + 2 + 20 outside, outside and inside the window", got)
 	}
 }
 
@@ -453,5 +356,156 @@ func TestFaultPlanMergeAndCoordCount(t *testing.T) {
 	var nilPlan *FaultPlan
 	if nilPlan.CoordCount() != 0 {
 		t.Error("CoordCount of nil must be 0")
+	}
+}
+
+// seqObs records each rank's interleaved event sequence — segments, fault
+// decisions and timer transitions in one list, as the bus delivers them.
+// Every event lands on the bucket of the rank whose operation produced it
+// (faults on the sender's), and the bus serializes one rank's callbacks, so
+// the buckets need no lock.
+type seqObs struct{ perRank [][]string }
+
+func (o *seqObs) add(rank int, format string, args ...any) {
+	o.perRank[rank] = append(o.perRank[rank], fmt.Sprintf(format, args...))
+}
+func (o *seqObs) OnCompute(rank int, seg Segment)           { o.add(rank, "seg %+v", seg) }
+func (o *seqObs) OnSend(rank int, seg Segment)              { o.add(rank, "seg %+v", seg) }
+func (o *seqObs) OnRecv(rank int, seg Segment)              { o.add(rank, "seg %+v", seg) }
+func (o *seqObs) OnPhase(rank int, name string, at float64) { o.add(rank, "phase %s %v", name, at) }
+func (o *seqObs) OnFault(ev FaultEvent)                     { o.add(ev.Src, "fault %v %+v", ev.Kind, ev) }
+func (o *seqObs) OnTimer(ev TimerEvent)                     { o.add(ev.Rank, "timer %v %+v", ev.Kind, ev) }
+func (o *seqObs) OnCrash(ev CrashEvent)                     { o.add(ev.Rank, "crash %+v", ev) }
+func (o *seqObs) OnDeadlock(DeadlockEvent)                  {}
+
+// TestFaultedSendEventSequencePinned pins what a faulted Send and
+// SendTimeout produce, op by op: under a plan that drops, duplicates,
+// corrupts and degrades, a ring of ranks alternating the two sends must
+// reproduce a committed FNV-1a digest of every rank's Stats, the sum of
+// the payloads it received (corrupted words included) and its interleaved
+// segment/fault/timer sequence — on one worker and on four.
+func TestFaultedSendEventSequencePinned(t *testing.T) {
+	const p, steps = 4, 24
+	const want = "349eed02e12bbab4"
+	cost := Cost{GammaT: 1, BetaT: 10, AlphaT: 1000, MaxMsgWords: 3, ChargeReceiver: true}
+	cost.Faults = &FaultPlan{
+		Seed:     11,
+		Links:    []LinkFault{{Src: -1, Dst: -1, DropProb: 0.15, DupProb: 0.25, CorruptProb: 0.3}},
+		Degraded: []DegradedLink{{Src: -1, Dst: -1, From: 8000, Until: 30000, AlphaFactor: 3, BetaFactor: 2}},
+	}
+	for _, workers := range []int{1, 4} {
+		o := &seqObs{perRank: make([][]string, p)}
+		sums := make([]float64, p)
+		cost.Workers = workers
+		cost.Observers = []Observer{o}
+		res, err := Run(p, cost, func(r *Rank) error {
+			next, prev := (r.ID()+1)%p, (r.ID()+p-1)%p
+			recv := func() bool {
+				got, out := r.RecvTimeout(prev, 20000)
+				for _, v := range got {
+					sums[r.ID()] += v
+				}
+				return out == RecvOK
+			}
+			for step := 0; step < steps; step++ {
+				r.Compute(float64(50 * (r.ID() + 1)))
+				data := make([]float64, (step+r.ID())%5)
+				for i := range data {
+					data[i] = float64(100*step + i)
+				}
+				if step%2 == 0 {
+					r.Send(next, data)
+				} else if out := r.SendTimeout(next, data, 5000); out != SendOK {
+					return fmt.Errorf("step %d: SendTimeout %v", step, out)
+				}
+				recv()
+			}
+			for recv() {
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		h := fnv.New64a()
+		for id := range o.perRank {
+			fmt.Fprintf(h, "rank %d %+v %v\n", id, res.PerRank[id], sums[id])
+			for _, ev := range o.perRank[id] {
+				fmt.Fprintln(h, ev)
+			}
+		}
+		if got := fmt.Sprintf("%016x", h.Sum64()); got != want {
+			t.Errorf("workers=%d: event-sequence digest %s, want %s", workers, got, want)
+		}
+	}
+}
+
+// TestDropInsideCollectivePinned pins what a drop inside a collective does
+// member by member, the outcome no conductor can reproduce (DESIGN.md,
+// "Fast-forward"): link 1→2 loses only the first ring step of the first of
+// two AllGathers, rank 2 takes each later block from rank 1 as the one it
+// expected earlier — still consuming the second AllGather's messages in
+// the first — so ranks 0 and 3 read misaligned blocks and rank 2 waits
+// for one message more than rank 1 sends.
+func TestDropInsideCollectivePinned(t *testing.T) {
+	cost := unitCost
+	cost.Faults = &FaultPlan{Links: []LinkFault{{Src: 1, Dst: 2, Until: 1500, DropProb: 1}}}
+	probes := make([][]float64, 4)
+	_, err := Run(4, cost, func(r *Rank) error {
+		w := r.World()
+		me := float64(r.ID())
+		first := w.AllGather([]float64{10 + me})
+		probes[r.ID()] = append(first, w.AllGather([]float64{20 + me})...)
+		return nil
+	})
+	const verdict = "rank 2 receiving from rank 1, which exited without sending"
+	if err == nil || !strings.Contains(err.Error(), verdict) {
+		t.Fatalf("error %v, want one containing %q", err, verdict)
+	}
+	for id, want := range map[int][]float64{
+		0: {10, 10, 12, 13, 20, 20, 22, 23},
+		3: {13, 10, 12, 13, 23, 20, 22, 23},
+	} {
+		if !slices.Equal(probes[id], want) {
+			t.Errorf("rank %d read %v, want %v", id, probes[id], want)
+		}
+	}
+}
+
+// TestFaultPlanStatsByteIdentical pins the determinism guarantee: the same
+// seed and plan reproduce the exact same Stats, bit for bit, across runs.
+func TestFaultPlanStatsByteIdentical(t *testing.T) {
+	plan := &FaultPlan{
+		Seed:       7,
+		Crashes:    map[int]float64{1: 5000},
+		Respawn:    true,
+		RebootTime: 3,
+		Links:      []LinkFault{{Src: -1, Dst: -1, DupProb: 0.3, CorruptProb: 0.2}},
+		Degraded:   []DegradedLink{{Src: -1, Dst: -1, From: 2000, AlphaFactor: 2, BetaFactor: 3}},
+	}
+	run := func() []Stats {
+		cost := unitCost
+		cost.Faults = plan
+		res, err := Run(4, cost, func(r *Rank) error {
+			w := r.World()
+			data := []float64{float64(r.ID()), 1, 2}
+			for step := 0; step < 5; step++ {
+				r.Compute(500)
+				data = w.Shift(data, 1)
+				r.TakeCrashed() // consume, keep running
+			}
+			w.Barrier()
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.PerRank
+	}
+	a, b := run(), run()
+	for id := range a {
+		if a[id] != b[id] {
+			t.Errorf("rank %d stats differ across identical runs:\n%+v\n%+v", id, a[id], b[id])
+		}
 	}
 }

@@ -58,14 +58,18 @@ func (s Segment) Duration() float64 { return s.End - s.Start }
 // a bounded ring buffer, a streaming JSONL writer, a full collector feeding
 // the Chrome-trace, critical-path, power-profile and summary exporters.
 //
-// Concurrency contract: OnCompute, OnSend, OnRecv, OnPhase, OnFault and
-// OnCrash fire on the goroutine of the rank named in the event,
-// concurrently across ranks; within one rank they arrive in virtual-time
-// order. OnDeadlock fires on whichever goroutine resolved the quiescence,
-// while every rank is parked. An observer that aggregates across ranks must therefore
-// synchronize its own state. Every callback delivered during a run
-// happens-before Run's return, so reading an observer after Run is
-// race-free.
+// Concurrency contract: OnCompute, OnSend, OnRecv, OnPhase, OnFault,
+// OnTimer and OnCrash belong to one rank — the one named in the event, the
+// sender for a fault. A rank's callbacks are serialized and arrive in
+// virtual-time order; callbacks of different ranks run concurrently. They
+// may run on the rank's own goroutine or on the goroutine of the member
+// conducting a collective for it (comm_ff.go), so an observer may keep
+// per-rank state without a lock but must not assume which goroutine
+// calls. OnDeadlock fires on whichever goroutine resolved the quiescence,
+// while every rank is parked. An observer that aggregates across ranks
+// must therefore synchronize its own state. Every callback delivered
+// during a run happens-before Run's return, so reading an observer after
+// Run is race-free.
 //
 // Segments are delivered even when zero-duration (a send under zero α/β
 // still moves words, which exporters count); timeline analyses skip them.
@@ -86,8 +90,8 @@ type Observer interface {
 	// OnFault delivers a message-fault or degraded-window decision.
 	OnFault(ev FaultEvent)
 	// OnTimer delivers a virtual-timer transition (armed / fired /
-	// cancelled) of a RecvTimeout or SendTimeout. Fires on the owning
-	// rank's goroutine in virtual-time order, like segment callbacks.
+	// cancelled) of a RecvTimeout or SendTimeout, in the owning rank's
+	// virtual-time order like segment callbacks.
 	OnTimer(ev TimerEvent)
 	// OnCrash delivers an injected rank crash as it fires.
 	OnCrash(ev CrashEvent)

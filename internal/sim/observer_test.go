@@ -449,3 +449,42 @@ func TestDeadlockSnapshotQueuedPairs(t *testing.T) {
 		t.Errorf("queued pair 0->1 count 2 missing: %+v", de.Snapshot.Queued)
 	}
 }
+
+// TestObserverKeepsErrorVerdicts runs two erroneous collective programs —
+// members disagreeing about a Bcast root, and one rank skipping an
+// AllReduce the others enter — with and without an observer. Attaching an
+// observer must not change how a run fails: the error text is the same.
+// The runs use one worker: which member conducts, and so which rank
+// reports a parameter mismatch, follows the host schedule on more.
+func TestObserverKeepsErrorVerdicts(t *testing.T) {
+	programs := map[string]func(r *Rank) error{
+		"mismatched Bcast roots": func(r *Rank) error {
+			root := 1
+			if r.ID() == 0 {
+				root = 0
+			}
+			r.World().Bcast(root, []float64{float64(r.ID())})
+			return nil
+		},
+		"skipped AllReduce": func(r *Rank) error {
+			if r.ID() == r.P()-1 {
+				return nil
+			}
+			r.World().AllReduce([]float64{1}, OpSum)
+			return nil
+		},
+	}
+	for name, prog := range programs {
+		cost := unitCost
+		cost.Workers = 1
+		_, plain := Run(4, cost, prog)
+		cost.Observers = []Observer{newRecObs()}
+		_, observed := Run(4, cost, prog)
+		if plain == nil || observed == nil {
+			t.Fatalf("%s: want both runs to fail, got %v and %v", name, plain, observed)
+		}
+		if plain.Error() != observed.Error() {
+			t.Errorf("%s: an observer changed the verdict\n  unobserved: %v\n  observed:   %v", name, plain, observed)
+		}
+	}
+}

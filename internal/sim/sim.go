@@ -351,127 +351,118 @@ func (c *Cluster) messagesFor(k int) float64 {
 // Send transmits a copy of data to rank dst. The sender's clock advances by
 // one latency per maximal message plus βt per word. Send never blocks in
 // virtual time; it may park in real time if the pair's buffer is full. Sending to oneself is allowed and costs the same as any other send.
-func (r *Rank) Send(dst int, data []float64) {
-	if dst < 0 || dst >= r.cluster.p {
-		panic(fmt.Sprintf("sim: rank %d sending to invalid rank %d", r.id, dst))
-	}
+func (r *Rank) Send(dst int, data []float64) { r.send(dst, data, false) }
+
+// send is Send; owned callers (ShiftOwned) surrender data, which a
+// fault-free send then delivers without the defensive copy. A faulted send
+// always delivers fresh copies, so corruption never writes into a caller's
+// buffer or a phantom.
+func (r *Rank) send(dst int, data []float64, owned bool) {
+	r.checkPeer(dst, "sending to")
 	r.crashCheck()
-	if r.cluster.cost.Faults == nil {
-		r.deliver(dst, r.sendPriced(dst, data))
-		return
-	}
-	k := len(data)
-	msgs := r.cluster.messagesFor(k)
-	r.stats.WordsSent += float64(k)
-	r.stats.MsgsSent += msgs
-	alpha, beta := r.cluster.cost.linkParams(r.id, dst)
-	af, bf := 1.0, 1.0
-	fp := r.cluster.cost.Faults
-	if fp != nil {
-		af, bf = fp.degradeFactors(r.id, dst, r.clock)
-		alpha *= af
-		beta *= bf
-	}
-	dt := alpha*msgs + beta*float64(k)
-	r.stats.SendTime += dt
-	start := r.clock
-	r.emit(Segment{Kind: SegSend, Start: start, End: start + dt, Peer: dst, Words: k, Msgs: msgs})
-	r.clock += dt
-	cp := make([]float64, k)
-	copy(cp, data)
-	seq := r.sendCount
-	r.sendCount++
-	if fp != nil {
-		if (af != 1 || bf != 1) && len(r.cluster.obs) > 0 {
-			r.emitFault(FaultEvent{
-				Kind: FaultDegraded, Src: r.id, Dst: dst, Seq: seq,
-				Time: start, Words: k, AlphaFactor: af, BetaFactor: bf,
-			})
-		}
-		drop, dup, corrupt, dupCorrupt := fp.messageFate(r.id, dst, seq, r.clock)
-		if len(r.cluster.obs) > 0 {
-			if corrupt && k > 0 {
-				r.emitFault(FaultEvent{Kind: FaultCorrupt, Src: r.id, Dst: dst, Seq: seq, Time: r.clock, Words: k, Copy: copyPrimary})
-			}
-			if dup {
-				r.emitFault(FaultEvent{Kind: FaultDup, Src: r.id, Dst: dst, Seq: seq, Time: r.clock, Words: k})
-				if dupCorrupt && k > 0 {
-					r.emitFault(FaultEvent{Kind: FaultCorrupt, Src: r.id, Dst: dst, Seq: seq, Time: r.clock, Words: k, Copy: copyDup})
-				}
-			}
-			if drop {
-				r.emitFault(FaultEvent{Kind: FaultDrop, Src: r.id, Dst: dst, Seq: seq, Time: r.clock, Words: k})
-			}
-		}
-		// The duplicate is its own copy of the clean payload with an
-		// independent corruption fate (keyed on the copy index), so a
-		// corrupt+dup send can deliver one clean and one corrupted copy.
-		// It also takes its own route through the network: a drop loses
-		// only the primary, so drop+dup still delivers the duplicate —
-		// which is what lets the timer-free resilience protocols survive
-		// lossy links that duplicate traffic.
-		if dup {
-			extra := make([]float64, k)
-			copy(extra, data)
-			if dupCorrupt && k > 0 {
-				extra[fp.corruptIndex(r.id, dst, seq, copyDup, k)] += 1.0
-			}
-			r.deliver(dst, message{data: extra, arrival: r.clock, alphaF: af, betaF: bf})
-		}
-		if corrupt && k > 0 {
-			cp[fp.corruptIndex(r.id, dst, seq, copyPrimary, k)] += 1.0
-		}
-		if drop {
-			return // the sender has paid; the network loses the primary copy
-		}
-	}
-	r.deliver(dst, message{data: cp, arrival: r.clock, alphaF: af, betaF: bf})
-}
-
-// sendPriced prices a fault-free send exactly like Send's body — counters,
-// link parameters, SegSend emission, clock advance, payload copy, send
-// sequence — and returns the message ready to enqueue. It is Send's
-// fault-free core, shared with the conducted collectives (comm_ff.go) so fast-forwarded sends are priced by the very same code.
-// A phantom payload is priced by its length and not copied (phantom.go).
-func (r *Rank) sendPriced(dst int, data []float64) message {
-	m := r.sendPricedShared(dst, data)
-	m.data = private(data)
-	return m
-}
-
-// sendPricedShared is sendPriced without the defensive payload copy, for
-// conducted collectives (comm_ff.go) whose receiver provably does not
-// retain the buffer past the conduct: pricing is identical, the copy is
-// the only difference, and a copy is invisible to the Result.
-func (r *Rank) sendPricedShared(dst int, data []float64) message {
-	k := len(data)
-	msgs := r.cluster.messagesFor(k)
-	r.stats.WordsSent += float64(k)
-	r.stats.MsgsSent += msgs
-	alpha, beta := r.cluster.cost.linkParams(r.id, dst)
-	dt := alpha*msgs + beta*float64(k)
-	r.stats.SendTime += dt
-	start := r.clock
-	r.emit(Segment{Kind: SegSend, Start: start, End: start + dt, Peer: dst, Words: k, Msgs: msgs})
-	r.clock += dt
-	r.sendCount++
-	return message{data: data, arrival: r.clock, alphaF: 1, betaF: 1}
-}
-
-// sendOwned is Send for callers that surrender the buffer (ShiftOwned):
-// identical checks and pricing, minus the defensive copy. Fault-plan runs
-// take the full Send path — degradation rewrites the message anyway, and
-// resilience, not throughput, is what those runs measure.
-func (r *Rank) sendOwned(dst int, data []float64) {
+	m, start := r.priceSend(dst, len(data))
 	if r.cluster.cost.Faults != nil {
-		r.Send(dst, data)
+		copies, n, _ := r.sendFate(dst, data, m, start)
+		for _, c := range copies[:n] {
+			r.deliver(dst, c)
+		}
 		return
 	}
-	if dst < 0 || dst >= r.cluster.p {
-		panic(fmt.Sprintf("sim: rank %d sending to invalid rank %d", r.id, dst))
+	if m.data = data; !owned {
+		m.data = private(data)
 	}
-	r.crashCheck()
-	r.deliver(dst, r.sendPricedShared(dst, data))
+	r.deliver(dst, m)
+}
+
+// checkPeer panics unless peer is a rank of the cluster.
+func (r *Rank) checkPeer(peer int, verb string) {
+	if peer < 0 || peer >= r.cluster.p {
+		panic(fmt.Sprintf("sim: rank %d %s invalid rank %d", r.id, verb, peer))
+	}
+}
+
+// priceSend is the one place a send of k words is priced: the counters,
+// the link's α/β under any degraded-link window, the SegSend segment, the
+// clock advance and the send sequence. It returns the message to deliver,
+// stamped and carrying the window's factors but with no payload yet, and
+// the clock the send started at. Send and SendTimeout follow it with
+// sendFate on a faulted run; the conducted collectives (comm_ff.go), which
+// run fault-free only, attach the payload themselves.
+func (r *Rank) priceSend(dst, k int) (m message, start float64) {
+	msgs := r.cluster.messagesFor(k)
+	r.stats.WordsSent += float64(k)
+	r.stats.MsgsSent += msgs
+	alpha, beta := r.cluster.cost.linkParams(r.id, dst)
+	m.alphaF, m.betaF = 1, 1
+	if fp := r.cluster.cost.Faults; fp != nil {
+		m.alphaF, m.betaF = fp.degradeFactors(r.id, dst, r.clock)
+		alpha *= m.alphaF
+		beta *= m.betaF
+	}
+	dt := alpha*msgs + beta*float64(k)
+	r.stats.SendTime += dt
+	start = r.clock
+	r.emit(Segment{Kind: SegSend, Start: start, End: start + dt, Peer: dst, Words: k, Msgs: msgs})
+	r.clock += dt
+	m.arrival = r.clock
+	r.sendCount++
+	return m, start
+}
+
+// sendFate applies the fault plan to the send priceSend just priced (m
+// and start are its results), publishes the degraded-window and fate
+// events, and returns the copies the network delivers, in order, each a
+// fresh copy of data: the duplicate when the plan duplicates the message,
+// then the primary unless the plan drops it (dropped). Without a plan the
+// primary is the one copy.
+//
+// The duplicate has a corruption fate of its own (keyed on the copy
+// index), so a corrupt+dup send can deliver one clean and one corrupted
+// copy. It also takes its own route: a drop loses only the primary, so
+// drop+dup still delivers the duplicate — which is what lets the
+// timer-free resilience protocols survive lossy links that duplicate
+// traffic.
+func (r *Rank) sendFate(dst int, data []float64, m message, start float64) (copies [2]message, n int, dropped bool) {
+	k, seq, fp := len(data), r.sendCount-1, r.cluster.cost.Faults
+	addCopy := func(corrupt bool, copyIdx int) {
+		copies[n] = m
+		copies[n].data = make([]float64, k)
+		copy(copies[n].data, data)
+		if corrupt && k > 0 {
+			copies[n].data[fp.corruptIndex(r.id, dst, seq, copyIdx, k)] += 1.0
+		}
+		n++
+	}
+	if fp == nil {
+		addCopy(false, copyPrimary)
+		return copies, n, false
+	}
+	fault := func(ev FaultEvent) {
+		if len(r.cluster.obs) > 0 {
+			ev.Src, ev.Dst, ev.Seq, ev.Words = r.id, dst, seq, k
+			r.emitFault(ev)
+		}
+	}
+	if m.alphaF != 1 || m.betaF != 1 {
+		fault(FaultEvent{Kind: FaultDegraded, Time: start, AlphaFactor: m.alphaF, BetaFactor: m.betaF})
+	}
+	drop, dup, corrupt, dupCorrupt := fp.messageFate(r.id, dst, seq, r.clock)
+	if corrupt && k > 0 {
+		fault(FaultEvent{Kind: FaultCorrupt, Time: r.clock, Copy: copyPrimary})
+	}
+	if dup {
+		fault(FaultEvent{Kind: FaultDup, Time: r.clock})
+		if dupCorrupt && k > 0 {
+			fault(FaultEvent{Kind: FaultCorrupt, Time: r.clock, Copy: copyDup})
+		}
+		addCopy(dupCorrupt, copyDup)
+	}
+	if drop {
+		fault(FaultEvent{Kind: FaultDrop, Time: r.clock})
+		return copies, n, true // the sender has paid; the network loses the primary copy
+	}
+	addCopy(corrupt, copyPrimary)
+	return copies, n, false
 }
 
 // deliver enqueues a message on the pair's queue without blocking the
@@ -492,9 +483,7 @@ func (r *Rank) deliver(dst int, m message) {
 // Recv receives the next message from rank src, parking until it arrives.
 // The receiver's clock becomes max(own clock, sender's post-send clock).
 func (r *Rank) Recv(src int) []float64 {
-	if src < 0 || src >= r.cluster.p {
-		panic(fmt.Sprintf("sim: rank %d receiving from invalid rank %d", r.id, src))
-	}
+	r.checkPeer(src, "receiving from")
 	r.crashCheck()
 	// A message pushed back by an expired RecvTimeout stays the FIFO head.
 	if msg, ok := r.takePushback(src); ok {

@@ -133,9 +133,11 @@ func (k TimerKind) String() string {
 }
 
 // TimerEvent reports one virtual-timer transition on the Observer bus.
-// Every timed operation emits one TimerArmed and resolves it with exactly
-// one TimerFired or TimerCancelled; all three fire on the rank's own
-// goroutine in virtual-time order, like segment callbacks.
+// Every timed operation emits one TimerArmed and resolves it with at least
+// one TimerFired or TimerCancelled (a SendTimeout whose duplicate is
+// delivered and whose primary is dropped cancels twice); they belong to
+// the owning rank and arrive in its virtual-time order, like segment
+// callbacks.
 type TimerEvent struct {
 	Kind TimerKind
 	// Rank owns the timer; Peer is the rank the timed operation targets.
@@ -183,9 +185,7 @@ func (r *Rank) timeoutWait(peer int, deadline float64) {
 // timer rules for how expiry stays deterministic; timeout must be
 // positive.
 func (r *Rank) RecvTimeout(src int, timeout float64) ([]float64, RecvOutcome) {
-	if src < 0 || src >= r.cluster.p {
-		panic(fmt.Sprintf("sim: rank %d receiving from invalid rank %d", r.id, src))
-	}
+	r.checkPeer(src, "receiving from")
 	if !(timeout > 0) {
 		panic(fmt.Sprintf("sim: rank %d RecvTimeout with non-positive timeout %g", r.id, timeout))
 	}
@@ -236,9 +236,7 @@ func (r *Rank) recvDecide(src int, msg message, deadline float64) ([]float64, Re
 // is seen as exited a moment later is a real-time race; only those
 // outcomes make it a virtual-time fact.
 func (r *Rank) PeerExit(id int) (exited bool, clean bool, err error) {
-	if id < 0 || id >= r.cluster.p {
-		panic(fmt.Sprintf("sim: rank %d querying invalid rank %d", r.id, id))
-	}
+	r.checkPeer(id, "querying")
 	if !r.cluster.exited[id].Load() {
 		return false, false, nil
 	}
@@ -254,79 +252,25 @@ func (r *Rank) PeerExit(id int) (exited bool, clean bool, err error) {
 // the copies share one deadline and delivery stops at the first failed
 // copy. Timeout must be positive.
 func (r *Rank) SendTimeout(dst int, data []float64, timeout float64) SendOutcome {
-	if dst < 0 || dst >= r.cluster.p {
-		panic(fmt.Sprintf("sim: rank %d sending to invalid rank %d", r.id, dst))
-	}
+	r.checkPeer(dst, "sending to")
 	if !(timeout > 0) {
 		panic(fmt.Sprintf("sim: rank %d SendTimeout with non-positive timeout %g", r.id, timeout))
 	}
 	r.crashCheck()
-	k := len(data)
-	msgs := r.cluster.messagesFor(k)
-	r.stats.WordsSent += float64(k)
-	r.stats.MsgsSent += msgs
-	alpha, beta := r.cluster.cost.linkParams(r.id, dst)
-	af, bf := 1.0, 1.0
-	fp := r.cluster.cost.Faults
-	if fp != nil {
-		af, bf = fp.degradeFactors(r.id, dst, r.clock)
-		alpha *= af
-		beta *= bf
-	}
-	dt := alpha*msgs + beta*float64(k)
-	r.stats.SendTime += dt
-	start := r.clock
-	r.emit(Segment{Kind: SegSend, Start: start, End: start + dt, Peer: dst, Words: k, Msgs: msgs})
-	r.clock += dt
+	m, start := r.priceSend(dst, len(data))
 	deadline := r.clock + timeout
 	r.emitTimer(TimerArmed, dst, "send", deadline)
-	cp := make([]float64, k)
-	copy(cp, data)
-	seq := r.sendCount
-	r.sendCount++
-	if fp != nil {
-		if (af != 1 || bf != 1) && len(r.cluster.obs) > 0 {
-			r.emitFault(FaultEvent{
-				Kind: FaultDegraded, Src: r.id, Dst: dst, Seq: seq,
-				Time: start, Words: k, AlphaFactor: af, BetaFactor: bf,
-			})
-		}
-		drop, dup, corrupt, dupCorrupt := fp.messageFate(r.id, dst, seq, r.clock)
-		if len(r.cluster.obs) > 0 {
-			if corrupt && k > 0 {
-				r.emitFault(FaultEvent{Kind: FaultCorrupt, Src: r.id, Dst: dst, Seq: seq, Time: r.clock, Words: k, Copy: copyPrimary})
-			}
-			if dup {
-				r.emitFault(FaultEvent{Kind: FaultDup, Src: r.id, Dst: dst, Seq: seq, Time: r.clock, Words: k})
-				if dupCorrupt && k > 0 {
-					r.emitFault(FaultEvent{Kind: FaultCorrupt, Src: r.id, Dst: dst, Seq: seq, Time: r.clock, Words: k, Copy: copyDup})
-				}
-			}
-			if drop {
-				r.emitFault(FaultEvent{Kind: FaultDrop, Src: r.id, Dst: dst, Seq: seq, Time: r.clock, Words: k})
-			}
-		}
-		// Same copy semantics as Send: the duplicate rolls its own
-		// corruption fate and survives a primary drop.
-		if dup {
-			extra := make([]float64, k)
-			copy(extra, data)
-			if dupCorrupt && k > 0 {
-				extra[fp.corruptIndex(r.id, dst, seq, copyDup, k)] += 1.0
-			}
-			if out := r.deliverDeadline(dst, message{data: extra, arrival: r.clock, alphaF: af, betaF: bf}, deadline); out != SendOK {
-				return out
-			}
-		}
-		if corrupt && k > 0 {
-			cp[fp.corruptIndex(r.id, dst, seq, copyPrimary, k)] += 1.0
-		}
-		if drop {
-			r.emitTimer(TimerCancelled, dst, "send", deadline)
-			return SendOK // the sender has paid; the network loses the primary copy
+	copies, n, dropped := r.sendFate(dst, data, m, start)
+	out := SendOK
+	for _, c := range copies[:n] {
+		if out = r.deliverDeadline(dst, c, deadline); out != SendOK {
+			return out
 		}
 	}
-	return r.deliverDeadline(dst, message{data: cp, arrival: r.clock, alphaF: af, betaF: bf}, deadline)
+	if dropped {
+		r.emitTimer(TimerCancelled, dst, "send", deadline)
+	}
+	return out
 }
 
 // deliverDeadline enqueues one copy with a virtual deadline on the block.
