@@ -134,9 +134,9 @@ func deadlockEvent(ev sim.DeadlockEvent) Event {
 // Collector subscribes to a run and keeps every event, bucketed per rank.
 // Per-rank callbacks append to their own rank's slice without locks: the
 // bus serializes one rank's callbacks and delivers them in virtual-time
-// order, whether they run on the rank's goroutine or on a collective's
-// conducting member's. Only the deadlock events, sourced by the engine at
-// quiescence, need a mutex.
+// order, whether they run on the rank's goroutine, on the engine worker
+// stepping it, or on a collective's conducting member's. Only the deadlock
+// events, sourced by the engine at quiescence, need a mutex.
 // Memory is O(events) — use RingBuffer when that is too much at large p.
 //
 // Read a Collector only after sim.Run has returned.
@@ -191,7 +191,7 @@ func (c *Collector) OnTimer(ev sim.TimerEvent) {
 
 // OnDeadlock implements sim.Observer. It fires on whichever goroutine
 // resolved the quiescence, so the events go to a mutex-protected list instead of the per-rank
-// buckets (which the rank goroutines still own at that moment).
+// buckets (which the ranks' callbacks still own at that moment).
 func (c *Collector) OnDeadlock(ev sim.DeadlockEvent) {
 	c.mu.Lock()
 	c.deadlocks = append(c.deadlocks, ev)

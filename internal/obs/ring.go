@@ -24,14 +24,14 @@ type ringShard struct {
 	buf  []ringEntry
 	next int
 	// Pad shards apart so neighbouring locks don't share a cache line;
-	// at p = 1024 every rank goroutine is hammering these.
+	// at p = 1024 every rank is hammering these.
 	_ [64]byte
 }
 
 // RingBuffer is the bounded subscriber for large runs: it keeps only the
 // last Cap events, so observing a p = 16384 run costs O(window) memory
 // instead of O(events). Pushes take one atomic increment plus one striped
-// mutex, so thousands of rank goroutines can emit concurrently without
+// mutex, so every engine worker and carrier can emit concurrently without
 // serialising on a single lock; use Collector when the full event stream
 // is wanted.
 type RingBuffer struct {

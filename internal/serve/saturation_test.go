@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"runtime"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -147,14 +148,14 @@ func TestSaturationCheapLaneIsolated(t *testing.T) {
 // simulation's rank goroutines, verified by the process goroutine count
 // returning to its baseline.
 func TestCancelledSimulateStopsSimulation(t *testing.T) {
-	s, ts := newTestServer(t, Options{})
+	s, ts := newTestServer(t, Options{MaxSimRanks: 16384})
 	baseline := runtime.NumGoroutine()
 
-	// A long run: /simulate is payload-free, so length comes from events,
-	// not arithmetic — p = 1024 SUMMA ranks stream ≈2.4M of them, seconds
-	// of wall.
+	// A long run: /simulate is payload-free, so length comes from ranks
+	// and steps, not arithmetic — p = 16384 SUMMA ranks run for seconds
+	// even once the hung-up client's writes fail fast.
 	ctx, cancel := context.WithCancel(context.Background())
-	req, err := http.NewRequestWithContext(ctx, "GET", ts.URL+"/simulate?alg=summa25d&n=4096&q=32&c=1&stream=1", nil)
+	req, err := http.NewRequestWithContext(ctx, "GET", ts.URL+"/simulate?alg=summa25d&n=4096&q=64&c=4&stream=1", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,13 +164,15 @@ func TestCancelledSimulateStopsSimulation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Wait for proof the simulation is live: the first streamed event.
+	// Wait for proof the simulation is live: the first streamed event,
+	// and a goroutine executing the simulator (its ranks are stackless,
+	// so that is an engine worker, not one goroutine per rank).
 	br := bufio.NewReader(resp.Body)
 	if _, err := br.ReadString('\n'); err != nil {
 		t.Fatalf("no event line before cancel: %v", err)
 	}
-	if runtime.NumGoroutine() <= baseline {
-		t.Fatalf("simulation did not raise the goroutine count above baseline %d", baseline)
+	if simGoroutines() == 0 {
+		t.Fatal("no goroutine is executing the simulation")
 	}
 
 	// Hang up mid-run.
@@ -177,8 +180,16 @@ func TestCancelledSimulateStopsSimulation(t *testing.T) {
 	resp.Body.Close()
 	client.CloseIdleConnections()
 
-	// The rank goroutines must unwind promptly — this is what fails if
-	// Cost.Context is not threaded into the rank runtime.
+	// The simulation must stop promptly — within 2 s, where the run would
+	// take longer on its own. This is what fails if Cost.Context is not
+	// threaded into the rank runtime.
+	stopBy := time.Now().Add(2 * time.Second)
+	for simGoroutines() > 0 {
+		if time.Now().After(stopBy) {
+			t.Fatalf("the simulation still runs 2 s after the client hung up")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		runtime.GC() // nudge finished HTTP conns along
@@ -198,6 +209,19 @@ func TestCancelledSimulateStopsSimulation(t *testing.T) {
 	if snap.Lanes["heavy"].Cancelled != 1 {
 		t.Errorf("heavy cancelled = %d, want 1", snap.Lanes["heavy"].Cancelled)
 	}
+}
+
+// simGoroutines counts the goroutines executing the simulator: carriers,
+// engine workers, or a handler stepping ranks itself.
+func simGoroutines() int {
+	buf := make([]byte, 1<<20)
+	n := 0
+	for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
+		if strings.Contains(g, "perfscale/internal/sim.") {
+			n++
+		}
+	}
+	return n
 }
 
 // TestMixedChaosTraffic drives a randomized mixture of valid, invalid,

@@ -10,7 +10,9 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -458,4 +460,41 @@ func ExampleServer() {
 	_ = json.NewDecoder(resp.Body).Decode(&m)
 	fmt.Println(resp.StatusCode, m["alg"])
 	// Output: 200 nbody
+}
+
+// stackProbe is an observer that captures every goroutine's stack at the
+// run's first phase mark, mid-run.
+type stackProbe struct {
+	once   sync.Once
+	stacks string
+}
+
+func (p *stackProbe) OnPhase(int, string, float64) {
+	p.once.Do(func() {
+		buf := make([]byte, 1<<20)
+		p.stacks = string(buf[:runtime.Stack(buf, true)])
+	})
+}
+func (p *stackProbe) OnCompute(int, sim.Segment)   {}
+func (p *stackProbe) OnSend(int, sim.Segment)      {}
+func (p *stackProbe) OnRecv(int, sim.Segment)      {}
+func (p *stackProbe) OnFault(sim.FaultEvent)       {}
+func (p *stackProbe) OnTimer(sim.TimerEvent)       {}
+func (p *stackProbe) OnCrash(sim.CrashEvent)       {}
+func (p *stackProbe) OnDeadlock(sim.DeadlockEvent) {}
+
+// TestSimulateRunsStackless: /simulate's runs — a cancel context, and for
+// stream=1 an observer — host both 2.5D matmuls on the stackless engine:
+// mid-run, no rank has a carrier goroutine.
+func TestSimulateRunsStackless(t *testing.T) {
+	for _, alg := range []string{"matmul25d", "summa25d"} {
+		probe := &stackProbe{}
+		sq := simulateQuery{m: machine.SimDefault(), alg: alg, n: 64, q: 4, c: 2, seed: 1, stream: true}
+		if _, aerr := runSimulate(context.Background(), sq, []sim.Observer{probe}); aerr != nil {
+			t.Fatalf("%s: %v", alg, aerr)
+		}
+		if probe.stacks == "" || strings.Contains(probe.stacks, "(*eventEngine).carrier") {
+			t.Errorf("%s: carrier goroutines during a /simulate run:\n%.3000s", alg, probe.stacks)
+		}
+	}
 }

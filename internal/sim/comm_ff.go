@@ -54,25 +54,27 @@ import (
 //     dependency order (a receive always runs after the send it is
 //     matched with), so conduction cannot stall. The one way members can
 //     disagree about the schedule — mismatched call parameters, e.g. two
-//     different Bcast roots — is checked up front and fails loudly; the
-//     live cluster would have deadlocked inside the collective.
+//     different Bcast roots — is the rendezvous' verdict (mismatch), not a
+//     conduct; the live cluster would have deadlocked inside it.
 //
 // Composite collectives (AllReduce, Barrier, BcastLarge, ReduceLarge,
 // Split) are sequences of the conducted primitives and fast-forward
 // automatically.
 //
 // Cancellation: a cancel context (Cost.Context) does not disqualify a run;
-// a conduct is cancel-safe instead. ffRun checks the cancelled flag at the
+// a conduct is cancel-safe instead. arrive checks the cancelled flag at the
 // door under the engine lock — cancelSweep sweeps under the same lock, so
 // no rendezvous fills after the sweep; conductOwned takes the parked
-// members out of the blocked set for the conduct, so a sweep landing
-// mid-conduct skips them; Rank.conducted keeps the conductor from unwinding
-// on a member's record; woken members abort at their next instrumented op.
-// Who owns a member's Rank, by its engine state:
+// members out of the blocked set for the conduct (opOwned), so a sweep
+// landing mid-conduct skips them; Rank.conducted keeps the conductor from
+// unwinding on a member's record; woken members abort at their next
+// instrumented op. Who owns a member's Rank, by its engine state:
 //
-//	running (opRunning)                      its carrier; the sweep skips it
+//	running (opRunning)                      its carrier or worker; the sweep skips it
+//	stepped, arrived, wait not yet recorded  its worker until the rendezvous fills,
+//	  (opRunning)                            then the conductor; the sweep skips it
 //	parked, rendezvous unfilled (opBlocked*) nobody; the sweep resumes it
-//	parked, being conducted (opRunning)      the conductor; the sweep skips it
+//	parked, being conducted (opOwned)        the conductor; the sweep skips it
 //	conducted, woken, still queued           nobody; the sweep may swap in evCancel
 //	picked, token not yet sent (opRunning)   nobody; the sweep skips it
 //
@@ -119,8 +121,7 @@ type ffKey struct {
 // Bcast where another calls Reduce) land on different keys and fail at
 // quiescence instead of conducting garbage.
 const (
-	ffShift uint8 = iota
-	ffBcast
+	ffBcast uint8 = iota
 	ffReduce
 	ffAllGather
 	ffReduceScatter
@@ -134,6 +135,10 @@ const (
 	ffBcastLarge
 	ffReduceLarge
 )
+
+// ffOpNames names the op codes in a mismatch verdict.
+var ffOpNames = [...]string{"Bcast", "Reduce", "AllGather", "ReduceScatter", "AllToAll",
+	"AllToAllTree", "Gather", "Scatter", "BcastLarge", "ReduceLarge"}
 
 // ffCall is one member's arrival at a rendezvous: its rank handle (safe
 // for the conductor to drive — the member is parked), its payload, and
@@ -155,10 +160,13 @@ type ffRendezvous struct {
 	members []int
 	calls   []ffCall
 	out     [][]float64
-	// done is set (under the engine lock) once the conductor has filled
-	// out, so a member woken for any other reason can tell the collective
-	// completed.
-	done bool
+	err     error // the mismatch verdict: no conduct runs, every member fails with it
+	// conducting is set under the engine lock while the conductor owns the
+	// members (conductOwned); done, once out (or err) is filled. A stepped
+	// member reads done without the lock after its worker saw it set, or
+	// saw member 0 exit, after which it can never be set.
+	conducting bool
+	done       atomic.Bool
 	// left counts members that have not yet read their result; the member
 	// that decrements it to zero returns the rendezvous to the pool. A
 	// run conducts one rendezvous per collective call — hundreds of
@@ -219,7 +227,8 @@ func sized[T any](s []T, n int) []T {
 // getRend returns a cleared rendezvous sized for n members.
 func getRend(n int) *ffRendezvous {
 	rv := ffRendPool.Get().(*ffRendezvous)
-	rv.need, rv.got, rv.done = n, 0, false
+	rv.need, rv.got, rv.err, rv.conducting = n, 0, nil, false
+	rv.done.Store(false)
 	rv.calls, rv.out = sized(rv.calls, n), sized(rv.out, n)
 	rv.left.Store(int32(n))
 	return rv
@@ -253,11 +262,15 @@ func (rv *ffRendezvous) slabScratch(n int) []float64 {
 }
 
 // take returns member i's result and is the counted release for rendezvous
-// that went through ffRun: the caller must not touch rv after this call.
+// that went through arrive: the caller must not touch rv after this call.
+// A mismatch verdict panics in every member.
 func (rv *ffRendezvous) take(i int) []float64 {
-	out := rv.out[i]
+	out, err := rv.out[i], rv.err
 	if rv.left.Add(-1) == 0 {
 		putRend(rv)
+	}
+	if err != nil {
+		panic(err)
 	}
 	return out
 }
@@ -299,6 +312,39 @@ func (c *Comm) ffEngine() *eventEngine {
 // ffRun rendezvouses one collective call and returns the caller's result.
 // The first need−1 arrivers park; the last conducts.
 func (e *eventEngine) ffRun(c *Comm, op uint8, call ffCall) []float64 {
+	rv, last := e.arrive(c, op, call)
+	if last {
+		return e.conductLast(rv, op, c.me)
+	}
+	// Park as a blocked receive on member 0: if the collective can never
+	// complete (a member exited out of an erroneous program), quiescence
+	// treats us like any blocked receiver.
+	r := c.rank
+	for {
+		if e.parkLocked(r, opBlockedRecv, c.members[0], 0) == evConducted {
+			return rv.take(c.me)
+		}
+		// evWake: member 0 exited with the rendezvous incomplete, or an
+		// unrelated wake raced the conduct — re-check, re-park.
+		e.mu.Lock()
+		if rv.done.Load() {
+			e.mu.Unlock()
+			return rv.take(c.me)
+		}
+		if e.exitedLocked(c.members[0]) {
+			e.mu.Unlock()
+			// Orphaned collective: fail like a receive on an exited
+			// peer, naming the root cause. (The rendezvous is not
+			// recycled on this error path.)
+			return r.finishRecvOrFail(c.members[0], message{}, false)
+		}
+	}
+}
+
+// arrive registers the caller's call at its rendezvous and returns with mu
+// held; last reports that the call filled it, and the caller must conduct
+// (conductLast).
+func (e *eventEngine) arrive(c *Comm, op uint8, call ffCall) (rv *ffRendezvous, last bool) {
 	r := c.rank
 	call.rank = r
 	key := ffKey{memb: e.membID(c), op: op}
@@ -318,7 +364,7 @@ func (e *eventEngine) ffRun(c *Comm, op uint8, call ffCall) []float64 {
 		e.mu.Unlock()
 		panic(cancelPanic{})
 	}
-	rv := e.rend[key]
+	rv = e.rend[key]
 	if rv == nil {
 		rv = getRend(len(c.members))
 		rv.members = c.members
@@ -327,78 +373,78 @@ func (e *eventEngine) ffRun(c *Comm, op uint8, call ffCall) []float64 {
 	rv.calls[c.me] = call
 	rv.got++
 	if rv.got < rv.need {
-		// Park as a blocked receive on member 0: if the collective can
-		// never complete (a member exited out of an erroneous program),
-		// quiescence treats us like any blocked receiver.
-		for {
-			if e.parkLocked(r, opBlockedRecv, c.members[0], 0) == evConducted {
-				return rv.take(c.me)
-			}
-			// evWake: either an unrelated point-to-point message landed
-			// on the watched pair (we are not receiving it — re-park) or
-			// member 0 exited with the rendezvous incomplete.
-			e.mu.Lock()
-			if rv.done {
-				e.mu.Unlock()
-				return rv.take(c.me)
-			}
-			if e.exitedLocked(c.members[0]) {
-				e.mu.Unlock()
-				// Orphaned collective: fail like a receive on an exited
-				// peer, naming the root cause. (The rendezvous is not
-				// recycled on this error path.)
-				return r.finishRecvOrFail(c.members[0], message{}, false)
-			}
-		}
+		return rv, false
 	}
 	delete(e.rend, key)
-	// Conduct outside the engine lock: the rendezvous is exclusively ours
-	// now, the parked members' rank handles are quiescent, and the
-	// conductor still holds its worker slot so quiescence cannot trigger.
-	if e.cancellable {
-		e.conductOwned(rv, op, c.me)
-	} else {
-		e.mu.Unlock()
-		conduct(rv, op)
-		e.mu.Lock()
+	return rv, true
+}
+
+// conductLast completes a filled rendezvous for its last arriver, member
+// me: it conducts it (or records the mismatch verdict), wakes the other
+// members and returns me's result. Enters with mu held, returns with it
+// released.
+func (e *eventEngine) conductLast(rv *ffRendezvous, op uint8, me int) []float64 {
+	if rv.err = mismatch(rv, op); rv.err == nil {
+		e.conductOwned(rv, op, me)
 	}
-	rv.done = true
+	rv.done.Store(true)
 	for i := range rv.calls {
-		if i != c.me {
+		if i != me {
 			e.wake(rv.calls[i].rank.id, evConducted)
 		}
 	}
 	e.dispatch()
 	e.unlockResume()
-	return rv.take(c.me)
+	return rv.take(me)
 }
 
-// conductOwned is the conduct step of a cancellable run; mu held on entry
-// and on return. The parked members leave the blocked set for the duration,
-// so cancelSweep's sweep cannot resume a carrier whose Rank the conductor
-// is writing. If conduct panics (a program error) they still rejoin it —
-// quiescence resolves them as on a context-free run — and mu is left
-// released for the unwinding conductor's exit.
+// mismatch is the verdict on members disagreeing about the call's
+// parameters (two Bcast roots): an error naming member 0 and the lowest
+// member whose argument differs from it, or nil. It depends only on the
+// calls, never on which member arrived last.
+func mismatch(rv *ffRendezvous, op uint8) error {
+	arg := rv.calls[0].arg
+	for j := 1; j < len(rv.calls); j++ {
+		if a := rv.calls[j].arg; a != arg {
+			return fmt.Errorf("sim: collective %s called with mismatched parameters: rank %d (member 0) passed %d, rank %d (member %d) passed %d; the communication pattern deadlocks inside the collective",
+				ffOpNames[op], rv.members[0], arg, rv.members[j], j, a)
+		}
+	}
+	return nil
+}
+
+// conductOwned conducts a filled rendezvous outside the engine lock; mu
+// held on entry and on return. The parked members leave the blocked set
+// for the duration (opOwned), so neither cancelSweep's sweep nor a wake can
+// resume a member whose Rank the conductor is writing, and a stepped
+// member's worker parks it opOwned too (parkStep). If conduct panics (a
+// program error) they rejoin the blocked set — quiescence resolves them as
+// it would any orphaned collective — and mu is left released for the
+// unwinding conductor's exit.
 func (e *eventEngine) conductOwned(rv *ffRendezvous, op uint8, me int) {
-	setOps := func(op uint64) {
+	setOps := func(from, to uint64) {
 		for i := range rv.calls {
-			if i != me {
-				e.ranks[rv.calls[i].rank.id].op = op
+			if rk := &e.ranks[rv.calls[i].rank.id]; i != me && rk.op == from {
+				rk.op = to
 			}
 		}
 	}
-	setOps(opRunning)
+	setOps(opBlockedRecv, opOwned)
+	rv.conducting = true
 	e.mu.Unlock()
 	done := false
 	defer func() {
-		e.mu.Lock()
-		setOps(opBlockedRecv)
 		if !done {
+			e.mu.Lock()
+			setOps(opOwned, opBlockedRecv)
+			rv.conducting = false
 			e.mu.Unlock()
 		}
 	}()
 	conduct(rv, op)
 	done = true
+	e.mu.Lock()
+	rv.conducting = false
 }
 
 // ffWire is one in-flight conducted message: the priced message plus the
@@ -478,15 +524,7 @@ func ffRecv(dst *Rank, src int, w ffWire) []float64 {
 // into dependency-ordered phases. The members' carriers are parked, so
 // the conductor owns their Rank state exclusively.
 func conduct(rv *ffRendezvous, op uint8) {
-	// Members disagreeing about the call's parameters (two Bcast roots,
-	// two Shift strides) could never have completed the collective on the
-	// live cluster; fail loudly instead of conducting garbage.
-	arg := rv.calls[0].arg
-	for i := 1; i < len(rv.calls); i++ {
-		if rv.calls[i].arg != arg {
-			panic(fmt.Sprintf("sim: conducted collective (op %d) called with mismatched parameters (%d vs %d): communication pattern deadlocks inside the collective", op, arg, rv.calls[i].arg))
-		}
-	}
+	arg := rv.calls[0].arg // the members agree (mismatch)
 	// Conducted pricing drives parked members' Compute from the
 	// conductor's goroutine: neither the cooperative yield nor the cancel
 	// check may trigger there (the conductor would park on a member's
@@ -496,8 +534,6 @@ func conduct(rv *ffRendezvous, op uint8) {
 	}
 	rv.ffScratch = ffScratchPool.Get().(*ffScratch)
 	switch op {
-	case ffShift:
-		conductShift(rv, arg)
 	case ffBcast:
 		conductBcast(rv, arg, nil)
 	case ffReduce:
@@ -523,20 +559,6 @@ func conduct(rv *ffRendezvous, op uint8) {
 	rv.ffScratch = nil
 	for i := range rv.calls {
 		rv.calls[i].rank.conducted = false
-	}
-}
-
-// conductShift mirrors Comm.Shift (by already normalized, non-zero):
-// every member sends, then every member receives.
-func conductShift(rv *ffRendezvous, by int) {
-	p := len(rv.members)
-	wires := rv.wireScratch()
-	for i := range rv.calls {
-		wires[i] = ffSend(rv.calls[i].rank, rv.members[(i+by)%p], rv.calls[i].data)
-	}
-	for i := range rv.calls {
-		src := (i - by + p) % p
-		rv.out[i] = ffRecv(rv.calls[i].rank, rv.members[src], wires[src])
 	}
 }
 

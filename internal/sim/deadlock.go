@@ -29,6 +29,10 @@ const (
 	opExited
 	opBlockedRecvTimer
 	opBlockedSendTimer
+	// opOwned: parked on a collective whose conductor owns the Rank
+	// (comm_ff.go). Not a blocked state: neither the cancel sweep nor
+	// quiescence may touch the rank until the conductor wakes it.
+	opOwned
 )
 
 // blockedOp reports whether op is any of the four blocked states.

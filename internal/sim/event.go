@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 	"runtime"
 	"sync"
@@ -9,24 +10,26 @@ import (
 
 // The event engine: the simulator's execution backend.
 //
-// Ranks execute on goroutines — an SPMD function is an opaque closure whose
-// stack must live somewhere — but the Go scheduler does not multiplex them:
-// a goroutine only runs while the engine has explicitly handed it one of a
-// bounded number of worker slots (Cost.Workers). When a rank would block
-// (empty receive queue, full send buffer, a collective rendezvous), it
-// parks: it registers what it waits for, hands its slot to the next runnable
-// rank, and sleeps on a one-token resume channel until the engine wakes it
-// with a reason. Runnable ranks wait in one FIFO ring of rank ids
-// (runQueue), and a wake is delivered exactly when the awaited condition
-// holds, never as a poll.
+// A closure rank (Cluster.Run) executes on a goroutine — an opaque SPMD
+// function's stack must live somewhere — but the Go scheduler does not
+// multiplex them: a carrier goroutine only runs while the engine has
+// explicitly handed it one of a bounded number of worker slots
+// (Cost.Workers). When a rank would block (empty receive queue, full send
+// buffer, a collective rendezvous), it parks: it registers what it waits
+// for, hands its slot to the next runnable rank, and sleeps on a one-token
+// resume channel until the engine wakes it with a reason. A Stepper rank
+// on a fault-free run has no goroutine: parking is returning from Step,
+// resuming is being popped by a worker (step.go). Runnable ranks wait in
+// one FIFO ring of rank ids (runQueue), and a wake is delivered exactly
+// when the awaited condition holds, never as a poll.
 //
 // Three properties follow:
 //
-//   - blocking costs one short critical section + one channel token. Under
-//     mu the parking rank only records its wait and picks its successor; the
-//     token (or the successor's carrier spawn) follows the unlock
-//     (unlockResume), so a second worker contends for a few stores, never a
-//     channel send;
+//   - blocking costs one short critical section + one channel token (none
+//     for a stepped rank). Under mu the parking rank only records its wait
+//     and picks its successor; the token (or the successor's carrier spawn)
+//     follows the unlock (unlockResume), so a second worker contends for a
+//     few stores, never a channel send;
 //   - quiescence is exact: the engine knows the instant the run queue is
 //     empty and every live rank is parked, so deadlock detection and
 //     virtual-timer firing (timer.go) are immediate and deterministic, never
@@ -71,15 +74,16 @@ const (
 
 // evRank is the engine's per-rank scheduling record. All fields are
 // guarded by eventEngine.mu except resume, which carries at most one
-// token from unlockResume to the parked carrier, and watch. Padded to one
-// cache line, so a sender polling one rank's watch word never shares a
-// line with a neighbour's locked fields.
+// token from unlockResume to the parked carrier (nil on a stackless run),
+// and watch. Padded to one cache line, so a sender polling one rank's
+// watch word never shares a line with a neighbour's locked fields.
 type evRank struct {
 	resume chan evKind
 	// op/peer/deadline form the wait record while parked (op values from
-	// deadlock.go; opRunning while executing or runnable, opExited after
-	// the carrier returns). deadline is the armed virtual deadline of a
-	// timed operation, 0 otherwise.
+	// deadlock.go; opRunning while executing or runnable, opOwned while a
+	// conductor owns a parked member, opExited after the rank returns).
+	// deadline is the armed virtual deadline of a timed operation, 0
+	// otherwise.
 	op       uint64
 	peer     int32
 	runnable bool
@@ -91,7 +95,8 @@ type evRank struct {
 	clock float64
 	// rank is the parked rank, whose last timeline segment a deadlock
 	// snapshot reports. Snapshots are taken at quiescence, when no carrier or conductor holds
-	// a worker slot, so every parked Rank is still.
+	// a worker slot, so every parked Rank is still. A stepped rank's is set
+	// from its first dispatch to its exit: it is how a worker finds it.
 	rank *Rank
 	// watch is the lock-free mirror of the (op, peer) wait record for the
 	// notifyEnqueue/notifyDequeue prechecks: peer<<2 | watchRecv/watchSend
@@ -166,8 +171,12 @@ type eventEngine struct {
 	errs    []error
 	workers int
 
+	// start builds rank id's program on a stackless run (nil otherwise):
+	// its ranks are Steppers stepped by worker goroutines (step.go).
+	start func(id int) Stepper
+
 	// cancellable records that the run has a cancel context, read once
-	// here so a context-free conduct pays for none of the cancel protocol.
+	// here so a context-free rendezvous skips the cancelled-flag load.
 	cancellable bool
 
 	// mu guards everything down to picks; dispatch states what a critical
@@ -180,6 +189,12 @@ type eventEngine struct {
 	rend    map[ffKey]*ffRendezvous
 	picks   []evPick // dispatch's output, drained by unlockResume
 	done    chan struct{}
+	// idle counts the stackless workers waiting on idleWake for a
+	// runnable rank; dispatch moves as many as there are queued ranks into
+	// signals, which unlockResume delivers after the unlock.
+	idleWake sync.Cond
+	idle     int
+	signals  int
 
 	// membIDs interns communicator memberships into the ids that key rend
 	// (membID), under its own lock: the wide key is never hashed under mu.
@@ -187,7 +202,7 @@ type eventEngine struct {
 	membIDs map[ffMemb]uint32
 }
 
-func newEventEngine(c *Cluster, fn func(*Rank) error, res *Result) *eventEngine {
+func newEventEngine(c *Cluster, fn func(*Rank) error, start func(id int) Stepper, res *Result) *eventEngine {
 	workers := c.cost.Workers
 	if workers == 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -206,10 +221,14 @@ func newEventEngine(c *Cluster, fn func(*Rank) error, res *Result) *eventEngine 
 		done:    make(chan struct{}),
 		membIDs: make(map[ffMemb]uint32),
 
+		start:       start,
 		cancellable: c.cost.Context != nil,
 	}
+	e.idleWake.L = &e.mu
 	for i := range e.ranks {
-		e.ranks[i].resume = make(chan evKind, 1)
+		if e.start == nil {
+			e.ranks[i].resume = make(chan evKind, 1)
+		}
 		e.ranks[i].peer = -1
 	}
 	return e
@@ -217,9 +236,13 @@ func newEventEngine(c *Cluster, fn func(*Rank) error, res *Result) *eventEngine 
 
 // Run executes fn on every rank. A Cluster must not be reused after Run:
 // leftover messages from a failed run would corrupt a second one.
-func (c *Cluster) Run(fn func(r *Rank) error) (*Result, error) {
+func (c *Cluster) Run(fn func(r *Rank) error) (*Result, error) { return c.run(fn, nil) }
+
+// run hosts the ranks: fn on carriers, or start's Steppers on stackless
+// workers (step.go).
+func (c *Cluster) run(fn func(r *Rank) error, start func(id int) Stepper) (*Result, error) {
 	res := &Result{PerRank: make([]Stats, c.p)}
-	e := newEventEngine(c, fn, res)
+	e := newEventEngine(c, fn, start, res)
 	c.eng = e
 	defer c.watchContext()()
 	e.mu.Lock()
@@ -231,9 +254,14 @@ func (c *Cluster) Run(fn func(r *Rank) error) (*Result, error) {
 	for id := c.p - 1; id >= 0; id-- {
 		e.pushRunnable(id)
 	}
-	e.dispatch()
-	e.unlockResume()
-	<-e.done
+	if e.start != nil {
+		e.mu.Unlock()
+		e.runWorkers()
+	} else {
+		e.dispatch()
+		e.unlockResume()
+		<-e.done
+	}
 	res.ActivePairs = c.ActivePairs()
 	return res, joinRunErrors(c, e.errs)
 }
@@ -256,15 +284,20 @@ func (e *eventEngine) pushRunnable(id int) {
 // wider than 16 bytes and no Segment copy (bar the deadlock snapshot, which
 // ends the run). A picked rank has left the blocked set, so the cancel
 // sweep and quiescence ignore it exactly as they ignore a running rank.
+//
+// On a stackless run the workers pop the queue themselves and resolve
+// quiescence in their loop (stepWorker), so dispatch only wakes idle
+// workers for the queued ranks.
 func (e *eventEngine) dispatch() {
+	if e.start != nil {
+		n := min(e.idle, e.runq.n)
+		e.idle -= n
+		e.signals += n
+		return
+	}
 	for {
 		for e.running < e.workers && e.runq.n > 0 {
-			id := e.runq.pop()
-			rk := &e.ranks[id]
-			rk.runnable = false
-			rk.op = opRunning
-			rk.peer = -1
-			e.running++
+			id, rk := e.pick()
 			e.picks = append(e.picks, evPick{id: id, kind: rk.kind, start: !rk.started})
 			rk.started = true
 		}
@@ -281,15 +314,31 @@ func (e *eventEngine) dispatch() {
 	}
 }
 
+// pick pops the run queue's head and counts it running. mu held.
+func (e *eventEngine) pick() (int32, *evRank) {
+	id := e.runq.pop()
+	rk := &e.ranks[id]
+	rk.runnable = false
+	rk.op = opRunning
+	rk.peer = -1
+	e.running++
+	return id, rk
+}
+
 // unlockResume releases mu, then resumes the ranks the preceding dispatch
-// picked (at most one per worker slot, so the copy stays on the stack).
-// Every critical section that dispatches ends here: picks is empty whenever
-// mu is free.
+// picked (at most one per worker slot, so the copy stays on the stack), or
+// wakes the idle workers it counted. Every critical section that
+// dispatches ends here: picks is empty and signals zero whenever mu is free.
 func (e *eventEngine) unlockResume() {
 	var buf [16]evPick
 	picks := append(buf[:0], e.picks...)
 	e.picks = e.picks[:0]
+	signals := e.signals
+	e.signals = 0
 	e.mu.Unlock()
+	for ; signals > 0; signals-- {
+		e.idleWake.Signal()
+	}
 	for _, pk := range picks {
 		if pk.start {
 			go e.carrier(int(pk.id))
@@ -302,25 +351,9 @@ func (e *eventEngine) unlockResume() {
 // carrier is the goroutine that hosts rank id. It classifies how the rank
 // left, publishes the exit and returns its worker slot.
 func (e *eventEngine) carrier(id int) {
-	c := e.c
-	r := &Rank{cluster: c, id: id}
+	r := &Rank{cluster: e.c, id: id}
 	defer func() {
-		status, err := c.classifyRankExit(recover(), id, e.errs[id])
-		e.errs[id] = err
-		e.res.PerRank[id] = r.Stats()
-		// Publish the exit record before the exit word: a peer that loads
-		// exited[id] true (or sees the engine's opExited under mu) may read
-		// exits[id]; a peer's unmatched Recv then becomes a clean error
-		// instead of a deadlock, after already-queued messages are
-		// delivered.
-		c.exits[id] = exitInfo{status: status, err: err}
-		c.exited[id].Store(true)
-		e.mu.Lock()
-		rk := &e.ranks[id]
-		rk.op = opExited
-		rk.rank = nil // the exited Rank and its peer tables may be collected
-		e.live--
-		e.running--
+		e.finish(r, recover())
 		last := e.live == 0
 		e.dispatch()
 		e.unlockResume()
@@ -329,6 +362,29 @@ func (e *eventEngine) carrier(id int) {
 		}
 	}()
 	e.errs[id] = e.fn(r)
+}
+
+// finish records how rank r left the run — rec is what unwound it, nil for
+// a return — publishes the exit and gives up its worker slot. Returns with
+// mu held.
+func (e *eventEngine) finish(r *Rank, rec any) {
+	c, id := e.c, r.id
+	status, err := c.classifyRankExit(rec, id, e.errs[id])
+	e.errs[id] = err
+	e.res.PerRank[id] = r.Stats()
+	// Publish the exit record before the exit word: a peer that loads
+	// exited[id] true (or sees the engine's opExited under mu) may read
+	// exits[id]; a peer's unmatched Recv then becomes a clean error
+	// instead of a deadlock, after already-queued messages are
+	// delivered.
+	c.exits[id] = exitInfo{status: status, err: err}
+	c.exited[id].Store(true)
+	e.mu.Lock()
+	rk := &e.ranks[id]
+	rk.op = opExited
+	rk.rank = nil // the exited Rank and its peer tables may be collected
+	e.live--
+	e.running--
 }
 
 // yieldIfBehind reparks the calling rank onto the run queue when the rank
@@ -380,6 +436,10 @@ func (e *eventEngine) park(r *Rank, op uint64, peer int, deadline float64, avail
 // returns with mu released — or unwinds the rank when the engine resumed it
 // to cancel or abort it.
 func (e *eventEngine) parkLocked(r *Rank, op uint64, peer int, deadline float64) evKind {
+	if r.step != nil {
+		e.mu.Unlock()
+		panic(fmt.Sprintf("sim: rank %d is a Stepper and must not block: use the Try form of the operation", r.id))
+	}
 	rk := &e.ranks[r.id]
 	rk.op = op
 	rk.peer = int32(peer)
@@ -405,7 +465,9 @@ func (e *eventEngine) parkLocked(r *Rank, op uint64, peer int, deadline float64)
 // plain evWake: the specific reasons (conducted result ready, timer
 // fired, abort, cancel) always replace it, so a racing message enqueue
 // can never mask them — the resumed operation re-checks its queues
-// anyway. mu held.
+// anyway. A rank that is not parked — running, picked, or stepped by a
+// worker that has not yet recorded its wait — is left alone: its own
+// re-check under mu sees what the wake would have reported. mu held.
 func (e *eventEngine) wake(id int, kind evKind) {
 	rk := &e.ranks[id]
 	if rk.runnable {
@@ -414,7 +476,7 @@ func (e *eventEngine) wake(id int, kind evKind) {
 		}
 		return
 	}
-	if !blockedOp(rk.op) {
+	if !blockedOp(rk.op) && rk.op != opOwned {
 		return
 	}
 	rk.kind = kind
@@ -587,23 +649,32 @@ func (e *eventEngine) snapshotLocked() *ClusterSnapshot {
 // queued (the caller names the root cause).
 func (e *eventEngine) recvEvent(r *Rank, src int) (message, bool) {
 	q := r.queueFrom(src)
-	exited := &e.c.exited[src]
 	for {
-		if msg, ok := q.pop(); ok {
-			if q.length() >= int(q.sem)-1 {
-				e.notifyDequeue(src, r.id)
-			}
-			return msg, true
-		}
-		if exited.Load() {
-			// Everything the peer ever sent was enqueued before its exit
-			// word was set; drain once more before failing.
-			return q.pop()
+		if msg, ok, final := e.recvTry(r, q, src); final {
+			return msg, ok
 		}
 		e.park(r, opBlockedRecv, src, 0, func() bool {
 			return q.length() > 0 || e.exitedLocked(src)
 		})
 	}
+}
+
+// recvTry is one attempt of recvEvent on the pair queue q from src: final
+// is false when the receive must wait.
+func (e *eventEngine) recvTry(r *Rank, q *evRing, src int) (msg message, ok, final bool) {
+	if msg, ok = q.pop(); ok {
+		if q.length() >= int(q.sem)-1 {
+			e.notifyDequeue(src, r.id)
+		}
+		return msg, true, true
+	}
+	if e.c.exited[src].Load() {
+		// Everything the peer ever sent was enqueued before its exit
+		// word was set; drain once more before failing.
+		msg, ok = q.pop()
+		return msg, ok, true
+	}
+	return message{}, false, false
 }
 
 // recvTimeoutEvent is RecvTimeout's core: try a buffered message, else park

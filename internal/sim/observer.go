@@ -62,11 +62,12 @@ func (s Segment) Duration() float64 { return s.End - s.Start }
 // OnTimer and OnCrash belong to one rank — the one named in the event, the
 // sender for a fault. A rank's callbacks are serialized and arrive in
 // virtual-time order; callbacks of different ranks run concurrently. They
-// may run on the rank's own goroutine or on the goroutine of the member
-// conducting a collective for it (comm_ff.go), so an observer may keep
-// per-rank state without a lock but must not assume which goroutine
-// calls. OnDeadlock fires on whichever goroutine resolved the quiescence,
-// while every rank is parked. An observer that aggregates across ranks
+// may run on the rank's own goroutine, on the engine worker stepping a
+// Stepper rank (step.go), or on whichever of those is conducting a
+// collective for it (comm_ff.go), so an observer may keep per-rank state
+// without a lock but must not assume which goroutine calls, and must not
+// block waiting for another rank's events. OnDeadlock fires on whichever
+// goroutine resolved the quiescence, while every rank is parked. An observer that aggregates across ranks
 // must therefore synchronize its own state. Every callback delivered
 // during a run happens-before Run's return, so reading an observer after
 // Run is race-free.

@@ -450,20 +450,29 @@ func TestDeadlockSnapshotQueuedPairs(t *testing.T) {
 	}
 }
 
-// TestObserverKeepsErrorVerdicts runs two erroneous collective programs —
-// members disagreeing about a Bcast root, and one rank skipping an
-// AllReduce the others enter — with and without an observer. Attaching an
-// observer must not change how a run fails: the error text is the same.
-// The runs use one worker: which member conducts, and so which rank
-// reports a parameter mismatch, follows the host schedule on more.
+// TestObserverKeepsErrorVerdicts runs erroneous collective programs —
+// members disagreeing about a broadcast root, and one rank skipping an
+// AllReduce the others enter — with and without an observer, at one and
+// four workers. Neither the observer nor the host schedule may change how
+// a run fails: the error text is the same. The mismatched-roots program
+// runs as a closure and as a Stepper (a one-word BcastLargeInto takes the
+// binomial fallback); both hosts give one verdict, which names the
+// lowest-index pair of members that disagree, whichever member arrived
+// last.
 func TestObserverKeepsErrorVerdicts(t *testing.T) {
-	programs := map[string]func(r *Rank) error{
+	root := func(id int) int {
+		if id == 0 {
+			return 0
+		}
+		return 1
+	}
+	closures := map[string]func(r *Rank) error{
 		"mismatched Bcast roots": func(r *Rank) error {
-			root := 1
-			if r.ID() == 0 {
-				root = 0
-			}
-			r.World().Bcast(root, []float64{float64(r.ID())})
+			r.World().Bcast(root(r.ID()), []float64{float64(r.ID())})
+			return nil
+		},
+		"mismatched BcastLargeInto roots": func(r *Rank) error {
+			r.World().BcastLargeInto(nil, root(r.ID()), []float64{float64(r.ID())})
 			return nil
 		},
 		"skipped AllReduce": func(r *Rank) error {
@@ -474,17 +483,41 @@ func TestObserverKeepsErrorVerdicts(t *testing.T) {
 			return nil
 		},
 	}
-	for name, prog := range programs {
-		cost := unitCost
-		cost.Workers = 1
-		_, plain := Run(4, cost, prog)
-		cost.Observers = []Observer{newRecObs()}
-		_, observed := Run(4, cost, prog)
-		if plain == nil || observed == nil {
-			t.Fatalf("%s: want both runs to fail, got %v and %v", name, plain, observed)
+	stepper := scripted(func(id int) []func(r *Rank) bool {
+		return []func(r *Rank) bool{func(r *Rank) bool {
+			_, ok := r.World().TryBcastLargeInto(nil, root(id), []float64{float64(id)})
+			return ok
+		}}
+	})
+	verdicts := map[string]string{}
+	check := func(name string, err error) {
+		t.Helper()
+		if err == nil {
+			t.Fatalf("%s: want the run to fail", name)
 		}
-		if plain.Error() != observed.Error() {
-			t.Errorf("%s: an observer changed the verdict\n  unobserved: %v\n  observed:   %v", name, plain, observed)
+		if want, ok := verdicts[name]; ok && err.Error() != want {
+			t.Errorf("%s: the verdict moved\n  got:  %v\n  want: %v", name, err, want)
 		}
+		verdicts[name] = err.Error()
+	}
+	for rep := 0; rep < 20; rep++ {
+		for _, w := range []int{1, 4} {
+			for _, observed := range []bool{false, true} {
+				cost := unitCost
+				cost.Workers = w
+				if observed {
+					cost.Observers = []Observer{newRecObs()}
+				}
+				for name, prog := range closures {
+					_, err := Run(4, cost, prog)
+					check(name, err)
+				}
+				_, err := RunSteps(4, cost, stepper)
+				check("mismatched BcastLargeInto roots", err)
+			}
+		}
+	}
+	if v := verdicts["mismatched BcastLargeInto roots"]; !strings.Contains(v, "rank 0 (member 0) passed 0, rank 1 (member 1) passed 1") {
+		t.Errorf("the mismatch verdict does not name members 0 and 1: %v", v)
 	}
 }

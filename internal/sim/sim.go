@@ -1,9 +1,12 @@
 // Package sim provides a deterministic virtual-time distributed-memory
 // runtime: the machine substrate on which the paper's algorithms execute.
 //
-// Each of p ranks executes the same SPMD function, scheduled by the event
+// Each of p ranks executes the same SPMD program, scheduled by the event
 // engine (event.go): a rank runs until it would block, parks, and is resumed
-// exactly when what it waits for holds, so runs reach p ≥ 10⁶. Ranks
+// exactly when what it waits for holds, so runs reach p ≥ 10⁶. A program
+// is a closure (Run), which parks on a goroutine of its own, or a Stepper
+// (RunSteps, step.go), a resumable state machine that the engine's worker
+// goroutines step with no goroutine or stack per rank. Ranks
 // exchange []float64 messages over per-pair FIFO queues, wired on demand as
 // pairs first communicate (see mailbox.go) so memory follows the pairs a
 // program actually uses. Every rank carries a virtual clock in seconds:
@@ -250,8 +253,9 @@ func NewCluster(p int, cost Cost) (*Cluster, error) {
 func (c *Cluster) P() int { return c.p }
 
 // Rank is the handle an SPMD function uses to communicate, account
-// compute, and track memory. A Rank must only be used from the goroutine
-// it was handed to.
+// compute, and track memory. A Rank has one caller at a time: the
+// goroutine it was handed to, or for a Stepper whichever engine worker is
+// stepping it (step.go).
 type Rank struct {
 	cluster *Cluster
 	id      int
@@ -260,7 +264,7 @@ type Rank struct {
 	curMem  float64
 
 	// out and in memoize this rank's per-peer queue handles in flat
-	// peer tables (mailbox.go); only the goroutine driving the rank touches
+	// peer tables (mailbox.go); only the rank's current caller touches
 	// them.
 	out peerTable
 	in  peerTable
@@ -271,16 +275,16 @@ type Rank struct {
 	crashDone    bool
 	crashPending bool
 
-	// computeOps counts Compute calls; every 256th call checks whether an
-	// earlier-clock rank is waiting for the worker slot (see
-	// eventEngine.yieldIfBehind). conducted is set while a
+	// computeOps counts Compute calls; every 256th call on a carried rank
+	// checks whether an earlier-clock rank is waiting for the worker slot
+	// (see eventEngine.yieldIfBehind). conducted is set while a
 	// conductor drives this rank's pricing from its own goroutine
 	// (comm_ff.go): the rank can then neither yield nor unwind — the
 	// conductor would park, or panic, on a parked member's record.
 	computeOps uint32
 	conducted  bool
 
-	// lastSeg is the rank's most recent timeline segment (goroutine-local;
+	// lastSeg is the rank's most recent timeline segment (caller-local;
 	// a deadlock snapshot, taken while the rank is parked, reports it as
 	// the last thing the rank did).
 	lastSeg Segment
@@ -290,6 +294,10 @@ type Rank struct {
 	// RecvTimeout deadline: it stays the FIFO head for the pair and is
 	// returned by the next receive (timer.go). At most one per peer.
 	pushback map[int]message
+
+	// step is the stackless host's record of a stepped rank (step.go);
+	// nil for a rank hosted on a goroutine.
+	step *stepState
 
 	// ffSeq counts this rank's collective calls per interned membership —
 	// the rendezvous sequence number of conducted collectives (comm_ff.go).
@@ -330,7 +338,7 @@ func (r *Rank) Compute(flops float64) {
 	r.stats.ComputeTime += dt
 	r.emit(Segment{Kind: SegCompute, Start: r.clock, End: r.clock + dt, Peer: -1, Flops: flops})
 	r.clock += dt
-	if !r.conducted {
+	if !r.conducted && r.step == nil {
 		if r.computeOps++; r.computeOps&255 == 0 {
 			r.cluster.eng.yieldIfBehind(r)
 		}

@@ -1,0 +1,335 @@
+package sim
+
+import "sync"
+
+// Stackless ranks (DESIGN §12). A Stepper keeps its state in its own
+// fields, so on a fault-free run the engine hosts it with no goroutine,
+// stack or resume channel per rank: worker goroutines pop ranks off the run
+// queue and call Step (stepWorker). Step runs the rank until a Try call —
+// TrySend, TryRecv, TryShiftOwned, TryBcastLargeInto, TryReduceLarge —
+// cannot complete: the call records the wait on the Rank and returns
+// false, Step returns at once without touching the Rank again, and the
+// worker parks the rank (parkStep). Being popped again is the resume; the
+// next Step repeats the call with the same arguments, and it completes
+// from what the failed attempt kept (stepState) without pricing anything
+// twice. A completed Try call is its blocking twin, through the same code.
+// Under a fault plan the Stepper runs carried instead (RunSteps), where
+// the Try calls block: a faulted run's collectives go member by member,
+// and those park inside the collective, on a stack.
+
+// Stepper is a rank program the engine can host without a goroutine. Step
+// advances rank r as far as it can and reports whether the program
+// finished (done) or failed (err, which ends the rank like a closure's
+// returned error). A Step that reports neither either failed a Try call,
+// and is stepped again when the call can complete, or recorded no wait
+// and yields: it is stepped again after the ranks already queued. A panic
+// inside Step is reported like a closure's.
+type Stepper interface {
+	Step(r *Rank) (done bool, err error)
+}
+
+// RunSteps is Run for Steppers: start(id) builds rank id's program when the
+// rank first runs.
+func RunSteps(p int, cost Cost, start func(id int) Stepper) (*Result, error) {
+	c, err := NewCluster(p, cost)
+	if err != nil {
+		return nil, err
+	}
+	return c.RunSteps(start)
+}
+
+// RunSteps hosts start's Steppers on every rank: stackless on a fault-free
+// run, carried under Cost.Faults. A Cluster must not be reused after it.
+func (c *Cluster) RunSteps(start func(id int) Stepper) (*Result, error) {
+	if c.cost.Faults != nil {
+		return c.Run(func(r *Rank) error {
+			s := start(r.ID())
+			for {
+				if done, err := s.Step(r); done || err != nil {
+					return err
+				}
+			}
+		})
+	}
+	return c.run(nil, start)
+}
+
+// stepState is a stepped rank's program and what its last Try call left.
+type stepState struct {
+	prog Stepper
+	// op and peer are the wait the last Step recorded (opRunning: none),
+	// on the pair queue q or, for a collective, on the rendezvous rv.
+	op   uint64
+	peer int
+	q    *evRing
+	rv   *ffRendezvous
+	// pend is a priced send that a full pair queue refused; shifted marks
+	// a TryShiftOwned whose send half is done.
+	pend    message
+	hasPend bool
+	shifted bool
+}
+
+func (st *stepState) wait(op uint64, peer int, q *evRing) { st.op, st.peer, st.q = op, peer, q }
+
+// runWorkers steps the run's ranks on min(Workers, p) workers, the calling
+// goroutine among them, until every rank has exited.
+func (e *eventEngine) runWorkers() {
+	var wg sync.WaitGroup
+	for i := 1; i < min(e.workers, e.c.p); i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			e.stepWorker()
+		}()
+	}
+	e.stepWorker()
+	wg.Wait()
+}
+
+// stepWorker is one stackless worker: it pops runnable ranks and steps
+// them, resolves quiescence when it finds nothing running and nothing
+// queued, and otherwise waits on idleWake until dispatch signals queued
+// work or the last rank exits.
+func (e *eventEngine) stepWorker() {
+	e.mu.Lock()
+	for {
+		if e.runq.n > 0 {
+			id, rk := e.pick()
+			kind, r := rk.kind, rk.rank
+			e.dispatch()
+			e.unlockResume()
+			e.stepRank(int(id), r, kind)
+			continue
+		}
+		if e.live == 0 {
+			e.idleWake.Broadcast()
+			break
+		}
+		if e.running == 0 {
+			e.quiesce()
+			if e.runq.n > 0 {
+				continue
+			}
+		}
+		e.idle++
+		e.idleWake.Wait()
+	}
+	e.mu.Unlock()
+}
+
+// stepRank runs rank id, resumed with kind, until it parks or exits,
+// stepping it again whenever its recorded wait already holds. r is nil on
+// the rank's first dispatch. Enters with mu released, returns with it held.
+func (e *eventEngine) stepRank(id int, r *Rank, kind evKind) {
+	rk := &e.ranks[id]
+	if r == nil {
+		r = &Rank{cluster: e.c, id: id, step: new(stepState)}
+		rk.rank = r
+	}
+	rk.watch.Store(0)
+	for {
+		if exit, rec := e.stepOnce(r, kind); exit {
+			e.finish(r, rec)
+			return
+		}
+		if e.parkStep(r) {
+			return
+		}
+		kind = evWake
+	}
+}
+
+// stepOnce calls r's Step, or unwinds the rank when the engine resumed it
+// to cancel or abort it; exit reports that the rank is done, and rec what
+// unwound it.
+func (e *eventEngine) stepOnce(r *Rank, kind evKind) (exit bool, rec any) {
+	defer func() {
+		if rec = recover(); rec != nil {
+			exit = true
+		}
+	}()
+	switch kind {
+	case evCancel:
+		panic(cancelPanic{})
+	case evAbort:
+		r.abort()
+	}
+	st := r.step
+	if st.prog == nil {
+		st.prog = e.start(r.id)
+	}
+	st.op = opRunning
+	done, err := st.prog.Step(r)
+	e.errs[r.id] = err
+	return done || err != nil, nil
+}
+
+// parkStep parks stepped rank r on the wait its last Step recorded and
+// reports true with mu held; or, when the wait already holds — a message
+// landed, space opened, the peer exited, the collective completed, perhaps
+// while Step was still returning — reports false with mu released, and the
+// rank steps again. The rank stays opRunning until here, so a wake that
+// landed mid-Step left it alone; the watch word is published before the
+// re-check under mu, park's store/load order, so a sender's enqueue is seen
+// by one side or the other. A Step that recorded no wait yields: the rank
+// rejoins the back of the queue.
+func (e *eventEngine) parkStep(r *Rank) bool {
+	rk, st := &e.ranks[r.id], r.step
+	op, peer := st.op, st.peer
+	if op != opRunning && st.rv == nil {
+		rk.watch.Store(watchWord(op, peer))
+	}
+	e.mu.Lock()
+	switch {
+	case op == opRunning:
+		rk.kind = evWake
+		e.pushRunnable(r.id)
+		e.running--
+		return true
+	case st.rv != nil:
+		// rk.clock was recorded under the arrival's lock hold (ffTry).
+		if st.rv.done.Load() || e.exitedLocked(peer) {
+			e.mu.Unlock()
+			return false
+		}
+		if st.rv.conducting {
+			op = opOwned
+		}
+	case op == opBlockedRecv && (st.q.length() > 0 || e.exitedLocked(peer)),
+		op == opBlockedSend && st.q.length() < int(st.q.sem):
+		rk.watch.Store(0)
+		e.mu.Unlock()
+		return false
+	default:
+		rk.clock = r.clock
+	}
+	rk.op, rk.peer, rk.deadline = op, int32(peer), 0
+	e.running--
+	return true
+}
+
+// TrySend is Send for a Stepper. It fails when the pair's buffer is full:
+// the message is priced and kept, and the repeated call delivers it. On a
+// carried rank it is Send.
+func (r *Rank) TrySend(dst int, data []float64) bool { return r.trySend(dst, data, false) }
+
+// trySend is TrySend; owned callers surrender data, as for send.
+func (r *Rank) trySend(dst int, data []float64, owned bool) bool {
+	st := r.step
+	if st == nil {
+		r.send(dst, data, owned)
+		return true
+	}
+	m := st.pend
+	if !st.hasPend {
+		r.checkPeer(dst, "sending to")
+		r.crashCheck()
+		m, _ = r.priceSend(dst, len(data))
+		if m.data = data; !owned {
+			m.data = private(data)
+		}
+	}
+	q := r.queueTo(dst)
+	if !q.push(m) {
+		st.pend, st.hasPend = m, true
+		st.wait(opBlockedSend, dst, q)
+		return false
+	}
+	st.pend, st.hasPend = message{}, false
+	r.cluster.eng.notifyEnqueue(r.id, dst)
+	return true
+}
+
+// TryRecv is Recv for a Stepper. It fails when nothing from src has arrived
+// yet. On a carried rank it is Recv.
+func (r *Rank) TryRecv(src int) ([]float64, bool) {
+	if r.step == nil {
+		return r.Recv(src), true
+	}
+	r.checkPeer(src, "receiving from")
+	r.crashCheck()
+	if msg, ok := r.takePushback(src); ok {
+		return r.finishRecv(src, msg), true
+	}
+	q := r.queueFrom(src)
+	msg, ok, final := r.cluster.eng.recvTry(r, q, src)
+	if !final {
+		r.step.wait(opBlockedRecv, src, q)
+		return nil, false
+	}
+	return r.finishRecvOrFail(src, msg, ok), true
+}
+
+// TryShiftOwned is ShiftOwned for a Stepper. It fails while the send half
+// waits for buffer space or the receive half for its message; the repeat
+// resumes the half that waited. On a carried rank it is ShiftOwned.
+func (c *Comm) TryShiftOwned(data []float64, by int) ([]float64, bool) {
+	r := c.rank
+	if r.step == nil {
+		return c.ShiftOwned(data, by), true
+	}
+	p := len(c.members)
+	if by = ((by % p) + p) % p; by == 0 {
+		return data, true
+	}
+	if st := r.step; !st.shifted {
+		if !r.trySend(c.members[(c.me+by)%p], data, true) {
+			return nil, false
+		}
+		st.shifted = true
+	}
+	v, ok := r.TryRecv(c.members[(c.me-by+p)%p])
+	r.step.shifted = !ok
+	return v, ok
+}
+
+// TryBcastLargeInto is BcastLargeInto for a Stepper. It fails until every
+// member has arrived; the repeat returns the result. On a carried rank it
+// is BcastLargeInto.
+func (c *Comm) TryBcastLargeInto(dst []float64, root int, data []float64) ([]float64, bool) {
+	if c.rank.step == nil || len(c.members) == 1 {
+		return c.BcastLargeInto(dst, root, data), true
+	}
+	return c.rank.cluster.eng.ffTry(c, ffBcastLarge, ffCall{data: data, dst: dst, arg: root})
+}
+
+// TryReduceLarge is ReduceLarge for a Stepper, with the same small-payload
+// fallback to the binomial Reduce. It fails until every member has
+// arrived; the repeat returns the result. On a carried rank it is
+// ReduceLarge.
+func (c *Comm) TryReduceLarge(root int, data []float64, op ReduceOp) ([]float64, bool) {
+	p := len(c.members)
+	if c.rank.step == nil || p == 1 {
+		return c.ReduceLarge(root, data, op), true
+	}
+	code := ffReduceLarge
+	if len(data) < p || len(data)%p != 0 {
+		code = ffReduce
+	}
+	return c.rank.cluster.eng.ffTry(c, code, ffCall{data: data, arg: root, rop: op})
+}
+
+// ffTry is ffRun for a stepped rank. An arrival that does not fill the
+// rendezvous records the wait and fails — the clock under the arrival's
+// lock hold, because the conductor may price the Rank as soon as the lock
+// drops. The repeat, stepped once the collective completed or member 0
+// exited with it incomplete, takes the result or fails like ffRun.
+func (e *eventEngine) ffTry(c *Comm, op uint8, call ffCall) ([]float64, bool) {
+	r, st := c.rank, c.rank.step
+	if rv := st.rv; rv != nil {
+		st.rv = nil
+		if !rv.done.Load() {
+			return r.finishRecvOrFail(c.members[0], message{}, false), true
+		}
+		return rv.take(c.me), true
+	}
+	rv, last := e.arrive(c, op, call)
+	if last {
+		return e.conductLast(rv, op, c.me), true
+	}
+	e.ranks[r.id].clock = r.clock
+	st.op, st.peer, st.rv = opBlockedRecv, c.members[0], rv
+	e.mu.Unlock()
+	return nil, false
+}
