@@ -1,5 +1,6 @@
 // Command reproduce runs the experiments of DESIGN.md — E1–E23, the
-// rectangular bounds and the DESIGN §5 ablations — and writes a Markdown
+// rectangular bounds, the DESIGN §5 ablations, the efficiency-vs-p curves
+// and the degraded-phase diagnosis — and writes a Markdown
 // report with the measured values: the single-command reproduction of the
 // paper's evaluation. Besides the simulator and model tables, the report
 // carries the ASCII renderings of Figure 4(a)–(c) with the E(M) profile and
@@ -74,6 +75,8 @@ var experiments = []experiment{
 	{"E23", "Energy price of resilience (extension)", (*reporter).e23},
 	{"Ablations", "DESIGN §5 design choices", (*reporter).ablations},
 	{"Rect", "Tight rectangular (m×k×n) matmul bounds", (*reporter).rect},
+	{"Curves", "Efficiency-vs-p curves: measured vs closed-form prediction", (*reporter).curves},
+	{"Diagnose", "Phase diff names a degraded phase", (*reporter).diagnose},
 }
 
 // selectExperiments parses the -e list into the set of registry ids it

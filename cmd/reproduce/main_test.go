@@ -268,3 +268,40 @@ func table(t *testing.T, report, id, next string) string {
 	}
 	return body
 }
+
+// TestCurvesSection: the Curves section renders one row per QuickCurves
+// point, covering every curve family.
+func TestCurvesSection(t *testing.T) {
+	out := runReproduce(t, "-e", "Curves")
+	for _, want := range []string{
+		"| strong | matmul-2.5d |", "| weak | matmul-2.5d |",
+		"| strong | nbody |", "| weak | nbody |", "| weak | fft-tree |",
+		"| efficiency | predicted |", "classical/memory-independent",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("Curves section misses %q:\n%s", want, out)
+		}
+	}
+	if n := strings.Count(out, "\n| strong |") + strings.Count(out, "\n| weak |"); n != 15 {
+		t.Errorf("Curves section has %d rows, want 15:\n%s", n, out)
+	}
+}
+
+// TestDiagnoseNamesDegradedPhase: the degraded multiply-shift phase is the
+// flagged bottleneck and the undegraded align phase scales on prediction.
+func TestDiagnoseNamesDegradedPhase(t *testing.T) {
+	out := runReproduce(t, "-e", "Diagnose")
+	for _, want := range []string{
+		"scaling diff p=16 -> p=16",
+		"multiply-shift     4.4912e-05   9.5088e-05     2.12        1      0.472 +5.02e-05  << BOTTLENECK",
+		"align               4.048e-06    4.048e-06        1        1      1.000        +0\n",
+		"scaling bottleneck: multiply-shift",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("Diagnose section misses %q:\n%s", want, out)
+		}
+	}
+	if strings.Contains(out, "**FAILED:**") {
+		t.Errorf("Diagnose failed:\n%s", out)
+	}
+}

@@ -12,6 +12,7 @@
 //	trace -alg matmul -q 32 -c 1 -n 128 -out trace.json
 //	trace -alg matmul -q 16 -faults -selfcheck -events events.jsonl
 //	trace -alg nbody -p 64 -c 2 -n 256 -energy energy.csv -comm comm.csv
+//	trace -alg matmul -q 4 -c 1 -n 96 -c2 4
 //
 // With -faults the run is driven through a canned, always-completing fault
 // plan — a respawned mid-run crash plus a degraded-bandwidth window —
@@ -23,11 +24,21 @@
 //
 // The text summary ends with per-rank utilization (min/avg/max) and the
 // time-resolved machine power, peak against the paper's average E/T.
-// Unknown -alg or -machine values and a CAPS size its 7^k ranks cannot
-// split exit 2; run and write failures exit 1.
+//
+// -c2 runs the same -alg/-n/-q a second time at replication c2 (n-body's
+// p scales by c2/c) and prints, after the summary, the phase-profile diff
+// of that run against the traced one (internal/analytics' divide
+// operator): each phase's span ratio against the perfect-strong-scaling
+// prediction pA/pB, the phase that fell furthest off it, and whether the
+// second run sits past the perfect-scaling plateau end.
+//
+// Unknown -alg or -machine values, a CAPS size its 7^k ranks cannot split,
+// and a -c2 with -faults, with caps or with a fractional n-body p exit 2;
+// run and write failures exit 1.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -37,6 +48,8 @@ import (
 	"runtime/pprof"
 	"time"
 
+	"perfscale/internal/analytics"
+	"perfscale/internal/bounds"
 	"perfscale/internal/core"
 	"perfscale/internal/machine"
 	"perfscale/internal/matmul"
@@ -56,6 +69,7 @@ func main() {
 		n        = flag.Int("n", 128, "problem size (matrix dimension or body count; caps defaults to 112)")
 		q        = flag.Int("q", 16, "grid size (matmul, lu); p = q²·c")
 		c        = flag.Int("c", 1, "replication factor (matmul, lu, nbody)")
+		c2       = flag.Int("c2", 0, "also run at replication c2 and print the phase diff against this run")
 		p        = flag.Int("p", 64, "ranks (nbody)")
 		k        = flag.Int("k", 1, "BFS recursion depth (caps); p = 7^k")
 		out      = flag.String("out", "trace.json", "Chrome/Perfetto trace output path")
@@ -87,6 +101,16 @@ func main() {
 	if err != nil {
 		usage(err)
 	}
+	var runB func(sim.Cost) (*sim.Result, error)
+	var ranksB int
+	if *c2 != 0 {
+		if runB, ranksB, err = buildSideB(*alg, *n, *q, *c, *c2, *p); err != nil {
+			usage(err)
+		}
+		if *faults {
+			usage(errors.New("-c2 compares fault-free runs; drop -faults"))
+		}
+	}
 
 	if *faults {
 		// Calibrate the plan off a fault-free probe so the crash and the
@@ -101,7 +125,9 @@ func main() {
 	}
 
 	traced := cost
-	col := obs.NewCollector(ranks)
+	// A negative rank count is the algorithm's error to report, after the
+	// run, not a collector panic.
+	col := obs.NewCollector(max(ranks, 0))
 	ring := obs.NewRingBuffer(*tail)
 	traced.Observers = []sim.Observer{col, ring}
 	var jw *obs.JSONLWriter
@@ -177,6 +203,12 @@ func main() {
 	printUtilizationAndPower(m, res, col)
 	fmt.Printf("host wall time %.3fs; %d events observed; wrote %s (open at ui.perfetto.dev)\n",
 		wall.Seconds(), ring.Total(), *out)
+	if runB != nil {
+		profA := analytics.BuildProfile(m, res, col, analytics.Meta{Algorithm: *alg, N: *n, C: *c})
+		if err := printDiff(m, cost, profA, runB, ranksB, *alg, *n, *q, *c2); err != nil {
+			fatal(err)
+		}
+	}
 
 	if *energy != "" {
 		if err := writeFile(*energy, s.WriteEnergyCSV); err != nil {
@@ -268,6 +300,49 @@ func buildRun(alg string, n, q, c, p, k int) (func(sim.Cost) (*sim.Result, error
 		}, p, nil
 	}
 	return nil, 0, fmt.Errorf("unknown algorithm %q (want matmul, summa, caps, lu or nbody)", alg)
+}
+
+// buildSideB is buildRun at replication c2: the same matmul, summa or lu
+// grid q, or n-body at p·c2/c ranks.
+func buildSideB(alg string, n, q, c, c2, p int) (func(sim.Cost) (*sim.Result, error), int, error) {
+	switch {
+	case alg == "caps":
+		return nil, 0, errors.New("-c2 needs a replicated algorithm (matmul, summa, lu or nbody)")
+	case c2 < 1:
+		return nil, 0, fmt.Errorf("-c2 %d: want a replication of at least 1", c2)
+	case alg == "nbody":
+		if c < 1 || p*c2%c != 0 {
+			return nil, 0, fmt.Errorf("-c2: the second run's p = p·c2/c = %d·%d/%d is not a positive integer", p, c2, c)
+		}
+		p = p * c2 / c
+	}
+	return buildRun(alg, n, q, c2, p, 0)
+}
+
+// printDiff runs side B observed and prints the phase diff of its profile
+// against profA, expecting the perfect-strong-scaling ratio pA/pB, with the
+// perfect-scaling plateau end of side A's fixed n and M for matmul and
+// n-body.
+func printDiff(m machine.Params, cost sim.Cost, profA *analytics.PhaseProfile,
+	runB func(sim.Cost) (*sim.Result, error), ranksB int, alg string, n, q, c2 int) error {
+	col := obs.NewCollector(ranksB)
+	cost.Observers = []sim.Observer{col}
+	res, err := runB(cost)
+	if err != nil {
+		return fmt.Errorf("-c2 run (p=%d): %w", ranksB, err)
+	}
+	profB := analytics.BuildProfile(m, res, col, analytics.Meta{Algorithm: alg, N: n, C: c2})
+	opt := analytics.DiffOptions{ExpectedRatio: float64(profA.P) / float64(profB.P)}
+	var pl bounds.Plateau
+	switch alg {
+	case "matmul", "summa":
+		pl = bounds.ClassicalPlateau(float64(n), float64(n*n)/float64(q*q))
+	case "nbody":
+		pl = bounds.NBodyPlateau(float64(n), float64(n)/float64(profA.P/profA.C))
+	}
+	opt.PlateauP, opt.PlateauBound = pl.PEnd, pl.IndependentBound
+	fmt.Println()
+	return analytics.Diff(profA, profB, opt).WriteText(os.Stdout)
 }
 
 // cannedPlan builds a fault plan that always completes: a respawned crash

@@ -40,6 +40,10 @@ func TestBadUsageExitsTwo(t *testing.T) {
 		{"-alg", "nope", "-out", out},
 		{"-machine", "nope", "-out", out},
 		{"-no-such-flag"},
+		{"-c2", "2", "-faults", "-out", out},
+		{"-alg", "caps", "-c2", "2", "-out", out},
+		{"-c2", "-1", "-out", out},
+		{"-alg", "nbody", "-p", "9", "-c", "2", "-c2", "1", "-out", out}, // p·c2/c = 4.5
 	} {
 		if text, code := runTrace(t, args...); code != 2 {
 			t.Errorf("%v: exit %d, want 2:\n%s", args, code, text)
@@ -100,5 +104,51 @@ func TestCAPSBadShapeNamesTheSplit(t *testing.T) {
 	}
 	if !strings.Contains(out, "quadrant 4096 not divisible by group 7") || strings.Contains(out, "last 256 events") {
 		t.Errorf("want the shape error alone:\n%s", out)
+	}
+}
+
+// n-body at p ≤ 0 is a run failure with the package's own error, not a
+// divide-by-zero panic.
+func TestNBodyZeroRanksExitsOne(t *testing.T) {
+	for _, p := range []string{"0", "-1"} {
+		out, code := runTrace(t, "-alg", "nbody", "-p", p, "-out", filepath.Join(t.TempDir(), "t.json"))
+		if code != 1 {
+			t.Fatalf("-p %s: exit %d, want 1:\n%s", p, code, out)
+		}
+		if !strings.Contains(out, "nbody:") || strings.Contains(out, "panic") {
+			t.Errorf("-p %s: want the nbody: error and no panic:\n%s", p, out)
+		}
+	}
+}
+
+// -c2 prints the phase diff after the summary: for matmul c=1 -> 4 the
+// work-bearing phase scales, the c=4 side's replicate/reduce phases appear
+// one-sided, and p=64 is the plateau end; for n-body p scales by c2/c.
+func TestC2PrintsPhaseDiff(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "t.json")
+	for _, tc := range []struct {
+		args []string
+		want []string
+	}{
+		{[]string{"-alg", "matmul", "-n", "96", "-q", "4", "-c", "1", "-c2", "4"},
+			[]string{"scaling diff p=16 -> p=64", "multiply-shift", "replicate", "plateau end p* = 64"}},
+		{[]string{"-alg", "nbody", "-n", "256", "-p", "8", "-c", "1", "-c2", "2"},
+			[]string{"scaling diff p=8 -> p=16", "force-shift", "scaling bottleneck: reduce"}},
+		{[]string{"-alg", "matmul", "-n", "32", "-q", "2", "-c2", "1"},
+			[]string{"scaling diff p=4 -> p=4", "all phases within tolerance"}},
+	} {
+		out, code := runTrace(t, append(tc.args, "-out", path)...)
+		if code != 0 {
+			t.Fatalf("%v: exit %d:\n%s", tc.args, code, out)
+		}
+		summary, diff, ok := strings.Cut(out, "\nscaling diff ")
+		if !ok || !strings.Contains(summary, "host wall time") {
+			t.Fatalf("%v: no diff after the summary:\n%s", tc.args, out)
+		}
+		for _, want := range tc.want {
+			if !strings.Contains("scaling diff "+diff, want) {
+				t.Errorf("%v: diff misses %q:\n%s", tc.args, want, diff)
+			}
+		}
 	}
 }

@@ -3,8 +3,6 @@ package analytics
 import (
 	"bytes"
 	"math"
-	"os"
-	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -199,7 +197,7 @@ func TestStrongMatMulCurve(t *testing.T) {
 	}
 	// Inside the perfect-scaling region: efficiency near 1, energy near
 	// constant. These are loose sanity bands — the tight check is the
-	// committed-baseline gate.
+	// golden file BENCH_scaling.json (TestCurvesGolden).
 	if r1.Efficiency < 0.5 || r1.Efficiency > 1.5 {
 		t.Fatalf("strong efficiency off the rails: %+v", r1)
 	}
@@ -211,9 +209,6 @@ func TestStrongMatMulCurve(t *testing.T) {
 	}
 	if len(r1.PhaseSpans) == 0 || len(r1.PhaseEff) == 0 {
 		t.Fatalf("curve row missing phase data: %+v", r1)
-	}
-	if r1.Key() == r0.Key() {
-		t.Fatalf("rows share a key: %s", r0.Key())
 	}
 	// Plateau annotation: n=96, q=4 fixes M = 576 per rank, so perfect
 	// scaling ends exactly at p* = n³/M^(3/2) = 64; both rows sit inside
@@ -332,125 +327,6 @@ func TestWeakCurves(t *testing.T) {
 		if _, ok := fftRows[0].PhaseSpans[want]; !ok {
 			t.Fatalf("fft profile misses phase %q: %+v", want, fftRows[0].PhaseSpans)
 		}
-	}
-}
-
-func TestCheckCurvesGate(t *testing.T) {
-	base := []CurvePoint{
-		{Family: "strong", Algorithm: "matmul-2.5d", N: 96, P: 16, C: 1,
-			SimT: 1.0, Efficiency: 1.0, PhaseSpans: map[string]float64{"multiply-shift": 0.6, "reduce": 0.1}},
-		{Family: "strong", Algorithm: "matmul-2.5d", N: 96, P: 32, C: 2,
-			SimT: 0.5, Efficiency: 0.98, PhaseSpans: map[string]float64{"multiply-shift": 0.3, "reduce": 0.06}},
-	}
-
-	if regs := CheckCurves(base, base, 0.02); len(regs) != 0 {
-		t.Fatalf("identical curves regressed: %+v", regs)
-	}
-
-	// Degrade efficiency beyond tolerance on the second row.
-	cur := cloneCurves(base)
-	cur[1].Efficiency = 0.90
-	regs := CheckCurves(cur, base, 0.02)
-	if !hasRegression(regs, cur[1].Key(), "efficiency") {
-		t.Fatalf("efficiency drop not caught: %+v", regs)
-	}
-
-	// Slow one phase beyond tolerance.
-	cur = cloneCurves(base)
-	cur[0].PhaseSpans["multiply-shift"] = 0.7
-	regs = CheckCurves(cur, base, 0.02)
-	if !hasRegression(regs, cur[0].Key(), "phase:multiply-shift") {
-		t.Fatalf("phase span growth not caught: %+v", regs)
-	}
-
-	// Drop a whole row.
-	regs = CheckCurves(cur[:1], base, 0.02)
-	if !hasRegression(regs, base[1].Key(), "missing") {
-		t.Fatalf("missing row not caught: %+v", regs)
-	}
-
-	// Grow virtual time.
-	cur = cloneCurves(base)
-	cur[0].SimT = 1.1
-	regs = CheckCurves(cur, base, 0.02)
-	if !hasRegression(regs, cur[0].Key(), "sim_time_s") {
-		t.Fatalf("sim time growth not caught: %+v", regs)
-	}
-
-	// Improvements pass.
-	cur = cloneCurves(base)
-	cur[1].Efficiency = 1.0
-	cur[0].SimT = 0.9
-	if regs := CheckCurves(cur, base, 0.02); len(regs) != 0 {
-		t.Fatalf("improvement flagged as regression: %+v", regs)
-	}
-}
-
-func cloneCurves(in []CurvePoint) []CurvePoint {
-	out := make([]CurvePoint, len(in))
-	for i, r := range in {
-		out[i] = r
-		out[i].PhaseSpans = map[string]float64{}
-		for k, v := range r.PhaseSpans {
-			out[i].PhaseSpans[k] = v
-		}
-	}
-	return out
-}
-
-func hasRegression(regs []Regression, key, field string) bool {
-	for _, r := range regs {
-		if r.Key == key && r.Field == field {
-			return true
-		}
-	}
-	return false
-}
-
-func TestCurveFileRoundTrip(t *testing.T) {
-	sc := SweepConfig{Machine: testMachine()}
-	rows, err := StrongMatMulCurve(sc, 48, 2, []int{1, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := WriteCurves(&buf, testMachine().Name, rows); err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "curves.json")
-	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	back, err := LoadCurves(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(rows, back) {
-		t.Fatalf("round trip drift:\nwrote %+v\nread  %+v", rows, back)
-	}
-	if regs := CheckCurves(back, rows, 0.02); len(regs) != 0 {
-		t.Fatalf("round-tripped baseline regressed: %+v", regs)
-	}
-	if _, err := LoadCurves(filepath.Join(t.TempDir(), "absent.json")); err == nil {
-		t.Fatal("loading a missing file succeeded")
-	}
-
-	// Baselines written when curves carried a runtime axis still load and
-	// match: the stray field is ignored, the key no longer includes it.
-	old := bytes.ReplaceAll(buf.Bytes(), []byte(`"algorithm":`), []byte(`"runtime": "goroutine", "algorithm":`))
-	if bytes.Equal(old, buf.Bytes()) {
-		t.Fatal("no row gained a runtime field; the fixture tests nothing")
-	}
-	oldPath := filepath.Join(t.TempDir(), "old.json")
-	if err := os.WriteFile(oldPath, old, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	oldRows, err := LoadCurves(oldPath)
-	if err != nil {
-		t.Fatalf("baseline with a stray runtime field did not load: %v", err)
-	}
-	if regs := CheckCurves(rows, oldRows, 0.02); len(regs) != 0 {
-		t.Fatalf("baseline with a stray runtime field no longer matches: %+v", regs)
 	}
 }
 

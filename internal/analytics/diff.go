@@ -6,6 +6,15 @@ import (
 	"math"
 )
 
+// tolerance bounds the acceptable deviation of measured/expected: a phase
+// is flagged when its deviation leaves [1/(1+tolerance), 1+tolerance].
+const tolerance = 0.02
+
+// shareFloor suppresses flags on phases whose time share is below this
+// fraction on both sides: a 0.1% phase running 3x slow is noise, not a
+// bottleneck.
+const shareFloor = 0.02
+
 // DiffOptions parameterizes the divide operator.
 type DiffOptions struct {
 	// ExpectedRatio is the predicted per-phase time ratio span(B)/span(A):
@@ -13,14 +22,6 @@ type DiffOptions struct {
 	// processors, 1 for a same-configuration comparison (two commits, or a
 	// clean run against a degraded one). Zero defaults to 1.
 	ExpectedRatio float64
-	// Tolerance bounds the acceptable deviation of measured/expected: a
-	// phase is flagged when its deviation leaves [1/(1+tol), 1+tol]. Zero
-	// defaults to 0.25 — scaling bands, not bit-equality.
-	Tolerance float64
-	// ShareFloor suppresses flags on phases whose time share is below this
-	// fraction on both sides: a 0.1% phase running 3x slow is noise, not a
-	// bottleneck. Zero defaults to 0.02.
-	ShareFloor float64
 	// PlateauP optionally carries the predicted perfect-scaling plateau
 	// endpoint p* for the configuration under comparison, and PlateauBound
 	// the name of the memory-independent bound that binds past it (see
@@ -30,19 +31,6 @@ type DiffOptions struct {
 	// the annotation off.
 	PlateauP     float64
 	PlateauBound string
-}
-
-func (o DiffOptions) withDefaults() DiffOptions {
-	if o.ExpectedRatio == 0 {
-		o.ExpectedRatio = 1
-	}
-	if o.Tolerance == 0 {
-		o.Tolerance = 0.25
-	}
-	if o.ShareFloor == 0 {
-		o.ShareFloor = 0.02
-	}
-	return o
 }
 
 // PhaseDiff is one phase's row of a profile division.
@@ -106,7 +94,9 @@ type DiffReport struct {
 // when its share clears the floor — a phase that appeared or vanished is
 // itself a scaling signal).
 func Diff(a, b *PhaseProfile, opt DiffOptions) *DiffReport {
-	opt = opt.withDefaults()
+	if opt.ExpectedRatio == 0 {
+		opt.ExpectedRatio = 1
+	}
 	rep := &DiffReport{
 		A: a, B: b,
 		Label:    fmt.Sprintf("p=%d -> p=%d", a.P, b.P),
@@ -125,7 +115,7 @@ func Diff(a, b *PhaseProfile, opt DiffOptions) *DiffReport {
 			b.P, opt.PlateauP, opt.PlateauBound)
 	}
 
-	lo, hi := 1/(1+opt.Tolerance), 1+opt.Tolerance
+	lo, hi := 1/(1+tolerance), 1+tolerance
 	seen := map[string]bool{}
 	worstExcess := 0.0
 	add := func(pa, pb *PhaseStats, name string) {
@@ -153,7 +143,7 @@ func Diff(a, b *PhaseProfile, opt DiffOptions) *DiffReport {
 			}
 		}
 		d.ExcessS = d.SpanB - d.SpanA*d.Expected
-		significant := d.ShareA >= opt.ShareFloor || d.ShareB >= opt.ShareFloor
+		significant := d.ShareA >= shareFloor || d.ShareB >= shareFloor
 		if significant && (d.Deviation < lo || d.Deviation > hi) {
 			d.Flagged = true
 			if d.ExcessS > worstExcess {

@@ -10,14 +10,12 @@
 //   - sweep drivers for strong scaling (fixed n, growing p — the paper's
 //     T÷c at constant E) and weak scaling (fixed per-rank memory, problem
 //     grown to fill it) that emit efficiency-vs-p curves with closed-form
-//     predictions from internal/core;
-//   - CheckCurves: a regression gate comparing freshly measured curves
-//     against a committed baseline, so a phase that quietly stops scaling
-//     fails CI rather than a code review.
+//     predictions from internal/core; QuickCurves' rows on simdefault are
+//     the golden file BENCH_scaling.json.
 //
 // Everything here consumes virtual-time quantities only, so every number
 // is deterministic and byte-stable across hosts — which is what lets the
-// gate use tight tolerances.
+// curves be compared byte for byte.
 package analytics
 
 import (
@@ -87,7 +85,7 @@ type PhaseStats struct {
 	Span Agg `json:"span"`
 	// Start and End bound the phase's virtual-time window across ranks:
 	// the earliest mark and the latest close. Fault plans can target the
-	// window (that is how cmd/scaling -degrade slows one phase).
+	// window (that is how reproduce's Diagnose entry slows one phase).
 	Start float64 `json:"window_start_s"`
 	End   float64 `json:"window_end_s"`
 	// The priced counters, per rank: F, W, S.

@@ -1,7 +1,9 @@
 package analytics
 
 import (
+	"encoding/json"
 	"fmt"
+	"io"
 	"math/rand"
 
 	"perfscale/internal/bounds"
@@ -44,7 +46,7 @@ type CurvePoint struct {
 
 	// PhaseSpans maps phase name to makespan (Span.Max) at this point;
 	// PhaseEff to the phase's scaling efficiency vs the first point under
-	// the family's expected scale. The regression gate compares both.
+	// the family's expected scale. The golden file pins both.
 	PhaseSpans map[string]float64 `json:"phase_spans,omitempty"`
 	PhaseEff   map[string]float64 `json:"phase_eff,omitempty"`
 
@@ -59,9 +61,21 @@ type CurvePoint struct {
 	PlateauBound string  `json:"plateau_bound,omitempty"`
 }
 
-// Key identifies the row for baseline matching.
-func (c CurvePoint) Key() string {
-	return fmt.Sprintf("%s/%s/n%d/p%d/c%d", c.Family, c.Algorithm, c.N, c.P, c.C)
+// CurveFile is the curves artifact WriteCurves writes. BENCH_scaling.json
+// is the committed one, a golden file of QuickCurves on simdefault.
+type CurveFile struct {
+	Machine string       `json:"machine"`
+	Curves  []CurvePoint `json:"scaling_curves"`
+}
+
+// WriteCurves writes the curves artifact to w.
+func WriteCurves(w io.Writer, machineName string, curves []CurvePoint) error {
+	buf, err := json.MarshalIndent(CurveFile{Machine: machineName, Curves: curves}, "", "  ")
+	if err != nil {
+		return err
+	}
+	_, err = w.Write(append(buf, '\n'))
+	return err
 }
 
 // SweepConfig parameterizes the curve drivers.
@@ -448,9 +462,11 @@ func WeakFFTCurve(sc SweepConfig, e int, ps []int) ([]CurvePoint, error) {
 	return rows, nil
 }
 
-// QuickCurves runs the standard quick sweep — the CI gate's workload:
-// strong and weak families for matmul, plus n-body and FFT. The sizes amortize communication against compute enough that
-// the strong matmul curve sits near 1 while staying inside a CI budget.
+// QuickCurves runs the standard quick sweep — the rows of the golden file
+// BENCH_scaling.json and of reproduce's Curves section: strong and weak
+// families for matmul, plus n-body and FFT. The sizes amortize
+// communication against compute enough that the strong matmul curve sits
+// near 1 while staying inside a test budget.
 func QuickCurves(m machine.Params) ([]CurvePoint, error) {
 	sc := SweepConfig{Machine: m}
 	var out []CurvePoint

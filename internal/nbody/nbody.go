@@ -112,12 +112,15 @@ type RunResult struct {
 }
 
 // Replicated computes all forces on p ranks with replication factor c.
-// Requirements: c ≥ 1, c divides p, c divides k = p/c (each team must cover
+// Requirements: p ≥ 1, c ≥ 1, c divides p, c divides k = p/c (each team must cover
 // an integer number of shift steps), and k divides the body count.
 // c = 1 is the classical ring algorithm (M = n/p); c = √p is the fully
 // replicated 2D limit (M = n/√p).
 func Replicated(cost sim.Cost, p, c int, bodies Bodies) (*RunResult, error) {
 	n := bodies.N()
+	if p < 1 {
+		return nil, fmt.Errorf("nbody: p = %d ranks, need at least 1", p)
+	}
 	if c < 1 || p%c != 0 {
 		return nil, fmt.Errorf("nbody: replication %d must divide p = %d", c, p)
 	}

@@ -2,6 +2,7 @@ package nbody
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"perfscale/internal/sim"
@@ -120,17 +121,26 @@ func TestRingIsCEquals1(t *testing.T) {
 
 func TestReplicatedValidation(t *testing.T) {
 	bodies := RandomBodies(16, 1)
-	if _, err := Replicated(zeroCost, 6, 4, bodies); err == nil {
-		t.Error("c not dividing p should be rejected")
+	for _, tc := range []struct {
+		p, c int
+		why  string
+	}{
+		{6, 4, "c not dividing p"},
+		{27, 3, "c=3, k=9: 16 bodies not divisible by ring size 9"},
+		{8, 0, "c=0"},
+		{18, 3, "c=3, k=6: 3|6 holds but 16 % 6 != 0"},
+		{0, 1, "p=0"},
+		{-1, 1, "p=-1"},
+	} {
+		_, err := Replicated(zeroCost, tc.p, tc.c, bodies)
+		if err == nil || !strings.HasPrefix(err.Error(), "nbody: ") {
+			t.Errorf("p=%d c=%d (%s): err = %v, want an nbody: error", tc.p, tc.c, tc.why, err)
+		}
 	}
-	if _, err := Replicated(zeroCost, 27, 3, bodies); err == nil {
-		t.Error("c=3, k=9: 16 bodies not divisible by ring size 9 should be rejected")
-	}
-	if _, err := Replicated(zeroCost, 8, 0, bodies); err == nil {
-		t.Error("c=0 should be rejected")
-	}
-	if _, err := Replicated(zeroCost, 18, 3, bodies); err == nil {
-		t.Error("c=3 not dividing k=6... 3|6 holds but 16 %% 6 != 0 — rejected for block size")
+	for _, p := range []int{0, -1} {
+		if _, err := Ring(zeroCost, p, bodies); err == nil {
+			t.Errorf("Ring p=%d should be rejected", p)
+		}
 	}
 	if _, err := Replicated(zeroCost, 8, 2, bodies); err != nil {
 		t.Errorf("p=8 c=2 (k=4, 2|4, 16%%4=0) should be accepted: %v", err)

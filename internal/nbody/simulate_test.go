@@ -96,8 +96,10 @@ func TestSimulateValidation(t *testing.T) {
 	if _, err := Simulate(zeroCost, 4, 1, st, -1, 1e-3); err == nil {
 		t.Error("negative steps should be rejected")
 	}
-	if _, err := Simulate(zeroCost, 5, 2, st, 1, 1e-3); err == nil {
-		t.Error("invalid p/c should propagate")
+	for _, pc := range [][2]int{{5, 2}, {0, 1}, {-1, 1}} {
+		if _, err := Simulate(zeroCost, pc[0], pc[1], st, 1, 1e-3); err == nil {
+			t.Errorf("invalid p=%d c=%d should propagate", pc[0], pc[1])
+		}
 	}
 }
 
