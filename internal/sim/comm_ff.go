@@ -35,9 +35,9 @@ import (
 //     pricing functions on the same Rank state in the same per-member
 //     order, so clocks, counters and each member's observer events match
 //     the slow path bit for bit.
-//   - Identical data flow: every conducted transfer materializes the
-//     same pair queue the slow path would use (so ActivePairs agrees)
-//     and respects its FIFO. A conducted receive takes the pair's FIFO
+//   - Identical data flow: every conducted transfer registers the same
+//     pair the slow path would wire (so ActivePairs agrees) and respects
+//     its FIFO. A conducted receive takes the pair's FIFO
 //     head whatever it is — if a program left stale point-to-point
 //     traffic queued, the conducted message joins the back of the queue
 //     and the receive consumes the stale head, exactly like the generic
@@ -448,10 +448,10 @@ func (e *eventEngine) conductOwned(rv *ffRendezvous, op uint8, me int) {
 }
 
 // ffWire is one in-flight conducted message: the priced message plus the
-// pair queue it would have traversed. Registering the pair (queueTo) is
-// what keeps ActivePairs in parity with the slow path; the queue's ring
-// buffer itself stays unallocated unless stale traffic forces a real
-// enqueue below.
+// pair queue it would have traversed. Registering the pair (Cluster.wire)
+// is what keeps ActivePairs in parity with the slow path; a pair no
+// point-to-point traffic has used is the shared idleRing, and gets a real
+// ring only if a later Send or Recv on it asks for one.
 type ffWire struct {
 	m message
 	q *evRing
@@ -474,7 +474,7 @@ func ffSend(r *Rank, dst int, payload []float64) ffWire {
 // receiver consumes the data inside the conduct (combines it, or copies
 // its block out) instead of keeping the buffer.
 func ffSendShared(r *Rank, dst int, payload []float64) ffWire {
-	q := r.queueTo(dst)
+	q := r.cluster.wire(r.id, dst)
 	m, _ := r.priceSend(dst, len(payload))
 	m.data = payload
 	return ffWire{m: m, q: q, shared: true}
@@ -500,7 +500,12 @@ func ffRecv(dst *Rank, src int, w ffWire) []float64 {
 	}
 	// Stale traffic exists: our message outlives the conduct, so a shared
 	// payload must become a private copy now (the sender reclaims its
-	// buffer when the collective returns).
+	// buffer when the collective returns). A pushback exists only on a
+	// pair some receive has given a real ring, but the idleRing must never
+	// be pushed to.
+	if w.q == &idleRing {
+		w.q = dst.cluster.pairOf(src, dst.id)
+	}
 	if w.shared {
 		w.m.data = private(w.m.data)
 	}

@@ -11,10 +11,18 @@ import (
 // flop — while the algorithms in this repository touch only O(log p)
 // distinct peers per rank (grid neighbours, tree parents/children, fiber
 // partners). So each rank owns a mailbox, a small mutex-protected table
-// (peerTable) from sender id to the pair's FIFO queue, and both endpoints
-// get-or-create the queue on their first Send/Recv across the pair. Memory
-// then scales with the number of *active* communication pairs, O(p·log p)
-// for the 2.5D/CAPS/FFT patterns here, instead of p².
+// (peerTable) from sender id to the pair's FIFO queue, and the pair is
+// registered there on first contact. Memory then scales with the number of
+// *active* communication pairs, O(p·log p) for the 2.5D/CAPS/FFT patterns
+// here, instead of p².
+//
+// A pair that only conducted collectives use (comm_ff.go) never queues a
+// message: its entry holds the shared, always-empty idleRing. The first
+// point-to-point send or receive on the pair swaps in a real evRing under
+// the mailbox lock. The sender memoizes its real rings (Rank.out), so it
+// takes the receiver's lock once per peer; the receiver looks its pairs up
+// in its own mailbox, whose lock other ranks take only on first contact
+// and conductors only while the receiver is parked.
 //
 // How queues are allocated is invisible to the simulation's semantics:
 // virtual clocks, counters and fault decisions depend only on the program's
@@ -39,11 +47,9 @@ import (
 // queued messages whatever the storage holds, so parks, quiescence and
 // deadlock verdicts never depend on how a queue is stored. Storage is a
 // chain of power-of-two segments, indexed by the global cursors: the first
-// is allocated by the first enqueue (pairs that only ever carry conducted
-// collective traffic, handed over directly by ffRecv, never materialize
-// one), and the producer appends one of twice the length — capped at the
-// next power of two above sem — only when tail−head reaches the current
-// segment's length. A stale head can only overstate that difference, so the
+// is allocated by the first enqueue, and the producer appends one of twice
+// the length — capped at the next power of two above sem — only when
+// tail−head reaches the current segment's length. A stale head can only overstate that difference, so the
 // test may grow early but never lets a slot be overwritten: below it, slot
 // t&mask last held cursor t−len < head, already consumed. A pair therefore
 // allocates at most log₂(ChanCap) segments in its life and keeps reusing
@@ -71,6 +77,11 @@ type evSeg struct {
 // evSegMin is the first segment's length: the grid shifts and tree edges
 // keep one or two messages in flight per pair.
 const evSegMin = 2
+
+// idleRing is the queue of every pair registered by conducted traffic
+// alone. It is never pushed to (its semantic capacity is 0), so it stays
+// empty and any number of goroutines may read it.
+var idleRing evRing
 
 func (q *evRing) init(bufCap int) {
 	n := uint32(1)
@@ -139,10 +150,10 @@ func (q *evRing) pop() (message, bool) {
 }
 
 // peerTable maps a peer rank id to the pair's ring: open addressing with
-// linear probing over a power-of-two slot array, grown at half load. A
-// rank's out and in tables and every mailbox use it. Keys are rank ids
-// (0 included); a nil ring marks an empty slot, and nothing is ever
-// deleted. The zero value is an empty table.
+// linear probing over a power-of-two slot array, grown at 3/4 load. A
+// rank's out table and every mailbox use it. Keys are rank ids (0
+// included); a nil ring marks an empty slot, and nothing is ever deleted.
+// The zero value is an empty table.
 type peerTable struct {
 	slots []peerSlot
 	shift uint8 // 32 − log₂(len(slots)): the hash keeps the product's top bits
@@ -154,39 +165,45 @@ type peerSlot struct {
 	q   *evRing
 }
 
-// peerTableMin is the first slot array's length. At half load it holds
-// four peers: a 2.5D Cannon rank receives from four.
+// peerTableMin is the first slot array's length. At 3/4 load it holds six
+// peers: a 2.5D Cannon rank receives from four.
 const peerTableMin = 8
 
 // home is key k's first probe: Fibonacci hashing spreads the strided ids of
 // grid neighbours and tree partners over the slots.
 func (t *peerTable) home(k int32) int { return int(uint32(k) * 0x9E3779B9 >> t.shift) }
 
+// find returns the slot holding peer k, or the empty slot where k would go.
+// The table must have slots.
+func (t *peerTable) find(k int) *peerSlot {
+	mask := len(t.slots) - 1
+	for i := t.home(int32(k)); ; i = (i + 1) & mask {
+		if s := &t.slots[i]; s.q == nil || s.key == int32(k) {
+			return s
+		}
+	}
+}
+
 // get returns the ring stored for peer k, or nil.
 func (t *peerTable) get(k int) *evRing {
 	if len(t.slots) == 0 {
 		return nil
 	}
-	mask := len(t.slots) - 1
-	for i := t.home(int32(k)); ; i = (i + 1) & mask {
-		s := &t.slots[i]
-		if s.q == nil || s.key == int32(k) {
-			return s.q
-		}
-	}
+	return t.find(k).q
 }
 
-// put stores q for peer k, which must be absent.
-func (t *peerTable) put(k int, q *evRing) {
-	if 2*(int(t.n)+1) > len(t.slots) {
+// set stores q for peer k, replacing the ring stored for k, if any.
+func (t *peerTable) set(k int, q *evRing) {
+	if len(t.slots) > 0 {
+		if s := t.find(k); s.q != nil {
+			s.q = q
+			return
+		}
+	}
+	if 4*(int(t.n)+1) > 3*len(t.slots) {
 		t.grow()
 	}
-	mask := len(t.slots) - 1
-	i := t.home(int32(k))
-	for t.slots[i].q != nil {
-		i = (i + 1) & mask
-	}
-	t.slots[i] = peerSlot{key: int32(k), q: q}
+	*t.find(k) = peerSlot{key: int32(k), q: q}
 	t.n++
 }
 
@@ -196,35 +213,50 @@ func (t *peerTable) grow() {
 	if size == 0 {
 		size = peerTableMin
 	}
-	t.slots, t.n = make([]peerSlot, size), 0
+	t.slots = make([]peerSlot, size)
 	t.shift = uint8(32 - bits.TrailingZeros(uint(size)))
 	for _, s := range old {
 		if s.q != nil {
-			t.put(int(s.key), s.q)
+			*t.find(int(s.key)) = s
 		}
 	}
 }
 
 // mailbox holds one rank's incoming per-pair queues, keyed by sender id.
-// Senders and receivers get-or-create a pair's queue under the mutex on
-// first contact; after that, both sides use their rank-local cached handle
-// and the lock is never touched again for the pair.
+// Every lookup and registration takes the mutex (see the file comment for
+// who contends for it).
 type mailbox struct {
 	mu     sync.Mutex
 	queues peerTable
 }
 
 // pairOf returns the FIFO queue for the ordered pair src→dst, creating it
-// on first use. The table entry itself is the unit the wiring accounting
-// (ActivePairs) counts.
+// on first point-to-point use, or in place of the idleRing a conducted
+// collective registered. The table entry itself is the unit the wiring
+// accounting (ActivePairs) counts.
 func (c *Cluster) pairOf(src, dst int) *evRing {
 	mb := &c.mail[dst]
 	mb.mu.Lock()
 	q := mb.queues.get(src)
-	if q == nil {
+	if q == nil || q == &idleRing {
 		q = &evRing{}
 		q.init(c.bufCap)
-		mb.queues.put(src, q)
+		mb.queues.set(src, q)
+	}
+	mb.mu.Unlock()
+	return q
+}
+
+// wire returns the queue a conducted message src→dst traverses: the pair's
+// ring if point-to-point traffic created one, else the idleRing, which it
+// registers on first contact so ActivePairs counts the pair.
+func (c *Cluster) wire(src, dst int) *evRing {
+	mb := &c.mail[dst]
+	mb.mu.Lock()
+	q := mb.queues.get(src)
+	if q == nil {
+		q = &idleRing
+		mb.queues.set(src, q)
 	}
 	mb.mu.Unlock()
 	return q
@@ -237,20 +269,13 @@ func (r *Rank) queueTo(dst int) *evRing {
 		return q
 	}
 	q := r.cluster.pairOf(r.id, dst)
-	r.out.put(dst, q)
+	r.out.set(dst, q)
 	return q
 }
 
-// queueFrom returns the rank's incoming queue from src, memoized like
-// queueTo.
-func (r *Rank) queueFrom(src int) *evRing {
-	if q := r.in.get(src); q != nil {
-		return q
-	}
-	q := r.cluster.pairOf(src, r.id)
-	r.in.put(src, q)
-	return q
-}
+// queueFrom returns the rank's incoming queue from src, looked up in its
+// own mailbox.
+func (r *Rank) queueFrom(src int) *evRing { return r.cluster.pairOf(src, r.id) }
 
 // ActivePairs reports how many ordered communication pairs were actually
 // wired during the run — the quantity the wiring's memory scales with.

@@ -119,16 +119,21 @@ func TestSparseWiring16kRanks(t *testing.T) {
 
 // TestPeerTableGrowsTo511Peers fills one table with the 511 peers of an
 // fft_naive rank at p = 512: every key stays reachable across the growths,
-// the slot array stays a power of two at most half full, and keys never
-// inserted read nil.
+// the slot array stays a power of two at most 3/4 full and doubles exactly
+// when the next insert would pass 3/4, and keys never inserted read nil.
 func TestPeerTableGrowsTo511Peers(t *testing.T) {
 	const p = 512
 	var tab peerTable
 	rings := make([]evRing, p)
 	for k := 1; k < p; k++ {
-		tab.put(k, &rings[k])
-		if size := len(tab.slots); size&(size-1) != 0 || 2*int(tab.n) > size {
-			t.Fatalf("after %d puts: %d slots hold %d keys", k, size, tab.n)
+		before := len(tab.slots)
+		want := before
+		if 4*k > 3*before {
+			want = max(2*before, peerTableMin)
+		}
+		tab.set(k, &rings[k])
+		if size := len(tab.slots); size != want || size&(size-1) != 0 || 4*int(tab.n) > 3*size {
+			t.Fatalf("after %d puts: %d slots hold %d keys, want %d slots", k, size, tab.n, want)
 		}
 	}
 	if tab.n != p-1 || len(tab.slots) != 1024 {
@@ -144,6 +149,11 @@ func TestPeerTableGrowsTo511Peers(t *testing.T) {
 			t.Errorf("absent peer %d: got %p, want nil", k, got)
 		}
 	}
+	// Setting a present peer replaces its ring in place.
+	tab.set(5, &rings[0])
+	if tab.get(5) != &rings[0] || tab.n != p-1 || len(tab.slots) != 1024 {
+		t.Errorf("replacing peer 5: got %p, n=%d slots=%d", tab.get(5), tab.n, len(tab.slots))
+	}
 }
 
 // TestPeerTableAbsentKeys pins the miss path on an empty table and past a
@@ -155,7 +165,7 @@ func TestPeerTableAbsentKeys(t *testing.T) {
 		t.Fatal("empty table must miss")
 	}
 	var r evRing
-	tab.put(3, &r)
+	tab.set(3, &r)
 	home := tab.home(3)
 	var same []int
 	for k := 4; len(same) < 2; k++ {
@@ -163,7 +173,7 @@ func TestPeerTableAbsentKeys(t *testing.T) {
 			same = append(same, k)
 		}
 	}
-	tab.put(same[0], &r)
+	tab.set(same[0], &r)
 	if tab.get(same[1]) != nil {
 		t.Errorf("peer %d shares peer 3's home slot but was never put", same[1])
 	}
@@ -179,8 +189,8 @@ func TestPeerTableExtremeIDs(t *testing.T) {
 	const p = 1 << 20
 	var tab peerTable
 	var first, last evRing
-	tab.put(0, &first)
-	tab.put(p-1, &last)
+	tab.set(0, &first)
+	tab.set(p-1, &last)
 	if tab.get(0) != &first || tab.get(p-1) != &last {
 		t.Fatal("ids 0 and p-1 must map to their own rings")
 	}
@@ -190,7 +200,7 @@ func TestPeerTableExtremeIDs(t *testing.T) {
 		}
 	}
 	for tab.n < 600 {
-		tab.put(int(tab.n)*1747+1, &first)
+		tab.set(int(tab.n)*1747+1, &first)
 		size := len(tab.slots)
 		for k := int32(0); k < p; k += 4093 {
 			if h := tab.home(k); h < 0 || h >= size {

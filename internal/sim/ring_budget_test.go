@@ -39,12 +39,15 @@ func minRunBytes(t *testing.T, run func() error) uint64 {
 // sim_scale shape one size down, where the runtime's own records — not the
 // algorithm's data — are nearly all of it. Queues and peer tables that cost
 // what they hold, under conductors that allocate only what a member keeps,
-// measure 4.0 kB; the budget is that plus 25 %. Paying for ChanCap slots per
-// pair up front costs 17.8 kB here, so a transport that goes back to that
-// fails long before the benchmark notices.
+// measured 3.9–4.9 kB (4 down to 1 worker: one worker queues more per
+// pair); with the fiber pairs only conducted collectives use registered
+// without a ring, and no receive-side peer table, 3.1–4.0 kB. The budget is
+// 4,000, which the old wiring passed at four workers only. Paying for
+// ChanCap slots per pair up front costs 17.8 kB here, so a transport that
+// goes back to that fails long before the benchmark notices.
 func TestRingBytesPerRankBudget(t *testing.T) {
 	const n, q, c = 128, 32, 4
-	const budget = 5000 // bytes per rank
+	const budget = 4000 // bytes per rank
 	a := matrix.Random(n, n, 1)
 	b := matrix.Random(n, n, 2)
 	cost := sim.Cost{GammaT: 1e-11, BetaT: 1e-10, AlphaT: 1e-6}
@@ -64,7 +67,8 @@ func TestRingBytesPerRankBudget(t *testing.T) {
 // nearly half its wall (BenchmarkSmallRun in internal/matmul shows the
 // chain). Conductors that copied what nobody keeps and panel loops that
 // allocated a buffer per step measured 4,951 KiB (SUMMA) and 2,884 KiB
-// (Cannon); borrowing ones measure ≈2,180 and ≈2,160.
+// (Cannon); borrowing ones ≈2,250 and ≈2,160, and with ringless
+// conducted-only pairs ≈2,050 and ≈2,070. The budgets are those plus 25 %.
 func TestSmallRunBytesBudget(t *testing.T) {
 	const n, q, c = 128, 8, 2
 	a := matrix.Random(n, n, 1)
@@ -76,8 +80,8 @@ func TestSmallRunBytesBudget(t *testing.T) {
 		run    func(sim.Cost, int, int, *matrix.Dense, *matrix.Dense) (*matmul.RunResult, error)
 		budget uint64 // KiB per run
 	}{
-		{"summa25d", matmul.TwoPointFiveDSUMMA, 2750},
-		{"matmul25d", matmul.TwoPointFiveD, 2700},
+		{"summa25d", matmul.TwoPointFiveDSUMMA, 2560},
+		{"matmul25d", matmul.TwoPointFiveD, 2600},
 	} {
 		got := minRunBytes(t, func() error {
 			_, err := alg.run(cost, q, c, a, b)
@@ -94,12 +98,13 @@ func TestSmallRunBytesBudget(t *testing.T) {
 // that it is payload-free: the same p = 128 shapes on phantom operands, so
 // no operand, block, panel, product or reduction buffer is allocated and
 // what is left is the runtime's own records and the per-rank counters.
-// Numeric runs measure ≈2,160–2,240 KiB; payload-free ones ≈370 KiB
-// (Cannon) and ≈436 KiB (SUMMA, whose stepped ranks keep their state on
-// the heap), and the budget is 450.
+// Numeric runs measure ≈2,050–2,070 KiB; payload-free ones ≈280 KiB
+// (Cannon) and ≈250 KiB (SUMMA, whose stepped ranks keep their state on
+// the heap; its pairs are nearly all conducted-only and own no ring), and
+// the budget is 350.
 func TestPayloadFreeRunBytesBudget(t *testing.T) {
 	const n, q, c = 128, 8, 2
-	const budget = 450 // KiB per run
+	const budget = 350 // KiB per run
 	a, b := matmul.Phantom(n, n), matmul.Phantom(n, n)
 	cost := sim.Cost{GammaT: 1e-9, BetaT: 1e-8, AlphaT: 1e-6, MaxMsgWords: 1024,
 		Context: context.Background()}

@@ -17,7 +17,7 @@ func newRing(chanCap int, start uint32) *evRing {
 }
 
 // seqMsg is a message tagged with its position in the stream.
-func seqMsg(i int) message { return message{arrival: float64(i), alphaF: 1, betaF: 1} }
+func seqMsg(i int) message { return message{arrival: float64(i)} }
 
 // popSeq pops one message and checks it is number want of the stream.
 func popSeq(t *testing.T, q *evRing, want int) {
@@ -222,14 +222,14 @@ func TestRingFFRecvFullBufferPushback(t *testing.T) {
 	dst := &Rank{cluster: c, id: 1}
 	q := c.pairOf(0, 1)
 	stale := func(i int) message {
-		return message{data: []float64{float64(i)}, arrival: float64(i), alphaF: 1, betaF: 1}
+		return message{data: []float64{float64(i)}, arrival: float64(i)}
 	}
 	dst.pushback = map[int]message{0: stale(0)}
 	if !q.push(stale(1)) || !q.push(stale(2)) || q.push(stale(-1)) {
 		t.Fatal("could not fill the pair to exactly ChanCap")
 	}
 	payload := []float64{3}
-	got := ffRecv(dst, 0, ffWire{m: message{data: payload, arrival: 3, alphaF: 1, betaF: 1}, q: q, shared: true})
+	got := ffRecv(dst, 0, ffWire{m: message{data: payload, arrival: 3}, q: q, shared: true})
 	if len(got) != 1 || got[0] != 0 {
 		t.Fatalf("ffRecv delivered %v, want the pushed-back head [0]", got)
 	}

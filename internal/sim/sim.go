@@ -89,7 +89,8 @@ type Cost struct {
 	// list costs nothing on the hot path.
 	Observers []Observer
 	// ChanCap overrides DefaultChanCap, the per-pair queue buffer in
-	// messages. Zero means the default; negative values are rejected.
+	// messages. Zero means the default; negative values and values above
+	// 2³¹, more than the ring's uint32 cursors index, are rejected.
 	ChanCap int
 	// Workers bounds how many ranks the event engine lets run
 	// concurrently. Zero means GOMAXPROCS; negative values are rejected.
@@ -147,16 +148,20 @@ type Stats struct {
 	WaitTime    float64
 }
 
+// message is one queued transfer, 40 bytes: rings hold them by value.
 type message struct {
 	data    []float64
 	arrival float64 // sender's virtual clock when the message left
-	// alphaF and betaF are the degraded-link factors the sender applied
-	// (1 when no degradation window matched). Carrying them with the
-	// message lets a ChargeReceiver receive price the link with exactly
-	// the factors the send paid, keeping both ends of one transfer
-	// consistent even when the receiver's clock has left the window.
-	alphaF, betaF float64
+	// deg holds the degraded-link factors the sender applied, nil when no
+	// degradation window changed the link. Carrying them with the message
+	// lets a ChargeReceiver receive price the link with exactly the
+	// factors the send paid, keeping both ends of one transfer consistent
+	// even when the receiver's clock has left the window.
+	deg *linkFactors
 }
+
+// linkFactors are a degraded send's α and β multipliers.
+type linkFactors struct{ alphaF, betaF float64 }
 
 // exitStatus records how a rank left the run, so a peer's failed Recv can
 // name the root cause instead of a generic "exited without sending".
@@ -228,6 +233,9 @@ func NewCluster(p int, cost Cost) (*Cluster, error) {
 	if cost.ChanCap < 0 {
 		return nil, fmt.Errorf("sim: negative channel capacity %d", cost.ChanCap)
 	}
+	if uint64(cost.ChanCap) > 1<<31 {
+		return nil, fmt.Errorf("sim: channel capacity %d above 2^31", cost.ChanCap)
+	}
 	if cost.Workers < 0 {
 		return nil, fmt.Errorf("sim: negative worker count %d", cost.Workers)
 	}
@@ -263,11 +271,10 @@ type Rank struct {
 	stats   Stats
 	curMem  float64
 
-	// out and in memoize this rank's per-peer queue handles in flat
-	// peer tables (mailbox.go); only the rank's current caller touches
-	// them.
+	// out memoizes this rank's outgoing point-to-point rings in a flat
+	// peer table (mailbox.go); only the rank's current caller touches it.
+	// Incoming rings are looked up in the rank's own mailbox.
 	out peerTable
-	in  peerTable
 
 	// sendCount keys fault-plan decisions; crashDone/crashPending
 	// implement the injected-crash lifecycle.
@@ -401,11 +408,12 @@ func (r *Rank) priceSend(dst, k int) (m message, start float64) {
 	r.stats.WordsSent += float64(k)
 	r.stats.MsgsSent += msgs
 	alpha, beta := r.cluster.cost.linkParams(r.id, dst)
-	m.alphaF, m.betaF = 1, 1
 	if fp := r.cluster.cost.Faults; fp != nil {
-		m.alphaF, m.betaF = fp.degradeFactors(r.id, dst, r.clock)
-		alpha *= m.alphaF
-		beta *= m.betaF
+		if af, bf := fp.degradeFactors(r.id, dst, r.clock); af != 1 || bf != 1 {
+			m.deg = &linkFactors{af, bf}
+			alpha *= af
+			beta *= bf
+		}
 	}
 	dt := alpha*msgs + beta*float64(k)
 	r.stats.SendTime += dt
@@ -451,8 +459,8 @@ func (r *Rank) sendFate(dst int, data []float64, m message, start float64) (copi
 			r.emitFault(ev)
 		}
 	}
-	if m.alphaF != 1 || m.betaF != 1 {
-		fault(FaultEvent{Kind: FaultDegraded, Time: start, AlphaFactor: m.alphaF, BetaFactor: m.betaF})
+	if m.deg != nil {
+		fault(FaultEvent{Kind: FaultDegraded, Time: start, AlphaFactor: m.deg.alphaF, BetaFactor: m.deg.betaF})
 	}
 	drop, dup, corrupt, dupCorrupt := fp.messageFate(r.id, dst, seq, r.clock)
 	if corrupt && k > 0 {
@@ -537,8 +545,10 @@ func (r *Rank) finishRecv(src int, msg message) []float64 {
 		// degraded-window factors the send paid (carried in the
 		// message), so both ends of one transfer always agree.
 		alpha, beta := r.cluster.cost.linkParams(src, r.id)
-		alpha *= msg.alphaF
-		beta *= msg.betaF
+		if msg.deg != nil {
+			alpha *= msg.deg.alphaF
+			beta *= msg.deg.betaF
+		}
 		dt := alpha*msgs + beta*float64(len(msg.data))
 		r.stats.RecvTime += dt
 		r.emit(Segment{Kind: SegRecv, Start: r.clock, End: r.clock + dt, Peer: src, Words: len(msg.data), Msgs: msgs})
