@@ -24,8 +24,8 @@ import (
 // re-runs each point once and demands the same bits:
 //
 //   - every algorithm in the registry at its first quick point, with no
-//     observer or fault plan attached, so cluster-wide collectives take the
-//     conducted path: per-rank F/W/S/M counters and clocks, and ActivePairs;
+//     observer or fault plan attached (collectives are conducted, as on
+//     every run): per-rank F/W/S/M counters and clocks, and ActivePairs;
 //   - the 2.5D matmul with an observer attached: per-rank stats and the
 //     per-rank segment streams (cross-rank interleaving is unordered by
 //     contract and not digested). Its collectives are conducted, and the
@@ -34,7 +34,8 @@ import (
 //   - a seeded chaos plan — silent drops, duplications, corruptions — masked
 //     by the ARQ endpoints: recovery is virtual-time state machinery, so the
 //     stats, the product matrix, the ARQ protocol counters and the per-rank
-//     fault/timer/segment streams are all pinned.
+//     fault/timer/segment streams are all pinned. The ARQ broadcasts are
+//     point to point: no collective's fate enters these digests.
 //
 // Like the live strong-scaling checks, the family always runs on the
 // sim-default machine (scalingCost): it pins the simulator, not a pricing,

@@ -19,9 +19,8 @@ import (
 // quick grid (at every level: the full grid's p = 512 observer streams
 // would cost seconds and reach no code path the quick points miss), on one
 // worker and on four, with no observer and with one (collectives are
-// conducted either way; a fault plan is what runs them member by member,
-// and matmul's phantom tests cover that route), numeric and phantom
-// operands must give
+// conducted either way, as under a fault plan, whose faulted helpers
+// matmul's phantom tests cover), numeric and phantom operands must give
 //
 //   - the same per-rank Stats, bit for bit (payload-free/per-rank-stats);
 //   - the same ActivePairs (payload-free/active-pairs);

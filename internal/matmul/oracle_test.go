@@ -214,8 +214,8 @@ func (o *streamRec) OnDeadlock(sim.DeadlockEvent) {}
 // TestSteppersMatchClosureOracle holds both 2.5D Steppers to their closure
 // twins bit for bit — product, per-rank Stats, ActivePairs and every
 // rank's observer stream — on both hosts: stackless (no fault plan) and
-// carried (an empty plan, which also sends every collective member by
-// member). The grid covers numeric and phantom operands, 1/2/4 workers,
+// carried (an empty plan, whose conducts also take the faulted helpers).
+// The grid covers numeric and phantom operands, 1/2/4 workers,
 // ChargeReceiver, a MaxMsgWords that splits messages, a torus link model
 // with c = q and one-word blocks (the broadcast and reduce fallbacks), c = 1
 // (SUMMA's small-panel fallback) and p = 4,096.

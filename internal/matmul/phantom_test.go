@@ -10,10 +10,13 @@ import (
 
 // TestPhantomOperands runs all six algorithms on phantom operands: each
 // returns no product, and its per-rank Stats and ActivePairs equal the
-// numeric run's bit for bit, with collectives conducted and member by
-// member alike (the conformance payload-free family holds the registry's
-// four to the same, observer streams included). Operands of mixed kinds
-// are refused.
+// numeric run's bit for bit, fault-free and under an empty fault plan
+// (the conductor's faulted helpers) alike (the conformance payload-free
+// family holds the registry's four to the same, observer streams
+// included). The empty-plan numeric run reproduces the digest (runDigest)
+// recorded from the member-by-member collectives a fault plan selected
+// before the conductor took faulted runs too. Operands of mixed kinds are
+// refused.
 func TestPhantomOperands(t *testing.T) {
 	square := func(run func(sim.Cost, *matrix.Dense, *matrix.Dense) (*RunResult, error)) func(sim.Cost, bool) (*RunResult, error) {
 		const n = 24
@@ -44,13 +47,18 @@ func TestPhantomOperands(t *testing.T) {
 		},
 	}
 	cost := sim.Cost{GammaT: 1e-9, BetaT: 1e-8, AlphaT: 1e-6, MaxMsgWords: 64}
-	memberByMember := cost
-	memberByMember.Faults = &sim.FaultPlan{}
+	emptyPlan := cost
+	emptyPlan.Faults = &sim.FaultPlan{}
+	memberByMember := map[string]string{"Cannon": "7d0618460c5af5f8", "SUMMA": "4d18807b9cdf85b5", "TwoPointFiveD": "b2165700ca1c6a99",
+		"ThreeD": "d1e433b7d9f48884", "TwoPointFiveDSUMMA": "c36a1b6270c70483", "SUMMARect": "ff52ab17453213a0"}
 	for name, run := range algs {
-		for route, cost := range map[string]sim.Cost{"conducted": cost, "member-by-member": memberByMember} {
+		for route, cost := range map[string]sim.Cost{"conducted": cost, "empty plan": emptyPlan} {
 			numeric, err := run(cost, false)
 			if err != nil {
 				t.Fatalf("%s %s numeric: %v", name, route, err)
+			}
+			if got := runDigest(numeric); route == "empty plan" && got != memberByMember[name] {
+				t.Errorf("%s under an empty plan: digest %s, want %s (member by member)", name, got, memberByMember[name])
 			}
 			phantom, err := run(cost, true)
 			if err != nil {

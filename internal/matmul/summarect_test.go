@@ -95,18 +95,25 @@ func TestSUMMARectPanelWidthTradeoff(t *testing.T) {
 }
 
 func TestSUMMARectBackendIdentity(t *testing.T) {
-	// Conducted collectives must be a perfect stand-in for member-by-member
-	// ones (an empty fault plan selects them) on rectangular shapes and non-square grids: every per-rank
-	// counter — flops, words, messages, peak memory, and all four clock
-	// decompositions — bit-identical, and the product matrix too. Priced
-	// with nonzero α/β/γ and fragmented messages so the time counters are
-	// exercised, not just the event counts.
+	// The conductor's faulted helpers (an empty fault plan selects them)
+	// must be a perfect stand-in for its fault-free ones on rectangular
+	// shapes and non-square grids: every per-rank counter — flops, words,
+	// messages, peak memory, and all four clock decompositions —
+	// bit-identical, and the product matrix too; and the empty-plan run
+	// must reproduce the digest (runDigest) recorded from the
+	// member-by-member collectives a fault plan selected before the
+	// conductor took faulted runs too. Priced with nonzero α/β/γ and
+	// fragmented messages so the time counters are exercised, not just the
+	// event counts.
 	cost := sim.Cost{GammaT: 1e-9, BetaT: 1e-8, AlphaT: 1e-6, MaxMsgWords: 16}
-	for _, tc := range []struct{ m, k, n, pr, pc, panel int }{
-		{16, 8, 12, 4, 2, 2},  // tall grid
-		{12, 24, 8, 2, 4, 2},  // wide grid, wide k
-		{24, 16, 24, 2, 4, 4}, // non-square grid, square-ish operands
-		{20, 4, 8, 2, 2, 1},   // thin k
+	for _, tc := range []struct {
+		m, k, n, pr, pc, panel int
+		memberByMember         string
+	}{
+		{16, 8, 12, 4, 2, 2, "f50008e52c1b47bc"},  // tall grid
+		{12, 24, 8, 2, 4, 2, "f94df2212cbadbe3"},  // wide grid, wide k
+		{24, 16, 24, 2, 4, 4, "cd373a402a417b5a"}, // non-square grid, square-ish operands
+		{20, 4, 8, 2, 2, 1, "e2c8134e2f11decb"},   // thin k
 	} {
 		a := matrix.Random(tc.m, tc.k, int64(3*tc.m+tc.k))
 		b := matrix.Random(tc.k, tc.n, int64(3*tc.k+tc.n))
@@ -114,7 +121,10 @@ func TestSUMMARectBackendIdentity(t *testing.T) {
 		gCost.Faults = &sim.FaultPlan{}
 		g, err := SUMMARect(gCost, tc.pr, tc.pc, tc.panel, a, b)
 		if err != nil {
-			t.Fatalf("%+v member by member: %v", tc, err)
+			t.Fatalf("%+v under an empty plan: %v", tc, err)
+		}
+		if got := runDigest(g); got != tc.memberByMember {
+			t.Errorf("%+v under an empty plan: digest %s, want %s (member by member)", tc, got, tc.memberByMember)
 		}
 		e, err := SUMMARect(cost, tc.pr, tc.pc, tc.panel, a, b)
 		if err != nil {
@@ -126,7 +136,7 @@ func TestSUMMARectBackendIdentity(t *testing.T) {
 		perRankF := 2.0 * float64(tc.m*tc.k*tc.n) / float64(tc.pr*tc.pc)
 		for id := range g.Sim.PerRank {
 			if g.Sim.PerRank[id] != e.Sim.PerRank[id] {
-				t.Errorf("%+v rank %d stats differ:\n  member by member %+v\n  conducted        %+v",
+				t.Errorf("%+v rank %d stats differ:\n  empty plan %+v\n  conducted  %+v",
 					tc, id, g.Sim.PerRank[id], e.Sim.PerRank[id])
 			}
 			if f := g.Sim.PerRank[id].Flops; f != perRankF {
@@ -138,8 +148,8 @@ func TestSUMMARectBackendIdentity(t *testing.T) {
 
 func TestSUMMARectPerRankCounterPins(t *testing.T) {
 	// Exact per-rank counter values at a rectangular shape, derived by hand
-	// from the collective algorithms, checked on both collective paths
-	// (conducted, and member by member under an empty fault plan).
+	// from the collective algorithms, checked fault-free and under an empty
+	// fault plan (the conductor's faulted helpers).
 	//
 	// m=12 k=8 n=16 on a 2×2 grid with panel=2: rowsPer=6, colsPer=8,
 	// aColsPer=bRowsPer=4, and k/panel = 4 broadcast steps. Every row and
@@ -163,9 +173,9 @@ func TestSUMMARectPerRankCounterPins(t *testing.T) {
 	)
 	a := matrix.Random(m, k, 11)
 	b := matrix.Random(k, n, 12)
-	for _, rt := range []string{"conducted", "member-by-member"} {
+	for _, rt := range []string{"conducted", "empty plan"} {
 		cost := sim.Cost{}
-		if rt == "member-by-member" {
+		if rt == "empty plan" {
 			cost.Faults = &sim.FaultPlan{}
 		}
 		res, err := SUMMARect(cost, pr, pc, panel, a, b)

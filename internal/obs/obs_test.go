@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"hash/fnv"
 	"math"
 	"slices"
 	"strings"
@@ -386,12 +387,15 @@ func TestSummaryWriters(t *testing.T) {
 }
 
 // TestCollectorSameOnBothCollectiveRoutes holds the bus contract on the
-// 2.5D algorithms: a Collector on a conducted run (no fault plan) and on a
-// member-by-member one (an empty plan) records the same per-rank event
-// lists. A conductor delivers its parked members' callbacks from its own
-// goroutine, so under -race this is also the check that the Collector's
-// lock-free per-rank buckets are safe there.
+// 2.5D algorithms: a Collector on a fault-free run and on one under an
+// empty plan (the conductor's faulted helpers) records the same per-rank
+// event lists, and the empty-plan lists reproduce the digest recorded from
+// the member-by-member collectives a fault plan selected before the
+// conductor took faulted runs too. A conductor delivers its parked
+// members' callbacks from its own goroutine, so under -race this is also
+// the check that the Collector's lock-free per-rank buckets are safe there.
 func TestCollectorSameOnBothCollectiveRoutes(t *testing.T) {
+	memberByMember := map[string]string{"TwoPointFiveD": "f5d428745259f193", "TwoPointFiveDSUMMA": "9f4337fafb0aec1e"}
 	const n, q, c = 24, 4, 2
 	a, b := matrix.Random(n, n, 61), matrix.Random(n, n, 62)
 	for name, alg := range map[string]func(sim.Cost, int, int, *matrix.Dense, *matrix.Dense) (*matmul.RunResult, error){
@@ -408,15 +412,20 @@ func TestCollectorSameOnBothCollectiveRoutes(t *testing.T) {
 			}
 			return col
 		}
-		conducted, memberByMember := collect(nil), collect(&sim.FaultPlan{})
+		conducted, emptyPlan := collect(nil), collect(&sim.FaultPlan{})
 		if conducted.Total() == 0 {
 			t.Fatalf("%s: the collector saw no events", name)
 		}
+		h := fnv.New64a()
 		for rank := 0; rank < q*q*c; rank++ {
-			if !slices.Equal(conducted.Rank(rank), memberByMember.Rank(rank)) {
-				t.Errorf("%s rank %d: event lists differ\n  conducted:        %+v\n  member by member: %+v",
-					name, rank, conducted.Rank(rank), memberByMember.Rank(rank))
+			if !slices.Equal(conducted.Rank(rank), emptyPlan.Rank(rank)) {
+				t.Errorf("%s rank %d: event lists differ\n  conducted:  %+v\n  empty plan: %+v",
+					name, rank, conducted.Rank(rank), emptyPlan.Rank(rank))
 			}
+			fmt.Fprintf(h, "rank %d %+v\n", rank, emptyPlan.Rank(rank))
+		}
+		if got := fmt.Sprintf("%016x", h.Sum64()); got != memberByMember[name] {
+			t.Errorf("%s under an empty plan: event digest %s, want %s (member by member)", name, got, memberByMember[name])
 		}
 	}
 }

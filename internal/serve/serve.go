@@ -19,6 +19,7 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -450,10 +451,16 @@ func deadlineError(err error) *apiError {
 	}
 }
 
-// renderJSON materializes a response body for the cache.
+// renderJSON materializes a response body for the cache. A result JSON
+// cannot carry — a model that evaluated to ±Inf or NaN, e.g. /price at
+// n = 1e70, whose M·T overflows float64 — is the query's error: its
+// parameters lie beyond what the model can evaluate.
 func renderJSON(status int, v any) cachedResponse {
 	b, err := json.Marshal(v)
 	if err != nil {
+		if inf := (*json.UnsupportedValueError)(nil); errors.As(err, &inf) {
+			return renderError(badRequest("parameters out of range: the result is not finite (%s)", inf.Str))
+		}
 		return renderError(&apiError{Status: http.StatusInternalServerError, Code: "internal", Detail: "response encoding failed"})
 	}
 	return cachedResponse{

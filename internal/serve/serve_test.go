@@ -22,7 +22,7 @@ import (
 	"perfscale/internal/sim"
 )
 
-func newTestServer(t *testing.T, opts Options) (*Server, *httptest.Server) {
+func newTestServer(t testing.TB, opts Options) (*Server, *httptest.Server) {
 	t.Helper()
 	s := New(opts)
 	ts := httptest.NewServer(s.Handler())

@@ -105,10 +105,6 @@ func (c *Comm) Member(i int) int { return c.members[i] }
 // Rank returns the underlying rank handle.
 func (c *Comm) Rank() *Rank { return c.rank }
 
-// send/recv by communicator-local index.
-func (c *Comm) send(to int, data []float64) { c.rank.Send(c.members[to], data) }
-func (c *Comm) recv(from int) []float64     { return c.rank.Recv(c.members[from]) }
-
 // ReduceOp combines src into dst elementwise; len(dst) == len(src).
 type ReduceOp func(dst, src []float64)
 
@@ -145,10 +141,8 @@ func (c *Comm) Shift(data []float64, by int) []float64 {
 	// its source genuinely hasn't run yet. Every member takes this branch
 	// or none do (the decision depends only on the op), so the per-pair
 	// FIFO streams stay aligned with the conducted collectives around it.
-	dst := (c.me + by) % p
-	src := (c.me - by + p) % p
-	c.send(dst, data)
-	return c.recv(src)
+	c.rank.Send(c.members[(c.me+by)%p], data)
+	return c.rank.Recv(c.members[(c.me-by+p)%p])
 }
 
 // ShiftOwned is Shift with ownership transfer: the caller surrenders data
@@ -164,44 +158,15 @@ func (c *Comm) ShiftOwned(data []float64, by int) []float64 {
 	if by == 0 {
 		return data
 	}
-	dst := (c.me + by) % p
-	src := (c.me - by + p) % p
-	c.rank.send(c.members[dst], data, true)
-	return c.recv(src)
+	c.rank.send(c.members[(c.me+by)%p], data, true)
+	return c.rank.Recv(c.members[(c.me-by+p)%p])
 }
 
 // Bcast broadcasts root's data to every member over a binomial tree
 // (⌈log2 p⌉ rounds). It returns the received buffer on non-roots and a copy
 // of data on the root.
 func (c *Comm) Bcast(root int, data []float64) []float64 {
-	p := len(c.members)
-	if e := c.ffEngine(); e != nil && p > 1 {
-		return e.ffRun(c, ffBcast, ffCall{data: data, arg: root})
-	}
-	// Rotate indices so the root is virtual index 0.
-	vme := (c.me - root + p) % p
-	var buf []float64
-	if vme == 0 {
-		buf = private(data)
-	} else {
-		// Receive from parent: clear the lowest set bit of vme.
-		parent := vme & (vme - 1)
-		buf = c.recv((parent + root) % p)
-	}
-	// Send to children: set each bit above the lowest set bit of vme while
-	// the resulting index is in range. For vme==0 the "lowest set bit"
-	// boundary is the full width.
-	low := vme & -vme
-	if vme == 0 {
-		low = nextPow2(p)
-	}
-	for bit := low >> 1; bit > 0; bit >>= 1 {
-		child := vme | bit
-		if child != vme && child < p {
-			c.send((child+root)%p, buf)
-		}
-	}
-	return buf
+	return c.conduct(ffBcast, ffCall{data: data, arg: root})
 }
 
 // nextPow2 returns the smallest power of two ≥ n (n ≥ 1).
@@ -217,33 +182,7 @@ func nextPow2(n int) int {
 // returns the full reduction on root (nil elsewhere). All members must pass
 // equal-length slices. The caller's data is not modified.
 func (c *Comm) Reduce(root int, data []float64, op ReduceOp) []float64 {
-	p := len(c.members)
-	if e := c.ffEngine(); e != nil && p > 1 {
-		return e.ffRun(c, ffReduce, ffCall{data: data, arg: root, rop: op})
-	}
-	vme := (c.me - root + p) % p
-	acc := private(data)
-	// Reverse binomial tree: in round k (bit = 1<<k), members with that bit
-	// set send their accumulator to vme&^bit and exit.
-	for bit := 1; bit < p; bit <<= 1 {
-		if vme&bit != 0 {
-			c.send(((vme&^bit)+root)%p, acc)
-			return nil
-		}
-		partner := vme | bit
-		if partner < p {
-			contrib := c.recv((partner + root) % p)
-			if len(contrib) != len(acc) {
-				panic(fmt.Sprintf("sim: reduce length mismatch: %d vs %d", len(contrib), len(acc)))
-			}
-			c.rank.Compute(float64(len(acc))) // one op per element to combine
-			combine(op, acc, contrib)
-		}
-	}
-	if vme == 0 {
-		return acc
-	}
-	return nil
+	return c.conduct(ffReduce, ffCall{data: data, arg: root, rop: op})
 }
 
 // AllReduce combines every member's data with op and returns the result on
@@ -260,26 +199,7 @@ func (c *Comm) AllReduce(data []float64, op ReduceOp) []float64 {
 // and returns the concatenation on every member. It uses the ring algorithm:
 // p−1 steps, each moving one block, for a total of (p−1)·k words per member.
 func (c *Comm) AllGather(block []float64) []float64 {
-	p := len(c.members)
-	if e := c.ffEngine(); e != nil && p > 1 {
-		return e.ffRun(c, ffAllGather, ffCall{data: block})
-	}
-	k := len(block)
-	out := assembly(nil, p*k, block)
-	put(out[c.me*k:(c.me+1)*k], block)
-	if p == 1 {
-		return out
-	}
-	cur := private(block)
-	next := (c.me + 1) % p
-	prev := (c.me - 1 + p) % p
-	for step := 0; step < p-1; step++ {
-		c.send(next, cur)
-		cur = c.recv(prev)
-		owner := (c.me - 1 - step + 2*p) % p
-		put(out[owner*k:(owner+1)*k], cur)
-	}
-	return out
+	return c.conduct(ffAllGather, ffCall{data: block})
 }
 
 // ReduceScatter reduces p equal blocks elementwise and leaves block i on
@@ -290,28 +210,7 @@ func (c *Comm) ReduceScatter(data []float64, op ReduceOp) []float64 {
 	if len(data)%p != 0 {
 		panic(fmt.Sprintf("sim: ReduceScatter length %d not divisible by %d", len(data), p))
 	}
-	k := len(data) / p
-	if p == 1 {
-		return private(data)
-	}
-	if e := c.ffEngine(); e != nil {
-		return e.ffRun(c, ffReduceScatter, ffCall{data: data, rop: op})
-	}
-	acc := private(data)
-	next := (c.me + 1) % p
-	prev := (c.me - 1 + p) % p
-	// Block b travels forward around the ring starting at member b+1, so
-	// that member b receives it last, fully reduced: at step s, member i
-	// sends block i−1−s and accumulates into block i−2−s.
-	for step := 0; step < p-1; step++ {
-		sendBlock := (c.me - 1 - step + 2*p) % p
-		c.send(next, acc[sendBlock*k:(sendBlock+1)*k])
-		incoming := c.recv(prev)
-		recvBlock := (c.me - 2 - step + 3*p) % p
-		c.rank.Compute(float64(k))
-		combine(op, acc[recvBlock*k:(recvBlock+1)*k], incoming)
-	}
-	return private(acc[c.me*k : (c.me+1)*k])
+	return c.conduct(ffReduceScatter, ffCall{data: data, rop: op})
 }
 
 // AllToAll performs the naive personalized all-to-all: every member sends
@@ -324,21 +223,7 @@ func (c *Comm) AllToAll(data []float64) []float64 {
 	if len(data)%p != 0 {
 		panic(fmt.Sprintf("sim: AllToAll length %d not divisible by %d", len(data), p))
 	}
-	if e := c.ffEngine(); e != nil && p > 1 {
-		return e.ffRun(c, ffAllToAll, ffCall{data: data})
-	}
-	k := len(data) / p
-	out := make([]float64, len(data))
-	copy(out[c.me*k:(c.me+1)*k], data[c.me*k:(c.me+1)*k])
-	// Exchange with partner me^... for any p: schedule (me+s) pattern.
-	for s := 1; s < p; s++ {
-		dst := (c.me + s) % p
-		src := (c.me - s + p) % p
-		c.send(dst, data[dst*k:(dst+1)*k])
-		blk := c.recv(src)
-		copy(out[src*k:(src+1)*k], blk)
-	}
-	return out
+	return c.conduct(ffAllToAll, ffCall{data: data})
 }
 
 // AllToAllTree performs the Bruck-style logarithmic all-to-all: ⌈log2 p⌉
@@ -350,44 +235,7 @@ func (c *Comm) AllToAllTree(data []float64) []float64 {
 	if len(data)%p != 0 {
 		panic(fmt.Sprintf("sim: AllToAllTree length %d not divisible by %d", len(data), p))
 	}
-	if e := c.ffEngine(); e != nil && p > 1 {
-		return e.ffRun(c, ffAllToAllTree, ffCall{data: data})
-	}
-	k := len(data) / p
-	// Phase 1: local rotation so block for member (me+j)%p sits at slot j.
-	buf := make([]float64, len(data))
-	for j := 0; j < p; j++ {
-		srcBlock := (c.me + j) % p
-		copy(buf[j*k:(j+1)*k], data[srcBlock*k:(srcBlock+1)*k])
-	}
-	// Phase 2: for each bit, send all slots whose index has that bit set to
-	// the member 2^bit ahead.
-	for bit := 1; bit < p; bit <<= 1 {
-		var slots []int
-		for j := 0; j < p; j++ {
-			if j&bit != 0 {
-				slots = append(slots, j)
-			}
-		}
-		send := make([]float64, 0, len(slots)*k)
-		for _, j := range slots {
-			send = append(send, buf[j*k:(j+1)*k]...)
-		}
-		dst := (c.me + bit) % p
-		src := (c.me - bit + p) % p
-		recv := c.rank.SendRecv(c.members[dst], send, c.members[src])
-		for i, j := range slots {
-			copy(buf[j*k:(j+1)*k], recv[i*k:(i+1)*k])
-		}
-	}
-	// Phase 3: inverse rotation. After phase 2, slot j holds the block sent
-	// by member (me-j)%p; place it at block index (me-j)%p.
-	out := make([]float64, len(data))
-	for j := 0; j < p; j++ {
-		srcMember := (c.me - j + p) % p
-		copy(out[srcMember*k:(srcMember+1)*k], buf[j*k:(j+1)*k])
-	}
-	return out
+	return c.conduct(ffAllToAllTree, ffCall{data: data})
 }
 
 // Barrier synchronizes the communicator via a zero-word reduce+broadcast,
@@ -401,24 +249,7 @@ func (c *Comm) Barrier() {
 // order; returns nil on non-roots. Each non-root sends its chunk directly
 // to the root.
 func (c *Comm) Gather(root int, chunk []float64) []float64 {
-	p := len(c.members)
-	if e := c.ffEngine(); e != nil && p > 1 {
-		return e.ffRun(c, ffGather, ffCall{data: chunk, arg: root})
-	}
-	if c.me != root {
-		c.send(root, chunk)
-		return nil
-	}
-	out := assembly(nil, p*len(chunk), chunk)
-	put(out[root*len(chunk):(root+1)*len(chunk)], chunk)
-	for i := 0; i < p; i++ {
-		if i == root {
-			continue
-		}
-		blk := c.recv(i)
-		put(out[i*len(blk):(i+1)*len(blk)], blk)
-	}
-	return out
+	return c.conduct(ffGather, ffCall{data: chunk, arg: root})
 }
 
 // BcastLarge broadcasts root's data with the bandwidth-optimal
@@ -438,45 +269,11 @@ func (c *Comm) BcastLarge(root int, data []float64) []float64 {
 // and dropped — SUMMA's panels — passes the previous result and stops
 // allocating one buffer per step. Virtual time, counters and the received
 // values are BcastLarge's; whether dst is used is not part of the contract
-// (the member-by-member route ignores it).
+// (the test oracle of the collectives ignores it).
 func (c *Comm) BcastLargeInto(dst []float64, root int, data []float64) []float64 {
-	p := len(c.members)
-	if p == 1 {
-		return c.Bcast(root, data)
-	}
-	if e := c.ffEngine(); e != nil {
-		// Conducted as one composite rendezvous: announcement, scatter and
-		// all-gather cost a member one park instead of three-plus.
-		return e.ffRun(c, ffBcastLarge, ffCall{data: data, dst: dst, arg: root})
-	}
-	var k int
-	if c.me == root {
-		k = len(data)
-		if k < p || k%p != 0 {
-			k = -1
-		}
-	}
-	// Everyone must agree on the path; the root announces the chunk size.
-	kBuf := c.Bcast(root, []float64{float64(k)})
-	k = int(kBuf[0])
-	if k < 0 {
-		return c.Bcast(root, data)
-	}
-	chunk := k / p
-	// Scatter: root sends member i its chunk.
-	var mine []float64
-	if c.me == root {
-		for i := 0; i < p; i++ {
-			if i == root {
-				continue
-			}
-			c.send(i, data[i*chunk:(i+1)*chunk])
-		}
-		mine = private(data[root*chunk : (root+1)*chunk])
-	} else {
-		mine = c.recv(root)
-	}
-	return c.AllGather(mine)
+	// Conducted as one composite rendezvous: announcement, scatter and
+	// all-gather cost a member one park instead of three-plus.
+	return c.conduct(ffBcastLarge, ffCall{data: data, dst: dst, arg: root})
 }
 
 // ReduceLarge reduces every member's data onto root with the
@@ -486,15 +283,10 @@ func (c *Comm) BcastLargeInto(dst []float64, root int, data []float64) []float64
 // binomial Reduce when the payload is too small to split evenly.
 func (c *Comm) ReduceLarge(root int, data []float64, op ReduceOp) []float64 {
 	p := len(c.members)
-	if p == 1 || len(data) < p || len(data)%p != 0 {
+	if len(data) < p || len(data)%p != 0 {
 		return c.Reduce(root, data, op)
 	}
-	if e := c.ffEngine(); e != nil {
-		return e.ffRun(c, ffReduceLarge, ffCall{data: data, arg: root, rop: op})
-	}
-	chunk := c.ReduceScatter(data, op)
-	gathered := c.Gather(root, chunk)
-	return gathered
+	return c.conduct(ffReduceLarge, ffCall{data: data, arg: root, rop: op})
 }
 
 // Scatter distributes root's data in equal chunks: member i receives chunk
@@ -505,20 +297,7 @@ func (c *Comm) Scatter(root int, data []float64) []float64 {
 	if c.me == root && len(data)%p != 0 {
 		panic(fmt.Sprintf("sim: Scatter length %d not divisible by %d", len(data), p))
 	}
-	if e := c.ffEngine(); e != nil && p > 1 {
-		return e.ffRun(c, ffScatter, ffCall{data: data, arg: root})
-	}
-	if c.me == root {
-		k := len(data) / p
-		for i := 0; i < p; i++ {
-			if i == root {
-				continue
-			}
-			c.send(i, data[i*k:(i+1)*k])
-		}
-		return private(data[root*k : (root+1)*k])
-	}
-	return c.recv(root)
+	return c.conduct(ffScatter, ffCall{data: data, arg: root})
 }
 
 // Split partitions the communicator by color, MPI_Comm_split-style: members

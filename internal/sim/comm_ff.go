@@ -6,69 +6,52 @@ import (
 	"sync/atomic"
 )
 
-// Fast-forwarded (conducted) collectives.
+// Conducted collectives.
 //
-// Run member by member, a collective like AllGather costs every member
-// p−1 park/resume round trips: each ring step blocks on a receive, hands
-// its worker slot away, and is woken one message later. None of that
-// scheduling is observable — when no fault plan touches the run
-// (Comm.ffEngine), the only things a collective changes are per-rank
-// clocks, counters, payload buffers and the members' observer events, and
-// all of those are pure functions of the collective's message schedule.
+// Run member by member — each member executing its side on Send and Recv —
+// a collective like AllGather costs every member p−1 park/resume round
+// trips, none of them observable: what a collective changes (clocks,
+// counters, payloads, observer events, fault decisions keyed on each
+// send's (src, dst, seq, copy)) is a pure function of its schedule. So the
+// members of one collective call rendezvous, the first s−1 arrivers park
+// once, and the LAST arriver conducts the whole schedule: a per-op loop
+// runs every member's sends, receives and combines in that member's
+// program order and in dependency order across members, pricing each with
+// the code Send, Recv and Compute use (priceSend, sendFate, finishRecv,
+// Compute), which also emits the member's events.
 //
-// So the engine fast-forwards: the members of one collective call
-// rendezvous, the first s−1 arrivers park once, and the LAST arriver
-// conducts the whole collective centrally — a dedicated per-op loop
-// executes every member's schedule (send/recv/compute, exactly the ops
-// the generic implementation would run, in each member's program order),
-// pricing each op with the very same code the slow path uses (priceSend,
-// finishRecv, Compute), which also emits the member's observer events.
-// Cross-member data movement happens in dependency order, so a message is
-// handed straight from the priced send to the priced receive — no per-step
-// closures, no channel round trips on idle pairs. One park per member per
-// collective, regardless of the number of rounds.
+// Soundness — a conduct is one valid scheduling of the member-by-member
+// program, which the tests keep as an oracle (collective_oracle_test.go):
 //
-// Soundness: conducted execution is just one particular valid scheduling
-// of the same program.
+//   - Pricing and data flow: every op runs the same pricing on the same
+//     Rank state in the same per-member order, and registers the pair
+//     point-to-point traffic would wire (ActivePairs agrees). A receive
+//     takes its pair's FIFO head: stale point-to-point traffic queued
+//     ahead is consumed first and the conducted message joins the back
+//     (ffRecv); an idle pair hands it over directly.
+//   - Rendezvous identity: members of one communicator call collectives in
+//     one program order (the MPI contract), so keying the rendezvous on
+//     (membership, per-membership call counter, op code) matches exactly
+//     the calls that exchange messages. Members that disagree about the
+//     schedule (two Bcast roots) get the rendezvous' mismatch verdict; the
+//     members would have deadlocked inside it.
+//   - Faults: under a plan each send rolls its fate (sendFate) and each
+//     member's crash check (crashFire) runs before each of its ops. A
+//     receive takes the first copy the network delivers, the duplicate
+//     first; a second copy is absorbed, and a receive left with none fails
+//     with a *MessageLostError. A member that crashes or fails is dead from
+//     that op on: its sends carry their payload unpriced (ffPoisoned) and
+//     their receivers fail with the exited-peer text a Recv gives; each
+//     failed member panics with what it failed with when it takes its
+//     result. A member that died before arriving leaves the others with
+//     the orphaned-collective verdict of ffRun.
 //
-//   - Identical pricing: every conducted send/recv/compute runs the same
-//     pricing functions on the same Rank state in the same per-member
-//     order, so clocks, counters and each member's observer events match
-//     the slow path bit for bit.
-//   - Identical data flow: every conducted transfer registers the same
-//     pair the slow path would wire (so ActivePairs agrees) and respects
-//     its FIFO. A conducted receive takes the pair's FIFO
-//     head whatever it is — if a program left stale point-to-point
-//     traffic queued, the conducted message joins the back of the queue
-//     and the receive consumes the stale head, exactly like the generic
-//     implementation's enqueue+dequeue would. Only when the pair is idle
-//     is the message handed over directly, which is indistinguishable
-//     from a round trip through an empty FIFO.
-//   - Rendezvous identity: members of one communicator call collectives
-//     in one program order (the MPI contract the generic implementations
-//     already rely on — per-pair FIFO is what keeps THEIR rounds apart),
-//     so keying the rendezvous on (membership, per-membership call
-//     counter, op code) matches exactly the calls that would have
-//     exchanged messages.
-//   - Progress: each per-op conductor executes the schedule in
-//     dependency order (a receive always runs after the send it is
-//     matched with), so conduction cannot stall. The one way members can
-//     disagree about the schedule — mismatched call parameters, e.g. two
-//     different Bcast roots — is the rendezvous' verdict (mismatch), not a
-//     conduct; the live cluster would have deadlocked inside it.
-//
-// Composite collectives (AllReduce, Barrier, BcastLarge, ReduceLarge,
-// Split) are sequences of the conducted primitives and fast-forward
-// automatically.
-//
-// Cancellation: a cancel context (Cost.Context) does not disqualify a run;
-// a conduct is cancel-safe instead. arrive checks the cancelled flag at the
-// door under the engine lock — cancelSweep sweeps under the same lock, so
-// no rendezvous fills after the sweep; conductOwned takes the parked
-// members out of the blocked set for the conduct (opOwned), so a sweep
-// landing mid-conduct skips them; Rank.conducted keeps the conductor from
-// unwinding on a member's record; woken members abort at their next
-// instrumented op. Who owns a member's Rank, by its engine state:
+// Cancellation: a conduct is cancel-safe. arrive checks the cancelled flag
+// under the engine lock, where cancelSweep sweeps, so no rendezvous fills
+// after the sweep; conductOwned takes the parked members out of the
+// blocked set (opOwned), so a sweep mid-conduct skips them; Rank.conducted
+// keeps the conductor from unwinding on a member's record; woken members
+// abort at their next instrumented op. Who owns a member's Rank:
 //
 //	running (opRunning)                      its carrier or worker; the sweep skips it
 //	stepped, arrived, wait not yet recorded  its worker until the rendezvous fills,
@@ -79,25 +62,21 @@ import (
 //	picked, token not yet sent (opRunning)   nobody; the sweep skips it
 //
 // Buffers: a conduct allocates only what a member keeps. Everything else
-// it borrows from a parked member or takes from its pooled scratch. Who owns a
-// buffer the conductor touches:
+// it borrows from a parked member or takes from its pooled scratch:
 //
 //	a caller's data          the caller; the conduct only reads it
 //	a caller's dst           the caller; the conductor writes it while its
 //	                         owner is parked and returns it as the result
 //	a member's result        the member: fresh, or its dst; never a view of
 //	                         another member's buffer or of scratch
-//	wires, bufs, slab        the conduct's ffScratch: in-flight messages,
-//	                         forwarded views, accumulators, packed messages;
-//	                         dead when the conduct returns, which clears and
-//	                         recycles it
+//	wires, bufs, slab        the conduct's ffScratch, dead when it returns
+//	a corrupted copy         the receiver, like a point-to-point payload
 //	a phantom                nobody: read-only, shared wherever it goes, and
 //	                         never copied or combined (phantom.go)
 //
-// ffSendShared may therefore alias a caller's data, a result under
-// construction or the slab: its receiver consumes the payload inside the
-// conduct. A conducted message outlives the conduct in one case only —
-// stale traffic is queued ahead of it on the pair, so it joins the FIFO —
+// A send may therefore alias a caller's data, a result under construction
+// or the slab: its receiver consumes the payload inside the conduct. A
+// message outlives the conduct only when stale traffic queues ahead of it,
 // and that is where ffRecv turns a shared payload into a private copy.
 
 // ffMemb identifies a communicator membership: an FNV-1a hash of the
@@ -136,7 +115,7 @@ const (
 	ffReduceLarge
 )
 
-// ffOpNames names the op codes in a mismatch verdict.
+// ffOpNames names the op codes in a mismatch verdict or a lost message.
 var ffOpNames = [...]string{"Bcast", "Reduce", "AllGather", "ReduceScatter", "AllToAll",
 	"AllToAllTree", "Gather", "Scatter", "BcastLarge", "ReduceLarge"}
 
@@ -147,7 +126,7 @@ type ffCall struct {
 	rank *Rank
 	data []float64
 	dst  []float64 // storage offered for the result (BcastLargeInto), or nil
-	arg  int       // by (Shift) or root (Bcast/Reduce/Gather/Scatter)
+	arg  int       // root, for the rooted collectives
 	rop  ReduceOp
 }
 
@@ -173,6 +152,13 @@ type ffRendezvous struct {
 	// thousands on a large 2.5D run — while only a bounded set is ever
 	// live, so pooling removes three allocations per call.
 	left atomic.Int32
+
+	// faulted is set under a fault plan (conduct); op is then the
+	// collective's code and fail[i] what member i panics with when it takes
+	// its result, nil while it runs.
+	faulted bool
+	op      uint8
+	fail    []any
 
 	// The conductor's scratch, held for the conduct only (see conduct).
 	*ffScratch
@@ -227,7 +213,7 @@ func sized[T any](s []T, n int) []T {
 // getRend returns a cleared rendezvous sized for n members.
 func getRend(n int) *ffRendezvous {
 	rv := ffRendPool.Get().(*ffRendezvous)
-	rv.need, rv.got, rv.err, rv.conducting = n, 0, nil, false
+	rv.need, rv.got, rv.err, rv.conducting, rv.faulted = n, 0, nil, false, false
 	rv.done.Store(false)
 	rv.calls, rv.out = sized(rv.calls, n), sized(rv.out, n)
 	rv.left.Store(int32(n))
@@ -239,6 +225,7 @@ func getRend(n int) *ffRendezvous {
 func putRend(rv *ffRendezvous) {
 	clear(rv.calls)
 	clear(rv.out)
+	clear(rv.fail)
 	rv.members = nil
 	ffRendPool.Put(rv)
 }
@@ -263,14 +250,19 @@ func (rv *ffRendezvous) slabScratch(n int) []float64 {
 
 // take returns member i's result and is the counted release for rendezvous
 // that went through arrive: the caller must not touch rv after this call.
-// A mismatch verdict panics in every member.
+// A mismatch verdict panics in every member, and a member that failed
+// inside the conduct panics with what it failed with, as it would have at
+// the failing op.
 func (rv *ffRendezvous) take(i int) []float64 {
-	out, err := rv.out[i], rv.err
+	out, fail := rv.out[i], any(rv.err)
+	if rv.faulted && fail == nil {
+		fail = rv.fail[i]
+	}
 	if rv.left.Add(-1) == 0 {
 		putRend(rv)
 	}
-	if err != nil {
-		panic(err)
+	if fail != nil {
+		panic(fail)
 	}
 	return out
 }
@@ -298,15 +290,18 @@ func (e *eventEngine) membID(c *Comm) uint32 {
 	return c.ffID
 }
 
-// ffEngine returns the engine when this run fast-forwards collectives, nil
-// when a fault plan needs them run member by member (DESIGN.md,
-// "Fast-forward", records why). The plan is fixed for the run, so conducted
-// and member-by-member collectives never meet in one run.
-func (c *Comm) ffEngine() *eventEngine {
-	if c.rank.cluster.cost.Faults == nil {
-		return c.rank.cluster.eng
+// conduct runs one collective call of c's members through the engine's
+// rendezvous and returns the caller's result.
+func (c *Comm) conduct(op uint8, call ffCall) []float64 {
+	if len(c.members) == 1 {
+		// A lone member's collective sends nothing: no rendezvous to wait at.
+		call.rank = c.rank
+		rv := getRend(1)
+		rv.members, rv.calls[0] = c.members, call
+		conduct(rv, op)
+		return rv.take(0)
 	}
-	return nil
+	return c.rank.cluster.eng.ffRun(c, op, call)
 }
 
 // ffRun rendezvouses one collective call and returns the caller's result.
@@ -449,9 +444,9 @@ func (e *eventEngine) conductOwned(rv *ffRendezvous, op uint8, me int) {
 
 // ffWire is one in-flight conducted message: the priced message plus the
 // pair queue it would have traversed. Registering the pair (Cluster.wire)
-// is what keeps ActivePairs in parity with the slow path; a pair no
-// point-to-point traffic has used is the shared idleRing, and gets a real
-// ring only if a later Send or Recv on it asks for one.
+// is what keeps ActivePairs in parity with point-to-point traffic; a pair
+// no point-to-point traffic has used is the shared idleRing, and gets a
+// real ring only if a later Send or Recv on it asks for one.
 type ffWire struct {
 	m message
 	q *evRing
@@ -459,25 +454,109 @@ type ffWire struct {
 	// sender, so it must be copied if the message outlives the conduct
 	// (the stale-traffic enqueue in ffRecv).
 	shared bool
+	// fate is ffDelivered, or why no copy arrives: ffLost (dropped) or
+	// ffPoisoned (the sender had died; nothing was priced or wired). The
+	// payload rides along either way, so a conductor's shapes hold.
+	fate uint8
 }
 
-// ffSend prices member rank r's send to global rank dst and returns the
-// wire carrying the message toward its matched ffRecv. The receiver owns
-// the payload, exactly like the generic path.
-func ffSend(r *Rank, dst int, payload []float64) ffWire {
-	w := ffSendShared(r, dst, payload)
-	w.m.data, w.shared = private(payload), false
-	return w
-}
+const (
+	ffDelivered uint8 = iota
+	ffLost
+	ffPoisoned
+)
 
-// ffSendShared is ffSend without the payload copy, for transfers whose
-// receiver consumes the data inside the conduct (combines it, or copies
-// its block out) instead of keeping the buffer.
-func ffSendShared(r *Rank, dst int, payload []float64) ffWire {
+// send prices member i's send of payload to member j and returns the wire
+// carrying the message toward its matched recv. It does not copy: the
+// receiver consumes the payload inside the conduct (combines it, or
+// copies its block out) instead of keeping the buffer. Under a fault plan
+// member i's crash check comes first and the send rolls its fate as Send
+// does; the receiver gets the first delivered copy, a fresh one only when
+// the plan corrupts it.
+func (rv *ffRendezvous) send(i, j int, payload []float64) ffWire {
+	r, dst := rv.calls[i].rank, rv.members[j]
+	if rv.faulted {
+		return rv.sendFaulted(r, i, dst, payload)
+	}
 	q := r.cluster.wire(r.id, dst)
 	m, _ := r.priceSend(dst, len(payload))
 	m.data = payload
 	return ffWire{m: m, q: q, shared: true}
+}
+
+func (rv *ffRendezvous) sendFaulted(r *Rank, i, dst int, payload []float64) ffWire {
+	w := ffWire{m: message{data: payload}, shared: true}
+	if rv.killed(i) {
+		w.fate = ffPoisoned
+		return w
+	}
+	w.q = r.cluster.wire(r.id, dst)
+	m, start := r.priceSend(dst, len(payload))
+	w.m, w.m.data = m, payload
+	switch fates, n, _ := r.sendFate(dst, len(payload), m, start); {
+	case n == 0:
+		w.fate = ffLost
+	case fates[0].corrupt:
+		w.m.data, w.shared = r.fateCopy(dst, payload, fates[0]), false
+	}
+	return w
+}
+
+// recv completes member j's receive of the wire from member i and returns
+// the payload. Under a fault plan member j's crash check comes first; a
+// member that is dead, or fails on this receive, gets the payload unpriced.
+func (rv *ffRendezvous) recv(j, i int, w ffWire) []float64 {
+	if rv.faulted {
+		return rv.recvFaulted(j, i, w)
+	}
+	return ffRecv(rv.calls[j].rank, rv.members[i], w)
+}
+
+func (rv *ffRendezvous) recvFaulted(j, i int, w ffWire) []float64 {
+	dst, src := rv.calls[j].rank, rv.members[i]
+	if rv.killed(j) {
+		return w.m.data
+	}
+	if w.q == nil {
+		w.q = dst.cluster.wire(src, dst.id)
+	}
+	if _, stale := dst.pushback[src]; w.fate != ffDelivered && !stale && w.q.length() == 0 {
+		rv.fail[j] = rv.failure(j, i, w.fate)
+		return w.m.data
+	}
+	return ffRecv(dst, src, w)
+}
+
+// compute charges member j's flops, unless a faulted run has killed it.
+func (rv *ffRendezvous) compute(j int, flops float64) {
+	if !rv.faulted || !rv.killed(j) {
+		rv.calls[j].rank.Compute(flops)
+	}
+}
+
+// killed runs member i's crash check before one of its ops on a faulted
+// run and reports whether the member no longer runs: it failed earlier in
+// the conduct, or its crash fires now. A dead member skips its other ops.
+func (rv *ffRendezvous) killed(i int) bool {
+	if rv.fail[i] != nil {
+		return true
+	}
+	if err := rv.calls[i].rank.crashFire(); err != nil {
+		rv.fail[i] = crashPanic{err: err}
+		return true
+	}
+	return false
+}
+
+// failure is what member j fails with when the wire from member i brings no
+// copy: a *MessageLostError, or the exited-peer text Recv gives.
+func (rv *ffRendezvous) failure(j, i int, fate uint8) any {
+	r, src := rv.calls[j].rank, rv.members[i]
+	if fate == ffLost {
+		return &MessageLostError{Rank: r.id, Peer: src, Op: ffOpNames[rv.op]}
+	}
+	status, err := r.cluster.classifyRankExit(rv.fail[i], src, nil)
+	return exitedPeer(r.id, src, exitInfo{status: status, err: err})
 }
 
 // ffRecv completes dst's receive of the conducted message on w from
@@ -485,10 +564,10 @@ func ffSendShared(r *Rank, dst int, payload []float64) ffWire {
 // queued — the message is handed over directly; enqueuing and immediately
 // dequeuing through an empty FIFO would be indistinguishable. Stale
 // point-to-point traffic queued ahead of the collective is consumed
-// first, with the conducted message joining the back of the queue,
-// exactly the order the generic implementation's FIFO would impose.
-// (The conductor acts as both endpoints here, which the SPSC ring allows:
-// src and dst are parked members whose state the conductor owns.)
+// first, with the conducted message (if a copy was delivered) joining the
+// back of the queue, exactly the order a FIFO imposes. (The conductor acts
+// as both endpoints here, which the SPSC ring allows: src and dst are
+// parked members whose state the conductor owns.)
 func ffRecv(dst *Rank, src int, w ffWire) []float64 {
 	head, ok := dst.takePushback(src)
 	if !ok {
@@ -497,6 +576,9 @@ func ffRecv(dst *Rank, src int, w ffWire) []float64 {
 			// Nothing queued ahead of us: hand the message straight over.
 			return dst.finishRecv(src, w.m)
 		}
+	}
+	if w.fate != ffDelivered {
+		return dst.finishRecv(src, head)
 	}
 	// Stale traffic exists: our message outlives the conduct, so a shared
 	// payload must become a private copy now (the sender reclaims its
@@ -524,10 +606,11 @@ func ffRecv(dst *Rank, src int, w ffWire) []float64 {
 
 // conduct executes the collective's whole message schedule directly: a
 // dedicated per-op loop prices every member's sends, receives and
-// combines in that member's program order (the same order the generic
-// implementation executes them), batching cross-member data movement
-// into dependency-ordered phases. The members' carriers are parked, so
-// the conductor owns their Rank state exclusively.
+// combines in that member's program order, batching cross-member data
+// movement into dependency-ordered phases. The members' carriers are
+// parked, so the conductor owns their Rank state exclusively. The fault
+// plan is read once here: rv.faulted selects the faulted half of send,
+// recv and compute.
 func conduct(rv *ffRendezvous, op uint8) {
 	arg := rv.calls[0].arg // the members agree (mismatch)
 	// Conducted pricing drives parked members' Compute from the
@@ -536,6 +619,10 @@ func conduct(rv *ffRendezvous, op uint8) {
 	// scheduling record, or unwind mid-conduct and strand the members).
 	for i := range rv.calls {
 		rv.calls[i].rank.conducted = true
+	}
+	if rv.calls[0].rank.cluster.cost.Faults != nil {
+		rv.faulted, rv.op = true, op
+		rv.fail = sized(rv.fail, len(rv.calls)) // cleared by putRend
 	}
 	rv.ffScratch = ffScratchPool.Get().(*ffScratch)
 	switch op {
@@ -567,7 +654,7 @@ func conduct(rv *ffRendezvous, op uint8) {
 	}
 }
 
-// conductBcast mirrors Comm.Bcast's binomial tree: processing members in
+// conductBcast runs Comm.Bcast's binomial tree: processing members in
 // virtual-rank order runs every parent before its children, and each
 // member's ops stay in program order (receive from parent, then send to
 // children, high bit first). The one buffer is shared down every hop, and
@@ -581,7 +668,6 @@ func conductBcast(rv *ffRendezvous, root int, ann []float64) {
 	pend := rv.wireScratch() // indexed by receiving child's virtual rank
 	for vme := 0; vme < p; vme++ {
 		i := (vme + root) % p
-		r := rv.calls[i].rank
 		buf := ann
 		low := vme & -vme
 		if vme == 0 {
@@ -591,12 +677,12 @@ func conductBcast(rv *ffRendezvous, root int, ann []float64) {
 			}
 		} else {
 			parent := vme & (vme - 1)
-			buf = ffRecv(r, rv.members[(parent+root)%p], pend[vme])
+			buf = rv.recv(i, (parent+root)%p, pend[vme])
 		}
 		for bit := low >> 1; bit > 0; bit >>= 1 {
 			child := vme | bit
 			if child != vme && child < p {
-				pend[child] = ffSendShared(r, rv.members[(child+root)%p], buf)
+				pend[child] = rv.send(i, (child+root)%p, buf)
 			}
 		}
 		if ann == nil {
@@ -605,7 +691,7 @@ func conductBcast(rv *ffRendezvous, root int, ann []float64) {
 	}
 }
 
-// conductReduce mirrors Comm.Reduce's reverse binomial tree: descending
+// conductReduce runs Comm.Reduce's reverse binomial tree: descending
 // virtual-rank order runs every sender before the partner that combines
 // its contribution (a member's send is its last op).
 func conductReduce(rv *ffRendezvous, root int) {
@@ -613,7 +699,6 @@ func conductReduce(rv *ffRendezvous, root int) {
 	pend := rv.wireScratch() // indexed by sending member's virtual rank
 	for vme := p - 1; vme >= 0; vme-- {
 		i := (vme + root) % p
-		r := rv.calls[i].rank
 		rop := rv.calls[i].rop
 		acc := private(rv.calls[i].data)
 		sent := false
@@ -621,17 +706,17 @@ func conductReduce(rv *ffRendezvous, root int) {
 			if vme&bit != 0 {
 				// The send is the member's last op and the partner only
 				// combines the contribution — the buffer never escapes.
-				pend[vme] = ffSendShared(r, rv.members[((vme&^bit)+root)%p], acc)
+				pend[vme] = rv.send(i, ((vme&^bit)+root)%p, acc)
 				sent = true
 				break
 			}
 			partner := vme | bit
 			if partner < p {
-				contrib := ffRecv(r, rv.members[(partner+root)%p], pend[partner])
+				contrib := rv.recv(i, (partner+root)%p, pend[partner])
 				if len(contrib) != len(acc) {
 					panic(fmt.Sprintf("sim: reduce length mismatch: %d vs %d", len(contrib), len(acc)))
 				}
-				r.Compute(float64(len(acc)))
+				rv.compute(i, float64(len(acc)))
 				combine(rop, acc, contrib)
 			}
 		}
@@ -641,9 +726,9 @@ func conductReduce(rv *ffRendezvous, root int) {
 	}
 }
 
-// conductAllGather mirrors Comm.AllGather's ring (p ≥ 2 — the wrapper
-// handles p == 1 locally): per round, every member sends its current
-// block, then every member receives, records and forwards.
+// conductAllGather runs Comm.AllGather's ring: per round, every member
+// sends its current block, then every member receives, records and
+// forwards.
 func conductAllGather(rv *ffRendezvous) {
 	p := len(rv.members)
 	cur, wires := rv.bufScratch(), rv.wireScratch()
@@ -661,11 +746,11 @@ func conductAllGather(rv *ffRendezvous) {
 		for i := range rv.calls {
 			// Forwarded buffers are only read: the receiver copies its
 			// block into out and passes the buffer on.
-			wires[i] = ffSendShared(rv.calls[i].rank, rv.members[(i+1)%p], cur[i])
+			wires[i] = rv.send(i, (i+1)%p, cur[i])
 		}
 		for i := range rv.calls {
 			prev := (i - 1 + p) % p
-			v := ffRecv(rv.calls[i].rank, rv.members[prev], wires[prev])
+			v := rv.recv(i, prev, wires[prev])
 			cur[i] = v
 			k := len(rv.calls[i].data)
 			owner := (i - 1 - step + 2*p) % p
@@ -674,9 +759,8 @@ func conductAllGather(rv *ffRendezvous) {
 	}
 }
 
-// conductReduceScatter mirrors Comm.ReduceScatter (p ≥ 2, divisibility
-// checked by the wrapper); a member keeps its block, so it gets a private
-// copy of it.
+// conductReduceScatter runs Comm.ReduceScatter's ring; a member keeps its
+// block, so it gets a private copy of it.
 func conductReduceScatter(rv *ffRendezvous) {
 	for i, blk := range ffReduceRing(rv) {
 		rv.out[i] = private(blk)
@@ -713,14 +797,14 @@ func ffReduceRing(rv *ffRendezvous) [][]float64 {
 			sendBlock := (i - 1 - step + 2*p) % p
 			// The block is combined into the receiver's accumulator within
 			// this step; nobody retains it.
-			wires[i] = ffSendShared(rv.calls[i].rank, rv.members[(i+1)%p], accs[i][sendBlock*k:(sendBlock+1)*k])
+			wires[i] = rv.send(i, (i+1)%p, accs[i][sendBlock*k:(sendBlock+1)*k])
 		}
 		for i := range rv.calls {
 			k := len(rv.calls[i].data) / p
 			prev := (i - 1 + p) % p
-			incoming := ffRecv(rv.calls[i].rank, rv.members[prev], wires[prev])
+			incoming := rv.recv(i, prev, wires[prev])
 			recvBlock := (i - 2 - step + 3*p) % p
-			rv.calls[i].rank.Compute(float64(k))
+			rv.compute(i, float64(k))
 			combine(rv.calls[i].rop, accs[i][recvBlock*k:(recvBlock+1)*k], incoming)
 		}
 	}
@@ -731,7 +815,7 @@ func ffReduceRing(rv *ffRendezvous) [][]float64 {
 	return accs
 }
 
-// conductAllToAll mirrors Comm.AllToAll's direct exchange: per stride s,
+// conductAllToAll runs Comm.AllToAll's direct exchange: per stride s,
 // every member sends block i+s, then every member receives block i−s.
 func conductAllToAll(rv *ffRendezvous) {
 	p := len(rv.members)
@@ -748,18 +832,18 @@ func conductAllToAll(rv *ffRendezvous) {
 			data := rv.calls[i].data
 			k := len(data) / p
 			dst := (i + s) % p
-			wires[i] = ffSendShared(rv.calls[i].rank, rv.members[dst], data[dst*k:(dst+1)*k])
+			wires[i] = rv.send(i, dst, data[dst*k:(dst+1)*k])
 		}
 		for i := range rv.calls {
 			k := len(rv.calls[i].data) / p
 			src := (i - s + p) % p
-			v := ffRecv(rv.calls[i].rank, rv.members[src], wires[src])
+			v := rv.recv(i, src, wires[src])
 			copy(rv.out[i][src*k:(src+1)*k], v)
 		}
 	}
 }
 
-// conductAllToAllTree mirrors Comm.AllToAllTree's Bruck phases: the
+// conductAllToAllTree runs Comm.AllToAllTree's Bruck phases: the
 // local rotations are free (no pricing), the log-round exchanges are
 // conducted — per bit, every member packs and sends its marked slots,
 // then every member receives and unpacks.
@@ -794,12 +878,12 @@ func conductAllToAllTree(rv *ffRendezvous) {
 				}
 			}
 			packed += len(send)
-			wires[i] = ffSendShared(rv.calls[i].rank, rv.members[(i+bit)%p], send)
+			wires[i] = rv.send(i, (i+bit)%p, send)
 		}
 		for i := range rv.calls {
 			k := len(rv.calls[i].data) / p
 			src := (i - bit + p) % p
-			v := ffRecv(rv.calls[i].rank, rv.members[src], wires[src])
+			v := rv.recv(i, src, wires[src])
 			buf := bufs[i]
 			idx := 0
 			for j := 0; j < p; j++ {
@@ -822,17 +906,16 @@ func conductAllToAllTree(rv *ffRendezvous) {
 	}
 }
 
-// conductGather mirrors Comm.Gather: non-roots send, then the root
+// conductGather runs Comm.Gather: non-roots send, then the root
 // receives in ascending member order.
 func conductGather(rv *ffRendezvous, root int) {
 	p := len(rv.members)
 	wires := rv.wireScratch()
 	for j := 0; j < p; j++ {
 		if j != root {
-			wires[j] = ffSendShared(rv.calls[j].rank, rv.members[root], rv.calls[j].data)
+			wires[j] = rv.send(j, root, rv.calls[j].data)
 		}
 	}
-	rr := rv.calls[root].rank
 	chunk := rv.calls[root].data
 	out := assembly(nil, p*len(chunk), chunk)
 	put(out[root*len(chunk):(root+1)*len(chunk)], chunk)
@@ -840,36 +923,34 @@ func conductGather(rv *ffRendezvous, root int) {
 		if j == root {
 			continue
 		}
-		v := ffRecv(rr, rv.members[j], wires[j])
+		v := rv.recv(root, j, wires[j])
 		put(out[j*len(v):(j+1)*len(v)], v)
 	}
 	rv.out[root] = out
 }
 
-// conductScatter mirrors Comm.Scatter (divisibility checked by the
-// wrapper on the root): the root sends every chunk in ascending member
-// order, then every non-root receives.
+// conductScatter runs Comm.Scatter: the root sends every chunk in
+// ascending member order, then every non-root receives.
 func conductScatter(rv *ffRendezvous, root int) {
 	p := len(rv.members)
 	data := rv.calls[root].data
 	k := len(data) / p
 	wires := rv.wireScratch()
-	rr := rv.calls[root].rank
 	for j := 0; j < p; j++ {
 		if j != root {
-			wires[j] = ffSend(rr, rv.members[j], data[j*k:(j+1)*k])
+			wires[j] = rv.send(root, j, data[j*k:(j+1)*k])
 		}
 	}
 	for j := 0; j < p; j++ {
 		if j == root {
 			rv.out[j] = private(data[root*k : (root+1)*k])
 		} else {
-			rv.out[j] = ffRecv(rv.calls[j].rank, rv.members[root], wires[j])
+			rv.out[j] = private(rv.recv(j, root, wires[j]))
 		}
 	}
 }
 
-// conductBcastLarge mirrors Comm.BcastLarge's whole schedule — one-word
+// conductBcastLarge runs Comm.BcastLarge's whole schedule — one-word
 // chunk-size announcement over a binomial bcast, root's direct scatter,
 // ring all-gather — under a single rendezvous, so a member parks once for
 // the composite instead of once per primitive plus once per scatter
@@ -882,8 +963,8 @@ func conductBcastLarge(rv *ffRendezvous, root int) {
 	if len(data) >= p && len(data)%p == 0 {
 		k = len(data)
 	}
-	// The root announces the chunk size (or the fallback) exactly like the
-	// generic path's one-word Bcast.
+	// The root announces the chunk size (or the fallback) in a one-word
+	// Bcast.
 	ann := rv.slabScratch(1)
 	ann[0] = float64(k)
 	conductBcast(rv, root, ann)
@@ -898,27 +979,26 @@ func conductBcastLarge(rv *ffRendezvous, root int) {
 	// order (the root's program order), then each member receives. The
 	// chunks are views of the parked root's buffer and become the
 	// all-gather's input blocks, which it only reads.
-	rr := rv.calls[root].rank
 	wires := rv.wireScratch()
 	for i := 0; i < p; i++ {
 		if i != root {
-			wires[i] = ffSendShared(rr, rv.members[i], data[i*chunk:(i+1)*chunk])
+			wires[i] = rv.send(root, i, data[i*chunk:(i+1)*chunk])
 		}
 	}
 	for i := 0; i < p; i++ {
 		if i != root {
-			rv.calls[i].data = ffRecv(rv.calls[i].rank, rv.members[root], wires[i])
+			rv.calls[i].data = rv.recv(i, root, wires[i])
 		}
 	}
 	rv.calls[root].data = data[root*chunk : (root+1)*chunk]
 	conductAllGather(rv)
 }
 
-// conductReduceLarge mirrors Comm.ReduceLarge — ring reduce-scatter, then
+// conductReduceLarge runs Comm.ReduceLarge — ring reduce-scatter, then
 // a direct gather onto the root — under a single rendezvous. The reduced
 // blocks go into the gather as views of the accumulators; the root's
 // gathered buffer is the only thing anyone keeps. Non-root members end
-// with nil, like the generic Gather.
+// with nil, like Gather.
 func conductReduceLarge(rv *ffRendezvous, root int) {
 	for i, blk := range ffReduceRing(rv) {
 		rv.calls[i].data = blk

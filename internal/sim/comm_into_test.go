@@ -8,25 +8,25 @@ import (
 	"testing"
 )
 
-// collectiveRoutes are the three ways a collective can execute: conducted
-// under a cancel context (the service's shape, where the conductor owns its
-// members), conducted without one, and member by member (an empty fault
-// plan selects it).
+// collectiveRoutes are the three shapes a conduct takes: under a cancel
+// context (the service's shape, where the conductor owns its members),
+// without one, and under an empty fault plan (the faulted helpers: crash
+// checks, fates, poisoned wires).
 func collectiveRoutes() map[string]Cost {
 	conducted := unitCost
 	conducted.Context = context.Background()
-	generic := unitCost
-	generic.Faults = &FaultPlan{}
-	return map[string]Cost{"conducted": conducted, "conducted-free": unitCost, "generic": generic}
+	faulted := unitCost
+	faulted.Faults = &FaultPlan{}
+	return map[string]Cost{"conducted": conducted, "conducted-free": unitCost, "faulted": faulted}
 }
 
 // TestBcastLargeInto holds BcastLargeInto to BcastLarge on every route:
 // same values whatever dst offers (nothing, too little, exactly enough,
 // more), bit-identical Results, the root's data untouched, every member's
 // result private, and the panel-loop pattern — the previous result passed
-// as the next call's dst under a different root — intact. On the conducted
-// routes a dst that is large enough must actually be used, on the
-// scatter+allgather path and the small-payload fallback alike.
+// as the next call's dst under a different root — intact. On every route a
+// dst that is large enough must actually be used, on the scatter+allgather
+// path and the small-payload fallback alike.
 func TestBcastLargeInto(t *testing.T) {
 	for _, p := range []int{1, 2, 3, 7, 8, 16} {
 		for _, n := range []int{0, p - 1, 2*p + 1, 3 * p} { // none, < p, p ∤ n, p | n
@@ -70,7 +70,7 @@ func TestBcastLargeInto(t *testing.T) {
 							if !slices.Equal(got, pristine[s]) {
 								return fmt.Errorf("step %d rank %d: got %v, want %v", s, r.ID(), got, pristine[s])
 							}
-							if route != "generic" && p > 1 && n > 0 && cap(dst) >= n && &got[0] != &dst[0] {
+							if n > 0 && cap(dst) >= n && &got[0] != &dst[0] {
 								return fmt.Errorf("step %d rank %d: the conductor ignored a sufficient dst", s, r.ID())
 							}
 							// Results are private: scribbling on one must not

@@ -34,13 +34,10 @@ import (
 //     empty and every live rank is parked, so deadlock detection and
 //     virtual-timer firing (timer.go) are immediate and deterministic, never
 //     a real-time window;
-//   - collectives can be fast-forwarded: unless a fault plan needs a run's
-//     collectives member by member (Comm.ffEngine), a collective's whole
-//     message schedule is conducted centrally by its last-arriving member
-//     in one pass (comm_ff.go), eliminating the per-round park/resume
-//     cycles entirely. Observers and a cancel context do not disqualify a
-//     run: the conductor emits every member's events, and conducts are
-//     cancel-safe (comm_ff.go, "Cancellation").
+//   - collectives are conducted: a collective's whole message schedule
+//     runs centrally in its last-arriving member, in one pass (comm_ff.go),
+//     under any fault plan, observer or cancel context, so a member parks
+//     once per collective instead of once per round.
 //
 // Results do not depend on the schedule: virtual clocks and counters are
 // pure functions of the program's per-pair FIFO message order and the

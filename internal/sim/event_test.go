@@ -103,17 +103,18 @@ func TestEventBackendBackpressure(t *testing.T) {
 	})
 }
 
-// TestEventBackendCollectivesIdentical drives every collective down both of
-// its implementations — member by member (any fault plan, even an empty
-// one, selects it) and conducted — and demands bitwise-identical Results,
+// TestEventBackendCollectivesIdentical drives the collective tour through
+// the member-by-member oracle (collective_oracle_test.go) and through the
+// conductor, fault-free and under an empty fault plan (which selects the
+// conductor's faulted helpers), and demands bitwise-identical Results,
 // each on two schedules.
 func TestEventBackendCollectivesIdentical(t *testing.T) {
 	for _, p := range []int{2, 3, 4, 7, 8} {
+		ref := runSchedules(t, p, unitCost, tourVia(oracle))
+		requireSameResult(t, "oracle", ref, "conducted", runSchedules(t, p, unitCost, collectiveTour))
 		cost := unitCost
 		cost.Faults = &FaultPlan{}
-		generic := runSchedules(t, p, cost, collectiveTour)
-		conducted := runSchedules(t, p, unitCost, collectiveTour)
-		requireSameResult(t, "generic", generic, "conducted", conducted)
+		requireSameResult(t, "oracle", ref, "conducted under an empty plan", runSchedules(t, p, cost, collectiveTour))
 	}
 }
 
@@ -128,39 +129,44 @@ func TestEventBackendFastForwardIdentical(t *testing.T) {
 
 // collectiveTour exercises every primitive and composite collective plus
 // point-to-point traffic in one program.
-func collectiveTour(r *Rank) error {
-	w := r.World()
-	p := w.Size()
-	me := float64(r.ID())
-	r.Compute(10 * (me + 1)) // stagger the clocks
+var collectiveTour = tourVia(conductor)
 
-	data := []float64{me, me + 1, me + 2}
-	data = w.Shift(data, 1)
-	_ = w.Bcast(0, []float64{me, 42})
-	_ = w.Reduce(p-1, data, OpSum)
-	_ = w.AllReduce([]float64{me}, OpSum)
-	_ = w.AllGather([]float64{me, -me})
-	vec := make([]float64, 2*p)
-	for i := range vec {
-		vec[i] = me*100 + float64(i)
-	}
-	_ = w.ReduceScatter(vec, OpSum)
-	_ = w.AllToAll(vec)
-	_ = w.AllToAllTree(vec)
-	w.Barrier()
-	_ = w.Gather(0, []float64{me})
-	if r.ID() == 0 {
-		root := make([]float64, p)
-		for i := range root {
-			root[i] = float64(i * i)
+// tourVia is the collective tour with its collectives run through coll.
+func tourVia(coll collectiveSet) func(r *Rank) error {
+	return func(r *Rank) error {
+		w := r.World()
+		p := w.Size()
+		me := float64(r.ID())
+		r.Compute(10 * (me + 1)) // stagger the clocks
+
+		data := []float64{me, me + 1, me + 2}
+		data = w.Shift(data, 1)
+		_ = coll.Bcast(w, 0, []float64{me, 42})
+		_ = coll.Reduce(w, p-1, data, OpSum)
+		_ = coll.AllReduce(w, []float64{me}, OpSum)
+		_ = coll.AllGather(w, []float64{me, -me})
+		vec := make([]float64, 2*p)
+		for i := range vec {
+			vec[i] = me*100 + float64(i)
 		}
-		_ = w.Scatter(0, root)
-	} else {
-		_ = w.Scatter(0, nil)
+		_ = coll.ReduceScatter(w, vec, OpSum)
+		_ = coll.AllToAll(w, vec)
+		_ = coll.AllToAllTree(w, vec)
+		coll.Barrier(w)
+		_ = coll.Gather(w, 0, []float64{me})
+		if r.ID() == 0 {
+			root := make([]float64, p)
+			for i := range root {
+				root[i] = float64(i * i)
+			}
+			_ = coll.Scatter(w, 0, root)
+		} else {
+			_ = coll.Scatter(w, 0, nil)
+		}
+		// Point-to-point after the collectives: ffSeq alignment must survive.
+		data = w.Shift(data, p-1)
+		return nil
 	}
-	// Point-to-point after the collectives: ffSeq alignment must survive.
-	data = w.Shift(data, p-1)
-	return nil
 }
 
 // TestEventBackendSplitIdentical runs collectives on subcommunicators so

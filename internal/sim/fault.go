@@ -1,12 +1,16 @@
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // FaultPlan schedules deterministic failures for a run. Every decision is
 // keyed only on (rank, virtual clock, per-rank send count, delivery copy
 // index) hashed with Seed, never on wall-clock time or Go scheduling, so a
 // plan reproduces the exact same faults — and therefore byte-identical
-// Stats — on every run.
+// Stats — on every run. A collective's sends take their fates on the same
+// keys as point-to-point ones (comm_ff.go).
 //
 // Three fault classes are supported:
 //
@@ -52,12 +56,15 @@ type LinkFault struct {
 	Src, Dst    int
 	From, Until float64
 	// DropProb is the probability the message's primary copy is silently
-	// discarded (a receiver the send was its only copy for then hangs
-	// until quiescence converts the hang into a diagnostic error). A
-	// simultaneously duplicated message still delivers its duplicate —
-	// each copy routes independently.
+	// discarded. A simultaneously duplicated message still delivers its
+	// duplicate — each copy routes independently. A point-to-point
+	// receiver left without a copy waits until quiescence turns the wait
+	// into a DeadlockError (or its timer fires); a collective's receiver
+	// fails at once with a *MessageLostError.
 	DropProb float64
-	// DupProb is the probability the message is delivered twice.
+	// DupProb is the probability the message is delivered twice. Point to
+	// point, both copies queue on the pair; inside a collective the
+	// receiver takes the first copy and the second is absorbed.
 	DupProb float64
 	// CorruptProb is the probability one payload word (at a hash-chosen
 	// index) is perturbed by +1.0.
@@ -90,22 +97,27 @@ func (e *CrashError) Error() string {
 // and converts it into a *CrashError.
 type crashPanic struct{ err *CrashError }
 
-// Validate checks the plan's parameters.
+// Validate checks the plan for p ranks: a rule's ranks must be -1 (any) or
+// in [0, p) and every number finite, for the reason validateWindow gives.
 func (fp *FaultPlan) Validate(p int) error {
+	badRank := func(id int) bool { return id != -1 && (id < 0 || id >= p) }
 	for rank, t := range fp.Crashes {
 		if rank < 0 || rank >= p {
 			return fmt.Errorf("sim: fault plan crashes rank %d outside [0,%d)", rank, p)
 		}
-		if t < 0 {
-			return fmt.Errorf("sim: fault plan crash time %g is negative", t)
+		if !finite(t) || t < 0 {
+			return fmt.Errorf("sim: fault plan crash time %g is negative or not finite", t)
 		}
 	}
-	if fp.RebootTime < 0 {
-		return fmt.Errorf("sim: fault plan reboot time %g is negative", fp.RebootTime)
+	if !finite(fp.RebootTime) || fp.RebootTime < 0 {
+		return fmt.Errorf("sim: fault plan reboot time %g is negative or not finite", fp.RebootTime)
 	}
 	for _, l := range fp.Links {
+		if badRank(l.Src) || badRank(l.Dst) {
+			return fmt.Errorf("sim: fault plan link %d->%d names a rank outside [0,%d)", l.Src, l.Dst, p)
+		}
 		for _, pr := range []float64{l.DropProb, l.DupProb, l.CorruptProb} {
-			if pr < 0 || pr > 1 {
+			if !(pr >= 0 && pr <= 1) {
 				return fmt.Errorf("sim: fault plan probability %g outside [0,1]", pr)
 			}
 			// A fractional probability rolls the seeded dice; with Seed 0
@@ -122,8 +134,11 @@ func (fp *FaultPlan) Validate(p int) error {
 		}
 	}
 	for _, d := range fp.Degraded {
-		if d.AlphaFactor < 0 || d.BetaFactor < 0 {
-			return fmt.Errorf("sim: degraded-link factors must be non-negative, got %+v", d)
+		if badRank(d.Src) || badRank(d.Dst) {
+			return fmt.Errorf("sim: degraded link %d->%d names a rank outside [0,%d)", d.Src, d.Dst, p)
+		}
+		if !finite(d.AlphaFactor) || !finite(d.BetaFactor) || d.AlphaFactor < 0 || d.BetaFactor < 0 {
+			return fmt.Errorf("sim: degraded-link factors must be finite and non-negative, got %+v", d)
 		}
 		if err := validateWindow(d.From, d.Until); err != nil {
 			return fmt.Errorf("sim: degraded link %d->%d: %w", d.Src, d.Dst, err)
@@ -132,11 +147,17 @@ func (fp *FaultPlan) Validate(p int) error {
 	return nil
 }
 
+// finite reports whether v is neither NaN nor infinite.
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+
 // validateWindow rejects malformed [From, Until) fault windows. Until = 0
 // means unbounded; any other end must lie strictly after the start, or the
 // window silently matches nothing and the plan is not the scenario its
-// author wrote down.
+// author wrote down. So does a rank that does not exist, or a NaN.
 func validateWindow(from, until float64) error {
+	if !finite(from) || !finite(until) {
+		return fmt.Errorf("window [%g, %g) is not finite", from, until)
+	}
 	if from < 0 {
 		return fmt.Errorf("window start %g is negative", from)
 	}
@@ -317,22 +338,31 @@ func (fp *FaultPlan) degradeFactors(src, dst int, clock float64) (alphaF, betaF 
 // real-time cancellation check (cancel.go).
 func (r *Rank) crashCheck() {
 	r.cancelCheck()
+	if err := r.crashFire(); err != nil {
+		panic(crashPanic{err: err})
+	}
+}
+
+// crashFire is crashCheck's crash half: it fires a due crash, charging a
+// respawn in place, and returns a hard crash's error for the caller to raise
+// or, in a conduct, to record for the member (comm_ff.go).
+func (r *Rank) crashFire() *CrashError {
 	fp := r.cluster.cost.Faults
 	if fp == nil || r.crashDone {
-		return
+		return nil
 	}
 	t, ok := fp.Crashes[r.id]
 	if !ok {
 		r.crashDone = true
-		return
+		return nil
 	}
 	if r.clock < t {
-		return
+		return nil
 	}
 	r.crashDone = true
 	r.emitCrash(CrashEvent{Rank: r.id, Scheduled: t, Time: r.clock, Respawn: fp.Respawn})
 	if !fp.Respawn {
-		panic(crashPanic{err: &CrashError{Rank: r.id, Time: t}})
+		return &CrashError{Rank: r.id, Time: t}
 	}
 	r.crashPending = true
 	if fp.RebootTime > 0 {
@@ -340,6 +370,7 @@ func (r *Rank) crashCheck() {
 		r.emit(Segment{Kind: SegWait, Start: r.clock, End: r.clock + fp.RebootTime, Peer: -1})
 		r.clock += fp.RebootTime
 	}
+	return nil
 }
 
 // TakeCrashed reports whether an injected crash has fired on this rank since

@@ -4,8 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"math"
 	"slices"
-	"strings"
 	"testing"
 )
 
@@ -275,6 +275,15 @@ func TestFaultPlanValidation(t *testing.T) {
 		{Faults: &FaultPlan{Links: []LinkFault{{DropProb: 0.25}}}},
 		{Faults: &FaultPlan{Links: []LinkFault{{DupProb: 0.5}}}},
 		{Faults: &FaultPlan{Links: []LinkFault{{CorruptProb: 0.01}}}},
+		// A rule on a rank that does not exist, and a number compared
+		// against NaN or infinity, match nothing or everything: a NaN crash
+		// time fires at the rank's first op (clock < NaN is false).
+		{Faults: &FaultPlan{Links: []LinkFault{{Src: 99, Dst: -1, DropProb: 1}}}},
+		{Faults: &FaultPlan{Degraded: []DegradedLink{{Src: -1, Dst: -5, AlphaFactor: 2, BetaFactor: 2}}}},
+		{Faults: &FaultPlan{Links: []LinkFault{{Src: -1, Dst: -1, DupProb: math.NaN()}}}},
+		{Faults: &FaultPlan{Links: []LinkFault{{Src: -1, Dst: -1, From: math.NaN(), DropProb: 1}}}},
+		{Faults: &FaultPlan{Crashes: map[int]float64{1: math.NaN()}}},
+		{Faults: &FaultPlan{Crashes: map[int]float64{1: 5}, Respawn: true, RebootTime: math.Inf(1)}},
 	}
 	for i, c := range bad {
 		if _, err := NewCluster(2, c); err == nil {
@@ -440,34 +449,135 @@ func TestFaultedSendEventSequencePinned(t *testing.T) {
 	}
 }
 
-// TestDropInsideCollectivePinned pins what a drop inside a collective does
-// member by member, the outcome no conductor can reproduce (DESIGN.md,
-// "Fast-forward"): link 1→2 loses only the first ring step of the first of
-// two AllGathers, rank 2 takes each later block from rank 1 as the one it
-// expected earlier — still consuming the second AllGather's messages in
-// the first — so ranks 0 and 3 read misaligned blocks and rank 2 waits
-// for one message more than rank 1 sends.
+// TestDropInsideCollectivePinned pins what a drop inside a collective
+// does: link 1→2 loses the first ring step of the first of two
+// AllGathers, so rank 2's receive finds no copy and fails with a
+// *MessageLostError naming the link and the collective. The failure runs
+// down the ring — rank 3 receives from the failed rank 2, rank 0 from the
+// failed rank 3, each with the exited-peer text a Recv gives — while rank
+// 1, which depends on nobody dead, completes the first AllGather with the
+// right blocks and leaves the second, which its members never reach,
+// with the orphaned-collective verdict on member 0.
 func TestDropInsideCollectivePinned(t *testing.T) {
 	cost := unitCost
 	cost.Faults = &FaultPlan{Links: []LinkFault{{Src: 1, Dst: 2, Until: 1500, DropProb: 1}}}
-	probes := make([][]float64, 4)
-	_, err := Run(4, cost, func(r *Rank) error {
-		w := r.World()
-		me := float64(r.ID())
-		first := w.AllGather([]float64{10 + me})
-		probes[r.ID()] = append(first, w.AllGather([]float64{20 + me})...)
-		return nil
-	})
-	const verdict = "rank 2 receiving from rank 1, which exited without sending"
-	if err == nil || !strings.Contains(err.Error(), verdict) {
-		t.Fatalf("error %v, want one containing %q", err, verdict)
+	firsts := make([][]float64, 4)
+	for _, workers := range []int{1, 4} {
+		cost.Workers = workers
+		_, err := Run(4, cost, func(r *Rank) error {
+			w := r.World()
+			me := float64(r.ID())
+			firsts[r.ID()] = w.AllGather([]float64{10 + me})
+			w.AllGather([]float64{20 + me})
+			return nil
+		})
+		var lost *MessageLostError
+		if !errors.As(err, &lost) || *lost != (MessageLostError{Rank: 2, Peer: 1, Op: "AllGather"}) {
+			t.Fatalf("workers=%d: error %v, want one wrapping rank 2's lost message from rank 1 inside AllGather", workers, err)
+		}
+		const r2 = "sim: rank 2 panicked: sim: rank 2 lost the message from rank 1 inside AllGather (dropped by the fault plan)"
+		const r3 = "sim: rank 3 panicked: sim: rank 3 receiving from rank 2, which failed (cascade; root cause: " + r2 + ")"
+		const r0 = "sim: rank 0 panicked: sim: rank 0 receiving from rank 3, which failed (cascade; root cause: " + r3 + ")"
+		const r1 = "sim: rank 1 panicked: sim: rank 1 receiving from rank 0, which failed (cascade; root cause: " + r0 + ")"
+		if want := "rank 0: " + r0 + "\nrank 1: " + r1 + "\nrank 2: " + r2 + "\nrank 3: " + r3; err.Error() != want {
+			t.Errorf("workers=%d: error text\n%s\nwant\n%s", workers, err, want)
+		}
+		if want := []float64{10, 11, 12, 13}; !slices.Equal(firsts[1], want) {
+			t.Errorf("workers=%d: rank 1 read %v, want %v", workers, firsts[1], want)
+		}
+		for _, id := range []int{0, 2, 3} {
+			if firsts[id] != nil {
+				t.Errorf("workers=%d: rank %d failed inside the first AllGather but returned %v", workers, id, firsts[id])
+			}
+		}
+		clear(firsts)
 	}
-	for id, want := range map[int][]float64{
-		0: {10, 10, 12, 13, 20, 20, 22, 23},
-		3: {13, 10, 12, 13, 23, 20, 22, 23},
-	} {
-		if !slices.Equal(probes[id], want) {
-			t.Errorf("rank %d read %v, want %v", id, probes[id], want)
+}
+
+// TestDupInsideCollectiveAbsorbed pins the other half of the collective
+// model: a duplicated message inside a collective delivers its first copy
+// and the second is absorbed. Link 1→2 duplicates every message of two
+// AllGathers; every rank reads the right blocks, every such send emits a
+// FaultDup, and the Stats are the fault-free run's — the sender paid each
+// send once, and the receiver received each message once.
+func TestDupInsideCollectiveAbsorbed(t *testing.T) {
+	prog := func(got [][]float64) func(r *Rank) error {
+		return func(r *Rank) error {
+			w := r.World()
+			me := float64(r.ID())
+			got[r.ID()] = append(w.AllGather([]float64{10 + me}), w.AllGather([]float64{20 + me, 30})...)
+			return nil
+		}
+	}
+	clean, err := Run(4, unitCost, prog(make([][]float64, 4)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 4} {
+		cost := unitCost
+		cost.Workers = workers
+		cost.Faults = &FaultPlan{Links: []LinkFault{{Src: 1, Dst: 2, DupProb: 1}}}
+		o := newRecObs()
+		cost.Observers = []Observer{o}
+		got := make([][]float64, 4)
+		res, err := Run(4, cost, prog(got))
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		want := []float64{10, 11, 12, 13, 20, 30, 21, 30, 22, 30, 23, 30}
+		for id := range got {
+			if !slices.Equal(got[id], want) {
+				t.Errorf("workers=%d: rank %d read %v, want %v", workers, id, got[id], want)
+			}
+		}
+		dups := 0
+		for _, ev := range o.faults {
+			if ev.Kind == FaultDup && ev.Src == 1 && ev.Dst == 2 {
+				dups++
+			}
+		}
+		if len(o.faults) != 6 || dups != 6 {
+			t.Errorf("workers=%d: fault events %+v, want one FaultDup per 1→2 ring step (6)", workers, o.faults)
+		}
+		requireSameResult(t, "fault-free", clean, fmt.Sprintf("duplicating, workers=%d", workers), res)
+	}
+}
+
+// TestHardCrashInsideCollectivePropagates pins how a hard crash inside a
+// conducted Bcast reaches the members that depend on the dead one. On 8
+// ranks rooted at 0 (tree 0→{4,2,1}, 4→{6,5}, 2→3, 6→7), rank 4's crash
+// fires at its receive from the root: ranks 6 and 5 fail receiving from a
+// crashed rank, rank 7 from the failed rank 6, and every other rank gets
+// the data. The conductor records each failure in whichever worker
+// conducts, and the member panics with it on its own, so the outcome must
+// not depend on the worker count.
+func TestHardCrashInsideCollectivePropagates(t *testing.T) {
+	const crash = "sim: rank 4 crashed at injected fault (t=50)"
+	const r6 = "sim: rank 6 panicked: sim: rank 6 receiving from rank 4, which crashed (root cause: " + crash + ")"
+	const r5 = "sim: rank 5 panicked: sim: rank 5 receiving from rank 4, which crashed (root cause: " + crash + ")"
+	const r7 = "sim: rank 7 panicked: sim: rank 7 receiving from rank 6, which failed (cascade; root cause: " + r6 + ")"
+	want := "rank 4: " + crash + "\nrank 5: " + r5 + "\nrank 6: " + r6 + "\nrank 7: " + r7
+	for _, workers := range []int{1, 2, 4} {
+		cost := unitCost
+		cost.Workers = workers
+		cost.Faults = &FaultPlan{Crashes: map[int]float64{4: 50}}
+		got := make([][]float64, 8)
+		_, err := Run(8, cost, func(r *Rank) error {
+			r.Compute(float64(10 * (r.ID() + 1)))
+			got[r.ID()] = r.World().Bcast(0, []float64{7, 8})
+			return nil
+		})
+		var ce *CrashError
+		if !errors.As(err, &ce) || ce.Rank != 4 {
+			t.Fatalf("workers=%d: error %v, want one wrapping rank 4's CrashError", workers, err)
+		}
+		if err.Error() != want {
+			t.Errorf("workers=%d: error text\n%s\nwant\n%s", workers, err, want)
+		}
+		for id, v := range got {
+			if failed := id >= 4; failed != (v == nil) || !failed && !slices.Equal(v, []float64{7, 8}) {
+				t.Errorf("workers=%d: rank %d returned %v", workers, id, v)
+			}
 		}
 	}
 }

@@ -9,9 +9,11 @@ import (
 // FuzzFaultPlan decodes the input as a FaultPlan and, when Validate accepts
 // it for p = 8, runs one fixed faulted program on one worker and on three.
 // No panic may escape Run, and the two runs must agree on every rank's
-// Stats and on the error text: a faulted run takes the member-by-member
-// collective path, so this is where the engine's pop order would show if
-// Results depended on it.
+// Stats and on the error text. The row broadcasts are conducted under the
+// plan like without one, so this checks the conductor's fates and failure
+// propagation — a failure recorded by whichever member conducts, and
+// raised by each failed member on its own carrier — and the engine's pop
+// order, which must show in neither.
 func FuzzFaultPlan(f *testing.F) {
 	for _, seed := range []string{
 		`{}`,
@@ -20,6 +22,14 @@ func FuzzFaultPlan(f *testing.F) {
 		`{"Seed":9,"Links":[{"Src":-1,"Dst":-1,"DupProb":0.3,"CorruptProb":0.2}]}`,
 		`{"Links":[{"Src":2,"Dst":3,"DropProb":1}]}`,
 		`{"Degraded":[{"Src":-1,"Dst":4,"From":0.00001,"Until":0.0002,"AlphaFactor":3,"BetaFactor":10}]}`,
+		// Inside round 0's row Bcast (root 0; tree 0→2, 0→1, 2→3): rank 2
+		// crashes at its send to 3; link 0→2, which only that Bcast uses,
+		// drops; or duplicates with independently corrupted copies.
+		`{"Crashes":{"2":0.0000015}}`,
+		`{"Links":[{"Src":0,"Dst":2,"DropProb":1}]}`,
+		`{"Seed":3,"Links":[{"Src":0,"Dst":2,"DupProb":1,"CorruptProb":0.5}]}`,
+		// The Bcast root crashes in the ring SendRecv, before it arrives.
+		`{"Crashes":{"0":0.000001}}`,
 	} {
 		f.Add([]byte(seed))
 	}

@@ -155,10 +155,10 @@ func TestPhantomTourIdentical(t *testing.T) {
 // of a message that outlives the conduct: the scatter chunk that queues
 // behind stale point-to-point traffic (TestConductStaleScatterChunk's
 // program). The phantom chunk needs no private copy, and the run prices
-// exactly like its numeric twin. A faulted send delivers a fresh copy, so
-// on the member-by-member route (an empty fault plan) what a rank receives
-// is real memory while the root keeps its phantom chunk; only the pricing
-// must agree there.
+// exactly like its numeric twin. A faulted point-to-point send delivers a
+// fresh copy, so under an empty fault plan the stale message — and the
+// block rank 3's all-gather builds from it — is real memory while the root
+// keeps its phantom chunk; only the pricing must agree there.
 func TestPhantomStaleTraffic(t *testing.T) {
 	prog := func(phantom, faulted bool) func(r *Rank) error {
 		mk := func(n int) []float64 {

@@ -377,8 +377,10 @@ func (r *Rank) send(dst int, data []float64, owned bool) {
 	r.crashCheck()
 	m, start := r.priceSend(dst, len(data))
 	if r.cluster.cost.Faults != nil {
-		copies, n, _ := r.sendFate(dst, data, m, start)
-		for _, c := range copies[:n] {
+		fates, n, _ := r.sendFate(dst, len(data), m, start)
+		for _, f := range fates[:n] {
+			c := m
+			c.data = r.fateCopy(dst, data, f)
 			r.deliver(dst, c)
 		}
 		return
@@ -400,9 +402,9 @@ func (r *Rank) checkPeer(peer int, verb string) {
 // the link's α/β under any degraded-link window, the SegSend segment, the
 // clock advance and the send sequence. It returns the message to deliver,
 // stamped and carrying the window's factors but with no payload yet, and
-// the clock the send started at. Send and SendTimeout follow it with
-// sendFate on a faulted run; the conducted collectives (comm_ff.go), which
-// run fault-free only, attach the payload themselves.
+// the clock the send started at. Send, SendTimeout and the conducted
+// collectives (comm_ff.go) follow it with sendFate on a faulted run, and
+// attach the payload themselves.
 func (r *Rank) priceSend(dst, k int) (m message, start float64) {
 	msgs := r.cluster.messagesFor(k)
 	r.stats.WordsSent += float64(k)
@@ -425,12 +427,20 @@ func (r *Rank) priceSend(dst, k int) (m message, start float64) {
 	return m, start
 }
 
-// sendFate applies the fault plan to the send priceSend just priced (m
-// and start are its results), publishes the degraded-window and fate
-// events, and returns the copies the network delivers, in order, each a
-// fresh copy of data: the duplicate when the plan duplicates the message,
-// then the primary unless the plan drops it (dropped). Without a plan the
-// primary is the one copy.
+// copyFate is one delivered copy's fate: its copy index and whether the
+// plan corrupts it.
+type copyFate struct {
+	copy    int
+	corrupt bool
+}
+
+// sendFate applies the fault plan to the k-word send priceSend just
+// priced (m and start are its results), publishes the degraded-window and
+// fate events, and returns the fates of the copies the network delivers,
+// in order: the duplicate when the plan duplicates the message, then the
+// primary unless the plan drops it (dropped). Without a plan the primary
+// is the one copy. Send delivers each as a fresh copy (fateCopy); a
+// conducted collective's receiver takes the first (comm_ff.go).
 //
 // The duplicate has a corruption fate of its own (keyed on the copy
 // index), so a corrupt+dup send can deliver one clean and one corrupted
@@ -438,20 +448,11 @@ func (r *Rank) priceSend(dst, k int) (m message, start float64) {
 // drop+dup still delivers the duplicate — which is what lets the
 // timer-free resilience protocols survive lossy links that duplicate
 // traffic.
-func (r *Rank) sendFate(dst int, data []float64, m message, start float64) (copies [2]message, n int, dropped bool) {
-	k, seq, fp := len(data), r.sendCount-1, r.cluster.cost.Faults
-	addCopy := func(corrupt bool, copyIdx int) {
-		copies[n] = m
-		copies[n].data = make([]float64, k)
-		copy(copies[n].data, data)
-		if corrupt && k > 0 {
-			copies[n].data[fp.corruptIndex(r.id, dst, seq, copyIdx, k)] += 1.0
-		}
-		n++
-	}
+func (r *Rank) sendFate(dst, k int, m message, start float64) (fates [2]copyFate, n int, dropped bool) {
+	seq, fp := r.sendCount-1, r.cluster.cost.Faults
 	if fp == nil {
-		addCopy(false, copyPrimary)
-		return copies, n, false
+		fates[0] = copyFate{copy: copyPrimary}
+		return fates, 1, false
 	}
 	fault := func(ev FaultEvent) {
 		if len(r.cluster.obs) > 0 {
@@ -471,14 +472,26 @@ func (r *Rank) sendFate(dst int, data []float64, m message, start float64) (copi
 		if dupCorrupt && k > 0 {
 			fault(FaultEvent{Kind: FaultCorrupt, Time: r.clock, Copy: copyDup})
 		}
-		addCopy(dupCorrupt, copyDup)
+		fates[n] = copyFate{copy: copyDup, corrupt: dupCorrupt && k > 0}
+		n++
 	}
 	if drop {
 		fault(FaultEvent{Kind: FaultDrop, Time: r.clock})
-		return copies, n, true // the sender has paid; the network loses the primary copy
+		return fates, n, true // the sender has paid; the network loses the primary copy
 	}
-	addCopy(corrupt, copyPrimary)
-	return copies, n, false
+	fates[n] = copyFate{copy: copyPrimary, corrupt: corrupt && k > 0}
+	return fates, n + 1, false
+}
+
+// fateCopy returns copy f of the payload of the rank's last send to dst:
+// fresh, and perturbed at the plan's index when f is corrupt.
+func (r *Rank) fateCopy(dst int, data []float64, f copyFate) []float64 {
+	out := make([]float64, len(data))
+	copy(out, data)
+	if f.corrupt {
+		out[r.cluster.cost.Faults.corruptIndex(r.id, dst, r.sendCount-1, f.copy, len(data))] += 1.0
+	}
+	return out
 }
 
 // deliver enqueues a message on the pair's queue without blocking the
@@ -518,16 +531,22 @@ func (r *Rank) Recv(src int) []float64 {
 func (r *Rank) finishRecvOrFail(src int, msg message, ok bool) []float64 {
 	if !ok {
 		r.cancelCheck()
-		switch ei := r.cluster.exits[src]; ei.status {
-		case exitClean:
-			panic(fmt.Sprintf("sim: rank %d receiving from rank %d, which exited without sending (clean exit; mismatched communication pattern?)", r.id, src))
-		case exitCrashed:
-			panic(fmt.Sprintf("sim: rank %d receiving from rank %d, which crashed (root cause: %v)", r.id, src, ei.err))
-		default:
-			panic(fmt.Sprintf("sim: rank %d receiving from rank %d, which failed (cascade; root cause: %v)", r.id, src, ei.err))
-		}
+		panic(exitedPeer(r.id, src, r.cluster.exits[src]))
 	}
 	return r.finishRecv(src, msg)
+}
+
+// exitedPeer is the text rank id fails with when the peer src it receives
+// from has left the run as ei records, naming the root cause.
+func exitedPeer(id, src int, ei exitInfo) string {
+	switch ei.status {
+	case exitClean:
+		return fmt.Sprintf("sim: rank %d receiving from rank %d, which exited without sending (clean exit; mismatched communication pattern?)", id, src)
+	case exitCrashed:
+		return fmt.Sprintf("sim: rank %d receiving from rank %d, which crashed (root cause: %v)", id, src, ei.err)
+	default:
+		return fmt.Sprintf("sim: rank %d receiving from rank %d, which failed (cascade; root cause: %v)", id, src, ei.err)
+	}
 }
 
 // finishRecv prices and accounts a message in hand: the wait to its
@@ -673,6 +692,17 @@ func Run(p int, cost Cost, fn func(r *Rank) error) (*Result, error) {
 		return nil, err
 	}
 	return c.Run(fn)
+}
+
+// MessageLostError is how rank Rank fails when the fault plan drops every
+// copy of the message from Peer it was to receive inside collective Op.
+type MessageLostError struct {
+	Rank, Peer int
+	Op         string
+}
+
+func (e *MessageLostError) Error() string {
+	return fmt.Sprintf("sim: rank %d lost the message from rank %d inside %s (dropped by the fault plan)", e.Rank, e.Peer, e.Op)
 }
 
 // classifyRankExit maps a recovered panic (or fn's returned error) to the

@@ -14,8 +14,8 @@ import "sync"
 // from what the failed attempt kept (stepState) without pricing anything
 // twice. A completed Try call is its blocking twin, through the same code.
 // Under a fault plan the Stepper runs carried instead (RunSteps), where
-// the Try calls block: a faulted run's collectives go member by member,
-// and those park inside the collective, on a stack.
+// the Try calls block: a faulted send may deliver two copies or none
+// (sendFate), and TrySend's retry keeps exactly one.
 
 // Stepper is a rank program the engine can host without a goroutine. Step
 // advances rank r as far as it can and reports whether the program
@@ -39,7 +39,8 @@ func RunSteps(p int, cost Cost, start func(id int) Stepper) (*Result, error) {
 }
 
 // RunSteps hosts start's Steppers on every rank: stackless on a fault-free
-// run, carried under Cost.Faults. A Cluster must not be reused after it.
+// run, carried under Cost.Faults (see the file comment for why). A Cluster
+// must not be reused after it.
 func (c *Cluster) RunSteps(start func(id int) Stepper) (*Result, error) {
 	if c.cost.Faults != nil {
 		return c.Run(func(r *Rank) error {

@@ -260,9 +260,11 @@ func (r *Rank) SendTimeout(dst int, data []float64, timeout float64) SendOutcome
 	m, start := r.priceSend(dst, len(data))
 	deadline := r.clock + timeout
 	r.emitTimer(TimerArmed, dst, "send", deadline)
-	copies, n, dropped := r.sendFate(dst, data, m, start)
+	fates, n, dropped := r.sendFate(dst, len(data), m, start)
 	out := SendOK
-	for _, c := range copies[:n] {
+	for _, f := range fates[:n] {
+		c := m
+		c.data = r.fateCopy(dst, data, f)
 		if out = r.deliverDeadline(dst, c, deadline); out != SendOK {
 			return out
 		}

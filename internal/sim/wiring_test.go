@@ -34,33 +34,46 @@ func actRecv(src int) func(r *Rank) bool {
 	return func(r *Rank) bool { _, ok := r.TryRecv(src); return ok }
 }
 
-func actBcastLarge(root int) func(r *Rank) bool {
+// The collective actions run through the member-by-member oracle when
+// oracle is set (carried only), else through the conductor.
+func actBcastLarge(root int, oracle bool) func(r *Rank) bool {
 	return func(r *Rank) bool {
 		var data []float64
 		if r.ID() == root {
 			data = []float64{1, 2, 3, 4, 5, 6, 7, 8}
+		}
+		if oracle {
+			oracleBcastLargeInto(r.World(), nil, root, data)
+			return true
 		}
 		_, ok := r.World().TryBcastLargeInto(nil, root, data)
 		return ok
 	}
 }
 
-func actReduceLarge(root int) func(r *Rank) bool {
+func actReduceLarge(root int, oracle bool) func(r *Rank) bool {
 	return func(r *Rank) bool {
 		me := float64(r.ID())
-		_, ok := r.World().TryReduceLarge(root, []float64{me, 1, me, 2, me, 3, me, 4}, OpSum)
+		data := []float64{me, 1, me, 2, me, 3, me, 4}
+		if oracle {
+			oracleReduceLarge(r.World(), root, data, OpSum)
+			return true
+		}
+		_, ok := r.World().TryReduceLarge(root, data, OpSum)
 		return ok
 	}
 }
 
 // TestConductedPairUpgrade holds the idle-marker wiring to the
-// member-by-member route, which wires every pair with a real ring: pairs a
-// conducted collective registered are later used point to point, hold
-// point-to-point traffic ahead of a collective, or hold a RecvTimeout
-// pushback. Per-rank Stats, ActivePairs and observer streams must match
-// across both routes, 1 and 4 workers, closures and steppers. A pair whose
-// marker a Send or Recv was handed instead of a real ring never delivers,
-// and the run ends in a deadlock verdict.
+// member-by-member oracle (collective_oracle_test.go), which wires every
+// pair with a real ring: pairs a conducted collective registered are later
+// used point to point, hold point-to-point traffic ahead of a collective,
+// or hold a RecvTimeout pushback. Per-rank Stats, ActivePairs and observer
+// streams must match across the oracle and the conductor — fault-free and
+// under an empty fault plan, whose conducts take the faulted helpers — on 1
+// and 4 workers, closures and steppers. A pair whose marker a Send or Recv
+// was handed instead of a real ring never delivers, and the run ends in a
+// deadlock verdict.
 func TestConductedPairUpgrade(t *testing.T) {
 	others := func(p, id int) []int {
 		var ks []int
@@ -75,8 +88,8 @@ func TestConductedPairUpgrade(t *testing.T) {
 		name    string
 		p       int
 		chanCap int
-		acts    func(id int) []func(r *Rank) bool
-		closure func(r *Rank) error // set when the program has no Stepper twin
+		acts    func(id int, oracle bool) []func(r *Rank) bool
+		closure func(r *Rank, coll collectiveSet) error // set when the program has no Stepper twin
 	}
 	cases := []wiringCase{{
 		// (a) Collective, then every pair point to point — the first wave
@@ -84,15 +97,15 @@ func TestConductedPairUpgrade(t *testing.T) {
 		// out — then collectives over the upgraded pairs.
 		name: "collective-p2p-collective",
 		p:    4,
-		acts: func(id int) []func(r *Rank) bool {
-			acts := []func(r *Rank) bool{actCompute(float64(10 * (id + 1))), actBcastLarge(0)}
+		acts: func(id int, o bool) []func(r *Rank) bool {
+			acts := []func(r *Rank) bool{actCompute(float64(10 * (id + 1))), actBcastLarge(0, o)}
 			for _, k := range others(4, id) {
 				acts = append(acts, actSend(k, float64(id), float64(k)))
 			}
 			for _, k := range others(4, id) {
 				acts = append(acts, actRecv(k))
 			}
-			return append(acts, actReduceLarge(3), actBcastLarge(1))
+			return append(acts, actReduceLarge(3, o), actBcastLarge(1, o))
 		},
 	}}
 	for _, chanCap := range []int{1, DefaultChanCap} {
@@ -101,19 +114,19 @@ func TestConductedPairUpgrade(t *testing.T) {
 		// path depends on no received value, so the collective's first
 		// receive on the pair consumes the stale head like any block, and
 		// leaves one message behind for a Recv. (A stale message in both
-		// directions would deadlock the member-by-member route at
+		// directions would deadlock the oracle at
 		// ChanCap 1: both members' first sends find their pair full.)
 		cases = append(cases, wiringCase{
 			name:    fmt.Sprintf("stale-p2p-ahead/chancap=%d", chanCap),
 			p:       2,
 			chanCap: chanCap,
-			acts: func(id int) []func(r *Rank) bool {
+			acts: func(id int, o bool) []func(r *Rank) bool {
 				if id == 0 {
-					return []func(r *Rank) bool{actCompute(5), actBcastLarge(0), actSend(1, -1, -2, -3, -4),
-						actReduceLarge(0), actBcastLarge(1)}
+					return []func(r *Rank) bool{actCompute(5), actBcastLarge(0, o), actSend(1, -1, -2, -3, -4),
+						actReduceLarge(0, o), actBcastLarge(1, o)}
 				}
-				return []func(r *Rank) bool{actCompute(2), actBcastLarge(0), actReduceLarge(0), actRecv(0),
-					actBcastLarge(1)}
+				return []func(r *Rank) bool{actCompute(2), actBcastLarge(0, o), actReduceLarge(0, o), actRecv(0),
+					actBcastLarge(1, o)}
 			},
 		})
 	}
@@ -124,7 +137,7 @@ func TestConductedPairUpgrade(t *testing.T) {
 		name:    "recvtimeout-pushback-collective",
 		p:       4,
 		chanCap: 1,
-		closure: func(r *Rank) error {
+		closure: func(r *Rank, coll collectiveSet) error {
 			w := r.World()
 			switch r.ID() {
 			case 0:
@@ -140,12 +153,12 @@ func TestConductedPairUpgrade(t *testing.T) {
 			if r.ID() == 0 {
 				data = []float64{7}
 			}
-			w.Bcast(0, data)
+			coll.Bcast(w, 0, data)
 			if r.ID() == 1 {
 				r.Recv(0)
 				r.Recv(0)
 			}
-			w.AllReduce([]float64{float64(r.ID())}, OpSum)
+			coll.AllReduce(w, []float64{float64(r.ID())}, OpSum)
 			return nil
 		},
 	})
@@ -153,27 +166,36 @@ func TestConductedPairUpgrade(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			var ref *Result
 			var refObs *recObs
-			for _, faults := range []*FaultPlan{nil, {}} {
+			for _, route := range []struct {
+				name   string
+				faults *FaultPlan
+				oracle bool
+			}{{"oracle", nil, true}, {"conducted", nil, false}, {"conducted under an empty plan", &FaultPlan{}, false}} {
+				acts := func(id int) []func(r *Rank) bool { return tc.acts(id, route.oracle) }
+				coll := conductor
+				if route.oracle {
+					coll = oracle
+				}
 				for _, w := range []int{1, 4} {
 					for _, stepped := range []bool{false, true} {
-						if stepped && tc.acts == nil {
+						if stepped && (tc.acts == nil || route.oracle) {
 							continue
 						}
 						cost := unitCost
-						cost.ChanCap, cost.Workers, cost.Faults = tc.chanCap, w, faults
+						cost.ChanCap, cost.Workers, cost.Faults = tc.chanCap, w, route.faults
 						obs := newRecObs()
 						cost.Observers = []Observer{obs}
 						var res *Result
 						var err error
 						switch {
 						case stepped:
-							res, err = RunSteps(tc.p, cost, scripted(tc.acts))
+							res, err = RunSteps(tc.p, cost, scripted(acts))
 						case tc.acts != nil:
-							res, err = Run(tc.p, cost, asClosure(tc.acts))
+							res, err = Run(tc.p, cost, asClosure(acts))
 						default:
-							res, err = Run(tc.p, cost, tc.closure)
+							res, err = Run(tc.p, cost, func(r *Rank) error { return tc.closure(r, coll) })
 						}
-						name := fmt.Sprintf("conducted=%v workers=%d stepped=%v", faults == nil, w, stepped)
+						name := fmt.Sprintf("%s workers=%d stepped=%v", route.name, w, stepped)
 						if err != nil {
 							t.Fatalf("%s: %v", name, err)
 						}
@@ -181,9 +203,9 @@ func TestConductedPairUpgrade(t *testing.T) {
 							ref, refObs = res, obs
 							continue
 						}
-						requireSameResult(t, "conducted closure on one worker", ref, name, res)
+						requireSameResult(t, "oracle on one worker", ref, name, res)
 						if !sameStreams(refObs, obs, tc.p) {
-							t.Errorf("%s: observer streams differ from the conducted closure's", name)
+							t.Errorf("%s: observer streams differ from the oracle's", name)
 						}
 					}
 				}
