@@ -55,8 +55,8 @@ func newRun25D(q, c int, a, b *matrix.Dense) (*run25D, error) {
 		a: a, b: b, cBlocks: make([]*matrix.Dense, q*q)}, nil
 }
 
-// run steps one program per rank (sim.RunSteps: no goroutine per rank on a
-// fault-free run) and assembles the product from layer 0's C blocks.
+// run steps one program per rank (sim.RunSteps: no goroutine per rank,
+// under any fault plan) and assembles the product from layer 0's C blocks.
 func (run *run25D) run(cost sim.Cost, start func(id int) sim.Stepper) (*RunResult, error) {
 	res, err := sim.RunSteps(run.q*run.q*run.c, cost, start)
 	if err != nil {

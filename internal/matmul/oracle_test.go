@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"strings"
 	"testing"
 
 	"perfscale/internal/matrix"
@@ -96,7 +97,7 @@ func twoPointFiveDClosure(cost sim.Cost, q, c int, a, b *matrix.Dense) (*RunResu
 		return nil
 	})
 	if err != nil {
-		return nil, err
+		return &RunResult{Sim: res}, err
 	}
 	return &RunResult{C: kern.assemble(cBlocks, layer0, nb, nb), Sim: res}, nil
 }
@@ -170,7 +171,7 @@ func twoPointFiveDSUMMAClosure(cost sim.Cost, q, c int, a, b *matrix.Dense) (*Ru
 		return nil
 	})
 	if err != nil {
-		return nil, err
+		return &RunResult{Sim: res}, err
 	}
 	return &RunResult{C: kern.assemble(cBlocks, layer0, nb, nb), Sim: res}, nil
 }
@@ -211,14 +212,97 @@ func (o *streamRec) OnTimer(sim.TimerEvent)       {}
 func (o *streamRec) OnCrash(sim.CrashEvent)       {}
 func (o *streamRec) OnDeadlock(sim.DeadlockEvent) {}
 
+// stepped25D runs TwoPointFiveD's Stepper, or TwoPointFiveDSUMMA's when
+// summa, as they do, but keeps a failed run's Result, as the closure
+// oracles above do, so that its Stats can be compared too.
+func stepped25D(summa bool) func(sim.Cost, int, int, *matrix.Dense, *matrix.Dense) (*RunResult, error) {
+	return func(cost sim.Cost, q, c int, a, b *matrix.Dense) (*RunResult, error) {
+		run, err := newRun25D(q, c, a, b)
+		if err != nil {
+			return nil, err
+		}
+		res, err := sim.RunSteps(q*q*c, cost, func(int) sim.Stepper {
+			if summa {
+				return &summa25D{rank25D: rank25D{run: run}}
+			}
+			return &cannon25D{rank25D: rank25D{run: run}}
+		})
+		if err != nil {
+			return &RunResult{Sim: res}, err
+		}
+		return &RunResult{C: run.kern.assemble(run.cBlocks, run.layer0, run.nb, run.nb), Sim: res}, nil
+	}
+}
+
+// clockRec records the start of every segment of one rank.
+type clockRec struct {
+	rank   int
+	clocks []float64
+}
+
+func (o *clockRec) OnCompute(rank int, s sim.Segment) { o.at(rank, s) }
+func (o *clockRec) OnSend(rank int, s sim.Segment)    { o.at(rank, s) }
+func (o *clockRec) OnRecv(rank int, s sim.Segment)    { o.at(rank, s) }
+func (o *clockRec) OnPhase(int, string, float64)      {}
+func (o *clockRec) OnFault(sim.FaultEvent)            {}
+func (o *clockRec) OnTimer(sim.TimerEvent)            {}
+func (o *clockRec) OnCrash(sim.CrashEvent)            {}
+func (o *clockRec) OnDeadlock(sim.DeadlockEvent)      {}
+func (o *clockRec) at(rank int, s sim.Segment) {
+	if rank == o.rank {
+		o.clocks = append(o.clocks, s.Start)
+	}
+}
+
+// oraclePlans are the fault plans the Steppers are held to their oracles
+// under on a q=4, c=2 grid: none, the empty plan, a degraded window,
+// corruption, duplication, a drop on one row-shift link, and a respawn and
+// a hard crash of rank 21 (a fiber's member 1) at 0 and at every clock
+// run's fault-free run passes through, thinned to one in stride.
+func oraclePlans(t *testing.T, run func(sim.Cost, int, int, *matrix.Dense, *matrix.Dense) (*RunResult, error),
+	cost sim.Cost, a, b *matrix.Dense, stride int) map[string]*sim.FaultPlan {
+	t.Helper()
+	const victim = 21
+	rec := &clockRec{rank: victim}
+	cost.Observers = []sim.Observer{rec}
+	if _, err := run(cost, 4, 2, a, b); err != nil {
+		t.Fatal(err)
+	}
+	plans := map[string]*sim.FaultPlan{
+		"fault-free": nil,
+		"empty":      {},
+		"degraded":   {Degraded: []sim.DegradedLink{{Src: -1, Dst: -1, From: 3e-6, Until: 2e-5, AlphaFactor: 3, BetaFactor: 2}}},
+		"corrupt":    {Seed: 5, Links: []sim.LinkFault{{Src: -1, Dst: -1, CorruptProb: 0.5}}},
+		"duplicate":  {Seed: 6, Links: []sim.LinkFault{{Src: -1, Dst: -1, DupProb: 0.5}}},
+		"drop":       {Links: []sim.LinkFault{{Src: 22, Dst: victim, DropProb: 1}}},
+	}
+	clocks := append([]float64{0}, rec.clocks...)
+	slices.Sort(clocks)
+	clocks = slices.Compact(clocks)
+	for i := 0; i < len(clocks); i += stride {
+		at := clocks[i]
+		plans[fmt.Sprintf("respawn at t=%g", at)] = &sim.FaultPlan{Crashes: map[int]float64{victim: at}, Respawn: true, RebootTime: 1e-6}
+		plans[fmt.Sprintf("hard crash at t=%g", at)] = &sim.FaultPlan{Crashes: map[int]float64{victim: at}}
+	}
+	return plans
+}
+
+// mustComplete reports whether the oraclePlans row name is one under which
+// the run has to complete: every row but the drop, the duplicate and the
+// crashes.
+func mustComplete(name string) bool {
+	return name != "drop" && name != "duplicate" && !strings.Contains(name, "crash")
+}
+
 // TestSteppersMatchClosureOracle holds both 2.5D Steppers to their closure
-// twins bit for bit — product, per-rank Stats, ActivePairs and every
-// rank's observer stream — on both hosts: stackless (no fault plan) and
-// carried (an empty plan, whose conducts also take the faulted helpers).
-// The grid covers numeric and phantom operands, 1/2/4 workers,
-// ChargeReceiver, a MaxMsgWords that splits messages, a torus link model
-// with c = q and one-word blocks (the broadcast and reduce fallbacks), c = 1
-// (SUMMA's small-panel fallback) and p = 4,096.
+// twins bit for bit — product (when the run completes), per-rank Stats,
+// ActivePairs, every rank's observer stream and the error text. The grid
+// covers numeric and phantom operands, 1/2/4 workers, ChargeReceiver, a
+// MaxMsgWords that splits messages, a torus link model with c = q and
+// one-word blocks (the broadcast and reduce fallbacks), c = 1 (SUMMA's
+// small-panel fallback) and p = 4,096, each without a plan and under the
+// empty one (whose conducts take the faulted helpers); and, at q=4, c=2 on
+// 1 and 4 workers, every plan of oraclePlans.
 func TestSteppersMatchClosureOracle(t *testing.T) {
 	base := sim.Cost{GammaT: 1e-9, BetaT: 1e-8, AlphaT: 1e-6}
 	with := func(f func(*sim.Cost)) sim.Cost {
@@ -248,47 +332,68 @@ func TestSteppersMatchClosureOracle(t *testing.T) {
 		name            string
 		stepper, oracle func(sim.Cost, int, int, *matrix.Dense, *matrix.Dense) (*RunResult, error)
 	}{
-		{"TwoPointFiveD", TwoPointFiveD, twoPointFiveDClosure},
-		{"TwoPointFiveDSUMMA", TwoPointFiveDSUMMA, twoPointFiveDSUMMAClosure},
+		{"TwoPointFiveD", stepped25D(false), twoPointFiveDClosure},
+		{"TwoPointFiveDSUMMA", stepped25D(true), twoPointFiveDSUMMAClosure},
+	}
+	compare := func(label string, p, q, c int, cost sim.Cost, a, b *matrix.Dense, complete bool,
+		stepper, oracle func(sim.Cost, int, int, *matrix.Dense, *matrix.Dense) (*RunResult, error)) {
+		t.Helper()
+		run := func(f func(sim.Cost, int, int, *matrix.Dense, *matrix.Dense) (*RunResult, error)) (*RunResult, *streamRec, string) {
+			rec := newStreamRec(p)
+			cost.Observers = []sim.Observer{rec}
+			res, err := f(cost, q, c, a, b)
+			if err != nil {
+				return res, rec, err.Error()
+			}
+			return res, rec, ""
+		}
+		got, gotRec, gotErr := run(stepper)
+		want, wantRec, wantErr := run(oracle)
+		if gotErr != wantErr {
+			t.Fatalf("%s: error text differs from the oracle's\n  stepper: %s\n  oracle:  %s", label, gotErr, wantErr)
+		}
+		if complete && gotErr != "" {
+			t.Fatalf("%s: run must complete: %s", label, gotErr)
+		}
+		if (got.C == nil) != (want.C == nil) || (got.C != nil && got.C.MaxAbsDiff(want.C) != 0) {
+			t.Errorf("%s: product differs from the oracle's", label)
+		}
+		if !slices.Equal(got.Sim.PerRank, want.Sim.PerRank) {
+			t.Errorf("%s: per-rank Stats differ from the oracle's", label)
+		}
+		if got.Sim.ActivePairs != want.Sim.ActivePairs {
+			t.Errorf("%s: ActivePairs %d, oracle %d", label, got.Sim.ActivePairs, want.Sim.ActivePairs)
+		}
+		if i := slices.Compare(gotRec.ranks, wantRec.ranks); i != 0 {
+			t.Errorf("%s: observer streams differ from the oracle's", label)
+		}
 	}
 	for _, pt := range points {
 		if pt.largeOnly && raceEnabled {
-			continue // 4,096 carried ranks are slow under the race detector
+			continue // 4,096 closure ranks are slow under the race detector
 		}
 		a, b := randPair(pt.n, 41)
 		if pt.phantom {
 			a, b = Phantom(pt.n, pt.n), Phantom(pt.n, pt.n)
 		}
-		p := pt.q * pt.q * pt.c
 		for _, alg := range algs {
 			for _, faults := range []*sim.FaultPlan{nil, {}} {
 				for _, w := range pt.workers {
-					label := fmt.Sprintf("%s %s carried=%v workers=%d", pt.name, alg.name, faults != nil, w)
-					run := func(f func(sim.Cost, int, int, *matrix.Dense, *matrix.Dense) (*RunResult, error)) (*RunResult, *streamRec) {
-						rec := newStreamRec(p)
-						cost := pt.cost
-						cost.Workers, cost.Faults, cost.Observers = w, faults, []sim.Observer{rec}
-						res, err := f(cost, pt.q, pt.c, a, b)
-						if err != nil {
-							t.Fatalf("%s: %v", label, err)
-						}
-						return res, rec
-					}
-					got, gotRec := run(alg.stepper)
-					want, wantRec := run(alg.oracle)
-					if (got.C == nil) != (want.C == nil) || (got.C != nil && got.C.MaxAbsDiff(want.C) != 0) {
-						t.Errorf("%s: product differs from the oracle's", label)
-					}
-					if !slices.Equal(got.Sim.PerRank, want.Sim.PerRank) {
-						t.Errorf("%s: per-rank Stats differ from the oracle's", label)
-					}
-					if got.Sim.ActivePairs != want.Sim.ActivePairs {
-						t.Errorf("%s: ActivePairs %d, oracle %d", label, got.Sim.ActivePairs, want.Sim.ActivePairs)
-					}
-					if i := slices.Compare(gotRec.ranks, wantRec.ranks); i != 0 {
-						t.Errorf("%s: observer streams differ from the oracle's", label)
-					}
+					cost := pt.cost
+					cost.Workers, cost.Faults = w, faults
+					label := fmt.Sprintf("%s %s planned=%v workers=%d", pt.name, alg.name, faults != nil, w)
+					compare(label, pt.q*pt.q*pt.c, pt.q, pt.c, cost, a, b, true, alg.stepper, alg.oracle)
 				}
+			}
+		}
+	}
+	a, b := randPair(16, 41)
+	for _, alg := range algs {
+		for name, plan := range oraclePlans(t, alg.oracle, base, a, b, 2) {
+			for _, w := range []int{1, 4} {
+				cost := base
+				cost.Workers, cost.Faults = w, plan
+				compare(fmt.Sprintf("%s %s workers=%d", alg.name, name, w), 32, 4, 2, cost, a, b, mustComplete(name), alg.stepper, alg.oracle)
 			}
 		}
 	}

@@ -1,6 +1,8 @@
 package matmul
 
 import (
+	"math"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -80,5 +82,37 @@ func TestPhantomOperands(t *testing.T) {
 	a, _ := randPair(8, 95)
 	if _, err := SUMMA(zeroCost, 2, a, Phantom(8, 8)); err == nil {
 		t.Error("a numeric A with a phantom B should be rejected")
+	}
+}
+
+// TestPhantomCannonAllocsUnderPlan: a phantom TwoPointFiveD run (p = 128)
+// allocates no more under the empty fault plan than without one, within
+// 5 %: its ranks stay stackless and its shifts stay phantoms. (The
+// fault-free run allocates ≈285 KiB at 2 workers; one goroutine per rank
+// and a fresh buffer per faulted shift once made it 2.8 times that.)
+func TestPhantomCannonAllocsUnderPlan(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation changes allocation counts")
+	}
+	const q, c, n = 8, 2, 64
+	a, b := Phantom(n, n), Phantom(n, n)
+	alloc := func(plan *sim.FaultPlan) uint64 {
+		cost := sim.Cost{GammaT: 1e-9, BetaT: 1e-8, AlphaT: 1e-6, Workers: 2, Faults: plan}
+		least := uint64(math.MaxUint64)
+		for i := 0; i < 3; i++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			if _, err := TwoPointFiveD(cost, q, c, a, b); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
+		}
+		return least
+	}
+	free, planned := alloc(nil), alloc(&sim.FaultPlan{})
+	t.Logf("fault-free %d B, empty plan %d B", free, planned)
+	if planned > free+free/20 {
+		t.Errorf("the empty plan allocates %d B against %d B fault-free: more than 5 %% over", planned, free)
 	}
 }

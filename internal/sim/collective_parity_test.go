@@ -1,9 +1,11 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -191,6 +193,45 @@ func diesBeforeArrival(p int, cost Cost, pc parityCase, id int, t float64) bool 
 	return fired
 }
 
+// orphanVerdict is the error text of a run of pc in which a member dies
+// before it arrives at pc's last rendezvous (cost holds the plan): the ranks
+// that fail before that rendezvous keep the failures a run of the part
+// before it (the staggering compute, then pc.prefix) gives them, and every
+// rank that arrives fails as a receive from the lowest of them fails
+// (orphanRendezvous).
+func orphanVerdict(p int, cost Cost, pc parityCase) string {
+	cost.Workers = 1
+	_, err := Run(p, cost, func(r *Rank) error {
+		r.Compute(float64(10 * (r.ID() + 1)))
+		if pc.prefix != nil {
+			pc.prefix(conductor, r.World())
+		}
+		return nil
+	})
+	failed := make([]error, p)
+	for _, e := range err.(interface{ Unwrap() []error }).Unwrap() {
+		var id int
+		if _, serr := fmt.Sscanf(e.Error(), "rank %d:", &id); serr != nil {
+			panic(serr)
+		}
+		failed[id] = errors.Unwrap(e)
+	}
+	lowest := slices.IndexFunc(failed, func(e error) bool { return e != nil })
+	dead := exitInfo{status: exitPanicked, err: failed[lowest]}
+	if ce := (*CrashError)(nil); errors.As(failed[lowest], &ce) && ce.Rank == lowest {
+		dead.status = exitCrashed
+	}
+	lines := make([]string, p)
+	for id, e := range failed {
+		if e != nil {
+			lines[id] = fmt.Sprintf("rank %d: %v", id, e)
+		} else {
+			lines[id] = fmt.Sprintf("rank %d: sim: rank %d panicked: %s", id, id, exitedPeer(id, lowest, dead))
+		}
+	}
+	return strings.Join(lines, "\n")
+}
+
 // TestConductorOracleParity holds the conductor to the member-by-member
 // oracle (collective_oracle_test.go) on every collective, at p ∈ {2, 3, 4,
 // 7, 8, 16}, with ChargeReceiver off and on, on 1 and 4 workers, under
@@ -201,18 +242,17 @@ func diesBeforeArrival(p int, cost Cost, pc parityCase, id int, t float64) bool 
 // routes must agree on every rank's delivered values, Stats and observer
 // stream, on ActivePairs and on the error text.
 //
-// Excluded, because the routes are documented to differ there:
+// Pinned instead, because member by member those runs hang or fail on their
+// own parents: hard-crash rows in which the member dies before it arrives
+// at the collective's last rendezvous — in its clock-staggering compute
+// (t = 0), and for AllReduce and Barrier at every crash that fires in their
+// Reduce half. There the run must end in orphanVerdict's text: each member
+// that arrives names the lowest member that exited before arriving.
 //
-//   - hard-crash rows in which the member dies before it arrives at the
-//     collective's last rendezvous: its clock-staggering compute (t = 0),
-//     and for AllReduce and Barrier every crash that fires in their Reduce
-//     half. The members that reach the next rendezvous leave it with the
-//     orphaned-collective verdict (naming member 0), where member by member
-//     each fails on its own parent or hangs. The conductor must still end
-//     these runs with an error and no escaped panic.
-//   - BcastLarge's small-payload fallback under corruption: a corrupted
-//     announcement (−1 → 0) sends a member member by member down the
-//     scatter path alone, while the conductor follows the root's choice.
+// Excluded, because the routes are documented to differ there: BcastLarge's
+// small-payload fallback under corruption. A corrupted announcement (−1 → 0)
+// sends a member member by member down the scatter path alone, while the
+// conductor follows the root's choice.
 func TestConductorOracleParity(t *testing.T) {
 	plans := []struct {
 		name string
@@ -227,8 +267,8 @@ func TestConductorOracleParity(t *testing.T) {
 		{"corrupt", &FaultPlan{Seed: 5, Links: []LinkFault{{Src: -1, Dst: -1, CorruptProb: 0.5}}}},
 	}
 	var (
-		mu       sync.Mutex
-		excluded []string
+		mu     sync.Mutex
+		pinned int
 	)
 	for _, p := range []int{2, 3, 4, 7, 8, 16} {
 		for _, pc := range parityCases(p) {
@@ -239,17 +279,17 @@ func TestConductorOracleParity(t *testing.T) {
 					cost.ChargeReceiver = charge
 					// The oracle runs on one worker (its outcome does not
 					// depend on the schedule), the conductor on one and four.
-					check := func(name string, cost Cost, skip bool) {
+					check := func(name string, cost Cost, orphaned bool) {
 						var want parityRun
-						if cost.Workers = 1; !skip {
+						if cost.Workers = 1; !orphaned {
 							want = runParity(p, cost, oracle, pc)
 						}
 						for _, w := range []int{1, 4} {
 							cost.Workers = w
 							got := runParity(p, cost, conductor, pc)
-							if skip {
-								if got.err == "" {
-									t.Errorf("%s workers=%d: an excluded hard crash ended without an error", name, w)
+							if orphaned {
+								if v := orphanVerdict(p, cost, pc); got.err != v {
+									t.Fatalf("%s charge=%v workers=%d: the verdict is not the orphaned collective's:\n  got:  %s\n  want: %s", name, charge, w, got.err, v)
 								}
 								continue
 							}
@@ -279,24 +319,18 @@ func TestConductorOracleParity(t *testing.T) {
 							if hard {
 								name = fmt.Sprintf("hard crash of member %d at t=%g", victim, at)
 							}
-							skip := hard && diesBeforeArrival(p, cost, pc, victim, at)
-							if skip {
+							orphaned := hard && diesBeforeArrival(p, cost, pc, victim, at)
+							if orphaned {
 								mu.Lock()
-								excluded = append(excluded, fmt.Sprintf("p=%d %s charge=%v: %s", p, pc.name, charge, name))
+								pinned++
 								mu.Unlock()
 							}
-							check(name, c, skip)
+							check(name, c, orphaned)
 						}
 					}
 				}
 			})
 		}
 	}
-	t.Cleanup(func() {
-		sort.Strings(excluded)
-		t.Logf("%d hard-crash rows excluded (the member dies before arriving):", len(excluded))
-		for _, row := range excluded {
-			t.Log("  " + row)
-		}
-	})
+	t.Cleanup(func() { t.Logf("%d hard-crash rows pinned to the orphaned-collective verdict", pinned) })
 }

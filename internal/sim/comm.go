@@ -282,11 +282,16 @@ func (c *Comm) BcastLargeInto(dst []float64, root int, data []float64) []float64
 // the root. Returns the reduction on root, nil elsewhere. Falls back to the
 // binomial Reduce when the payload is too small to split evenly.
 func (c *Comm) ReduceLarge(root int, data []float64, op ReduceOp) []float64 {
-	p := len(c.members)
-	if len(data) < p || len(data)%p != 0 {
-		return c.Reduce(root, data, op)
+	return c.conduct(c.reduceLargeOp(len(data)), ffCall{data: data, arg: root, rop: op})
+}
+
+// reduceLargeOp is the collective ReduceLarge runs for n words: the
+// binomial Reduce when n does not split evenly over the members.
+func (c *Comm) reduceLargeOp(n int) uint8 {
+	if p := len(c.members); n < p || n%p != 0 {
+		return ffReduce
 	}
-	return c.conduct(ffReduceLarge, ffCall{data: data, arg: root, rop: op})
+	return ffReduceLarge
 }
 
 // Scatter distributes root's data in equal chunks: member i receives chunk

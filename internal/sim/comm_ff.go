@@ -43,8 +43,10 @@ import (
 //     that op on: its sends carry their payload unpriced (ffPoisoned) and
 //     their receivers fail with the exited-peer text a Recv gives; each
 //     failed member panics with what it failed with when it takes its
-//     result. A member that died before arriving leaves the others with
-//     the orphaned-collective verdict of ffRun.
+//     result. A member that exits before arriving leaves a rendezvous that
+//     can never fill: at quiescence each arrived member fails as a receive
+//     from the lowest such member fails (orphanRendezvous), the verdict a
+//     member-by-member receive from it would name.
 //
 // Cancellation: a conduct is cancel-safe. arrive checks the cancelled flag
 // under the engine lock, where cancelSweep sweeps, so no rendezvous fills
@@ -141,11 +143,14 @@ type ffRendezvous struct {
 	out     [][]float64
 	err     error // the mismatch verdict: no conduct runs, every member fails with it
 	// conducting is set under the engine lock while the conductor owns the
-	// members (conductOwned); done, once out (or err) is filled. A stepped
-	// member reads done without the lock after its worker saw it set, or
-	// saw member 0 exit, after which it can never be set.
+	// members (conductOwned); done, once out (or err) is filled, or once
+	// quiescence orphaned the rendezvous. A stepped member reads done
+	// without the lock after its worker saw it set.
 	conducting bool
 	done       atomic.Bool
+	// orphan is 1 + the rank that orphaned the rendezvous, else 0; an
+	// orphaned one is never recycled, so a pooled one reads 0.
+	orphan int32
 	// left counts members that have not yet read their result; the member
 	// that decrements it to zero returns the rendezvous to the pool. A
 	// run conducts one rendezvous per collective call — hundreds of
@@ -311,29 +316,18 @@ func (e *eventEngine) ffRun(c *Comm, op uint8, call ffCall) []float64 {
 	if last {
 		return e.conductLast(rv, op, c.me)
 	}
-	// Park as a blocked receive on member 0: if the collective can never
-	// complete (a member exited out of an erroneous program), quiescence
-	// treats us like any blocked receiver.
-	r := c.rank
-	for {
-		if e.parkLocked(r, opBlockedRecv, c.members[0], 0) == evConducted {
-			return rv.take(c.me)
-		}
-		// evWake: member 0 exited with the rendezvous incomplete, or an
-		// unrelated wake raced the conduct — re-check, re-park.
-		e.mu.Lock()
-		if rv.done.Load() {
-			e.mu.Unlock()
-			return rv.take(c.me)
-		}
-		if e.exitedLocked(c.members[0]) {
-			e.mu.Unlock()
-			// Orphaned collective: fail like a receive on an exited
-			// peer, naming the root cause. (The rendezvous is not
-			// recycled on this error path.)
-			return r.finishRecvOrFail(c.members[0], message{}, false)
-		}
+	// Woken only by the conduct, or by orphanRendezvous.
+	e.parkLocked(c.rank, opBlockedColl, c.members[0], 0)
+	return rv.result(c)
+}
+
+// result is what a member that waited at rv takes once rv is done: its
+// result, or a failed receive from the member that orphaned rv.
+func (rv *ffRendezvous) result(c *Comm) []float64 {
+	if rv.orphan != 0 {
+		return c.rank.finishRecvOrFail(int(rv.orphan-1), message{}, false)
 	}
+	return rv.take(c.me)
 }
 
 // arrive registers the caller's call at its rendezvous and returns with mu
@@ -413,9 +407,9 @@ func mismatch(rv *ffRendezvous, op uint8) error {
 // for the duration (opOwned), so neither cancelSweep's sweep nor a wake can
 // resume a member whose Rank the conductor is writing, and a stepped
 // member's worker parks it opOwned too (parkStep). If conduct panics (a
-// program error) they rejoin the blocked set — quiescence resolves them as
-// it would any orphaned collective — and mu is left released for the
-// unwinding conductor's exit.
+// program error) they and the rendezvous wait again, the rendezvous
+// without its conductor and keyed by the conductor's rank (no membership
+// interns to 0), until quiescence orphans it; mu is left released.
 func (e *eventEngine) conductOwned(rv *ffRendezvous, op uint8, me int) {
 	setOps := func(from, to uint64) {
 		for i := range rv.calls {
@@ -424,15 +418,17 @@ func (e *eventEngine) conductOwned(rv *ffRendezvous, op uint8, me int) {
 			}
 		}
 	}
-	setOps(opBlockedRecv, opOwned)
+	setOps(opBlockedColl, opOwned)
 	rv.conducting = true
 	e.mu.Unlock()
 	done := false
 	defer func() {
 		if !done {
 			e.mu.Lock()
-			setOps(opOwned, opBlockedRecv)
+			setOps(opOwned, opBlockedColl)
 			rv.conducting = false
+			e.rend[ffKey{seq: uint32(rv.calls[me].rank.id), op: op}] = rv
+			rv.calls[me] = ffCall{}
 			e.mu.Unlock()
 		}
 	}()
@@ -497,7 +493,7 @@ func (rv *ffRendezvous) sendFaulted(r *Rank, i, dst int, payload []float64) ffWi
 	case n == 0:
 		w.fate = ffLost
 	case fates[0].corrupt:
-		w.m.data, w.shared = r.fateCopy(dst, payload, fates[0]), false
+		w.m.data, w.shared = r.payload(dst, payload, fates[0], false), false
 	}
 	return w
 }

@@ -8,18 +8,20 @@ import (
 
 // Deadlock diagnostics.
 //
-// A rank waits in exactly four places: a Recv on an empty pair, a Send on a
-// full one, and their timed variants (timer.go). Each parks the rank in the
-// engine with a wait record (op, peer), so the engine knows the instant the
-// cluster is quiescent: nothing running, nothing runnable, some rank still
-// live. No message can ever arrive then (the simulation has no external
-// inputs), and eventEngine.quiesce resolves it: ranks waiting on an exited
-// peer are released first; a plain send to an exited peer whose buffer
-// stayed full is aborted per rank (timed sends handle peer exit
-// themselves); if any parked rank holds an armed timer the run is retrying,
-// not dead, and the single earliest deadline fires; only with zero armed
-// timers is the run deadlocked, and each blocked rank is aborted with a
-// DeadlockError naming who waits on whom.
+// A rank waits in exactly five places: a Recv on an empty pair, a Send on a
+// full one, their timed variants (timer.go), and a collective's rendezvous
+// (comm_ff.go). Each parks the rank in the engine with a wait record (op,
+// peer), so the engine knows the instant the cluster is quiescent: nothing
+// running, nothing runnable, some rank still live. No message can ever
+// arrive then (the simulation has no external inputs), and
+// eventEngine.quiesce resolves it: ranks waiting on an exited peer are
+// released first; then the members of a collective that a member exited
+// without arriving at fail, naming it; a plain send to an exited peer
+// whose buffer stayed full is aborted per rank (timed sends handle peer
+// exit themselves); if any parked rank holds an armed timer the run is
+// retrying, not dead, and the single earliest deadline fires; only with
+// zero armed timers is the run deadlocked, and each blocked rank is
+// aborted with a DeadlockError naming who waits on whom.
 
 // Wait-record ops (evRank.op).
 const (
@@ -33,12 +35,15 @@ const (
 	// (comm_ff.go). Not a blocked state: neither the cancel sweep nor
 	// quiescence may touch the rank until the conductor wakes it.
 	opOwned
+	// opBlockedColl: parked at a collective's rendezvous (comm_ff.go);
+	// reported as a receive from member 0, but no exit releases it.
+	opBlockedColl
 )
 
-// blockedOp reports whether op is any of the four blocked states.
+// blockedOp reports whether op is any of the blocked states.
 func blockedOp(op uint64) bool {
 	switch op {
-	case opBlockedRecv, opBlockedSend, opBlockedRecvTimer, opBlockedSendTimer:
+	case opBlockedRecv, opBlockedSend, opBlockedRecvTimer, opBlockedSendTimer, opBlockedColl:
 		return true
 	}
 	return false

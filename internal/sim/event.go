@@ -18,7 +18,7 @@ import (
 // buffer, a collective rendezvous), it parks: it registers what it waits
 // for, hands its slot to the next runnable rank, and sleeps on a one-token
 // resume channel until the engine wakes it with a reason. A Stepper rank
-// on a fault-free run has no goroutine: parking is returning from Step,
+// has no goroutine, faulted run or not: parking is returning from Step,
 // resuming is being popped by a worker (step.go). Runnable ranks wait in
 // one FIFO ring of rank ids (runQueue), and a wake is delivered exactly
 // when the awaited condition holds, never as a poll.
@@ -122,11 +122,16 @@ const (
 	watchSend uint64 = 2
 )
 
-// watchWord encodes a park's wait record for the lock-free precheck.
+// watchWord encodes a park's wait record for the lock-free precheck. A
+// collective's wait encodes to 0, which no notify carries: a notify that
+// raced its rank's earlier receive from member 0 must not wake it there.
 func watchWord(op uint64, peer int) uint64 {
 	class := watchRecv
-	if op == opBlockedSend || op == opBlockedSendTimer {
+	switch op {
+	case opBlockedSend, opBlockedSendTimer:
 		class = watchSend
+	case opBlockedColl:
+		return 0
 	}
 	return uint64(peer)<<2 | class
 }
@@ -428,6 +433,15 @@ func (e *eventEngine) park(r *Rank, op uint64, peer int, deadline float64, avail
 	return e.parkLocked(r, op, peer, deadline)
 }
 
+// stepped returns r's record, the one check that r is a Stepper's rank: a
+// Try form called from a closure fails here by name.
+func (r *Rank) stepped() *stepState {
+	if r.step == nil {
+		panic(fmt.Sprintf("sim: rank %d is not a Stepper: the Try forms run only under RunSteps", r.id))
+	}
+	return r.step
+}
+
 // parkLocked is park's core: record the wait, release the worker slot,
 // hand it to the next runnable rank, and sleep. Enters with mu held,
 // returns with mu released — or unwinds the rank when the engine resumed it
@@ -524,9 +538,9 @@ func (e *eventEngine) exitedLocked(id int) bool { return e.ranks[id].op == opExi
 
 // quiesce resolves an exact quiescence: no rank running, none runnable,
 // some still live. Releases that owe nothing to virtual time (peer-exit
-// notifications, aborts of senders to exited peers) are applied before any
-// timer fires, and the single earliest armed timer fires before deadlock is
-// declared. mu held.
+// notifications, orphaned collectives, aborts of senders to exited peers)
+// are applied before any timer fires, and the single earliest armed timer
+// fires before deadlock is declared. mu held.
 func (e *eventEngine) quiesce() {
 	// (1) Ranks parked on a peer that exited: release them all, and let
 	// each re-check (message first, then exit) on resume.
@@ -547,7 +561,12 @@ func (e *eventEngine) quiesce() {
 	if woke {
 		return
 	}
-	// (2) A plain send to an exited peer whose buffer stayed full can
+	// (2) Orphaned collectives. Only once no exit release is pending are
+	// the exited ranks the same whatever the schedule.
+	if e.orphanRendezvous() {
+		return
+	}
+	// (3) A plain send to an exited peer whose buffer stayed full can
 	// never complete, whatever the rest of the cluster does. Abort those
 	// senders.
 	var snap *ClusterSnapshot
@@ -575,7 +594,7 @@ func (e *eventEngine) quiesce() {
 	if woke {
 		return
 	}
-	// (3) Fire the single earliest armed virtual timer (ties to the
+	// (4) Fire the single earliest armed virtual timer (ties to the
 	// lowest rank id) — one per quiescence round, the timer.go rule that
 	// keeps timeout-driven runs deterministic. A +Inf deadline never fires.
 	best, bestD := -1, 0.0
@@ -592,7 +611,7 @@ func (e *eventEngine) quiesce() {
 		e.wake(best, evTimerFire)
 		return
 	}
-	// (4) Deadlock: zero armed timers, nothing deliverable. Abort every
+	// (5) Deadlock: zero armed timers, nothing deliverable. Abort every
 	// blocked rank with the shared wait graph and snapshot.
 	graph := waitGraph(e.ranks)
 	if snap == nil {
@@ -610,6 +629,29 @@ func (e *eventEngine) quiesce() {
 	}
 }
 
+// orphanRendezvous fails every pending collective that a member exited
+// without arriving at: each arrived member is woken to fail as a receive
+// from the lowest such member would (ffRendezvous.result). Arrivals and
+// conducts pay nothing for it. mu held.
+func (e *eventEngine) orphanRendezvous() (woke bool) {
+	for key, rv := range e.rend {
+		for i, m := range rv.members {
+			if rv.calls[i].rank == nil && e.ranks[m].op == opExited {
+				delete(e.rend, key)
+				rv.orphan, woke = int32(m)+1, true
+				rv.done.Store(true)
+				for _, call := range rv.calls {
+					if call.rank != nil {
+						e.wake(call.rank.id, evConducted)
+					}
+				}
+				break
+			}
+		}
+	}
+	return woke
+}
+
 // snapshotLocked builds the cluster snapshot from the engine's exact wait
 // records. mu held.
 func (e *eventEngine) snapshotLocked() *ClusterSnapshot {
@@ -618,7 +660,7 @@ func (e *eventEngine) snapshotLocked() *ClusterSnapshot {
 		rk := &e.ranks[id]
 		rs := RankSnapshot{Rank: id, Peer: -1}
 		switch rk.op {
-		case opBlockedRecv:
+		case opBlockedRecv, opBlockedColl:
 			rs.State, rs.Peer = "blocked-recv", int(rk.peer)
 		case opBlockedSend:
 			rs.State, rs.Peer = "blocked-send", int(rk.peer)

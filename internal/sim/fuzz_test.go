@@ -3,6 +3,7 @@ package sim
 import (
 	"encoding/json"
 	"fmt"
+	"strings"
 	"testing"
 )
 
@@ -93,4 +94,25 @@ func faultFuzzProgram(r *Rank) error {
 		buf = row.Bcast(round%g.Cols, buf)
 	}
 	return nil
+}
+
+// TestFaultFuzzCrashBeforeArrival pins FuzzFaultPlan's seed in which rank 2
+// crashes inside round 0's row Bcast and so never arrives at round 1's:
+// ranks 0 and 1, which do, name rank 2's crash rather than a deadlock, on
+// one worker and on three.
+func TestFaultFuzzCrashBeforeArrival(t *testing.T) {
+	const cause = "which crashed (root cause: sim: rank 2 crashed at injected fault (t=1.5e-06))"
+	plan := &FaultPlan{Crashes: map[int]float64{2: 0.0000015}}
+	for _, w := range []int{1, 3} {
+		_, got := runFaultFuzz(t, plan, w)
+		lines := strings.Split(got, "\n")
+		for id, want := range map[int]string{
+			0: "rank 0: sim: rank 0 panicked: sim: rank 0 receiving from rank 2, " + cause,
+			1: "rank 1: sim: rank 1 panicked: sim: rank 1 receiving from rank 2, " + cause,
+		} {
+			if len(lines) != faultFuzzP || lines[id] != want {
+				t.Fatalf("workers=%d: rank %d's verdict moved\n  got:  %s\n  want: %s", w, id, got, want)
+			}
+		}
+	}
 }

@@ -155,12 +155,10 @@ func TestPhantomTourIdentical(t *testing.T) {
 // of a message that outlives the conduct: the scatter chunk that queues
 // behind stale point-to-point traffic (TestConductStaleScatterChunk's
 // program). The phantom chunk needs no private copy, and the run prices
-// exactly like its numeric twin. A faulted point-to-point send delivers a
-// fresh copy, so under an empty fault plan the stale message — and the
-// block rank 3's all-gather builds from it — is real memory while the root
-// keeps its phantom chunk; only the pricing must agree there.
+// exactly like its numeric twin, on every route, the empty fault plan's
+// included.
 func TestPhantomStaleTraffic(t *testing.T) {
-	prog := func(phantom, faulted bool) func(r *Rank) error {
+	prog := func(phantom bool) func(r *Rank) error {
 		mk := func(n int) []float64 {
 			if phantom {
 				return Phantom(n)
@@ -174,12 +172,12 @@ func TestPhantomStaleTraffic(t *testing.T) {
 				in = mk(8)
 				r.Send(3, mk(2))
 			}
-			if got := w.BcastLargeInto(nil, 0, in); !faulted && IsPhantom(got) != phantom {
+			if got := w.BcastLargeInto(nil, 0, in); IsPhantom(got) != phantom {
 				return fmt.Errorf("rank %d: result phantom=%v", r.ID(), IsPhantom(got))
 			}
 			w.Barrier()
 			if r.ID() == 3 {
-				if late := r.Recv(0); !faulted && IsPhantom(late) != phantom {
+				if late := r.Recv(0); IsPhantom(late) != phantom {
 					return fmt.Errorf("queued chunk phantom=%v", IsPhantom(late))
 				}
 			}
@@ -187,9 +185,8 @@ func TestPhantomStaleTraffic(t *testing.T) {
 		}
 	}
 	for route, cost := range collectiveRoutes() {
-		faulted := cost.Faults != nil
-		numeric := runSchedules(t, 4, cost, prog(false, faulted))
-		phantom := runSchedules(t, 4, cost, prog(true, faulted))
+		numeric := runSchedules(t, 4, cost, prog(false))
+		phantom := runSchedules(t, 4, cost, prog(true))
 		requireSameResult(t, route+" numeric", numeric, "phantom", phantom)
 	}
 	requireZeroRegion(t, 8)
@@ -204,6 +201,81 @@ func requireZeroRegion(t *testing.T, n int) {
 	for i, v := range Phantom(n) {
 		if v != 0 {
 			t.Fatalf("phantom region word %d is %g: something wrote a phantom", i, v)
+		}
+	}
+}
+
+// TestPhantomSentUnderPlan: a clean copy of a phantom sent point to point
+// under a fault plan is delivered as the phantom itself, as without one —
+// by Send, by TrySend and by TryShiftOwned, both copies of a duplicate
+// included — and only a corrupted copy is a fresh buffer.
+func TestPhantomSentUnderPlan(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		plan    *FaultPlan
+		copies  int
+		phantom bool
+	}{
+		{"empty", &FaultPlan{}, 1, true},
+		{"duplicate", &FaultPlan{Links: []LinkFault{{Src: -1, Dst: -1, DupProb: 1}}}, 2, true},
+		{"corrupt", &FaultPlan{Links: []LinkFault{{Src: -1, Dst: -1, CorruptProb: 1}}}, 1, false},
+	} {
+		cost := unitCost
+		cost.Faults = tc.plan
+		var got [][]float64
+		if _, err := Run(2, cost, func(r *Rank) error {
+			if r.ID() == 0 {
+				r.Send(1, Phantom(16))
+				return nil
+			}
+			for i := 0; i < tc.copies; i++ {
+				got = append(got, r.Recv(0))
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := RunSteps(2, cost, scripted(func(id int) []func(r *Rank) bool {
+			if id == 0 {
+				return []func(r *Rank) bool{
+					func(r *Rank) bool { return r.TrySend(1, Phantom(16)) },
+					func(r *Rank) bool { _, ok := r.World().TryShiftOwned(Phantom(16), 1); return ok },
+				}
+			}
+			recv := func(r *Rank) bool {
+				v, ok := r.TryRecv(0)
+				if ok {
+					got = append(got, v)
+				}
+				return ok
+			}
+			shift := func(r *Rank) bool {
+				v, ok := r.World().TryShiftOwned(Phantom(16), 1)
+				if ok {
+					got = append(got, v)
+				}
+				return ok
+			}
+			// The send's copies, the shift's first, then its second.
+			acts := []func(r *Rank) bool{recv}
+			for i := 1; i < tc.copies; i++ {
+				acts = append(acts, recv)
+			}
+			acts = append(acts, shift)
+			for i := 1; i < tc.copies; i++ {
+				acts = append(acts, recv)
+			}
+			return acts
+		})); err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != 3*tc.copies {
+			t.Fatalf("%s: received %d payloads, want %d", tc.name, len(got), 3*tc.copies)
+		}
+		for i, v := range got {
+			if len(v) != 16 || IsPhantom(v) != tc.phantom {
+				t.Errorf("%s: payload %d has %d words, phantom %v; want 16, phantom %v", tc.name, i, len(v), IsPhantom(v), tc.phantom)
+			}
 		}
 	}
 }

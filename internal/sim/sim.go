@@ -302,8 +302,8 @@ type Rank struct {
 	// returned by the next receive (timer.go). At most one per peer.
 	pushback map[int]message
 
-	// step is the stackless host's record of a stepped rank (step.go);
-	// nil for a rank hosted on a goroutine.
+	// step is the stackless host's record of a Stepper's rank (step.go);
+	// nil for a closure's, which the Try forms refuse (Rank.stepped).
 	step *stepState
 
 	// ffSeq counts this rank's collective calls per interned membership —
@@ -368,27 +368,27 @@ func (c *Cluster) messagesFor(k int) float64 {
 // virtual time; it may park in real time if the pair's buffer is full. Sending to oneself is allowed and costs the same as any other send.
 func (r *Rank) Send(dst int, data []float64) { r.send(dst, data, false) }
 
-// send is Send; owned callers (ShiftOwned) surrender data, which a
-// fault-free send then delivers without the defensive copy. A faulted send
-// always delivers fresh copies, so corruption never writes into a caller's
-// buffer or a phantom.
+// send is Send; owned callers (ShiftOwned) surrender data.
 func (r *Rank) send(dst int, data []float64, owned bool) {
+	m, fates, n := r.post(dst, len(data))
+	for i, f := range fates[:n] {
+		m.data = r.payload(dst, data, f, owned && i == n-1)
+		r.deliver(dst, m)
+	}
+}
+
+// post is the body Send and TrySend share: it checks the peer, runs the
+// crash check, prices the k-word send and rolls the fates of the copies
+// the network delivers (sendFate). The message has no payload yet.
+func (r *Rank) post(dst, k int) (m message, fates [2]copyFate, n int) {
 	r.checkPeer(dst, "sending to")
 	r.crashCheck()
-	m, start := r.priceSend(dst, len(data))
-	if r.cluster.cost.Faults != nil {
-		fates, n, _ := r.sendFate(dst, len(data), m, start)
-		for _, f := range fates[:n] {
-			c := m
-			c.data = r.fateCopy(dst, data, f)
-			r.deliver(dst, c)
-		}
-		return
+	m, start := r.priceSend(dst, k)
+	if r.cluster.cost.Faults == nil {
+		return m, fates, 1 // one clean primary copy, rolled for nothing
 	}
-	if m.data = data; !owned {
-		m.data = private(data)
-	}
-	r.deliver(dst, m)
+	fates, n, _ = r.sendFate(dst, k, m, start)
+	return m, fates, n
 }
 
 // checkPeer panics unless peer is a rank of the cluster.
@@ -402,9 +402,9 @@ func (r *Rank) checkPeer(peer int, verb string) {
 // the link's α/β under any degraded-link window, the SegSend segment, the
 // clock advance and the send sequence. It returns the message to deliver,
 // stamped and carrying the window's factors but with no payload yet, and
-// the clock the send started at. Send, SendTimeout and the conducted
-// collectives (comm_ff.go) follow it with sendFate on a faulted run, and
-// attach the payload themselves.
+// the clock the send started at. post, SendTimeout and the conducted
+// collectives (comm_ff.go) follow it with sendFate, and attach the payload
+// themselves.
 func (r *Rank) priceSend(dst, k int) (m message, start float64) {
 	msgs := r.cluster.messagesFor(k)
 	r.stats.WordsSent += float64(k)
@@ -430,7 +430,7 @@ func (r *Rank) priceSend(dst, k int) (m message, start float64) {
 // copyFate is one delivered copy's fate: its copy index and whether the
 // plan corrupts it.
 type copyFate struct {
-	copy    int
+	copy    uint8
 	corrupt bool
 }
 
@@ -439,8 +439,8 @@ type copyFate struct {
 // fate events, and returns the fates of the copies the network delivers,
 // in order: the duplicate when the plan duplicates the message, then the
 // primary unless the plan drops it (dropped). Without a plan the primary
-// is the one copy. Send delivers each as a fresh copy (fateCopy); a
-// conducted collective's receiver takes the first (comm_ff.go).
+// is the one copy. Send delivers each (payload); a conducted collective's
+// receiver takes the first (comm_ff.go).
 //
 // The duplicate has a corruption fate of its own (keyed on the copy
 // index), so a corrupt+dup send can deliver one clean and one corrupted
@@ -451,8 +451,7 @@ type copyFate struct {
 func (r *Rank) sendFate(dst, k int, m message, start float64) (fates [2]copyFate, n int, dropped bool) {
 	seq, fp := r.sendCount-1, r.cluster.cost.Faults
 	if fp == nil {
-		fates[0] = copyFate{copy: copyPrimary}
-		return fates, 1, false
+		return fates, 1, false // the zero fate: one clean primary copy
 	}
 	fault := func(ev FaultEvent) {
 		if len(r.cluster.obs) > 0 {
@@ -483,14 +482,21 @@ func (r *Rank) sendFate(dst, k int, m message, start float64) (fates [2]copyFate
 	return fates, n + 1, false
 }
 
-// fateCopy returns copy f of the payload of the rank's last send to dst:
-// fresh, and perturbed at the plan's index when f is corrupt.
-func (r *Rank) fateCopy(dst int, data []float64, f copyFate) []float64 {
+// payload is the data copy f of the rank's last send to dst carries: data
+// itself when own surrenders it, else private(data); a corrupted copy is
+// fresh, so corruption never writes into a caller's buffer or a phantom.
+// Only the last of two copies may own data: the first is delivered, and
+// may be written, before the second is built.
+func (r *Rank) payload(dst int, data []float64, f copyFate, own bool) []float64 {
+	if !f.corrupt {
+		if own {
+			return data
+		}
+		return private(data)
+	}
 	out := make([]float64, len(data))
 	copy(out, data)
-	if f.corrupt {
-		out[r.cluster.cost.Faults.corruptIndex(r.id, dst, r.sendCount-1, f.copy, len(data))] += 1.0
-	}
+	out[r.cluster.cost.Faults.corruptIndex(r.id, dst, r.sendCount-1, int(f.copy), len(data))] += 1.0
 	return out
 }
 

@@ -3,8 +3,8 @@ package sim
 import "sync"
 
 // Stackless ranks (DESIGN §12). A Stepper keeps its state in its own
-// fields, so on a fault-free run the engine hosts it with no goroutine,
-// stack or resume channel per rank: worker goroutines pop ranks off the run
+// fields, so the engine hosts it with no goroutine, stack or resume channel
+// per rank, under any fault plan: worker goroutines pop ranks off the run
 // queue and call Step (stepWorker). Step runs the rank until a Try call —
 // TrySend, TryRecv, TryShiftOwned, TryBcastLargeInto, TryReduceLarge —
 // cannot complete: the call records the wait on the Rank and returns
@@ -12,10 +12,8 @@ import "sync"
 // worker parks the rank (parkStep). Being popped again is the resume; the
 // next Step repeats the call with the same arguments, and it completes
 // from what the failed attempt kept (stepState) without pricing anything
-// twice. A completed Try call is its blocking twin, through the same code.
-// Under a fault plan the Stepper runs carried instead (RunSteps), where
-// the Try calls block: a faulted send may deliver two copies or none
-// (sendFate), and TrySend's retry keeps exactly one.
+// or rolling a fate twice. A completed Try call is its blocking twin,
+// through the same code. The Try calls run only on a Stepper's rank.
 
 // Stepper is a rank program the engine can host without a goroutine. Step
 // advances rank r as far as it can and reports whether the program
@@ -38,22 +36,9 @@ func RunSteps(p int, cost Cost, start func(id int) Stepper) (*Result, error) {
 	return c.RunSteps(start)
 }
 
-// RunSteps hosts start's Steppers on every rank: stackless on a fault-free
-// run, carried under Cost.Faults (see the file comment for why). A Cluster
-// must not be reused after it.
-func (c *Cluster) RunSteps(start func(id int) Stepper) (*Result, error) {
-	if c.cost.Faults != nil {
-		return c.Run(func(r *Rank) error {
-			s := start(r.ID())
-			for {
-				if done, err := s.Step(r); done || err != nil {
-					return err
-				}
-			}
-		})
-	}
-	return c.run(nil, start)
-}
+// RunSteps hosts start's Steppers on every rank, stackless. A Cluster must
+// not be reused after it.
+func (c *Cluster) RunSteps(start func(id int) Stepper) (*Result, error) { return c.run(nil, start) }
 
 // stepState is a stepped rank's program and what its last Try call left.
 type stepState struct {
@@ -64,10 +49,13 @@ type stepState struct {
 	peer int
 	q    *evRing
 	rv   *ffRendezvous
-	// pend is a priced send that a full pair queue refused; shifted marks
-	// a TryShiftOwned whose send half is done.
+	// pend is the copy of a priced send that a full pair queue refused,
+	// left how many copies, pend among them, are still to push, and next
+	// the fate of the copy after pend; shifted marks a TryShiftOwned whose
+	// send half is done.
 	pend    message
-	hasPend bool
+	left    uint8
+	next    copyFate
 	shifted bool
 }
 
@@ -190,7 +178,7 @@ func (e *eventEngine) parkStep(r *Rank) bool {
 		return true
 	case st.rv != nil:
 		// rk.clock was recorded under the arrival's lock hold (ffTry).
-		if st.rv.done.Load() || e.exitedLocked(peer) {
+		if st.rv.done.Load() {
 			e.mu.Unlock()
 			return false
 		}
@@ -211,43 +199,40 @@ func (e *eventEngine) parkStep(r *Rank) bool {
 }
 
 // TrySend is Send for a Stepper. It fails when the pair's buffer is full:
-// the message is priced and kept, and the repeated call delivers it. On a
-// carried rank it is Send.
+// the send is priced and its fates rolled once, the copies not yet pushed
+// are kept, and the repeated call pushes them.
 func (r *Rank) TrySend(dst int, data []float64) bool { return r.trySend(dst, data, false) }
 
-// trySend is TrySend; owned callers surrender data, as for send.
+// trySend is TrySend; owned callers surrender data, as for send. A refused
+// copy is kept whole, and a second copy is built on the repeat from the
+// kept fate: the rank sends nothing in between, so sendCount still keys it.
 func (r *Rank) trySend(dst int, data []float64, owned bool) bool {
-	st := r.step
-	if st == nil {
-		r.send(dst, data, owned)
-		return true
-	}
-	m := st.pend
-	if !st.hasPend {
-		r.checkPeer(dst, "sending to")
-		r.crashCheck()
-		m, _ = r.priceSend(dst, len(data))
-		if m.data = data; !owned {
-			m.data = private(data)
+	st := r.stepped()
+	m, left := st.pend, int(st.left)
+	if left == 0 {
+		var fates [2]copyFate
+		if m, fates, left = r.post(dst, len(data)); left == 0 {
+			return true // every copy dropped; the sender has paid
 		}
+		m.data, st.next = r.payload(dst, data, fates[0], owned && left == 1), fates[1]
 	}
 	q := r.queueTo(dst)
-	if !q.push(m) {
-		st.pend, st.hasPend = m, true
-		st.wait(opBlockedSend, dst, q)
-		return false
+	for ; q.push(m); m.data = r.payload(dst, data, st.next, owned) {
+		r.cluster.eng.notifyEnqueue(r.id, dst)
+		if left--; left == 0 {
+			st.pend, st.left = message{}, 0
+			return true
+		}
 	}
-	st.pend, st.hasPend = message{}, false
-	r.cluster.eng.notifyEnqueue(r.id, dst)
-	return true
+	st.pend, st.left = m, uint8(left)
+	st.wait(opBlockedSend, dst, q)
+	return false
 }
 
 // TryRecv is Recv for a Stepper. It fails when nothing from src has arrived
-// yet. On a carried rank it is Recv.
+// yet.
 func (r *Rank) TryRecv(src int) ([]float64, bool) {
-	if r.step == nil {
-		return r.Recv(src), true
-	}
+	st := r.stepped()
 	r.checkPeer(src, "receiving from")
 	r.crashCheck()
 	if msg, ok := r.takePushback(src); ok {
@@ -256,7 +241,7 @@ func (r *Rank) TryRecv(src int) ([]float64, bool) {
 	q := r.queueFrom(src)
 	msg, ok, final := r.cluster.eng.recvTry(r, q, src)
 	if !final {
-		r.step.wait(opBlockedRecv, src, q)
+		st.wait(opBlockedRecv, src, q)
 		return nil, false
 	}
 	return r.finishRecvOrFail(src, msg, ok), true
@@ -264,73 +249,56 @@ func (r *Rank) TryRecv(src int) ([]float64, bool) {
 
 // TryShiftOwned is ShiftOwned for a Stepper. It fails while the send half
 // waits for buffer space or the receive half for its message; the repeat
-// resumes the half that waited. On a carried rank it is ShiftOwned.
+// resumes the half that waited.
 func (c *Comm) TryShiftOwned(data []float64, by int) ([]float64, bool) {
-	r := c.rank
-	if r.step == nil {
-		return c.ShiftOwned(data, by), true
-	}
-	p := len(c.members)
+	r, st, p := c.rank, c.rank.stepped(), len(c.members)
 	if by = ((by % p) + p) % p; by == 0 {
 		return data, true
 	}
-	if st := r.step; !st.shifted {
+	if !st.shifted {
 		if !r.trySend(c.members[(c.me+by)%p], data, true) {
 			return nil, false
 		}
 		st.shifted = true
 	}
 	v, ok := r.TryRecv(c.members[(c.me-by+p)%p])
-	r.step.shifted = !ok
+	st.shifted = !ok
 	return v, ok
 }
 
 // TryBcastLargeInto is BcastLargeInto for a Stepper. It fails until every
-// member has arrived; the repeat returns the result. On a carried rank it
-// is BcastLargeInto.
+// member has arrived; the repeat returns the result.
 func (c *Comm) TryBcastLargeInto(dst []float64, root int, data []float64) ([]float64, bool) {
-	if c.rank.step == nil || len(c.members) == 1 {
-		return c.BcastLargeInto(dst, root, data), true
-	}
 	return c.rank.cluster.eng.ffTry(c, ffBcastLarge, ffCall{data: data, dst: dst, arg: root})
 }
 
 // TryReduceLarge is ReduceLarge for a Stepper, with the same small-payload
 // fallback to the binomial Reduce. It fails until every member has
-// arrived; the repeat returns the result. On a carried rank it is
-// ReduceLarge.
+// arrived; the repeat returns the result.
 func (c *Comm) TryReduceLarge(root int, data []float64, op ReduceOp) ([]float64, bool) {
-	p := len(c.members)
-	if c.rank.step == nil || p == 1 {
-		return c.ReduceLarge(root, data, op), true
-	}
-	code := ffReduceLarge
-	if len(data) < p || len(data)%p != 0 {
-		code = ffReduce
-	}
-	return c.rank.cluster.eng.ffTry(c, code, ffCall{data: data, arg: root, rop: op})
+	return c.rank.cluster.eng.ffTry(c, c.reduceLargeOp(len(data)), ffCall{data: data, arg: root, rop: op})
 }
 
-// ffTry is ffRun for a stepped rank. An arrival that does not fill the
-// rendezvous records the wait and fails — the clock under the arrival's
-// lock hold, because the conductor may price the Rank as soon as the lock
-// drops. The repeat, stepped once the collective completed or member 0
-// exited with it incomplete, takes the result or fails like ffRun.
+// ffTry is ffRun for a stepped rank. A lone member conducts at once. An
+// arrival that does not fill the rendezvous records the wait and fails —
+// the clock under the arrival's lock hold, because the conductor may price
+// the Rank as soon as the lock drops. The repeat, stepped once the
+// rendezvous is done, takes the result like ffRun.
 func (e *eventEngine) ffTry(c *Comm, op uint8, call ffCall) ([]float64, bool) {
-	r, st := c.rank, c.rank.step
+	st := c.rank.stepped()
+	if len(c.members) == 1 {
+		return c.conduct(op, call), true
+	}
 	if rv := st.rv; rv != nil {
 		st.rv = nil
-		if !rv.done.Load() {
-			return r.finishRecvOrFail(c.members[0], message{}, false), true
-		}
-		return rv.take(c.me), true
+		return rv.result(c), true
 	}
 	rv, last := e.arrive(c, op, call)
 	if last {
 		return e.conductLast(rv, op, c.me), true
 	}
-	e.ranks[r.id].clock = r.clock
-	st.op, st.peer, st.rv = opBlockedRecv, c.members[0], rv
+	e.ranks[c.rank.id].clock = c.rank.clock
+	st.op, st.peer, st.rv = opBlockedColl, c.members[0], rv
 	e.mu.Unlock()
 	return nil, false
 }

@@ -102,57 +102,87 @@ func TestStacklessMutualRecvDeadlock(t *testing.T) {
 	}
 }
 
-// TestStacklessFullQueueSend: with one-message pair buffers, a stepper
-// that sends three messages before its peer receives is refused by the
-// full queue, keeps the priced message, and finishes with its closure
-// twin's Stats — each send priced once — and payloads.
+// TestStacklessFullQueueSend: with one-message pair buffers, a stepper that
+// sends three messages to a peer that holds off receiving until a send was
+// refused meets the full queue, keeps what it has not pushed, and finishes
+// with its closure twin's Stats, payloads and observer streams, fault
+// events included: each send is priced and its fates rolled once. Under
+// DupProb 1 each send has two copies and the refused one is the primary,
+// which the repeat pushes; under DropProb 1 no copy is delivered, no send
+// waits, and the peer receives nothing.
 func TestStacklessFullQueueSend(t *testing.T) {
-	for _, w := range []int{1, 4} {
-		cost := unitCost
-		cost.ChanCap, cost.Workers = 1, w
-		var refused atomic.Int32
-		got := make([]float64, 0, 3)
-		res, ref, stepErr, closureErr := runTwins(2, cost, func(id int) []func(r *Rank) bool {
-			var acts []func(r *Rank) bool
-			for i := 1; i <= 3; i++ {
+	for _, tc := range []struct {
+		name   string
+		plan   *FaultPlan
+		copies int
+		want   string
+	}{
+		{"fault-free", nil, 1, "[1 2 3]"},
+		{"duplicate", &FaultPlan{Links: []LinkFault{{Src: -1, Dst: -1, DupProb: 1}}}, 2, "[1 1 2 2 3 3]"},
+		{"drop", &FaultPlan{Links: []LinkFault{{Src: -1, Dst: -1, DropProb: 1}}}, 0, "[]"},
+	} {
+		for _, w := range []int{1, 4} {
+			cost := unitCost
+			cost.ChanCap, cost.Workers, cost.Faults = 1, w, tc.plan
+			var refused atomic.Int32
+			got := []float64{}
+			stepObs, closureObs := newRecObs(), newRecObs()
+			cost.Observers = []Observer{stepObs}
+			res, stepErr := RunSteps(2, cost, scripted(func(id int) []func(r *Rank) bool {
+				var acts []func(r *Rank) bool
 				if id == 0 {
+					for i := 1; i <= 3; i++ {
+						acts = append(acts, func(r *Rank) bool {
+							ok := r.TrySend(1, []float64{float64(i)})
+							if !ok {
+								refused.Add(1)
+							}
+							return ok
+						})
+					}
+					return acts
+				}
+				if tc.copies > 0 {
+					// Yield, recording no wait, until a send was refused.
+					acts = append(acts, func(*Rank) bool { return refused.Load() > 0 })
+				}
+				for i := 0; i < 3*tc.copies; i++ {
 					acts = append(acts, func(r *Rank) bool {
-						ok := r.TrySend(1, []float64{float64(i)})
-						if !ok {
-							refused.Add(1)
+						v, ok := r.TryRecv(0)
+						if ok {
+							got = append(got, v[0])
 						}
 						return ok
 					})
-					continue
 				}
-				acts = append(acts, func(r *Rank) bool {
-					v, ok := r.TryRecv(0)
-					if ok {
-						got = append(got, v[0])
+				return acts
+			}))
+			cost.Observers = []Observer{closureObs}
+			ref, closureErr := Run(2, cost, func(r *Rank) error {
+				for i := 1; i <= 3; i++ {
+					if r.ID() == 0 {
+						r.Send(1, []float64{float64(i)})
 					}
-					return ok
-				})
-			}
-			return acts
-		}, func(r *Rank) error {
-			for i := 1; i <= 3; i++ {
-				if r.ID() == 0 {
-					r.Send(1, []float64{float64(i)})
-				} else {
+				}
+				for i := 0; r.ID() == 1 && i < 3*tc.copies; i++ {
 					r.Recv(0)
 				}
+				return nil
+			})
+			name := fmt.Sprintf("%s workers=%d", tc.name, w)
+			if stepErr != nil || closureErr != nil {
+				t.Fatalf("%s: %v / %v", name, stepErr, closureErr)
 			}
-			return nil
-		})
-		if stepErr != nil || closureErr != nil {
-			t.Fatalf("workers=%d: %v / %v", w, stepErr, closureErr)
-		}
-		requireSameResult(t, "stepper", res, "closure", ref)
-		if refused.Load() == 0 {
-			t.Errorf("workers=%d: no send met a full queue; the test exercises nothing", w)
-		}
-		if fmt.Sprint(got) != "[1 2 3]" {
-			t.Errorf("workers=%d: received %v, want [1 2 3]", w, got)
+			requireSameResult(t, "stepper", res, "closure", ref)
+			if !sameStreams(stepObs, closureObs, 2) || !sameFaults(stepObs, closureObs, 2) {
+				t.Errorf("%s: observer streams differ from the closure's", name)
+			}
+			if tc.copies > 0 && refused.Load() == 0 {
+				t.Errorf("%s: no send met a full queue; the test exercises nothing", name)
+			}
+			if fmt.Sprint(got) != tc.want {
+				t.Errorf("%s: received %v, want %s", name, got, tc.want)
+			}
 		}
 	}
 }
@@ -247,7 +277,8 @@ func stepTour(p, rows int) func(id int) []func(r *Rank) bool {
 				},
 				func(r *Rank) bool { _, ok := row.TryReduceLarge(0, res, OpSum); return ok },
 				func(r *Rank) bool { _, ok := world.TryReduceLarge(it, buf[:1], OpMax); return ok },
-				func(r *Rank) bool { r.Compute(float64(id + it)); return r.TrySend(id^1, buf[:it+1]) },
+				func(r *Rank) bool { r.Compute(float64(id + it)); return true },
+				func(r *Rank) bool { return r.TrySend(id^1, buf[:it+1]) },
 				func(r *Rank) bool { _, ok := r.TryRecv(id ^ 1); return ok },
 			)
 		}
@@ -294,16 +325,51 @@ func tourClosure(p, rows int) func(r *Rank) error {
 	}
 }
 
+// tourPlans are the fault plans the stackless tour is held to its closure
+// twin under: none, the empty plan, a degraded window, corruption, a
+// duplicate of every rank's last send (its point-to-point send to its
+// fiber partner; an earlier duplicate would shift the tour's own message
+// matching, and a collective fed a stale block of the wrong length fails
+// by whichever member conducts it), a drop on one link, and a respawn and
+// a hard crash of rank victim at every sixteenth clock its fault-free run
+// (clean) passes through.
+func tourPlans(clean *recObs, p, victim int) map[string]*FaultPlan {
+	dup := &FaultPlan{}
+	for id := 0; id < p; id++ {
+		segs := clean.segs[id]
+		last := segs[len(segs)-1]
+		for i := len(segs) - 1; last.Kind != SegSend; i-- {
+			last = segs[i]
+		}
+		dup.Links = append(dup.Links, LinkFault{Src: id, Dst: id ^ 1, DupProb: 1, From: last.Start})
+	}
+	plans := map[string]*FaultPlan{
+		"fault-free": nil,
+		"empty":      {},
+		"degraded":   {Degraded: []DegradedLink{{Src: -1, Dst: -1, From: 2000, Until: 9000, AlphaFactor: 3, BetaFactor: 2}}},
+		"corrupt":    {Seed: 5, Links: []LinkFault{{Src: -1, Dst: -1, CorruptProb: 0.5}}},
+		"duplicate":  dup,
+		"drop":       {Links: []LinkFault{{Src: victim, Dst: victim ^ 1, DropProb: 1}}},
+	}
+	for i, s := range clean.segs[victim] {
+		if i%16 == 0 {
+			plans[fmt.Sprintf("respawn at t=%g", s.Start)] = &FaultPlan{Crashes: map[int]float64{victim: s.Start}, Respawn: true, RebootTime: 7}
+			plans[fmt.Sprintf("hard crash at t=%g", s.Start)] = &FaultPlan{Crashes: map[int]float64{victim: s.Start}}
+		}
+	}
+	return plans
+}
+
 // TestStacklessTourMatchesClosure holds the Try operations to their
-// blocking twins bit for bit — per-rank Stats, ActivePairs and observer
-// streams — stackless at 1, 2 and 4 workers, with and without a cancel
-// context, and carried under an empty fault plan. Under -race it is the
-// check that a rendezvous arrival's wait is recorded under the arrival's
-// lock hold and that a wake landing mid-Step is neither lost nor
-// dispatched twice (script.busy).
+// blocking twins bit for bit — per-rank Stats, ActivePairs, observer
+// streams and error text — at 1, 2 and 4 workers with and without a cancel
+// context, and at 1 and 4 workers under every plan of tourPlans. Under
+// -race it is the check that a rendezvous arrival's wait is recorded under
+// the arrival's lock hold and that a wake landing mid-Step is neither lost
+// nor dispatched twice (script.busy).
 func TestStacklessTourMatchesClosure(t *testing.T) {
-	const p, rows = 24, 4
-	run := func(cost Cost, stepped bool) (*Result, *recObs) {
+	const p, rows, victim = 24, 4, 5
+	run := func(cost Cost, stepped bool) (*Result, *recObs, string) {
 		t.Helper()
 		obs := newRecObs()
 		cost.Observers = []Observer{obs}
@@ -315,35 +381,68 @@ func TestStacklessTourMatchesClosure(t *testing.T) {
 			res, err = Run(p, cost, tourClosure(p, rows))
 		}
 		if err != nil {
-			t.Fatalf("stepped=%v: %v", stepped, err)
+			return res, obs, err.Error()
 		}
-		return res, obs
+		return res, obs, ""
+	}
+	compare := func(name string, cost Cost, complete bool) {
+		t.Helper()
+		ref, refObs, refErr := run(cost, false)
+		res, obs, err := run(cost, true)
+		if err != refErr {
+			t.Fatalf("%s: error text differs\n  stepper: %s\n  closure: %s", name, err, refErr)
+		}
+		if complete && err != "" {
+			t.Fatalf("%s: tour must complete: %s", name, err)
+		}
+		requireSameResult(t, "closure", ref, name, res)
+		if !sameStreams(refObs, obs, p) || !sameFaults(refObs, obs, p) {
+			t.Errorf("%s: observer streams differ from the closure's", name)
+		}
 	}
 	cost := unitCost
 	cost.ChanCap = 2
-	ref, refObs := run(cost, false)
 	for _, w := range []int{1, 2, 4} {
 		for _, ctx := range []context.Context{nil, context.Background()} {
 			c := cost
 			c.Workers, c.Context = w, ctx
-			res, obs := run(c, true)
-			name := fmt.Sprintf("stackless workers=%d context=%v", w, ctx != nil)
-			requireSameResult(t, "closure", ref, name, res)
-			if !sameStreams(refObs, obs, p) {
-				t.Errorf("%s: observer streams differ from the closure's", name)
-			}
+			compare(fmt.Sprintf("workers=%d context=%v", w, ctx != nil), c, true)
 		}
 	}
-	cost.Faults = &FaultPlan{}
-	carriedRef, _ := run(cost, false)
-	carried, _ := run(cost, true)
-	requireSameResult(t, "closure", carriedRef, "carried", carried)
+	_, clean, _ := run(cost, false)
+	for name, plan := range tourPlans(clean, p, victim) {
+		for _, w := range []int{1, 4} {
+			c := cost
+			c.Workers, c.Faults = w, plan
+			compare(fmt.Sprintf("%s workers=%d", name, w), c, !strings.Contains(name, "crash") && name != "drop" && name != "duplicate")
+		}
+	}
 }
 
 // sameStreams compares two recorders' per-rank segment streams.
 func sameStreams(a, b *recObs, p int) bool {
 	for id := 0; id < p; id++ {
 		if fmt.Sprint(a.segs[id]) != fmt.Sprint(b.segs[id]) {
+			return false
+		}
+	}
+	return true
+}
+
+// sameFaults compares two recorders' fault events rank by rank: each
+// sender's in the order it emitted them.
+func sameFaults(a, b *recObs, p int) bool {
+	for id := 0; id < p; id++ {
+		bySrc := func(o *recObs) string {
+			var evs []FaultEvent
+			for _, ev := range o.faults {
+				if ev.Src == id {
+					evs = append(evs, ev)
+				}
+			}
+			return fmt.Sprint(evs)
+		}
+		if bySrc(a) != bySrc(b) {
 			return false
 		}
 	}
@@ -463,37 +562,68 @@ func TestStacklessComputeNeverYields(t *testing.T) {
 }
 
 // TestStacklessNoCarriers: a stackless run spawns no carrier goroutine and
-// allocates no resume channel.
+// allocates no resume channel, without a fault plan and under one: the
+// empty plan, and a plan that degrades, corrupts, duplicates and drops
+// (on a link the program leaves unused) yet completes.
 func TestStacklessNoCarriers(t *testing.T) {
-	c, err := NewCluster(64, unitCost)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var stacks atomic.Value
-	_, err = c.RunSteps(scripted(func(id int) []func(r *Rank) bool {
-		return []func(r *Rank) bool{
-			func(r *Rank) bool {
-				_, ok := r.World().TryReduceLarge(0, make([]float64, 64), OpSum)
-				return ok
-			},
-			func(r *Rank) bool {
-				if id == 0 {
-					buf := make([]byte, 1<<20)
-					stacks.Store(string(buf[:runtime.Stack(buf, true)]))
-				}
-				return true
-			},
+	const p = 64
+	for name, plan := range map[string]*FaultPlan{
+		"fault-free": nil,
+		"empty":      {},
+		"faulted": {Seed: 3, Links: []LinkFault{{Src: -1, Dst: -1, CorruptProb: 0.5, DupProb: 0.5}, {Src: 0, Dst: 0, DropProb: 1}},
+			Degraded: []DegradedLink{{Src: -1, Dst: -1, AlphaFactor: 2, BetaFactor: 3}}},
+	} {
+		cost := unitCost
+		cost.Faults = plan
+		c, err := NewCluster(p, cost)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}))
-	if err != nil {
-		t.Fatal(err)
+		var stacks atomic.Value
+		_, err = c.RunSteps(scripted(func(id int) []func(r *Rank) bool {
+			return []func(r *Rank) bool{
+				func(r *Rank) bool {
+					_, ok := r.World().TryReduceLarge(0, make([]float64, p), OpSum)
+					return ok
+				},
+				func(r *Rank) bool { return r.TrySend((id+1)%p, []float64{1, 2}) },
+				func(r *Rank) bool { _, ok := r.TryRecv((id + p - 1) % p); return ok },
+				func(r *Rank) bool {
+					if id == 0 {
+						buf := make([]byte, 1<<20)
+						stacks.Store(string(buf[:runtime.Stack(buf, true)]))
+					}
+					return true
+				},
+			}
+		}))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if s, _ := stacks.Load().(string); s == "" || strings.Contains(s, "(*eventEngine).carrier") {
+			t.Errorf("%s: carrier goroutines during a stackless run:\n%.2000s", name, s)
+		}
+		for id := range c.eng.ranks {
+			if c.eng.ranks[id].resume != nil {
+				t.Fatalf("%s: rank %d has a resume channel", name, id)
+			}
+		}
 	}
-	if s, _ := stacks.Load().(string); s == "" || strings.Contains(s, "(*eventEngine).carrier") {
-		t.Errorf("carrier goroutines during a stackless run:\n%.2000s", s)
-	}
-	for id := range c.eng.ranks {
-		if c.eng.ranks[id].resume != nil {
-			t.Fatalf("rank %d has a resume channel", id)
+}
+
+// TestTryFormOnClosureRefused: each Try form called from a closure fails
+// the rank by name instead of dereferencing a record it does not have.
+func TestTryFormOnClosureRefused(t *testing.T) {
+	for name, try := range map[string]func(r *Rank){
+		"TrySend":           func(r *Rank) { r.TrySend(1-r.ID(), []float64{1}) },
+		"TryRecv":           func(r *Rank) { r.TryRecv(1 - r.ID()) },
+		"TryShiftOwned":     func(r *Rank) { r.World().TryShiftOwned([]float64{1}, 1) },
+		"TryBcastLargeInto": func(r *Rank) { r.World().TryBcastLargeInto(nil, 0, []float64{1, 2}) },
+		"TryReduceLarge":    func(r *Rank) { r.World().TryReduceLarge(0, []float64{1, 2}, OpSum) },
+	} {
+		_, err := Run(2, unitCost, func(r *Rank) error { try(r); return nil })
+		if err == nil || !strings.Contains(err.Error(), "rank 0 is not a Stepper: the Try forms run only under RunSteps") {
+			t.Errorf("%s on a closure: got %v", name, err)
 		}
 	}
 }

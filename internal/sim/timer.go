@@ -263,9 +263,8 @@ func (r *Rank) SendTimeout(dst int, data []float64, timeout float64) SendOutcome
 	fates, n, dropped := r.sendFate(dst, len(data), m, start)
 	out := SendOK
 	for _, f := range fates[:n] {
-		c := m
-		c.data = r.fateCopy(dst, data, f)
-		if out = r.deliverDeadline(dst, c, deadline); out != SendOK {
+		m.data = r.payload(dst, data, f, false)
+		if out = r.deliverDeadline(dst, m, deadline); out != SendOK {
 			return out
 		}
 	}

@@ -8,59 +8,87 @@ import (
 	"unsafe"
 )
 
-// asClosure runs a Stepper's action list as a blocking program: on a
-// carried rank every Try call is its blocking twin and never fails.
+// actMode is how the wiring programs' actions run: through the
+// member-by-member oracle (closures only), the blocking operations
+// (closures), or the Try forms (Steppers).
+type actMode uint8
+
+const (
+	viaOracle actMode = iota
+	viaBlocking
+	viaTry
+)
+
+// asClosure runs an action list as a blocking program; its actions never
+// fail.
 func asClosure(acts func(id int) []func(r *Rank) bool) func(r *Rank) error {
 	return func(r *Rank) error {
-		for i, act := range acts(r.ID()) {
-			if !act(r) {
-				return fmt.Errorf("rank %d: action %d failed on a carried rank", r.ID(), i)
-			}
+		for _, act := range acts(r.ID()) {
+			act(r)
 		}
 		return nil
 	}
 }
 
-// Actions of the wiring programs below, usable stepped and carried.
+// Actions of the wiring programs below, in each mode.
 func actCompute(f float64) func(r *Rank) bool {
 	return func(r *Rank) bool { r.Compute(f); return true }
 }
 
-func actSend(dst int, data ...float64) func(r *Rank) bool {
-	return func(r *Rank) bool { return r.TrySend(dst, data) }
+func actSend(m actMode, dst int, data ...float64) func(r *Rank) bool {
+	return func(r *Rank) bool {
+		if m != viaTry {
+			r.Send(dst, data)
+			return true
+		}
+		return r.TrySend(dst, data)
+	}
 }
 
-func actRecv(src int) func(r *Rank) bool {
-	return func(r *Rank) bool { _, ok := r.TryRecv(src); return ok }
+func actRecv(m actMode, src int) func(r *Rank) bool {
+	return func(r *Rank) bool {
+		if m != viaTry {
+			r.Recv(src)
+			return true
+		}
+		_, ok := r.TryRecv(src)
+		return ok
+	}
 }
 
-// The collective actions run through the member-by-member oracle when
-// oracle is set (carried only), else through the conductor.
-func actBcastLarge(root int, oracle bool) func(r *Rank) bool {
+func actBcastLarge(m actMode, root int) func(r *Rank) bool {
 	return func(r *Rank) bool {
 		var data []float64
 		if r.ID() == root {
 			data = []float64{1, 2, 3, 4, 5, 6, 7, 8}
 		}
-		if oracle {
+		switch m {
+		case viaOracle:
 			oracleBcastLargeInto(r.World(), nil, root, data)
-			return true
+		case viaBlocking:
+			r.World().BcastLargeInto(nil, root, data)
+		default:
+			_, ok := r.World().TryBcastLargeInto(nil, root, data)
+			return ok
 		}
-		_, ok := r.World().TryBcastLargeInto(nil, root, data)
-		return ok
+		return true
 	}
 }
 
-func actReduceLarge(root int, oracle bool) func(r *Rank) bool {
+func actReduceLarge(m actMode, root int) func(r *Rank) bool {
 	return func(r *Rank) bool {
 		me := float64(r.ID())
 		data := []float64{me, 1, me, 2, me, 3, me, 4}
-		if oracle {
+		switch m {
+		case viaOracle:
 			oracleReduceLarge(r.World(), root, data, OpSum)
-			return true
+		case viaBlocking:
+			r.World().ReduceLarge(root, data, OpSum)
+		default:
+			_, ok := r.World().TryReduceLarge(root, data, OpSum)
+			return ok
 		}
-		_, ok := r.World().TryReduceLarge(root, data, OpSum)
-		return ok
+		return true
 	}
 }
 
@@ -88,7 +116,7 @@ func TestConductedPairUpgrade(t *testing.T) {
 		name    string
 		p       int
 		chanCap int
-		acts    func(id int, oracle bool) []func(r *Rank) bool
+		acts    func(id int, m actMode) []func(r *Rank) bool
 		closure func(r *Rank, coll collectiveSet) error // set when the program has no Stepper twin
 	}
 	cases := []wiringCase{{
@@ -97,15 +125,15 @@ func TestConductedPairUpgrade(t *testing.T) {
 		// out — then collectives over the upgraded pairs.
 		name: "collective-p2p-collective",
 		p:    4,
-		acts: func(id int, o bool) []func(r *Rank) bool {
-			acts := []func(r *Rank) bool{actCompute(float64(10 * (id + 1))), actBcastLarge(0, o)}
+		acts: func(id int, m actMode) []func(r *Rank) bool {
+			acts := []func(r *Rank) bool{actCompute(float64(10 * (id + 1))), actBcastLarge(m, 0)}
 			for _, k := range others(4, id) {
-				acts = append(acts, actSend(k, float64(id), float64(k)))
+				acts = append(acts, actSend(m, k, float64(id), float64(k)))
 			}
 			for _, k := range others(4, id) {
-				acts = append(acts, actRecv(k))
+				acts = append(acts, actRecv(m, k))
 			}
-			return append(acts, actReduceLarge(3, o), actBcastLarge(1, o))
+			return append(acts, actReduceLarge(m, 3), actBcastLarge(m, 1))
 		},
 	}}
 	for _, chanCap := range []int{1, DefaultChanCap} {
@@ -120,13 +148,13 @@ func TestConductedPairUpgrade(t *testing.T) {
 			name:    fmt.Sprintf("stale-p2p-ahead/chancap=%d", chanCap),
 			p:       2,
 			chanCap: chanCap,
-			acts: func(id int, o bool) []func(r *Rank) bool {
+			acts: func(id int, m actMode) []func(r *Rank) bool {
 				if id == 0 {
-					return []func(r *Rank) bool{actCompute(5), actBcastLarge(0, o), actSend(1, -1, -2, -3, -4),
-						actReduceLarge(0, o), actBcastLarge(1, o)}
+					return []func(r *Rank) bool{actCompute(5), actBcastLarge(m, 0), actSend(m, 1, -1, -2, -3, -4),
+						actReduceLarge(m, 0), actBcastLarge(m, 1)}
 				}
-				return []func(r *Rank) bool{actCompute(2), actBcastLarge(0, o), actReduceLarge(0, o), actRecv(0),
-					actBcastLarge(1, o)}
+				return []func(r *Rank) bool{actCompute(2), actBcastLarge(m, 0), actReduceLarge(m, 0), actRecv(m, 0),
+					actBcastLarge(m, 1)}
 			},
 		})
 	}
@@ -171,7 +199,12 @@ func TestConductedPairUpgrade(t *testing.T) {
 				faults *FaultPlan
 				oracle bool
 			}{{"oracle", nil, true}, {"conducted", nil, false}, {"conducted under an empty plan", &FaultPlan{}, false}} {
-				acts := func(id int) []func(r *Rank) bool { return tc.acts(id, route.oracle) }
+				acts := func(m actMode) func(id int) []func(r *Rank) bool {
+					if route.oracle {
+						m = viaOracle
+					}
+					return func(id int) []func(r *Rank) bool { return tc.acts(id, m) }
+				}
 				coll := conductor
 				if route.oracle {
 					coll = oracle
@@ -189,9 +222,9 @@ func TestConductedPairUpgrade(t *testing.T) {
 						var err error
 						switch {
 						case stepped:
-							res, err = RunSteps(tc.p, cost, scripted(acts))
+							res, err = RunSteps(tc.p, cost, scripted(acts(viaTry)))
 						case tc.acts != nil:
-							res, err = Run(tc.p, cost, asClosure(acts))
+							res, err = Run(tc.p, cost, asClosure(acts(viaBlocking)))
 						default:
 							res, err = Run(tc.p, cost, func(r *Rank) error { return tc.closure(r, coll) })
 						}
