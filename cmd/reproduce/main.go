@@ -1,6 +1,7 @@
 // Command reproduce runs the experiments of DESIGN.md — E1–E23, the
-// rectangular bounds, the DESIGN §5 ablations, the efficiency-vs-p curves
-// and the degraded-phase diagnosis — and writes a Markdown
+// rectangular bounds, the DESIGN §5 ablations, the efficiency-vs-p curves,
+// the degraded-phase diagnosis and the quick model-conformance sweep — and
+// writes a Markdown
 // report with the measured values: the single-command reproduction of the
 // paper's evaluation. Besides the simulator and model tables, the report
 // carries the ASCII renderings of Figure 4(a)–(c) with the E(M) profile and
@@ -77,6 +78,7 @@ var experiments = []experiment{
 	{"Rect", "Tight rectangular (m×k×n) matmul bounds", (*reporter).rect},
 	{"Curves", "Efficiency-vs-p curves: measured vs closed-form prediction", (*reporter).curves},
 	{"Diagnose", "Phase diff names a degraded phase", (*reporter).diagnose},
+	{"Conformance", "Model-conformance sweep (quick grid)", (*reporter).conformance},
 }
 
 // selectExperiments parses the -e list into the set of registry ids it

@@ -1,11 +1,13 @@
 package main
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"strings"
 
 	"perfscale/internal/analytics"
+	"perfscale/internal/conformance"
 	"perfscale/internal/machine"
 	"perfscale/internal/matmul"
 	"perfscale/internal/matrix"
@@ -78,5 +80,23 @@ func (r *reporter) diagnose() {
 	}
 	if rep.Bottleneck != phase {
 		r.fail(fmt.Errorf("the diff names bottleneck %q, want %q", rep.Bottleneck, phase))
+	}
+}
+
+// conformance runs the quick model-conformance sweep on simdefault, the
+// grid CI gates on: every property family of internal/conformance. Wall
+// time stays out of the section, so the report is byte-deterministic; each
+// violation fails it.
+func (r *reporter) conformance() {
+	rep, err := conformance.Sweep(conformance.Config{Machine: machine.SimDefault(), Level: conformance.Quick})
+	if err != nil {
+		r.fail(err)
+		return
+	}
+	r.p("Algorithms: %s.", strings.Join(conformance.AlgorithmNames(), ", "))
+	r.p("")
+	r.p("Quick sweep on %s: %d points, %d checks, %d violations. docs/CONFORMANCE.md catalogues the property families; `go test ./internal/conformance` runs the quick, full and jaketown sweeps.", rep.Machine, rep.Points, rep.Checks, len(rep.Violations))
+	for _, v := range rep.Violations {
+		r.fail(errors.New(v.String()))
 	}
 }

@@ -20,8 +20,9 @@
 //   - internal/casestudy  — Section VI case study (Figs. 6–7, Tables I–II)
 //   - internal/report     — tables, CSV and ASCII figure rendering
 //
-// Executables under cmd/ and runnable examples under examples/ exercise the
-// API; cmd/reproduce regenerates every table and figure in the paper's
+// Executables under cmd/ and the checked Example functions of internal/opt,
+// internal/matmul, internal/nbody, internal/hetero and internal/obs exercise
+// the API; cmd/reproduce regenerates every table and figure in the paper's
 // evaluation into REPORT.md. See DESIGN.md for the full inventory and
 // EXPERIMENTS.md for paper-vs-measured results.
 package perfscale

@@ -15,6 +15,7 @@ var (
 	flagDefine  = regexp.MustCompile(`\bflag\.[A-Z]\w*\("([^"]+)"`)
 	internalPkg = regexp.MustCompile(`\binternal/([a-z0-9_]+)`)
 	internalRef = regexp.MustCompile(`\binternal/[\w/-]+\.(?:go|json)\b`)
+	examplePath = regexp.MustCompile(`\bexamples/([a-z0-9_]+)`)
 )
 
 // docFiles are the documents that describe the current tree. CHANGES.md
@@ -61,7 +62,7 @@ func mainFlags(t *testing.T, name string) map[string]bool {
 // TestDocsReferences holds the documents to the tree: every cmd/<name>
 // names a main that exists, every -flag written after `go run ./cmd/<name>`
 // or an inline `cmd/<name>` on the same line is one that main defines, and
-// every internal/<pkg> and internal/... file path exists.
+// every internal/<pkg>, examples/<name> and internal/... file path exists.
 func TestDocsReferences(t *testing.T) {
 	mains := map[string]map[string]bool{}
 	flagsOf := func(name string) map[string]bool {
@@ -101,6 +102,11 @@ func TestDocsReferences(t *testing.T) {
 			for _, m := range internalPkg.FindAllStringSubmatch(line, -1) {
 				if st, err := os.Stat(filepath.Join("internal", m[1])); err != nil || !st.IsDir() {
 					at("internal/%s is not a package", m[1])
+				}
+			}
+			for _, m := range examplePath.FindAllStringSubmatch(line, -1) {
+				if st, err := os.Stat(filepath.Join("examples", m[1])); err != nil || !st.IsDir() {
+					at("examples/%s is not a directory", m[1])
 				}
 			}
 			for _, path := range internalRef.FindAllString(line, -1) {

@@ -12,7 +12,7 @@ import (
 func TestCampaignFamilyReplaysPinnedRepros(t *testing.T) {
 	cfg := Config{Machine: machine.SimDefault()}
 	rep := &Report{Machine: cfg.Machine.Name, Level: cfg.Level.String(), Violations: []Violation{}}
-	ck := &checker{m: cfg.Machine, cfg: &cfg, rep: rep}
+	ck := &checker{m: cfg.Machine, rep: rep}
 	if err := checkCampaign(ck, cfg); err != nil {
 		t.Fatal(err)
 	}

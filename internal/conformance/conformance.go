@@ -30,14 +30,14 @@
 //     their invariant violations bitwise.
 //
 // The engine is a property/table-test core usable from go test (see
-// conformance_test.go), a fuzz target (FuzzConformance) and a CLI
-// (cmd/conformance) that emits a machine-readable violation report.
+// conformance_test.go), a fuzz target (FuzzConformance) and the
+// Conformance section of cmd/reproduce, which prints the quick sweep's
+// counts and violations.
 // docs/CONFORMANCE.md catalogues the properties and explains how to extend
 // the sweep when adding an algorithm.
 package conformance
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"math"
@@ -163,13 +163,6 @@ type Report struct {
 	Points     int         `json:"points"`
 	Checks     int         `json:"checks"`
 	Violations []Violation `json:"violations"`
-	// WallSeconds is filled by callers that time the sweep (cmd/conformance
-	// does, so the gate's report carries its own cost).
-	WallSeconds float64 `json:"wall_seconds,omitempty"`
-	// Interrupted marks a partial report: the sweep's Config.Context was
-	// cancelled before every family ran. The counts and violations cover
-	// only the points reached; Ok() on an interrupted report means nothing.
-	Interrupted bool `json:"interrupted,omitempty"`
 }
 
 // Ok reports whether the sweep found no violations.
@@ -205,23 +198,9 @@ type Config struct {
 	SkipSim bool
 	// Verbose, when non-nil, receives one line per band check with the
 	// measured ratio — the input to the band-calibration procedure in
-	// docs/CONFORMANCE.md (cmd/conformance -v wires it to stderr).
+	// docs/CONFORMANCE.md (CONF_VERBOSE=1 on the full-sweep tests wires
+	// it to stderr).
 	Verbose io.Writer
-	// Context, when non-nil, aborts the sweep when cancelled: it is checked
-	// between points and threaded into every simulator run as sim.Cost's
-	// Context, so even a rank mid-multiply stops promptly. Sweep then
-	// returns the partial report with Interrupted set and an error wrapping
-	// the context's cause (cmd/conformance wires SIGINT here).
-	Context context.Context
-}
-
-// interrupted returns the context's cancellation cause, or nil while the
-// sweep may continue.
-func (cfg *Config) interrupted() error {
-	if cfg.Context == nil {
-		return nil
-	}
-	return context.Cause(cfg.Context)
 }
 
 // DefaultSeeds are the fault-plan seeds replayed when Config.Seeds is empty.
@@ -230,19 +209,12 @@ var DefaultSeeds = []uint64{1, 0xDEADBEEF, 0x9E3779B97F4A7C15}
 // checker accumulates violations and check counts for one sweep.
 type checker struct {
 	m       machine.Params
-	cfg     *Config
 	rep     *Report
 	verbose io.Writer
 }
 
-// violate records a failed check. Failures arriving after the sweep's
-// Context was cancelled are dropped: a run aborted mid-flight fails its
-// checks for the wrong reason, and a partial report must not present
-// cancellation artifacts as model violations.
+// violate records a failed check.
 func (c *checker) violate(v Violation) {
-	if c.cfg.interrupted() != nil {
-		return
-	}
 	c.rep.Violations = append(c.rep.Violations, v)
 }
 
@@ -287,7 +259,6 @@ func (cfg *Config) cost() sim.Cost {
 		BetaT:       cfg.Machine.BetaT,
 		AlphaT:      cfg.Machine.AlphaT,
 		MaxMsgWords: int(cfg.Machine.MaxMsgWords),
-		Context:     cfg.Context,
 	}
 	if cfg.MutateCost != nil {
 		cfg.MutateCost(&c)
@@ -307,18 +278,7 @@ func Sweep(cfg Config) (*Report, error) {
 		cfg.Seeds = DefaultSeeds
 	}
 	rep := &Report{Machine: cfg.Machine.Name, Level: cfg.Level.String(), Violations: []Violation{}}
-	ck := &checker{m: cfg.Machine, cfg: &cfg, rep: rep, verbose: cfg.Verbose}
-
-	// fail resolves an error return: a cancelled Context takes precedence
-	// over whatever error the abort surfaced as, and marks the report
-	// partial so callers can still persist the points already checked.
-	fail := func(err error) (*Report, error) {
-		if cause := cfg.interrupted(); cause != nil {
-			rep.Interrupted = true
-			return rep, fmt.Errorf("conformance: sweep interrupted: %w", cause)
-		}
-		return rep, err
-	}
+	ck := &checker{m: cfg.Machine, rep: rep, verbose: cfg.Verbose}
 
 	checkClosedForms(ck, cfg)
 	checkBoundsClosedForm(ck)
@@ -327,13 +287,10 @@ func Sweep(cfg Config) (*Report, error) {
 	if !cfg.SkipSim {
 		for _, alg := range selectAlgorithms(cfg.Algorithms) {
 			for _, pt := range alg.points(cfg.Level) {
-				if cfg.interrupted() != nil {
-					return fail(nil)
-				}
 				rep.Points++
 				run, err := alg.run(cfg.cost(), cfg.Machine, pt)
 				if err != nil {
-					return fail(fmt.Errorf("conformance: %s %s: %w", alg.name, pt, err))
+					return rep, fmt.Errorf("conformance: %s %s: %w", alg.name, pt, err)
 				}
 				if cfg.MutateResult != nil {
 					cfg.MutateResult(run.res)
@@ -345,11 +302,8 @@ func Sweep(cfg Config) (*Report, error) {
 		for _, family := range []func(*checker, Config) error{
 			checkSimMetamorphic, checkWeakScaling, checkReplay, checkRecovery, checkGolden, checkPayloadFree, checkCampaign,
 		} {
-			if cfg.interrupted() != nil {
-				return fail(nil)
-			}
 			if err := family(ck, cfg); err != nil {
-				return fail(err)
+				return rep, err
 			}
 		}
 	}

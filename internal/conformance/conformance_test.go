@@ -1,12 +1,9 @@
 package conformance
 
 import (
-	"context"
-	"errors"
 	"os"
 	"strings"
 	"testing"
-	"time"
 
 	"perfscale/internal/machine"
 	"perfscale/internal/sim"
@@ -222,7 +219,7 @@ func TestBoundsFamilyCoversAllAlgorithms(t *testing.T) {
 	}
 }
 
-// TestViolationString pins the rendered form used by cmd/conformance.
+// TestViolationString pins the rendered form the reproduce report prints.
 func TestViolationString(t *testing.T) {
 	v := Violation{
 		Property: "differential/model-band", Algorithm: "fft",
@@ -235,41 +232,4 @@ func TestViolationString(t *testing.T) {
 			t.Errorf("violation string %q missing %q", s, want)
 		}
 	}
-}
-
-// TestSweepInterrupted verifies the cancellation contract: a cancelled
-// Config.Context aborts the sweep, the error unwraps to the context cause,
-// and the returned report is marked partial rather than discarded.
-func TestSweepInterrupted(t *testing.T) {
-	t.Run("pre-cancelled", func(t *testing.T) {
-		ctx, cancel := context.WithCancel(context.Background())
-		cancel()
-		rep, err := Sweep(Config{Level: Quick, Context: ctx})
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("sweep error = %v, want context.Canceled", err)
-		}
-		if rep == nil || !rep.Interrupted {
-			t.Fatalf("report = %+v, want non-nil with Interrupted", rep)
-		}
-	})
-	t.Run("deadline-mid-sweep", func(t *testing.T) {
-		// Tight enough that the full sweep (≈150 ms) cannot finish, long
-		// enough that the closed-form pass and at least part of the
-		// simulator work starts; the abort must come back as
-		// DeadlineExceeded, not as a wedged run or a harness error.
-		ctx, cancel := context.WithTimeout(context.Background(), 25*time.Millisecond)
-		defer cancel()
-		start := time.Now()
-		rep, err := Sweep(Config{Level: Full, Context: ctx})
-		if !errors.Is(err, context.DeadlineExceeded) {
-			t.Fatalf("sweep error = %v, want context.DeadlineExceeded", err)
-		}
-		if !rep.Interrupted {
-			t.Error("report not marked Interrupted")
-		}
-		if wall := time.Since(start); wall > 10*time.Second {
-			t.Errorf("interrupted sweep took %v, want prompt abort", wall)
-		}
-		t.Logf("partial report: %d points, %d checks", rep.Points, rep.Checks)
-	})
 }

@@ -88,7 +88,6 @@ func checkGolden(ck *checker, cfg Config) error {
 // goldenRuns executes every run of the family once, in report order.
 func goldenRuns(cfg Config) ([]goldenRun, error) {
 	m, cost := scalingCost(cfg)
-	cost.Context = cfg.Context
 	var runs []goldenRun
 	for _, alg := range selectAlgorithms(cfg.Algorithms) {
 		pt := alg.points(Quick)[0]

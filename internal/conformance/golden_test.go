@@ -39,7 +39,7 @@ func TestGoldenDigests(t *testing.T) {
 		return
 	}
 	rep := &Report{Machine: cfg.Machine.Name, Level: cfg.Level.String(), Violations: []Violation{}}
-	ck := &checker{m: cfg.Machine, cfg: &cfg, rep: rep}
+	ck := &checker{m: cfg.Machine, rep: rep}
 	if err := checkGolden(ck, cfg); err != nil {
 		t.Fatal(err)
 	}

@@ -109,9 +109,6 @@ func checkPayloadFree(ck *checker, cfg Config) error {
 			continue
 		}
 		for _, pt := range alg.points(Quick) {
-			if cfg.interrupted() != nil {
-				return nil
-			}
 			m, k, n := pt.N, pt.N, pt.N
 			if pt.MDim > 0 {
 				m, k = pt.MDim, pt.KDim
@@ -142,9 +139,6 @@ func checkPayloadFree(ck *checker, cfg Config) error {
 	const fallbackAlg = "bcastlarge-fallback"
 	for _, p := range []int{5, 8} {
 		for _, n := range []int{p - 1, 2*p + 1} {
-			if cfg.interrupted() != nil {
-				return nil
-			}
 			words = max(words, n)
 			err := comparePayloadFree(ck, cfg, fallbackAlg, Point{N: n, P: p}, func(cost sim.Cost, phantom bool) (*sim.Result, error) {
 				return sim.Run(p, cost, bcastFallbackProgram(n, phantom))

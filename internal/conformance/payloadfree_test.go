@@ -14,7 +14,7 @@ import (
 func TestPayloadFreeIdentity(t *testing.T) {
 	cfg := Config{Machine: machine.SimDefault(), Level: Quick}
 	rep := &Report{Machine: cfg.Machine.Name, Level: cfg.Level.String(), Violations: []Violation{}}
-	ck := &checker{m: cfg.Machine, cfg: &cfg, rep: rep}
+	ck := &checker{m: cfg.Machine, rep: rep}
 	if err := checkPayloadFree(ck, cfg); err != nil {
 		t.Fatal(err)
 	}

@@ -1,8 +1,4 @@
-// ensemble applies the heterogeneous extension (the paper's citation [7])
-// to the devices of Table II: partition one matrix multiplication's flops
-// across a GPU, a server CPU and an embedded core so all three finish
-// together, then ask which sub-ensemble actually minimizes energy.
-package main
+package hetero_test
 
 import (
 	"fmt"
@@ -12,7 +8,12 @@ import (
 	"perfscale/internal/machine"
 )
 
-func main() {
+// ExampleBestSubset applies the heterogeneous extension (the paper's
+// citation [7]) to the devices of Table II: partition one matrix
+// multiplication's flops across a GPU, a server CPU and an embedded core so
+// all three finish together, then ask which sub-ensemble actually
+// minimizes energy.
+func ExampleBestSubset() {
 	devices := map[string]machine.DeviceSpec{}
 	for _, d := range machine.TableIIDevices() {
 		devices[d.Name] = d
@@ -54,4 +55,17 @@ func main() {
 	fmt.Printf("\nunder a deadline of %.3f s: %d device(s), E = %.1f J (%.1f%% more)\n",
 		deadline, len(idx2), withDeadline.Energy, 100*(withDeadline.Energy/best.Energy-1))
 	fmt.Println("\nheterogeneity keeps the theorem honest: speed is free only when the helpers are efficient.")
+	// Output:
+	// equal-finish partition of 1e+13 flops:
+	//   Nvidia GTX590                 85.93% of the work
+	//   Intel Sandy Bridge 2687W      13.79% of the work
+	//   ARM Cortex A9 (2.0GHz)         0.28% of the work
+	// makespan 3.480 s, energy 1804.9 J
+	//
+	// energy-optimal sub-ensemble (no deadline): 1 device(s), E = 1473.3 J
+	//   keeps Nvidia GTX590
+	//
+	// under a deadline of 3.481 s: 3 device(s), E = 1804.9 J (22.5% more)
+	//
+	// heterogeneity keeps the theorem honest: speed is free only when the helpers are efficient.
 }

@@ -51,14 +51,6 @@ func (e *CancelledError) Error() string {
 // Unwrap exposes the context cause to errors.Is/errors.As.
 func (e *CancelledError) Unwrap() error { return e.Cause }
 
-// RunContext is Run with ctx bounding the run in real time; see
-// Cost.Context for the semantics. It is a convenience for callers that do
-// not otherwise customize the cost.
-func RunContext(ctx context.Context, p int, cost Cost, fn func(r *Rank) error) (*Result, error) {
-	cost.Context = ctx
-	return Run(p, cost, fn)
-}
-
 // cancelCheck aborts the rank if the run context has been cancelled. It is
 // called (via crashCheck) on entry to every instrumented operation: one
 // atomic load on the hot path. A rank being conducted (comm_ff.go) is exempt: the check would unwind the

@@ -39,7 +39,7 @@ func TestCancelStopsComputeLoop(t *testing.T) {
 		<-started
 		cancel()
 	}()
-	res, err := RunContext(ctx, 4, Cost{GammaT: 1e-9}, func(r *Rank) error {
+	res, err := Run(4, Cost{GammaT: 1e-9, Context: ctx}, func(r *Rank) error {
 		for {
 			if r.ID() == 0 && once != nil {
 				close(once)
@@ -77,7 +77,7 @@ func cancelWhileParked(t *testing.T, wait func(r *Rank)) {
 	defer cancel()
 	done := make(chan error, 1)
 	go func() {
-		_, err := RunContext(ctx, 3, Cost{GammaT: 1e-9, Workers: 1}, func(r *Rank) error {
+		_, err := Run(3, Cost{GammaT: 1e-9, Workers: 1, Context: ctx}, func(r *Rank) error {
 			if r.ID() < 2 {
 				wait(r)
 				return nil
@@ -126,7 +126,7 @@ func TestCancelReleasesBlockedSend(t *testing.T) {
 	}()
 	done := make(chan error, 1)
 	go func() {
-		_, err := RunContext(ctx, 2, Cost{ChanCap: 1}, func(r *Rank) error {
+		_, err := Run(2, Cost{ChanCap: 1, Context: ctx}, func(r *Rank) error {
 			if r.ID() == 0 {
 				for i := 0; i < 100; i++ {
 					r.Send(1, []float64{1})
@@ -156,7 +156,7 @@ func TestCancelReleasesBlockedSend(t *testing.T) {
 func TestCancelDeadline(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
-	_, err := RunContext(ctx, 2, Cost{GammaT: 1e-9}, func(r *Rank) error {
+	_, err := Run(2, Cost{GammaT: 1e-9, Context: ctx}, func(r *Rank) error {
 		for {
 			r.Compute(1000)
 		}
@@ -176,7 +176,7 @@ func TestCancelErrorCollapsed(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel() // already cancelled: every rank aborts at its first op
 		for i := 0; i < 200; i++ {
-			_, err := RunContext(ctx, 8, Cost{}, func(r *Rank) error {
+			_, err := Run(8, Cost{Context: ctx}, func(r *Rank) error {
 				r.Compute(1)
 				return nil
 			})
@@ -205,7 +205,7 @@ func TestCancelRealErrorTakesPrecedence(t *testing.T) {
 		cancel()
 	}()
 	var fc chan struct{} = failed
-	_, err := RunContext(ctx, 2, Cost{}, func(r *Rank) error {
+	_, err := Run(2, Cost{Context: ctx}, func(r *Rank) error {
 		if r.ID() == 0 {
 			if fc != nil {
 				close(fc)
@@ -260,7 +260,7 @@ func TestCancelNotMaskedByCascade(t *testing.T) {
 		for i := 0; i < runs; i++ {
 			ctx, cancel := context.WithCancel(context.Background())
 			timer := time.AfterFunc(time.Duration(i%11)*100*time.Microsecond, cancel)
-			_, err := RunContext(ctx, 64, Cost{}, func(r *Rank) error {
+			_, err := Run(64, Cost{Context: ctx}, func(r *Rank) error {
 				next, prev := (r.ID()+1)%r.P(), (r.ID()+r.P()-1)%r.P()
 				for {
 					r.Send(next, []float64{1})
@@ -365,27 +365,58 @@ func TestCancelMidConduct(t *testing.T) {
 
 // TestConductPanicUnderContext: a conduct that panics (members disagree on
 // the payload length) must surface the panic on a cancellable run exactly
-// like on a context-free one — the members it had taken out of the blocked
-// set rejoin it, so quiescence resolves them instead of wedging the run.
+// like on a context-free one, and the verdict must not depend on which
+// member arrived last and conducted: every member fails with the panic.
+// The staggered input arrives in a different order from run to run at
+// four workers; at one worker, and with or without a context, every run
+// must give the same error text.
 func TestConductPanicUnderContext(t *testing.T) {
+	run := func(p int, cost Cost, fn func(r *Rank) error) string {
+		t.Helper()
+		done := make(chan error, 1)
+		go func() {
+			_, err := Run(p, cost, fn)
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if err == nil || !strings.Contains(err.Error(), "length mismatch") {
+				t.Fatalf("expected a length-mismatch error, got %v", err)
+			}
+			return err.Error()
+		case <-time.After(5 * time.Second):
+			t.Fatal("a panicking conduct wedged the run")
+		}
+		return ""
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	cost := unitCost
 	cost.Context = ctx
-	done := make(chan error, 1)
-	go func() {
-		_, err := Run(4, cost, func(r *Rank) error {
-			r.World().Reduce(1, make([]float64, 1+r.ID()%2), OpSum)
-			return nil
-		})
-		done <- err
-	}()
-	select {
-	case err := <-done:
-		if err == nil || !strings.Contains(err.Error(), "length mismatch") {
-			t.Fatalf("expected a length-mismatch error, got %v", err)
+	run(4, cost, func(r *Rank) error {
+		r.World().Reduce(1, make([]float64, 1+r.ID()%2), OpSum)
+		return nil
+	})
+
+	staggered := func(r *Rank) error {
+		r.Compute(float64(100 * (r.ID() % 3)))
+		r.World().Reduce(1, make([]float64, 1+r.ID()%2), OpSum)
+		return nil
+	}
+	want := ""
+	for _, w := range []int{1, 4} {
+		for _, c := range []context.Context{nil, ctx} {
+			for i := 0; i < 30; i++ {
+				cost := unitCost
+				cost.Workers, cost.Context = w, c
+				got := run(8, cost, staggered)
+				if want == "" {
+					want = got
+				}
+				if got != want {
+					t.Fatalf("workers=%d context=%v run %d: the verdict moved\n  got:  %s\n  want: %s", w, c != nil, i, got, want)
+				}
+			}
 		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("a panicking conduct wedged the cancellable run")
 	}
 }

@@ -141,7 +141,7 @@ type ffRendezvous struct {
 	members []int
 	calls   []ffCall
 	out     [][]float64
-	err     error // the mismatch verdict: no conduct runs, every member fails with it
+	err     any // the verdict every member fails with: mismatch's, or what the conduct panicked with
 	// conducting is set under the engine lock while the conductor owns the
 	// members (conductOwned); done, once out (or err) is filled, or once
 	// quiescence orphaned the rendezvous. A stepped member reads done
@@ -255,11 +255,11 @@ func (rv *ffRendezvous) slabScratch(n int) []float64 {
 
 // take returns member i's result and is the counted release for rendezvous
 // that went through arrive: the caller must not touch rv after this call.
-// A mismatch verdict panics in every member, and a member that failed
-// inside the conduct panics with what it failed with, as it would have at
-// the failing op.
+// A verdict (a mismatch, or what the conduct panicked with) panics in
+// every member, and a member that failed inside the conduct panics with
+// what it failed with, as it would have at the failing op.
 func (rv *ffRendezvous) take(i int) []float64 {
-	out, fail := rv.out[i], any(rv.err)
+	out, fail := rv.out[i], rv.err
 	if rv.faulted && fail == nil {
 		fail = rv.fail[i]
 	}
@@ -406,36 +406,30 @@ func mismatch(rv *ffRendezvous, op uint8) error {
 // held on entry and on return. The parked members leave the blocked set
 // for the duration (opOwned), so neither cancelSweep's sweep nor a wake can
 // resume a member whose Rank the conductor is writing, and a stepped
-// member's worker parks it opOwned too (parkStep). If conduct panics (a
-// program error) they and the rendezvous wait again, the rendezvous
-// without its conductor and keyed by the conductor's rank (no membership
-// interns to 0), until quiescence orphans it; mu is left released.
+// member's worker parks it opOwned too (parkStep). A conduct that panics (a
+// program error, such as members disagreeing on a payload length) leaves
+// what it panicked with as the rendezvous' verdict, typed as it was, so
+// every member fails with it when it takes its result: the verdict names
+// no arrival order, like mismatch's.
 func (e *eventEngine) conductOwned(rv *ffRendezvous, op uint8, me int) {
-	setOps := func(from, to uint64) {
-		for i := range rv.calls {
-			if rk := &e.ranks[rv.calls[i].rank.id]; i != me && rk.op == from {
-				rk.op = to
-			}
+	for i := range rv.calls {
+		if rk := &e.ranks[rv.calls[i].rank.id]; i != me && rk.op == opBlockedColl {
+			rk.op = opOwned
 		}
 	}
-	setOps(opBlockedColl, opOwned)
 	rv.conducting = true
 	e.mu.Unlock()
-	done := false
 	defer func() {
-		if !done {
-			e.mu.Lock()
-			setOps(opOwned, opBlockedColl)
-			rv.conducting = false
-			e.rend[ffKey{seq: uint32(rv.calls[me].rank.id), op: op}] = rv
-			rv.calls[me] = ffCall{}
-			e.mu.Unlock()
+		if rec := recover(); rec != nil {
+			rv.err, rv.ffScratch = rec, nil
+			for i := range rv.calls {
+				rv.calls[i].rank.conducted = false
+			}
 		}
+		e.mu.Lock()
+		rv.conducting = false
 	}()
 	conduct(rv, op)
-	done = true
-	e.mu.Lock()
-	rv.conducting = false
 }
 
 // ffWire is one in-flight conducted message: the priced message plus the

@@ -190,42 +190,6 @@ func (fp *FaultPlan) Clone() *FaultPlan {
 	return cp
 }
 
-// Merge returns a new plan carrying the union of both plans' fault atoms:
-// all crashes (on a conflicting rank the earlier crash wins — the rank is
-// already dead when the later one would fire), all link rules, and all
-// degradation windows. Seed, Respawn and RebootTime come from the receiver;
-// a compound chaos scenario is built by merging primitives into a seeded
-// base plan.
-func (fp *FaultPlan) Merge(o *FaultPlan) *FaultPlan {
-	out := fp.Clone()
-	if o == nil {
-		return out
-	}
-	for r, t := range o.Crashes {
-		if have, ok := out.Crashes[r]; ok && have <= t {
-			continue
-		}
-		if out.Crashes == nil {
-			out.Crashes = map[int]float64{}
-		}
-		out.Crashes[r] = t
-	}
-	out.Links = append(out.Links, o.Links...)
-	out.Degraded = append(out.Degraded, o.Degraded...)
-	return out
-}
-
-// CoordCount counts the plan's fault atoms — scheduled crashes, link-fault
-// rules and degradation windows. It is the coordinate measure minimized by
-// reproducer shrinking: a minimal plan is one no atom can be removed from
-// without losing the behavior it reproduces.
-func (fp *FaultPlan) CoordCount() int {
-	if fp == nil {
-		return 0
-	}
-	return len(fp.Crashes) + len(fp.Links) + len(fp.Degraded)
-}
-
 // matches reports whether a rule scoped to (rSrc, rDst, [from, until)) covers
 // a send from src to dst at virtual time clock.
 func faultMatches(rSrc, rDst int, from, until float64, src, dst int, clock float64) bool {

@@ -332,42 +332,6 @@ func TestFaultPlanClone(t *testing.T) {
 	}
 }
 
-func TestFaultPlanMergeAndCoordCount(t *testing.T) {
-	base := &FaultPlan{
-		Seed:    1,
-		Crashes: map[int]float64{0: 5, 1: 3},
-		Links:   []LinkFault{{Src: 0, Dst: 1, DropProb: 1}},
-	}
-	other := &FaultPlan{
-		Seed:     99, // ignored: the receiver's seed wins
-		Crashes:  map[int]float64{0: 2, 2: 7},
-		Links:    []LinkFault{{Src: -1, Dst: -1, DupProb: 1}},
-		Degraded: []DegradedLink{{Src: 1, Dst: 0, AlphaFactor: 8, BetaFactor: 8}},
-	}
-	got := base.Merge(other)
-	if got.Seed != 1 {
-		t.Errorf("Merge seed = %d, want the receiver's 1", got.Seed)
-	}
-	// Conflicting crash on rank 0: the earlier time wins.
-	if got.Crashes[0] != 2 || got.Crashes[1] != 3 || got.Crashes[2] != 7 {
-		t.Errorf("Merge crashes = %v, want map[0:2 1:3 2:7]", got.Crashes)
-	}
-	if len(got.Links) != 2 || len(got.Degraded) != 1 {
-		t.Errorf("Merge atoms = %d links, %d degraded, want 2 and 1", len(got.Links), len(got.Degraded))
-	}
-	if got.CoordCount() != 6 {
-		t.Errorf("CoordCount = %d, want 6 (3 crashes + 2 links + 1 window)", got.CoordCount())
-	}
-	// Merge must not mutate its operands.
-	if base.CoordCount() != 3 || other.CoordCount() != 4 {
-		t.Errorf("Merge mutated an operand: base %d, other %d coords", base.CoordCount(), other.CoordCount())
-	}
-	var nilPlan *FaultPlan
-	if nilPlan.CoordCount() != 0 {
-		t.Error("CoordCount of nil must be 0")
-	}
-}
-
 // seqObs records each rank's interleaved event sequence — segments, fault
 // decisions and timer transitions in one list, as the bus delivers them.
 // Every event lands on the bucket of the rank whose operation produced it

@@ -619,14 +619,6 @@ func (r *Rank) Free(words int) {
 	}
 }
 
-// TrackedVec allocates a tracked []float64 of length n. The caller should
-// Free(n) when the buffer's lifetime ends if it wants non-monotone
-// footprints; otherwise the peak simply includes it.
-func (r *Rank) TrackedVec(n int) []float64 {
-	r.Alloc(n)
-	return make([]float64, n)
-}
-
 // Result holds the outcome of a cluster run.
 type Result struct {
 	// PerRank has one Stats per rank, indexed by rank id.

@@ -320,22 +320,6 @@ func TestMemoryTracking(t *testing.T) {
 	}
 }
 
-func TestTrackedVec(t *testing.T) {
-	res, err := Run(1, zeroCost, func(r *Rank) error {
-		v := r.TrackedVec(42)
-		if len(v) != 42 {
-			t.Errorf("TrackedVec length %d", len(v))
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := res.PerRank[0].PeakMemWords; got != 42 {
-		t.Errorf("peak: got %g want 42", got)
-	}
-}
-
 func TestFreeUnderflowPanics(t *testing.T) {
 	_, err := Run(1, zeroCost, func(r *Rank) error {
 		r.Free(1)
