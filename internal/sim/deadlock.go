@@ -128,14 +128,11 @@ func (c *Cluster) queuedPairs() []QueuedPair {
 	for dst := range c.mail {
 		mb := &c.mail[dst]
 		mb.mu.Lock()
-		for _, s := range mb.queues.slots {
-			if s.q == nil {
-				continue
+		mb.queues.each(func(src int, q *evRing) {
+			if n := q.length(); n > 0 {
+				out = append(out, QueuedPair{Src: src, Dst: dst, Count: n})
 			}
-			if n := s.q.length(); n > 0 {
-				out = append(out, QueuedPair{Src: int(s.key), Dst: dst, Count: n})
-			}
-		}
+		})
 		mb.mu.Unlock()
 	}
 	sort.Slice(out, func(i, j int) bool {

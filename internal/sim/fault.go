@@ -167,29 +167,6 @@ func validateWindow(from, until float64) error {
 	return nil
 }
 
-// Clone returns a deep copy of the plan, so campaign-style tooling can
-// mutate a candidate (shrinking, probability bisection) without aliasing
-// the original's maps and slices.
-func (fp *FaultPlan) Clone() *FaultPlan {
-	if fp == nil {
-		return nil
-	}
-	cp := &FaultPlan{
-		Seed:       fp.Seed,
-		Respawn:    fp.Respawn,
-		RebootTime: fp.RebootTime,
-	}
-	if fp.Crashes != nil {
-		cp.Crashes = make(map[int]float64, len(fp.Crashes))
-		for r, t := range fp.Crashes {
-			cp.Crashes[r] = t
-		}
-	}
-	cp.Links = append([]LinkFault(nil), fp.Links...)
-	cp.Degraded = append([]DegradedLink(nil), fp.Degraded...)
-	return cp
-}
-
 // matches reports whether a rule scoped to (rSrc, rDst, [from, until)) covers
 // a send from src to dst at virtual time clock.
 func faultMatches(rSrc, rDst int, from, until float64, src, dst int, clock float64) bool {

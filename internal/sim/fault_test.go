@@ -307,31 +307,6 @@ func TestFaultPlanValidation(t *testing.T) {
 	}
 }
 
-func TestFaultPlanClone(t *testing.T) {
-	orig := &FaultPlan{
-		Seed:       7,
-		Crashes:    map[int]float64{1: 2.5},
-		Respawn:    true,
-		RebootTime: 0.5,
-		Links:      []LinkFault{{Src: 0, Dst: 1, DropProb: 0.5}},
-		Degraded:   []DegradedLink{{Src: -1, Dst: -1, AlphaFactor: 4, BetaFactor: 2}},
-	}
-	cp := orig.Clone()
-	cp.Crashes[3] = 9
-	cp.Links[0].DropProb = 0.9
-	cp.Degraded[0].AlphaFactor = 16
-	if _, ok := orig.Crashes[3]; ok {
-		t.Error("Clone aliased the Crashes map")
-	}
-	if orig.Links[0].DropProb != 0.5 || orig.Degraded[0].AlphaFactor != 4 {
-		t.Error("Clone aliased the Links/Degraded slices")
-	}
-	var nilPlan *FaultPlan
-	if nilPlan.Clone() != nil {
-		t.Error("Clone of nil must be nil")
-	}
-}
-
 // seqObs records each rank's interleaved event sequence — segments, fault
 // decisions and timer transitions in one list, as the bus delivers them.
 // Every event lands on the bucket of the rank whose operation produced it

@@ -10,19 +10,29 @@ import (
 // run at modest p — p = 4096 would wire ~16.7M of them before the first
 // flop — while the algorithms in this repository touch only O(log p)
 // distinct peers per rank (grid neighbours, tree parents/children, fiber
-// partners). So each rank owns a mailbox, a small mutex-protected table
-// (peerTable) from sender id to the pair's FIFO queue, and the pair is
-// registered there on first contact. Memory then scales with the number of
-// *active* communication pairs, O(p·log p) for the 2.5D/CAPS/FFT patterns
-// here, instead of p².
+// partners). So each rank owns a mailbox, a small table (peerTable) from
+// sender id to the pair's FIFO queue, and the pair is registered there on
+// first contact. Memory then scales with the number of *active*
+// communication pairs, O(p·log p) for the 2.5D/CAPS/FFT patterns here,
+// instead of p².
 //
 // A pair that only conducted collectives use (comm_ff.go) never queues a
 // message: its entry holds the shared, always-empty idleRing. The first
-// point-to-point send or receive on the pair swaps in a real evRing under
-// the mailbox lock. The sender memoizes its real rings (Rank.out), so it
-// takes the receiver's lock once per peer; the receiver looks its pairs up
-// in its own mailbox, whose lock other ranks take only on first contact
-// and conductors only while the receiver is parked.
+// point-to-point send or receive on the pair swaps in a real evRing.
+//
+// A lookup that hits takes no lock: the table is published through an
+// atomic pointer and read with atomic loads (peerTable.get). Registrations
+// — a first contact, the idle→real swap — take the mailbox mutex and probe
+// again under it. Growth copies the slots into a new table and publishes it
+// whole, so a reader still on the old one stays correct: an entry never
+// moves or disappears in place. The one in-place change is the swap, made
+// by pairOf for whoever owns an end of the pair: its sender or receiver,
+// or the engine or a conductor while that end is parked. A conductor calls
+// wire on a pair only while both ends are parked, and the engine mutex
+// orders every swap they made before the conduct, so a lock-free wire
+// never returns the idleRing in front of queued point-to-point traffic.
+// Both ends look the pair up in the receiver's mailbox: a sender-side memo
+// table cost a table per rank and no longer saves a lock.
 //
 // How queues are allocated is invisible to the simulation's semantics:
 // virtual clocks, counters and fault decisions depend only on the program's
@@ -46,24 +56,29 @@ import (
 // sem is the semantic capacity (Cost.ChanCap): push fails at exactly sem
 // queued messages whatever the storage holds, so parks, quiescence and
 // deadlock verdicts never depend on how a queue is stored. Storage is a
-// chain of power-of-two segments, indexed by the global cursors: the first
-// is allocated by the first enqueue, and the producer appends one of twice
-// the length — capped at the next power of two above sem — only when
-// tail−head reaches the current segment's length. A stale head can only overstate that difference, so the
-// test may grow early but never lets a slot be overwritten: below it, slot
-// t&mask last held cursor t−len < head, already consumed. A pair therefore
-// allocates at most log₂(ChanCap) segments in its life and keeps reusing
-// the last one; a segment the consumer has left is referenced by nobody.
+// chain of power-of-two segments, indexed by the global cursors. The first
+// is part of the ring — evSegMin slots, fewer if sem is smaller — so a pair
+// that never queues more than that is one allocation, cursors and slots in
+// the same object. The producer appends a heap segment of twice the length
+// — capped at the next power of two above sem — only when tail−head
+// reaches the current segment's length. A stale head can only overstate
+// that difference, so the test may grow early but never lets a slot be
+// overwritten: below it, slot t&mask last held cursor t−len < head, already
+// consumed. A pair therefore grows at most log₂(ChanCap) segments in its
+// life and keeps reusing the last one; a heap segment the consumer has left
+// is referenced by nobody, while the inline first one stays pinned by the
+// ring (its slots are zeroed, so it pins no payload).
 type evRing struct {
 	head atomic.Uint32 // consumer cursor
 	tail atomic.Uint32 // producer cursor
 	sem  uint32        // semantic capacity (Cost.ChanCap)
 	lim  uint32        // longest segment: next power of two ≥ sem
-	tseg *evSeg        // producer's segment; nil until the first push
-	// hseg is the consumer's segment. The producer sets it once, before the
-	// tail store of the very first push; from then on only the consumer
-	// touches it, and only after loading a tail that proves a message exists.
-	hseg *evSeg
+	tseg *evSeg        // producer's segment
+	hseg *evSeg        // consumer's segment
+	// first is the chain's first segment, its buf a slice of slots. Its
+	// base stays 0: only a segment the consumer moves to has its base read.
+	first evSeg
+	slots [evSegMin]message
 }
 
 // evSeg is one segment of an evRing's chain. It serves the cursors from
@@ -83,12 +98,16 @@ const evSegMin = 2
 // empty and any number of goroutines may read it.
 var idleRing evRing
 
+// init sets the capacity and points both sides at the inline first
+// segment; the ring must not be copied afterwards.
 func (q *evRing) init(bufCap int) {
 	n := uint32(1)
 	for n < uint32(bufCap) {
 		n <<= 1
 	}
 	q.sem, q.lim = uint32(bufCap), n
+	q.first.buf = q.slots[:min(evSegMin, n)]
+	q.tseg, q.hseg = &q.first, &q.first
 }
 
 // length is safe to call from either side (and from the quiesced engine).
@@ -103,7 +122,7 @@ func (q *evRing) push(m message) bool {
 		return false
 	}
 	s := q.tseg
-	if s == nil || n >= uint32(len(s.buf)) {
+	if n >= uint32(len(s.buf)) {
 		s = q.grow(s, t)
 	}
 	s.buf[t&uint32(len(s.buf)-1)] = m
@@ -113,19 +132,8 @@ func (q *evRing) push(m message) bool {
 
 // grow appends the segment that serves cursors from t on. Producer side only.
 func (q *evRing) grow(s *evSeg, t uint32) *evSeg {
-	size := uint32(evSegMin)
-	if s != nil {
-		size = 2 * uint32(len(s.buf))
-	}
-	if size > q.lim {
-		size = q.lim
-	}
-	n := &evSeg{base: t, buf: make([]message, size)}
-	if s == nil {
-		q.hseg = n
-	} else {
-		s.next.Store(n)
-	}
+	n := &evSeg{base: t, buf: make([]message, min(2*uint32(len(s.buf)), q.lim))}
+	s.next.Store(n)
 	q.tseg = n
 	return n
 }
@@ -150,19 +158,36 @@ func (q *evRing) pop() (message, bool) {
 }
 
 // peerTable maps a peer rank id to the pair's ring: open addressing with
-// linear probing over a power-of-two slot array, grown at 3/4 load. A
-// rank's out table and every mailbox use it. Keys are rank ids (0
-// included); a nil ring marks an empty slot, and nothing is ever deleted.
-// The zero value is an empty table.
+// linear probing over a power-of-two slot array, grown at 3/4 load. Keys
+// are rank ids (0 included); a nil ring marks an empty slot, and nothing is
+// ever deleted. The zero value is an empty table.
+//
+// get takes no lock and may run beside a writer; set calls must be
+// serialized by the caller (the mailbox mutex). Growth builds a new slot
+// array and publishes it whole, and nothing writes the old one again.
 type peerTable struct {
-	slots []peerSlot
-	shift uint8 // 32 − log₂(len(slots)): the hash keeps the product's top bits
-	n     int32
+	cur atomic.Pointer[peerSlots] // nil until the first set
+	n   int32                     // entries; writers only
 }
 
+// peerSlots is one published slot array.
+type peerSlots struct {
+	shift uint8 // 32 − log₂(len(slots)): the hash keeps the product's top bits
+	slots []peerSlot
+}
+
+// peerSlot is one entry. A writer stores key before q, and a reader loads q
+// before key, so a reader that sees a ring sees the key it was filed under.
 type peerSlot struct {
-	key int32
-	q   *evRing
+	key atomic.Int32
+	q   atomic.Pointer[evRing]
+}
+
+// firstSlots is a table's first slot array and its header in one
+// allocation: most tables never grow past it.
+type firstSlots struct {
+	peerSlots
+	buf [peerTableMin]peerSlot
 }
 
 // peerTableMin is the first slot array's length. At 3/4 load it holds six
@@ -171,60 +196,92 @@ const peerTableMin = 8
 
 // home is key k's first probe: Fibonacci hashing spreads the strided ids of
 // grid neighbours and tree partners over the slots.
-func (t *peerTable) home(k int32) int { return int(uint32(k) * 0x9E3779B9 >> t.shift) }
+func (s *peerSlots) home(k int32) int { return int(uint32(k) * 0x9E3779B9 >> s.shift) }
 
-// find returns the slot holding peer k, or the empty slot where k would go.
-// The table must have slots.
-func (t *peerTable) find(k int) *peerSlot {
-	mask := len(t.slots) - 1
-	for i := t.home(int32(k)); ; i = (i + 1) & mask {
-		if s := &t.slots[i]; s.q == nil || s.key == int32(k) {
-			return s
+// probe returns the slot holding peer k, or the empty slot where k would
+// go, and the ring it loaded from that slot. The ring is loaded once per
+// slot and that value is the one returned: a second load after the key test
+// could see a concurrent insert fill an empty slot under another key.
+func (s *peerSlots) probe(k int32) (*peerSlot, *evRing) {
+	mask := len(s.slots) - 1
+	for i := s.home(k); ; i = (i + 1) & mask {
+		sl := &s.slots[i]
+		if q := sl.q.Load(); q == nil || sl.key.Load() == k {
+			return sl, q
 		}
 	}
 }
 
-// get returns the ring stored for peer k, or nil.
+// get returns the ring stored for peer k, or nil. It takes no lock.
 func (t *peerTable) get(k int) *evRing {
-	if len(t.slots) == 0 {
+	s := t.cur.Load()
+	if s == nil {
 		return nil
 	}
-	return t.find(k).q
+	_, q := s.probe(int32(k))
+	return q
 }
 
 // set stores q for peer k, replacing the ring stored for k, if any.
 func (t *peerTable) set(k int, q *evRing) {
-	if len(t.slots) > 0 {
-		if s := t.find(k); s.q != nil {
-			s.q = q
+	s := t.cur.Load()
+	if s != nil {
+		if sl, old := s.probe(int32(k)); old != nil {
+			sl.q.Store(q)
 			return
 		}
 	}
-	if 4*(int(t.n)+1) > 3*len(t.slots) {
-		t.grow()
+	if s == nil || 4*(int(t.n)+1) > 3*len(s.slots) {
+		s = t.grow(s)
 	}
-	*t.find(k) = peerSlot{key: int32(k), q: q}
+	sl, _ := s.probe(int32(k))
+	sl.key.Store(int32(k))
+	sl.q.Store(q)
 	t.n++
 }
 
-func (t *peerTable) grow() {
-	old := t.slots
-	size := 2 * len(old)
-	if size == 0 {
-		size = peerTableMin
+// grow publishes a slot array twice old's length holding old's entries.
+func (t *peerTable) grow(old *peerSlots) *peerSlots {
+	var s *peerSlots
+	if old == nil {
+		f := new(firstSlots)
+		f.slots = f.buf[:]
+		s = &f.peerSlots
+	} else {
+		s = &peerSlots{slots: make([]peerSlot, 2*len(old.slots))}
 	}
-	t.slots = make([]peerSlot, size)
-	t.shift = uint8(32 - bits.TrailingZeros(uint(size)))
-	for _, s := range old {
-		if s.q != nil {
-			*t.find(int(s.key)) = s
+	s.shift = uint8(32 - bits.TrailingZeros(uint(len(s.slots))))
+	if old != nil {
+		for i := range old.slots {
+			if q := old.slots[i].q.Load(); q != nil {
+				k := old.slots[i].key.Load()
+				sl, _ := s.probe(k)
+				sl.key.Store(k)
+				sl.q.Store(q)
+			}
+		}
+	}
+	t.cur.Store(s)
+	return s
+}
+
+// each calls f with every stored peer and its ring, in slot order. Call it
+// with writers excluded, as set requires.
+func (t *peerTable) each(f func(k int, q *evRing)) {
+	s := t.cur.Load()
+	if s == nil {
+		return
+	}
+	for i := range s.slots {
+		if q := s.slots[i].q.Load(); q != nil {
+			f(int(s.slots[i].key.Load()), q)
 		}
 	}
 }
 
 // mailbox holds one rank's incoming per-pair queues, keyed by sender id.
-// Every lookup and registration takes the mutex (see the file comment for
-// who contends for it).
+// Lookups that hit read the table without the mutex; registrations take it
+// (see the file comment).
 type mailbox struct {
 	mu     sync.Mutex
 	queues peerTable
@@ -236,6 +293,9 @@ type mailbox struct {
 // accounting (ActivePairs) counts.
 func (c *Cluster) pairOf(src, dst int) *evRing {
 	mb := &c.mail[dst]
+	if q := mb.queues.get(src); q != nil && q != &idleRing {
+		return q
+	}
 	mb.mu.Lock()
 	q := mb.queues.get(src)
 	if q == nil || q == &idleRing {
@@ -252,6 +312,9 @@ func (c *Cluster) pairOf(src, dst int) *evRing {
 // registers on first contact so ActivePairs counts the pair.
 func (c *Cluster) wire(src, dst int) *evRing {
 	mb := &c.mail[dst]
+	if q := mb.queues.get(src); q != nil {
+		return q
+	}
 	mb.mu.Lock()
 	q := mb.queues.get(src)
 	if q == nil {
@@ -262,16 +325,9 @@ func (c *Cluster) wire(src, dst int) *evRing {
 	return q
 }
 
-// queueTo returns the rank's outgoing queue towards dst, memoizing the
-// lookup so the mailbox lock is taken at most once per peer.
-func (r *Rank) queueTo(dst int) *evRing {
-	if q := r.out.get(dst); q != nil {
-		return q
-	}
-	q := r.cluster.pairOf(r.id, dst)
-	r.out.set(dst, q)
-	return q
-}
+// queueTo returns the rank's outgoing queue towards dst, looked up in the
+// receiver's mailbox.
+func (r *Rank) queueTo(dst int) *evRing { return r.cluster.pairOf(r.id, dst) }
 
 // queueFrom returns the rank's incoming queue from src, looked up in its
 // own mailbox.

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"slices"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -117,6 +119,14 @@ func TestSparseWiring16kRanks(t *testing.T) {
 	}
 }
 
+// size is the table's slot count, 0 while it is empty.
+func (t *peerTable) size() int {
+	if s := t.cur.Load(); s != nil {
+		return len(s.slots)
+	}
+	return 0
+}
+
 // TestPeerTableGrowsTo511Peers fills one table with the 511 peers of an
 // fft_naive rank at p = 512: every key stays reachable across the growths,
 // the slot array stays a power of two at most 3/4 full and doubles exactly
@@ -126,18 +136,18 @@ func TestPeerTableGrowsTo511Peers(t *testing.T) {
 	var tab peerTable
 	rings := make([]evRing, p)
 	for k := 1; k < p; k++ {
-		before := len(tab.slots)
+		before := tab.size()
 		want := before
 		if 4*k > 3*before {
 			want = max(2*before, peerTableMin)
 		}
 		tab.set(k, &rings[k])
-		if size := len(tab.slots); size != want || size&(size-1) != 0 || 4*int(tab.n) > 3*size {
+		if size := tab.size(); size != want || size&(size-1) != 0 || 4*int(tab.n) > 3*size {
 			t.Fatalf("after %d puts: %d slots hold %d keys, want %d slots", k, size, tab.n, want)
 		}
 	}
-	if tab.n != p-1 || len(tab.slots) != 1024 {
-		t.Fatalf("511 peers: n=%d slots=%d, want 511 in 1024", tab.n, len(tab.slots))
+	if tab.n != p-1 || tab.size() != 1024 {
+		t.Fatalf("511 peers: n=%d slots=%d, want 511 in 1024", tab.n, tab.size())
 	}
 	for k := 1; k < p; k++ {
 		if got := tab.get(k); got != &rings[k] {
@@ -151,8 +161,8 @@ func TestPeerTableGrowsTo511Peers(t *testing.T) {
 	}
 	// Setting a present peer replaces its ring in place.
 	tab.set(5, &rings[0])
-	if tab.get(5) != &rings[0] || tab.n != p-1 || len(tab.slots) != 1024 {
-		t.Errorf("replacing peer 5: got %p, n=%d slots=%d", tab.get(5), tab.n, len(tab.slots))
+	if tab.get(5) != &rings[0] || tab.n != p-1 || tab.size() != 1024 {
+		t.Errorf("replacing peer 5: got %p, n=%d slots=%d", tab.get(5), tab.n, tab.size())
 	}
 }
 
@@ -166,10 +176,10 @@ func TestPeerTableAbsentKeys(t *testing.T) {
 	}
 	var r evRing
 	tab.set(3, &r)
-	home := tab.home(3)
+	home := tab.cur.Load().home(3)
 	var same []int
 	for k := 4; len(same) < 2; k++ {
-		if tab.home(int32(k)) == home {
+		if tab.cur.Load().home(int32(k)) == home {
 			same = append(same, k)
 		}
 	}
@@ -201,18 +211,145 @@ func TestPeerTableExtremeIDs(t *testing.T) {
 	}
 	for tab.n < 600 {
 		tab.set(int(tab.n)*1747+1, &first)
-		size := len(tab.slots)
+		size := tab.size()
 		for k := int32(0); k < p; k += 4093 {
-			if h := tab.home(k); h < 0 || h >= size {
+			if h := tab.cur.Load().home(k); h < 0 || h >= size {
 				t.Fatalf("id %d hashes to slot %d of %d", k, h, size)
 			}
 		}
-		if h := tab.home(p - 1); h >= size {
+		if h := tab.cur.Load().home(p - 1); h >= size {
 			t.Fatalf("id p-1 hashes to slot %d of %d", h, size)
 		}
 	}
 	if tab.get(0) != &first || tab.get(p-1) != &last {
 		t.Fatal("ids 0 and p-1 lost across growth")
+	}
+}
+
+// TestPeerTableConcurrentLookups registers first contacts into one mailbox
+// from three goroutines, through every growth from 8 slots to 1,024, while
+// two readers probe it without the lock: one the way pairOf does (it locks
+// on a miss or the idle marker), one the way a conductor's wire does (it
+// locks on a miss only). Every other key is registered with the idle marker
+// first and swapped for its ring later. A lookup must return nil, the marker
+// or exactly the ring registered for its key, and must never go back: a
+// reader that saw a key's ring keeps seeing it. Between those checks the
+// readers hammer a never-stored twin of each key a writer is inserting right
+// now — same home slot, so its probe ends on the empty slot that insert
+// fills — and it must read nil: a probe that loaded a slot's ring twice
+// would return the new ring for the twin.
+func TestPeerTableConcurrentLookups(t *testing.T) {
+	const keys, writers = 600, 3
+	rounds := 20
+	if RaceEnabled {
+		rounds = 4
+	}
+	key := func(i int) int { return 5*i + 1 } // strided ids, 0 never stored
+	// twin[b][i] is an id ≢ 1 (mod 5) with key(i)'s home in a 2^b-slot table.
+	var twin [11][keys]int
+	for b := 3; b <= 10; b++ {
+		s := peerSlots{shift: uint8(32 - b)}
+		first := make(map[int]int)
+		for id := 3; len(first) < 1<<b; id += 5 {
+			if _, ok := first[s.home(int32(id))]; !ok {
+				first[s.home(int32(id))] = id
+			}
+		}
+		for i := range twin[b] {
+			twin[b][i] = first[s.home(int32(key(i)))]
+		}
+	}
+	rings := make([]evRing, keys)
+	var bad atomic.Int32
+	for round := 0; round < rounds; round++ {
+		var mb mailbox
+		var done atomic.Bool
+		var pending [writers]atomic.Int32
+		var writing, reading sync.WaitGroup
+		for w := 0; w < writers; w++ {
+			writing.Add(1)
+			go func(w int) {
+				defer writing.Done()
+				register := func(i int, q *evRing) {
+					pending[w].Store(int32(i))
+					mb.mu.Lock()
+					mb.queues.set(key(i), q)
+					mb.mu.Unlock()
+				}
+				for i := w; i < keys; i += writers {
+					if i%2 == 1 {
+						register(i, &idleRing)
+					} else {
+						register(i, &rings[i])
+					}
+				}
+				for i := w; i < keys; i += writers {
+					if i%2 == 1 {
+						register(i, &rings[i])
+					}
+				}
+			}(w)
+		}
+		for _, lockOnIdle := range []bool{true, false} {
+			reading.Add(1)
+			go func() {
+				defer reading.Done()
+				fail := func(format string, args ...any) {
+					if bad.Add(1) == 1 {
+						t.Errorf("round %d: "+format, append([]any{round}, args...)...)
+					}
+				}
+				seen := make([]uint8, keys) // 0 nothing, 1 the marker, 2 the ring
+				for pass := 0; pass < keys || !done.Load(); pass++ {
+					for w := range pending {
+						s := mb.queues.cur.Load()
+						if s == nil {
+							continue
+						}
+						tw := twin[32-s.shift][pending[w].Load()]
+						if q := mb.queues.get(tw); q != nil {
+							fail("never-stored id %d read %p", tw, q)
+						}
+					}
+					i := pass % keys
+					q := mb.queues.get(key(i))
+					if q == nil || (lockOnIdle && q == &idleRing) {
+						mb.mu.Lock()
+						q = mb.queues.get(key(i))
+						mb.mu.Unlock()
+					}
+					state := uint8(0)
+					switch q {
+					case nil:
+					case &idleRing:
+						state = 1
+					case &rings[i]:
+						state = 2
+					default:
+						state = 255
+					}
+					if state == 255 || state < seen[i] {
+						fail("key %d read %p after state %d, want nil, the marker or %p", key(i), q, seen[i], &rings[i])
+						continue
+					}
+					seen[i] = state
+				}
+			}()
+		}
+		writing.Wait()
+		done.Store(true)
+		reading.Wait()
+		if bad.Load() > 0 {
+			t.Fatalf("round %d: %d bad lookups", round, bad.Load())
+		}
+		if mb.queues.n != keys || mb.queues.size() != 1024 {
+			t.Fatalf("round %d: %d keys in %d slots, want %d in 1024", round, mb.queues.n, mb.queues.size(), keys)
+		}
+		for i := 0; i < keys; i++ {
+			if q := mb.queues.get(key(i)); q != &rings[i] {
+				t.Fatalf("round %d: key %d holds %p, want %p", round, key(i), q, &rings[i])
+			}
+		}
 	}
 }
 

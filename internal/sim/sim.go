@@ -271,11 +271,6 @@ type Rank struct {
 	stats   Stats
 	curMem  float64
 
-	// out memoizes this rank's outgoing point-to-point rings in a flat
-	// peer table (mailbox.go); only the rank's current caller touches it.
-	// Incoming rings are looked up in the rank's own mailbox.
-	out peerTable
-
 	// sendCount keys fault-plan decisions; crashDone/crashPending
 	// implement the injected-crash lifecycle.
 	sendCount    int

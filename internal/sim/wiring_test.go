@@ -314,21 +314,20 @@ func TestRingCensusCannonShape(t *testing.T) {
 	}
 	rings, markers := 0, 0
 	for dst := range cl.mail {
-		for _, s := range cl.mail[dst].queues.slots {
+		cl.mail[dst].queues.each(func(src int, q *evRing) {
 			switch {
-			case s.q == nil:
-			case s.q == &idleRing:
+			case q == &idleRing:
 				markers++
-				if shifted[[2]int{int(s.key), dst}] {
-					t.Errorf("shifted pair %d→%d holds the idle marker, want a ring", s.key, dst)
+				if shifted[[2]int{src, dst}] {
+					t.Errorf("shifted pair %d→%d holds the idle marker, want a ring", src, dst)
 				}
 			default:
 				rings++
-				if !shifted[[2]int{int(s.key), dst}] {
-					t.Errorf("pair %d→%d carried only collective traffic but owns a ring", s.key, dst)
+				if !shifted[[2]int{src, dst}] {
+					t.Errorf("pair %d→%d carried only collective traffic but owns a ring", src, dst)
 				}
 			}
-		}
+		})
 	}
 	if rings != len(shifted) {
 		t.Errorf("%d rings allocated, want one per shifted pair: %d", rings, len(shifted))
