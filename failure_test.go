@@ -44,7 +44,7 @@ func TestCollectiveSurvivesRankPanic(t *testing.T) {
 		if r.ID() == 5 {
 			panic("injected failure")
 		}
-		w.Barrier()
+		w.AllReduce(nil, sim.OpSum)
 		return nil
 	})
 	if err == nil || !strings.Contains(err.Error(), "injected failure") {
@@ -161,7 +161,7 @@ func TestWatchdogDetectsMismatchedBcastRoot(t *testing.T) {
 				data = []float64{1, 2, 3}
 			}
 			w.Bcast(root, data)
-			w.Barrier()
+			w.AllReduce(nil, sim.OpSum)
 			return nil
 		})
 		done <- err

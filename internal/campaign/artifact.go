@@ -61,7 +61,9 @@ func (r *Reproducer) Encode() ([]byte, error) {
 	return append(data, '\n'), nil
 }
 
-// Load parses and sanity-checks an artifact.
+// Load parses and sanity-checks an artifact: both plans must be present
+// and valid for the target, since Verify replays the minimized one and
+// Reshrink minimizes the discovered one again.
 func Load(data []byte) (*Reproducer, error) {
 	var r Reproducer
 	if err := json.Unmarshal(data, &r); err != nil {
@@ -70,14 +72,16 @@ func Load(data []byte) (*Reproducer, error) {
 	if r.Version != ReproducerVersion {
 		return nil, fmt.Errorf("campaign: reproducer schema version %d, want %d", r.Version, ReproducerVersion)
 	}
-	if r.Minimized == nil {
-		return nil, fmt.Errorf("campaign: reproducer has no minimized plan")
+	if r.Discovered == nil || r.Minimized == nil {
+		return nil, fmt.Errorf("campaign: reproducer needs both its discovered and its minimized plan")
 	}
 	if err := r.Target.Validate(); err != nil {
 		return nil, err
 	}
-	if err := r.Minimized.Validate(r.Target.Ranks()); err != nil {
-		return nil, err
+	for _, plan := range []*sim.FaultPlan{r.Discovered, r.Minimized} {
+		if err := plan.Validate(r.Target.Ranks()); err != nil {
+			return nil, err
+		}
 	}
 	return &r, nil
 }

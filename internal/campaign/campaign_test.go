@@ -356,6 +356,62 @@ func TestResumeIgnoresRetiredRuntimeField(t *testing.T) {
 	}
 }
 
+// TestLoadRequiresBothPlans: an artifact without its discovered plan, or
+// with one that names a rank the target lacks, is rejected on load:
+// Reshrink (-shrink) minimizes the discovered plan and would dereference a
+// missing one.
+func TestLoadRequiresBothPlans(t *testing.T) {
+	art, err := os.ReadFile("testdata/repro-golden.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	edit := func(change func(doc map[string]any)) []byte {
+		var doc map[string]any
+		if err := json.Unmarshal(art, &doc); err != nil {
+			t.Fatal(err)
+		}
+		change(doc)
+		data, err := json.Marshal(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	for name, data := range map[string][]byte{
+		"no discovered plan": edit(func(doc map[string]any) { delete(doc, "discovered") }),
+		"no minimized plan":  edit(func(doc map[string]any) { delete(doc, "minimized") }),
+		"discovered plan crashes rank 16 of 16": edit(func(doc map[string]any) {
+			doc["discovered"].(map[string]any)["Crashes"] = map[string]float64{"16": 1}
+		}),
+	} {
+		if _, err := Load(data); err == nil {
+			t.Errorf("%s: Load accepted the artifact", name)
+		}
+	}
+	if _, err := Load(art); err != nil {
+		t.Errorf("the golden artifact no longer loads: %v", err)
+	}
+}
+
+// FuzzLoadReproducer feeds arbitrary bytes to Load, seeded with the golden
+// artifact: every input must load or fail with a returned error, never
+// panic, and a loaded artifact has both plans.
+func FuzzLoadReproducer(f *testing.F) {
+	art, err := os.ReadFile("testdata/repro-golden.json")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(art)
+	f.Add([]byte(`{"version": 1, "target": {"workload": "summa-arq", "n": 16, "q": 4, "machine": "simdefault"}, "minimized": {}}`))
+	f.Add([]byte(`{"version": 1}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r, err := Load(data)
+		if err == nil && (r.Discovered == nil || r.Minimized == nil) {
+			t.Fatalf("loaded an artifact without both plans: %+v", r)
+		}
+	})
+}
+
 func TestConfigValidation(t *testing.T) {
 	bad := []Config{
 		{Target: Target{Workload: "cannon"}},

@@ -39,9 +39,6 @@ type algRun struct {
 	// words moved (sent + received) never fall below its maximum. An empty
 	// set skips the floor check.
 	lower bounds.BoundSet
-	// faulted marks runs executed under a fault plan; the exact pricing
-	// identities assume clean uniform links and are skipped for them.
-	faulted bool
 }
 
 // algorithmDef couples a sweep grid with an executor.

@@ -165,9 +165,6 @@ type Report struct {
 	Violations []Violation `json:"violations"`
 }
 
-// Ok reports whether the sweep found no violations.
-func (r *Report) Ok() bool { return len(r.Violations) == 0 }
-
 // Config parameterises a sweep.
 type Config struct {
 	// Machine prices the runs; zero value means machine.SimDefault().
@@ -177,8 +174,6 @@ type Config struct {
 	// Algorithms restricts the sweep to the named algorithms (see
 	// AlgorithmNames); empty means all.
 	Algorithms []string
-	// Seeds keys the fault-replay plans; empty means DefaultSeeds.
-	Seeds []uint64
 	// MutateCost, when set, perturbs the sim.Cost derived from Machine
 	// before every run. It exists for negative testing: the expectations
 	// are still computed from the unmutated Machine, so a mutation that
@@ -192,10 +187,6 @@ type Config struct {
 	// mutation, but must still be caught by the lower-bound floor.
 	// Production sweeps leave it nil.
 	MutateResult func(*sim.Result)
-	// SkipSim disables the simulator-backed families (differential,
-	// sim-level metamorphic, replay), leaving only the closed-form checks.
-	// The fuzz target uses it to keep per-input cost bounded.
-	SkipSim bool
 	// Verbose, when non-nil, receives one line per band check with the
 	// measured ratio — the input to the band-calibration procedure in
 	// docs/CONFORMANCE.md (CONF_VERBOSE=1 on the full-sweep tests wires
@@ -203,7 +194,7 @@ type Config struct {
 	Verbose io.Writer
 }
 
-// DefaultSeeds are the fault-plan seeds replayed when Config.Seeds is empty.
+// DefaultSeeds key the fault-plan replays and the recovery points.
 var DefaultSeeds = []uint64{1, 0xDEADBEEF, 0x9E3779B97F4A7C15}
 
 // checker accumulates violations and check counts for one sweep.
@@ -274,9 +265,6 @@ func Sweep(cfg Config) (*Report, error) {
 	if cfg.Machine.Name == "" {
 		cfg.Machine = machine.SimDefault()
 	}
-	if len(cfg.Seeds) == 0 {
-		cfg.Seeds = DefaultSeeds
-	}
 	rep := &Report{Machine: cfg.Machine.Name, Level: cfg.Level.String(), Violations: []Violation{}}
 	ck := &checker{m: cfg.Machine, rep: rep, verbose: cfg.Verbose}
 
@@ -284,27 +272,25 @@ func Sweep(cfg Config) (*Report, error) {
 	checkBoundsClosedForm(ck)
 	checkRecoveryController(ck)
 
-	if !cfg.SkipSim {
-		for _, alg := range selectAlgorithms(cfg.Algorithms) {
-			for _, pt := range alg.points(cfg.Level) {
-				rep.Points++
-				run, err := alg.run(cfg.cost(), cfg.Machine, pt)
-				if err != nil {
-					return rep, fmt.Errorf("conformance: %s %s: %w", alg.name, pt, err)
-				}
-				if cfg.MutateResult != nil {
-					cfg.MutateResult(run.res)
-				}
-				checkDifferential(ck, alg.name, pt, run)
-				checkBoundsFloor(ck, alg.name, pt, run)
+	for _, alg := range selectAlgorithms(cfg.Algorithms) {
+		for _, pt := range alg.points(cfg.Level) {
+			rep.Points++
+			run, err := alg.run(cfg.cost(), cfg.Machine, pt)
+			if err != nil {
+				return rep, fmt.Errorf("conformance: %s %s: %w", alg.name, pt, err)
 			}
+			if cfg.MutateResult != nil {
+				cfg.MutateResult(run.res)
+			}
+			checkDifferential(ck, alg.name, pt, run)
+			checkBoundsFloor(ck, alg.name, pt, run)
 		}
-		for _, family := range []func(*checker, Config) error{
-			checkSimMetamorphic, checkWeakScaling, checkReplay, checkRecovery, checkGolden, checkPayloadFree, checkCampaign,
-		} {
-			if err := family(ck, cfg); err != nil {
-				return rep, err
-			}
+	}
+	for _, family := range []func(*checker, Config) error{
+		checkSimMetamorphic, checkWeakScaling, checkReplay, checkRecovery, checkGolden, checkPayloadFree, checkCampaign,
+	} {
+		if err := family(ck, cfg); err != nil {
+			return rep, err
 		}
 	}
 	return rep, nil

@@ -11,9 +11,7 @@ import (
 // first the exact pricing identities the clock semantics guarantee for
 // every algorithm, then the per-algorithm expectation bands.
 func checkDifferential(ck *checker, alg string, pt Point, run *algRun) {
-	if !run.faulted {
-		checkPricingIdentities(ck, alg, pt, run.res)
-	}
+	checkPricingIdentities(ck, alg, pt, run.res)
 	checkPriceConsistency(ck, alg, pt, run.res)
 	for _, e := range run.expects {
 		ck.checkBand("differential/model-band", alg, pt, e.quantity, e.got, e.model, e.band, e.detail)

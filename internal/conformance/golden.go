@@ -49,8 +49,8 @@ import (
 //go:embed testdata/golden.json
 var goldenJSON []byte
 
-// goldenSeed keys the chaos run. It is fixed rather than taken from
-// Config.Seeds: a digest exists for this plan only.
+// goldenSeed keys the chaos run. It is pinned here rather than read from
+// DefaultSeeds: a digest exists for this plan only.
 const goldenSeed = 1
 
 // goldenValue is one pinned quantity of a golden run: a digest, or the

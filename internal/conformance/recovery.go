@@ -57,12 +57,12 @@ func recoveryPoints(level Level) []Point {
 }
 
 // recoverySeeds keeps the quick gate to one plan per point; the full sweep
-// replays every configured seed.
+// replays every default seed.
 func recoverySeeds(cfg Config) []uint64 {
 	if cfg.Level == Full {
-		return cfg.Seeds
+		return DefaultSeeds
 	}
-	return cfg.Seeds[:1]
+	return DefaultSeeds[:1]
 }
 
 func checkRecovery(ck *checker, cfg Config) error {

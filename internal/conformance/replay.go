@@ -21,7 +21,7 @@ import (
 //     identical error strings (the crash, its cascade, and every rank's
 //     exit route are all functions of virtual time only).
 func checkReplay(ck *checker, cfg Config) error {
-	for _, seed := range cfg.Seeds {
+	for _, seed := range DefaultSeeds {
 		if err := replayChaos(ck, cfg, seed); err != nil {
 			return err
 		}

@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -41,10 +42,15 @@ func (p Params) MarshalJSON() ([]byte, error) {
 	})
 }
 
-// UnmarshalJSON implements json.Unmarshaler.
+// UnmarshalJSON implements json.Unmarshaler. An unknown key is an error: a
+// misspelt "delta_e" would otherwise load as δe = 0 and drop Eq. 2's memory
+// term without a word. The strict decoder must live here, because a
+// caller's DisallowUnknownFields does not reach a custom unmarshaler.
 func (p *Params) UnmarshalJSON(data []byte) error {
 	var j paramsJSON
-	if err := json.Unmarshal(data, &j); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&j); err != nil {
 		return err
 	}
 	*p = Params{

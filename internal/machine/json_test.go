@@ -70,6 +70,66 @@ func TestLoadFileErrors(t *testing.T) {
 	}
 }
 
+// TestLoadFileRejectsUnknownKeys: a misspelt key is an error naming it,
+// not a parameter silently left at zero (a "detla_e" would load as δe = 0
+// and drop Eq. 2's memory term).
+func TestLoadFileRejectsUnknownKeys(t *testing.T) {
+	data, err := json.Marshal(Jaketown())
+	if err != nil {
+		t.Fatal(err)
+	}
+	misspelt := strings.Replace(string(data), `"delta_e"`, `"detla_e"`, 1)
+	if misspelt == string(data) {
+		t.Fatal("fixture has no delta_e key")
+	}
+	path := filepath.Join(t.TempDir(), "misspelt.json")
+	if err := writeFile(path, []byte(misspelt)); err != nil {
+		t.Fatal(err)
+	}
+	p, err := LoadFile(path)
+	if err == nil || !strings.Contains(err.Error(), "detla_e") {
+		t.Errorf("LoadFile accepted a misspelt key: params %+v, error %v", p, err)
+	}
+	var q Params
+	if err := json.Unmarshal([]byte(misspelt), &q); err == nil {
+		t.Error("json.Unmarshal into Params accepted a misspelt key")
+	}
+}
+
+// FuzzMachineJSON feeds arbitrary bytes to what LoadFile does with a
+// file's contents: decode, then validate. Every input must load or fail
+// with a returned error, never panic, and a loaded machine must survive a
+// round trip through its own encoding unchanged.
+func FuzzMachineJSON(f *testing.F) {
+	for _, m := range []Params{SimDefault(), Jaketown(), Illustrative()} {
+		data, err := json.Marshal(m)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Add([]byte(`{"name": "x", "detla_e": 5.8e-9}`))
+	f.Add([]byte(`{"gamma_t": 1e400}`))
+	f.Add([]byte(`{not json`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var p Params
+		if err := json.Unmarshal(data, &p); err != nil {
+			return
+		}
+		if err := p.Validate(); err != nil {
+			return
+		}
+		enc, err := json.Marshal(p)
+		if err != nil {
+			t.Fatalf("a loaded machine does not encode: %v", err)
+		}
+		var back Params
+		if err := json.Unmarshal(enc, &back); err != nil || back != p {
+			t.Fatalf("round trip changed the machine: %+v → %+v (%v)", p, back, err)
+		}
+	})
+}
+
 func TestResolve(t *testing.T) {
 	if p, err := Resolve("jaketown"); err != nil || p.Name != "jaketown" {
 		t.Errorf("preset resolve failed: %v %v", p.Name, err)

@@ -156,7 +156,7 @@ func TestPeakExceedsAverageUnderImbalance(t *testing.T) {
 		if r.ID() == 0 {
 			r.Compute(9e6)
 		}
-		r.World().Barrier()
+		r.World().AllReduce(nil, sim.OpSum)
 		return nil
 	})
 	prof, err := obs.Profile(m, res, col, 50)

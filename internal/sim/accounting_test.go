@@ -167,7 +167,7 @@ func TestStatsDecompositionInvariant(t *testing.T) {
 				data = w.Shift(data, 1)
 			}
 			w.AllReduce(data, OpSum)
-			w.Barrier()
+			w.AllReduce(nil, OpSum)
 			return nil
 		})
 		if err != nil {

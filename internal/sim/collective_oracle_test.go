@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // The collective oracle: every collective run member by member on Send,
 // Recv and Compute, each member executing its own side of the schedule on
@@ -84,15 +81,13 @@ func oracleAllReduce(c *Comm, data []float64, op ReduceOp) []float64 {
 	return oracleBcast(c, 0, nil)
 }
 
-// oracleAllGather is Comm.AllGather: the ring, p−1 steps of one block.
+// oracleAllGather is BcastLarge's all-gather phase: the ring, p−1 steps of
+// one block.
 func oracleAllGather(c *Comm, block []float64) []float64 {
 	p := len(c.members)
 	k := len(block)
 	out := assembly(nil, p*k, block)
 	put(out[c.me*k:(c.me+1)*k], block)
-	if p == 1 {
-		return out
-	}
 	cur := private(block)
 	next := (c.me + 1) % p
 	prev := (c.me - 1 + p) % p
@@ -105,17 +100,11 @@ func oracleAllGather(c *Comm, block []float64) []float64 {
 	return out
 }
 
-// oracleReduceScatter is Comm.ReduceScatter: the ring, p−1 steps of k
-// words.
+// oracleReduceScatter is ReduceLarge's reduce-scatter phase: the ring, p−1
+// steps of k words, after which member i holds reduced block i.
 func oracleReduceScatter(c *Comm, data []float64, op ReduceOp) []float64 {
 	p := len(c.members)
-	if len(data)%p != 0 {
-		panic(fmt.Sprintf("sim: ReduceScatter length %d not divisible by %d", len(data), p))
-	}
 	k := len(data) / p
-	if p == 1 {
-		return private(data)
-	}
 	acc := private(data)
 	next := (c.me + 1) % p
 	prev := (c.me - 1 + p) % p
@@ -196,12 +185,8 @@ func oracleAllToAllTree(c *Comm, data []float64) []float64 {
 	return out
 }
 
-// oracleBarrier is Comm.Barrier: a zero-word reduce+broadcast.
-func oracleBarrier(c *Comm) {
-	oracleAllReduce(c, []float64{}, OpSum)
-}
-
-// oracleGather is Comm.Gather: every non-root sends its chunk to the root.
+// oracleGather is ReduceLarge's gather phase: every non-root sends its chunk
+// to the root.
 func oracleGather(c *Comm, root int, chunk []float64) []float64 {
 	p := len(c.members)
 	if c.me != root {
@@ -272,50 +257,6 @@ func oracleReduceLarge(c *Comm, root int, data []float64, op ReduceOp) []float64
 	return gathered
 }
 
-// oracleScatter is Comm.Scatter: the root sends member i chunk i.
-func oracleScatter(c *Comm, root int, data []float64) []float64 {
-	p := len(c.members)
-	if c.me == root && len(data)%p != 0 {
-		panic(fmt.Sprintf("sim: Scatter length %d not divisible by %d", len(data), p))
-	}
-	if c.me == root {
-		k := len(data) / p
-		for i := 0; i < p; i++ {
-			if i == root {
-				continue
-			}
-			c.send(i, data[i*k:(i+1)*k])
-		}
-		return private(data[root*k : (root+1)*k])
-	}
-	return c.recv(root)
-}
-
-// oracleSplit is Comm.Split: an all-gather of every member's (color, key),
-// then the local sort.
-func oracleSplit(c *Comm, color, key int) (*Comm, error) {
-	info := oracleAllGather(c, []float64{float64(color), float64(key)})
-	type entry struct{ member, color, key int }
-	var mine []entry
-	for i := 0; i < len(c.members); i++ {
-		col := int(info[2*i])
-		if col == color {
-			mine = append(mine, entry{member: i, color: col, key: int(info[2*i+1])})
-		}
-	}
-	sort.Slice(mine, func(a, b int) bool {
-		if mine[a].key != mine[b].key {
-			return mine[a].key < mine[b].key
-		}
-		return mine[a].member < mine[b].member
-	})
-	members := make([]int, len(mine))
-	for i, e := range mine {
-		members[i] = c.members[e.member]
-	}
-	return c.rank.newCommOwned(members)
-}
-
 // collectiveSet is one implementation of every collective, as functions of
 // the communicator, so a test program can run on either.
 type collectiveSet struct {
@@ -323,32 +264,20 @@ type collectiveSet struct {
 	Bcast          func(c *Comm, root int, data []float64) []float64
 	Reduce         func(c *Comm, root int, data []float64, op ReduceOp) []float64
 	AllReduce      func(c *Comm, data []float64, op ReduceOp) []float64
-	AllGather      func(c *Comm, block []float64) []float64
-	ReduceScatter  func(c *Comm, data []float64, op ReduceOp) []float64
 	AllToAll       func(c *Comm, data []float64) []float64
 	AllToAllTree   func(c *Comm, data []float64) []float64
-	Gather         func(c *Comm, root int, chunk []float64) []float64
-	Scatter        func(c *Comm, root int, data []float64) []float64
 	BcastLargeInto func(c *Comm, dst []float64, root int, data []float64) []float64
 	ReduceLarge    func(c *Comm, root int, data []float64, op ReduceOp) []float64
-	Barrier        func(c *Comm)
-	Split          func(c *Comm, color, key int) (*Comm, error)
 }
 
 // conductor is the production collectives; oracle is the reference above.
 var (
 	conductor = collectiveSet{name: "conductor",
 		Bcast: (*Comm).Bcast, Reduce: (*Comm).Reduce, AllReduce: (*Comm).AllReduce,
-		AllGather: (*Comm).AllGather, ReduceScatter: (*Comm).ReduceScatter,
 		AllToAll: (*Comm).AllToAll, AllToAllTree: (*Comm).AllToAllTree,
-		Gather: (*Comm).Gather, Scatter: (*Comm).Scatter,
-		BcastLargeInto: (*Comm).BcastLargeInto, ReduceLarge: (*Comm).ReduceLarge,
-		Barrier: (*Comm).Barrier, Split: (*Comm).Split}
+		BcastLargeInto: (*Comm).BcastLargeInto, ReduceLarge: (*Comm).ReduceLarge}
 	oracle = collectiveSet{name: "oracle",
 		Bcast: oracleBcast, Reduce: oracleReduce, AllReduce: oracleAllReduce,
-		AllGather: oracleAllGather, ReduceScatter: oracleReduceScatter,
 		AllToAll: oracleAllToAll, AllToAllTree: oracleAllToAllTree,
-		Gather: oracleGather, Scatter: oracleScatter,
-		BcastLargeInto: oracleBcastLargeInto, ReduceLarge: oracleReduceLarge,
-		Barrier: oracleBarrier, Split: oracleSplit}
+		BcastLargeInto: oracleBcastLargeInto, ReduceLarge: oracleReduceLarge}
 )

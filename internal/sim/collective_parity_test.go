@@ -29,8 +29,8 @@ func (o *eventLog) OnDeadlock(DeadlockEvent)      {}
 
 // parityCase is one collective call of the parity sweep. call runs it on
 // member c through coll and returns what the member delivers; prefix, set
-// for the collectives made of two rendezvous (AllReduce and Barrier: a
-// Reduce, then a Bcast), runs the part before the last one.
+// for the collective made of two rendezvous (AllReduce: a Reduce, then a
+// Bcast), runs the part before the last one.
 type parityCase struct {
 	name   string
 	call   func(coll collectiveSet, c *Comm) []float64
@@ -60,16 +60,8 @@ func parityCases(p int) []parityCase {
 		{name: "AllReduce", prefix: reduceHalf, call: func(coll collectiveSet, c *Comm) []float64 {
 			return coll.AllReduce(c, vec(c, 2), OpSum)
 		}},
-		{name: "AllGather", call: func(coll collectiveSet, c *Comm) []float64 { return coll.AllGather(c, vec(c, 2)) }},
-		{name: "ReduceScatter", call: func(coll collectiveSet, c *Comm) []float64 {
-			return coll.ReduceScatter(c, vec(c, 2*p), OpMax)
-		}},
 		{name: "AllToAll", call: func(coll collectiveSet, c *Comm) []float64 { return coll.AllToAll(c, vec(c, 2*p)) }},
 		{name: "AllToAllTree", call: func(coll collectiveSet, c *Comm) []float64 { return coll.AllToAllTree(c, vec(c, 2*p)) }},
-		{name: "Gather", call: func(coll collectiveSet, c *Comm) []float64 { return coll.Gather(c, 0, vec(c, 2)) }},
-		{name: "Scatter", call: func(coll collectiveSet, c *Comm) []float64 {
-			return coll.Scatter(c, p/2, rootData(c, p/2, 3*p))
-		}},
 		{name: "BcastLarge", call: func(coll collectiveSet, c *Comm) []float64 {
 			return coll.BcastLargeInto(c, nil, 1%p, rootData(c, 1%p, 2*p))
 		}},
@@ -88,19 +80,6 @@ func parityCases(p int) []parityCase {
 		}},
 		{name: "ReduceLarge/fallback", call: func(coll collectiveSet, c *Comm) []float64 {
 			return coll.ReduceLarge(c, 0, vec(c, p-1), OpSum)
-		}},
-		{name: "Barrier", prefix: func(coll collectiveSet, c *Comm) { coll.Reduce(c, 0, []float64{}, OpSum) },
-			call: func(coll collectiveSet, c *Comm) []float64 { coll.Barrier(c); return nil }},
-		{name: "Split", call: func(coll collectiveSet, c *Comm) []float64 {
-			sub, err := coll.Split(c, c.Me()%2, -c.Me())
-			if err != nil {
-				panic(err)
-			}
-			ids := make([]float64, sub.Size())
-			for i := range ids {
-				ids[i] = float64(sub.Member(i))
-			}
-			return ids
 		}},
 	}
 }
@@ -245,8 +224,7 @@ func orphanVerdict(p int, cost Cost, pc parityCase) string {
 // Pinned instead, because member by member those runs hang or fail on their
 // own parents: hard-crash rows in which the member dies before it arrives
 // at the collective's last rendezvous — in its clock-staggering compute
-// (t = 0), and for AllReduce and Barrier at every crash that fires in their
-// Reduce half. There the run must end in orphanVerdict's text: each member
+// (t = 0), and for AllReduce at every crash that fires in its Reduce half. There the run must end in orphanVerdict's text: each member
 // that arrives names the lowest member that exited before arriving.
 //
 // Excluded, because the routes are documented to differ there: BcastLarge's

@@ -2,7 +2,7 @@ package sim
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Comm is a communicator: an ordered subgroup of ranks that perform
@@ -33,22 +33,6 @@ func (r *Rank) World() *Comm {
 // rank must appear in members exactly once; every member must construct the
 // communicator with an identical members slice.
 func (r *Rank) NewComm(members []int) (*Comm, error) {
-	c, err := r.newCommOwned(members)
-	if err != nil {
-		return nil, err
-	}
-	cp := make([]int, len(members))
-	copy(cp, members)
-	c.members = cp
-	return c, nil
-}
-
-// newCommOwned is NewComm without the defensive copy, for constructors
-// (grid helpers, Split) that build the member slice themselves and hand
-// over ownership. Algorithms build a handful of communicators per rank,
-// so at p = 16384 the copies — and NewComm's old per-call validation
-// map, ~1.5 KB each — were a measurable slice of a whole run's garbage.
-func (r *Rank) newCommOwned(members []int) (*Comm, error) {
 	c, err := r.newCommTrusted(members)
 	if err != nil {
 		return nil, err
@@ -70,12 +54,14 @@ func (r *Rank) newCommOwned(members []int) (*Comm, error) {
 			seen[id] = true
 		}
 	}
+	c.members = slices.Clone(members)
 	return c, nil
 }
 
-// newCommTrusted is newCommOwned without the duplicate scan, for generated
-// member lists whose construction makes duplicates impossible (grid rows,
-// columns and fibers). The duplicate scan is quadratic in the member count;
+// newCommTrusted is NewComm without the duplicate scan and the defensive
+// copy, for generated member lists whose construction makes duplicates
+// impossible and whose ownership passes to the Comm (grid rows, columns and
+// fibers). The duplicate scan is quadratic in the member count;
 // on a 16384-rank 2.5D run the grid helpers alone were ~100M comparisons.
 func (r *Rank) newCommTrusted(members []int) (*Comm, error) {
 	me := -1
@@ -99,12 +85,6 @@ func (c *Comm) Size() int { return len(c.members) }
 // Me returns the caller's index within the communicator.
 func (c *Comm) Me() int { return c.me }
 
-// Member returns the global rank id of member i.
-func (c *Comm) Member(i int) int { return c.members[i] }
-
-// Rank returns the underlying rank handle.
-func (c *Comm) Rank() *Rank { return c.rank }
-
 // ReduceOp combines src into dst elementwise; len(dst) == len(src).
 type ReduceOp func(dst, src []float64)
 
@@ -113,15 +93,6 @@ type ReduceOp func(dst, src []float64)
 func OpSum(dst, src []float64) {
 	for i, v := range src {
 		dst[i] += v
-	}
-}
-
-// OpMax is elementwise maximum.
-func OpMax(dst, src []float64) {
-	for i, v := range src {
-		if v > dst[i] {
-			dst[i] = v
-		}
 	}
 }
 
@@ -195,24 +166,6 @@ func (c *Comm) AllReduce(data []float64, op ReduceOp) []float64 {
 	return c.Bcast(0, nil)
 }
 
-// AllGather concatenates every member's equal-length block in member order
-// and returns the concatenation on every member. It uses the ring algorithm:
-// p−1 steps, each moving one block, for a total of (p−1)·k words per member.
-func (c *Comm) AllGather(block []float64) []float64 {
-	return c.conduct(ffAllGather, ffCall{data: block})
-}
-
-// ReduceScatter reduces p equal blocks elementwise and leaves block i on
-// member i. data must have length p·k. It uses the ring algorithm: p−1
-// steps of k words each.
-func (c *Comm) ReduceScatter(data []float64, op ReduceOp) []float64 {
-	p := len(c.members)
-	if len(data)%p != 0 {
-		panic(fmt.Sprintf("sim: ReduceScatter length %d not divisible by %d", len(data), p))
-	}
-	return c.conduct(ffReduceScatter, ffCall{data: data, rop: op})
-}
-
 // AllToAll performs the naive personalized all-to-all: every member sends
 // block j of data directly to member j. data must have length p·k; the
 // result holds block i received from member i. Costs p−1 messages and
@@ -236,20 +189,6 @@ func (c *Comm) AllToAllTree(data []float64) []float64 {
 		panic(fmt.Sprintf("sim: AllToAllTree length %d not divisible by %d", len(data), p))
 	}
 	return c.conduct(ffAllToAllTree, ffCall{data: data})
-}
-
-// Barrier synchronizes the communicator via a zero-word reduce+broadcast,
-// costing 2·⌈log2 p⌉ message latencies — synchronization through messages,
-// as the paper's model requires.
-func (c *Comm) Barrier() {
-	c.AllReduce([]float64{}, OpSum)
-}
-
-// Gather collects every member's equal-length chunk on root, in member
-// order; returns nil on non-roots. Each non-root sends its chunk directly
-// to the root.
-func (c *Comm) Gather(root int, chunk []float64) []float64 {
-	return c.conduct(ffGather, ffCall{data: chunk, arg: root})
 }
 
 // BcastLarge broadcasts root's data with the bandwidth-optimal
@@ -292,42 +231,4 @@ func (c *Comm) reduceLargeOp(n int) uint8 {
 		return ffReduce
 	}
 	return ffReduceLarge
-}
-
-// Scatter distributes root's data in equal chunks: member i receives chunk
-// i. data must have length p·k on the root (ignored elsewhere); every
-// member gets its own k-word chunk back.
-func (c *Comm) Scatter(root int, data []float64) []float64 {
-	p := len(c.members)
-	if c.me == root && len(data)%p != 0 {
-		panic(fmt.Sprintf("sim: Scatter length %d not divisible by %d", len(data), p))
-	}
-	return c.conduct(ffScatter, ffCall{data: data, arg: root})
-}
-
-// Split partitions the communicator by color, MPI_Comm_split-style: members
-// sharing a color form a new communicator ordered by key (ties broken by
-// current rank order). Every member must call Split with its own color/key;
-// the membership exchange costs one all-gather of two words per member.
-func (c *Comm) Split(color, key int) (*Comm, error) {
-	info := c.AllGather([]float64{float64(color), float64(key)})
-	type entry struct{ member, color, key int }
-	var mine []entry
-	for i := 0; i < len(c.members); i++ {
-		col := int(info[2*i])
-		if col == color {
-			mine = append(mine, entry{member: i, color: col, key: int(info[2*i+1])})
-		}
-	}
-	sort.Slice(mine, func(a, b int) bool {
-		if mine[a].key != mine[b].key {
-			return mine[a].key < mine[b].key
-		}
-		return mine[a].member < mine[b].member
-	})
-	members := make([]int, len(mine))
-	for i, e := range mine {
-		members[i] = c.members[e.member]
-	}
-	return c.rank.newCommOwned(members)
 }

@@ -9,8 +9,8 @@ import (
 // Conducted collectives.
 //
 // Run member by member — each member executing its side on Send and Recv —
-// a collective like AllGather costs every member p−1 park/resume round
-// trips, none of them observable: what a collective changes (clocks,
+// the ring all-gather inside BcastLarge costs every member p−1 park/resume
+// round trips, none of them observable: what a collective changes (clocks,
 // counters, payloads, observer events, fault decisions keyed on each
 // send's (src, dst, seq, copy)) is a pure function of its schedule. So the
 // members of one collective call rendezvous, the first s−1 arrivers park
@@ -104,12 +104,8 @@ type ffKey struct {
 const (
 	ffBcast uint8 = iota
 	ffReduce
-	ffAllGather
-	ffReduceScatter
 	ffAllToAll
 	ffAllToAllTree
-	ffGather
-	ffScatter
 	// Composite collectives conducted as a single rendezvous: one park per
 	// member for the whole scatter+allgather (resp. reducescatter+gather)
 	// schedule instead of one per primitive.
@@ -118,8 +114,7 @@ const (
 )
 
 // ffOpNames names the op codes in a mismatch verdict or a lost message.
-var ffOpNames = [...]string{"Bcast", "Reduce", "AllGather", "ReduceScatter", "AllToAll",
-	"AllToAllTree", "Gather", "Scatter", "BcastLarge", "ReduceLarge"}
+var ffOpNames = [...]string{"Bcast", "Reduce", "AllToAll", "AllToAllTree", "BcastLarge", "ReduceLarge"}
 
 // ffCall is one member's arrival at a rendezvous: its rank handle (safe
 // for the conductor to drive — the member is parked), its payload, and
@@ -620,18 +615,10 @@ func conduct(rv *ffRendezvous, op uint8) {
 		conductBcast(rv, arg, nil)
 	case ffReduce:
 		conductReduce(rv, arg)
-	case ffAllGather:
-		conductAllGather(rv)
-	case ffReduceScatter:
-		conductReduceScatter(rv)
 	case ffAllToAll:
 		conductAllToAll(rv)
 	case ffAllToAllTree:
 		conductAllToAllTree(rv)
-	case ffGather:
-		conductGather(rv, arg)
-	case ffScatter:
-		conductScatter(rv, arg)
 	case ffBcastLarge:
 		conductBcastLarge(rv, arg)
 	default:
@@ -716,9 +703,9 @@ func conductReduce(rv *ffRendezvous, root int) {
 	}
 }
 
-// conductAllGather runs Comm.AllGather's ring: per round, every member
-// sends its current block, then every member receives, records and
-// forwards.
+// conductAllGather runs BcastLarge's ring all-gather of every member's
+// block (rv.calls[i].data): per round, every member sends its current
+// block, then every member receives, records and forwards.
 func conductAllGather(rv *ffRendezvous) {
 	p := len(rv.members)
 	cur, wires := rv.bufScratch(), rv.wireScratch()
@@ -749,18 +736,10 @@ func conductAllGather(rv *ffRendezvous) {
 	}
 }
 
-// conductReduceScatter runs Comm.ReduceScatter's ring; a member keeps its
-// block, so it gets a private copy of it.
-func conductReduceScatter(rv *ffRendezvous) {
-	for i, blk := range ffReduceRing(rv) {
-		rv.out[i] = private(blk)
-	}
-}
-
-// ffReduceRing runs ReduceScatter's ring — per round, every member sends,
-// then every member receives and combines — on accumulators carved from
-// the scratch slab, and returns each member's reduced block as a view of
-// its accumulator: dead when the conduct returns. A phantom member's
+// ffReduceRing runs ReduceLarge's ring reduce-scatter — per round, every
+// member sends, then every member receives and combines — on accumulators
+// carved from the scratch slab, and returns each member's reduced block as
+// a view of its accumulator: dead when the conduct returns. A phantom member's
 // accumulator is its phantom data, which the ring never combines into.
 func ffReduceRing(rv *ffRendezvous) [][]float64 {
 	p := len(rv.members)
@@ -896,8 +875,8 @@ func conductAllToAllTree(rv *ffRendezvous) {
 	}
 }
 
-// conductGather runs Comm.Gather: non-roots send, then the root
-// receives in ascending member order.
+// conductGather runs ReduceLarge's direct gather onto the root: non-roots
+// send, then the root receives in ascending member order.
 func conductGather(rv *ffRendezvous, root int) {
 	p := len(rv.members)
 	wires := rv.wireScratch()
@@ -917,27 +896,6 @@ func conductGather(rv *ffRendezvous, root int) {
 		put(out[j*len(v):(j+1)*len(v)], v)
 	}
 	rv.out[root] = out
-}
-
-// conductScatter runs Comm.Scatter: the root sends every chunk in
-// ascending member order, then every non-root receives.
-func conductScatter(rv *ffRendezvous, root int) {
-	p := len(rv.members)
-	data := rv.calls[root].data
-	k := len(data) / p
-	wires := rv.wireScratch()
-	for j := 0; j < p; j++ {
-		if j != root {
-			wires[j] = rv.send(root, j, data[j*k:(j+1)*k])
-		}
-	}
-	for j := 0; j < p; j++ {
-		if j == root {
-			rv.out[j] = private(data[root*k : (root+1)*k])
-		} else {
-			rv.out[j] = private(rv.recv(j, root, wires[j]))
-		}
-	}
 }
 
 // conductBcastLarge runs Comm.BcastLarge's whole schedule — one-word
@@ -988,7 +946,7 @@ func conductBcastLarge(rv *ffRendezvous, root int) {
 // a direct gather onto the root — under a single rendezvous. The reduced
 // blocks go into the gather as views of the accumulators; the root's
 // gathered buffer is the only thing anyone keeps. Non-root members end
-// with nil, like Gather.
+// with nil.
 func conductReduceLarge(rv *ffRendezvous, root int) {
 	for i, blk := range ffReduceRing(rv) {
 		rv.calls[i].data = blk

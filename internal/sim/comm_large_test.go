@@ -5,34 +5,6 @@ import (
 	"testing"
 )
 
-func TestGatherAllSizes(t *testing.T) {
-	for _, p := range collectiveSizes {
-		for root := 0; root < p; root += max(1, p/2) {
-			runP(t, p, func(r *Rank) error {
-				w := r.World()
-				chunk := []float64{float64(w.Me()), float64(w.Me() * 10)}
-				got := w.Gather(root, chunk)
-				if w.Me() != root {
-					if got != nil {
-						t.Errorf("p=%d: non-root got non-nil", p)
-					}
-					return nil
-				}
-				if len(got) != 2*p {
-					t.Errorf("p=%d: gathered length %d", p, len(got))
-					return nil
-				}
-				for i := 0; i < p; i++ {
-					if got[2*i] != float64(i) || got[2*i+1] != float64(i*10) {
-						t.Errorf("p=%d root=%d: chunk %d = %v", p, root, i, got[2*i:2*i+2])
-					}
-				}
-				return nil
-			})
-		}
-	}
-}
-
 func TestBcastLargeMatchesBcast(t *testing.T) {
 	for _, p := range collectiveSizes {
 		for _, k := range []int{0, 1, p - 1, p, 2 * p, 7 * p} {
@@ -110,30 +82,31 @@ func TestBcastLargeBandwidth(t *testing.T) {
 func TestReduceLargeMatchesReduce(t *testing.T) {
 	for _, p := range collectiveSizes {
 		for _, k := range []int{1, p, 3 * p} {
-			root := p - 1
-			runP(t, p, func(r *Rank) error {
-				w := r.World()
-				data := make([]float64, k)
-				for i := range data {
-					data[i] = float64(w.Me()*k + i)
-				}
-				got := w.ReduceLarge(root, data, OpSum)
-				if w.Me() != root {
-					if got != nil {
-						t.Errorf("p=%d k=%d: non-root got data", p, k)
+			for _, root := range []int{0, p / 2, p - 1} {
+				runP(t, p, func(r *Rank) error {
+					w := r.World()
+					data := make([]float64, k)
+					for i := range data {
+						data[i] = float64(w.Me()*k + i)
 					}
-					return nil
-				}
-				for i := 0; i < k; i++ {
-					// sum over ranks of (rank*k + i) = k·p(p-1)/2 + p·i
-					want := float64(k*p*(p-1)/2 + p*i)
-					if got[i] != want {
-						t.Errorf("p=%d k=%d: elem %d = %g want %g", p, k, i, got[i], want)
+					got := w.ReduceLarge(root, data, OpSum)
+					if w.Me() != root {
+						if got != nil {
+							t.Errorf("p=%d k=%d: non-root got data", p, k)
+						}
 						return nil
 					}
-				}
-				return nil
-			})
+					for i := 0; i < k; i++ {
+						// sum over ranks of (rank*k + i) = k·p(p-1)/2 + p·i
+						want := float64(k*p*(p-1)/2 + p*i)
+						if got[i] != want {
+							t.Errorf("p=%d k=%d: elem %d = %g want %g", p, k, i, got[i], want)
+							return nil
+						}
+					}
+					return nil
+				})
+			}
 		}
 	}
 }
@@ -177,81 +150,4 @@ func TestBcastLargeFallbackSmallPayload(t *testing.T) {
 		t.Fatal(err)
 	}
 	_ = res
-}
-
-func TestScatterAllSizes(t *testing.T) {
-	for _, p := range collectiveSizes {
-		root := p - 1
-		runP(t, p, func(r *Rank) error {
-			w := r.World()
-			var data []float64
-			if w.Me() == root {
-				data = make([]float64, 2*p)
-				for i := range data {
-					data[i] = float64(i)
-				}
-			}
-			got := w.Scatter(root, data)
-			if len(got) != 2 {
-				t.Errorf("p=%d: chunk length %d", p, len(got))
-				return nil
-			}
-			if got[0] != float64(2*w.Me()) || got[1] != float64(2*w.Me()+1) {
-				t.Errorf("p=%d rank=%d: chunk %v", p, r.ID(), got)
-			}
-			return nil
-		})
-	}
-}
-
-func TestScatterBadLength(t *testing.T) {
-	_, err := Run(3, zeroCost, func(r *Rank) error {
-		var data []float64
-		if r.ID() == 0 {
-			data = make([]float64, 4) // 4 % 3 != 0
-		}
-		r.World().Scatter(0, data)
-		return nil
-	})
-	if err == nil {
-		t.Error("indivisible scatter should error")
-	}
-}
-
-func TestSplitByParity(t *testing.T) {
-	runP(t, 6, func(r *Rank) error {
-		w := r.World()
-		sub, err := w.Split(r.ID()%2, -r.ID()) // reverse order within color
-		if err != nil {
-			return err
-		}
-		if sub.Size() != 3 {
-			t.Errorf("rank %d: subgroup size %d", r.ID(), sub.Size())
-		}
-		// Key = -id: highest id first.
-		wantFirst := 4 + r.ID()%2
-		if sub.Member(0) != wantFirst {
-			t.Errorf("rank %d: first member %d, want %d", r.ID(), sub.Member(0), wantFirst)
-		}
-		// The subgroup works as a communicator.
-		sum := sub.AllReduce([]float64{float64(r.ID())}, OpSum)
-		want := float64(0+2+4) + float64(3*(r.ID()%2))
-		if sum[0] != want {
-			t.Errorf("rank %d: subgroup sum %g want %g", r.ID(), sum[0], want)
-		}
-		return nil
-	})
-}
-
-func TestSplitSingleton(t *testing.T) {
-	runP(t, 4, func(r *Rank) error {
-		sub, err := r.World().Split(r.ID(), 0) // every rank its own color
-		if err != nil {
-			return err
-		}
-		if sub.Size() != 1 || sub.Member(0) != r.ID() {
-			t.Errorf("rank %d: singleton wrong: size=%d", r.ID(), sub.Size())
-		}
-		return nil
-	})
 }

@@ -38,17 +38,18 @@ func TestBruckHalfBufferWords(t *testing.T) {
 	}
 }
 
-// TestReduceScatterCombineFlops pins the ring reduce-scatter's arithmetic:
-// reducing p vectors of k elements costs (p−1)·k combine flops in total,
-// and the ring spreads them evenly — (p−1)·(k/p) per member. The 2.5D
-// matmul's fiber reduction inherits this constant, where it shows up as the
-// extra F beyond 2n³/p that the conformance F model accounts for exactly.
+// TestReduceScatterCombineFlops pins the ring reduce-scatter's arithmetic,
+// the first phase of ReduceLarge: reducing p vectors of k elements costs
+// (p−1)·k combine flops in total, and the ring spreads them evenly —
+// (p−1)·(k/p) per member. The 2.5D matmul's fiber reduction inherits this
+// constant, where it shows up as the extra F beyond 2n³/p that the
+// conformance F model accounts for exactly.
 func TestReduceScatterCombineFlops(t *testing.T) {
 	for _, p := range []int{2, 4, 8} {
 		k := 8 * p
 		data := make([]float64, k)
 		res, err := Run(p, zeroCost, func(r *Rank) error {
-			r.World().ReduceScatter(data, OpSum)
+			r.World().ReduceLarge(0, data, OpSum)
 			return nil
 		})
 		if err != nil {
@@ -69,23 +70,25 @@ func TestReduceScatterCombineFlops(t *testing.T) {
 	}
 }
 
-// TestReduceLargeCombineFlops pins the same constant through ReduceLarge
-// (reduce-scatter + gather): members pay the combine flops, the root pays
-// no extra for the gather.
+// TestReduceLargeCombineFlops pins the second phase: the gather to the root
+// adds no flops, wherever the root is, so every member — the root included —
+// pays exactly the reduce-scatter's (p−1)·(k/p).
 func TestReduceLargeCombineFlops(t *testing.T) {
 	const p, k = 4, 32
-	data := make([]float64, k)
-	res, err := Run(p, zeroCost, func(r *Rank) error {
-		r.World().ReduceLarge(0, data, OpSum)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := float64((p - 1) * (k / p))
-	for id, s := range res.PerRank {
-		if s.Flops != want {
-			t.Errorf("rank %d: ReduceLarge charged %g flops, want %g", id, s.Flops, want)
+	for _, root := range []int{0, p / 2, p - 1} {
+		data := make([]float64, k)
+		res, err := Run(p, zeroCost, func(r *Rank) error {
+			r.World().ReduceLarge(root, data, OpSum)
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := float64((p - 1) * (k / p))
+		for id, s := range res.PerRank {
+			if s.Flops != want {
+				t.Errorf("root %d rank %d: ReduceLarge charged %g flops, want %g", root, id, s.Flops, want)
+			}
 		}
 	}
 }

@@ -20,7 +20,7 @@ func TestClockDecompositionIdentity(t *testing.T) {
 				r.Compute(500)
 			}
 			w.AllReduce(data, OpSum)
-			w.Barrier()
+			w.AllReduce(nil, OpSum)
 			return nil
 		})
 		if err != nil {

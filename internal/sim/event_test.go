@@ -144,46 +144,45 @@ func tourVia(coll collectiveSet) func(r *Rank) error {
 		_ = coll.Bcast(w, 0, []float64{me, 42})
 		_ = coll.Reduce(w, p-1, data, OpSum)
 		_ = coll.AllReduce(w, []float64{me}, OpSum)
-		_ = coll.AllGather(w, []float64{me, -me})
 		vec := make([]float64, 2*p)
 		for i := range vec {
 			vec[i] = me*100 + float64(i)
 		}
-		_ = coll.ReduceScatter(w, vec, OpSum)
 		_ = coll.AllToAll(w, vec)
 		_ = coll.AllToAllTree(w, vec)
-		coll.Barrier(w)
-		_ = coll.Gather(w, 0, []float64{me})
+		_ = coll.ReduceLarge(w, 0, vec, OpSum)
+		var root []float64
 		if r.ID() == 0 {
-			root := make([]float64, p)
-			for i := range root {
-				root[i] = float64(i * i)
-			}
-			_ = coll.Scatter(w, 0, root)
-		} else {
-			_ = coll.Scatter(w, 0, nil)
+			root = vec
 		}
+		_ = coll.BcastLargeInto(w, nil, 0, root)
+		_ = coll.AllReduce(w, nil, OpSum)
 		// Point-to-point after the collectives: ffSeq alignment must survive.
 		data = w.Shift(data, p-1)
 		return nil
 	}
 }
 
-// TestEventBackendSplitIdentical runs collectives on subcommunicators so
-// fast-forward rendezvous keys must separate memberships.
+// TestEventBackendSplitIdentical runs collectives on subcommunicators —
+// the even and the odd ranks — so fast-forward rendezvous keys must
+// separate memberships.
 func TestEventBackendSplitIdentical(t *testing.T) {
 	runSchedules(t, 8, unitCost, func(r *Rank) error {
 		w := r.World()
-		sub, err := w.Split(r.ID()%2, r.ID())
+		half := []int{0, 2, 4, 6}
+		for i := range half {
+			half[i] += r.ID() % 2
+		}
+		sub, err := r.NewComm(half)
 		if err != nil {
 			return err
 		}
 		me := float64(r.ID())
 		_ = sub.AllReduce([]float64{me, me}, OpSum)
 		_ = sub.Bcast(0, []float64{me})
-		_ = w.AllReduce([]float64{me}, OpMax)
-		_ = sub.AllGather([]float64{me})
-		w.Barrier()
+		_ = w.AllReduce([]float64{me}, opMax)
+		_ = sub.BcastLarge(1, []float64{me, me, me, me})
+		w.AllReduce(nil, OpSum)
 		return nil
 	})
 }
@@ -207,7 +206,7 @@ func TestEventBackendMixedP2PAndCollectives(t *testing.T) {
 				return errors.New("bad p2p payload")
 			}
 		}
-		w.Barrier()
+		w.AllReduce(nil, OpSum)
 		return nil
 	})
 }
@@ -364,7 +363,7 @@ func TestEventBackendFaultIdentity(t *testing.T) {
 			data = w.Shift(data, 1)
 			r.TakeCrashed()
 		}
-		w.Barrier()
+		w.AllReduce(nil, OpSum)
 		return nil
 	})
 }

@@ -388,33 +388,47 @@ func TestFaultedSendEventSequencePinned(t *testing.T) {
 	}
 }
 
+// rank0Data is what rank 0 broadcasts in the collective pins below (nil on
+// every other rank): words 0, 1, 2, … offset by base.
+func rank0Data(r *Rank, base float64, n int) []float64 {
+	if r.ID() != 0 {
+		return nil
+	}
+	data := make([]float64, n)
+	for i := range data {
+		data[i] = base + float64(i)
+	}
+	return data
+}
+
 // TestDropInsideCollectivePinned pins what a drop inside a collective
-// does: link 1→2 loses the first ring step of the first of two
-// AllGathers, so rank 2's receive finds no copy and fails with a
+// does: link 1→2 drops every message, and the first it carries is the
+// first ring step of the all-gather phase of the first of two BcastLarges
+// rooted at 0 (their announcements and scatters never use the link), so
+// rank 2's receive finds no copy and fails with a
 // *MessageLostError naming the link and the collective. The failure runs
 // down the ring — rank 3 receives from the failed rank 2, rank 0 from the
 // failed rank 3, each with the exited-peer text a Recv gives — while rank
-// 1, which depends on nobody dead, completes the first AllGather with the
-// right blocks and leaves the second, which its members never reach,
-// with the orphaned-collective verdict on member 0.
+// 1, which depends on nobody dead, completes the first BcastLarge with the
+// root's data and leaves the second, which its members never reach, with
+// the orphaned-collective verdict on member 0.
 func TestDropInsideCollectivePinned(t *testing.T) {
 	cost := unitCost
-	cost.Faults = &FaultPlan{Links: []LinkFault{{Src: 1, Dst: 2, Until: 1500, DropProb: 1}}}
+	cost.Faults = &FaultPlan{Links: []LinkFault{{Src: 1, Dst: 2, DropProb: 1}}}
 	firsts := make([][]float64, 4)
 	for _, workers := range []int{1, 4} {
 		cost.Workers = workers
 		_, err := Run(4, cost, func(r *Rank) error {
 			w := r.World()
-			me := float64(r.ID())
-			firsts[r.ID()] = w.AllGather([]float64{10 + me})
-			w.AllGather([]float64{20 + me})
+			firsts[r.ID()] = w.BcastLarge(0, rank0Data(r, 10, 4))
+			w.BcastLarge(0, rank0Data(r, 20, 4))
 			return nil
 		})
 		var lost *MessageLostError
-		if !errors.As(err, &lost) || *lost != (MessageLostError{Rank: 2, Peer: 1, Op: "AllGather"}) {
-			t.Fatalf("workers=%d: error %v, want one wrapping rank 2's lost message from rank 1 inside AllGather", workers, err)
+		if !errors.As(err, &lost) || *lost != (MessageLostError{Rank: 2, Peer: 1, Op: "BcastLarge"}) {
+			t.Fatalf("workers=%d: error %v, want one wrapping rank 2's lost message from rank 1 inside BcastLarge", workers, err)
 		}
-		const r2 = "sim: rank 2 panicked: sim: rank 2 lost the message from rank 1 inside AllGather (dropped by the fault plan)"
+		const r2 = "sim: rank 2 panicked: sim: rank 2 lost the message from rank 1 inside BcastLarge (dropped by the fault plan)"
 		const r3 = "sim: rank 3 panicked: sim: rank 3 receiving from rank 2, which failed (cascade; root cause: " + r2 + ")"
 		const r0 = "sim: rank 0 panicked: sim: rank 0 receiving from rank 3, which failed (cascade; root cause: " + r3 + ")"
 		const r1 = "sim: rank 1 panicked: sim: rank 1 receiving from rank 0, which failed (cascade; root cause: " + r0 + ")"
@@ -426,7 +440,7 @@ func TestDropInsideCollectivePinned(t *testing.T) {
 		}
 		for _, id := range []int{0, 2, 3} {
 			if firsts[id] != nil {
-				t.Errorf("workers=%d: rank %d failed inside the first AllGather but returned %v", workers, id, firsts[id])
+				t.Errorf("workers=%d: rank %d failed inside the first BcastLarge but returned %v", workers, id, firsts[id])
 			}
 		}
 		clear(firsts)
@@ -435,16 +449,16 @@ func TestDropInsideCollectivePinned(t *testing.T) {
 
 // TestDupInsideCollectiveAbsorbed pins the other half of the collective
 // model: a duplicated message inside a collective delivers its first copy
-// and the second is absorbed. Link 1→2 duplicates every message of two
-// AllGathers; every rank reads the right blocks, every such send emits a
-// FaultDup, and the Stats are the fault-free run's — the sender paid each
-// send once, and the receiver received each message once.
+// and the second is absorbed. Link 1→2 duplicates every message of the
+// all-gather rings of two BcastLarges rooted at 0; every rank reads the
+// root's data, every such send emits a FaultDup, and the Stats are the
+// fault-free run's — the sender paid each send once, and the receiver
+// received each message once.
 func TestDupInsideCollectiveAbsorbed(t *testing.T) {
 	prog := func(got [][]float64) func(r *Rank) error {
 		return func(r *Rank) error {
 			w := r.World()
-			me := float64(r.ID())
-			got[r.ID()] = append(w.AllGather([]float64{10 + me}), w.AllGather([]float64{20 + me, 30})...)
+			got[r.ID()] = append(w.BcastLarge(0, rank0Data(r, 10, 4)), w.BcastLarge(0, rank0Data(r, 20, 8))...)
 			return nil
 		}
 	}
@@ -463,7 +477,7 @@ func TestDupInsideCollectiveAbsorbed(t *testing.T) {
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		want := []float64{10, 11, 12, 13, 20, 30, 21, 30, 22, 30, 23, 30}
+		want := []float64{10, 11, 12, 13, 20, 21, 22, 23, 24, 25, 26, 27}
 		for id := range got {
 			if !slices.Equal(got[id], want) {
 				t.Errorf("workers=%d: rank %d read %v, want %v", workers, id, got[id], want)
@@ -543,7 +557,7 @@ func TestFaultPlanStatsByteIdentical(t *testing.T) {
 				data = w.Shift(data, 1)
 				r.TakeCrashed() // consume, keep running
 			}
-			w.Barrier()
+			w.AllReduce(nil, OpSum)
 			return nil
 		})
 		if err != nil {

@@ -78,10 +78,7 @@ func runFaultFuzz(t *testing.T, plan *FaultPlan, workers int) (stats []Stats, er
 // broadcast along each row of a 2×4 grid, rooted at a different column
 // every round.
 func faultFuzzProgram(r *Rank) error {
-	g, err := NewGrid2D(2, faultFuzzP/2, faultFuzzP)
-	if err != nil {
-		return err
-	}
+	g := Grid2D{Rows: 2, Cols: faultFuzzP / 2}
 	row, err := g.RowComm(r)
 	if err != nil {
 		return err

@@ -9,14 +9,6 @@ type Grid2D struct {
 	Rows, Cols int
 }
 
-// NewGrid2D validates that p ranks tile a rows×cols grid.
-func NewGrid2D(rows, cols, p int) (Grid2D, error) {
-	if rows <= 0 || cols <= 0 || rows*cols != p {
-		return Grid2D{}, fmt.Errorf("sim: %d ranks do not tile a %dx%d grid", p, rows, cols)
-	}
-	return Grid2D{Rows: rows, Cols: cols}, nil
-}
-
 // Coords returns the (row, col) of a global rank.
 func (g Grid2D) Coords(rank int) (row, col int) { return rank / g.Cols, rank % g.Cols }
 
@@ -160,17 +152,6 @@ func (g Grid3D) FiberComm(r *Rank) (*Comm, error) {
 	members := make([]int, g.Layers)
 	for l := 0; l < g.Layers; l++ {
 		members[l] = g.RankAt(row, col, l)
-	}
-	return r.newCommTrusted(members)
-}
-
-// LayerComm returns the communicator of every rank in the caller's layer,
-// in row-major order.
-func (g Grid3D) LayerComm(r *Rank) (*Comm, error) {
-	_, _, layer := g.Coords(r.ID())
-	members := make([]int, g.Q*g.Q)
-	for i := range members {
-		members[i] = g.RankAt(i/g.Q, i%g.Q, layer)
 	}
 	return r.newCommTrusted(members)
 }

@@ -132,15 +132,6 @@ func (p PlacedLinks) TimePerWord(src, dst int) float64 {
 	return p.Base.TimePerWord(p.Place[src], p.Place[dst])
 }
 
-// IdentityPlacement returns the natural placement 0..p-1.
-func IdentityPlacement(p int) []int {
-	out := make([]int, p)
-	for i := range out {
-		out[i] = i
-	}
-	return out
-}
-
 // GridToTorusPlacement places a q×q×c process grid onto an X×Y×Z torus so
 // that grid rows, columns and fibers map to torus lines: grid (row, col,
 // layer) goes to torus (col, row, layer). Requires X ≥ q, Y ≥ q, Z ≥ c.

@@ -203,15 +203,6 @@ func TestPlacedLinksCompose(t *testing.T) {
 	}
 }
 
-func TestIdentityPlacement(t *testing.T) {
-	p := IdentityPlacement(4)
-	for i, v := range p {
-		if v != i {
-			t.Fatalf("identity placement broken at %d", i)
-		}
-	}
-}
-
 func TestGridToTorusPlacement(t *testing.T) {
 	g, err := NewGrid3D(4, 2, 32)
 	if err != nil {

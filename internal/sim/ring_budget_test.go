@@ -123,23 +123,30 @@ func TestPayloadFreeRunBytesBudget(t *testing.T) {
 	}
 }
 
-// TestConductedAllGatherAllocs pins that a conducted AllGather allocates
-// the p·k-word result once per member: the wrapper used to build and fill
-// its own copy before asking whether the engine conducts, garbage on return.
-func TestConductedAllGatherAllocs(t *testing.T) {
+// TestConductedBcastLargeAllocs pins that a conducted BcastLarge allocates
+// the p·k-word result once per member and nothing else that outlives the
+// conduct: the announcement borrows the pooled scratch, the scatter chunks
+// are views of the root's buffer, and the all-gather ring builds each
+// member's result in place, so a second copy of the result anywhere on the
+// way doubles the bytes.
+func TestConductedBcastLargeAllocs(t *testing.T) {
 	const p, k = 8, 2048
 	const kept = p * p * k * 8 // bytes of results
-	block := make([]float64, k)
+	data := make([]float64, p*k)
 	got := minRunBytes(t, func() error {
 		_, err := sim.Run(p, sim.Cost{}, func(r *sim.Rank) error {
-			if out := r.World().AllGather(block); len(out) != p*k {
-				return fmt.Errorf("gathered %d words", len(out))
+			var in []float64
+			if r.ID() == 0 {
+				in = data
+			}
+			if out := r.World().BcastLarge(0, in); len(out) != p*k {
+				return fmt.Errorf("broadcast %d words", len(out))
 			}
 			return nil
 		})
 		return err
 	})
 	if got > kept*5/4 {
-		t.Errorf("conducted AllGather run allocated %d bytes, more than 1.25× the %d its members keep", got, kept)
+		t.Errorf("conducted BcastLarge run allocated %d bytes, more than 1.25× the %d its members keep", got, kept)
 	}
 }

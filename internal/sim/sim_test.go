@@ -463,7 +463,7 @@ func TestClockNeverDecreases(t *testing.T) {
 			check()
 			w.Shift([]float64{1}, 1)
 			check()
-			w.Barrier()
+			w.AllReduce(nil, OpSum)
 			check()
 		}
 		return nil

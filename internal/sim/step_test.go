@@ -276,7 +276,7 @@ func stepTour(p, rows int) func(id int) []func(r *Rank) bool {
 					return ok
 				},
 				func(r *Rank) bool { _, ok := row.TryReduceLarge(0, res, OpSum); return ok },
-				func(r *Rank) bool { _, ok := world.TryReduceLarge(it, buf[:1], OpMax); return ok },
+				func(r *Rank) bool { _, ok := world.TryReduceLarge(it, buf[:1], opMax); return ok },
 				func(r *Rank) bool { r.Compute(float64(id + it)); return true },
 				func(r *Rank) bool { return r.TrySend(id^1, buf[:it+1]) },
 				func(r *Rank) bool { _, ok := r.TryRecv(id ^ 1); return ok },
@@ -316,7 +316,7 @@ func tourClosure(p, rows int) func(r *Rank) error {
 			}
 			world.BcastLargeInto(nil, it, data)
 			row.ReduceLarge(0, res, OpSum)
-			world.ReduceLarge(it, buf[:1], OpMax)
+			world.ReduceLarge(it, buf[:1], opMax)
 			r.Compute(float64(id + it))
 			r.Send(id^1, buf[:it+1])
 			r.Recv(id ^ 1)
