@@ -172,7 +172,9 @@ func New(cfg Config) (*Engine, error) {
 	return &Engine{st: &State{Version: StateVersion, Config: cfg}}, nil
 }
 
-// Resume builds an engine continuing a checkpointed campaign.
+// Resume builds an engine continuing a checkpointed campaign. It refuses a
+// state whose cells carry a plan the target cannot run, as Load refuses such
+// a reproducer.
 func Resume(st *State) (*Engine, error) {
 	if st.Version != StateVersion {
 		return nil, fmt.Errorf("campaign: state schema version %d, want %d", st.Version, StateVersion)
@@ -182,6 +184,14 @@ func Resume(st *State) (*Engine, error) {
 	}
 	if st.NextCell < 0 || st.NextCell > len(st.Cells) {
 		return nil, fmt.Errorf("campaign: state next_cell %d outside [0,%d]", st.NextCell, len(st.Cells))
+	}
+	for i, cell := range st.Cells {
+		if cell.Plan == nil {
+			return nil, fmt.Errorf("campaign: state cell %d has no fault plan", i)
+		}
+		if err := cell.Plan.Validate(st.Config.Target.Ranks()); err != nil {
+			return nil, fmt.Errorf("campaign: state cell %d: %w", i, err)
+		}
 	}
 	return &Engine{st: st}, nil
 }

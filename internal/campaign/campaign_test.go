@@ -6,6 +6,8 @@ import (
 	"encoding/json"
 	"os"
 	"testing"
+
+	"perfscale/internal/sim"
 )
 
 // redTarget is the campaign's canonical seeded violation: a failure
@@ -209,6 +211,35 @@ func TestCampaignRedThenGreen(t *testing.T) {
 	}
 }
 
+// checkpoint runs a smallConfig campaign of redTarget, cancels it (the
+// SIGINT path) at its nth checkpoint, and returns the JSON of the last
+// checkpoint it saved.
+func checkpoint(tb testing.TB, n int) []byte {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	eng, err := New(smallConfig(redTarget()))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var snapshot []byte
+	saves := 0
+	_, err = eng.Run(RunOpts{Context: ctx, Save: func(st *State) error {
+		if saves++; saves == n {
+			cancel()
+		}
+		var err error
+		snapshot, err = json.Marshal(st)
+		return err
+	}})
+	if err != ErrInterrupted {
+		tb.Fatalf("interrupted run: got %v, want ErrInterrupted", err)
+	}
+	if snapshot == nil {
+		tb.Fatal("no checkpoint written before interruption")
+	}
+	return snapshot
+}
+
 // TestCampaignResumeIdentical checkpoints a campaign, kills it mid-sweep
 // via context cancellation (the SIGINT path), resumes from the serialized
 // checkpoint, and requires the final state — corpus, findings, run counts,
@@ -229,34 +260,10 @@ func TestCampaignResumeIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Interrupted run: cancel after the fourth checkpoint.
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	var snapshot []byte
-	saves := 0
-	eng, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = eng.Run(RunOpts{Context: ctx, Save: func(st *State) error {
-		var err error
-		snapshot, err = json.Marshal(st)
-		saves++
-		if saves == 4 {
-			cancel()
-		}
-		return err
-	}})
-	if err != ErrInterrupted {
-		t.Fatalf("interrupted run: got %v, want ErrInterrupted", err)
-	}
-	if snapshot == nil {
-		t.Fatal("no checkpoint written before interruption")
-	}
-
-	// Resume from the serialized checkpoint only.
+	// Interrupted run: cancel after the fourth checkpoint, then resume
+	// from the serialized checkpoint only.
 	var st State
-	if err := json.Unmarshal(snapshot, &st); err != nil {
+	if err := json.Unmarshal(checkpoint(t, 4), &st); err != nil {
 		t.Fatal(err)
 	}
 	if st.Completed {
@@ -317,6 +324,10 @@ func TestGoldenArtifactReplays(t *testing.T) {
 	}
 }
 
+// TestResumeRejectsBadState also refuses a checkpointed cell whose plan
+// the target cannot run, as Load refuses such a reproducer: Run would
+// otherwise execute the cell and record the simulator's plan rejection as
+// a finding.
 func TestResumeRejectsBadState(t *testing.T) {
 	if _, err := Resume(&State{Version: 99, Config: smallConfig(redTarget()).withDefaults()}); err == nil {
 		t.Error("wrong-version state accepted")
@@ -325,6 +336,55 @@ func TestResumeRejectsBadState(t *testing.T) {
 	if _, err := Resume(st); err == nil {
 		t.Error("next_cell beyond corpus accepted")
 	}
+	for name, plan := range map[string]*sim.FaultPlan{
+		"no plan":                             nil,
+		"plan crashes rank 1000000 of 16":     {Crashes: map[int]float64{1000000: 0}},
+		"plan drops on a link to rank 16":     {Seed: 1, Links: []sim.LinkFault{{Src: 0, Dst: 16, DropProb: 1}}},
+		"plan crashes rank 3 at a negative t": {Crashes: map[int]float64{3: -1}},
+	} {
+		st := &State{Version: StateVersion, Config: smallConfig(redTarget()).withDefaults(),
+			Cells: []Cell{{Plan: &sim.FaultPlan{}}, {Plan: plan}}}
+		if _, err := Resume(st); err == nil {
+			t.Errorf("%s: Resume accepted the state", name)
+		}
+	}
+}
+
+// FuzzResumeState feeds arbitrary bytes to Resume as a checkpoint, seeded
+// with a real one: no input may panic, and a state Resume accepts has a
+// runnable plan in every cell and NextCell inside the corpus.
+func FuzzResumeState(f *testing.F) {
+	seed := checkpoint(f, 3)
+	var st State
+	if err := json.Unmarshal(seed, &st); err != nil {
+		f.Fatal(err)
+	}
+	if _, err := Resume(&st); err != nil || st.NextCell == 0 || st.NextCell == len(st.Cells) {
+		f.Fatalf("seed checkpoint: next_cell %d of %d, Resume: %v", st.NextCell, len(st.Cells), err)
+	}
+	f.Add(seed)
+	f.Add([]byte(`{"version": 1, "config": {"target": {"n": 16, "q": 4}, "drop_prob": 0.25, "time_overhead": 2, "energy_overhead": 2}, "cells": [{"plan": {"Crashes": {"3": 0}}}], "next_cell": 1}`))
+	f.Add([]byte(`{"version": 1}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var st State
+		if json.Unmarshal(data, &st) != nil {
+			return
+		}
+		if _, err := Resume(&st); err != nil {
+			return
+		}
+		if st.NextCell < 0 || st.NextCell > len(st.Cells) {
+			t.Fatalf("resumed with next_cell %d outside [0,%d]", st.NextCell, len(st.Cells))
+		}
+		for i, cell := range st.Cells {
+			if cell.Plan == nil {
+				t.Fatalf("resumed with cell %d lacking a plan", i)
+			}
+			if err := cell.Plan.Validate(st.Config.Target.Ranks()); err != nil {
+				t.Fatalf("resumed with cell %d's plan invalid: %v", i, err)
+			}
+		}
+	})
 }
 
 // TestResumeIgnoresRetiredRuntimeField: checkpoints and reproducers written

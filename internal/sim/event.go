@@ -20,8 +20,9 @@ import (
 // resume channel until the engine wakes it with a reason. A Stepper rank
 // has no goroutine, faulted run or not: parking is returning from Step,
 // resuming is being popped by a worker (step.go). Runnable ranks wait in
-// one FIFO ring of rank ids (runQueue), and a wake is delivered exactly
-// when the awaited condition holds, never as a poll.
+// one ring of rank ids (runQueue): a woken Stepper joins its head, every
+// other rank its tail, and a wake is delivered exactly when the awaited
+// condition holds, never as a poll.
 //
 // Three properties follow:
 //
@@ -136,11 +137,15 @@ func watchWord(op uint64, peer int) uint64 {
 	return uint64(peer)<<2 | class
 }
 
-// runQueue is the engine's run queue: a FIFO ring of runnable rank ids.
-// The runnable flag keeps a rank from being queued twice, so p slots always
-// suffice and push and pop are O(1) stores to one small array. Pop order is
-// free to choose: Results depend only on per-pair FIFO order and arrival
-// stamps (see the header), so the queue is plain arrival order.
+// runQueue is the engine's run queue: a ring of runnable rank ids, popped
+// at the head. The runnable flag keeps a rank from being queued twice, so p
+// slots always suffice and push, pushFront and pop are O(1) stores to one
+// small array. Pop order is free to choose: Results depend only on per-pair
+// FIFO order and arrival stamps (see the header). A woken Stepper goes to
+// the head (wake), so a worker steps the rank whose message it just wrote
+// while that ring and rank are still in cache; the first wave, yields and
+// every closure rank queue at the tail, in arrival order (on carriers the
+// head rule measured slower at two workers, DESIGN §12).
 type runQueue struct {
 	ids     []int32
 	head, n int
@@ -152,6 +157,14 @@ func (q *runQueue) push(id int32) {
 		i -= len(q.ids)
 	}
 	q.ids[i] = id
+	q.n++
+}
+
+func (q *runQueue) pushFront(id int32) {
+	if q.head--; q.head < 0 {
+		q.head = len(q.ids) - 1
+	}
+	q.ids[q.head] = id
 	q.n++
 }
 
@@ -478,7 +491,9 @@ func (e *eventEngine) parkLocked(r *Rank, op uint64, peer int, deadline float64)
 // can never mask them — the resumed operation re-checks its queues
 // anyway. A rank that is not parked — running, picked, or stepped by a
 // worker that has not yet recorded its wait — is left alone: its own
-// re-check under mu sees what the wake would have reported. mu held.
+// re-check under mu sees what the wake would have reported. A woken
+// Stepper runs next (runQueue); a woken carrier queues behind the others.
+// mu held.
 func (e *eventEngine) wake(id int, kind evKind) {
 	rk := &e.ranks[id]
 	if rk.runnable {
@@ -491,7 +506,12 @@ func (e *eventEngine) wake(id int, kind evKind) {
 		return
 	}
 	rk.kind = kind
-	e.pushRunnable(id)
+	rk.runnable = true
+	if e.start != nil {
+		e.runq.pushFront(int32(id))
+	} else {
+		e.runq.push(int32(id))
+	}
 }
 
 // notifyEnqueue wakes dst if it is parked receiving from src.

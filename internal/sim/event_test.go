@@ -450,7 +450,9 @@ func TestEventBackendLargeRing(t *testing.T) {
 // TestRunQueueWrapsFull drives the ring through its wrap-around with every
 // slot in use: p ids queued, then repeatedly one popped and one pushed, so
 // the write cursor crosses the end of the array while the queue is full.
-// Pops come out in push order throughout.
+// Pops come out in push order throughout. Then, with the head at slot 0,
+// pushFront fills the ring below it: those ids pop in reverse, ahead of
+// the one pushed at the tail.
 func TestRunQueueWrapsFull(t *testing.T) {
 	const p = 5
 	q := runQueue{ids: make([]int32, p)}
@@ -474,8 +476,17 @@ func TestRunQueueWrapsFull(t *testing.T) {
 			t.Fatalf("drain: got %d want %d", got, w)
 		}
 	}
-	if q.n != 0 {
-		t.Fatalf("drained queue holds %d ids", q.n)
+	if q.n != 0 || q.head != 0 {
+		t.Fatalf("drained queue holds %d ids from slot %d", q.n, q.head)
+	}
+	q.push(p)
+	for id := int32(0); id < p-1; id++ {
+		q.pushFront(id)
+	}
+	for _, w := range []int32{p - 2, p - 3, 1, 0, p} {
+		if got := q.pop(); got != w {
+			t.Fatalf("pushFront drain: got %d want %d", got, w)
+		}
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -532,6 +533,49 @@ func TestStacklessWakeMidStep(t *testing.T) {
 			t.Errorf("%s: %v", name, err)
 		}
 	}
+}
+
+// TestSteppedWakeRunsNext pins the stackless run queue's policy: a woken
+// Stepper runs next, ahead of ranks queued before the wake. At one worker
+// rank 3 (first off the descending initial fill) parks receiving from rank
+// 2, whose TrySend wakes it while ranks 1 and 0 still wait their first
+// Step; rank 3's second Step must come straight after rank 2's.
+func TestSteppedWakeRunsNext(t *testing.T) {
+	const a, b = 2, 3
+	var log []int
+	cost := unitCost
+	cost.Workers = 1
+	_, err := RunSteps(4, cost, func(id int) Stepper {
+		var acts []func(r *Rank) bool
+		switch id {
+		case a:
+			acts = append(acts, func(r *Rank) bool { return r.TrySend(b, []float64{1}) })
+		case b:
+			acts = append(acts, func(r *Rank) bool { _, ok := r.TryRecv(a); return ok })
+		}
+		return recording{&script{acts: acts}, &log}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	i := slices.Index(log, a)
+	if slices.Index(log, b) > i || slices.Index(log, 1) < i || slices.Index(log, 0) < i {
+		t.Fatalf("steps %v: rank %d must park before rank %d sends, with ranks 1 and 0 still queued; the test exercises nothing", log, b, a)
+	}
+	if i+1 >= len(log) || log[i+1] != b {
+		t.Errorf("steps %v: the woken rank %d must step right after rank %d, ahead of ranks 1 and 0", log, b, a)
+	}
+}
+
+// recording is a Stepper that logs its rank's id at each Step.
+type recording struct {
+	*script
+	log *[]int
+}
+
+func (x recording) Step(r *Rank) (bool, error) {
+	*x.log = append(*x.log, r.ID())
+	return x.script.Step(r)
 }
 
 // TestStacklessComputeNeverYields: Compute on a stepped rank never calls
