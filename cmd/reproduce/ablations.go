@@ -212,7 +212,7 @@ func ablateInnerAlgorithm() (string, bool, error) {
 func ablateLULayout() (string, bool, error) {
 	const n, q = 64, 2
 	a := matrix.RandomDiagDominant(n, 11)
-	blk, err := lu.TwoD(sim.Cost{}, q, a)
+	blk, err := lu.Stacked(sim.Cost{}, q, 1, a)
 	if err != nil {
 		return "", false, err
 	}
@@ -265,7 +265,7 @@ func ablateTorusPlacement() (string, bool, error) {
 	for i, place := range [][]int{good, bad} {
 		// Latency-only: the torus keeps bandwidth uniform, so hop counts
 		// are the whole story.
-		res, err := matmul.Cannon(sim.Cost{Links: sim.PlacedLinks{Base: tor, Place: place}}, q, a, b)
+		res, err := matmul.TwoPointFiveD(sim.Cost{Links: sim.PlacedLinks{Base: tor, Place: place}}, q, 1, a, b)
 		if err != nil {
 			return "", false, err
 		}

@@ -643,7 +643,7 @@ func (r *reporter) e19() {
 		return
 	}
 	dd := matrix.RandomDiagDominant(n, 5)
-	lures, err := lu.TwoD(sim.Cost{}, q, dd)
+	lures, err := lu.Stacked(sim.Cost{}, q, 1, dd)
 	if err != nil {
 		r.fail(err)
 		return

@@ -108,7 +108,7 @@ func TestAlgorithmDriverPropagatesFailure(t *testing.T) {
 	// A singular (all-zero) matrix makes the LU panel fail on the diagonal
 	// rank; the driver must return that error.
 	zero := matrix.New(16, 16)
-	if _, err := lu.TwoD(sim.Cost{}, 4, zero); err == nil {
+	if _, err := lu.Stacked(sim.Cost{}, 4, 1, zero); err == nil {
 		t.Error("singular LU should propagate the pivot failure")
 	}
 }

@@ -38,9 +38,9 @@ func TestAllMultipliersAgree(t *testing.T) {
 		}
 	}
 
-	cannon, err := matmul.Cannon(sim.Cost{}, 4, a, b)
+	cannon, err := matmul.TwoPointFiveD(sim.Cost{}, 4, 1, a, b)
 	check("cannon", cannon.C, err)
-	summa, err := matmul.SUMMA(sim.Cost{}, 4, a, b)
+	summa, err := matmul.TwoPointFiveDSUMMA(sim.Cost{}, 4, 1, a, b)
 	check("summa", summa.C, err)
 	td, err := matmul.TwoPointFiveD(sim.Cost{}, 4, 2, a, b)
 	check("2.5D", td.C, err)
@@ -200,7 +200,7 @@ func TestTwoLevelLinksMatchTwoLevelModelShape(t *testing.T) {
 			IntraAlpha:   1e-8, IntraBeta: 1e-9,
 			InterAlpha: 1e-7, InterBeta: interBeta,
 		}
-		res, err := matmul.Cannon(sim.Cost{GammaT: 1e-9, Links: links}, q, a, b)
+		res, err := matmul.TwoPointFiveD(sim.Cost{GammaT: 1e-9, Links: links}, q, 1, a, b)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -109,7 +109,7 @@ func TestCholeskyHalfTheFlopsOfLU(t *testing.T) {
 		t.Fatal(err)
 	}
 	dd := matrix.RandomDiagDominant(n, 5)
-	lures, err := TwoD(zeroCost, q, dd)
+	lures, err := Stacked(zeroCost, q, 1, dd)
 	if err != nil {
 		t.Fatal(err)
 	}

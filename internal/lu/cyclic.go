@@ -10,10 +10,10 @@ import (
 // TwoDCyclic factors A on a q×q grid with a block-cyclic layout: the
 // matrix is tiled into nb×nb blocks and block (I, J) lives on rank
 // (I mod q, J mod q) — the ScaLAPACK distribution. Unlike the plain block
-// layout of TwoD, every rank keeps working through the whole elimination,
-// so per-rank flops stay balanced to within the tile granularity. The
-// communication pattern is the same fan-out per block step; the critical
-// path is n/nb sequential steps.
+// layout of Stacked at c = 1, every rank keeps working through the whole
+// elimination, so per-rank flops stay balanced to within the tile
+// granularity. The communication pattern is the same fan-out per block
+// step; the critical path is n/nb sequential steps.
 func TwoDCyclic(cost sim.Cost, q, nb int, a *matrix.Dense) (*Result, error) {
 	if a.Rows != a.Cols {
 		return nil, fmt.Errorf("lu: non-square %dx%d", a.Rows, a.Cols)

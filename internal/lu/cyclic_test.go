@@ -65,7 +65,7 @@ func TestCyclicBalancesFlops(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	blk, err := TwoD(zeroCost, q, a)
+	blk, err := Stacked(zeroCost, q, 1, a)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -68,27 +68,20 @@ func SerialBlocked(a *matrix.Dense, bs int) (l, u *matrix.Dense, err error) {
 	return l, u, nil
 }
 
-// TwoD factors A on a q×q grid (p = q²) with the fan-out algorithm:
-// at step k the diagonal owner factors its block and broadcasts the
-// triangular factors along row and column k; the panel owners solve for
-// their L/U blocks and broadcast them along their own rows/columns; the
-// trailing ranks apply the rank-nb update. q sequential steps give the
-// non-scaling S = Θ(√p·log p) latency term of Section IV.
-func TwoD(cost sim.Cost, q int, a *matrix.Dense) (*Result, error) {
-	return stacked(cost, q, 1, a)
-}
-
 // Stacked factors A on a q×q×c cuboid (p = q²·c): every layer accumulates
 // a partial sum of the trailing matrix; step k's panels are summed across
 // the fibers onto the active layer k mod c, which performs the 2D step and
 // keeps the finished L/U panels. Each layer applies only its ⌈q/c⌉ share of
 // the trailing updates, so per-rank flops and bandwidth both drop by c
 // while the q-step critical path — the latency term — remains.
+//
+// c = 1 is the classical 2D fan-out algorithm on a q×q grid (p = q²): at
+// step k the diagonal owner factors its block and broadcasts the triangular
+// factors along row and column k; the panel owners solve for their L/U
+// blocks and broadcast them along their own rows/columns; the trailing
+// ranks apply the rank-nb update. q sequential steps give the non-scaling
+// S = Θ(√p·log p) latency term of Section IV.
 func Stacked(cost sim.Cost, q, c int, a *matrix.Dense) (*Result, error) {
-	return stacked(cost, q, c, a)
-}
-
-func stacked(cost sim.Cost, q, c int, a *matrix.Dense) (*Result, error) {
 	if a.Rows != a.Cols {
 		return nil, fmt.Errorf("lu: non-square %dx%d", a.Rows, a.Cols)
 	}

@@ -58,7 +58,7 @@ func TestTwoDMatchesSerial(t *testing.T) {
 		{4, 1}, {8, 2}, {12, 3}, {16, 4}, {24, 4},
 	} {
 		a := matrix.RandomDiagDominant(tc.n, int64(tc.n)+5)
-		res, err := TwoD(zeroCost, tc.q, a)
+		res, err := Stacked(zeroCost, tc.q, 1, a)
 		if err != nil {
 			t.Fatalf("n=%d q=%d: %v", tc.n, tc.q, err)
 		}
@@ -113,7 +113,7 @@ func TestStackedValidation(t *testing.T) {
 	if _, err := Stacked(zeroCost, 2, 0, a); err == nil {
 		t.Error("c = 0 should be rejected")
 	}
-	if _, err := TwoD(zeroCost, 2, matrix.New(3, 4)); err == nil {
+	if _, err := Stacked(zeroCost, 2, 1, matrix.New(3, 4)); err == nil {
 		t.Error("non-square should be rejected")
 	}
 }
@@ -165,11 +165,11 @@ func TestLatencyGrowsWithGrid(t *testing.T) {
 	cost := sim.Cost{AlphaT: 1}
 	const n = 24
 	a := matrix.RandomDiagDominant(n, 11)
-	r2, err := TwoD(cost, 2, a)
+	r2, err := Stacked(cost, 2, 1, a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r4, err := TwoD(cost, 4, a)
+	r4, err := Stacked(cost, 4, 1, a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,11 +199,11 @@ func TestFlopsSplitAcrossLayers(t *testing.T) {
 func TestTwoDDeterministic(t *testing.T) {
 	cost := sim.Cost{GammaT: 1e-9, BetaT: 1e-8, AlphaT: 1e-6}
 	a := matrix.RandomDiagDominant(16, 17)
-	r1, err := TwoD(cost, 4, a)
+	r1, err := Stacked(cost, 4, 1, a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := TwoD(cost, 4, a)
+	r2, err := Stacked(cost, 4, 1, a)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,8 @@
 // Package matmul implements distributed dense matrix multiplication on the
-// virtual-time simulator: the classical 2D algorithms (Cannon, SUMMA), the
-// 3D algorithm of Agarwal et al., and the 2.5D algorithm of Solomonik and
-// Demmel that interpolates between them with a data-replication factor c.
+// virtual-time simulator: the 2.5D algorithm of Solomonik and Demmel in its
+// Cannon (TwoPointFiveD) and SUMMA (TwoPointFiveDSUMMA) forms, whose c = 1
+// runs are the classical 2D algorithms, the 3D algorithm of Agarwal et al.,
+// and SUMMA on rectangular operands and grids (SUMMARect).
 //
 // Every algorithm computes C = A·B on numeric operands with the real
 // arithmetic, verified against serial multiplication. On phantom operands
@@ -109,105 +110,3 @@ func checkSquare(a, b *matrix.Dense, q int) (int, kernels, error) {
 
 // Serial returns A·B computed locally — the verification baseline.
 func Serial(a, b *matrix.Dense) *matrix.Dense { return matrix.Mul(a, b) }
-
-// Cannon multiplies on a q×q process grid (p = q²) with Cannon's algorithm:
-// an initial alignment permutation, then q multiply-shift steps. The block
-// size is n/q, so each rank uses M = 3·(n/q)² words plus one shift buffer,
-// and communicates W = Θ(n²/√p) words in S = Θ(√p) messages — the 2D
-// baseline of the paper.
-func Cannon(cost sim.Cost, q int, a, b *matrix.Dense) (*RunResult, error) {
-	n, kern, err := checkSquare(a, b, q)
-	if err != nil {
-		return nil, err
-	}
-	nb := n / q
-	grid := sim.Grid2D{Rows: q, Cols: q}
-	cBlocks := make([]*matrix.Dense, q*q)
-
-	res, err := sim.Run(q*q, cost, func(r *sim.Rank) error {
-		row, col := grid.Coords(r.ID())
-		rowComm, err := grid.RowComm(r)
-		if err != nil {
-			return err
-		}
-		colComm, err := grid.ColComm(r)
-		if err != nil {
-			return err
-		}
-		// Local blocks; charge 3 resident blocks to the memory tracker.
-		r.Alloc(3 * nb * nb)
-		aBlk := kern.block(a, row*nb, col*nb, nb, nb)
-		bBlk := kern.block(b, row*nb, col*nb, nb, nb)
-		cBlk := kern.zeros(nb, nb)
-
-		// Alignment: row i shifts A left by i, column j shifts B up by j.
-		aBlk = matrix.FromData(nb, nb, rowComm.Shift(aBlk.Data, -row))
-		bBlk = matrix.FromData(nb, nb, colComm.Shift(bBlk.Data, -col))
-
-		for step := 0; step < q; step++ {
-			kern.mulAdd(cBlk, aBlk, bBlk)
-			r.Compute(matrix.MulFlops(nb, nb, nb))
-			if step < q-1 {
-				aBlk.Data = rowComm.ShiftOwned(aBlk.Data, -1)
-				bBlk.Data = colComm.ShiftOwned(bBlk.Data, -1)
-			}
-		}
-		cBlocks[r.ID()] = cBlk
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &RunResult{C: kern.assemble(cBlocks, grid, nb, nb), Sim: res}, nil
-}
-
-// SUMMA multiplies on a q×q grid with the broadcast-based SUMMA algorithm:
-// q outer steps, each broadcasting a block column of A along rows and a
-// block row of B along columns. Same asymptotic costs as Cannon with
-// broadcast trees instead of shifts.
-func SUMMA(cost sim.Cost, q int, a, b *matrix.Dense) (*RunResult, error) {
-	n, kern, err := checkSquare(a, b, q)
-	if err != nil {
-		return nil, err
-	}
-	nb := n / q
-	grid := sim.Grid2D{Rows: q, Cols: q}
-	cBlocks := make([]*matrix.Dense, q*q)
-
-	res, err := sim.Run(q*q, cost, func(r *sim.Rank) error {
-		row, col := grid.Coords(r.ID())
-		rowComm, err := grid.RowComm(r)
-		if err != nil {
-			return err
-		}
-		colComm, err := grid.ColComm(r)
-		if err != nil {
-			return err
-		}
-		r.Alloc(3 * nb * nb)
-		aBlk := kern.block(a, row*nb, col*nb, nb, nb)
-		bBlk := kern.block(b, row*nb, col*nb, nb, nb)
-		cBlk := kern.zeros(nb, nb)
-
-		for t := 0; t < q; t++ {
-			// Column t of the grid owns the A panel; row t owns the B panel.
-			var aPanel, bPanel []float64
-			if col == t {
-				aPanel = aBlk.Data
-			}
-			if row == t {
-				bPanel = bBlk.Data
-			}
-			aPanel = rowComm.Bcast(t, aPanel)
-			bPanel = colComm.Bcast(t, bPanel)
-			kern.mulAdd(cBlk, matrix.FromData(nb, nb, aPanel), matrix.FromData(nb, nb, bPanel))
-			r.Compute(matrix.MulFlops(nb, nb, nb))
-		}
-		cBlocks[r.ID()] = cBlk
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &RunResult{C: kern.assemble(cBlocks, grid, nb, nb), Sim: res}, nil
-}

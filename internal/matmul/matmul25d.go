@@ -18,8 +18,12 @@ import (
 //     products without overlap;
 //  3. the partial C blocks are summed across fibers back to layer 0.
 //
-// c = 1 reduces to Cannon; c = q (p = q³) reduces to the 3D algorithm with
-// one multiply per layer. Requires c | q and q | n.
+// c = 1 is Cannon's algorithm on a q×q grid, the paper's 2D baseline: the
+// replication and reduction are over one-rank fibers and cost nothing, so
+// what runs is the alignment permutation and q multiply-shift steps, with
+// M = 3·(n/q)² words per rank, W = Θ(n²/√p) and S = Θ(√p). c = q (p = q³)
+// reduces to the 3D algorithm with one multiply per layer. Requires c | q
+// and q | n.
 func TwoPointFiveD(cost sim.Cost, q, c int, a, b *matrix.Dense) (*RunResult, error) {
 	run, err := newRun25D(q, c, a, b)
 	if err != nil {
@@ -317,7 +321,8 @@ func mod(x, q int) int { return ((x % q) + q) % q }
 // pipeline, and the partial results reduce over fibers as before. Same
 // asymptotic costs; the ablation contrasts broadcast trees against
 // point-to-point shifts (the log c / log q latency factors the paper's
-// footnote 4 mentions).
+// footnote 4 mentions). c = 1 is 2D SUMMA: q outer steps, each broadcasting
+// a block column of A along rows and a block row of B along columns.
 func TwoPointFiveDSUMMA(cost sim.Cost, q, c int, a, b *matrix.Dense) (*RunResult, error) {
 	run, err := newRun25D(q, c, a, b)
 	if err != nil {

@@ -17,13 +17,14 @@ func randPair(n int, seed int64) (*matrix.Dense, *matrix.Dense) {
 	return matrix.Random(n, n, seed), matrix.Random(n, n, seed+1000)
 }
 
+// TestCannonMatchesSerial: TwoPointFiveD at c = 1 is 2D Cannon.
 func TestCannonMatchesSerial(t *testing.T) {
 	for _, tc := range []struct{ n, q int }{
 		{4, 1}, {8, 2}, {12, 3}, {16, 4}, {24, 4}, {30, 5},
 	} {
 		a, b := randPair(tc.n, int64(tc.n))
 		want := Serial(a, b)
-		got, err := Cannon(zeroCost, tc.q, a, b)
+		got, err := TwoPointFiveD(zeroCost, tc.q, 1, a, b)
 		if err != nil {
 			t.Fatalf("n=%d q=%d: %v", tc.n, tc.q, err)
 		}
@@ -33,13 +34,14 @@ func TestCannonMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestSUMMAMatchesSerial: TwoPointFiveDSUMMA at c = 1 is 2D SUMMA.
 func TestSUMMAMatchesSerial(t *testing.T) {
 	for _, tc := range []struct{ n, q int }{
 		{4, 1}, {8, 2}, {12, 3}, {16, 4}, {30, 5},
 	} {
 		a, b := randPair(tc.n, int64(tc.n)+7)
 		want := Serial(a, b)
-		got, err := SUMMA(zeroCost, tc.q, a, b)
+		got, err := TwoPointFiveDSUMMA(zeroCost, tc.q, 1, a, b)
 		if err != nil {
 			t.Fatalf("n=%d q=%d: %v", tc.n, tc.q, err)
 		}
@@ -88,7 +90,7 @@ func TestThreeDMatchesSerial(t *testing.T) {
 
 func TestInputValidation(t *testing.T) {
 	a, b := randPair(8, 1)
-	if _, err := Cannon(zeroCost, 3, a, b); err == nil {
+	if _, err := TwoPointFiveD(zeroCost, 3, 1, a, b); err == nil {
 		t.Error("8 % 3 != 0 should be rejected")
 	}
 	if _, err := TwoPointFiveD(zeroCost, 4, 3, a, b); err == nil {
@@ -98,10 +100,10 @@ func TestInputValidation(t *testing.T) {
 		t.Error("c=0 should be rejected")
 	}
 	rect := matrix.New(4, 6)
-	if _, err := Cannon(zeroCost, 2, rect, rect); err == nil {
+	if _, err := TwoPointFiveD(zeroCost, 2, 1, rect, rect); err == nil {
 		t.Error("rectangular operands should be rejected")
 	}
-	if _, err := SUMMA(zeroCost, 2, matrix.New(4, 4), matrix.New(6, 6)); err == nil {
+	if _, err := TwoPointFiveDSUMMA(zeroCost, 2, 1, matrix.New(4, 4), matrix.New(6, 6)); err == nil {
 		t.Error("mismatched operands should be rejected")
 	}
 }
@@ -112,7 +114,7 @@ func TestFlopCountsBalanced(t *testing.T) {
 	a, b := randPair(n, 3)
 	want := 2.0 * n * n * n
 
-	cannon, err := Cannon(zeroCost, q, a, b)
+	cannon, err := TwoPointFiveD(zeroCost, q, 1, a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +149,7 @@ func TestCannonCommunicationScaling(t *testing.T) {
 	a, b := randPair(n, 5)
 	w := map[int]float64{}
 	for _, q := range []int{2, 4} {
-		res, err := Cannon(zeroCost, q, a, b)
+		res, err := TwoPointFiveD(zeroCost, q, 1, a, b)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -230,7 +232,7 @@ func TestThreeDLowerCommThanCannon(t *testing.T) {
 	// Cannon on p=q² ranks when memory allows — the Section III story.
 	const n = 24
 	a, b := randPair(n, 21)
-	cn, err := Cannon(zeroCost, 4, a, b) // p=16
+	cn, err := TwoPointFiveD(zeroCost, 4, 1, a, b) // Cannon, p=16
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,11 +250,11 @@ func TestThreeDLowerCommThanCannon(t *testing.T) {
 func TestCannonDeterministicTimes(t *testing.T) {
 	cost := sim.Cost{GammaT: 1e-9, BetaT: 1e-8, AlphaT: 1e-5}
 	a, b := randPair(16, 2)
-	r1, err := Cannon(cost, 4, a, b)
+	r1, err := TwoPointFiveD(cost, 4, 1, a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := Cannon(cost, 4, a, b)
+	r2, err := TwoPointFiveD(cost, 4, 1, a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +270,7 @@ func TestIdentityMultiplication(t *testing.T) {
 	const n, q = 12, 3
 	a := matrix.Random(n, n, 31)
 	id := matrix.Identity(n)
-	res, err := Cannon(zeroCost, q, a, id)
+	res, err := TwoPointFiveD(zeroCost, q, 1, a, id)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,14 +286,16 @@ func TestIdentityMultiplication(t *testing.T) {
 	}
 }
 
+// TestSUMMAAndCannonAgree: at c = 1 the two 2.5D variants are 2D Cannon and
+// 2D SUMMA, and they compute the same product.
 func TestSUMMAAndCannonAgree(t *testing.T) {
 	const n, q = 20, 4
 	a, b := randPair(n, 41)
-	c1, err := Cannon(zeroCost, q, a, b)
+	c1, err := TwoPointFiveD(zeroCost, q, 1, a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c2, err := SUMMA(zeroCost, q, a, b)
+	c2, err := TwoPointFiveDSUMMA(zeroCost, q, 1, a, b)
 	if err != nil {
 		t.Fatal(err)
 	}

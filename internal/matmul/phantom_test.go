@@ -10,7 +10,7 @@ import (
 	"perfscale/internal/sim"
 )
 
-// TestPhantomOperands runs all six algorithms on phantom operands: each
+// TestPhantomOperands runs all four algorithms on phantom operands: each
 // returns no product, and its per-rank Stats and ActivePairs equal the
 // numeric run's bit for bit, fault-free and under an empty fault plan
 // (the conductor's faulted helpers) alike (the conformance payload-free
@@ -31,8 +31,6 @@ func TestPhantomOperands(t *testing.T) {
 		}
 	}
 	algs := map[string]func(sim.Cost, bool) (*RunResult, error){
-		"Cannon": square(func(cost sim.Cost, a, b *matrix.Dense) (*RunResult, error) { return Cannon(cost, 4, a, b) }),
-		"SUMMA":  square(func(cost sim.Cost, a, b *matrix.Dense) (*RunResult, error) { return SUMMA(cost, 3, a, b) }),
 		"TwoPointFiveD": square(func(cost sim.Cost, a, b *matrix.Dense) (*RunResult, error) {
 			return TwoPointFiveD(cost, 4, 2, a, b)
 		}),
@@ -51,8 +49,8 @@ func TestPhantomOperands(t *testing.T) {
 	cost := sim.Cost{GammaT: 1e-9, BetaT: 1e-8, AlphaT: 1e-6, MaxMsgWords: 64}
 	emptyPlan := cost
 	emptyPlan.Faults = &sim.FaultPlan{}
-	memberByMember := map[string]string{"Cannon": "7d0618460c5af5f8", "SUMMA": "4d18807b9cdf85b5", "TwoPointFiveD": "b2165700ca1c6a99",
-		"ThreeD": "d1e433b7d9f48884", "TwoPointFiveDSUMMA": "c36a1b6270c70483", "SUMMARect": "ff52ab17453213a0"}
+	memberByMember := map[string]string{"TwoPointFiveD": "b2165700ca1c6a99", "ThreeD": "d1e433b7d9f48884",
+		"TwoPointFiveDSUMMA": "c36a1b6270c70483", "SUMMARect": "ff52ab17453213a0"}
 	for name, run := range algs {
 		for route, cost := range map[string]sim.Cost{"conducted": cost, "empty plan": emptyPlan} {
 			numeric, err := run(cost, false)
@@ -80,7 +78,7 @@ func TestPhantomOperands(t *testing.T) {
 		}
 	}
 	a, _ := randPair(8, 95)
-	if _, err := SUMMA(zeroCost, 2, a, Phantom(8, 8)); err == nil {
+	if _, err := TwoPointFiveDSUMMA(zeroCost, 2, 1, a, Phantom(8, 8)); err == nil {
 		t.Error("a numeric A with a phantom B should be rejected")
 	}
 }

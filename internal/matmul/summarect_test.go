@@ -1,6 +1,8 @@
 package matmul
 
 import (
+	"math"
+	"slices"
 	"testing"
 
 	"perfscale/internal/matrix"
@@ -52,20 +54,38 @@ func TestSUMMARectValidation(t *testing.T) {
 	}
 }
 
-func TestSUMMARectAgreesWithSquareSUMMA(t *testing.T) {
-	const n, q = 16, 4
-	a := matrix.Random(n, n, 5)
-	b := matrix.Random(n, n, 6)
-	sq, err := SUMMA(sim.Cost{}, q, a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rect, err := SUMMARect(sim.Cost{}, q, q, n/q, a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := sq.C.MaxAbsDiff(rect.C); d > 1e-11*n {
-		t.Errorf("square vs rect SUMMA diff %g", d)
+// TestSUMMARectSquareIsSUMMA25D: on square operands and a square grid, with
+// one panel per block, SUMMARect runs the same program as 2D SUMMA, which
+// is TwoPointFiveDSUMMA at c = 1. Priced with non-zero γ, β and α, the two
+// agree bit for bit on every rank's Stats, ActivePairs, Time and product.
+func TestSUMMARectSquareIsSUMMA25D(t *testing.T) {
+	cost := sim.Cost{GammaT: 1e-9, BetaT: 1e-8, AlphaT: 1e-6}
+	for _, q := range []int{2, 4, 8} {
+		n := 8 * q
+		a, b := matrix.Random(n, n, int64(q)), matrix.Random(n, n, int64(q)+1)
+		rect, err := SUMMARect(cost, q, q, n/q, a, b)
+		if err != nil {
+			t.Fatalf("q=%d SUMMARect: %v", q, err)
+		}
+		sq, err := TwoPointFiveDSUMMA(cost, q, 1, a, b)
+		if err != nil {
+			t.Fatalf("q=%d TwoPointFiveDSUMMA: %v", q, err)
+		}
+		if !slices.Equal(rect.Sim.PerRank, sq.Sim.PerRank) {
+			t.Errorf("q=%d: per-rank stats differ\n  SUMMARect:          %+v\n  TwoPointFiveDSUMMA: %+v",
+				q, rect.Sim.PerRank, sq.Sim.PerRank)
+		}
+		if rect.Sim.ActivePairs != sq.Sim.ActivePairs {
+			t.Errorf("q=%d: ActivePairs %d vs %d", q, rect.Sim.ActivePairs, sq.Sim.ActivePairs)
+		}
+		if rect.Sim.Time() != sq.Sim.Time() {
+			t.Errorf("q=%d: Time %g vs %g", q, rect.Sim.Time(), sq.Sim.Time())
+		}
+		if !slices.EqualFunc(rect.C.Data, sq.C.Data, func(x, y float64) bool {
+			return math.Float64bits(x) == math.Float64bits(y)
+		}) {
+			t.Errorf("q=%d: products differ, max diff %g", q, rect.C.MaxAbsDiff(sq.C))
+		}
 	}
 }
 

@@ -197,11 +197,6 @@ func Replicated(cost sim.Cost, p, c int, bodies Bodies) (*RunResult, error) {
 	return &RunResult{Forces: forces, Sim: res}, nil
 }
 
-// Ring runs the classical c = 1 ring algorithm.
-func Ring(cost sim.Cost, p int, bodies Bodies) (*RunResult, error) {
-	return Replicated(cost, p, 1, bodies)
-}
-
 // ringComm builds the team's ring communicator (fixed team, all positions).
 func ringComm(r *sim.Rank, team, k int, rankAt func(int, int) int) (*sim.Comm, error) {
 	members := make([]int, k)

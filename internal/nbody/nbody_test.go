@@ -104,21 +104,6 @@ func TestReplicatedMatchesSerial(t *testing.T) {
 	}
 }
 
-func TestRingIsCEquals1(t *testing.T) {
-	bodies := RandomBodies(24, 7)
-	a, err := Ring(zeroCost, 4, bodies)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Replicated(zeroCost, 4, 1, bodies)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := MaxAbsDiff(a.Forces, b.Forces); d != 0 {
-		t.Errorf("Ring should equal Replicated(c=1): diff %g", d)
-	}
-}
-
 func TestReplicatedValidation(t *testing.T) {
 	bodies := RandomBodies(16, 1)
 	for _, tc := range []struct {
@@ -135,11 +120,6 @@ func TestReplicatedValidation(t *testing.T) {
 		_, err := Replicated(zeroCost, tc.p, tc.c, bodies)
 		if err == nil || !strings.HasPrefix(err.Error(), "nbody: ") {
 			t.Errorf("p=%d c=%d (%s): err = %v, want an nbody: error", tc.p, tc.c, tc.why, err)
-		}
-	}
-	for _, p := range []int{0, -1} {
-		if _, err := Ring(zeroCost, p, bodies); err == nil {
-			t.Errorf("Ring p=%d should be rejected", p)
 		}
 	}
 	if _, err := Replicated(zeroCost, 8, 2, bodies); err != nil {

@@ -62,7 +62,7 @@ func TestProfilePeakAtLeastAverage(t *testing.T) {
 	a := matrix.Random(32, 32, 3)
 	b := matrix.Random(32, 32, 4)
 	cost, col := capturedCost(m, 16)
-	res, err := matmul.Cannon(cost, 4, a, b)
+	res, err := matmul.TwoPointFiveD(cost, 4, 1, a, b)
 	if err != nil {
 		t.Fatal(err)
 	}

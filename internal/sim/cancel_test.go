@@ -126,7 +126,7 @@ func TestCancelReleasesBlockedSend(t *testing.T) {
 	}()
 	done := make(chan error, 1)
 	go func() {
-		_, err := Run(2, Cost{ChanCap: 1, Context: ctx}, func(r *Rank) error {
+		_, err := Run(2, Cost{chanCap: 1, Context: ctx}, func(r *Rank) error {
 			if r.ID() == 0 {
 				for i := 0; i < 100; i++ {
 					r.Send(1, []float64{1})

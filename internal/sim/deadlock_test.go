@@ -43,7 +43,7 @@ func TestWatchdogDetectsMutualRecvDeadlock(t *testing.T) {
 
 func TestWatchdogDetectsSendToExitedRank(t *testing.T) {
 	cost := unitCost
-	cost.ChanCap = 2
+	cost.chanCap = 2
 	start := time.Now()
 	_, err := Run(3, cost, func(r *Rank) error {
 		switch r.ID() {
@@ -83,7 +83,7 @@ func TestWatchdogConfigurableChanCap(t *testing.T) {
 	// On one worker the sender parks on the full buffer after every message
 	// and only the receiver's dequeue releases it; the run must complete.
 	cost := zeroCost
-	cost.ChanCap = 1
+	cost.chanCap = 1
 	cost.Workers = 1
 	res, err := Run(2, cost, func(r *Rank) error {
 		if r.ID() == 0 {

@@ -83,7 +83,7 @@ func TestEventBackendSendRecv(t *testing.T) {
 // park on a full queue and be woken by the receiver's dequeues.
 func TestEventBackendBackpressure(t *testing.T) {
 	cost := unitCost
-	cost.ChanCap = 2
+	cost.chanCap = 2
 	runSchedules(t, 2, cost, func(r *Rank) error {
 		const n = 20
 		if r.ID() == 0 {
@@ -241,7 +241,7 @@ func TestEventBackendRecvFromExitedPeer(t *testing.T) {
 
 func TestEventBackendSendToExitedPeer(t *testing.T) {
 	cost := unitCost
-	cost.ChanCap = 1
+	cost.chanCap = 1
 	_, err := Run(2, cost, func(r *Rank) error {
 		if r.ID() == 0 {
 			r.Send(1, []float64{1})
@@ -290,7 +290,7 @@ func TestEventBackendRecvTimeoutPeerExit(t *testing.T) {
 
 func TestEventBackendSendTimeout(t *testing.T) {
 	cost := unitCost
-	cost.ChanCap = 1
+	cost.chanCap = 1
 	runSchedules(t, 2, cost, func(r *Rank) error {
 		if r.ID() == 0 {
 			if out := r.SendTimeout(1, []float64{1}, 100); out != SendOK {

@@ -262,7 +262,7 @@ func TestFaultPlanValidation(t *testing.T) {
 		{Faults: &FaultPlan{RebootTime: -1}},                              // negative reboot
 		{Faults: &FaultPlan{Links: []LinkFault{{DropProb: 1.5}}}},         // prob > 1
 		{Faults: &FaultPlan{Degraded: []DegradedLink{{AlphaFactor: -2}}}}, // negative factor
-		{ChanCap: -1}, // negative buffer
+		{chanCap: -1}, // negative buffer
 		// Link windows with End ≤ Start match nothing: the plan is not the
 		// scenario its author wrote down.
 		{Faults: &FaultPlan{Seed: 1, Links: []LinkFault{{From: 2, Until: 1, DropProb: 0.5}}}},

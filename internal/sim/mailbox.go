@@ -53,7 +53,7 @@ import (
 // slot, a new segment, the link to it — is visible to a consumer that loads
 // the new tail (and symmetrically for slot reuse after head.Store).
 //
-// sem is the semantic capacity (Cost.ChanCap): push fails at exactly sem
+// sem is the semantic capacity (Cost.chanCap): push fails at exactly sem
 // queued messages whatever the storage holds, so parks, quiescence and
 // deadlock verdicts never depend on how a queue is stored. Storage is a
 // chain of power-of-two segments, indexed by the global cursors. The first
@@ -64,14 +64,14 @@ import (
 // reaches the current segment's length. A stale head can only overstate
 // that difference, so the test may grow early but never lets a slot be
 // overwritten: below it, slot t&mask last held cursor t−len < head, already
-// consumed. A pair therefore grows at most log₂(ChanCap) segments in its
+// consumed. A pair therefore grows at most log₂(chanCap) segments in its
 // life and keeps reusing the last one; a heap segment the consumer has left
 // is referenced by nobody, while the inline first one stays pinned by the
 // ring (its slots are zeroed, so it pins no payload).
 type evRing struct {
 	head atomic.Uint32 // consumer cursor
 	tail atomic.Uint32 // producer cursor
-	sem  uint32        // semantic capacity (Cost.ChanCap)
+	sem  uint32        // semantic capacity (Cost.chanCap)
 	lim  uint32        // longest segment: next power of two ≥ sem
 	tseg *evSeg        // producer's segment
 	hseg *evSeg        // consumer's segment

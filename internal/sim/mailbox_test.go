@@ -82,7 +82,7 @@ func TestSparseWiring16kRanks(t *testing.T) {
 	}
 	const p = 16384 // 2^14
 	const k = 16
-	cost := Cost{AlphaT: 1e-6, BetaT: 1e-9, ChanCap: 2}
+	cost := Cost{AlphaT: 1e-6, BetaT: 1e-9, chanCap: 2}
 	c, err := NewCluster(p, cost)
 	if err != nil {
 		t.Fatal(err)

@@ -43,7 +43,7 @@ func minRunBytes(t *testing.T, run func() error) uint64 {
 // pair); with the fiber pairs only conducted collectives use registered
 // without a ring, and no receive-side peer table, 3.1–4.0 kB. The budget is
 // 4,000, which the old wiring passed at four workers only. Paying for
-// ChanCap slots per pair up front costs 17.8 kB here, so a transport that
+// chanCap slots per pair up front costs 17.8 kB here, so a transport that
 // goes back to that fails long before the benchmark notices.
 func TestRingBytesPerRankBudget(t *testing.T) {
 	const n, q, c = 128, 32, 4

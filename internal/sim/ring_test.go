@@ -31,21 +31,21 @@ func popSeq(t *testing.T, q *evRing, want int) {
 	}
 }
 
-// TestRingFIFOAcrossGrowth fills a ring to ChanCap in bursts, draining a
+// TestRingFIFOAcrossGrowth fills a ring to chanCap in bursts, draining a
 // little between bursts so that every growth step happens with live
 // messages straddling the old and the new segment, and checks the stream
 // comes out in order and the chain doubled from evSegMin up to the cap.
 func TestRingFIFOAcrossGrowth(t *testing.T) {
-	q := newRing(DefaultChanCap, 0)
+	q := newRing(defaultChanCap, 0)
 	var sizes []int
 	var last *evSeg
 	sent, rcvd := 0, 0
-	for target := 1; target <= DefaultChanCap; target++ {
+	for target := 1; target <= defaultChanCap; target++ {
 		// Raise the occupancy to target, then take one message back out:
 		// head keeps moving, so segment bases land on unaligned cursors.
 		for q.length() < target {
 			if !q.push(seqMsg(sent)) {
-				t.Fatalf("push %d failed at length %d < ChanCap", sent, q.length())
+				t.Fatalf("push %d failed at length %d < chanCap", sent, q.length())
 			}
 			sent++
 			if q.tseg != last {
@@ -77,8 +77,8 @@ func TestRingFIFOAcrossGrowth(t *testing.T) {
 	}
 }
 
-// TestRingSemanticCapacity pins that ChanCap, not the storage, is what push
-// tests: it fails at exactly ChanCap queued and succeeds again after one pop,
+// TestRingSemanticCapacity pins that chanCap, not the storage, is what push
+// tests: it fails at exactly chanCap queued and succeeds again after one pop,
 // for capacities below, at, and between powers of two, while the storage of
 // a full ring is the next power of two.
 func TestRingSemanticCapacity(t *testing.T) {
@@ -86,24 +86,24 @@ func TestRingSemanticCapacity(t *testing.T) {
 		q := newRing(tc.chanCap, 0)
 		for i := 0; i < tc.chanCap; i++ {
 			if !q.push(seqMsg(i)) {
-				t.Fatalf("ChanCap %d: push %d failed below capacity", tc.chanCap, i)
+				t.Fatalf("chanCap %d: push %d failed below capacity", tc.chanCap, i)
 			}
 		}
 		if q.push(seqMsg(-1)) {
-			t.Fatalf("ChanCap %d: push succeeded with %d queued", tc.chanCap, q.length())
+			t.Fatalf("chanCap %d: push succeeded with %d queued", tc.chanCap, q.length())
 		}
 		if q.length() != tc.chanCap {
-			t.Fatalf("ChanCap %d: length() = %d when full", tc.chanCap, q.length())
+			t.Fatalf("chanCap %d: length() = %d when full", tc.chanCap, q.length())
 		}
 		if n := len(q.tseg.buf); n != tc.slots {
-			t.Errorf("ChanCap %d: full ring's segment has %d slots, want %d", tc.chanCap, n, tc.slots)
+			t.Errorf("chanCap %d: full ring's segment has %d slots, want %d", tc.chanCap, n, tc.slots)
 		}
 		popSeq(t, q, 0)
 		if !q.push(seqMsg(tc.chanCap)) {
-			t.Fatalf("ChanCap %d: push failed after a pop made room", tc.chanCap)
+			t.Fatalf("chanCap %d: push failed after a pop made room", tc.chanCap)
 		}
 		if q.push(seqMsg(-1)) {
-			t.Fatalf("ChanCap %d: second push succeeded on a full ring", tc.chanCap)
+			t.Fatalf("chanCap %d: second push succeeded on a full ring", tc.chanCap)
 		}
 		for i := 1; i <= tc.chanCap; i++ {
 			popSeq(t, q, i)
@@ -115,10 +115,10 @@ func TestRingSemanticCapacity(t *testing.T) {
 // with growth across the wrap: slot indexing, the occupancy test and the
 // consumer's base comparison are all modular.
 func TestRingCursorWrap(t *testing.T) {
-	q := newRing(DefaultChanCap, 1<<32-10)
+	q := newRing(defaultChanCap, 1<<32-10)
 	sent, rcvd := 0, 0
 	for round := 0; round < 40; round++ {
-		for i := 0; i < 3 && q.length() < DefaultChanCap; i++ {
+		for i := 0; i < 3 && q.length() < defaultChanCap; i++ {
 			if !q.push(seqMsg(sent)) {
 				t.Fatalf("push %d failed at length %d", sent, q.length())
 			}
@@ -142,7 +142,7 @@ func TestRingCursorWrap(t *testing.T) {
 // TestRingConcurrentStream runs the producer and the consumer on two
 // goroutines — the only sharing the engine ever allows on a pair — and
 // checks that a million-message stream arrives complete, once and in order.
-// A small ChanCap keeps the ring bouncing off both the full and the empty
+// A small chanCap keeps the ring bouncing off both the full and the empty
 // condition; under -race this also checks the publish order of slot, link
 // and cursor.
 func TestRingConcurrentStream(t *testing.T) {
@@ -150,7 +150,7 @@ func TestRingConcurrentStream(t *testing.T) {
 	if testing.Short() {
 		n = 1 << 16
 	}
-	for _, chanCap := range []int{5, DefaultChanCap} {
+	for _, chanCap := range []int{5, defaultChanCap} {
 		q := newRing(chanCap, 1<<32-1000)
 		done := make(chan struct{})
 		go func() {
@@ -174,10 +174,10 @@ func TestRingConcurrentStream(t *testing.T) {
 		}
 		<-done
 		if bad >= 0 {
-			t.Fatalf("ChanCap %d: stream lost, duplicated or reordered a message at %d", chanCap, bad)
+			t.Fatalf("chanCap %d: stream lost, duplicated or reordered a message at %d", chanCap, bad)
 		}
 		if q.length() != 0 {
-			t.Fatalf("ChanCap %d: %d messages left over", chanCap, q.length())
+			t.Fatalf("chanCap %d: %d messages left over", chanCap, q.length())
 		}
 	}
 }
@@ -186,7 +186,7 @@ func TestRingConcurrentStream(t *testing.T) {
 // long stream with at most two messages in flight must keep reusing one
 // segment instead of allocating as it goes.
 func TestRingSteadyStateAllocs(t *testing.T) {
-	q := newRing(DefaultChanCap, 0)
+	q := newRing(defaultChanCap, 0)
 	stream := func() {
 		for i := 0; i < 10000; i += 2 {
 			q.push(seqMsg(i))
@@ -214,7 +214,7 @@ func TestRingSteadyStateAllocs(t *testing.T) {
 // pushback slot and the pair must still drain in FIFO order.
 func TestRingFFRecvFullBufferPushback(t *testing.T) {
 	cost := unitCost
-	cost.ChanCap = 2
+	cost.chanCap = 2
 	c, err := NewCluster(2, cost)
 	if err != nil {
 		t.Fatal(err)
@@ -226,7 +226,7 @@ func TestRingFFRecvFullBufferPushback(t *testing.T) {
 	}
 	dst.pushback = map[int]message{0: stale(0)}
 	if !q.push(stale(1)) || !q.push(stale(2)) || q.push(stale(-1)) {
-		t.Fatal("could not fill the pair to exactly ChanCap")
+		t.Fatal("could not fill the pair to exactly chanCap")
 	}
 	payload := []float64{3}
 	got := ffRecv(dst, 0, ffWire{m: message{data: payload, arrival: 3}, q: q, shared: true})

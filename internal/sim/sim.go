@@ -88,10 +88,11 @@ type Cost struct {
 	// builds captures, critical paths and power profiles on it. An empty
 	// list costs nothing on the hot path.
 	Observers []Observer
-	// ChanCap overrides DefaultChanCap, the per-pair queue buffer in
-	// messages. Zero means the default; negative values and values above
-	// 2³¹, more than the ring's uint32 cursors index, are rejected.
-	ChanCap int
+	// chanCap overrides defaultChanCap, the per-pair queue buffer in
+	// messages; only this package's tests set it. Zero means the default;
+	// negative values and values above 2³¹, more than the ring's uint32
+	// cursors index, are rejected.
+	chanCap int
 	// Workers bounds how many ranks the event engine lets run
 	// concurrently. Zero means GOMAXPROCS; negative values are rejected.
 	// It never affects clocks, counters, fault decisions or per-rank
@@ -211,16 +212,16 @@ type Cluster struct {
 	eng *eventEngine
 }
 
-// DefaultChanCap is the per-pair queue buffer in messages (override per run
-// with Cost.ChanCap). A sender parks (in real time, not virtual time) when a
+// defaultChanCap is the per-pair queue buffer in messages (Cost.chanCap
+// overrides it per run). A sender parks (in real time, not virtual time) when a
 // pair's buffer fills; virtual clocks are unaffected, and a send that can
 // never complete — the receiver already exited, or the cluster is
 // deadlocked — is aborted with a diagnostic error. The value is large
 // enough that no algorithm in this repository queues that many unreceived
 // messages on one pair. A pair's storage follows what it actually queues
-// (evRing, mailbox.go), so ChanCap is only the blocking threshold, not a
+// (evRing, mailbox.go), so chanCap is only the blocking threshold, not a
 // memory lever.
-const DefaultChanCap = 64
+const defaultChanCap = 64
 
 // NewCluster creates a cluster of p ranks with the given timing costs.
 func NewCluster(p int, cost Cost) (*Cluster, error) {
@@ -230,11 +231,11 @@ func NewCluster(p int, cost Cost) (*Cluster, error) {
 	if cost.GammaT < 0 || cost.BetaT < 0 || cost.AlphaT < 0 || cost.MaxMsgWords < 0 {
 		return nil, fmt.Errorf("sim: negative cost parameters: %+v", cost)
 	}
-	if cost.ChanCap < 0 {
-		return nil, fmt.Errorf("sim: negative channel capacity %d", cost.ChanCap)
+	if cost.chanCap < 0 {
+		return nil, fmt.Errorf("sim: negative channel capacity %d", cost.chanCap)
 	}
-	if uint64(cost.ChanCap) > 1<<31 {
-		return nil, fmt.Errorf("sim: channel capacity %d above 2^31", cost.ChanCap)
+	if uint64(cost.chanCap) > 1<<31 {
+		return nil, fmt.Errorf("sim: channel capacity %d above 2^31", cost.chanCap)
 	}
 	if cost.Workers < 0 {
 		return nil, fmt.Errorf("sim: negative worker count %d", cost.Workers)
@@ -246,9 +247,9 @@ func NewCluster(p int, cost Cost) (*Cluster, error) {
 	}
 	c := &Cluster{p: p, cost: cost}
 	c.obs = append(c.obs, cost.Observers...)
-	c.bufCap = cost.ChanCap
+	c.bufCap = cost.chanCap
 	if c.bufCap == 0 {
-		c.bufCap = DefaultChanCap
+		c.bufCap = defaultChanCap
 	}
 	c.mail = make([]mailbox, p)
 	c.abortErr = make([]*DeadlockError, p)

@@ -124,7 +124,7 @@ func TestStacklessFullQueueSend(t *testing.T) {
 	} {
 		for _, w := range []int{1, 4} {
 			cost := unitCost
-			cost.ChanCap, cost.Workers, cost.Faults = 1, w, tc.plan
+			cost.chanCap, cost.Workers, cost.Faults = 1, w, tc.plan
 			var refused atomic.Int32
 			got := []float64{}
 			stepObs, closureObs := newRecObs(), newRecObs()
@@ -404,7 +404,7 @@ func TestStacklessTourMatchesClosure(t *testing.T) {
 		}
 	}
 	cost := unitCost
-	cost.ChanCap = 2
+	cost.chanCap = 2
 	for _, w := range []int{1, 2, 4} {
 		for _, ctx := range []context.Context{nil, context.Background()} {
 			c := cost
@@ -527,7 +527,7 @@ func TestStacklessWakeMidStep(t *testing.T) {
 		},
 	} {
 		cost := unitCost
-		cost.ChanCap, cost.Workers = 1, 2
+		cost.chanCap, cost.Workers = 1, 2
 		var failed, landed atomic.Bool
 		if _, err := RunSteps(2, cost, scripted(prog(&failed, &landed))); err != nil {
 			t.Errorf("%s: %v", name, err)

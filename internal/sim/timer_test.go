@@ -167,7 +167,7 @@ func TestSendTimeoutExpiresOnFullBuffer(t *testing.T) {
 	// busy elsewhere); the cluster quiesces and the timer must expire the
 	// send rather than deadlock the run.
 	cost := zeroCost
-	cost.ChanCap = 1
+	cost.chanCap = 1
 	res, err := Run(3, cost, func(r *Rank) error {
 		switch r.ID() {
 		case 0:
@@ -213,7 +213,7 @@ func TestSendTimeoutPeerExited(t *testing.T) {
 	// itself with SendPeerExited instead of waiting for the
 	// send-to-exited abort.
 	cost := zeroCost
-	cost.ChanCap = 1
+	cost.chanCap = 1
 	_, err := Run(2, cost, func(r *Rank) error {
 		if r.ID() == 1 {
 			return nil // exits without receiving
@@ -418,7 +418,7 @@ func TestInfiniteTimeoutIsDeadlock(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			cost := zeroCost
 			cost.GammaT = 1
-			cost.ChanCap = 1
+			cost.chanCap = 1
 			res, err := Run(3, cost, tc.fn)
 			var found *DeadlockError
 			var errs interface{ Unwrap() []error }

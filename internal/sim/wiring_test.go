@@ -136,14 +136,14 @@ func TestConductedPairUpgrade(t *testing.T) {
 			return append(acts, actReduceLarge(m, 3), actBcastLarge(m, 1))
 		},
 	}}
-	for _, chanCap := range []int{1, DefaultChanCap} {
+	for _, chanCap := range []int{1, defaultChanCap} {
 		// (b) A message left unreceived on a pair ahead of a collective
 		// over it. ReduceLarge's messages are all four words here and its
 		// path depends on no received value, so the collective's first
 		// receive on the pair consumes the stale head like any block, and
 		// leaves one message behind for a Recv. (A stale message in both
 		// directions would deadlock the oracle at
-		// ChanCap 1: both members' first sends find their pair full.)
+		// chanCap 1: both members' first sends find their pair full.)
 		cases = append(cases, wiringCase{
 			name:    fmt.Sprintf("stale-p2p-ahead/chancap=%d", chanCap),
 			p:       2,
@@ -215,7 +215,7 @@ func TestConductedPairUpgrade(t *testing.T) {
 							continue
 						}
 						cost := unitCost
-						cost.ChanCap, cost.Workers, cost.Faults = tc.chanCap, w, route.faults
+						cost.chanCap, cost.Workers, cost.Faults = tc.chanCap, w, route.faults
 						obs := newRecObs()
 						cost.Observers = []Observer{obs}
 						var res *Result
@@ -360,20 +360,20 @@ func TestRingChanCapLimit(t *testing.T) {
 	for _, chanCap := range []int{1<<31 + 1, 1 << 32, 1<<32 + 1} {
 		done := make(chan error, 1)
 		go func() {
-			_, err := Run(2, Cost{ChanCap: chanCap}, program)
+			_, err := Run(2, Cost{chanCap: chanCap}, program)
 			done <- err
 		}()
 		select {
 		case err := <-done:
 			if err == nil || !strings.Contains(err.Error(), "sim: channel capacity") {
-				t.Errorf("ChanCap %d: got %v, want the capacity rejected", chanCap, err)
+				t.Errorf("chanCap %d: got %v, want the capacity rejected", chanCap, err)
 			}
 		case <-time.After(5 * time.Second):
-			t.Fatalf("ChanCap %d: the run neither failed nor finished in 5 s", chanCap)
+			t.Fatalf("chanCap %d: the run neither failed nor finished in 5 s", chanCap)
 		}
 	}
-	if _, err := Run(2, Cost{ChanCap: 1 << 31}, program); err != nil {
-		t.Errorf("ChanCap 2^31, the largest the cursors index: %v", err)
+	if _, err := Run(2, Cost{chanCap: 1 << 31}, program); err != nil {
+		t.Errorf("chanCap 2^31, the largest the cursors index: %v", err)
 	}
 }
 
