@@ -31,7 +31,7 @@ type ringShard struct {
 // RingBuffer is the bounded subscriber for large runs: it keeps only the
 // last Cap events, so observing a p = 16384 run costs O(window) memory
 // instead of O(events). Pushes take one atomic increment plus one striped
-// mutex, so every engine worker and carrier can emit concurrently without
+// mutex, so every engine worker can emit concurrently without
 // serialising on a single lock; use Collector when the full event stream
 // is wanted.
 type RingBuffer struct {

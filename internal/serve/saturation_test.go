@@ -211,8 +211,8 @@ func TestCancelledSimulateStopsSimulation(t *testing.T) {
 	}
 }
 
-// simGoroutines counts the goroutines executing the simulator: carriers,
-// engine workers, or a handler stepping ranks itself.
+// simGoroutines counts the goroutines executing the simulator: engine
+// workers and closure ranks' coroutines.
 func simGoroutines() int {
 	buf := make([]byte, 1<<20)
 	n := 0

@@ -485,7 +485,7 @@ func (p *stackProbe) OnDeadlock(sim.DeadlockEvent) {}
 
 // TestSimulateRunsStackless: /simulate's runs — a cancel context, and for
 // stream=1 an observer — host both 2.5D matmuls on the stackless engine:
-// mid-run, no rank has a carrier goroutine.
+// mid-run, no rank has a coroutine.
 func TestSimulateRunsStackless(t *testing.T) {
 	for _, alg := range []string{"matmul25d", "summa25d"} {
 		probe := &stackProbe{}
@@ -493,8 +493,8 @@ func TestSimulateRunsStackless(t *testing.T) {
 		if _, aerr := runSimulate(context.Background(), sq, []sim.Observer{probe}); aerr != nil {
 			t.Fatalf("%s: %v", alg, aerr)
 		}
-		if probe.stacks == "" || strings.Contains(probe.stacks, "(*eventEngine).carrier") {
-			t.Errorf("%s: carrier goroutines during a /simulate run:\n%.3000s", alg, probe.stacks)
+		if probe.stacks == "" || strings.Contains(probe.stacks, "(*coRank).Step") {
+			t.Errorf("%s: rank coroutines during a /simulate run:\n%.3000s", alg, probe.stacks)
 		}
 	}
 }

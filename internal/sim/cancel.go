@@ -21,9 +21,9 @@ import (
 //     immediately rather than at its next op.
 //
 // Cancellation is a real-time abort path: it unwinds each rank with a panic
-// recovered by its carrier (or, for a stepped rank, its worker), never
-// rewrites virtual clocks, and leaves the
-// partial per-rank Stats in the Result. Run collapses the per-rank aborts
+// — on a closure's own stack, inside its coroutine — that the worker
+// stepping the rank recovers; it never rewrites virtual clocks, and leaves
+// the partial per-rank Stats in the Result. Run collapses the per-rank aborts
 // into one error wrapping context.Cause(ctx), so errors.Is(err,
 // context.Canceled) / context.DeadlineExceeded tells the caller why the run
 // ended. A run without a context pays one atomic load per op.

@@ -69,7 +69,7 @@ func TestCancelStopsComputeLoop(t *testing.T) {
 // only cancellation can release the parked pair. Rank 2's 256th Compute
 // yields to the two ranks behind it in virtual time; once it runs again both
 // have parked, and it cancels the run from there. The run must end with the
-// cancel cause and leave no carrier behind.
+// cancel cause and leave no worker or coroutine behind.
 func cancelWhileParked(t *testing.T, wait func(r *Rank)) {
 	t.Helper()
 	base := runtime.NumGoroutine()
@@ -322,7 +322,7 @@ func TestConductedUnderContextIdentical(t *testing.T) {
 // first iteration, so the stagger follows the race detector's slowdown; a
 // quarter to a third of the sweeps then find a conduct in flight). Every run
 // must end within 2 s of the cancel with the cancel cause (never a deadlock
-// verdict, a cascade panic or a wedge), and under -race no carrier may be
+// verdict, a cascade panic or a wedge), and under -race no member may be
 // resumed while a conductor still owns its Rank.
 func TestCancelMidConduct(t *testing.T) {
 	base := runtime.NumGoroutine()

@@ -55,13 +55,12 @@ import (
 // keeps the conductor from unwinding on a member's record; woken members
 // abort at their next instrumented op. Who owns a member's Rank:
 //
-//	running (opRunning)                      its carrier or worker; the sweep skips it
-//	stepped, arrived, wait not yet recorded  its worker until the rendezvous fills,
+//	running (opRunning)                      its worker; the sweep skips it
+//	arrived, wait not yet recorded           its worker until the rendezvous fills,
 //	  (opRunning)                            then the conductor; the sweep skips it
 //	parked, rendezvous unfilled (opBlocked*) nobody; the sweep resumes it
 //	parked, being conducted (opOwned)        the conductor; the sweep skips it
 //	conducted, woken, still queued           nobody; the sweep may swap in evCancel
-//	picked, token not yet sent (opRunning)   nobody; the sweep skips it
 //
 // Buffers: a conduct allocates only what a member keeps. Everything else
 // it borrows from a parked member or takes from its pooled scratch:
@@ -291,29 +290,16 @@ func (e *eventEngine) membID(c *Comm) uint32 {
 }
 
 // conduct runs one collective call of c's members through the engine's
-// rendezvous and returns the caller's result.
+// rendezvous and returns the caller's result: the first need−1 arrivers
+// park, and the last conducts.
 func (c *Comm) conduct(op uint8, call ffCall) []float64 {
-	if len(c.members) == 1 {
-		// A lone member's collective sends nothing: no rendezvous to wait at.
-		call.rank = c.rank
-		rv := getRend(1)
-		rv.members, rv.calls[0] = c.members, call
-		conduct(rv, op)
-		return rv.take(0)
+	for {
+		if v, ok := c.rank.cluster.eng.ffTry(c, op, call); ok {
+			return v
+		}
+		// Woken only by the conduct, or by orphanRendezvous.
+		c.rank.park()
 	}
-	return c.rank.cluster.eng.ffRun(c, op, call)
-}
-
-// ffRun rendezvouses one collective call and returns the caller's result.
-// The first need−1 arrivers park; the last conducts.
-func (e *eventEngine) ffRun(c *Comm, op uint8, call ffCall) []float64 {
-	rv, last := e.arrive(c, op, call)
-	if last {
-		return e.conductLast(rv, op, c.me)
-	}
-	// Woken only by the conduct, or by orphanRendezvous.
-	e.parkLocked(c.rank, opBlockedColl, c.members[0], 0)
-	return rv.result(c)
 }
 
 // result is what a member that waited at rv takes once rv is done: its
@@ -377,8 +363,7 @@ func (e *eventEngine) conductLast(rv *ffRendezvous, op uint8, me int) []float64 
 			e.wake(rv.calls[i].rank.id, evConducted)
 		}
 	}
-	e.dispatch()
-	e.unlockResume()
+	e.unlock()
 	return rv.take(me)
 }
 
@@ -592,8 +577,8 @@ func ffRecv(dst *Rank, src int, w ffWire) []float64 {
 // conduct executes the collective's whole message schedule directly: a
 // dedicated per-op loop prices every member's sends, receives and
 // combines in that member's program order, batching cross-member data
-// movement into dependency-ordered phases. The members' carriers are
-// parked, so the conductor owns their Rank state exclusively. The fault
+// movement into dependency-ordered phases. The other members are parked,
+// so the conductor owns their Rank state exclusively. The fault
 // plan is read once here: rv.faulted selects the faulted half of send,
 // recv and compute.
 func conduct(rv *ffRendezvous, op uint8) {

@@ -156,7 +156,7 @@ func (e *DeadlockError) Error() string {
 }
 
 // abortPanic carries a deadlock abort out of the parked operation; the
-// rank's carrier recovers it and reports the DeadlockError.
+// worker stepping the rank recovers it and reports the DeadlockError.
 type abortPanic struct{ err *DeadlockError }
 
 func opName(op uint64) string {

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"math/rand/v2"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -10,27 +11,22 @@ import (
 
 // The event engine: the simulator's execution backend.
 //
-// A closure rank (Cluster.Run) executes on a goroutine — an opaque SPMD
-// function's stack must live somewhere — but the Go scheduler does not
-// multiplex them: a carrier goroutine only runs while the engine has
-// explicitly handed it one of a bounded number of worker slots
-// (Cost.Workers). When a rank would block (empty receive queue, full send
-// buffer, a collective rendezvous), it parks: it registers what it waits
-// for, hands its slot to the next runnable rank, and sleeps on a one-token
-// resume channel until the engine wakes it with a reason. A Stepper rank
-// has no goroutine, faulted run or not: parking is returning from Step,
-// resuming is being popped by a worker (step.go). Runnable ranks wait in
-// one ring of rank ids (runQueue): a woken Stepper joins its head, every
-// other rank its tail, and a wake is delivered exactly when the awaited
-// condition holds, never as a poll.
+// Every rank is hosted the same way: a small pool of worker goroutines
+// (Cost.Workers) pops runnable ranks off one run queue and steps them
+// (step.go). A Stepper (RunSteps) keeps its state in its own fields; a
+// closure rank (Run) is a coroutine whose stack the worker resumes (co.go).
+// When a rank would block (empty receive queue, full send buffer, a
+// collective rendezvous), it records what it waits for and hands control
+// back to its worker, which parks it; the engine queues it again exactly
+// when the awaited condition holds, never as a poll. Runnable ranks wait in
+// one ring of rank ids (runQueue); a woken rank joins its head.
 //
 // Three properties follow:
 //
-//   - blocking costs one short critical section + one channel token (none
-//     for a stepped rank). Under mu the parking rank only records its wait
-//     and picks its successor; the token (or the successor's carrier spawn)
-//     follows the unlock (unlockResume), so a second worker contends for a
-//     few stores, never a channel send;
+//   - blocking costs one short critical section and no channel operation:
+//     under mu the worker only records the wait and pops the next rank, and
+//     an idle worker is signalled after the unlock (unlock), so a second
+//     worker contends for a few stores, never a channel send;
 //   - quiescence is exact: the engine knows the instant the run queue is
 //     empty and every live rank is parked, so deadlock detection and
 //     virtual-timer firing (timer.go) are immediate and deterministic, never
@@ -71,12 +67,10 @@ const (
 )
 
 // evRank is the engine's per-rank scheduling record. All fields are
-// guarded by eventEngine.mu except resume, which carries at most one
-// token from unlockResume to the parked carrier (nil on a stackless run),
-// and watch. Padded to one cache line, so a sender polling one rank's
-// watch word never shares a line with a neighbour's locked fields.
+// guarded by eventEngine.mu except watch. Padded to one cache line, so a
+// sender polling one rank's watch word never shares a line with a
+// neighbour's locked fields.
 type evRank struct {
-	resume chan evKind
 	// op/peer/deadline form the wait record while parked (op values from
 	// deadlock.go; opRunning while executing or runnable, opOwned while a
 	// conductor owns a parked member, opExited after the rank returns).
@@ -85,20 +79,19 @@ type evRank struct {
 	op       uint64
 	peer     int32
 	runnable bool
-	started  bool
 	kind     evKind
 	deadline float64
 	// clock is the rank's virtual clock when it last parked or yielded;
 	// yieldIfBehind compares the queue head's against its own.
 	clock float64
-	// rank is the parked rank, whose last timeline segment a deadlock
-	// snapshot reports. Snapshots are taken at quiescence, when no carrier or conductor holds
-	// a worker slot, so every parked Rank is still. A stepped rank's is set
-	// from its first dispatch to its exit: it is how a worker finds it.
+	// rank is set from the rank's first dispatch to its exit: it is how a
+	// worker finds the rank, and whose last timeline segment a deadlock
+	// snapshot reports (snapshots are taken at quiescence, when every
+	// parked Rank is still).
 	rank *Rank
 	// watch is the lock-free mirror of the (op, peer) wait record for the
 	// notifyEnqueue/notifyDequeue prechecks: peer<<2 | watchRecv/watchSend
-	// while this rank is parked on a pair operation, 0 otherwise. park
+	// while this rank is parked on a pair operation, 0 otherwise. parkStep
 	// publishes it (sequentially consistent) BEFORE its final queue
 	// re-check; a sender reads it AFTER its enqueue. One of the two
 	// therefore always observes the other — the classic store/load
@@ -106,15 +99,7 @@ type evRank struct {
 	// the engine lock entirely on the overwhelmingly common case of an
 	// unwatched pair.
 	watch atomic.Uint64
-	_     [8]byte
-}
-
-// evPick is one rank dispatch handed a worker slot: unlockResume starts its
-// carrier (start) or sends kind on its resume channel once mu is released.
-type evPick struct {
-	id    int32
-	kind  evKind
-	start bool
+	_     [16]byte
 }
 
 // watch classes (low two bits of evRank.watch).
@@ -141,11 +126,10 @@ func watchWord(op uint64, peer int) uint64 {
 // at the head. The runnable flag keeps a rank from being queued twice, so p
 // slots always suffice and push, pushFront and pop are O(1) stores to one
 // small array. Pop order is free to choose: Results depend only on per-pair
-// FIFO order and arrival stamps (see the header). A woken Stepper goes to
-// the head (wake), so a worker steps the rank whose message it just wrote
-// while that ring and rank are still in cache; the first wave, yields and
-// every closure rank queue at the tail, in arrival order (on carriers the
-// head rule measured slower at two workers, DESIGN §12).
+// FIFO order and arrival stamps (see the header). A woken rank goes to the
+// head (wake), so a worker steps the rank whose message it just wrote
+// while that ring and rank are still in cache; the first wave and yields
+// queue at the tail, in arrival order.
 type runQueue struct {
 	ids     []int32
 	head, n int
@@ -177,39 +161,51 @@ func (q *runQueue) pop() int32 {
 	return id
 }
 
-// eventEngine is the cooperative scheduler behind Cluster.Run. One engine
-// drives one run.
+// swapHead swaps the id k places behind the head into the head slot.
+func (q *runQueue) swapHead(k int) {
+	i := q.head + k
+	if i >= len(q.ids) {
+		i -= len(q.ids)
+	}
+	q.ids[q.head], q.ids[i] = q.ids[i], q.ids[q.head]
+}
+
+// shuffleSeed, when not zero, seeds a shuffled schedule for every
+// one-worker run that starts while it is set: the worker pops a random
+// runnable rank, and each wake joins a random end of the run queue.
+// Results must not move; only tests set it (export_test.go).
+var shuffleSeed atomic.Uint64
+
+// eventEngine is the cooperative scheduler behind Cluster.Run and
+// RunSteps. One engine drives one run.
 type eventEngine struct {
 	c       *Cluster
-	fn      func(*Rank) error
 	res     *Result
 	errs    []error
 	workers int
+	// wg counts the live workers; Run's caller waits on it (runWorkers).
+	wg sync.WaitGroup
 
-	// start builds rank id's program on a stackless run (nil otherwise):
-	// its ranks are Steppers stepped by worker goroutines (step.go).
+	// start builds rank id's program on its first dispatch.
 	start func(id int) Stepper
 
 	// cancellable records that the run has a cancel context, read once
 	// here so a context-free rendezvous skips the cancelled-flag load.
 	cancellable bool
 
-	// mu guards everything down to picks; dispatch states what a critical
+	// mu guards everything down to shuffle; unlock states what a critical
 	// section may not contain.
 	mu      sync.Mutex
 	ranks   []evRank
 	runq    runQueue
-	running int // ranks holding a worker slot: executing, or picked and about to be resumed
+	running int // ranks a worker is stepping
 	live    int // ranks that have not exited
 	rend    map[ffKey]*ffRendezvous
-	picks   []evPick // dispatch's output, drained by unlockResume
-	done    chan struct{}
-	// idle counts the stackless workers waiting on idleWake for a
-	// runnable rank; dispatch moves as many as there are queued ranks into
-	// signals, which unlockResume delivers after the unlock.
+	// idle counts the workers waiting on idleWake for a runnable rank.
 	idleWake sync.Cond
 	idle     int
-	signals  int
+	// shuffle draws the shuffled schedule (shuffleSeed); nil on a FIFO run.
+	shuffle *rand.Rand
 
 	// membIDs interns communicator memberships into the ids that key rend
 	// (membID), under its own lock: the wide key is never hashed under mu.
@@ -217,14 +213,13 @@ type eventEngine struct {
 	membIDs map[ffMemb]uint32
 }
 
-func newEventEngine(c *Cluster, fn func(*Rank) error, start func(id int) Stepper, res *Result) *eventEngine {
+func newEventEngine(c *Cluster, start func(id int) Stepper, res *Result) *eventEngine {
 	workers := c.cost.Workers
 	if workers == 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	e := &eventEngine{
 		c:       c,
-		fn:      fn,
 		res:     res,
 		errs:    make([]error, c.p),
 		workers: workers,
@@ -232,32 +227,32 @@ func newEventEngine(c *Cluster, fn func(*Rank) error, start func(id int) Stepper
 		runq:    runQueue{ids: make([]int32, c.p)},
 		live:    c.p,
 		rend:    make(map[ffKey]*ffRendezvous),
-		picks:   make([]evPick, 0, workers),
-		done:    make(chan struct{}),
 		membIDs: make(map[ffMemb]uint32),
 
 		start:       start,
 		cancellable: c.cost.Context != nil,
 	}
 	e.idleWake.L = &e.mu
+	if seed := shuffleSeed.Load(); seed != 0 && workers == 1 {
+		e.shuffle = rand.New(rand.NewPCG(seed, 0))
+	}
 	for i := range e.ranks {
-		if e.start == nil {
-			e.ranks[i].resume = make(chan evKind, 1)
-		}
 		e.ranks[i].peer = -1
 	}
 	return e
 }
 
-// Run executes fn on every rank. A Cluster must not be reused after Run:
-// leftover messages from a failed run would corrupt a second one.
-func (c *Cluster) Run(fn func(r *Rank) error) (*Result, error) { return c.run(fn, nil) }
+// Run executes fn on every rank, each a coroutine the workers step
+// (co.go). A Cluster must not be reused after Run: leftover messages from
+// a failed run would corrupt a second one.
+func (c *Cluster) Run(fn func(r *Rank) error) (*Result, error) {
+	return c.run(func(int) Stepper { return &coRank{fn: fn} })
+}
 
-// run hosts the ranks: fn on carriers, or start's Steppers on stackless
-// workers (step.go).
-func (c *Cluster) run(fn func(r *Rank) error, start func(id int) Stepper) (*Result, error) {
+// run hosts start's programs on the workers until every rank has exited.
+func (c *Cluster) run(start func(id int) Stepper) (*Result, error) {
 	res := &Result{PerRank: make([]Stats, c.p)}
-	e := newEventEngine(c, fn, start, res)
+	e := newEventEngine(c, start, res)
 	c.eng = e
 	defer c.watchContext()()
 	e.mu.Lock()
@@ -269,68 +264,23 @@ func (c *Cluster) run(fn func(r *Rank) error, start func(id int) Stepper) (*Resu
 	for id := c.p - 1; id >= 0; id-- {
 		e.pushRunnable(id)
 	}
-	if e.start != nil {
-		e.mu.Unlock()
-		e.runWorkers()
-	} else {
-		e.dispatch()
-		e.unlockResume()
-		<-e.done
-	}
+	e.mu.Unlock()
+	e.runWorkers()
 	res.ActivePairs = c.ActivePairs()
 	return res, joinRunErrors(c, e.errs)
 }
 
-// pushRunnable marks rank id runnable and queues it. mu held.
+// pushRunnable marks rank id runnable and queues it at the tail. mu held.
 func (e *eventEngine) pushRunnable(id int) {
 	e.ranks[id].runnable = true
 	e.runq.push(int32(id))
 }
 
-// dispatch fills free worker slots from the run queue, and — when the
-// whole cluster has gone quiescent with ranks still live — resolves the
-// quiescence (peer-exit releases first, then the earliest armed timer, then
-// deadlock; see quiesce). mu held.
-//
-// dispatch only picks: a picked rank becomes opRunning, is counted in
-// running and joins picks; the caller's unlockResume resumes it after
-// releasing mu. The rule for every critical section of mu, here and in
-// comm_ff.go: no channel operation, no go statement, no map access keyed
-// wider than 16 bytes and no Segment copy (bar the deadlock snapshot, which
-// ends the run). A picked rank has left the blocked set, so the cancel
-// sweep and quiescence ignore it exactly as they ignore a running rank.
-//
-// On a stackless run the workers pop the queue themselves and resolve
-// quiescence in their loop (stepWorker), so dispatch only wakes idle
-// workers for the queued ranks.
-func (e *eventEngine) dispatch() {
-	if e.start != nil {
-		n := min(e.idle, e.runq.n)
-		e.idle -= n
-		e.signals += n
-		return
-	}
-	for {
-		for e.running < e.workers && e.runq.n > 0 {
-			id, rk := e.pick()
-			e.picks = append(e.picks, evPick{id: id, kind: rk.kind, start: !rk.started})
-			rk.started = true
-		}
-		if e.running > 0 || e.live == 0 || e.runq.n > 0 {
-			return
-		}
-		// Quiescent: every live rank is parked and nothing is runnable.
-		e.quiesce()
-		if e.runq.n == 0 {
-			// quiesce wakes at least one rank whenever live ranks remain;
-			// defensive: avoid spinning if it could not.
-			return
-		}
-	}
-}
-
-// pick pops the run queue's head and counts it running. mu held.
+// pick pops the next runnable rank and counts it running. mu held.
 func (e *eventEngine) pick() (int32, *evRank) {
+	if e.shuffle != nil {
+		e.runq.swapHead(e.shuffle.IntN(e.runq.n))
+	}
 	id := e.runq.pop()
 	rk := &e.ranks[id]
 	rk.runnable = false
@@ -340,48 +290,24 @@ func (e *eventEngine) pick() (int32, *evRank) {
 	return id, rk
 }
 
-// unlockResume releases mu, then resumes the ranks the preceding dispatch
-// picked (at most one per worker slot, so the copy stays on the stack), or
-// wakes the idle workers it counted. Every critical section that
-// dispatches ends here: picks is empty and signals zero whenever mu is free.
-func (e *eventEngine) unlockResume() {
-	var buf [16]evPick
-	picks := append(buf[:0], e.picks...)
-	e.picks = e.picks[:0]
-	signals := e.signals
-	e.signals = 0
+// unlock releases mu, then signals as many idle workers as there are
+// queued ranks. Every critical section that may queue a rank ends here.
+// The rule for every critical section of mu, here and in comm_ff.go: no
+// channel operation, no go statement, no map access keyed wider than 16
+// bytes and no Segment copy (bar the deadlock snapshot, which ends the
+// run).
+func (e *eventEngine) unlock() {
+	n := min(e.idle, e.runq.n)
+	e.idle -= n
 	e.mu.Unlock()
-	for ; signals > 0; signals-- {
+	for ; n > 0; n-- {
 		e.idleWake.Signal()
 	}
-	for _, pk := range picks {
-		if pk.start {
-			go e.carrier(int(pk.id))
-		} else {
-			e.ranks[pk.id].resume <- pk.kind
-		}
-	}
-}
-
-// carrier is the goroutine that hosts rank id. It classifies how the rank
-// left, publishes the exit and returns its worker slot.
-func (e *eventEngine) carrier(id int) {
-	r := &Rank{cluster: e.c, id: id}
-	defer func() {
-		e.finish(r, recover())
-		last := e.live == 0
-		e.dispatch()
-		e.unlockResume()
-		if last {
-			close(e.done)
-		}
-	}()
-	e.errs[id] = e.fn(r)
 }
 
 // finish records how rank r left the run — rec is what unwound it, nil for
-// a return — publishes the exit and gives up its worker slot. Returns with
-// mu held.
+// a return — publishes the exit and stops counting it running. Returns
+// with mu held.
 func (e *eventEngine) finish(r *Rank, rec any) {
 	c, id := e.c, r.id
 	status, err := c.classifyRankExit(rec, id, e.errs[id])
@@ -402,98 +328,44 @@ func (e *eventEngine) finish(r *Rank, rec any) {
 	e.running--
 }
 
-// yieldIfBehind reparks the calling rank onto the run queue when the rank
-// at the head of the queue was queued at an earlier virtual clock. A
-// compute-only loop never parks on its own, so on a small worker pool it
+// yieldIfBehind yields the calling closure rank to the back of the run
+// queue when the rank at its head was queued at an earlier virtual clock.
+// A compute-only loop never parks on its own, so on a small worker pool it
 // would starve earlier ranks indefinitely — including ranks whose
 // real-time side effects the program is waiting on (an external cancel, a
-// test synchronization). Results are schedule-invariant, so the repark
-// only affects wall-clock fairness, never the virtual outcome.
+// test synchronization). Results are schedule-invariant, so the yield only
+// affects wall-clock fairness, never the virtual outcome.
 func (e *eventEngine) yieldIfBehind(r *Rank) {
 	e.mu.Lock()
 	q := &e.runq
-	if q.n == 0 || e.ranks[q.ids[q.head]].clock >= r.clock {
-		e.mu.Unlock()
-		return
+	behind := q.n > 0 && e.ranks[q.ids[q.head]].clock < r.clock
+	e.mu.Unlock()
+	if behind {
+		// The rank stays opRunning: it is runnable, not blocked, so the
+		// quiescence scans and cancel sweep keep ignoring it — it will
+		// observe cancellation itself at its next instrumented op.
+		r.park()
 	}
-	rk := &e.ranks[r.id]
-	// The rank stays opRunning: it is runnable, not blocked, so the
-	// quiescence scans and cancel sweep must keep ignoring it — it will
-	// observe cancellation itself at its next instrumented op.
-	rk.kind = evWake
-	rk.clock = r.clock
-	e.pushRunnable(r.id)
-	e.running--
-	e.dispatch()
-	e.unlockResume()
-	<-rk.resume
-}
-
-// park blocks the calling rank with the given wait record until the
-// engine resumes it. avail, checked under mu, lets the caller detect a
-// condition that raced with its unlocked pre-check (a message enqueued,
-// space opened, the peer exited) — if it reports true the rank never
-// parks and evWake is returned immediately.
-func (e *eventEngine) park(r *Rank, op uint64, peer int, deadline float64, avail func() bool) evKind {
-	rk := &e.ranks[r.id]
-	rk.watch.Store(watchWord(op, peer))
-	e.mu.Lock()
-	if avail != nil && avail() {
-		rk.watch.Store(0)
-		e.mu.Unlock()
-		return evWake
-	}
-	return e.parkLocked(r, op, peer, deadline)
 }
 
 // stepped returns r's record, the one check that r is a Stepper's rank: a
 // Try form called from a closure fails here by name.
 func (r *Rank) stepped() *stepState {
-	if r.step == nil {
+	if r.step.co != nil {
 		panic(fmt.Sprintf("sim: rank %d is not a Stepper: the Try forms run only under RunSteps", r.id))
 	}
 	return r.step
 }
 
-// parkLocked is park's core: record the wait, release the worker slot,
-// hand it to the next runnable rank, and sleep. Enters with mu held,
-// returns with mu released — or unwinds the rank when the engine resumed it
-// to cancel or abort it.
-func (e *eventEngine) parkLocked(r *Rank, op uint64, peer int, deadline float64) evKind {
-	if r.step != nil {
-		e.mu.Unlock()
-		panic(fmt.Sprintf("sim: rank %d is a Stepper and must not block: use the Try form of the operation", r.id))
-	}
-	rk := &e.ranks[r.id]
-	rk.op = op
-	rk.peer = int32(peer)
-	rk.deadline = deadline
-	rk.clock = r.clock
-	rk.rank = r
-	e.running--
-	e.dispatch()
-	e.unlockResume()
-	kind := <-rk.resume
-	rk.watch.Store(0)
-	switch kind {
-	case evCancel:
-		panic(cancelPanic{})
-	case evAbort:
-		r.abort()
-	}
-	return kind
-}
-
-// wake marks a parked rank runnable with the given resume reason. A rank
-// already runnable keeps its pending reason only when the new one is a
-// plain evWake: the specific reasons (conducted result ready, timer
-// fired, abort, cancel) always replace it, so a racing message enqueue
-// can never mask them — the resumed operation re-checks its queues
-// anyway. A rank that is not parked — running, picked, or stepped by a
-// worker that has not yet recorded its wait — is left alone: its own
-// re-check under mu sees what the wake would have reported. A woken
-// Stepper runs next (runQueue); a woken carrier queues behind the others.
-// mu held.
+// wake marks a parked rank runnable with the given resume reason and puts
+// it at the head of the run queue. A rank already runnable keeps its
+// pending reason only when the new one is a plain evWake: the specific
+// reasons (conducted result ready, timer fired, abort, cancel) always
+// replace it, so a racing message enqueue can never mask them — the
+// resumed operation re-checks its queues anyway. A rank that is not parked
+// — running, or stepped by a worker that has not yet recorded its wait —
+// is left alone: its worker's re-check under mu sees what the wake would
+// have reported. mu held.
 func (e *eventEngine) wake(id int, kind evKind) {
 	rk := &e.ranks[id]
 	if rk.runnable {
@@ -507,10 +379,10 @@ func (e *eventEngine) wake(id int, kind evKind) {
 	}
 	rk.kind = kind
 	rk.runnable = true
-	if e.start != nil {
-		e.runq.pushFront(int32(id))
-	} else {
+	if e.shuffle != nil && e.shuffle.IntN(2) == 0 {
 		e.runq.push(int32(id))
+	} else {
+		e.runq.pushFront(int32(id))
 	}
 }
 
@@ -532,9 +404,8 @@ func (e *eventEngine) notify(id int, watch uint64) {
 	e.mu.Lock()
 	if rk := &e.ranks[id]; blockedOp(rk.op) && watchWord(rk.op, int(rk.peer)) == watch {
 		e.wake(id, evWake)
-		e.dispatch()
 	}
-	e.unlockResume()
+	e.unlock()
 }
 
 // cancelSweep wakes every parked rank with evCancel; the run context's
@@ -548,8 +419,7 @@ func (e *eventEngine) cancelSweep() {
 			e.wake(id, evCancel)
 		}
 	}
-	e.dispatch()
-	e.unlockResume()
+	e.unlock()
 }
 
 // exitedLocked reports whether rank id has exited. mu held; the mutex
@@ -703,23 +573,8 @@ func (e *eventEngine) snapshotLocked() *ClusterSnapshot {
 	return snap
 }
 
-// recvEvent is Recv's core: dequeue the next message from src, parking
-// until one arrives. ok=false reports that src exited with nothing further
-// queued (the caller names the root cause).
-func (e *eventEngine) recvEvent(r *Rank, src int) (message, bool) {
-	q := r.queueFrom(src)
-	for {
-		if msg, ok, final := e.recvTry(r, q, src); final {
-			return msg, ok
-		}
-		e.park(r, opBlockedRecv, src, 0, func() bool {
-			return q.length() > 0 || e.exitedLocked(src)
-		})
-	}
-}
-
-// recvTry is one attempt of recvEvent on the pair queue q from src: final
-// is false when the receive must wait.
+// recvTry is one receive attempt on the pair queue q from src: final is
+// false when the receive must wait.
 func (e *eventEngine) recvTry(r *Rank, q *evRing, src int) (msg message, ok, final bool) {
 	if msg, ok = q.pop(); ok {
 		if q.length() >= int(q.sem)-1 {
@@ -738,39 +593,20 @@ func (e *eventEngine) recvTry(r *Rank, q *evRing, src int) (msg message, ok, fin
 
 // recvTimeoutEvent is RecvTimeout's core: try a buffered message, else park
 // with the armed deadline. Whatever woke the rank, it re-checks in fixed
-// priority order — message, peer exit, expiry — so a real-time race between
-// a late enqueue, an exit and a timer fire cannot change the outcome: the
-// decision depends only on virtual state. Neither got nor exited means the
-// deadline expired.
+// priority order — message, peer exit (recvTry), expiry — so a real-time
+// race between a late enqueue, an exit and a timer fire cannot change the
+// outcome: the decision depends only on virtual state. Neither got nor
+// exited means the deadline expired.
 func (e *eventEngine) recvTimeoutEvent(r *Rank, src int, deadline float64) (msg message, got, exited bool) {
 	q := r.queueFrom(src)
-	if msg, got = q.pop(); got {
-		if q.length() >= int(q.sem)-1 {
-			e.notifyDequeue(src, r.id)
-		}
-		return
-	}
-	fired := false
-	for {
-		kind := e.park(r, opBlockedRecvTimer, src, deadline, func() bool {
-			return q.length() > 0 || e.exitedLocked(src)
-		})
-		if kind == evTimerFire {
-			fired = true
-		}
-		if msg, got = q.pop(); got {
-			if q.length() >= int(q.sem)-1 {
-				e.notifyDequeue(src, r.id)
-			}
-			return
-		}
-		if e.c.exited[src].Load() {
-			exited = true
-			return
+	for fired := false; ; fired = r.park() == evTimerFire {
+		if msg, ok, final := e.recvTry(r, q, src); final {
+			return msg, ok, !ok
 		}
 		if fired {
 			return
 		}
+		r.step.waitUntil(opBlockedRecvTimer, src, q, deadline)
 	}
 }
 
@@ -779,26 +615,17 @@ func (e *eventEngine) recvTimeoutEvent(r *Rank, src int, deadline float64) (msg 
 // then peer exit, then expiry (neither sent nor exited).
 func (e *eventEngine) sendDeadlineEvent(r *Rank, dst int, m message, deadline float64) (sent, exited bool) {
 	q := r.queueTo(dst)
-	peerExited := &e.c.exited[dst]
-	fired := false
-	for {
+	for fired := false; ; fired = r.park() == evTimerFire {
 		if q.push(m) {
-			sent = true
 			e.notifyEnqueue(r.id, dst)
-			return
+			return true, false
 		}
-		if peerExited.Load() {
-			exited = true
-			return
+		if e.c.exited[dst].Load() {
+			return false, true
 		}
 		if fired {
-			return
+			return false, false
 		}
-		kind := e.park(r, opBlockedSendTimer, dst, deadline, func() bool {
-			return q.length() < int(q.sem) || e.exitedLocked(dst)
-		})
-		if kind == evTimerFire {
-			fired = true
-		}
+		r.step.waitUntil(opBlockedSendTimer, dst, q, deadline)
 	}
 }

@@ -13,7 +13,7 @@ import (
 // Stats and on the error text. The row broadcasts are conducted under the
 // plan like without one, so this checks the conductor's fates and failure
 // propagation — a failure recorded by whichever member conducts, and
-// raised by each failed member on its own carrier — and the engine's pop
+// raised by each failed member on its own stack — and the engine's pop
 // order, which must show in neither.
 func FuzzFaultPlan(f *testing.F) {
 	for _, seed := range []string{

@@ -43,7 +43,7 @@ import (
 // The engine never blocks a thread on a pair — a full or empty queue parks
 // the rank instead — so the fast path is two atomic cursors and no lock. The
 // SPSC invariant holds because a pair has exactly one sending and one
-// receiving rank, a rank executes on one carrier or worker at a time, and conducted
+// receiving rank, a rank executes on one worker at a time, and conducted
 // collectives (comm_ff.go) touch a member's pairs only while that member is
 // parked — every ownership handoff goes through the engine lock.
 //

@@ -62,8 +62,8 @@ func (s Segment) Duration() float64 { return s.End - s.Start }
 // OnTimer and OnCrash belong to one rank — the one named in the event, the
 // sender for a fault. A rank's callbacks are serialized and arrive in
 // virtual-time order; callbacks of different ranks run concurrently. They
-// may run on the rank's own goroutine, on the engine worker stepping a
-// Stepper rank (step.go), or on whichever of those is conducting a
+// may run on a closure rank's own coroutine, on the engine worker stepping
+// a Stepper rank (step.go), or on whichever of those is conducting a
 // collective for it (comm_ff.go), so an observer may keep per-rank state
 // without a lock but must not assume which goroutine calls, and must not
 // block waiting for another rank's events. OnDeadlock fires on whichever

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 	"unsafe"
@@ -78,12 +79,14 @@ func ringSendRecv(r *Rank) error {
 	return nil
 }
 
-// TestResumeOutsideLock pins what moving resume tokens and carrier spawns
-// out of eventEngine.mu must not change. With more workers than processors
-// a picked rank regularly sits between its pick and its token while other
-// goroutines park, wake and sweep around it; results must still be bit
-// identical at every worker count, and a cancel sweep must treat a picked
-// rank as running — never hand it a second token.
+// TestResumeOutsideLock pins what signalling idle workers outside
+// eventEngine.mu must not change. With more workers than processors a
+// popped rank regularly sits on a worker that has not yet resumed its
+// coroutine while other workers park, wake and sweep around it; results
+// must still be bit identical at every worker count, and a cancel sweep
+// must treat a popped rank as running — never wake a rank twice, which
+// would queue it twice and resume its coroutine on two workers, or start
+// its program again after it exited.
 func TestResumeOutsideLock(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	workers := []int{1, 2, 3, 8}
@@ -136,7 +139,12 @@ func TestResumeOutsideLock(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			_, err = c.Run(shape25D(t, q, 4, -1, first))
+			starts := make([]atomic.Int32, c.P())
+			body := shape25D(t, q, 4, -1, first)
+			_, err = c.Run(func(r *Rank) error {
+				starts[r.ID()].Add(1)
+				return body(r)
+			})
 			if d := time.Since(<-cancelledAt); d > 2*time.Second {
 				t.Fatalf("offset %d: run returned %v after the cancel", i, d)
 			}
@@ -147,9 +155,18 @@ func TestResumeOutsideLock(t *testing.T) {
 			if errors.As(err, &de) {
 				t.Fatalf("offset %d: cancellation surfaced as a deadlock: %.300v", i, err)
 			}
-			for id := range c.eng.ranks {
-				if len(c.eng.ranks[id].resume) != 0 {
-					t.Fatalf("offset %d: rank %d was handed a resume token it never consumed", i, id)
+			for id := range starts {
+				if n := starts[id].Load(); n != 1 {
+					t.Fatalf("offset %d: rank %d started %d times", i, id, n)
+				}
+			}
+			e := c.eng
+			if e.runq.n != 0 || e.running != 0 || e.live != 0 {
+				t.Fatalf("offset %d: run ended with %d queued, %d running, %d live", i, e.runq.n, e.running, e.live)
+			}
+			for id := range e.ranks {
+				if rk := &e.ranks[id]; rk.op != opExited || rk.runnable {
+					t.Fatalf("offset %d: rank %d ended op %d, runnable %v", i, id, rk.op, rk.runnable)
 				}
 			}
 		}

@@ -4,9 +4,10 @@
 // Each of p ranks executes the same SPMD program, scheduled by the event
 // engine (event.go): a rank runs until it would block, parks, and is resumed
 // exactly when what it waits for holds, so runs reach p ≥ 10⁶. A program
-// is a closure (Run), which parks on a goroutine of its own, or a Stepper
-// (RunSteps, step.go), a resumable state machine that the engine's worker
-// goroutines step with no goroutine or stack per rank. Ranks
+// is a closure (Run), which the engine's worker goroutines run as a
+// coroutine with a stack of its own (co.go), or a Stepper (RunSteps,
+// step.go), a resumable state machine that they step with no stack per
+// rank. Ranks
 // exchange []float64 messages over per-pair FIFO queues, wired on demand as
 // pairs first communicate (see mailbox.go) so memory follows the pairs a
 // program actually uses. Every rank carries a virtual clock in seconds:
@@ -262,9 +263,9 @@ func NewCluster(p int, cost Cost) (*Cluster, error) {
 func (c *Cluster) P() int { return c.p }
 
 // Rank is the handle an SPMD function uses to communicate, account
-// compute, and track memory. A Rank has one caller at a time: the
-// goroutine it was handed to, or for a Stepper whichever engine worker is
-// stepping it (step.go).
+// compute, and track memory. A Rank has one caller at a time: whichever
+// engine worker is stepping it (step.go), or running a closure rank's
+// coroutine (co.go).
 type Rank struct {
 	cluster *Cluster
 	id      int
@@ -278,10 +279,10 @@ type Rank struct {
 	crashDone    bool
 	crashPending bool
 
-	// computeOps counts Compute calls; every 256th call on a carried rank
-	// checks whether an earlier-clock rank is waiting for the worker slot
+	// computeOps counts Compute calls; every 256th call on a closure's
+	// rank checks whether an earlier-clock rank is waiting for a worker
 	// (see eventEngine.yieldIfBehind). conducted is set while a
-	// conductor drives this rank's pricing from its own goroutine
+	// conductor drives this rank's pricing from its own stack
 	// (comm_ff.go): the rank can then neither yield nor unwind — the
 	// conductor would park, or panic, on a parked member's record.
 	computeOps uint32
@@ -298,8 +299,8 @@ type Rank struct {
 	// returned by the next receive (timer.go). At most one per peer.
 	pushback map[int]message
 
-	// step is the stackless host's record of a Stepper's rank (step.go);
-	// nil for a closure's, which the Try forms refuse (Rank.stepped).
+	// step is the rank's wait record and program (step.go); a closure's
+	// holds its coroutine, which the Try forms refuse (Rank.stepped).
 	step *stepState
 
 	// ffSeq counts this rank's collective calls per interned membership —
@@ -341,7 +342,7 @@ func (r *Rank) Compute(flops float64) {
 	r.stats.ComputeTime += dt
 	r.emit(Segment{Kind: SegCompute, Start: r.clock, End: r.clock + dt, Peer: -1, Flops: flops})
 	r.clock += dt
-	if !r.conducted && r.step == nil {
+	if !r.conducted && r.step.co != nil {
 		if r.computeOps++; r.computeOps&255 == 0 {
 			r.cluster.eng.yieldIfBehind(r)
 		}
@@ -364,12 +365,12 @@ func (c *Cluster) messagesFor(k int) float64 {
 // virtual time; it may park in real time if the pair's buffer is full. Sending to oneself is allowed and costs the same as any other send.
 func (r *Rank) Send(dst int, data []float64) { r.send(dst, data, false) }
 
-// send is Send; owned callers (ShiftOwned) surrender data.
+// send is Send; owned callers (ShiftOwned) surrender data. While the
+// pair's buffer is full the rank parks, and the repeated trySend pushes
+// the copies it kept.
 func (r *Rank) send(dst int, data []float64, owned bool) {
-	m, fates, n := r.post(dst, len(data))
-	for i, f := range fates[:n] {
-		m.data = r.payload(dst, data, f, owned && i == n-1)
-		r.deliver(dst, m)
+	for !r.trySend(dst, data, owned) {
+		r.park()
 	}
 }
 
@@ -496,32 +497,15 @@ func (r *Rank) payload(dst int, data []float64, f copyFate, own bool) []float64 
 	return out
 }
 
-// deliver enqueues a message on the pair's queue without blocking the
-// thread. When the buffer is full the rank parks until space opens; a send
-// that can never complete (deadlock or exited peer) is aborted at quiescence.
-func (r *Rank) deliver(dst int, m message) {
-	e := r.cluster.eng
-	q := r.queueTo(dst)
-	for {
-		if q.push(m) {
-			e.notifyEnqueue(r.id, dst)
-			return
-		}
-		e.park(r, opBlockedSend, dst, 0, func() bool { return q.length() < int(q.sem) })
-	}
-}
-
 // Recv receives the next message from rank src, parking until it arrives.
 // The receiver's clock becomes max(own clock, sender's post-send clock).
 func (r *Rank) Recv(src int) []float64 {
-	r.checkPeer(src, "receiving from")
-	r.crashCheck()
-	// A message pushed back by an expired RecvTimeout stays the FIFO head.
-	if msg, ok := r.takePushback(src); ok {
-		return r.finishRecv(src, msg)
+	for {
+		if v, ok := r.tryRecv(src); ok {
+			return v
+		}
+		r.park()
 	}
-	msg, ok := r.cluster.eng.recvEvent(r, src)
-	return r.finishRecvOrFail(src, msg, ok)
 }
 
 // finishRecvOrFail completes a receive: prices the message in hand, or —

@@ -210,7 +210,8 @@ func TestStacklessPanic(t *testing.T) {
 }
 
 // TestStacklessBlockingOpRefused: a blocking operation that would wait
-// fails the stepped rank loudly instead of parking a stack it does not have.
+// fails the stepped rank loudly instead of parking a stack it does not
+// have.
 func TestStacklessBlockingOpRefused(t *testing.T) {
 	_, err := RunSteps(2, unitCost, scripted(func(id int) []func(r *Rank) bool {
 		if id == 1 {
@@ -607,12 +608,35 @@ func TestStacklessComputeNeverYields(t *testing.T) {
 	}
 }
 
-// TestStacklessNoCarriers: a stackless run spawns no carrier goroutine and
-// allocates no resume channel, without a fault plan and under one: the
-// empty plan, and a plan that degrades, corrupts, duplicates and drops
-// (on a link the program leaves unused) yet completes.
+// TestStacklessNoCarriers: a Stepper run creates no coroutine, without a
+// fault plan and under one: the empty plan, and a plan that degrades,
+// corrupts, duplicates and drops (on a link the program leaves unused) yet
+// completes. Every rank's record says so, and a stack dump taken mid-run
+// shows no rank stack; the same dump taken inside a closure run does.
 func TestStacklessNoCarriers(t *testing.T) {
 	const p = 64
+	dump := func() string {
+		buf := make([]byte, 1<<20)
+		return string(buf[:runtime.Stack(buf, true)])
+	}
+	const marker = "(*coRank).Step"
+	var inClosure string
+	if _, err := Run(2, unitCost, func(r *Rank) error {
+		if r.ID() == 0 {
+			r.Recv(1)
+			inClosure = dump() // rank 1 is parked in its Recv from 0
+			r.Send(1, nil)
+		} else {
+			r.Send(0, nil)
+			r.Recv(0)
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(inClosure, marker) {
+		t.Fatalf("a closure run's dump shows no rank stack; the check below would see nothing:\n%.2000s", inClosure)
+	}
 	for name, plan := range map[string]*FaultPlan{
 		"fault-free": nil,
 		"empty":      {},
@@ -621,12 +645,9 @@ func TestStacklessNoCarriers(t *testing.T) {
 	} {
 		cost := unitCost
 		cost.Faults = plan
-		c, err := NewCluster(p, cost)
-		if err != nil {
-			t.Fatal(err)
-		}
 		var stacks atomic.Value
-		_, err = c.RunSteps(scripted(func(id int) []func(r *Rank) bool {
+		var coroutines atomic.Int32
+		_, err := RunSteps(p, cost, scripted(func(id int) []func(r *Rank) bool {
 			return []func(r *Rank) bool{
 				func(r *Rank) bool {
 					_, ok := r.World().TryReduceLarge(0, make([]float64, p), OpSum)
@@ -635,9 +656,11 @@ func TestStacklessNoCarriers(t *testing.T) {
 				func(r *Rank) bool { return r.TrySend((id+1)%p, []float64{1, 2}) },
 				func(r *Rank) bool { _, ok := r.TryRecv((id + p - 1) % p); return ok },
 				func(r *Rank) bool {
+					if r.step.co != nil {
+						coroutines.Add(1)
+					}
 					if id == 0 {
-						buf := make([]byte, 1<<20)
-						stacks.Store(string(buf[:runtime.Stack(buf, true)]))
+						stacks.Store(dump())
 					}
 					return true
 				},
@@ -646,13 +669,11 @@ func TestStacklessNoCarriers(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if s, _ := stacks.Load().(string); s == "" || strings.Contains(s, "(*eventEngine).carrier") {
-			t.Errorf("%s: carrier goroutines during a stackless run:\n%.2000s", name, s)
+		if n := coroutines.Load(); n != 0 {
+			t.Errorf("%s: %d stepped ranks hold a coroutine", name, n)
 		}
-		for id := range c.eng.ranks {
-			if c.eng.ranks[id].resume != nil {
-				t.Fatalf("%s: rank %d has a resume channel", name, id)
-			}
+		if s, _ := stacks.Load().(string); s == "" || strings.Contains(s, marker) {
+			t.Errorf("%s: rank stacks during a stackless run:\n%.2000s", name, s)
 		}
 	}
 }
