@@ -174,10 +174,6 @@ func (r *reporter) hdr() {
 	r.p("on the virtual-time runtime.")
 }
 
-func simCost(m machine.Params) sim.Cost {
-	return sim.Cost{GammaT: m.GammaT, BetaT: m.BetaT, AlphaT: m.AlphaT, MaxMsgWords: int(m.MaxMsgWords)}
-}
-
 // bwCost is the bandwidth-dominated clock used by the toy-scale strong-
 // scaling runs (the default preset's 1 µs latency would swamp the blocks).
 var bwCost = sim.Cost{GammaT: 1e-9, BetaT: 4e-9, AlphaT: 1e-8}
@@ -555,7 +551,7 @@ func (r *reporter) e15() {
 	x := fft.RandomSignal(1024, 3)
 	t := report.NewTable("Distributed FFT, n=1024, p=16", "exchange", "messages/rank", "words/rank", "sim time (s)")
 	for _, tree := range []bool{false, true} {
-		res, err := fft.Distributed(simCost(m), 16, x, tree)
+		res, err := fft.Distributed(core.SimCost(m), 16, x, tree)
 		if err != nil {
 			r.fail(err)
 			return
@@ -691,7 +687,7 @@ func (r *reporter) e21() {
 		GammaE: 1e-9, BetaE: 4e-9, AlphaE: 1e-8, DeltaE: 1e-11, EpsilonE: 1e-4,
 		MemWords: 1 << 30, MaxMsgWords: 1 << 24,
 	}
-	cost := sim.Cost{GammaT: m.GammaT, BetaT: m.BetaT, AlphaT: m.AlphaT}
+	cost := core.SimCost(m)
 	t := report.NewTable("2.5D matmul: simulated T over model T", "n", "q", "c", "ratio")
 	lo, hi := math.Inf(1), math.Inf(-1)
 	for _, n := range []int{48, 96, 192} {
@@ -762,7 +758,7 @@ func (r *reporter) rect() {
 		"grid", "p", "sim T (s)", "max W moved", "bound W", "regime")
 	for _, g := range [][2]int{{1, 2}, {2, 2}, {2, 4}, {4, 4}} {
 		pr, pc := g[0], g[1]
-		res, err := matmul.SUMMARect(simCost(machine.SimDefault()), pr, pc, panel, a, b)
+		res, err := matmul.SUMMARect(core.SimCost(machine.SimDefault()), pr, pc, panel, a, b)
 		if err != nil {
 			r.fail(fmt.Errorf("rect summa %dx%d: %w", pr, pc, err))
 			return

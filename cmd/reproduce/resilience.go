@@ -52,7 +52,7 @@ func (r *reporter) e23abft(m machine.Params, n int) {
 
 	for _, c := range []int{1, 2, 4} {
 		p := q * q * c
-		base, err := resilience.ABFT25D(simCost(m), q, c, a, b)
+		base, err := resilience.ABFT25D(core.SimCost(m), q, c, a, b)
 		if err != nil {
 			r.fail(err)
 			return
@@ -91,7 +91,7 @@ func (r *reporter) e23abft(m machine.Params, n int) {
 				t.AddRow(c, p, sc.name, "-", "-", "-", "-", "n/a (needs c > 1)")
 				continue
 			}
-			cost := simCost(m)
+			cost := core.SimCost(m)
 			cost.Faults = sc.plan
 			res, err := resilience.ABFT25D(cost, q, c, a, b)
 			if err != nil {
@@ -146,14 +146,14 @@ func (r *reporter) e23checkpoint(m machine.Params) {
 	}
 
 	for _, every := range []int{1, 2, 4, 6} {
-		base, err := resilience.RunCheckpointed(simCost(m), p, iters, every, init, step)
+		base, err := resilience.RunCheckpointed(core.SimCost(m), p, iters, every, init, step)
 		if err != nil {
 			r.fail(err)
 			return
 		}
 		baseE := core.PriceSim(m, base.Sim).Total()
 
-		cost := simCost(m)
+		cost := core.SimCost(m)
 		cost.Faults = &sim.FaultPlan{
 			Seed:       7,
 			Crashes:    map[int]float64{2: 0.55 * base.Sim.Time()},
@@ -212,9 +212,9 @@ func (r *reporter) e23drops(m machine.Params, n int) {
 	a := matrix.Random(n, n, 11)
 	b := matrix.Random(n, n, 12)
 	nb := n / q
-	arqCfg := resilience.ARQDefaults(simCost(m), nb*nb)
+	arqCfg := resilience.ARQDefaults(core.SimCost(m), nb*nb)
 
-	base, err := resilience.SUMMAARQ(simCost(m), q, arqCfg, a, b)
+	base, err := resilience.SUMMAARQ(core.SimCost(m), q, arqCfg, a, b)
 	if err != nil {
 		r.fail(err)
 		return
@@ -235,7 +235,7 @@ func (r *reporter) e23drops(m machine.Params, n int) {
 			Links: []sim.LinkFault{{Src: -1, Dst: -1, DropProb: 0.02, DupProb: 0.02, CorruptProb: 0.02}}}},
 	}
 	for _, sc := range scenarios {
-		cost := simCost(m)
+		cost := core.SimCost(m)
 		cost.Faults = sc.plan
 		res, err := resilience.SUMMAARQ(cost, q, arqCfg, a, b)
 		if err != nil {
@@ -273,7 +273,7 @@ func (r *reporter) e23detector(m machine.Params) {
 		"E23d: virtual-time heartbeat failure detection (p=2)",
 		"scenario", "verdict", "exited", "clean", "misses", "probes", "beats", "t_detect (s)", "status")
 
-	cost := simCost(m)
+	cost := core.SimCost(m)
 	cfg := resilience.ARQDefaults(cost, 8)
 	// The detector budget is 3·DetectorInterval (two misses, backoff 2);
 	// the compute scenarios below run 4 intervals of silence, so they trip

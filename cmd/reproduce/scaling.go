@@ -8,6 +8,7 @@ import (
 
 	"perfscale/internal/analytics"
 	"perfscale/internal/conformance"
+	"perfscale/internal/core"
 	"perfscale/internal/machine"
 	"perfscale/internal/matmul"
 	"perfscale/internal/matrix"
@@ -50,7 +51,7 @@ func (r *reporter) diagnose() {
 		}
 		return analytics.BuildProfile(m, res.Sim, col, analytics.Meta{Algorithm: "matmul", N: n, C: 1}), nil
 	}
-	clean, err := profile(simCost(m))
+	clean, err := profile(core.SimCost(m))
 	if err != nil {
 		r.fail(err)
 		return
@@ -60,7 +61,7 @@ func (r *reporter) diagnose() {
 		r.fail(fmt.Errorf("the clean run has no %s phase", phase))
 		return
 	}
-	slow := simCost(m)
+	slow := core.SimCost(m)
 	slow.Faults = &sim.FaultPlan{Seed: 1, Degraded: []sim.DegradedLink{{
 		Src: -1, Dst: -1, From: ps.Start, Until: ps.End, AlphaFactor: 1, BetaFactor: 50,
 	}}}

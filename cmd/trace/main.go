@@ -92,10 +92,7 @@ func main() {
 	if err != nil {
 		usage(err)
 	}
-	cost := sim.Cost{
-		GammaT: m.GammaT, BetaT: m.BetaT, AlphaT: m.AlphaT,
-		MaxMsgWords: int(m.MaxMsgWords),
-	}
+	cost := core.SimCost(m)
 
 	run, ranks, err := buildRun(*alg, *n, *q, *c, *p, *k)
 	if err != nil {

@@ -180,8 +180,8 @@ func phaseDiffByName(r *DiffReport, name string) PhaseDiff {
 }
 
 func TestStrongMatMulCurve(t *testing.T) {
-	sc := SweepConfig{Machine: testMachine()}
-	rows, err := StrongMatMulCurve(sc, 96, 4, []int{1, 2})
+	m := testMachine()
+	rows, err := StrongMatMulCurve(m, core.SimCost(m), 96, 4, []int{1, 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,39 +223,6 @@ func TestStrongMatMulCurve(t *testing.T) {
 	}
 }
 
-func TestRectSUMMACurve(t *testing.T) {
-	sc := SweepConfig{Machine: testMachine()}
-	rows, err := RectSUMMACurve(sc, 48, 16, 32, 4, [][2]int{{1, 2}, {2, 2}, {2, 4}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 3 {
-		t.Fatalf("want 3 rows, got %d", len(rows))
-	}
-	if rows[0].Efficiency != 1 {
-		t.Fatalf("first point not normalized: %+v", rows[0])
-	}
-	for i, r := range rows {
-		if r.Algorithm != "matmul-summa-rect" || r.Family != "strong" {
-			t.Fatalf("row %d mislabeled: %+v", i, r)
-		}
-		if !strings.HasPrefix(r.PlateauBound, bounds.BoundRectPrefix) {
-			t.Fatalf("row %d bound %q is not a rect regime attribution", i, r.PlateauBound)
-		}
-		if r.PlateauP <= 0 || r.Predicted <= 0 {
-			t.Fatalf("row %d missing plateau/prediction: %+v", i, r)
-		}
-		if r.Efficiency < 0.1 || r.Efficiency > 1.5 {
-			t.Fatalf("row %d efficiency off the rails: %+v", i, r)
-		}
-	}
-	// The grids straddle the two-large→three-large crossover of the 48×16×32
-	// shape: the attribution must not be constant across the curve.
-	if rows[0].PlateauBound == rows[2].PlateauBound {
-		t.Fatalf("regime attribution never changed: %q", rows[0].PlateauBound)
-	}
-}
-
 // TestDiffWallAnnotation: dividing a p=16 run by a p=64 run of the same
 // problem with the plateau options set must annotate the report with the
 // memory-independent wall — and leave it off when the options are absent.
@@ -292,8 +259,8 @@ func TestDiffWallAnnotation(t *testing.T) {
 }
 
 func TestWeakCurves(t *testing.T) {
-	sc := SweepConfig{Machine: testMachine()}
-	rows, err := WeakMatMulCurve(sc, 16, []int{2, 4})
+	m := testMachine()
+	rows, err := WeakMatMulCurve(m, core.SimCost(m), 16, []int{2, 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,7 +283,7 @@ func TestWeakCurves(t *testing.T) {
 		}
 	}
 
-	fftRows, err := WeakFFTCurve(sc, 64, []int{2, 4})
+	fftRows, err := WeakFFTCurve(m, core.SimCost(m), 64, []int{2, 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -363,6 +330,45 @@ func TestPhaseProfileBackendIdentity(t *testing.T) {
 	for _, ps := range g.Phases {
 		if ps.Energy.Total() < 0 {
 			t.Fatalf("negative phase energy: %+v", ps)
+		}
+	}
+}
+
+// TestStrongPlateauConverges holds the 2.5D matmul's measured strong
+// scaling to the paper's limit: at fixed q = 4, the efficiency gap 1 − eff
+// and the energy gap E(c)/E(1) − 1 at c = 2 and c = 4 are replication
+// overheads (broadcast and reduction words ∝ n² against flops ∝ n³), so
+// each must shrink by about 2× every time n doubles and be at most 2 % at
+// n = 3072. A 2.5D matmul whose layers each did the whole multiply would
+// hold the efficiency near 1/c at every n.
+func TestStrongPlateauConverges(t *testing.T) {
+	m := testMachine()
+	ns := []int{192, 384, 768, 1536, 3072}
+	cs := []int{1, 2, 4}
+	// gaps[k][j] are the two gaps at c = cs[k+1] and n = ns[j].
+	var gaps [2][2][]float64
+	for _, n := range ns {
+		rows, err := StrongMatMulCurve(m, core.SimCost(m), n, 4, cs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k, r := range rows[1:] {
+			gaps[k][0] = append(gaps[k][0], 1-r.Efficiency)
+			gaps[k][1] = append(gaps[k][1], r.EnergyRatio-1)
+		}
+	}
+	for k := range gaps {
+		for g, name := range []string{"1 - efficiency", "E ratio - 1"} {
+			gap := gaps[k][g]
+			t.Logf("c=%d %s: %.3g", cs[k+1], name, gap)
+			for j := 1; j < len(ns); j++ {
+				if shrink := gap[j-1] / gap[j]; !(shrink >= 1.8) {
+					t.Errorf("c=%d %s shrank %.3g× from n=%d to n=%d, want ≥ 1.8×", cs[k+1], name, shrink, ns[j-1], ns[j])
+				}
+			}
+			if last := gap[len(gap)-1]; !(last >= 0 && last <= 0.02) {
+				t.Errorf("c=%d %s = %.3g at n=%d, want in [0, 0.02]", cs[k+1], name, last, ns[len(ns)-1])
+			}
 		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math/rand"
 
 	"perfscale/internal/bounds"
 	"perfscale/internal/core"
@@ -78,43 +77,43 @@ func WriteCurves(w io.Writer, machineName string, curves []CurvePoint) error {
 	return err
 }
 
-// SweepConfig parameterizes the curve drivers.
-type SweepConfig struct {
-	Machine machine.Params
+// curvePoint is one point of a curve to measure: the row's coordinates
+// (Family, Algorithm, N, P, C) and the program that runs it.
+type curvePoint struct {
+	row CurvePoint
+	run func(cost sim.Cost) (*sim.Result, error)
 }
 
-func (sc SweepConfig) cost() sim.Cost {
-	return sim.Cost{
-		GammaT:      sc.Machine.GammaT,
-		BetaT:       sc.Machine.BetaT,
-		AlphaT:      sc.Machine.AlphaT,
-		MaxMsgWords: int(sc.Machine.MaxMsgWords),
+// measureCurve runs each point on cost with a Collector as its one
+// observer, fills the row's SimT, EnergyJ (priced on m) and RankFlops, and
+// finishes the curve against its first point. It is the one loop that
+// simulates a scaling curve.
+func measureCurve(m machine.Params, cost sim.Cost, pts []curvePoint) ([]CurvePoint, error) {
+	rows := make([]CurvePoint, len(pts))
+	profs := make([]*PhaseProfile, len(pts))
+	for i, pt := range pts {
+		r := pt.row
+		col := obs.NewCollector(r.P)
+		cost.Observers = []sim.Observer{col}
+		res, err := pt.run(cost)
+		if err != nil {
+			return nil, fmt.Errorf("analytics: %s %s n=%d p=%d c=%d: %w", r.Family, r.Algorithm, r.N, r.P, r.C, err)
+		}
+		r.SimT = res.Time()
+		r.EnergyJ = core.PriceSim(m, res).Total()
+		r.RankFlops = res.MaxStats().Flops
+		rows[i] = r
+		profs[i] = BuildProfile(m, res, col, Meta{Algorithm: r.Algorithm, N: r.N, C: r.C})
 	}
+	finishCurve(rows, profs)
+	return rows, nil
 }
 
-// observed runs one simulation with a Collector attached and returns the
-// result plus its phase profile.
-type observedRun struct {
-	res  *sim.Result
-	prof *PhaseProfile
-}
-
-func runObserved(sc SweepConfig, p int, meta Meta, run func(cost sim.Cost) (*sim.Result, error)) (*observedRun, error) {
-	col := obs.NewCollector(p)
-	cost := sc.cost()
-	cost.Observers = []sim.Observer{col}
-	res, err := run(cost)
-	if err != nil {
-		return nil, err
-	}
-	return &observedRun{res: res, prof: BuildProfile(sc.Machine, res, col, meta)}, nil
-}
-
-// finishCurve fills Efficiency, EnergyRatio and PhaseEff for a measured
-// curve relative to its first point. kind selects the efficiency
-// definition; expectedSpanScale(i) is the model's per-phase time scale for
-// point i vs point 0 (1/c for strong scaling; the weak families derive it
-// from per-rank work).
+// finishCurve fills Efficiency, EnergyRatio, PhaseSpans and PhaseEff for a
+// measured curve relative to its first point. Each row's Family selects the
+// definitions: strong rows expect T and every phase span to fall as 1/p at
+// constant E; weak rows compare the per-rank flop rate, the energy per flop
+// and the raw phase spans.
 func finishCurve(rows []CurvePoint, profs []*PhaseProfile) {
 	if len(rows) == 0 {
 		return
@@ -135,87 +134,89 @@ func finishCurve(rows []CurvePoint, profs []*PhaseProfile) {
 			ef0 := r0.EnergyJ / (float64(r0.P) * r0.RankFlops)
 			r.EnergyRatio = r.EnergyJ / (float64(r.P) * r.RankFlops) / ef0
 		}
-		if profs[i] != nil {
-			r.PhaseSpans = map[string]float64{}
-			r.PhaseEff = map[string]float64{}
-			for _, ps := range profs[i].Phases {
-				r.PhaseSpans[ps.Name] = ps.Span.Max
+		r.PhaseSpans = map[string]float64{}
+		r.PhaseEff = map[string]float64{}
+		for _, ps := range profs[i].Phases {
+			r.PhaseSpans[ps.Name] = ps.Span.Max
+		}
+		for _, ps0 := range profs[0].Phases {
+			span := r.PhaseSpans[ps0.Name]
+			if span <= 0 || ps0.Span.Max <= 0 {
+				continue
 			}
-			for _, ps0 := range profs[0].Phases {
-				span := r.PhaseSpans[ps0.Name]
-				if span <= 0 || ps0.Span.Max <= 0 {
-					continue
-				}
-				switch r.Family {
-				case "strong":
-					// Perfect scaling predicts span ∝ 1/(p/p0).
-					scale := float64(r0.P) / float64(r.P)
-					r.PhaseEff[ps0.Name] = ps0.Span.Max * scale / span
-				default:
-					// Weak: phase flop-rate where the phase computes,
-					// otherwise span ratio (ideal weak scaling keeps
-					// communication spans ~flat).
-					r.PhaseEff[ps0.Name] = ps0.Span.Max / span
-				}
+			switch r.Family {
+			case "strong":
+				// Perfect scaling predicts span ∝ 1/(p/p0).
+				scale := float64(r0.P) / float64(r.P)
+				r.PhaseEff[ps0.Name] = ps0.Span.Max * scale / span
+			default:
+				// Weak: ideal weak scaling keeps the spans ~flat.
+				r.PhaseEff[ps0.Name] = ps0.Span.Max / span
 			}
 		}
+	}
+}
+
+// runMatMul25D runs the 2.5D matmul at n, q, c on phantom operands: a curve
+// reads only counters and clocks, which a payload-free run keeps bit for
+// bit (matmul.Phantom).
+func runMatMul25D(n, q, c int) func(sim.Cost) (*sim.Result, error) {
+	return func(cost sim.Cost) (*sim.Result, error) {
+		res, err := matmul.TwoPointFiveD(cost, q, c, matmul.Phantom(n, n), matmul.Phantom(n, n))
+		if err != nil {
+			return nil, err
+		}
+		return res.Sim, nil
+	}
+}
+
+// runNBody runs the replicated n-body on p ranks at replication c, on n
+// bodies drawn from seed.
+func runNBody(n, p, c int, seed int64) func(sim.Cost) (*sim.Result, error) {
+	return func(cost sim.Cost) (*sim.Result, error) {
+		res, err := nbody.Replicated(cost, p, c, nbody.RandomBodies(n, seed))
+		if err != nil {
+			return nil, err
+		}
+		return res.Sim, nil
 	}
 }
 
 // StrongMatMulCurve measures the paper's perfect-strong-scaling
 // construction on the live simulator: 2.5D matmul at fixed n and grid q,
 // replication c ∈ cs (p = q²·c, per-rank memory fixed at 3·(n/q)² plus
-// replicas). The closed-form prediction evaluates Eqs. 8+1 at matching
-// coordinates; inside the region it predicts T÷c at constant E. A curve
-// reads only counters and clocks, so the matmul curves run payload-free on
-// phantom operands (matmul.Phantom).
-func StrongMatMulCurve(sc SweepConfig, n, q int, cs []int) ([]CurvePoint, error) {
-	a, b := matmul.Phantom(n, n), matmul.Phantom(n, n)
-	rows := make([]CurvePoint, 0, len(cs))
-	profs := make([]*PhaseProfile, 0, len(cs))
-	for _, c := range cs {
-		p := q * q * c
-		or, err := runObserved(sc, p, Meta{Algorithm: "matmul-2.5d", N: n, C: c}, func(cost sim.Cost) (*sim.Result, error) {
-			res, err := matmul.TwoPointFiveD(cost, q, c, a, b)
-			if err != nil {
-				return nil, err
-			}
-			return res.Sim, nil
-		})
-		if err != nil {
-			return nil, fmt.Errorf("analytics: strong matmul q=%d c=%d: %w", q, c, err)
-		}
-		rows = append(rows, CurvePoint{
-			Family: "strong", Algorithm: "matmul-2.5d",
-			N: n, P: p, C: c,
-			SimT:      or.res.Time(),
-			EnergyJ:   core.PriceSim(sc.Machine, or.res).Total(),
-			RankFlops: or.res.MaxStats().Flops,
-		})
-		profs = append(profs, or.prof)
+// replicas). The runs use cost's clock and are priced on m. The
+// closed-form prediction evaluates Eqs. 8+1 at matching coordinates;
+// inside the region it predicts T÷c at constant E.
+func StrongMatMulCurve(m machine.Params, cost sim.Cost, n, q int, cs []int) ([]CurvePoint, error) {
+	pts := make([]curvePoint, len(cs))
+	for i, c := range cs {
+		pts[i] = curvePoint{CurvePoint{Family: "strong", Algorithm: "matmul-2.5d", N: n, P: q * q * c, C: c}, runMatMul25D(n, q, c)}
 	}
-	finishCurve(rows, profs)
-	predictStrongMatMul(sc.Machine, rows, q)
+	rows, err := measureCurve(m, cost, pts)
+	if err != nil {
+		return nil, err
+	}
+	// Per-rank memory is fixed at the c=1 footprint — the paper's
+	// construction, so the prediction is ≈1 with a log(c) latency dent.
+	nf := float64(n)
+	mem := nf * nf / float64(q*q)
+	predictStrong(rows, bounds.ClassicalPlateau(nf, mem), func(p float64) core.Result { return core.MatMulClassical(m, nf, p, mem) })
 	return rows, nil
 }
 
-// predictStrongMatMul fills Predicted from the closed forms: the model's
-// T(p0)·p0/(T(p)·p) with per-rank memory fixed at the c=1 footprint — the
-// paper's construction, so the prediction is ≈1 with a log(c) latency dent.
-func predictStrongMatMul(m machine.Params, rows []CurvePoint, q int) {
+// predictStrong fills Predicted with the model's strong efficiency
+// T(p0)·p0/(T(p)·p) against the first row, and the plateau columns from
+// pl; model prices the curve's problem on p ranks.
+func predictStrong(rows []CurvePoint, pl bounds.Plateau, model func(p float64) core.Result) {
 	if len(rows) == 0 {
 		return
 	}
-	n := float64(rows[0].N)
-	pmin := float64(q * q)
-	mem := n * n / pmin
-	t0 := core.MatMulClassical(m, n, pmin*float64(rows[0].C), mem).TotalTime()
 	p0 := float64(rows[0].P)
-	pl := bounds.ClassicalPlateau(n, mem)
+	t0 := model(p0).TotalTime()
 	for i := range rows {
 		p := float64(rows[i].P)
-		t := core.MatMulClassical(m, n, p, mem).TotalTime()
-		rows[i].Predicted = t0 * p0 / (t * p)
+		rows[i].Predicted = t0 * p0 / (model(p).TotalTime() * p)
 		rows[i].PlateauP = pl.PEnd
 		rows[i].PlateauBound = pl.BindingAt(p)
 	}
@@ -223,103 +224,37 @@ func predictStrongMatMul(m machine.Params, rows []CurvePoint, q int) {
 
 // StrongNBodyCurve is the n-body analogue: ring size k fixed, replication
 // c ∈ cs (p = k·c, M = c·n/p = n/k fixed).
-func StrongNBodyCurve(sc SweepConfig, n, k int, cs []int) ([]CurvePoint, error) {
-	bodies := nbody.RandomBodies(n, 33)
-	rows := make([]CurvePoint, 0, len(cs))
-	profs := make([]*PhaseProfile, 0, len(cs))
-	for _, c := range cs {
-		p := k * c
-		or, err := runObserved(sc, p, Meta{Algorithm: "nbody", N: n, C: c}, func(cost sim.Cost) (*sim.Result, error) {
-			res, err := nbody.Replicated(cost, p, c, bodies)
-			if err != nil {
-				return nil, err
-			}
-			return res.Sim, nil
-		})
-		if err != nil {
-			return nil, fmt.Errorf("analytics: strong nbody k=%d c=%d: %w", k, c, err)
-		}
-		rows = append(rows, CurvePoint{
-			Family: "strong", Algorithm: "nbody",
-			N: n, P: p, C: c,
-			SimT:      or.res.Time(),
-			EnergyJ:   core.PriceSim(sc.Machine, or.res).Total(),
-			RankFlops: or.res.MaxStats().Flops,
-		})
-		profs = append(profs, or.prof)
+func StrongNBodyCurve(m machine.Params, cost sim.Cost, n, k int, cs []int) ([]CurvePoint, error) {
+	pts := make([]curvePoint, len(cs))
+	for i, c := range cs {
+		pts[i] = curvePoint{CurvePoint{Family: "strong", Algorithm: "nbody", N: n, P: k * c, C: c}, runNBody(n, k*c, c, 33)}
 	}
-	finishCurve(rows, profs)
+	rows, err := measureCurve(m, cost, pts)
+	if err != nil {
+		return nil, err
+	}
 	// Closed-form prediction: NBody costs at fixed M = n/k.
-	if len(rows) > 0 {
-		mem := float64(n) / float64(k)
-		const f = 19 // the paper's flops per interaction; the sim uses its own constant, ratios cancel
-		t0 := core.NBody(sc.Machine, float64(n), float64(rows[0].P), mem, f).TotalTime()
-		p0 := float64(rows[0].P)
-		pl := bounds.NBodyPlateau(float64(n), mem)
-		for i := range rows {
-			t := core.NBody(sc.Machine, float64(n), float64(rows[i].P), mem, f).TotalTime()
-			rows[i].Predicted = t0 * p0 / (t * float64(rows[i].P))
-			rows[i].PlateauP = pl.PEnd
-			rows[i].PlateauBound = pl.BindingAt(float64(rows[i].P))
-		}
-	}
+	mem := float64(n) / float64(k)
+	predictStrong(rows, bounds.NBodyPlateau(float64(n), mem), func(p float64) core.Result {
+		return core.NBody(m, float64(n), p, mem, nbody.FlopsPerPair)
+	})
 	return rows, nil
 }
 
-// RectSUMMACurve measures strong scaling of rectangular SUMMA at a fixed
-// (m,k,n) shape over a list of pr×pc process grids, annotated with the
-// tight rectangular lower bound of Al Daas et al. (arXiv:2205.13407):
-// PlateauBound names the aspect-ratio regime that governs each row's p,
-// and PlateauP the grid size beyond which all three dimensions are
-// "large" and the cube-root law takes over — the rectangular analogue of
-// the memory-independent wall. Predicted is the α-β-γ model's
-// T(p0)·p0/(T(p)·p) with W = mk/pr + kn/pc and S = 2k/panel.
-func RectSUMMACurve(sc SweepConfig, mDim, kDim, n, panel int, grids [][2]int) ([]CurvePoint, error) {
-	a, b := matmul.Phantom(mDim, kDim), matmul.Phantom(kDim, n)
-	rows := make([]CurvePoint, 0, len(grids))
-	profs := make([]*PhaseProfile, 0, len(grids))
-	model := func(pr, pc int) float64 {
-		p := float64(pr * pc)
-		w := float64(mDim*kDim)/float64(pr) + float64(kDim*n)/float64(pc)
-		s := 2 * float64(kDim) / float64(panel)
-		return sc.Machine.GammaT*2*float64(mDim)*float64(kDim)*float64(n)/p +
-			sc.Machine.BetaT*w + sc.Machine.AlphaT*s
+// predictWeak fills Predicted with the model's per-rank flop-rate ratio
+// against the first row; model prices a row's (n, p).
+func predictWeak(rows []CurvePoint, model func(n, p float64) core.Result) {
+	if len(rows) == 0 {
+		return
 	}
-	for _, g := range grids {
-		pr, pc := g[0], g[1]
-		p := pr * pc
-		or, err := runObserved(sc, p, Meta{Algorithm: "matmul-summa-rect", N: n, C: 1}, func(cost sim.Cost) (*sim.Result, error) {
-			res, err := matmul.SUMMARect(cost, pr, pc, panel, a, b)
-			if err != nil {
-				return nil, err
-			}
-			return res.Sim, nil
-		})
-		if err != nil {
-			return nil, fmt.Errorf("analytics: rect summa %dx%d: %w", pr, pc, err)
-		}
-		_, p2 := bounds.RectRegimeBoundaries(float64(mDim), float64(kDim), float64(n))
-		_, regime := bounds.RectAccesses(float64(mDim), float64(kDim), float64(n), float64(p))
-		rows = append(rows, CurvePoint{
-			Family: "strong", Algorithm: "matmul-summa-rect",
-			N: n, P: p, C: 1,
-			SimT:         or.res.Time(),
-			EnergyJ:      core.PriceSim(sc.Machine, or.res).Total(),
-			RankFlops:    or.res.MaxStats().Flops,
-			PlateauP:     p2,
-			PlateauBound: regime.BoundName(),
-		})
-		profs = append(profs, or.prof)
+	rate := func(r CurvePoint) float64 {
+		res := model(float64(r.N), float64(r.P))
+		return res.Costs.Flops / res.TotalTime()
 	}
-	finishCurve(rows, profs)
-	if len(rows) > 0 {
-		t0 := model(grids[0][0], grids[0][1])
-		p0 := float64(rows[0].P)
-		for i := range rows {
-			rows[i].Predicted = t0 * p0 / (model(grids[i][0], grids[i][1]) * float64(rows[i].P))
-		}
+	r0 := rate(rows[0])
+	for i := range rows {
+		rows[i].Predicted = rate(rows[i]) / r0
 	}
-	return rows, nil
 }
 
 // WeakMatMulCurve measures memory-constrained weak scaling: the per-rank
@@ -327,90 +262,33 @@ func RectSUMMACurve(sc SweepConfig, mDim, kDim, n, panel int, grids [][2]int) ([
 // stays 3·nb² while per-rank work n³/p = nb³·q grows with the grid. The
 // efficiency is the per-rank flop-rate ratio; the Eq. 10 corollary
 // predicts constant energy per flop.
-func WeakMatMulCurve(sc SweepConfig, nb int, qs []int) ([]CurvePoint, error) {
-	rows := make([]CurvePoint, 0, len(qs))
-	profs := make([]*PhaseProfile, 0, len(qs))
-	for _, q := range qs {
-		n := q * nb
-		p := q * q
-		a, b := matmul.Phantom(n, n), matmul.Phantom(n, n)
-		or, err := runObserved(sc, p, Meta{Algorithm: "matmul-2.5d", N: n, C: 1}, func(cost sim.Cost) (*sim.Result, error) {
-			res, err := matmul.TwoPointFiveD(cost, q, 1, a, b)
-			if err != nil {
-				return nil, err
-			}
-			return res.Sim, nil
-		})
-		if err != nil {
-			return nil, fmt.Errorf("analytics: weak matmul q=%d: %w", q, err)
-		}
-		rows = append(rows, CurvePoint{
-			Family: "weak", Algorithm: "matmul-2.5d",
-			N: n, P: p, C: 1,
-			SimT:      or.res.Time(),
-			EnergyJ:   core.PriceSim(sc.Machine, or.res).Total(),
-			RankFlops: or.res.MaxStats().Flops,
-		})
-		profs = append(profs, or.prof)
+func WeakMatMulCurve(m machine.Params, cost sim.Cost, nb int, qs []int) ([]CurvePoint, error) {
+	pts := make([]curvePoint, len(qs))
+	for i, q := range qs {
+		pts[i] = curvePoint{CurvePoint{Family: "weak", Algorithm: "matmul-2.5d", N: q * nb, P: q * q, C: 1}, runMatMul25D(q*nb, q, 1)}
 	}
-	finishCurve(rows, profs)
+	rows, err := measureCurve(m, cost, pts)
+	if err != nil {
+		return nil, err
+	}
 	// Prediction: model flop rate ratio at M = nb² per rank.
-	if len(rows) > 0 {
-		mem := float64(nb * nb)
-		rate := func(i int) float64 {
-			n, p := float64(rows[i].N), float64(rows[i].P)
-			r := core.MatMulClassical(sc.Machine, n, p, mem)
-			return r.Costs.Flops / r.TotalTime()
-		}
-		r0 := rate(0)
-		for i := range rows {
-			rows[i].Predicted = rate(i) / r0
-		}
-	}
+	predictWeak(rows, func(n, p float64) core.Result { return core.MatMulClassical(m, n, p, float64(nb*nb)) })
 	return rows, nil
 }
 
 // WeakNBodyCurve fixes bodies per rank and grows the ring: n = b·p, c = 1,
 // M = n/p = b fixed. Per-rank work f·n²/p grows linearly in p (all pairs
 // interact), so the flop-rate efficiency is the meaningful curve.
-func WeakNBodyCurve(sc SweepConfig, b int, ps []int) ([]CurvePoint, error) {
-	rows := make([]CurvePoint, 0, len(ps))
-	profs := make([]*PhaseProfile, 0, len(ps))
-	for _, p := range ps {
-		n := b * p
-		bodies := nbody.RandomBodies(n, 43)
-		or, err := runObserved(sc, p, Meta{Algorithm: "nbody", N: n, C: 1}, func(cost sim.Cost) (*sim.Result, error) {
-			res, err := nbody.Replicated(cost, p, 1, bodies)
-			if err != nil {
-				return nil, err
-			}
-			return res.Sim, nil
-		})
-		if err != nil {
-			return nil, fmt.Errorf("analytics: weak nbody p=%d: %w", p, err)
-		}
-		rows = append(rows, CurvePoint{
-			Family: "weak", Algorithm: "nbody",
-			N: n, P: p, C: 1,
-			SimT:      or.res.Time(),
-			EnergyJ:   core.PriceSim(sc.Machine, or.res).Total(),
-			RankFlops: or.res.MaxStats().Flops,
-		})
-		profs = append(profs, or.prof)
+func WeakNBodyCurve(m machine.Params, cost sim.Cost, b int, ps []int) ([]CurvePoint, error) {
+	pts := make([]curvePoint, len(ps))
+	for i, p := range ps {
+		pts[i] = curvePoint{CurvePoint{Family: "weak", Algorithm: "nbody", N: b * p, P: p, C: 1}, runNBody(b*p, p, 1, 43)}
 	}
-	finishCurve(rows, profs)
-	if len(rows) > 0 {
-		const f = 19
-		rate := func(i int) float64 {
-			n, p := float64(rows[i].N), float64(rows[i].P)
-			r := core.NBody(sc.Machine, n, p, float64(b), f)
-			return r.Costs.Flops / r.TotalTime()
-		}
-		r0 := rate(0)
-		for i := range rows {
-			rows[i].Predicted = rate(i) / r0
-		}
+	rows, err := measureCurve(m, cost, pts)
+	if err != nil {
+		return nil, err
 	}
+	predictWeak(rows, func(n, p float64) core.Result { return core.NBody(m, n, p, float64(b), nbody.FlopsPerPair) })
 	return rows, nil
 }
 
@@ -418,47 +296,22 @@ func WeakNBodyCurve(sc SweepConfig, b int, ps []int) ([]CurvePoint, error) {
 // of two by requiring e and every p to be powers of two). Per-rank work
 // n·log₂(n)/p = e·log₂(e·p) grows only logarithmically; the tree
 // all-to-all's W = n·log₂(p)/p term is what bends this curve.
-func WeakFFTCurve(sc SweepConfig, e int, ps []int) ([]CurvePoint, error) {
-	rows := make([]CurvePoint, 0, len(ps))
-	profs := make([]*PhaseProfile, 0, len(ps))
-	for _, p := range ps {
-		n := e * p
-		rng := rand.New(rand.NewSource(45))
-		x := make([]complex128, n)
-		for i := range x {
-			x[i] = complex(rng.NormFloat64(), rng.NormFloat64())
-		}
-		or, err := runObserved(sc, p, Meta{Algorithm: "fft-tree", N: n, C: 1}, func(cost sim.Cost) (*sim.Result, error) {
-			res, err := fft.Distributed(cost, p, x, true)
+func WeakFFTCurve(m machine.Params, cost sim.Cost, e int, ps []int) ([]CurvePoint, error) {
+	pts := make([]curvePoint, len(ps))
+	for i, p := range ps {
+		pts[i] = curvePoint{CurvePoint{Family: "weak", Algorithm: "fft-tree", N: e * p, P: p, C: 1}, func(cost sim.Cost) (*sim.Result, error) {
+			res, err := fft.Distributed(cost, p, fft.RandomSignal(e*p, 45), true)
 			if err != nil {
 				return nil, err
 			}
 			return res.Sim, nil
-		})
-		if err != nil {
-			return nil, fmt.Errorf("analytics: weak fft p=%d: %w", p, err)
-		}
-		rows = append(rows, CurvePoint{
-			Family: "weak", Algorithm: "fft-tree",
-			N: n, P: p, C: 1,
-			SimT:      or.res.Time(),
-			EnergyJ:   core.PriceSim(sc.Machine, or.res).Total(),
-			RankFlops: or.res.MaxStats().Flops,
-		})
-		profs = append(profs, or.prof)
+		}}
 	}
-	finishCurve(rows, profs)
-	if len(rows) > 0 {
-		rate := func(i int) float64 {
-			n, p := float64(rows[i].N), float64(rows[i].P)
-			r := core.FFT(sc.Machine, n, p, true)
-			return r.Costs.Flops / r.TotalTime()
-		}
-		r0 := rate(0)
-		for i := range rows {
-			rows[i].Predicted = rate(i) / r0
-		}
+	rows, err := measureCurve(m, cost, pts)
+	if err != nil {
+		return nil, err
 	}
+	predictWeak(rows, func(n, p float64) core.Result { return core.FFT(m, n, p, true) })
 	return rows, nil
 }
 
@@ -468,29 +321,29 @@ func WeakFFTCurve(sc SweepConfig, e int, ps []int) ([]CurvePoint, error) {
 // communication against compute enough that the strong matmul curve sits
 // near 1 while staying inside a test budget.
 func QuickCurves(m machine.Params) ([]CurvePoint, error) {
-	sc := SweepConfig{Machine: m}
+	cost := core.SimCost(m)
 	var out []CurvePoint
-	strong, err := StrongMatMulCurve(sc, 192, 4, []int{1, 2, 4})
+	strong, err := StrongMatMulCurve(m, cost, 192, 4, []int{1, 2, 4})
 	if err != nil {
 		return nil, err
 	}
 	out = append(out, strong...)
-	weak, err := WeakMatMulCurve(sc, 24, []int{2, 4, 8})
+	weak, err := WeakMatMulCurve(m, cost, 24, []int{2, 4, 8})
 	if err != nil {
 		return nil, err
 	}
 	out = append(out, weak...)
-	sn, err := StrongNBodyCurve(sc, 256, 8, []int{1, 2, 4})
+	sn, err := StrongNBodyCurve(m, cost, 256, 8, []int{1, 2, 4})
 	if err != nil {
 		return nil, err
 	}
 	out = append(out, sn...)
-	wn, err := WeakNBodyCurve(sc, 32, []int{4, 8, 16})
+	wn, err := WeakNBodyCurve(m, cost, 32, []int{4, 8, 16})
 	if err != nil {
 		return nil, err
 	}
 	out = append(out, wn...)
-	wf, err := WeakFFTCurve(sc, 256, []int{4, 8, 16})
+	wf, err := WeakFFTCurve(m, cost, 256, []int{4, 8, 16})
 	if err != nil {
 		return nil, err
 	}

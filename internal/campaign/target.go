@@ -166,15 +166,8 @@ func (t Target) Run(ctx context.Context, plan *sim.FaultPlan, obs ...sim.Observe
 	if err != nil {
 		return nil, err
 	}
-	cost := sim.Cost{
-		GammaT:      m.GammaT,
-		BetaT:       m.BetaT,
-		AlphaT:      m.AlphaT,
-		MaxMsgWords: int(m.MaxMsgWords),
-		Faults:      plan,
-		Observers:   obs,
-		Context:     ctx,
-	}
+	cost := core.SimCost(m)
+	cost.Faults, cost.Observers, cost.Context = plan, obs, ctx
 	a := matrix.Random(t.N, t.N, 41)
 	b := matrix.Random(t.N, t.N, 42)
 	res, err := resilience.SUMMAARQ(cost, t.Q, t.arqConfig(cost), a, b)

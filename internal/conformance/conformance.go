@@ -43,6 +43,7 @@ import (
 	"math"
 	"sort"
 
+	"perfscale/internal/core"
 	"perfscale/internal/machine"
 	"perfscale/internal/sim"
 )
@@ -245,12 +246,7 @@ func (c *checker) checkTrue(property, alg string, pt Point, quantity string, ok 
 // cost derives the simulated cost from the machine parameters, applying the
 // negative-testing mutation when configured.
 func (cfg *Config) cost() sim.Cost {
-	c := sim.Cost{
-		GammaT:      cfg.Machine.GammaT,
-		BetaT:       cfg.Machine.BetaT,
-		AlphaT:      cfg.Machine.AlphaT,
-		MaxMsgWords: int(cfg.Machine.MaxMsgWords),
-	}
+	c := core.SimCost(cfg.Machine)
 	if cfg.MutateCost != nil {
 		cfg.MutateCost(&c)
 	}

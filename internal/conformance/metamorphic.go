@@ -4,11 +4,10 @@ import (
 	"fmt"
 	"sync/atomic"
 
-	"perfscale/internal/core"
+	"perfscale/internal/analytics"
 	"perfscale/internal/machine"
 	"perfscale/internal/matmul"
 	"perfscale/internal/matrix"
-	"perfscale/internal/nbody"
 	"perfscale/internal/sim"
 )
 
@@ -109,64 +108,39 @@ func scalingCost(cfg Config) (machine.Params, sim.Cost) {
 }
 
 func checkSimStrongScalingMatMul(ck *checker, cfg Config) error {
-	const alg = "matmul-2.5d"
-	const n, q = 192, 4 // big enough that comm overhead (∝n²) amortizes vs compute (∝n³)
 	m, cost := scalingCost(cfg)
-	a := matrix.Random(n, n, 25)
-	b := matrix.Random(n, n, 26)
-	base, err := matmul.TwoPointFiveD(cost, q, 1, a, b)
+	// n = 192 is big enough that comm overhead (∝n²) amortizes vs compute (∝n³).
+	rows, err := analytics.StrongMatMulCurve(m, cost, 192, 4, []int{1, 2, 4})
 	if err != nil {
-		return fmt.Errorf("conformance: sim strong scaling (c=1): %w", err)
+		return fmt.Errorf("conformance: sim strong scaling: %w", err)
 	}
-	baseT := base.Sim.Time()
-	baseE := core.PriceSim(m, base.Sim).Total()
-	for _, c := range []int{2, 4} {
-		pt := Point{N: n, Q: q, C: c, P: q * q * c}
-		scaled, err := matmul.TwoPointFiveD(cost, q, c, a, b)
-		if err != nil {
-			return fmt.Errorf("conformance: sim strong scaling (c=%d): %w", c, err)
-		}
-		t := scaled.Sim.Time()
-		e := core.PriceSim(m, scaled.Sim).Total()
-		ck.checkBand("metamorphic/sim-strong-scaling-time", alg, pt, "T",
-			t*float64(c), baseT, simScalingTimeBand,
-			fmt.Sprintf("measured T(c=%d)·%d vs T(c=1): perfect strong scaling on the live runtime", c, c))
-		ck.checkBand("metamorphic/sim-strong-scaling-energy", alg, pt, "E",
-			e, baseE, simScalingEnergyBand,
-			fmt.Sprintf("measured E(c=%d) vs E(c=1): no additional energy on the live runtime", c))
-	}
+	checkStrongCurve(ck, rows, 4)
 	return nil
 }
 
 func checkSimStrongScalingNBody(ck *checker, cfg Config) error {
-	const alg = "nbody"
-	const n, k = 256, 8 // ring size fixed: per-rank block and M stay constant
 	m, cost := scalingCost(cfg)
-	bodies := nbody.RandomBodies(n, 27)
-	base, err := nbody.Replicated(cost, k, 1, bodies)
+	// Ring size k = 8 fixed: the per-rank block and M stay constant.
+	rows, err := analytics.StrongNBodyCurve(m, cost, 256, 8, []int{1, 2, 4})
 	if err != nil {
-		return fmt.Errorf("conformance: n-body strong scaling (c=1): %w", err)
+		return fmt.Errorf("conformance: sim strong scaling: %w", err)
 	}
-	baseT := base.Sim.Time()
-	baseE := core.PriceSim(m, base.Sim).Total()
-	for _, c := range []int{2, 4} {
-		p := k * c
-		if k%c != 0 { // each team must cover an integer number of shift steps
-			continue
-		}
-		pt := Point{N: n, P: p, C: c}
-		scaled, err := nbody.Replicated(cost, p, c, bodies)
-		if err != nil {
-			return fmt.Errorf("conformance: n-body strong scaling (c=%d): %w", c, err)
-		}
-		t := scaled.Sim.Time()
-		e := core.PriceSim(m, scaled.Sim).Total()
-		ck.checkBand("metamorphic/sim-strong-scaling-time", alg, pt, "T",
-			t*float64(c), baseT, simScalingTimeBand,
-			fmt.Sprintf("measured n-body T(c=%d)·%d vs T(c=1)", c, c))
-		ck.checkBand("metamorphic/sim-strong-scaling-energy", alg, pt, "E",
-			e, baseE, simScalingEnergyBand,
-			fmt.Sprintf("measured n-body E(c=%d) vs E(c=1)", c))
-	}
+	checkStrongCurve(ck, rows, 0)
 	return nil
+}
+
+// checkStrongCurve checks every row of a measured strong-scaling curve
+// against its first, c = 1 row: T·c against T(c=1) and E against E(c=1).
+// q is the matmul grid edge of the rows' points, 0 for n-body.
+func checkStrongCurve(ck *checker, rows []analytics.CurvePoint, q int) {
+	base := rows[0]
+	for _, r := range rows[1:] {
+		pt := Point{N: r.N, Q: q, C: r.C, P: r.P}
+		ck.checkBand("metamorphic/sim-strong-scaling-time", r.Algorithm, pt, "T",
+			r.SimT*float64(r.C), base.SimT, simScalingTimeBand,
+			fmt.Sprintf("measured %s T(c=%d)·%d vs T(c=1): perfect strong scaling on the live runtime", r.Algorithm, r.C, r.C))
+		ck.checkBand("metamorphic/sim-strong-scaling-energy", r.Algorithm, pt, "E",
+			r.EnergyJ, base.EnergyJ, simScalingEnergyBand,
+			fmt.Sprintf("measured %s E(c=%d) vs E(c=1): no additional energy on the live runtime", r.Algorithm, r.C))
+	}
 }

@@ -4,10 +4,8 @@ import (
 	"fmt"
 	"math"
 
+	"perfscale/internal/analytics"
 	"perfscale/internal/core"
-	"perfscale/internal/matmul"
-	"perfscale/internal/matrix"
-	"perfscale/internal/nbody"
 )
 
 // weakSimBands bound the measured weak-scaling transform on the live
@@ -75,71 +73,53 @@ func checkWeakClosedForms(ck *checker, cfg Config) {
 }
 
 func checkSimWeakScalingMatMul(ck *checker, cfg Config) error {
-	const alg = "matmul-2.5d"
-	const nb = 24 // per-rank block edge, fixed: per-rank memory 3·nb²
 	m, cost := scalingCost(cfg)
 	qs := []int{2, 4}
 	if cfg.Level == Full {
 		qs = append(qs, 8)
 	}
-	var rate0, epf0 float64
-	for i, q := range qs {
-		n := q * nb
-		p := q * q
-		a := matrix.Random(n, n, 41)
-		b := matrix.Random(n, n, 42)
-		res, err := matmul.TwoPointFiveD(cost, q, 1, a, b)
-		if err != nil {
-			return fmt.Errorf("conformance: sim weak scaling matmul q=%d: %w", q, err)
-		}
-		flops := res.Sim.MaxStats().Flops
-		rate := flops / res.Sim.Time()
-		epf := core.PriceSim(m, res.Sim).Total() / (float64(p) * flops)
-		if i == 0 {
-			rate0, epf0 = rate, epf
-			continue
-		}
-		pt := Point{N: n, Q: q, P: p}
-		ck.checkBand("weak/sim-flop-rate", alg, pt, "F/T",
-			rate, rate0, weakSimRateBand,
-			fmt.Sprintf("per-rank flop rate at q=%d vs q=%d (block nb=%d fixed)", q, qs[0], nb))
-		ck.checkBand("weak/sim-energy-per-flop", alg, pt, "E/flop",
-			epf, epf0, weakSimEnergyBand,
-			fmt.Sprintf("measured energy per flop at q=%d vs q=%d (block nb=%d fixed)", q, qs[0], nb))
+	// Per-rank block edge nb = 24, fixed: per-rank memory 3·nb².
+	rows, err := analytics.WeakMatMulCurve(m, cost, 24, qs)
+	if err != nil {
+		return fmt.Errorf("conformance: sim weak scaling: %w", err)
 	}
+	checkWeakCurve(ck, rows, qs)
 	return nil
 }
 
 func checkSimWeakScalingNBody(ck *checker, cfg Config) error {
-	const alg = "nbody"
-	const b = 32 // bodies per rank, fixed: M = b
 	m, cost := scalingCost(cfg)
 	ps := []int{4, 8}
 	if cfg.Level == Full {
 		ps = append(ps, 16)
 	}
-	var rate0, epf0 float64
-	for i, p := range ps {
-		n := b * p
-		bodies := nbody.RandomBodies(n, 43)
-		res, err := nbody.Replicated(cost, p, 1, bodies)
-		if err != nil {
-			return fmt.Errorf("conformance: sim weak scaling n-body p=%d: %w", p, err)
-		}
-		flops := res.Sim.MaxStats().Flops
-		rate := flops / res.Sim.Time()
-		epf := core.PriceSim(m, res.Sim).Total() / (float64(p) * flops)
-		if i == 0 {
-			rate0, epf0 = rate, epf
-			continue
-		}
-		pt := Point{N: n, P: p}
-		ck.checkBand("weak/sim-flop-rate", alg, pt, "F/T",
-			rate, rate0, weakSimRateBand,
-			fmt.Sprintf("per-rank flop rate at p=%d vs p=%d (bodies per rank %d fixed)", p, ps[0], b))
-		ck.checkBand("weak/sim-energy-per-flop", alg, pt, "E/flop",
-			epf, epf0, weakSimEnergyBand,
-			fmt.Sprintf("measured energy per flop at p=%d vs p=%d (bodies per rank %d fixed)", p, ps[0], b))
+	// Bodies per rank b = 32, fixed: M = b.
+	rows, err := analytics.WeakNBodyCurve(m, cost, 32, ps)
+	if err != nil {
+		return fmt.Errorf("conformance: sim weak scaling: %w", err)
 	}
+	checkWeakCurve(ck, rows, nil)
 	return nil
+}
+
+// checkWeakCurve checks every row of a measured weak-scaling curve against
+// its first: the per-rank flop rate F/T and the energy per flop
+// E/(p·F). qs are the matmul grid edges of the rows' points, nil for
+// n-body.
+func checkWeakCurve(ck *checker, rows []analytics.CurvePoint, qs []int) {
+	rate := func(r analytics.CurvePoint) float64 { return r.RankFlops / r.SimT }
+	epf := func(r analytics.CurvePoint) float64 { return r.EnergyJ / (float64(r.P) * r.RankFlops) }
+	base := rows[0]
+	for i, r := range rows[1:] {
+		pt := Point{N: r.N, P: r.P}
+		if qs != nil {
+			pt.Q = qs[i+1]
+		}
+		ck.checkBand("weak/sim-flop-rate", r.Algorithm, pt, "F/T",
+			rate(r), rate(base), weakSimRateBand,
+			fmt.Sprintf("per-rank flop rate at n=%d p=%d vs n=%d p=%d (per-rank memory fixed)", r.N, r.P, base.N, base.P))
+		ck.checkBand("weak/sim-energy-per-flop", r.Algorithm, pt, "E/flop",
+			epf(r), epf(base), weakSimEnergyBand,
+			fmt.Sprintf("measured energy per flop at n=%d p=%d vs n=%d p=%d (per-rank memory fixed)", r.N, r.P, base.N, base.P))
+	}
 }

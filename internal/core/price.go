@@ -6,6 +6,13 @@ import (
 	"perfscale/internal/sim"
 )
 
+// SimCost is machine m's clock for the simulator: γt, βt, αt and the
+// message-size cap. The energy parameters never reach a run; PriceSim
+// applies them to the finished counters.
+func SimCost(m machine.Params) sim.Cost {
+	return sim.Cost{GammaT: m.GammaT, BetaT: m.BetaT, AlphaT: m.AlphaT, MaxMsgWords: int(m.MaxMsgWords)}
+}
+
 // PriceSim applies the paper's energy model (Eq. 2) to a finished
 // simulation: each rank's measured flops, words and messages are priced
 // individually, every rank is charged δe·M·T + εe·T for the full simulated

@@ -480,14 +480,8 @@ func (s *Server) checkSimSize(sq simulateQuery) *apiError {
 // and do not depend on the seed, which the response and cache key still
 // carry.
 func runSimulate(ctx context.Context, sq simulateQuery, observers []sim.Observer) (*simulateResponse, *apiError) {
-	cost := sim.Cost{
-		GammaT:      sq.m.GammaT,
-		BetaT:       sq.m.BetaT,
-		AlphaT:      sq.m.AlphaT,
-		MaxMsgWords: int(sq.m.MaxMsgWords),
-		Observers:   observers,
-		Context:     ctx,
-	}
+	cost := core.SimCost(sq.m)
+	cost.Observers, cost.Context = observers, ctx
 	a, b := matmul.Phantom(sq.n, sq.n), matmul.Phantom(sq.n, sq.n)
 	start := time.Now()
 	var rr *matmul.RunResult
