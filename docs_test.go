@@ -1,6 +1,7 @@
 package perfscale_test
 
 import (
+	"go/ast"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -16,7 +17,69 @@ var (
 	internalPkg = regexp.MustCompile(`\binternal/([a-z0-9_]+)`)
 	internalRef = regexp.MustCompile(`\binternal/[\w/-]+\.(?:go|json)\b`)
 	examplePath = regexp.MustCompile(`\bexamples/([a-z0-9_]+)`)
+	goName      = regexp.MustCompile(`\b([a-z0-9_]+)\.([A-Z]\w*)(?:\.([A-Z]\w*))?`)
 )
+
+// internalDecls maps each internal package's name to its top-level names,
+// tests included, and each "<pkg>.<Type>" to the type's methods and fields.
+// A type with an embedded field maps to nil: its promoted members are not
+// listed.
+func internalDecls(t *testing.T) (pkgs map[string]map[string]bool, members map[string]map[string]bool) {
+	t.Helper()
+	pkgs, members = map[string]map[string]bool{}, map[string]map[string]bool{}
+	for _, pkg := range parseTree(t, true) {
+		name, ok := strings.CutPrefix(pkg.dir, "internal/")
+		if !ok || strings.Contains(name, "/") {
+			continue
+		}
+		if pkgs[name] == nil {
+			pkgs[name] = map[string]bool{}
+		}
+		add := func(typ, member string) {
+			key := name + "." + typ
+			if _, seen := members[key]; !seen {
+				members[key] = map[string]bool{}
+			}
+			if members[key] != nil {
+				members[key][member] = true
+			}
+		}
+		for _, f := range pkg.files {
+			for _, d := range f.Decls {
+				for _, n := range declNames(d) {
+					if typ, method, ok := strings.Cut(n, "."); ok {
+						add(typ, method)
+					} else {
+						pkgs[name][n] = true
+					}
+				}
+				gd, ok := d.(*ast.GenDecl)
+				if !ok {
+					continue
+				}
+				for _, spec := range gd.Specs {
+					ts, ok := spec.(*ast.TypeSpec)
+					if !ok {
+						continue
+					}
+					st, ok := ts.Type.(*ast.StructType)
+					if !ok {
+						continue
+					}
+					for _, field := range st.Fields.List {
+						if len(field.Names) == 0 {
+							members[name+"."+ts.Name.Name] = nil
+						}
+						for _, fn := range field.Names {
+							add(ts.Name.Name, fn.Name)
+						}
+					}
+				}
+			}
+		}
+	}
+	return pkgs, members
+}
 
 // docFiles are the documents that describe the current tree. CHANGES.md
 // and ROADMAP.md are history and may name what no longer exists.
@@ -61,9 +124,12 @@ func mainFlags(t *testing.T, name string) map[string]bool {
 
 // TestDocsReferences holds the documents to the tree: every cmd/<name>
 // names a main that exists, every -flag written after `go run ./cmd/<name>`
-// or an inline `cmd/<name>` on the same line is one that main defines, and
-// every internal/<pkg>, examples/<name> and internal/... file path exists.
+// or an inline `cmd/<name>` on the same line is one that main defines,
+// every internal/<pkg>, examples/<name> and internal/... file path exists,
+// and every <pkg>.<Name> of an internal package names one of its
+// declarations (and <pkg>.<Type>.<Member> a method or field of that type).
 func TestDocsReferences(t *testing.T) {
+	decls, members := internalDecls(t)
 	mains := map[string]map[string]bool{}
 	flagsOf := func(name string) map[string]bool {
 		if f, ok := mains[name]; ok {
@@ -112,6 +178,18 @@ func TestDocsReferences(t *testing.T) {
 			for _, path := range internalRef.FindAllString(line, -1) {
 				if _, err := os.Stat(path); err != nil {
 					at("%s does not exist", path)
+				}
+			}
+			for _, m := range goName.FindAllStringSubmatch(line, -1) {
+				names := decls[m[1]]
+				switch {
+				case names == nil:
+				case !names[m[2]]:
+					at("%s.%s is not declared in internal/%s", m[1], m[2], m[1])
+				case m[3] != "":
+					if ms, ok := members[m[1]+"."+m[2]]; ok && ms != nil && !ms[m[3]] {
+						at("%s.%s has no method or field %s", m[1], m[2], m[3])
+					}
 				}
 			}
 		}

@@ -257,7 +257,7 @@ func TestEfficiencyMeasuredVsModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	measured := core.SimEfficiency(m, res.Sim)
+	measured := res.Sim.TotalStats().Flops / core.PriceSim(m, res.Sim).Total() / 1e9
 	mem := res.Sim.MaxStats().PeakMemWords
 	model := core.MatMulClassical(m, n, 32, mem).GFLOPSPerWatt()
 	ratio := measured / model

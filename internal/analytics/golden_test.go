@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
+	"io"
 	"os"
 	"strings"
 	"testing"
@@ -28,7 +29,7 @@ func TestCurvesGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got bytes.Buffer
-	if err := WriteCurves(&got, "simdefault", rows); err != nil {
+	if err := writeCurves(&got, "simdefault", rows); err != nil {
 		t.Fatal(err)
 	}
 	if *update {
@@ -51,7 +52,7 @@ func TestCurvesGolden(t *testing.T) {
 		t.Fatalf("fresh curves differ from %s in length: %d lines, want %d", curvesGolden, len(g), len(w))
 	}
 
-	var f CurveFile
+	var f curveFile
 	if err := json.Unmarshal(want, &f); err != nil {
 		t.Fatal(err)
 	}
@@ -67,4 +68,21 @@ func TestCurvesGolden(t *testing.T) {
 			t.Errorf("curve file misses %s (have %v)", fam, seen)
 		}
 	}
+}
+
+// curveFile is the curves artifact writeCurves writes. BENCH_scaling.json
+// is the committed one, a golden file of QuickCurves on simdefault.
+type curveFile struct {
+	Machine string       `json:"machine"`
+	Curves  []CurvePoint `json:"scaling_curves"`
+}
+
+// writeCurves writes the curves artifact to w.
+func writeCurves(w io.Writer, machineName string, curves []CurvePoint) error {
+	buf, err := json.MarshalIndent(curveFile{Machine: machineName, Curves: curves}, "", "  ")
+	if err != nil {
+		return err
+	}
+	_, err = w.Write(append(buf, '\n'))
+	return err
 }

@@ -1,9 +1,7 @@
 package analytics
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 
 	"perfscale/internal/bounds"
 	"perfscale/internal/core"
@@ -58,23 +56,6 @@ type CurvePoint struct {
 	// regression.
 	PlateauP     float64 `json:"plateau_p,omitempty"`
 	PlateauBound string  `json:"plateau_bound,omitempty"`
-}
-
-// CurveFile is the curves artifact WriteCurves writes. BENCH_scaling.json
-// is the committed one, a golden file of QuickCurves on simdefault.
-type CurveFile struct {
-	Machine string       `json:"machine"`
-	Curves  []CurvePoint `json:"scaling_curves"`
-}
-
-// WriteCurves writes the curves artifact to w.
-func WriteCurves(w io.Writer, machineName string, curves []CurvePoint) error {
-	buf, err := json.MarshalIndent(CurveFile{Machine: machineName, Curves: curves}, "", "  ")
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(append(buf, '\n'))
-	return err
 }
 
 // curvePoint is one point of a curve to measure: the row's coordinates

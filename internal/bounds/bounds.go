@@ -21,23 +21,6 @@ func SequentialWords(flops, mem, inputOutput float64) float64 {
 	return math.Max(inputOutput, flops/math.Sqrt(mem))
 }
 
-// SequentialMessages returns the sequential message bound (Eq. 4):
-// the word bound divided by the maximum message size m.
-func SequentialMessages(flops, mem, inputOutput, maxMsg float64) float64 {
-	return SequentialWords(flops, mem, inputOutput) / maxMsg
-}
-
-// ParallelWords returns the parallel-model per-processor word bound
-// (Eq. 5): max(0, F/√M − (I+O)).
-func ParallelWords(flops, mem, inputOutput float64) float64 {
-	return math.Max(0, flops/math.Sqrt(mem)-inputOutput)
-}
-
-// ParallelMessages returns the parallel message bound: ParallelWords/m.
-func ParallelMessages(flops, mem, inputOutput, maxMsg float64) float64 {
-	return ParallelWords(flops, mem, inputOutput) / maxMsg
-}
-
 // Costs holds per-processor algorithm costs: the F, W and S of Eq. 1.
 type Costs struct {
 	Flops float64 // F

@@ -23,29 +23,6 @@ func TestSequentialWords(t *testing.T) {
 	}
 }
 
-func TestSequentialMessages(t *testing.T) {
-	if got := SequentialMessages(1000, 100, 50, 10); got != 10 {
-		t.Errorf("got %g want 10", got)
-	}
-}
-
-func TestParallelWords(t *testing.T) {
-	// F/√M − (I+O) = 100 − 30 = 70.
-	if got := ParallelWords(1000, 100, 30); got != 70 {
-		t.Errorf("got %g want 70", got)
-	}
-	// Enough I/O data: bound clamps at zero ("conceivably no communication").
-	if got := ParallelWords(1000, 100, 500); got != 0 {
-		t.Errorf("got %g want 0", got)
-	}
-}
-
-func TestParallelMessages(t *testing.T) {
-	if got := ParallelMessages(1000, 100, 30, 7); !approx(got, 10, 1e-12) {
-		t.Errorf("got %g want 10", got)
-	}
-}
-
 func TestClassicalMatMulCosts(t *testing.T) {
 	n, p, mem, m := 1000.0, 8.0, 250000.0, 1000.0
 	c := ClassicalMatMul(n, p, mem, m)

@@ -47,18 +47,6 @@ func (bs BoundSet) Max() Bound {
 	return best
 }
 
-// MaxMemIndependent returns the largest memory-independent member — the
-// floor that no replication factor can tunnel under.
-func (bs BoundSet) MaxMemIndependent() Bound {
-	var best Bound
-	for _, b := range bs.All {
-		if b.MemIndependent && b.Words > best.Words {
-			best = b
-		}
-	}
-	return best
-}
-
 // MatMulProblem identifies one matmul instance for the composite
 // constructors: C = A·B with A M×K and B K×N (all equal for square) on P
 // processors with Mem words of local memory each. Mem ≤ 0 skips the

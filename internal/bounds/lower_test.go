@@ -179,9 +179,9 @@ func TestPlateauCrossover(t *testing.T) {
 		t.Fatalf("past region binding = %q", got)
 	}
 	// The endpoint itself is where the memory-independent bound starts to
-	// bind: Past includes it, the interior does not.
-	if !pl.Past(pl.PEnd) || !pl.Past(pl.PEnd*1.01) || pl.Past(pl.PEnd*0.99) {
-		t.Fatal("Past misclassifies the endpoint")
+	// bind: BindingAt names it there, and not just inside.
+	if pl.BindingAt(pl.PEnd) != BoundClassicalMemIndep || pl.BindingAt(pl.PEnd*0.99) != BoundClassicalMemDep {
+		t.Fatal("BindingAt misclassifies the endpoint")
 	}
 	// Strassen saturates earlier than classical for M < n².
 	fast := FastPlateau(n, mem, OmegaStrassen)
@@ -212,7 +212,12 @@ func TestMatMulBoundsAttribution(t *testing.T) {
 	if len(bs.All) != 2 {
 		t.Fatalf("want 2 members, got %d", len(bs.All))
 	}
-	mi := bs.MaxMemIndependent()
+	var mi Bound
+	for _, b := range bs.All {
+		if b.MemIndependent {
+			mi = b
+		}
+	}
 	if mi.Name != BoundClassicalMemIndep || !mi.MemIndependent {
 		t.Fatalf("mem-independent member = %+v", mi)
 	}

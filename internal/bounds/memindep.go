@@ -183,11 +183,6 @@ func (pl Plateau) BindingAt(p float64) string {
 	return pl.DependentBound
 }
 
-// Past reports whether p lies at or beyond the perfect-scaling plateau end
-// — the points where the memory-independent bound binds (same epsilon as
-// BindingAt).
-func (pl Plateau) Past(p float64) bool { return p >= pl.PEnd*(1-1e-12) }
-
 // ClassicalPlateau returns the plateau descriptor for classical matmul at
 // fixed n and per-processor memory M: perfect strong scaling from
 // pmin = n²/M to PEnd = n³/M^(3/2), where n³/(p√M) meets n²/p^(2/3).

@@ -196,9 +196,6 @@ func Resume(st *State) (*Engine, error) {
 	return &Engine{st: st}, nil
 }
 
-// State returns the engine's current state (live, not a copy).
-func (e *Engine) State() *State { return e.st }
-
 // Run executes the campaign to completion, budget exhaustion, or
 // cancellation. It returns the final state alongside nil (completed),
 // ErrBudget, ErrInterrupted, or a harness error.

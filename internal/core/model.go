@@ -116,12 +116,6 @@ func FastMatMul(m machine.Params, n, p, mem, omega0 float64) Result {
 	return Eval(m, bounds.FastMatMul(n, p, mem, m.MaxMsgWords, omega0), p, mem)
 }
 
-// FastMatMulUnlimited evaluates the FUM regime (Eq. 14): the fast algorithm
-// at its maximum useful memory M = n²/p^(2/ω0).
-func FastMatMulUnlimited(m machine.Params, n, p, omega0 float64) Result {
-	return FastMatMul(m, n, p, n*n/math.Pow(p, 2/omega0), omega0)
-}
-
 // LU evaluates 2.5D LU factorization at (n, p, M). Its bandwidth term
 // matches matmul but its latency term S = √(c·p) does not strong scale.
 func LU(m machine.Params, n, p, mem float64) Result {
@@ -170,17 +164,6 @@ func MatMulEnergyClosedForm(m machine.Params, n, mem float64) float64 {
 func MatMulTimeClosedForm(m machine.Params, n, p, mem float64) float64 {
 	n3 := n * n * n
 	return m.GammaT*n3/p + m.CommTimePerWord()*n3/(math.Sqrt(mem)*p)
-}
-
-// MatMul3DEnergyClosedForm implements Eq. 11, the energy at the 3D limit
-// p = n³/M^(3/2):
-//
-//	E = (γe+γt·εe)·n³ + B·n²·p^(1/3) + δe·γt·n⁵/p^(2/3) + δe·(βt+αt/m)·n⁴/p^(1/3)
-func MatMul3DEnergyClosedForm(m machine.Params, n, p float64) float64 {
-	return m.FlopEnergy()*n*n*n +
-		m.CommEnergyPerWord()*n*n*math.Cbrt(p) +
-		m.DeltaE*m.GammaT*math.Pow(n, 5)/math.Pow(p, 2.0/3.0) +
-		m.DeltaE*m.CommTimePerWord()*math.Pow(n, 4)/math.Cbrt(p)
 }
 
 // FastMatMulEnergyClosedForm implements Eq. 13 (FLM):
@@ -238,20 +221,6 @@ func FFTTimeClosedForm(m machine.Params, n, p float64) float64 {
 	return m.GammaT*n*math.Log2(n)/p + m.BetaT*n*math.Log2(p)/p + m.AlphaT*math.Log2(p)
 }
 
-// FFTEnergyClosedForm implements the Section IV FFT energy with the tree
-// all-to-all:
-//
-//	E = (γe+εe·γt)·n·log n + (αe+εe·αt)·p·log p + (βe+εe·βt+δe·αt)·n·log p
-//	    + δe·γt·n²·log(n)/p + δe·βt·n²·log(p)/p
-func FFTEnergyClosedForm(m machine.Params, n, p float64) float64 {
-	lgN, lgP := math.Log2(n), math.Log2(p)
-	return (m.GammaE+m.EpsilonE*m.GammaT)*n*lgN +
-		(m.AlphaE+m.EpsilonE*m.AlphaT)*p*lgP +
-		(m.BetaE+m.EpsilonE*m.BetaT+m.DeltaE*m.AlphaT)*n*lgP +
-		m.DeltaE*m.GammaT*n*n*lgN/p +
-		m.DeltaE*m.BetaT*n*n*lgP/p
-}
-
 // --- Validation helpers -----------------------------------------------------
 
 // CheckMatMulRange returns an error when (p, M) lies outside the classical
@@ -272,30 +241,4 @@ func CheckNBodyRange(n, p, mem float64) error {
 			mem, n/p, n/math.Sqrt(p), n, p)
 	}
 	return nil
-}
-
-// TotalOverlapped returns the runtime under the paper's footnote-1
-// alternative semantics: computation and communication fully overlapped,
-// T = max(γt·F, βt·W, αt·S). The paper notes overlap "could reduce the
-// time by at most a factor of 2 or 3" — AdditiveOverOverlap quantifies it.
-func (t TimeBreakdown) TotalOverlapped() float64 {
-	m := t.Compute
-	if t.Bandwidth > m {
-		m = t.Bandwidth
-	}
-	if t.Latency > m {
-		m = t.Latency
-	}
-	return m
-}
-
-// AdditiveOverOverlap returns Total()/TotalOverlapped(), the constant the
-// no-overlap assumption costs: always in [1, 3] since three terms are
-// summed versus maxed.
-func (t TimeBreakdown) AdditiveOverOverlap() float64 {
-	o := t.TotalOverlapped()
-	if o == 0 {
-		return 1
-	}
-	return t.Total() / o
 }

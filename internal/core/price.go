@@ -1,7 +1,6 @@
 package core
 
 import (
-	"perfscale/internal/bounds"
 	"perfscale/internal/machine"
 	"perfscale/internal/sim"
 )
@@ -32,35 +31,4 @@ func PriceSim(m machine.Params, res *sim.Result) EnergyBreakdown {
 		e.Leakage += m.EpsilonE * T
 	}
 	return e
-}
-
-// PriceSimResult wraps PriceSim into a full Result using the busiest
-// rank's counters as the per-processor F/W/S and the simulated runtime as
-// T, so the measured configuration can be compared against model
-// evaluations of the same (p, M) point.
-func PriceSimResult(m machine.Params, res *sim.Result) Result {
-	s := res.MaxStats()
-	p := float64(len(res.PerRank))
-	r := Result{
-		P:   p,
-		Mem: s.PeakMemWords,
-		Costs: bounds.Costs{
-			Flops: s.Flops,
-			Words: s.WordsSent,
-			Msgs:  s.MsgsSent,
-		},
-		Time: TimeBreakdown{
-			Compute:   m.GammaT * s.Flops,
-			Bandwidth: m.BetaT * s.WordsSent,
-			Latency:   m.AlphaT * s.MsgsSent,
-		},
-		Energy: PriceSim(m, res),
-	}
-	return r
-}
-
-// SimEfficiency returns the measured GFLOPS/W of a simulation: total flops
-// actually executed divided by the priced energy.
-func SimEfficiency(m machine.Params, res *sim.Result) float64 {
-	return res.TotalStats().Flops / PriceSim(m, res).Total() / 1e9
 }

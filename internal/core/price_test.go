@@ -50,47 +50,3 @@ func TestPriceSimHandComputed(t *testing.T) {
 		t.Errorf("leakage energy %g", e.Leakage)
 	}
 }
-
-func TestPriceSimResultConsistency(t *testing.T) {
-	m := testMachine()
-	res, err := sim.Run(4, sim.Cost{GammaT: m.GammaT, BetaT: m.BetaT, AlphaT: m.AlphaT}, func(r *sim.Rank) error {
-		r.Alloc(100)
-		r.Compute(1000)
-		r.World().AllReduce([]float64{1}, sim.OpSum)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pr := PriceSimResult(m, res)
-	if pr.P != 4 {
-		t.Errorf("P = %g", pr.P)
-	}
-	if pr.Costs.Flops < 1000 {
-		t.Errorf("flops %g", pr.Costs.Flops)
-	}
-	if pr.TotalEnergy() != PriceSim(m, res).Total() {
-		t.Error("energy must come from PriceSim")
-	}
-}
-
-func TestSimEfficiencyPositive(t *testing.T) {
-	m := testMachine()
-	res, err := sim.Run(2, sim.Cost{GammaT: m.GammaT}, func(r *sim.Rank) error {
-		r.Compute(1e6)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	eff := SimEfficiency(m, res)
-	if eff <= 0 {
-		t.Errorf("efficiency %g", eff)
-	}
-	// Pure compute with εe and δe≈0-memory: efficiency ≈ 1/γe/1e9 within
-	// the leakage correction.
-	peak := m.PeakEfficiencyGFLOPSPerWatt()
-	if eff > peak {
-		t.Errorf("measured efficiency %g cannot exceed compute-only peak %g", eff, peak)
-	}
-}

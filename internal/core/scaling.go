@@ -3,7 +3,6 @@ package core
 import (
 	"math"
 
-	"perfscale/internal/bounds"
 	"perfscale/internal/machine"
 )
 
@@ -90,27 +89,6 @@ func MatMul3DLimitSweep(m machine.Params, n float64, ps []float64) []Result {
 		out = append(out, MatMul3DLimit(m, n, p))
 	}
 	return out
-}
-
-// ScalingRangeFor describes, for a problem size and per-processor memory,
-// where an algorithm's perfect-strong-scaling region begins and ends in p.
-type ScalingRange struct {
-	PMin, PMax float64
-}
-
-// MatMulScalingRange returns [n²/M, n³/M^(3/2)].
-func MatMulScalingRange(n, mem float64) ScalingRange {
-	return ScalingRange{PMin: bounds.MatMulPMin(n, mem), PMax: bounds.MatMulPMax(n, mem)}
-}
-
-// FastMatMulScalingRange returns [n²/M, n^ω0/M^(ω0/2)].
-func FastMatMulScalingRange(n, mem, omega0 float64) ScalingRange {
-	return ScalingRange{PMin: bounds.MatMulPMin(n, mem), PMax: bounds.FastMatMulPMax(n, mem, omega0)}
-}
-
-// NBodyScalingRange returns [n/M, n²/M²].
-func NBodyScalingRange(n, mem float64) ScalingRange {
-	return ScalingRange{PMin: bounds.NBodyPMin(n, mem), PMax: bounds.NBodyPMax(n, mem)}
 }
 
 // MatMulWeakScalingSweep evaluates memory-constrained weak scaling: the

@@ -15,9 +15,6 @@ type TwoLevelResult struct {
 	Energy float64
 }
 
-// P returns the total core count.
-func (r TwoLevelResult) P() float64 { return r.PN * r.PL }
-
 // TwoLevelMatMul evaluates the paper's Eq. 12: classical matrix
 // multiplication on a machine of pn nodes × pl cores, with node memory Mn
 // and core-local memory Ml. Latency is folded in via the substitution

@@ -18,15 +18,6 @@ func benchmarkSerial(b *testing.B, n int) {
 func BenchmarkSerial1k(b *testing.B)  { benchmarkSerial(b, 1<<10) }
 func BenchmarkSerial64k(b *testing.B) { benchmarkSerial(b, 1<<16) }
 
-func BenchmarkConvolve4k(b *testing.B) {
-	x := RandomSignal(1<<12, 1)
-	y := RandomSignal(1<<12, 2)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = Convolve(x, y)
-	}
-}
-
 // BenchmarkDistributed times E15's simulator runs: the naive and the tree
 // all-to-all exchange at n = 1024, p = 16.
 func BenchmarkDistributed(b *testing.B) {

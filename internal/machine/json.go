@@ -79,15 +79,6 @@ func LoadFile(path string) (Params, error) {
 	return p, nil
 }
 
-// SaveFile writes the parameter set to a JSON file.
-func (p Params) SaveFile(path string) error {
-	data, err := json.MarshalIndent(p, "", "  ")
-	if err != nil {
-		return fmt.Errorf("machine: %w", err)
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
 // Resolve returns a machine from either a preset name or, when the name
 // ends in ".json", a parameter file — the lookup every command-line tool
 // shares.

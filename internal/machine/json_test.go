@@ -29,7 +29,7 @@ func TestJSONRoundTrip(t *testing.T) {
 func TestSaveLoadFile(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "machine.json")
 	orig := Illustrative()
-	if err := orig.SaveFile(path); err != nil {
+	if err := saveFile(orig, path); err != nil {
 		t.Fatal(err)
 	}
 	got, err := LoadFile(path)
@@ -135,7 +135,7 @@ func TestResolve(t *testing.T) {
 		t.Errorf("preset resolve failed: %v %v", p.Name, err)
 	}
 	path := filepath.Join(t.TempDir(), "m.json")
-	if err := SimDefault().SaveFile(path); err != nil {
+	if err := saveFile(SimDefault(), path); err != nil {
 		t.Fatal(err)
 	}
 	if p, err := Resolve(path); err != nil || p.Name != "simdefault" {
@@ -148,4 +148,13 @@ func TestResolve(t *testing.T) {
 
 func writeFile(path string, data []byte) error {
 	return os.WriteFile(path, data, 0o644)
+}
+
+// saveFile writes p to path as the JSON that LoadFile reads.
+func saveFile(p Params, path string) error {
+	data, err := json.Marshal(p)
+	if err != nil {
+		return err
+	}
+	return writeFile(path, data)
 }

@@ -123,9 +123,6 @@ func (p Params) Validate() error {
 	return errors.Join(errs...)
 }
 
-// Clone returns a copy of the parameter set.
-func (p Params) Clone() Params { return p }
-
 // ScaleEnergy returns a copy with the selected energy parameters multiplied
 // by factor. It is the primitive behind the paper's Figure 6 (scale one
 // parameter per process generation) and Figure 7 (scale several together).
@@ -182,20 +179,6 @@ func (p Params) FlopEnergy() float64 {
 	return p.GammaE + p.GammaT*p.EpsilonE
 }
 
-// PeakFlops returns the peak flop rate 1/γt in flop/s.
-func (p Params) PeakFlops() float64 { return 1 / p.GammaT }
-
-// PeakEfficiencyGFLOPSPerWatt returns the compute-only efficiency
-// 1/γe expressed in GFLOPS/W, the headline metric of Section VI. It ignores
-// communication and memory energy; full-algorithm efficiencies come from the
-// core cost models.
-func (p Params) PeakEfficiencyGFLOPSPerWatt() float64 {
-	if p.GammaE == 0 {
-		return math.Inf(1)
-	}
-	return 1 / p.GammaE / 1e9
-}
-
 // String summarizes the parameter set.
 func (p Params) String() string {
 	return fmt.Sprintf("machine %q: γt=%.4g βt=%.4g αt=%.4g | γe=%.4g βe=%.4g αe=%.4g δe=%.4g εe=%.4g | M=%.4g m=%.4g",
@@ -238,35 +221,6 @@ type TwoLevel struct {
 	DeltaEL float64
 	// MaxMsgL is the intra-node maximum message size in words.
 	MaxMsgL float64
-}
-
-// Validate reports whether the two-level parameter set is meaningful.
-func (t TwoLevel) Validate() error {
-	var errs []error
-	if !positive(t.GammaT) {
-		errs = append(errs, fmt.Errorf("gamma_t must be finite and positive, got %g", t.GammaT))
-	}
-	for _, c := range []struct {
-		name string
-		v    float64
-	}{
-		{"gamma_e", t.GammaE}, {"epsilon_e", t.EpsilonE},
-		{"beta_t^n", t.BetaTN}, {"alpha_t^n", t.AlphaTN},
-		{"beta_e^n", t.BetaEN}, {"alpha_e^n", t.AlphaEN}, {"delta_e^n", t.DeltaEN},
-		{"beta_t^l", t.BetaTL}, {"alpha_t^l", t.AlphaTL},
-		{"beta_e^l", t.BetaEL}, {"alpha_e^l", t.AlphaEL}, {"delta_e^l", t.DeltaEL},
-	} {
-		if c.v < 0 || math.IsNaN(c.v) || math.IsInf(c.v, 0) {
-			errs = append(errs, fmt.Errorf("%s must be finite and non-negative, got %g", c.name, c.v))
-		}
-	}
-	if !positive(t.MemN) || !positive(t.MemL) {
-		errs = append(errs, fmt.Errorf("memories must be finite and positive, got Mn=%g Ml=%g", t.MemN, t.MemL))
-	}
-	if !positive(t.MaxMsgN) || !positive(t.MaxMsgL) {
-		errs = append(errs, fmt.Errorf("max messages must be finite and positive, got mn=%g ml=%g", t.MaxMsgN, t.MaxMsgL))
-	}
-	return errors.Join(errs...)
 }
 
 // positive reports whether v is a finite number above zero; NaN and ±Inf

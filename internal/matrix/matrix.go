@@ -46,20 +46,6 @@ func (a *Dense) Clone() *Dense {
 	return b
 }
 
-// Equalish reports whether a and b have the same shape and every element
-// agrees within tol.
-func (a *Dense) Equalish(b *Dense, tol float64) bool {
-	if a.Rows != b.Rows || a.Cols != b.Cols {
-		return false
-	}
-	for i, v := range a.Data {
-		if math.Abs(v-b.Data[i]) > tol {
-			return false
-		}
-	}
-	return true
-}
-
 // MaxAbsDiff returns the largest elementwise |a-b|; shapes must match.
 func (a *Dense) MaxAbsDiff(b *Dense) float64 {
 	if a.Rows != b.Rows || a.Cols != b.Cols {
@@ -83,15 +69,6 @@ func (a *Dense) MaxAbs() float64 {
 		}
 	}
 	return m
-}
-
-// FrobeniusNorm returns sqrt(sum a_ij²).
-func (a *Dense) FrobeniusNorm() float64 {
-	s := 0.0
-	for _, v := range a.Data {
-		s += v * v
-	}
-	return math.Sqrt(s)
 }
 
 // Random returns a rows×cols matrix with i.i.d. uniform entries in [-1, 1)
@@ -145,13 +122,6 @@ func (a *Dense) Sub(b *Dense) {
 	}
 	for i, v := range b.Data {
 		a.Data[i] -= v
-	}
-}
-
-// Scale multiplies every element by s.
-func (a *Dense) Scale(s float64) {
-	for i := range a.Data {
-		a.Data[i] *= s
 	}
 }
 

@@ -53,11 +53,11 @@ func TestCloneIndependence(t *testing.T) {
 func TestRandomDeterministic(t *testing.T) {
 	a := Random(4, 4, 7)
 	b := Random(4, 4, 7)
-	if !a.Equalish(b, 0) {
+	if a.MaxAbsDiff(b) > 0 {
 		t.Error("same seed must produce the same matrix")
 	}
 	c := Random(4, 4, 8)
-	if a.Equalish(c, 0) {
+	if a.MaxAbsDiff(c) == 0 {
 		t.Error("different seeds should differ")
 	}
 	for _, v := range a.Data {
@@ -72,7 +72,7 @@ func TestMulSmallKnown(t *testing.T) {
 	b := FromData(2, 2, []float64{5, 6, 7, 8})
 	c := Mul(a, b)
 	want := FromData(2, 2, []float64{19, 22, 43, 50})
-	if !c.Equalish(want, 1e-14) {
+	if c.MaxAbsDiff(want) > 1e-14 {
 		t.Errorf("Mul: got %v want %v", c.Data, want.Data)
 	}
 }
@@ -80,11 +80,11 @@ func TestMulSmallKnown(t *testing.T) {
 func TestMulIdentity(t *testing.T) {
 	a := Random(5, 5, 3)
 	c := Mul(a, Identity(5))
-	if !c.Equalish(a, 1e-14) {
+	if c.MaxAbsDiff(a) > 1e-14 {
 		t.Error("A·I != A")
 	}
 	c = Mul(Identity(5), a)
-	if !c.Equalish(a, 1e-14) {
+	if c.MaxAbsDiff(a) > 1e-14 {
 		t.Error("I·A != A")
 	}
 }
@@ -157,7 +157,7 @@ func TestMulFlops(t *testing.T) {
 	}
 }
 
-func TestAddSubScale(t *testing.T) {
+func TestAddSub(t *testing.T) {
 	a := FromData(2, 2, []float64{1, 2, 3, 4})
 	b := FromData(2, 2, []float64{10, 20, 30, 40})
 	a.Add(b)
@@ -167,10 +167,6 @@ func TestAddSubScale(t *testing.T) {
 	a.Sub(b)
 	if a.At(0, 0) != 1 {
 		t.Errorf("Sub: %v", a.Data)
-	}
-	a.Scale(3)
-	if a.At(0, 1) != 6 {
-		t.Errorf("Scale: %v", a.Data)
 	}
 }
 
@@ -190,7 +186,7 @@ func TestTranspose(t *testing.T) {
 		t.Errorf("Transpose: %+v", b)
 	}
 	c := b.Transpose()
-	if !c.Equalish(a, 0) {
+	if c.MaxAbsDiff(a) > 0 {
 		t.Error("double transpose must be identity")
 	}
 }
@@ -233,9 +229,6 @@ func TestBlockOutOfRangePanics(t *testing.T) {
 
 func TestNorms(t *testing.T) {
 	a := FromData(1, 3, []float64{3, -4, 0})
-	if a.FrobeniusNorm() != 5 {
-		t.Errorf("Frobenius: got %g", a.FrobeniusNorm())
-	}
 	if a.MaxAbs() != 4 {
 		t.Errorf("MaxAbs: got %g", a.MaxAbs())
 	}

@@ -210,12 +210,3 @@ func (c *Collector) Deadlocks() []sim.DeadlockEvent {
 	defer c.mu.Unlock()
 	return append([]sim.DeadlockEvent(nil), c.deadlocks...)
 }
-
-// Total counts all captured events, deadlocks included.
-func (c *Collector) Total() int {
-	n := len(c.Deadlocks())
-	for _, evs := range c.perRank {
-		n += len(evs)
-	}
-	return n
-}

@@ -123,20 +123,3 @@ func (rb *RingBuffer) Snapshot() []Event {
 
 // Total counts every event ever pushed, kept or evicted.
 func (rb *RingBuffer) Total() uint64 { return rb.seq.Load() }
-
-// Dropped counts events evicted to keep the window bounded.
-func (rb *RingBuffer) Dropped() uint64 {
-	total := rb.seq.Load()
-	var kept uint64
-	for i := range rb.shards {
-		sh := &rb.shards[i]
-		sh.mu.Lock()
-		n := uint64(len(sh.buf))
-		sh.mu.Unlock()
-		kept += n
-	}
-	if kept > uint64(rb.capacity) {
-		kept = uint64(rb.capacity)
-	}
-	return total - kept
-}

@@ -165,14 +165,3 @@ func MatMulRegionGrid(pb MatMul, pLo, pHi float64, pCount, memCount int) MatMulG
 	}
 	return g
 }
-
-// CountFeasible returns the number of in-region cells.
-func (g MatMulGrid) CountFeasible() int {
-	n := 0
-	for _, c := range g.Cells {
-		if c.Feasible {
-			n++
-		}
-	}
-	return n
-}

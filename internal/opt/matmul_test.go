@@ -259,7 +259,7 @@ func TestFig4TimeDecreasesRightAndUp(t *testing.T) {
 func TestMatMulRegionGrid(t *testing.T) {
 	pb := testMatMul()
 	g := MatMulRegionGrid(pb, 64, 1<<16, 32, 24)
-	if g.CountFeasible() == 0 {
+	if g.countFeasible() == 0 {
 		t.Fatal("no feasible cells")
 	}
 	if !approx(g.MStar, pb.OptimalMemory(), 1e-12) {
@@ -293,4 +293,15 @@ func TestMatMulRegionGrid(t *testing.T) {
 			}
 		}
 	}
+}
+
+// countFeasible returns the number of in-region cells.
+func (g MatMulGrid) countFeasible() int {
+	n := 0
+	for _, c := range g.Cells {
+		if c.Feasible {
+			n++
+		}
+	}
+	return n
 }

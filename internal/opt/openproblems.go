@@ -36,11 +36,6 @@ func (pb NBody) MinAvgPowerConfig() (Config, float64) {
 	return Config{P: pb.N / mem, Mem: mem}, pw
 }
 
-// AvgPower returns E/T at a configuration.
-func (pb NBody) AvgPower(p, mem float64) float64 {
-	return pb.Energy(mem) / pb.Time(p, mem)
-}
-
 // MemRangeGivenProcPower is the §V.E matmul analogue: the memory interval
 // within which the per-processor power of classical matmul stays at or
 // below pMax. The matmul power curve P1(M) is unimodal like the n-body

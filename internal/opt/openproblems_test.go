@@ -14,8 +14,8 @@ func TestMinAvgPowerUses1DLimit(t *testing.T) {
 		t.Errorf("power-optimal run should use p = n/M: p=%g M=%g", cfg.P, cfg.Mem)
 	}
 	// The reported power matches E/T there.
-	if !approx(pw, pb.AvgPower(cfg.P, cfg.Mem), 1e-9) {
-		t.Errorf("reported power inconsistent: %g vs %g", pw, pb.AvgPower(cfg.P, cfg.Mem))
+	if !approx(pw, pb.avgPower(cfg.P, cfg.Mem), 1e-9) {
+		t.Errorf("reported power inconsistent: %g vs %g", pw, pb.avgPower(cfg.P, cfg.Mem))
 	}
 	// No sampled feasible configuration beats it.
 	for _, mem := range []float64{cfg.Mem / 4, cfg.Mem / 2, cfg.Mem * 2, cfg.Mem * 4} {
@@ -24,7 +24,7 @@ func TestMinAvgPowerUses1DLimit(t *testing.T) {
 			if p > pb.N*pb.N/(mem*mem) {
 				continue // outside the 2D limit
 			}
-			if got := pb.AvgPower(p, mem); got < pw*(1-1e-9) {
+			if got := pb.avgPower(p, mem); got < pw*(1-1e-9) {
 				t.Errorf("found lower power %g at p=%g M=%g than optimum %g", got, p, mem, pw)
 			}
 		}
@@ -46,8 +46,8 @@ func TestMinAvgPowerVsMinEnergyDiffer(t *testing.T) {
 func TestAvgPowerGrowsWithP(t *testing.T) {
 	pb := testNBody()
 	mem := pb.OptimalMemory()
-	p1 := pb.AvgPower(10, mem)
-	p2 := pb.AvgPower(20, mem)
+	p1 := pb.avgPower(10, mem)
+	p2 := pb.avgPower(20, mem)
 	if p2 <= p1 {
 		t.Errorf("average power should grow with p at fixed M: %g -> %g", p1, p2)
 	}
@@ -108,4 +108,9 @@ func TestMatMulMinEnergyGivenProcPower(t *testing.T) {
 		t.Errorf("capped energy %g below global optimum", e)
 	}
 	_ = math.Pi
+}
+
+// avgPower returns E/T at a configuration.
+func (pb NBody) avgPower(p, mem float64) float64 {
+	return pb.Energy(mem) / pb.Time(p, mem)
 }

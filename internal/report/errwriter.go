@@ -36,11 +36,6 @@ func (e *ErrWriter) Printf(format string, args ...any) {
 	fmt.Fprintf(e, format, args...)
 }
 
-// Println prints a line to the underlying writer, recording the first error.
-func (e *ErrWriter) Println(args ...any) {
-	fmt.Fprintln(e, args...)
-}
-
 // Err reports the first write failure, or nil.
 func (e *ErrWriter) Err() error { return e.err }
 

@@ -28,7 +28,7 @@ func TestErrWriterRecordsFirstError(t *testing.T) {
 	if w.Err() != nil {
 		t.Fatalf("first write errored: %v", w.Err())
 	}
-	w.Println("second write fails")
+	w.Printf("second write fails\n")
 	if !errors.Is(w.Err(), errSink) {
 		t.Fatalf("error not recorded: %v", w.Err())
 	}
@@ -42,7 +42,7 @@ func TestErrWriterPassthrough(t *testing.T) {
 	var buf bytes.Buffer
 	w := NewErrWriter(&buf)
 	w.Printf("a=%d ", 1)
-	w.Println("b")
+	w.Printf("b\n")
 	if w.Err() != nil {
 		t.Fatal(w.Err())
 	}
@@ -57,7 +57,7 @@ func TestOpenOutputFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w.Println("hello")
+	w.Printf("hello\n")
 	if w.Err() != nil {
 		t.Fatal(w.Err())
 	}

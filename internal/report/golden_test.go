@@ -43,19 +43,11 @@ func goldenTable() *Table {
 	return tb
 }
 
-// TestGoldenTable pins the three render formats of the reporting layer so a
-// formatting change (alignment, float precision, separators) is a reviewed
-// diff rather than a silent drift in every artifact built on top.
+// TestGoldenTable pins the reporting layer's table format so a formatting
+// change (float precision, separators) is a reviewed diff rather than a
+// silent drift in every artifact built on top.
 func TestGoldenTable(t *testing.T) {
-	tb := goldenTable()
-	var b strings.Builder
-	b.WriteString("=== Render ===\n")
-	b.WriteString(tb.Render())
-	b.WriteString("\n=== CSV ===\n")
-	b.WriteString(tb.CSV())
-	b.WriteString("=== Markdown ===\n")
-	b.WriteString(tb.Markdown())
-	golden(t, "table.golden", b.String())
+	golden(t, "table.golden", "=== Markdown ===\n"+goldenTable().Markdown())
 }
 
 // TestGoldenChart pins the ASCII chart renderer, linear and log axes.

@@ -1,6 +1,5 @@
-// Package report renders experiment results as aligned text tables, CSV,
-// and coarse ASCII charts — the output layer of the cmd/ tools and the
-// bench harness.
+// Package report renders experiment results as Markdown tables and coarse
+// ASCII charts — the output layer of the cmd/ tools.
 package report
 
 import (
@@ -51,66 +50,6 @@ func FormatFloat(v float64) string {
 	default:
 		return fmt.Sprintf("%.4g", v)
 	}
-}
-
-// Render returns the aligned text form.
-func (t *Table) Render() string {
-	widths := make([]int, len(t.Headers))
-	for i, h := range t.Headers {
-		widths[i] = len(h)
-	}
-	for _, row := range t.Rows {
-		for i, c := range row {
-			if i < len(widths) && len(c) > widths[i] {
-				widths[i] = len(c)
-			}
-		}
-	}
-	var b strings.Builder
-	if t.Title != "" {
-		fmt.Fprintf(&b, "%s\n", t.Title)
-	}
-	line := func(cells []string) {
-		for i, c := range cells {
-			if i > 0 {
-				b.WriteString("  ")
-			}
-			fmt.Fprintf(&b, "%-*s", widths[i], c)
-		}
-		b.WriteByte('\n')
-	}
-	line(t.Headers)
-	sep := make([]string, len(t.Headers))
-	for i := range sep {
-		sep[i] = strings.Repeat("-", widths[i])
-	}
-	line(sep)
-	for _, row := range t.Rows {
-		line(row)
-	}
-	return b.String()
-}
-
-// CSV returns the comma-separated form (fields with commas are quoted).
-func (t *Table) CSV() string {
-	var b strings.Builder
-	writeRow := func(cells []string) {
-		for i, c := range cells {
-			if i > 0 {
-				b.WriteByte(',')
-			}
-			if strings.ContainsAny(c, ",\"\n") {
-				c = "\"" + strings.ReplaceAll(c, "\"", "\"\"") + "\""
-			}
-			b.WriteString(c)
-		}
-		b.WriteByte('\n')
-	}
-	writeRow(t.Headers)
-	for _, row := range t.Rows {
-		writeRow(row)
-	}
-	return b.String()
 }
 
 // Series is a named list of (x, y) points for figure data.

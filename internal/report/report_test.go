@@ -5,41 +5,6 @@ import (
 	"testing"
 )
 
-func TestTableRender(t *testing.T) {
-	tb := NewTable("Demo", "name", "value")
-	tb.AddRow("alpha", 1.5)
-	tb.AddRow("beta", 2e-10)
-	out := tb.Render()
-	if !strings.Contains(out, "Demo") || !strings.Contains(out, "alpha") {
-		t.Errorf("render missing content:\n%s", out)
-	}
-	lines := strings.Split(strings.TrimSpace(out), "\n")
-	if len(lines) != 5 { // title, header, separator, 2 rows
-		t.Errorf("expected 5 lines, got %d:\n%s", len(lines), out)
-	}
-	// Columns aligned: header and rows share the separator width.
-	if !strings.Contains(lines[2], "-") {
-		t.Error("missing separator")
-	}
-}
-
-func TestTableCSV(t *testing.T) {
-	tb := NewTable("", "a", "b")
-	tb.AddRow("x,y", 3)
-	csv := tb.CSV()
-	if !strings.Contains(csv, "\"x,y\"") {
-		t.Errorf("comma field must be quoted: %s", csv)
-	}
-	if !strings.HasPrefix(csv, "a,b\n") {
-		t.Errorf("missing header: %s", csv)
-	}
-	tb2 := NewTable("", "q")
-	tb2.AddRow(`say "hi"`)
-	if !strings.Contains(tb2.CSV(), `"say ""hi"""`) {
-		t.Errorf("quotes must be escaped: %s", tb2.CSV())
-	}
-}
-
 func TestFormatFloat(t *testing.T) {
 	cases := map[float64]string{
 		0:       "0",

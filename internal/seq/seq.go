@@ -3,7 +3,7 @@
 // unbounded slow memory, moving data in messages of at most m words. It
 // counts the words and messages transferred and the flops executed, so the
 // sequential communication lower bounds of Eq. 3–4 can be checked against
-// real blocked algorithms.
+// a real blocked matmul.
 //
 // The machine is deliberately explicit: algorithms must Load data into
 // fast memory before computing on it and Store results back; exceeding the
@@ -55,9 +55,6 @@ func New(fastWords, maxMsg int) (*Machine, error) {
 
 // Stats returns the accumulated counters.
 func (mc *Machine) Stats() Stats { return mc.stats }
-
-// FastUsed returns the current fast-memory residency in words.
-func (mc *Machine) FastUsed() int { return mc.used }
 
 func (mc *Machine) transfers(k int) float64 {
 	if k == 0 {
@@ -152,98 +149,4 @@ func BlockedMatMul(mc *Machine, a, b *matrix.Dense, bs int) (*matrix.Dense, erro
 		}
 	}
 	return c, nil
-}
-
-// NaiveMatMul computes C = A·B with no blocking: every inner-product step
-// reloads its operands, the cache-oblivious worst case W = Θ(n³). It keeps
-// only three words resident.
-func NaiveMatMul(mc *Machine, a, b *matrix.Dense) (*matrix.Dense, error) {
-	if a.Rows != a.Cols || b.Rows != b.Cols || a.Rows != b.Rows {
-		return nil, fmt.Errorf("seq: need equal square operands")
-	}
-	n := a.Rows
-	if mc.FastWords < 3 {
-		return nil, fmt.Errorf("seq: need at least 3 words of fast memory")
-	}
-	c := matrix.New(n, n)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			mc.Load(1) // accumulator
-			s := 0.0
-			for k := 0; k < n; k++ {
-				mc.Load(2) // a(i,k), b(k,j)
-				s += a.At(i, k) * b.At(k, j)
-				mc.Compute(2)
-				mc.Discard(2)
-			}
-			c.Set(i, j, s)
-			mc.Store(1)
-		}
-	}
-	return c, nil
-}
-
-// BlockedLU factors A (diagonally dominant, no pivoting) out of core with
-// panel width bs: the right-looking algorithm whose transfer volume is
-// Θ(n³/√M) like matmul's. Returns L and U.
-func BlockedLU(mc *Machine, a *matrix.Dense, bs int) (l, u *matrix.Dense, err error) {
-	if a.Rows != a.Cols {
-		return nil, nil, fmt.Errorf("seq: non-square %dx%d", a.Rows, a.Cols)
-	}
-	n := a.Rows
-	if bs <= 0 || n%bs != 0 {
-		return nil, nil, fmt.Errorf("seq: block size %d must divide n = %d", bs, n)
-	}
-	if 3*bs*bs > mc.FastWords {
-		return nil, nil, fmt.Errorf("seq: three %d² blocks exceed fast memory %d", bs, mc.FastWords)
-	}
-	w := a.Clone()
-	nb := n / bs
-	for k := 0; k < nb; k++ {
-		// Factor the diagonal block in fast memory.
-		mc.Load(bs * bs)
-		diag := w.Block(k*bs, k*bs, bs, bs)
-		if err := matrix.LUInPlace(diag); err != nil {
-			return nil, nil, fmt.Errorf("seq: panel %d: %w", k, err)
-		}
-		mc.Compute(matrix.LUFlops(bs))
-		w.SetBlock(k*bs, k*bs, diag)
-		lkk, ukk := matrix.SplitLU(diag)
-		// Panel solves: stream the blocks through fast memory.
-		for i := k + 1; i < nb; i++ {
-			mc.Load(bs * bs)
-			blk := w.Block(i*bs, k*bs, bs, bs)
-			matrix.TriSolveUpperRight(ukk, blk)
-			mc.Compute(matrix.TriSolveFlops(bs, bs))
-			w.SetBlock(i*bs, k*bs, blk)
-			mc.Store(bs * bs)
-		}
-		for j := k + 1; j < nb; j++ {
-			mc.Load(bs * bs)
-			blk := w.Block(k*bs, j*bs, bs, bs)
-			matrix.TriSolveLowerUnit(lkk, blk)
-			mc.Compute(matrix.TriSolveFlops(bs, bs))
-			w.SetBlock(k*bs, j*bs, blk)
-			mc.Store(bs * bs)
-		}
-		mc.Store(bs * bs) // diagonal block back out
-		// Trailing update: load L_ik, U_kj, C_ij triples.
-		for i := k + 1; i < nb; i++ {
-			for j := k + 1; j < nb; j++ {
-				mc.Load(3 * bs * bs)
-				lik := w.Block(i*bs, k*bs, bs, bs)
-				ukj := w.Block(k*bs, j*bs, bs, bs)
-				trail := w.Block(i*bs, j*bs, bs, bs)
-				prod := matrix.Mul(lik, ukj)
-				mc.Compute(matrix.MulFlops(bs, bs, bs))
-				trail.Sub(prod)
-				mc.Compute(float64(bs * bs))
-				w.SetBlock(i*bs, j*bs, trail)
-				mc.Store(bs * bs)
-				mc.Discard(2 * bs * bs)
-			}
-		}
-	}
-	l, u = matrix.SplitLU(w)
-	return l, u, nil
 }

@@ -32,8 +32,8 @@ func TestNewValidation(t *testing.T) {
 func TestLoadStoreAccounting(t *testing.T) {
 	mc := newMachine(t, 100, 10)
 	mc.Load(25) // 3 messages of <=10
-	if mc.FastUsed() != 25 {
-		t.Errorf("used: %d", mc.FastUsed())
+	if mc.used != 25 {
+		t.Errorf("used: %d", mc.used)
 	}
 	mc.Store(20)
 	mc.Discard(5)
@@ -47,8 +47,8 @@ func TestLoadStoreAccounting(t *testing.T) {
 	if s.PeakFast != 25 {
 		t.Errorf("peak: %d", s.PeakFast)
 	}
-	if mc.FastUsed() != 0 {
-		t.Errorf("residual residency: %d", mc.FastUsed())
+	if mc.used != 0 {
+		t.Errorf("residual residency: %d", mc.used)
 	}
 }
 
@@ -125,72 +125,6 @@ func TestBlockedMatMulAttainsHongKung(t *testing.T) {
 	r := words[4] / words[8]
 	if r < 1.7 || r > 2.3 {
 		t.Errorf("W(M/4)/W(M) = %g, want ≈2", r)
-	}
-}
-
-func TestNaiveMatMulPaysCubicTraffic(t *testing.T) {
-	const n = 24
-	a := matrix.Random(n, n, 3)
-	b := matrix.Random(n, n, 4)
-	mc := newMachine(t, 1024, 0)
-	c, err := NaiveMatMul(mc, a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := c.MaxAbsDiff(matrix.Mul(a, b)); d > 1e-10*n {
-		t.Errorf("naive wrong: %g", d)
-	}
-	// W = 2n³ + 2n² exactly (2 loads per inner step, 1+1 per element).
-	want := 2*math.Pow(n, 3) + 2*n*n
-	if got := mc.Stats().Words; got != want {
-		t.Errorf("naive W = %g, want %g", got, want)
-	}
-	// And it dwarfs the blocked algorithm's traffic.
-	mcB := newMachine(t, 3*8*8, 0)
-	if _, err := BlockedMatMul(mcB, a, b, 8); err != nil {
-		t.Fatal(err)
-	}
-	if mc.Stats().Words < 5*mcB.Stats().Words {
-		t.Errorf("naive (%g) should dwarf blocked (%g)", mc.Stats().Words, mcB.Stats().Words)
-	}
-}
-
-func TestBlockedLUCorrect(t *testing.T) {
-	for _, tc := range []struct{ n, bs int }{{8, 2}, {16, 4}, {24, 8}} {
-		mc := newMachine(t, 3*tc.bs*tc.bs, 0)
-		a := matrix.RandomDiagDominant(tc.n, int64(tc.n))
-		l, u, err := BlockedLU(mc, a, tc.bs)
-		if err != nil {
-			t.Fatalf("n=%d bs=%d: %v", tc.n, tc.bs, err)
-		}
-		if d := matrix.Mul(l, u).MaxAbsDiff(a); d > 1e-9*float64(tc.n) {
-			t.Errorf("n=%d bs=%d: residual %g", tc.n, tc.bs, d)
-		}
-	}
-}
-
-func TestBlockedLUTrafficScalesLikeMatMul(t *testing.T) {
-	const n = 32
-	a := matrix.RandomDiagDominant(n, 5)
-	words := map[int]float64{}
-	for _, bs := range []int{4, 8} {
-		mc := newMachine(t, 3*bs*bs, 0)
-		if _, _, err := BlockedLU(mc, a, bs); err != nil {
-			t.Fatal(err)
-		}
-		words[bs] = mc.Stats().Words
-	}
-	// Halving the block size (quartering M) roughly doubles W.
-	r := words[4] / words[8]
-	if r < 1.4 || r > 2.6 {
-		t.Errorf("LU W(M/4)/W(M) = %g, want ≈2", r)
-	}
-}
-
-func TestBlockedLUSingular(t *testing.T) {
-	mc := newMachine(t, 300, 0)
-	if _, _, err := BlockedLU(mc, matrix.New(8, 8), 4); err == nil {
-		t.Error("zero matrix should report a pivot failure")
 	}
 }
 

@@ -43,26 +43,28 @@ func (e *OverloadError) Error() string {
 	return fmt.Sprintf("serve: %s lane overloaded (%s): %s", e.Lane, e.Reason, e.Detail)
 }
 
-// lane is one bounded worker pool with a shedding queue.
+// lane is one bounded worker pool with a shedding queue and its own
+// response cache.
 type lane struct {
 	name     string
 	slots    chan struct{} // buffered to the worker count
 	maxQueue int64
 	waiting  atomic.Int64 // requests holding a queue position
+	cache    *queryCache
 
 	// avgServiceS is a coarse EWMA of recent service times in seconds,
 	// only used to size the Retry-After hint.
 	avgServiceS atomic.Uint64 // math.Float64bits
 }
 
-func newLane(name string, workers, queue int) *lane {
+func newLane(name string, workers, queue, cacheEntries int) *lane {
 	if workers < 1 {
 		workers = 1
 	}
 	if queue < 0 {
 		queue = 0
 	}
-	return &lane{name: name, slots: make(chan struct{}, workers), maxQueue: int64(queue)}
+	return &lane{name: name, slots: make(chan struct{}, workers), maxQueue: int64(queue), cache: newQueryCache(cacheEntries)}
 }
 
 // admit claims a worker slot, waiting in the queue if one is not free. It

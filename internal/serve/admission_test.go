@@ -8,7 +8,7 @@ import (
 )
 
 func TestLaneShedsWhenFull(t *testing.T) {
-	l := newLane("test", 1, 1)
+	l := newLane("test", 1, 1, 1)
 	ctx := context.Background()
 
 	release1, err := l.admit(ctx)
@@ -47,7 +47,7 @@ func TestLaneShedsWhenFull(t *testing.T) {
 }
 
 func TestLaneAdmitHonorsContext(t *testing.T) {
-	l := newLane("test", 1, 4)
+	l := newLane("test", 1, 4, 1)
 	release, err := l.admit(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -64,7 +64,7 @@ func TestLaneAdmitHonorsContext(t *testing.T) {
 }
 
 func TestLaneRetryAfterTracksServiceTime(t *testing.T) {
-	l := newLane("test", 1, 2)
+	l := newLane("test", 1, 2, 1)
 	for i := 0; i < 8; i++ {
 		l.observeService(3.0)
 	}

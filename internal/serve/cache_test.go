@@ -246,3 +246,41 @@ func TestCacheConcurrentDistinctKeys(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestSimulateRunsKeepPriceAnswersCached sends k unique /simulate runs
+// between probes of a hot /price set. Each lane has its own LRU, so the
+// heavy lane's entries never push the cheap lane's out; with one LRU shared
+// by both lanes every probe after the first round would miss, since hot
+// keys plus k simulations per key overflow the capacity.
+func TestSimulateRunsKeepPriceAnswersCached(t *testing.T) {
+	const entries, hot, k = 16, 2, 8
+	_, ts := newTestServer(t, Options{CacheEntries: entries})
+	priceURL := func(i int) string { return fmt.Sprintf("%s/price?alg=matmul&n=4096&p=%d", ts.URL, 64<<i) }
+	for i := 0; i < hot; i++ {
+		if code, body, _ := get(t, priceURL(i)); code != 200 {
+			t.Fatalf("warm price %d = %d %v", i, code, body)
+		}
+	}
+	seed, misses := 0, 0
+	for round := 0; round < 3; round++ {
+		for i := 0; i < hot; i++ {
+			for j := 0; j < k; j++ {
+				seed++
+				url := fmt.Sprintf("%s/simulate?alg=matmul25d&n=8&q=2&c=1&seed=%d", ts.URL, seed)
+				if code, body, _ := get(t, url); code != 200 {
+					t.Fatalf("simulate seed=%d = %d %v", seed, code, body)
+				}
+			}
+			code, body, hdr := get(t, priceURL(i))
+			if code != 200 {
+				t.Fatalf("probe %d = %d %v", i, code, body)
+			}
+			if hdr.Get("X-Cache") != "hit" {
+				misses++
+			}
+		}
+	}
+	if misses != 0 {
+		t.Errorf("%d of %d /price probes missed after %d unique /simulate runs each", misses, 3*hot, k)
+	}
+}

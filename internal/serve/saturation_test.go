@@ -202,7 +202,7 @@ func TestCancelledSimulateStopsSimulation(t *testing.T) {
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
-	waitFor(t, func() bool { return s.InFlight() == 0 })
+	waitFor(t, func() bool { return s.inFlight() == 0 })
 
 	// The abandoned request is accounted as cancelled, not served.
 	snap := s.Metrics().Snapshot(time.Now())
@@ -268,7 +268,7 @@ func TestMixedChaosTraffic(t *testing.T) {
 	if snap := s.Metrics().Snapshot(time.Now()); snap.Panics != 0 {
 		t.Errorf("panics under chaos = %d", snap.Panics)
 	}
-	if s.InFlight() != 0 {
-		t.Errorf("in-flight after chaos = %d, want 0", s.InFlight())
+	if s.inFlight() != 0 {
+		t.Errorf("in-flight after chaos = %d, want 0", s.inFlight())
 	}
 }

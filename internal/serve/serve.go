@@ -67,7 +67,9 @@ type Options struct {
 	MaxSimRanks int
 	MaxSimN     int
 
-	// CacheEntries bounds the response LRU (default 1024 entries).
+	// CacheEntries bounds each lane's response LRU (default 1024 entries
+	// per lane), so a stream of unique simulations cannot evict the cheap
+	// lane's answers.
 	CacheEntries int
 
 	// MetricsSink receives the final metrics snapshot (JSON) when the
@@ -119,7 +121,6 @@ type Server struct {
 	mux     *http.ServeMux
 	cheap   *lane
 	heavy   *lane
-	cache   *queryCache
 	metrics *Metrics
 
 	// draining is set once; after that managed endpoints refuse new work.
@@ -141,9 +142,8 @@ func New(opts Options) *Server {
 	opts = opts.withDefaults()
 	s := &Server{
 		opts:     opts,
-		cheap:    newLane("cheap", opts.CheapWorkers, opts.CheapQueue),
-		heavy:    newLane("heavy", opts.HeavyWorkers, opts.HeavyQueue),
-		cache:    newQueryCache(opts.CacheEntries),
+		cheap:    newLane("cheap", opts.CheapWorkers, opts.CheapQueue, opts.CacheEntries),
+		heavy:    newLane("heavy", opts.HeavyWorkers, opts.HeavyQueue, opts.CacheEntries),
 		metrics:  newMetrics(time.Now()),
 		inflight: make(map[int64]context.CancelFunc),
 	}
@@ -328,13 +328,6 @@ func (s *Server) untrack(id int64) {
 	s.wg.Done()
 }
 
-// InFlight reports the number of tracked requests (for tests).
-func (s *Server) InFlight() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.inflight)
-}
-
 // Drain gracefully stops the server: new managed requests are refused with
 // a 503, in-flight requests are given until ctx expires to finish, then
 // their contexts are cancelled — which aborts any running simulations —
@@ -498,10 +491,10 @@ func replay(w http.ResponseWriter, resp cachedResponse, state cacheState) {
 	_, _ = w.Write(resp.body) // a failed write means the client left
 }
 
-// cachedQuery funnels an endpoint through the cache + singleflight + lane
-// pipeline and writes the outcome.
+// cachedQuery funnels an endpoint through the lane's cache + singleflight +
+// admission pipeline and writes the outcome.
 func (s *Server) cachedQuery(ctx context.Context, w *statusWriter, l *lane, key string, compute func() (any, *apiError)) {
-	resp, state, err := s.cache.do(ctx, key, func() cachedResponse {
+	resp, state, err := l.cache.do(ctx, key, func() cachedResponse {
 		return s.runLane(ctx, l, compute)
 	})
 	s.metrics.recordCache(state)

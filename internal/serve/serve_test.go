@@ -386,8 +386,8 @@ func TestGracefulDrain(t *testing.T) {
 	if code, _, _ := get(t, ts.URL+"/healthz"); code != 200 {
 		t.Errorf("healthz while draining = %d, want 200", code)
 	}
-	if s.InFlight() != 0 {
-		t.Errorf("in-flight after drain = %d, want 0", s.InFlight())
+	if s.inFlight() != 0 {
+		t.Errorf("in-flight after drain = %d, want 0", s.inFlight())
 	}
 	if !strings.Contains(sink.String(), "lanes") {
 		t.Errorf("metrics sink not flushed on drain: %q", sink.String())
@@ -497,4 +497,11 @@ func TestSimulateRunsStackless(t *testing.T) {
 			t.Errorf("%s: rank coroutines during a /simulate run:\n%.3000s", alg, probe.stacks)
 		}
 	}
+}
+
+// inFlight reports the number of tracked requests.
+func (s *Server) inFlight() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.inflight)
 }

@@ -26,12 +26,12 @@ type TwoLevelLinks struct {
 	InterBeta    float64
 }
 
-// Node returns the node index of a rank.
-func (l TwoLevelLinks) Node(rank int) int { return rank / l.CoresPerNode }
+// node returns the node index of a rank.
+func (l TwoLevelLinks) node(rank int) int { return rank / l.CoresPerNode }
 
 // Latency implements LinkModel.
 func (l TwoLevelLinks) Latency(src, dst int) float64 {
-	if l.Node(src) == l.Node(dst) {
+	if l.node(src) == l.node(dst) {
 		return l.IntraAlpha
 	}
 	return l.InterAlpha
@@ -39,18 +39,10 @@ func (l TwoLevelLinks) Latency(src, dst int) float64 {
 
 // TimePerWord implements LinkModel.
 func (l TwoLevelLinks) TimePerWord(src, dst int) float64 {
-	if l.Node(src) == l.Node(dst) {
+	if l.node(src) == l.node(dst) {
 		return l.IntraBeta
 	}
 	return l.InterBeta
-}
-
-// Validate checks the link model against a cluster size.
-func (l TwoLevelLinks) Validate(p int) error {
-	if l.CoresPerNode <= 0 || p%l.CoresPerNode != 0 {
-		return fmt.Errorf("sim: %d ranks do not fill nodes of %d cores", p, l.CoresPerNode)
-	}
-	return nil
 }
 
 // Torus3DLinks models an X×Y×Z torus: the latency of a message grows with
@@ -103,14 +95,6 @@ func (t Torus3DLinks) Latency(src, dst int) float64 {
 
 // TimePerWord implements LinkModel.
 func (t Torus3DLinks) TimePerWord(src, dst int) float64 { return t.BetaPerWord }
-
-// Validate checks the torus against a cluster size.
-func (t Torus3DLinks) Validate(p int) error {
-	if t.X <= 0 || t.Y <= 0 || t.Z <= 0 || t.X*t.Y*t.Z != p {
-		return fmt.Errorf("sim: %d ranks do not tile a %dx%dx%d torus", p, t.X, t.Y, t.Z)
-	}
-	return nil
-}
 
 // PlacedLinks composes a link model with a placement: Place[rank] is the
 // physical node the logical rank occupies. It lets experiments compare a

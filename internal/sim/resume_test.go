@@ -139,7 +139,7 @@ func TestResumeOutsideLock(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			starts := make([]atomic.Int32, c.P())
+			starts := make([]atomic.Int32, c.p)
 			body := shape25D(t, q, 4, -1, first)
 			_, err = c.Run(func(r *Rank) error {
 				starts[r.ID()].Add(1)

@@ -259,9 +259,6 @@ func NewCluster(p int, cost Cost) (*Cluster, error) {
 	return c, nil
 }
 
-// P returns the number of ranks.
-func (c *Cluster) P() int { return c.p }
-
 // Rank is the handle an SPMD function uses to communicate, account
 // compute, and track memory. A Rank has one caller at a time: whichever
 // engine worker is stepping it (step.go), or running a closure rank's
