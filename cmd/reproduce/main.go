@@ -571,6 +571,10 @@ func (r *reporter) e15() {
 func (r *reporter) e16() {
 	tl := machine.JaketownTwoLevel()
 	tl.EpsilonE = 1e-3
+	if err := tl.Validate(); err != nil {
+		r.fail(err)
+		return
+	}
 	mm := core.TwoLevelMatMul(tl, 8192, 4, 8)
 	nb := core.TwoLevelNBody(tl, 1e6, 4, 8, 16)
 	der := core.TwoLevelNBodyDerived(tl, 1e6, 4, 8, 16)

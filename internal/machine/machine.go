@@ -223,6 +223,35 @@ type TwoLevel struct {
 	MaxMsgL float64
 }
 
+// Validate reports whether the two-level parameter set is meaningful.
+func (t TwoLevel) Validate() error {
+	var errs []error
+	if !positive(t.GammaT) {
+		errs = append(errs, fmt.Errorf("gamma_t must be finite and positive, got %g", t.GammaT))
+	}
+	for _, c := range []struct {
+		name string
+		v    float64
+	}{
+		{"gamma_e", t.GammaE}, {"epsilon_e", t.EpsilonE},
+		{"beta_t^n", t.BetaTN}, {"alpha_t^n", t.AlphaTN},
+		{"beta_e^n", t.BetaEN}, {"alpha_e^n", t.AlphaEN}, {"delta_e^n", t.DeltaEN},
+		{"beta_t^l", t.BetaTL}, {"alpha_t^l", t.AlphaTL},
+		{"beta_e^l", t.BetaEL}, {"alpha_e^l", t.AlphaEL}, {"delta_e^l", t.DeltaEL},
+	} {
+		if c.v < 0 || math.IsNaN(c.v) || math.IsInf(c.v, 0) {
+			errs = append(errs, fmt.Errorf("%s must be finite and non-negative, got %g", c.name, c.v))
+		}
+	}
+	if !positive(t.MemN) || !positive(t.MemL) {
+		errs = append(errs, fmt.Errorf("memories must be finite and positive, got Mn=%g Ml=%g", t.MemN, t.MemL))
+	}
+	if !positive(t.MaxMsgN) || !positive(t.MaxMsgL) {
+		errs = append(errs, fmt.Errorf("max messages must be finite and positive, got mn=%g ml=%g", t.MaxMsgN, t.MaxMsgL))
+	}
+	return errors.Join(errs...)
+}
+
 // positive reports whether v is a finite number above zero; NaN and ±Inf
 // fail it (a bare v <= 0 test lets NaN through).
 func positive(v float64) bool { return v > 0 && !math.IsInf(v, 1) }

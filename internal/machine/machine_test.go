@@ -35,6 +35,13 @@ func TestSimDefaultValidates(t *testing.T) {
 	}
 }
 
+func TestJaketownTwoLevelValidates(t *testing.T) {
+	tl := JaketownTwoLevel()
+	if err := tl.Validate(); err != nil {
+		t.Fatalf("JaketownTwoLevel preset should validate: %v", err)
+	}
+}
+
 func TestValidateRejectsBadParams(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -65,6 +72,34 @@ func TestValidateRejectsBadParams(t *testing.T) {
 			p := Jaketown()
 			tc.mutate(&p)
 			if err := p.Validate(); err == nil {
+				t.Fatalf("Validate should reject %s", tc.name)
+			}
+		})
+	}
+}
+
+func TestTwoLevelValidateRejectsBadParams(t *testing.T) {
+	cases := []struct {
+		name   string
+		mutate func(*TwoLevel)
+	}{
+		{"zero gamma_t", func(p *TwoLevel) { p.GammaT = 0 }},
+		{"negative beta_t^n", func(p *TwoLevel) { p.BetaTN = -1 }},
+		{"negative beta_e^l", func(p *TwoLevel) { p.BetaEL = -1 }},
+		{"zero node memory", func(p *TwoLevel) { p.MemN = 0 }},
+		{"zero core memory", func(p *TwoLevel) { p.MemL = 0 }},
+		{"zero node msg", func(p *TwoLevel) { p.MaxMsgN = 0 }},
+		{"NaN gamma_t", func(p *TwoLevel) { p.GammaT = math.NaN() }},
+		{"NaN node memory", func(p *TwoLevel) { p.MemN = math.NaN() }},
+		{"Inf core memory", func(p *TwoLevel) { p.MemL = math.Inf(1) }},
+		{"NaN core msg", func(p *TwoLevel) { p.MaxMsgL = math.NaN() }},
+		{"Inf node msg", func(p *TwoLevel) { p.MaxMsgN = math.Inf(1) }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			tl := JaketownTwoLevel()
+			tc.mutate(&tl)
+			if err := tl.Validate(); err == nil {
 				t.Fatalf("Validate should reject %s", tc.name)
 			}
 		})
